@@ -1,5 +1,23 @@
 """bospec: spectral solver and analytic oracle for Born-Oppenheimer
-Hamiltonians -h^2 Lap_x - Lap_y + V(x, y)."""
+Hamiltonians -h^2 Lap_x - Lap_y + V(x, y).
+
+BOSPEC_THREADS caps the BLAS/OpenMP threads.  The cap is set here, before the
+submodules import numpy and so load the BLAS library, which reads its thread
+count once at load; explicit OMP/OPENBLAS/MKL_NUM_THREADS settings win.
+"""
+
+import os as _os
+
+
+def _apply_thread_cap() -> None:
+    cap = _os.environ.get("BOSPEC_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
 
 from .analytic import (
     AnalyticSpectrum,

@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
-from datetime import datetime, timezone
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -28,14 +26,6 @@ class ConfigError(Exception):
         super().__init__(f"[{section}] {key}: {message}")
         self.section = section
         self.key = key
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("BOSPEC_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +142,6 @@ def _output_target(cfg, args):
     return fmt, path
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _json_dump(obj, path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -175,7 +161,6 @@ def _write_spectrum(result, fmt, path) -> None:
                 fh.write(f"{i},{e:.17g},{r:.17g},{str(bool(c)).lower()}\n")
     else:
         _json_dump({
-            "timestamp": _timestamp(),
             "eigenvalues": [float(e) for e in result.eigenvalues],
             "residuals": [float(r) for r in result.residuals],
             "converged": [bool(c) for c in result.converged],
@@ -185,9 +170,15 @@ def _write_spectrum(result, fmt, path) -> None:
         }, path)
 
 
-def _boundary_warning(op, window: float) -> None:
+def _boundary_warning(op, result) -> None:
+    """Warn when V on the box boundary is within 10% of the spectral window,
+    the largest converged eigenvalue; unconverged pairs set no window."""
     import numpy as np
 
+    converged = result.eigenvalues[result.converged]
+    if converged.size == 0:
+        return
+    window = float(converged.max())
     coords = op.grid.node_coords()
     mask = np.zeros(op.dim, dtype=bool)
     for d in range(op.grid.dim):
@@ -210,7 +201,7 @@ def cmd_solve(cfg, args) -> int:
     op = assemble_hamiltonian(grid, pot, params["h"])
     result = lowest_eigenpairs(op, params["k"], tol=params["tol"],
                                max_iter=params["max_iter"], seed=params["seed"])
-    _boundary_warning(op, float(result.eigenvalues.max()))
+    _boundary_warning(op, result)
     _write_spectrum(result, fmt, path)
     return EXIT_OK if result.all_converged else EXIT_PARTIAL
 
@@ -236,7 +227,6 @@ def _write_analytic(spec, fmt, path) -> None:
                         [float(x) for x in v])
                   for key, v in spec.params.items()}
         _json_dump({
-            "timestamp": _timestamp(),
             "params": params,
             "cutoff": {"e_max": None if spec.e_max is None else float(spec.e_max),
                        "k": spec.k},
@@ -265,9 +255,10 @@ def cmd_analytic(cfg, args) -> int:
     return EXIT_OK
 
 
-def _fit_error_constants(pot, half_widths, target_points, h, k, seed):
+def _fit_error_constants(pot, half_widths, target_points, h, k, seed, tol):
     """Per-eigenvalue constants C with |error| ~ C * delta^2, fitted on two
-    coarser grids against the analytic reference."""
+    coarser grids against the analytic reference.  Returns the constants, the
+    reference and whether every calibration pair converged."""
     import numpy as np
 
     from .analytic import bo_spectrum
@@ -280,14 +271,16 @@ def _fit_error_constants(pot, half_widths, target_points, h, k, seed):
     if len(sizes) == 1:
         sizes.append(sizes[0] * 2 + 1)
     constants = np.zeros(k)
+    converged = True
     for size in sizes:
         grid = build_grid(pot.n, pot.p, half_widths, [size] * pot.dim)
         op = assemble_hamiltonian(grid, pot, h)
-        res = lowest_eigenpairs(op, k, tol=1e-8, seed=seed)
+        res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
+        converged = converged and res.all_converged
         delta = max(grid.spacing)
         err = np.abs(res.eigenvalues[:k] - ref)
         constants = np.maximum(constants, err / delta**2)
-    return constants, ref
+    return constants, ref, converged
 
 
 def cmd_compare(cfg, args) -> int:
@@ -327,8 +320,10 @@ def cmd_compare(cfg, args) -> int:
         gap_tol = min(gaps) / 4 if gaps else 1e-6
     clusters = cluster_multiplicities(result.eigenvalues[:total], gap_tol)
 
-    constants, _ = _fit_error_constants(pot, grid.half_widths, grid.points,
-                                        params["h"], total, params["seed"])
+    # calibration is at least as tight as the solve it judges
+    constants, _, calibrated = _fit_error_constants(
+        pot, grid.half_widths, grid.points, params["h"], total, params["seed"],
+        tol=min(params["tol"], 1e-8))
     delta = max(grid.spacing)
 
     structural = len(clusters) != len(levels)
@@ -357,7 +352,6 @@ def cmd_compare(cfg, args) -> int:
                          f"{tl:.17g},{str(ok).lower()}\n")
     else:
         _json_dump({
-            "timestamp": _timestamp(),
             "gap_tol": gap_tol,
             "rows": [{
                 "level": li, "analytic_energy": ae, "numeric_energy": ne,
@@ -369,6 +363,10 @@ def cmd_compare(cfg, args) -> int:
         print(f"structural failure: {len(clusters)} numeric clusters vs "
               f"{len(levels)} analytic levels", file=sys.stderr)
         return EXIT_STRUCTURAL
+    if not (result.all_converged and calibrated):
+        print("partial convergence: an eigenpair of the solve or of its error "
+              "calibration did not converge", file=sys.stderr)
+        return EXIT_PARTIAL
     return EXIT_OK
 
 
@@ -457,12 +455,15 @@ def cmd_converge(cfg, args) -> int:
                 fh.write(f"{j},{ref:.17g},{s},{str(ok).lower()}\n")
     else:
         _json_dump({
-            "timestamp": _timestamp(),
             "deltas": list(study.deltas),
             "errors": study.errors.tolist(),
             "rows": [{"level": j, "reference": ref, "slope": slope, "pass": ok}
                      for j, ref, slope, ok in rows],
         }, path)
+    if not study.converged.all():
+        print("partial convergence: an eigenpair did not converge on some grid "
+              "size; the slopes are unreliable", file=sys.stderr)
+        return EXIT_PARTIAL
     return EXIT_OK
 
 
@@ -515,7 +516,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="bospec",
         description="Spectral solver and analytic oracle for Born-Oppenheimer "

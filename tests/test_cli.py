@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bospec.cli import main
+import bospec
+from bospec.cli import _fit_error_constants, main
+from bospec.potential import quadratic_potential
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -55,7 +61,17 @@ class TestSolve:
                      "--format", "json"]) == 0
         data = json.loads(out.read_text())
         assert data["eigenvalues"] == pytest.approx([1.0, 3.0, 5.0], abs=5e-3)
-        assert "timestamp" in data
+
+    def test_json_repeat_runs_byte_identical(self, tmp_path):
+        for config, command in ((SOLVE_1D, "solve"), (CONVERGE, "converge")):
+            cfg = write_config(tmp_path, config, name=f"{command}.ini")
+            outs = []
+            for name in ("a.json", "b.json"):
+                out = tmp_path / f"{command}-{name}"
+                assert main([command, "--config", cfg, "--out", str(out),
+                             "--format", "json"]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
 
     def test_missing_grid_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[potential]\nkind = quadratic\na = 1\n")
@@ -68,8 +84,7 @@ class TestSolve:
                      "--out", str(tmp_path / "x.csv")]) == 1
 
     def test_partial_convergence_exit_2(self, tmp_path):
-        text = SOLVE_1D.replace("max_iter = 600", "max_iter = 25")
-        text = text.replace("tol = 1e-7", "tol = 1e-12")
+        text = SOLVE_1D.replace("tol = 1e-7", "tol = 1e-15")
         cfg = write_config(tmp_path, text)
         out = tmp_path / "spec.csv"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
@@ -83,6 +98,15 @@ class TestSolve:
         out = tmp_path / "spec.csv"
         main(["solve", "--config", cfg, "--out", str(out)])
         assert "enlarge the box" in capsys.readouterr().err
+
+    def test_boundary_window_ignores_unconverged(self, tmp_path, capsys):
+        # the tiny box warns for converged pairs; unconverged ones set no window
+        text = SOLVE_1D.replace("half_widths = 10", "half_widths = 2")
+        text = text.replace("tol = 1e-7", "tol = 1e-15")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "spec.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        assert "enlarge the box" not in capsys.readouterr().err
 
     def test_no_output_path(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_1D)
@@ -197,6 +221,21 @@ class TestCompare:
         for r in read_csv(out):
             assert float(r["abs_error"]) <= float(r["tolerance"])
 
+    def test_unconverged_calibration_reported(self):
+        pot = quadratic_potential([[1.0]])
+        *_, converged = _fit_error_constants(pot, (8.0,), (255,), 1.0, 3, 0,
+                                             tol=1e-8)
+        assert converged
+        *_, converged = _fit_error_constants(pot, (8.0,), (255,), 1.0, 3, 0,
+                                             tol=1e-15)
+        assert not converged
+
+    def test_partial_convergence_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, COMPARE.replace("tol = 1e-8", "tol = 1e-15"))
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+        assert len(read_csv(out)) == 3
+
     def test_k_too_small(self, tmp_path):
         cfg = write_config(tmp_path, COMPARE.replace("k = 3", "k = 0"))
         assert main(["compare", "--config", cfg,
@@ -305,6 +344,12 @@ class TestConverge:
             assert 1.7 <= float(r["slope"]) <= 2.3
             assert r["pass"] == "true"
 
+    def test_partial_convergence_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, CONVERGE.replace("tol = 1e-8", "tol = 1e-15"))
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+        assert len(read_csv(out)) == 2
+
     def test_two_sizes_rejected(self, tmp_path):
         cfg = write_config(tmp_path,
                            CONVERGE.replace("sizes = 125 250 500",
@@ -324,3 +369,41 @@ class TestConverge:
         data = json.loads(out.read_text())
         errors = np.array(data["errors"])
         assert errors.shape == (3, 2)
+
+
+# Threads in effect per loaded OpenBLAS, asked from the library itself after
+# the console script's import.
+BLAS_THREADS_PROBE = """
+import ctypes, json
+import bospec.cli
+found = {}
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh
+                    if "openblas" in line.rsplit("/", 1)[-1].lower()})
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for symbol in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads",
+                   "scipy_openblas_get_num_threads64_"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            found[path] = fn()
+            break
+print(json.dumps(found))
+"""
+
+
+def test_bospec_threads_caps_blas():
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("needs /proc/self/maps to find the loaded BLAS")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["BOSPEC_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(bospec.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    found = json.loads(proc.stdout)
+    if not found:
+        pytest.skip("no OpenBLAS loaded")
+    assert set(found.values()) == {1}

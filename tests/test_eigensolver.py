@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bospec.analytic import bo_spectrum
 from bospec.eigensolver import (
     cluster_multiplicities,
     convergence_study,
@@ -80,8 +81,34 @@ class TestLowestEigenpairs:
 
     def test_partial_convergence_flagged(self):
         op = oscillator_op(points=999)
-        res = lowest_eigenpairs(op, 3, tol=1e-10, max_iter=30, seed=0)
+        res = lowest_eigenpairs(op, 3, tol=1e-15, seed=0)
         assert not np.all(res.converged)
+
+    def test_restarted_lanczos_on_3d_grid(self):
+        # 3D grids take the matvec-only backend; the expression equals the
+        # quadratic form a = [[1]], b = [[1, .5], [.5, 1]]
+        grid = build_grid(1, 2, [8.0] * 3, [23] * 3)
+        pot = expression_potential("x1^2 + y1^2 + y1*y2 + y2^2", 1, 2,
+                                   nonnegative=True)
+        op = assemble_hamiltonian(grid, pot, 0.5)
+        res = lowest_eigenpairs(op, 6, tol=1e-7, seed=0)
+        exact = np.array(bo_spectrum([[1.0]], [[1.0, 0.5], [0.5, 1.0]], 0.5,
+                                     k=8).flat(6))
+        delta = max(grid.spacing)
+        assert res.all_converged
+        assert np.all(np.abs(res.eigenvalues - exact) <= 0.15 * delta**2 * exact**2)
+
+    def test_no_convergence_returns_k_flagged_pairs(self):
+        # one restart cannot converge on the 3D grid; ARPACK raises inside
+        grid = build_grid(1, 2, [8.0] * 3, [23] * 3)
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], np.eye(2)), 0.5)
+        res = lowest_eigenpairs(op, 6, tol=1e-7, max_iter=1, seed=0)
+        assert res.eigenvalues.shape == (6,) and not res.all_converged
+        assert np.all(np.diff(res.eigenvalues) >= 0)
+        assert np.abs(res.vectors.T @ res.vectors - np.eye(6)).max() <= 1e-8
+        recomputed = np.linalg.norm(op.matrix @ res.vectors
+                                    - res.vectors * res.eigenvalues, axis=0)
+        assert np.allclose(recomputed, res.residuals, rtol=1e-8)
 
 
 class TestClusterMultiplicities:
