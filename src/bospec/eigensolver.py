@@ -25,9 +25,9 @@ __all__ = [
 
 DEFAULT_GAP_TOL = 1e-6
 # Largest grid dimension solved by shift-invert.  The sparse LU of H - sigma I
-# holds about 52 factor nonzeros per unknown on a 2D 255^2 grid, but already
-# 436 on a 3D 31^3 grid, where factoring takes longer than the matvec-only
-# iteration takes to converge.
+# holds about 52 factor nonzeros per unknown on a 2D 255^2 grid but already
+# 274 on a 3D 23^3 grid (436 on 31^3), where on a 2-core host factoring alone
+# (0.4 s) outlasts the whole matvec-only solve (0.2 s).
 SHIFT_INVERT_MAX_DIM = 2
 
 
