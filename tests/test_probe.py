@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bospec.grid import assemble_hamiltonian, build_grid, restrict
 from bospec.potential import expression_potential, quadratic_potential
@@ -152,6 +153,33 @@ class TestCommutator:
         a = commutator_decay(op, family, probes=2, seed=7)
         b = commutator_decay(op, family, probes=2, seed=7)
         assert a == b
+
+    def test_resolvent_matches_dense_solve(self):
+        from bospec.probe import _resolvent_at_i
+
+        grid = build_grid(1, 1, [4.0, 4.0], [21, 21])
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
+        shifted = op.matrix - 1j * sp.identity(op.dim, format="csr")
+        v = np.random.default_rng(3).standard_normal(op.dim)
+        w_re, w_im = _resolvent_at_i(shifted, v)
+        exact = np.linalg.solve(op.matrix.toarray() - 1j * np.eye(op.dim), v)
+        err = np.linalg.norm(w_re + 1j * w_im - exact) / np.linalg.norm(exact)
+        assert err < 1e-7
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        import bospec.probe as probe
+
+        op = oscillator_op(points=49)
+        caps = []
+
+        def stalled(a, b, **kwargs):
+            caps.append(kwargs["maxiter"])
+            return np.zeros(b.shape, dtype=complex), 5
+
+        monkeypatch.setattr(probe.spla, "bicgstab", stalled)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
+        assert caps and all(0 < c <= op.dim for c in caps)
 
     def test_matches_matrix_commutator_on_smooth_vector(self):
         # the assembled first-order form and the matrix commutator
