@@ -3,23 +3,29 @@ relations, dilation scaling, and the eigenvalue counting function.
 
 Energy levels come from weighted multi-index sums sum_i (2 n_i + 1) w_i, with
 the slow-dimension weights carrying the semiclassical factor h.  Enumeration is
-best-first over multi-indices, so no level below the cutoff is missed.
+best-first over multi-indices, so no level below the cutoff is missed; the
+same enumerator gives the exact levels of the discrete free operator.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .grid import Grid
+from .potential import oscillator_frequencies
+
 __all__ = [
-    "Frequencies",
     "AnalyticSpectrum",
     "HermiteBasis",
     "oscillator_frequencies",
     "enumerate_spectrum",
+    "dirichlet_levels",
     "bo_spectrum",
     "dilate_spectrum",
     "counting_function",
@@ -32,25 +38,6 @@ __all__ = [
 ]
 
 MERGE_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Frequencies:
-    w: tuple   # slow-dimension frequencies, ascending
-    mu: tuple  # fast-dimension frequencies, ascending
-
-
-def oscillator_frequencies(a) -> tuple:
-    """Ascending square roots of the eigenvalues of a symmetric PD matrix."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValueError("matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(a)
-    if np.any(eigs <= 0):
-        raise ValueError(f"matrix is not positive definite (eigenvalue {eigs.min():g})")
-    return tuple(np.sort(np.sqrt(eigs)))
 
 
 @dataclass(frozen=True)
@@ -79,6 +66,25 @@ class AnalyticSpectrum:
             if count is not None and len(out) >= count:
                 return out[:count]
         return out
+
+
+def _ascending_energies(energy, dim: int, counts=None):
+    """Energies energy(idx) over multi-indices idx in N^dim, ascending, with
+    multiplicity.  `energy` must not decrease when any index grows; `counts`
+    optionally bounds index d below counts[d].  Best-first over a heap, so
+    every energy is yielded before any larger one."""
+    start = (0,) * dim
+    heap = [(energy(start), start)]
+    seen = {start}
+    while heap:
+        e, idx = heapq.heappop(heap)
+        yield e
+        for d in range(dim):
+            if counts is None or idx[d] + 1 < counts[d]:
+                succ = idx[:d] + (idx[d] + 1,) + idx[d + 1:]
+                if succ not in seen:
+                    seen.add(succ)
+                    heapq.heappush(heap, (energy(succ), succ))
 
 
 def _is_exact(values) -> bool:
@@ -117,41 +123,43 @@ def enumerate_spectrum(w, h_scale=1, e_max=None, k=None) -> AnalyticSpectrum:
             return e == level
         return abs(e - level) <= MERGE_RTOL * max(1.0, abs(level))
 
-    ground_idx = (0,) * len(w)
-    ground = energy(ground_idx)
+    ground = energy((0,) * len(w))
     params = {"h_scale": h_scale, "w": tuple(w)}
     if e_max is not None and ground > e_max * (1 + (0 if exact else MERGE_RTOL)):
-        import warnings
-
         warnings.warn(f"cutoff {e_max} lies below the ground energy {ground}")
         return AnalyticSpectrum(levels=(), e_max=e_max, k=None, params=params)
 
-    heap = [(ground, ground_idx)]
-    seen = {ground_idx}
+    if e_max is not None:
+        limit = e_max if exact else e_max + MERGE_RTOL * max(1.0, abs(float(e_max)))
     levels: list[list] = []  # [energy, multiplicity]
-    while heap:
-        e, idx = heapq.heappop(heap)
-        if e_max is not None:
-            limit = e_max if exact else e_max + MERGE_RTOL * max(1.0, abs(float(e_max)))
-            if e > limit:
-                break
+    for e in _ascending_energies(energy, len(w)):
+        if e_max is not None and e > limit:
+            break
         if levels and same_level(e, levels[-1][0]):
             levels[-1][1] += 1
         else:
             if k is not None and len(levels) == k:
                 break
             levels.append([e, 1])
-        for d in range(len(w)):
-            succ = idx[:d] + (idx[d] + 1,) + idx[d + 1:]
-            if succ not in seen:
-                seen.add(succ)
-                heapq.heappush(heap, (energy(succ), succ))
     return AnalyticSpectrum(
         levels=tuple((e, m) for e, m in levels),
         e_max=e_max,
         k=k,
         params=params,
     )
+
+
+def dirichlet_levels(grid: Grid, h: float, k: int) -> list:
+    """The k smallest eigenvalues, with multiplicity, of the discrete free
+    operator -h^2 Lap_x - Lap_y on the grid: sums of per-axis Dirichlet
+    stencil eigenvalues, one mode per axis (fewer when the grid is smaller)."""
+    per_dim = grid.dirichlet_modes(h)
+
+    def energy(idx):
+        return sum(per_dim[d][i] for d, i in enumerate(idx))
+
+    stream = _ascending_energies(energy, grid.dim, grid.points)
+    return [float(e) for e in itertools.islice(stream, k)]
 
 
 def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:

@@ -13,12 +13,23 @@ import configparser
 import json
 import sys
 
+import numpy as np
+
+from .analytic import bo_spectrum, dilate_spectrum, dirichlet_levels
+from .eigensolver import (
+    cluster_multiplicities,
+    convergence_study,
+    fit_error_constants,
+    lowest_eigenpairs,
+)
+from .grid import DEFAULT_H_MAX, assemble_hamiltonian, build_grid
+from .potential import expression_potential, quadratic_potential
+from .probe import discreteness_certificate, essential_spectrum_probe
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
 EXIT_STRUCTURAL = 3
-
-H_MAX_DEFAULT = 1.0
 
 
 class ConfigError(Exception):
@@ -67,8 +78,6 @@ def _ints(raw: str) -> list:
 
 
 def _matrix(raw: str):
-    import numpy as np
-
     rows = [[float(tok) for tok in row.replace(",", " ").split()]
             for row in raw.split(";") if row.strip()]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -77,8 +86,6 @@ def _matrix(raw: str):
 
 
 def _build_grid_from_config(cfg):
-    from .grid import build_grid
-
     n = _get(cfg, "grid", "n", int, required=True)
     p = _get(cfg, "grid", "p", int, default=0)
     half_widths = _get(cfg, "grid", "half_widths", _floats, required=True)
@@ -90,8 +97,6 @@ def _build_grid_from_config(cfg):
 
 
 def _build_potential_from_config(cfg, n: int, p: int):
-    from . import potential as potmod
-
     kind = _get(cfg, "potential", "kind", str, required=True).strip()
     if kind == "quadratic":
         a = _get(cfg, "potential", "a", _matrix, required=True)
@@ -99,7 +104,7 @@ def _build_potential_from_config(cfg, n: int, p: int):
         if p > 0 and b is None:
             raise ConfigError("potential", "b", "required when p > 0")
         try:
-            return potmod.quadratic_potential(a, b)
+            return quadratic_potential(a, b)
         except ValueError as exc:
             raise ConfigError("potential", "a", str(exc)) from exc
     if kind == "expression":
@@ -108,7 +113,7 @@ def _build_potential_from_config(cfg, n: int, p: int):
                       lambda s: s.strip().lower() in ("1", "true", "yes"),
                       default=False)
         try:
-            return potmod.expression_potential(text, n, p, nonnegative=nonneg)
+            return expression_potential(text, n, p, nonnegative=nonneg)
         except ValueError as exc:
             raise ConfigError("potential", "expression", str(exc)) from exc
     raise ConfigError("potential", "kind", f"unknown kind {kind!r}")
@@ -116,8 +121,8 @@ def _build_potential_from_config(cfg, n: int, p: int):
 
 def _solver_params(cfg, seed_override=None):
     h = _get(cfg, "solver", "h", float, default=0.1)
-    if not 0 < h <= H_MAX_DEFAULT:
-        raise ConfigError("solver", "h", f"must lie in (0, {H_MAX_DEFAULT}]")
+    if not 0 < h <= DEFAULT_H_MAX:
+        raise ConfigError("solver", "h", f"must lie in (0, {DEFAULT_H_MAX}]")
     params = {
         "h": h,
         "k": _get(cfg, "solver", "k", int, default=5),
@@ -142,39 +147,37 @@ def _output_target(cfg, args):
     return fmt, path
 
 
-def _json_dump(obj, path) -> None:
+def _cell(value) -> str:
+    """One CSV cell: blank for None, lower-case booleans, integers and text
+    as they are, every other number in full precision."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, str)):
+        return str(value)
+    return f"{float(value):.17g}"
+
+
+def _write(path, fmt, columns, rows, payload) -> None:
+    """Write `rows` under the header `columns` as CSV, or `payload` as JSON."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        if fmt == "json":
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+            return
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _write_spectrum(result, fmt, path) -> None:
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write("index,eigenvalue,residual,converged\n")
-            for i, (e, r, c) in enumerate(zip(result.eigenvalues,
-                                              result.residuals, result.converged)):
-                fh.write(f"{i},{e:.17g},{r:.17g},{str(bool(c)).lower()}\n")
-    else:
-        _json_dump({
-            "eigenvalues": [float(e) for e in result.eigenvalues],
-            "residuals": [float(r) for r in result.residuals],
-            "converged": [bool(c) for c in result.converged],
-            "iterations": result.iterations,
-            "h": result.h,
-            "grid_signature": result.grid_signature,
-        }, path)
-
-
 def _boundary_warning(op, result) -> None:
     """Warn when V on the box boundary is within 10% of the spectral window,
     the largest converged eigenvalue; unconverged pairs set no window."""
-    import numpy as np
-
     converged = result.eigenvalues[result.converged]
     if converged.size == 0:
         return
@@ -191,9 +194,6 @@ def _boundary_warning(op, result) -> None:
 
 
 def cmd_solve(cfg, args) -> int:
-    from .eigensolver import lowest_eigenpairs
-    from .grid import assemble_hamiltonian
-
     grid = _build_grid_from_config(cfg)
     pot = _build_potential_from_config(cfg, grid.n, grid.p)
     params = _solver_params(cfg, args.seed)
@@ -202,7 +202,16 @@ def cmd_solve(cfg, args) -> int:
     result = lowest_eigenpairs(op, params["k"], tol=params["tol"],
                                max_iter=params["max_iter"], seed=params["seed"])
     _boundary_warning(op, result)
-    _write_spectrum(result, fmt, path)
+    pairs = zip(result.eigenvalues, result.residuals, result.converged)
+    _write(path, fmt, ("index", "eigenvalue", "residual", "converged"),
+           [(i, e, r, c) for i, (e, r, c) in enumerate(pairs)], {
+               "eigenvalues": [float(e) for e in result.eigenvalues],
+               "residuals": [float(r) for r in result.residuals],
+               "converged": [bool(c) for c in result.converged],
+               "iterations": result.iterations,
+               "h": result.h,
+               "grid_signature": result.grid_signature,
+           })
     return EXIT_OK if result.all_converged else EXIT_PARTIAL
 
 
@@ -216,27 +225,7 @@ def _analytic_cutoff(cfg):
     return e_max, levels
 
 
-def _write_analytic(spec, fmt, path) -> None:
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write("energy,multiplicity\n")
-            for e, m in spec.levels:
-                fh.write(f"{float(e):.17g},{m}\n")
-    else:
-        params = {key: (float(v) if isinstance(v, (int, float)) else
-                        [float(x) for x in v])
-                  for key, v in spec.params.items()}
-        _json_dump({
-            "params": params,
-            "cutoff": {"e_max": None if spec.e_max is None else float(spec.e_max),
-                       "k": spec.k},
-            "levels": [[float(e), m] for e, m in spec.levels],
-        }, path)
-
-
 def cmd_analytic(cfg, args) -> int:
-    from .analytic import bo_spectrum, dilate_spectrum
-
     grid_n = _get(cfg, "grid", "n", int, required=True)
     grid_p = _get(cfg, "grid", "p", int, default=0)
     pot = _build_potential_from_config(cfg, grid_n, grid_p)
@@ -251,45 +240,19 @@ def cmd_analytic(cfg, args) -> int:
         if args.dilate <= 0:
             raise ConfigError("cli", "--dilate", "must be positive")
         spec = dilate_spectrum(spec, args.dilate)
-    _write_analytic(spec, fmt, path)
+    rows = [(float(e), m) for e, m in spec.levels]
+    _write(path, fmt, ("energy", "multiplicity"), rows, {
+        "params": {key: (float(v) if isinstance(v, (int, float)) else
+                         [float(x) for x in v])
+                   for key, v in spec.params.items()},
+        "cutoff": {"e_max": None if spec.e_max is None else float(spec.e_max),
+                   "k": spec.k},
+        "levels": [list(row) for row in rows],
+    })
     return EXIT_OK
 
 
-def _fit_error_constants(pot, half_widths, target_points, h, k, seed, tol):
-    """Per-eigenvalue constants C with |error| ~ C * delta^2, fitted on two
-    coarser grids against the analytic reference.  Returns the constants, the
-    reference and whether every calibration pair converged."""
-    import numpy as np
-
-    from .analytic import bo_spectrum
-    from .eigensolver import lowest_eigenpairs
-    from .grid import assemble_hamiltonian, build_grid
-
-    ref = np.asarray(bo_spectrum(pot.a, pot.b, h, k=k + 2).flat(k), dtype=float)
-    base = max(target_points)
-    sizes = sorted({max(31, base // 4), max(63, base // 2)})
-    if len(sizes) == 1:
-        sizes.append(sizes[0] * 2 + 1)
-    constants = np.zeros(k)
-    converged = True
-    for size in sizes:
-        grid = build_grid(pot.n, pot.p, half_widths, [size] * pot.dim)
-        op = assemble_hamiltonian(grid, pot, h)
-        res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
-        converged = converged and res.all_converged
-        delta = max(grid.spacing)
-        err = np.abs(res.eigenvalues[:k] - ref)
-        constants = np.maximum(constants, err / delta**2)
-    return constants, ref, converged
-
-
 def cmd_compare(cfg, args) -> int:
-    import numpy as np
-
-    from .analytic import bo_spectrum
-    from .eigensolver import cluster_multiplicities, lowest_eigenpairs
-    from .grid import assemble_hamiltonian
-
     grid = _build_grid_from_config(cfg)
     pot = _build_potential_from_config(cfg, grid.n, grid.p)
     if pot.kind != "quadratic":
@@ -321,7 +284,7 @@ def cmd_compare(cfg, args) -> int:
     clusters = cluster_multiplicities(result.eigenvalues[:total], gap_tol)
 
     # calibration is at least as tight as the solve it judges
-    constants, _, calibrated = _fit_error_constants(
+    constants, _, calibrated = fit_error_constants(
         pot, grid.half_widths, grid.points, params["h"], total, params["seed"],
         tol=min(params["tol"], 1e-8))
     delta = max(grid.spacing)
@@ -341,24 +304,12 @@ def cmd_compare(cfg, args) -> int:
             rows.append((li, energy, None, None, mult, 0, tol_level, False))
         idx += mult
 
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write("level,analytic_energy,numeric_energy,abs_error,"
-                     "analytic_multiplicity,numeric_multiplicity,tolerance,pass\n")
-            for li, ae, ne, err, am, nm, tl, ok in rows:
-                ne_s = "" if ne is None else f"{ne:.17g}"
-                err_s = "" if err is None else f"{err:.17g}"
-                fh.write(f"{li},{ae:.17g},{ne_s},{err_s},{am},{nm},"
-                         f"{tl:.17g},{str(ok).lower()}\n")
-    else:
-        _json_dump({
-            "gap_tol": gap_tol,
-            "rows": [{
-                "level": li, "analytic_energy": ae, "numeric_energy": ne,
-                "abs_error": err, "analytic_multiplicity": am,
-                "numeric_multiplicity": nm, "tolerance": tl, "pass": ok,
-            } for li, ae, ne, err, am, nm, tl, ok in rows],
-        }, path)
+    columns = ("level", "analytic_energy", "numeric_energy", "abs_error",
+               "analytic_multiplicity", "numeric_multiplicity", "tolerance", "pass")
+    _write(path, fmt, columns, rows, {
+        "gap_tol": gap_tol,
+        "rows": [dict(zip(columns, row)) for row in rows],
+    })
     if structural:
         print(f"structural failure: {len(clusters)} numeric clusters vs "
               f"{len(levels)} analytic levels", file=sys.stderr)
@@ -371,9 +322,6 @@ def cmd_compare(cfg, args) -> int:
 
 
 def cmd_probe(cfg, args) -> int:
-    from .grid import assemble_hamiltonian
-    from .probe import discreteness_certificate, essential_spectrum_probe
-
     if not cfg.has_section("probe"):
         raise ConfigError("probe", "", "missing section")
     lambdas = _get(cfg, "probe", "lambdas", _floats, required=True)
@@ -398,31 +346,14 @@ def cmd_probe(cfg, args) -> int:
     else:
         raise ConfigError("probe", "mode", f"unknown mode {mode!r}")
 
-    entries = []
-    for rep in reports:
-        for e in rep.entries:
-            entries.append({
-                "lambda": rep.candidate_lambda,
-                "radius_or_scale": e.radius,
-                "residual": e.residual,
-                "lower_bound": e.lower_bound,
-                "verdict": rep.verdict,
-            })
-    if fmt == "json":
-        _json_dump(entries, path)
-    else:
-        with open(path, "w") as fh:
-            fh.write("lambda,radius_or_scale,residual,lower_bound,verdict\n")
-            for e in entries:
-                lb = "" if e["lower_bound"] is None else f"{e['lower_bound']:.17g}"
-                fh.write(f"{e['lambda']:.17g},{e['radius_or_scale']:.17g},"
-                         f"{e['residual']:.17g},{lb},{e['verdict']}\n")
+    columns = ("lambda", "radius_or_scale", "residual", "lower_bound", "verdict")
+    rows = [(rep.candidate_lambda, e.radius, e.residual, e.lower_bound, rep.verdict)
+            for rep in reports for e in rep.entries]
+    _write(path, fmt, columns, rows, [dict(zip(columns, row)) for row in rows])
     return EXIT_OK
 
 
 def cmd_converge(cfg, args) -> int:
-    from .eigensolver import convergence_study
-
     grid_n = _get(cfg, "grid", "n", int, required=True)
     grid_p = _get(cfg, "grid", "p", int, default=0)
     half_widths = _get(cfg, "grid", "half_widths", _floats, required=True)
@@ -434,11 +365,16 @@ def cmd_converge(cfg, args) -> int:
     fmt, path = _output_target(cfg, args)
     reference = None
     ref_mode = _get(cfg, "converge", "reference", str, default="auto").strip()
+    if ref_mode not in ("auto", "fd_exact"):
+        raise ConfigError("converge", "reference",
+                          f"unknown reference {ref_mode!r} (auto or fd_exact)")
     if ref_mode == "fd_exact":
-        from .grid import build_grid
-
         grid = build_grid(grid_n, grid_p, half_widths, [sizes[-1]] * (grid_n + grid_p))
-        reference = _fd_exact_levels(grid, params["h"], params["k"])
+        if np.any(pot.evaluate_many(grid.node_coords()) != 0):
+            raise ConfigError("converge", "reference",
+                              "fd_exact is exact only for V = 0 at every node "
+                              "of the finest grid")
+        reference = dirichlet_levels(grid, params["h"], params["k"])
     study = convergence_study(pot, half_widths, sizes, params["k"],
                               h=params["h"], reference=reference,
                               tol=params["tol"], max_iter=params["max_iter"],
@@ -447,59 +383,19 @@ def cmd_converge(cfg, args) -> int:
     for j, slope in enumerate(study.slopes):
         ok = slope is not None and 1.7 <= slope <= 2.3
         rows.append((j, study.reference[j], slope, ok))
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write("level,reference,slope,pass\n")
-            for j, ref, slope, ok in rows:
-                s = "n/a" if slope is None else f"{slope:.6g}"
-                fh.write(f"{j},{ref:.17g},{s},{str(ok).lower()}\n")
-    else:
-        _json_dump({
-            "deltas": list(study.deltas),
-            "errors": study.errors.tolist(),
-            "rows": [{"level": j, "reference": ref, "slope": slope, "pass": ok}
-                     for j, ref, slope, ok in rows],
-        }, path)
+    columns = ("level", "reference", "slope", "pass")
+    _write(path, fmt, columns,
+           [(j, ref, "n/a" if slope is None else f"{slope:.6g}", ok)
+            for j, ref, slope, ok in rows], {
+               "deltas": list(study.deltas),
+               "errors": study.errors.tolist(),
+               "rows": [dict(zip(columns, row)) for row in rows],
+           })
     if not study.converged.all():
         print("partial convergence: an eigenpair did not converge on some grid "
               "size; the slopes are unreliable", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
-
-
-def _fd_exact_levels(grid, h: float, k: int):
-    """k smallest exact eigenvalues of the discrete free operator: heap
-    enumeration of sums of per-dimension stencil eigenvalues."""
-    import heapq
-
-    import numpy as np
-
-    per_dim = []
-    for d in range(grid.dim):
-        m = grid.points[d]
-        delta = grid.spacing[d]
-        weight = h * h if d < grid.n else 1.0
-        modes = weight * (2 - 2 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))) / delta**2
-        per_dim.append(np.sort(modes))
-
-    start = (0,) * grid.dim
-
-    def energy(idx):
-        return sum(per_dim[d][i] for d, i in enumerate(idx))
-
-    heap = [(energy(start), start)]
-    seen = {start}
-    out = []
-    while heap and len(out) < k:
-        e, idx = heapq.heappop(heap)
-        out.append(float(e))
-        for d in range(grid.dim):
-            if idx[d] + 1 < grid.points[d]:
-                succ = idx[:d] + (idx[d] + 1,) + idx[d + 1:]
-                if succ not in seen:
-                    seen.add(succ)
-                    heapq.heappush(heap, (energy(succ), succ))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
+from .analytic import bo_spectrum
 from .grid import GridOperator, assemble_hamiltonian, build_grid
 from .potential import Potential
 
@@ -21,6 +22,7 @@ __all__ = [
     "lowest_eigenpairs",
     "cluster_multiplicities",
     "convergence_study",
+    "fit_error_constants",
 ]
 
 DEFAULT_GAP_TOL = 1e-6
@@ -61,11 +63,7 @@ def _shift_below_spectrum(op: GridOperator) -> float:
     the spectrum from below for any V.  Half of the kinetic minimum is kept
     as margin, so H - sigma I is positive definite even for constant V.
     """
-    grid = op.grid
-    kinetic_min = sum(
-        (op.h * op.h if d < grid.n else 1.0)
-        * (2 - 2 * np.cos(np.pi / (m + 1))) / delta**2
-        for d, (m, delta) in enumerate(zip(grid.points, grid.spacing)))
+    kinetic_min = sum(modes[0] for modes in op.grid.dirichlet_modes(op.h))
     return float(op.potential_values.min()) + 0.5 * kinetic_min
 
 
@@ -206,11 +204,7 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
     if reference is not None:
         ref = np.asarray(reference, dtype=float)[:k]
     elif pot.kind == "quadratic":
-        from .analytic import bo_spectrum
-
-        spec = bo_spectrum(pot.a, pot.b, h, k=k)
-        flat = [e for e, mult in spec.levels for _ in range(mult)]
-        ref = np.asarray(flat[:k], dtype=float)
+        ref = np.asarray(bo_spectrum(pot.a, pot.b, h, k=k).flat(k), dtype=float)
     else:
         # Richardson extrapolation assuming O(delta^2) error, two finest grids
         d1, d2 = deltas[-2], deltas[-1]
@@ -238,3 +232,24 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
         reference=tuple(float(x) for x in ref),
         converged=flags,
     )
+
+
+def fit_error_constants(pot: Potential, half_widths, target_points, h: float,
+                        k: int, seed: int, tol: float):
+    """Per-eigenvalue constants C with |error| ~ C * delta^2, fitted on two
+    coarser grids against the analytic reference of a quadratic potential.
+    Returns the constants, the reference and whether every calibration pair
+    converged."""
+    ref = np.asarray(bo_spectrum(pot.a, pot.b, h, k=k + 2).flat(k), dtype=float)
+    base = max(target_points)
+    constants = np.zeros(k)
+    converged = True
+    for size in (max(31, base // 4), max(63, base // 2)):
+        grid = build_grid(pot.n, pot.p, half_widths, [size] * pot.dim)
+        op = assemble_hamiltonian(grid, pot, h)
+        res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
+        converged = converged and res.all_converged
+        delta = max(grid.spacing)
+        err = np.abs(res.eigenvalues[:k] - ref)
+        constants = np.maximum(constants, err / delta**2)
+    return constants, ref, converged

@@ -65,6 +65,17 @@ class Grid:
     def node_radii(self) -> np.ndarray:
         return np.linalg.norm(self.node_coords(), axis=1)
 
+    def dirichlet_modes(self, h: float) -> list:
+        """Per-axis eigenvalues of the Dirichlet stencils of -h^2 Lap_x - Lap_y,
+        ascending: c (2 - 2 cos(j pi / (m+1))) / delta^2, j = 1..m, with
+        c = h^2 on x-dimensions and 1 on y-dimensions."""
+        modes = []
+        for d, (m, delta) in enumerate(zip(self.points, self.spacing)):
+            weight = h * h if d < self.n else 1.0
+            j = np.arange(1, m + 1)
+            modes.append(np.sort(weight * (2 - 2 * np.cos(j * np.pi / (m + 1))) / delta**2))
+        return modes
+
     def signature(self) -> str:
         import hashlib
 
@@ -72,8 +83,7 @@ class Grid:
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-def build_grid(n: int, p: int, half_widths, points,
-               size_cap: int = DEFAULT_SIZE_CAP) -> Grid:
+def build_grid(n: int, p: int, half_widths, points) -> Grid:
     if n < 1 or p < 0:
         raise ValueError(f"need n >= 1 and p >= 0, got n={n}, p={p}")
     half_widths = tuple(float(l) for l in half_widths)
@@ -85,8 +95,8 @@ def build_grid(n: int, p: int, half_widths, points,
     if any(m < 3 for m in points):
         raise ValueError("need at least 3 interior points per dimension")
     total = math.prod(points)
-    if total > size_cap:
-        raise ValueError(f"grid size {total} exceeds cap {size_cap}")
+    if total > DEFAULT_SIZE_CAP:
+        raise ValueError(f"grid size {total} exceeds cap {DEFAULT_SIZE_CAP}")
     return Grid(n=n, p=p, half_widths=half_widths, points=points)
 
 
@@ -130,13 +140,12 @@ class GridOperator:
         return self.matrix.shape[0]
 
 
-def assemble_hamiltonian(grid: Grid, pot: Potential, h: float,
-                         h_max: float = DEFAULT_H_MAX) -> GridOperator:
+def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     if pot.n != grid.n or pot.p != grid.p:
         raise ValueError(
             f"potential dims ({pot.n},{pot.p}) do not match grid ({grid.n},{grid.p})")
-    if not 0 < h <= h_max:
-        raise ValueError(f"h must lie in (0, {h_max}], got {h}")
+    if not 0 < h <= DEFAULT_H_MAX:
+        raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
     kin = kinetic_operator(grid, h)
     vvals = pot.evaluate_many(grid.node_coords())
     mat = (kin + sp.diags(vvals)).tocsr()

@@ -21,6 +21,7 @@ __all__ = [
     "Potential",
     "ConfinementProfile",
     "parse_potential",
+    "oscillator_frequencies",
     "quadratic_potential",
     "expression_potential",
     "eval_potential",
@@ -282,13 +283,7 @@ class PotentialExpr:
         if point.shape != (self.n + self.p,):
             raise ValueError(
                 f"point has dimension {point.shape}, expected {self.n + self.p}")
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            val = _eval_node(self.ast, point[: self.n], point[self.n:])
-        val = float(val)
-        if not np.isfinite(val):
-            raise PotentialDomainError(
-                f"expression evaluated to non-finite value at {point.tolist()}")
-        return val
+        return float(self.evaluate_many(point[None, :])[0])
 
     def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; coords has shape (m, n+p)."""
@@ -361,8 +356,18 @@ class Potential:
         return float(min(list(w) + list(mu)) ** 2)
 
 
-def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(m)
+def oscillator_frequencies(a, name: str = "matrix") -> tuple:
+    """Ascending square roots of the eigenvalues of a symmetric PD matrix."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square")
+    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
+        raise ValueError(f"{name} must be symmetric")
+    eigs = np.linalg.eigvalsh(a)
+    if np.any(eigs <= 0):
+        raise NotPositiveDefiniteError(
+            f"{name} is not positive definite (eigenvalue {eigs.min():g})")
+    return tuple(np.sort(np.sqrt(eigs)))
 
 
 def quadratic_potential(a, b=None) -> Potential:
@@ -374,24 +379,15 @@ def quadratic_potential(a, b=None) -> Potential:
     if a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
     a = (a + a.T) / 2
-    mats = [("A", a)]
     if b is not None and np.size(b) > 0:
         b = np.atleast_2d(np.asarray(b, dtype=float))
         if b.shape[0] != b.shape[1]:
             raise ValueError("B must be square")
         b = (b + b.T) / 2
-        mats.append(("B", b))
     else:
         b = None
-    freqs = []
-    for name, m in mats:
-        eigs = _symmetric_eigenvalues(m)
-        if np.any(eigs <= 0):
-            raise NotPositiveDefiniteError(
-                f"matrix {name} is not positive definite (eigenvalue {eigs.min():g})")
-        freqs.append(tuple(np.sort(np.sqrt(eigs))))
-    w = freqs[0]
-    mu = freqs[1] if len(freqs) > 1 else ()
+    w = oscillator_frequencies(a, "matrix A")
+    mu = () if b is None else oscillator_frequencies(b, "matrix B")
     return Potential(
         kind="quadratic",
         n=a.shape[0],
@@ -415,14 +411,7 @@ def eval_potential(pot: Potential, point) -> float:
     if point.shape != (pot.dim,):
         raise ValueError(
             f"point has shape {point.shape}, expected ({pot.dim},)")
-    if pot.kind == "quadratic":
-        x = point[: pot.n]
-        val = float(x @ pot.a @ x)
-        if pot.p:
-            y = point[pot.n:]
-            val += float(y @ pot.b @ y)
-        return val
-    return pot.expr.evaluate(point)
+    return float(pot.evaluate_many(point[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

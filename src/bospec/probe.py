@@ -325,10 +325,10 @@ def form_inequality_check(op: GridOperator, trials: int, seed: int = 0,
         u = rng.standard_normal(op.dim)
         u /= np.linalg.norm(u)
         kinetic = float(u @ (op.kinetic @ u))
-        full = float(u @ (op.matrix @ u))
+        hu = op.matrix @ u
+        full = float(u @ hu)
         shifted = full + 1.0
-        hu1 = op.matrix @ u + u
-        norm_bound = float(np.linalg.norm(hu1))
+        norm_bound = float(np.linalg.norm(hu + u))
         scale = max(1.0, abs(norm_bound))
         gaps = (kinetic - full, full - shifted, shifted - norm_bound)
         violation = max(g / scale for g in gaps)

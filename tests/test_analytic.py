@@ -13,12 +13,14 @@ from bospec.analytic import (
     build_hermite_basis,
     counting_function,
     dilate_spectrum,
+    dirichlet_levels,
     enumerate_spectrum,
     hermite_function,
     hermite_values,
     ladder_residual,
     oscillator_frequencies,
 )
+from bospec.grid import build_grid, kinetic_operator
 
 
 def brute_force_levels(w, h_scale, e_max):
@@ -93,6 +95,22 @@ def test_enumeration_matches_brute_force(w, e_max):
         warnings.simplefilter("ignore", UserWarning)
         spec = enumerate_spectrum(w, e_max=e_max)
     assert spec.levels == brute_force_levels(w, 1, e_max)
+
+
+@pytest.mark.parametrize("n, p, half_widths, points", [
+    (1, 1, (3.0, 4.5), (5, 7)),
+    (1, 2, (2.0, 3.0, 2.5), (4, 5, 6)),
+])
+def test_dirichlet_levels_match_dense_kinetic(n, p, half_widths, points):
+    """Every level of the discrete free operator, with multiplicity, against
+    a dense eigensolve of the assembled kinetic matrix; asking for more levels
+    than nodes returns one per node."""
+    grid = build_grid(n, p, half_widths, points)
+    dense = np.linalg.eigvalsh(kinetic_operator(grid, 0.6).toarray())
+    levels = dirichlet_levels(grid, 0.6, grid.size + 3)
+    assert len(levels) == grid.size
+    assert np.all(np.diff(levels) >= 0)
+    np.testing.assert_allclose(levels, dense, rtol=1e-12, atol=0)
 
 
 class TestBoSpectrum:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import bospec
-from bospec.cli import _fit_error_constants, main
+from bospec.cli import main
+from bospec.eigensolver import fit_error_constants
 from bospec.potential import quadratic_potential
 
 
@@ -223,11 +224,11 @@ class TestCompare:
 
     def test_unconverged_calibration_reported(self):
         pot = quadratic_potential([[1.0]])
-        *_, converged = _fit_error_constants(pot, (8.0,), (255,), 1.0, 3, 0,
-                                             tol=1e-8)
+        *_, converged = fit_error_constants(pot, (8.0,), (255,), 1.0, 3, 0,
+                                            tol=1e-8)
         assert converged
-        *_, converged = _fit_error_constants(pot, (8.0,), (255,), 1.0, 3, 0,
-                                             tol=1e-15)
+        *_, converged = fit_error_constants(pot, (8.0,), (255,), 1.0, 3, 0,
+                                            tol=1e-15)
         assert not converged
 
     def test_partial_convergence_exit_2(self, tmp_path):
@@ -369,6 +370,23 @@ class TestConverge:
         data = json.loads(out.read_text())
         errors = np.array(data["errors"])
         assert errors.shape == (3, 2)
+        # the reference is exact on the finest grid: only solver error is left
+        assert np.all(errors[-1] <= 1e-8)
+
+    def test_unknown_reference_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CONVERGE + "reference = fdexact\n")
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        assert "reference" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fd_exact_needs_zero_potential(self, tmp_path, capsys):
+        # the free operator's levels are no reference for V = x1^2
+        cfg = write_config(tmp_path, CONVERGE + "reference = fd_exact\n")
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        assert "V = 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Threads in effect per loaded OpenBLAS, asked from the library itself after

@@ -117,6 +117,10 @@ class TestQuadratic:
         with pytest.raises(NotPositiveDefiniteError):
             quadratic_potential([[-1.0]])
 
+    def test_error_names_the_matrix(self):
+        with pytest.raises(NotPositiveDefiniteError, match="matrix B"):
+            quadratic_potential([[1.0]], [[-2.0]])
+
     def test_rejects_semidefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             quadratic_potential([[1.0, 1.0], [1.0, 1.0]])
