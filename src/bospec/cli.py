@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .analytic import bo_spectrum, dilate_spectrum, dirichlet_levels
+from .analytic import bo_spectrum, dilate_spectrum
 from .eigensolver import (
     cluster_multiplicities,
     convergence_study,
@@ -103,10 +103,13 @@ def _build_potential_from_config(cfg, n: int, p: int):
         b = _get(cfg, "potential", "b", _matrix) if p > 0 else None
         if p > 0 and b is None:
             raise ConfigError("potential", "b", "required when p > 0")
-        try:
-            return quadratic_potential(a, b)
-        except ValueError as exc:
-            raise ConfigError("potential", "a", str(exc)) from exc
+        # A alone first, so an error of the pair is B's
+        for key, matrices in (("a", (a,)), ("b", (a, b))):
+            try:
+                pot = quadratic_potential(*matrices)
+            except ValueError as exc:
+                raise ConfigError("potential", key, str(exc)) from exc
+        return pot
     if kind == "expression":
         text = _get(cfg, "potential", "expression", str, required=True)
         nonneg = _get(cfg, "potential", "nonnegative",
@@ -127,7 +130,6 @@ def _solver_params(cfg, seed_override=None):
         "h": h,
         "k": _get(cfg, "solver", "k", int, default=5),
         "tol": _get(cfg, "solver", "tol", float, default=1e-6),
-        "max_iter": _get(cfg, "solver", "max_iter", int, default=None),
         "seed": _get(cfg, "solver", "seed", int, default=0),
         "gap_tol": _get(cfg, "solver", "gap_tol", float, default=None),
     }
@@ -199,8 +201,7 @@ def cmd_solve(cfg, args) -> int:
     params = _solver_params(cfg, args.seed)
     fmt, path = _output_target(cfg, args)
     op = assemble_hamiltonian(grid, pot, params["h"])
-    result = lowest_eigenpairs(op, params["k"], tol=params["tol"],
-                               max_iter=params["max_iter"], seed=params["seed"])
+    result = lowest_eigenpairs(op, params["k"], tol=params["tol"], seed=params["seed"])
     _boundary_warning(op, result)
     pairs = zip(result.eigenvalues, result.residuals, result.converged)
     _write(path, fmt, ("index", "eigenvalue", "residual", "converged"),
@@ -263,8 +264,7 @@ def cmd_compare(cfg, args) -> int:
     k = params["k"]
 
     op = assemble_hamiltonian(grid, pot, params["h"])
-    result = lowest_eigenpairs(op, k, tol=params["tol"],
-                               max_iter=params["max_iter"], seed=params["seed"])
+    result = lowest_eigenpairs(op, k, tol=params["tol"], seed=params["seed"])
     spec = bo_spectrum(pot.a, pot.b, params["h"], k=k)
     # keep only analytic levels fully covered by the k computed eigenvalues
     levels = []
@@ -342,7 +342,7 @@ def cmd_probe(cfg, args) -> int:
         samples = _get(cfg, "probe", "probes", int, default=2000)
         for lam in lambdas:
             reports.append(discreteness_certificate(
-                op, pot, lam, radii, samples=samples, seed=params["seed"]))
+                op, lam, radii, samples=samples, seed=params["seed"]))
     else:
         raise ConfigError("probe", "mode", f"unknown mode {mode!r}")
 
@@ -363,22 +363,12 @@ def cmd_converge(cfg, args) -> int:
     pot = _build_potential_from_config(cfg, grid_n, grid_p)
     params = _solver_params(cfg, args.seed)
     fmt, path = _output_target(cfg, args)
-    reference = None
     ref_mode = _get(cfg, "converge", "reference", str, default="auto").strip()
-    if ref_mode not in ("auto", "fd_exact"):
+    if ref_mode != "auto":
         raise ConfigError("converge", "reference",
-                          f"unknown reference {ref_mode!r} (auto or fd_exact)")
-    if ref_mode == "fd_exact":
-        grid = build_grid(grid_n, grid_p, half_widths, [sizes[-1]] * (grid_n + grid_p))
-        if np.any(pot.evaluate_many(grid.node_coords()) != 0):
-            raise ConfigError("converge", "reference",
-                              "fd_exact is exact only for V = 0 at every node "
-                              "of the finest grid")
-        reference = dirichlet_levels(grid, params["h"], params["k"])
-    study = convergence_study(pot, half_widths, sizes, params["k"],
-                              h=params["h"], reference=reference,
-                              tol=params["tol"], max_iter=params["max_iter"],
-                              seed=params["seed"])
+                          f"unknown reference {ref_mode!r} (only auto)")
+    study = convergence_study(pot, half_widths, sizes, params["k"], h=params["h"],
+                              tol=params["tol"], seed=params["seed"])
     rows = []
     for j, slope in enumerate(study.slopes):
         ok = slope is not None and 1.7 <= slope <= 2.3

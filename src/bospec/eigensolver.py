@@ -68,15 +68,15 @@ def _shift_below_spectrum(op: GridOperator) -> float:
 
 
 def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
-                      max_iter: int | None = None, seed: int = 0) -> SpectrumResult:
+                      seed: int = 0) -> SpectrumResult:
     """k smallest eigenpairs with residual check ||Hu - lu|| <= tol*max(1, |l|).
 
     Grids of dimension <= 2 use shift-invert Lanczos on one sparse LU of
     H - sigma I, sigma strictly below the spectrum, so the k eigenvalues
     nearest sigma are the k smallest.  Higher-dimensional grids, whose LU
     fills in too much, use ARPACK's implicitly restarted Lanczos
-    (``which='SA'``).  `max_iter` caps ARPACK's restarts (None: scipy's
-    default); `iterations` counts operator applications.
+    (``which='SA'``) with scipy's default restart cap; `iterations` counts
+    operator applications.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
@@ -112,7 +112,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     rng = np.random.default_rng(seed)
     try:
         theta, vectors = eigsh(k=k, v0=rng.standard_normal(dim), tol=0.1 * tol,
-                               maxiter=max_iter, **backend)
+                               **backend)
     except ArpackNoConvergence as exc:
         # keep the pairs ARPACK converged and fill up to k by a Rayleigh-Ritz
         # step on seeded random directions; the residuals flag the fill
@@ -175,7 +175,7 @@ class ConvergenceStudy:
 
 def convergence_study(pot: Potential, half_widths, sizes, k: int,
                       h: float = 1.0, reference=None, tol: float = 1e-7,
-                      max_iter: int | None = None, seed: int = 0) -> ConvergenceStudy:
+                      seed: int = 0) -> ConvergenceStudy:
     """Solve the same physics on a family of grids and fit eigenvalue-error
     slopes against the spacing.
 
@@ -196,7 +196,7 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
     for i, nn in enumerate(sizes):
         grid = build_grid(pot.n, pot.p, half_widths, [nn] * pot.dim)
         op = assemble_hamiltonian(grid, pot, h)
-        res = lowest_eigenpairs(op, k, tol=tol, max_iter=max_iter, seed=seed)
+        res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
         eigs[i] = res.eigenvalues[:k]
         flags[i] = res.converged[:k]
         deltas.append(max(grid.spacing))

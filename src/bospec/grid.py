@@ -118,6 +118,8 @@ def _lift(grid: Grid, mat: sp.spmatrix, d: int) -> sp.csr_matrix:
 
 def kinetic_operator(grid: Grid, h: float) -> sp.csr_matrix:
     """-h^2 Lap_x - Lap_y on the grid (x-dimension stencils scaled by h^2)."""
+    if not 0 < h <= DEFAULT_H_MAX:
+        raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
     spacing = grid.spacing
     total = sp.csr_matrix((grid.size, grid.size))
     for d in range(grid.dim):
@@ -144,8 +146,6 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     if pot.n != grid.n or pot.p != grid.p:
         raise ValueError(
             f"potential dims ({pot.n},{pot.p}) do not match grid ({grid.n},{grid.p})")
-    if not 0 < h <= DEFAULT_H_MAX:
-        raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
     kin = kinetic_operator(grid, h)
     vvals = pot.evaluate_many(grid.node_coords())
     mat = (kin + sp.diags(vvals)).tocsr()

@@ -12,8 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridOperator, assemble_hamiltonian, restrict
-from .potential import Potential, confinement_profile
+from .grid import Grid, GridOperator, kinetic_operator, restrict
+from .potential import confinement_profile
 
 __all__ = [
     "CutoffFamily",
@@ -64,8 +64,6 @@ class CutoffFamily:
 class ProbeEntry:
     radius: float
     residual: float
-    norm: float
-    exterior_ok: bool
     lower_bound: float | None = None
     target: float | None = None  # operator-level lambda the residual measures
 
@@ -108,12 +106,8 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float) -> np.ndarra
     return v
 
 
-def _residual(op: GridOperator, v: np.ndarray, lam: float) -> float:
-    if np.iscomplexobj(v):
-        rr = op.matrix @ v.real - lam * v.real
-        ri = op.matrix @ v.imag - lam * v.imag
-        return float(np.sqrt(np.linalg.norm(rr) ** 2 + np.linalg.norm(ri) ** 2))
-    return float(np.linalg.norm(op.matrix @ v - lam * v))
+def _residual(matrix, v: np.ndarray, lam: float) -> float:
+    return float(np.linalg.norm(matrix @ v - lam * v))
 
 
 def _snap_wavevector(grid: Grid, h: float, lam: float):
@@ -130,7 +124,6 @@ def _snap_wavevector(grid: Grid, h: float, lam: float):
 
 
 def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii,
-                             zero_potential: Potential | None = None,
                              noise_band: float = 0.05) -> list[ZhislinReport]:
     """For the free operator V = 0, check that lambda >= 0 admits Zhislin-type
     vectors with residuals decaying as the bump widens (width grows with the
@@ -139,11 +132,7 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii,
     The residual targets the discrete symbol at the snapped wavevector, so the
     trend is not polluted by the O(delta^2) symbol mismatch.
     """
-    from .potential import expression_potential
-
-    if zero_potential is None:
-        zero_potential = expression_potential("0", grid.n, grid.p, nonnegative=True)
-    op = assemble_hamiltonian(grid, zero_potential, h)
+    free = kinetic_operator(grid, h)
     radii = [float(r) for r in radii]
     reports = []
     for lam in lambdas:
@@ -154,13 +143,8 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii,
         entries = []
         for r in radii:
             v = make_zhislin_vector(grid, r, k, width=r)
-            entries.append(ProbeEntry(
-                radius=r,
-                residual=_residual(op, v, target),
-                norm=float(np.linalg.norm(v)),
-                exterior_ok=True,
-                target=target,
-            ))
+            entries.append(ProbeEntry(radius=r, residual=_residual(free, v, target),
+                                      target=target))
         res = [e.residual for e in entries]
         decaying = all(b <= a * (1 + noise_band) for a, b in zip(res, res[1:]))
         verdict = "essential candidate" if decaying else "inconclusive"
@@ -169,16 +153,17 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii,
     return reports
 
 
-def discreteness_certificate(op: GridOperator, pot: Potential, lam: float,
-                             radii, samples: int = 2000,
-                             seed: int = 0) -> ZhislinReport:
+def discreteness_certificate(op: GridOperator, lam: float, radii,
+                             samples: int = 2000, seed: int = 0) -> ZhislinReport:
     """Lower-bound certificate: any unit vector supported outside B(0, q)
     has residual ||(H - lam) u|| >= inf_{outside B(0,q)} V - lam.
 
     Quadratic potentials use the exact exterior infimum lambda_min * q^2;
-    expressions fall back to the seeded sampled estimate.  Bounds that diverge
-    with q rule out a Zhislin sequence at lam.
+    expressions fall back to the seeded sampled estimate.  V is the potential
+    `op` was assembled from.  Bounds that diverge with q rule out a Zhislin
+    sequence at lam.
     """
+    pot = op.potential
     if not pot.nonnegative_claimed:
         raise ValueError("certificate requires a potential claimed nonnegative")
     grid = op.grid
@@ -199,14 +184,8 @@ def discreteness_certificate(op: GridOperator, pot: Potential, lam: float,
             raise ValueError(
                 f"radius {q} leaves no room for a resolvable bump in the box")
         v = make_zhislin_vector(grid, q, None, width)
-        entries.append(ProbeEntry(
-            radius=q,
-            residual=_residual(op, v, lam),
-            norm=float(np.linalg.norm(v)),
-            exterior_ok=True,
-            lower_bound=bound,
-            target=lam,
-        ))
+        entries.append(ProbeEntry(radius=q, residual=_residual(op.matrix, v, lam),
+                                  lower_bound=bound, target=lam))
     bounds = [e.lower_bound for e in entries]
     respected = all(e.residual >= e.lower_bound - 1e-9 * max(1.0, abs(e.lower_bound))
                     for e in entries if e.lower_bound > 0)
@@ -223,54 +202,16 @@ def discreteness_certificate(op: GridOperator, pot: Potential, lam: float,
                          verdict=verdict)
 
 
-def _field_gradients(grid: Grid, field: np.ndarray):
-    """Per-dimension first and second derivatives of a node field, edge
-    replicating (np.gradient), so a constant field has exactly zero derivatives."""
-    shape = grid.points
-    arr = field.reshape(shape, order="F")
-    firsts, seconds = [], []
-    for d in range(grid.dim):
-        delta = grid.spacing[d]
-        g1 = np.gradient(arr, delta, axis=d)
-        g2 = np.gradient(g1, delta, axis=d)
-        firsts.append(g1.ravel(order="F"))
-        seconds.append(g2.ravel(order="F"))
-    return firsts, seconds
-
-
-def _commutator_apply(op: GridOperator, phi: np.ndarray):
-    """Return u -> [K, phi] u for the kinetic part K = -h^2 Lap_x - Lap_y:
-    (K phi) u - 2 sum_d c_d (d_d phi)(d_d u), c = h^2 on x-dims, 1 on y-dims."""
-    grid = op.grid
-    if np.all(phi == phi[0]):
-        return lambda u: np.zeros_like(u)
-    firsts, seconds = _field_gradients(grid, phi)
-    weights = [op.h ** 2 if d < grid.n else 1.0 for d in range(grid.dim)]
-    k_phi = -sum(c * s for c, s in zip(weights, seconds))
-
-    shape = grid.points
-
-    def apply(u):
-        out = k_phi * u
-        arr = u.reshape(shape, order="F")
-        for d in range(grid.dim):
-            du = np.gradient(arr, grid.spacing[d], axis=d).ravel(order="F")
-            out = out - 2 * weights[d] * firsts[d] * du
-        return out
-
-    return apply
-
-
 def _resolvent_at_i(shifted, v: np.ndarray, rtol: float = 1e-8):
     """w = (H - i)^{-1} v for real v, by BiCGSTAB (van der Vorst 1992) on the
-    complex CSR matrix `shifted` = H - iI; returns (w.real, w.imag).
+    complex CSR matrix `shifted` = H - iI; returns the complex w.
 
     The iteration cap is the dimension; a solve that misses rtol raises."""
     w, info = spla.bicgstab(shifted, v, rtol=rtol, atol=0.0,
                             maxiter=shifted.shape[0])
     if info != 0:
         raise RuntimeError(f"inner BiCGSTAB solve did not converge (info={info})")
-    return w.real, w.imag
+    return w
 
 
 def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
@@ -278,24 +219,25 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     """Monte-Carlo lower estimates of ||[H, phi_q] (H - i)^{-1}|| per scale q.
 
     For each scale, seeded random unit vectors v give w = (H - i)^{-1} v by an
-    iterative solve on H - iI, built once per call; the assembled first-order
-    commutator is applied to w and the max of ||[H, phi_q] w|| / ||v|| over
-    probes is reported.  Estimates are expected to decay like 1/q.
+    iterative solve on H - iI, built once per call; the commutator of the
+    assembled matrix with Phi = diag(phi_q), H Phi - Phi H (the potential
+    cancels exactly), is applied to w and the max of ||[H, phi_q] w|| / ||v||
+    over probes is reported.  Estimates are expected to decay like 1/q.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     shifted = op.matrix - 1j * sp.identity(op.dim, format="csr")
     results = []
     for qi, q in enumerate(family.scales):
-        phi = family.values(op.grid, q)
-        comm = _commutator_apply(op, phi)
+        phi = sp.diags(family.values(op.grid, q))
+        comm = op.matrix @ phi - phi @ op.matrix
         best = 0.0
         for pi in range(probes):
             rng = np.random.default_rng((seed, qi, pi))
             v = rng.standard_normal(op.dim)
             v /= np.linalg.norm(v)
-            w_re, w_im = _resolvent_at_i(shifted, v)
-            best = max(best, float(np.linalg.norm(comm(w_re + 1j * w_im))))
+            w = _resolvent_at_i(shifted, v)
+            best = max(best, float(np.linalg.norm(comm @ w)))
         results.append((float(q), best))
     return results
 

@@ -43,7 +43,7 @@ def test_criterion_01_oscillator_levels():
     t0 = time.perf_counter()
     grid = build_grid(1, 0, [10.0], [1999])
     op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), 1.0)
-    res = lowest_eigenpairs(op, 5, tol=1e-5, max_iter=1500, seed=0)
+    res = lowest_eigenpairs(op, 5, tol=1e-5, seed=0)
     elapsed = time.perf_counter() - t0
     err = np.abs(res.eigenvalues - np.array([1.0, 3.0, 5.0, 7.0, 9.0])).max()
     ok = bool(np.all(res.converged)) and err <= 2e-3 and elapsed <= 30.0
@@ -90,7 +90,7 @@ def test_criterion_03_bo_spectrum_h_half():
     grid = build_grid(1, 1, [6.0, 6.0], [95, 95])
     pot = quadratic_potential([[1.0]], [[1.0]])
     op = assemble_hamiltonian(grid, pot, 0.5)
-    res = lowest_eigenpairs(op, 4, tol=1e-7, max_iter=600, seed=0)
+    res = lowest_eigenpairs(op, 4, tol=1e-7, seed=0)
     clusters = cluster_multiplicities(res.eigenvalues, gap_tol=0.5)
     got = [(round(c.energy, 1), c.multiplicity) for c in clusters]
     spec = bo_spectrum([[1.0]], [[1.0]], h=0.5, e_max=3.5)
@@ -110,7 +110,7 @@ def test_criterion_04_dilation_scaling():
         grid = build_grid(1, 0, [6.0], [799])
         pot = expression_potential(f"{lam * lam:g}*x1^2", 1, 0, nonnegative=True)
         op = assemble_hamiltonian(grid, pot, 1.0)
-        res = lowest_eigenpairs(op, 3, tol=1e-8, max_iter=800, seed=0)
+        res = lowest_eigenpairs(op, 3, tol=1e-8, seed=0)
         if base is None:
             base = res.eigenvalues.copy()
         ratios = res.eigenvalues / base
@@ -126,7 +126,7 @@ def test_criterion_05_semiclassical_ground():
     for h in (0.4, 0.2, 0.1):
         grid = build_grid(1, 0, [5.0], [799])
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), h)
-        res = lowest_eigenpairs(op, 1, tol=1e-9, max_iter=600, seed=0)
+        res = lowest_eigenpairs(op, 1, tol=1e-9, seed=0)
         worst = max(worst, abs(float(res.eigenvalues[0]) - h))
     ok = worst <= 1e-3
     report(5, "semiclassical ground state", ok,
@@ -209,7 +209,7 @@ def test_criterion_09_discreteness_certificate():
     pot = quadratic_potential([[1.0]], [[1.0]])  # V = |X|^2
     op = assemble_hamiltonian(grid, pot, 1.0)
     lam = 10.0
-    rep = discreteness_certificate(op, pot, lam, radii=[3.0, 5.0, 7.0])
+    rep = discreteness_certificate(op, lam, radii=[3.0, 5.0, 7.0])
     bounds = [e.lower_bound for e in rep.entries]
     exact = [q * q - lam for q in (3.0, 5.0, 7.0)]
     bounds_ok = bounds == pytest.approx(exact, abs=1e-12)
@@ -252,7 +252,7 @@ def test_criterion_11_essential_probe():
 def test_criterion_12_convergence_order():
     pot = quadratic_potential([[1.0]])
     study = convergence_study(pot, [10.0], [250, 500, 1000, 2000], k=3,
-                              tol=1e-9, max_iter=1500)
+                              tol=1e-9)
     slopes = [float(s) for s in study.slopes]
     ok = all(1.7 <= s <= 2.3 for s in slopes)
     report(12, "second-order convergence", ok,
@@ -264,7 +264,7 @@ def test_criterion_13_determinism(tmp_path):
     cfg.write_text(
         "[grid]\nn = 1\np = 0\nhalf_widths = 10\npoints = 499\n\n"
         "[potential]\nkind = quadratic\na = 1\n\n"
-        "[solver]\nh = 1.0\nk = 4\ntol = 1e-8\nmax_iter = 800\nseed = 7\n")
+        "[solver]\nh = 1.0\nk = 4\ntol = 1e-8\nseed = 7\n")
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bospec
@@ -35,7 +34,6 @@ a = 1
 h = 1.0
 k = 3
 tol = 1e-7
-max_iter = 600
 seed = 0
 """
 
@@ -173,6 +171,15 @@ class TestAnalytic:
         cfg = write_config(tmp_path, ANALYTIC + "levels = 5\n")
         assert main(["analytic", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("b, message", [("1 0", "must be square"),
+                                            ("-1", "not positive definite")])
+    def test_bad_b_reported_under_b(self, tmp_path, capsys, b, message):
+        cfg = write_config(tmp_path, ANALYTIC.replace("b = 1", f"b = {b}"))
+        assert main(["analytic", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "[potential] b:" in err and message in err
 
     def test_json(self, tmp_path):
         cfg = write_config(tmp_path, ANALYTIC)
@@ -327,7 +334,6 @@ a = 1
 h = 1.0
 k = 2
 tol = 1e-8
-max_iter = 800
 
 [converge]
 sizes = 125 250 500
@@ -358,21 +364,6 @@ class TestConverge:
         assert main(["converge", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
 
-    def test_fd_exact_reference(self, tmp_path):
-        text = CONVERGE.replace("kind = quadratic\na = 1",
-                                "kind = expression\nexpression = 0*x1\n"
-                                "nonnegative = true")
-        text += "reference = fd_exact\n"
-        cfg = write_config(tmp_path, text)
-        out = tmp_path / "conv.json"
-        assert main(["converge", "--config", cfg, "--out", str(out),
-                     "--format", "json"]) == 0
-        data = json.loads(out.read_text())
-        errors = np.array(data["errors"])
-        assert errors.shape == (3, 2)
-        # the reference is exact on the finest grid: only solver error is left
-        assert np.all(errors[-1] <= 1e-8)
-
     def test_unknown_reference_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONVERGE + "reference = fdexact\n")
         out = tmp_path / "conv.csv"
@@ -380,13 +371,42 @@ class TestConverge:
         assert "reference" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_fd_exact_needs_zero_potential(self, tmp_path, capsys):
-        # the free operator's levels are no reference for V = x1^2
-        cfg = write_config(tmp_path, CONVERGE + "reference = fd_exact\n")
+    def test_fd_exact_rejected(self, tmp_path, capsys):
+        # the finest grid's discrete levels are no reference for the coarser
+        # grids, even for V = 0
+        text = CONVERGE.replace("kind = quadratic\na = 1",
+                                "kind = expression\nexpression = 0*x1\n"
+                                "nonnegative = true")
+        cfg = write_config(tmp_path, text + "reference = fd_exact\n")
         out = tmp_path / "conv.csv"
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
-        assert "V = 0" in capsys.readouterr().err
+        assert "[converge] reference" in capsys.readouterr().err
         assert not out.exists()
+
+
+# One tiny config per command; each runs twice per format.
+DETERMINISM_CASES = {
+    "solve": ("solve", SOLVE_1D),
+    "analytic": ("analytic", ANALYTIC),
+    "compare": ("compare", COMPARE),
+    "converge": ("converge", CONVERGE),
+    "probe-certificate": ("probe", PROBE_CERT),
+    "probe-essential": ("probe", PROBE_ESS),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(DETERMINISM_CASES))
+def test_repeat_runs_byte_identical(tmp_path, case, fmt):
+    command, text = DETERMINISM_CASES[case]
+    cfg = write_config(tmp_path, text)
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.{fmt}"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--format", fmt]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # Threads in effect per loaded OpenBLAS, asked from the library itself after

@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+from bospec import eigensolver
 from bospec.analytic import bo_spectrum
 from bospec.eigensolver import (
     cluster_multiplicities,
@@ -25,7 +29,7 @@ def free_op(points=199, length=4.0):
 class TestLowestEigenpairs:
     def test_oscillator_levels(self):
         op = oscillator_op()
-        res = lowest_eigenpairs(op, 5, tol=1e-6, max_iter=800, seed=0)
+        res = lowest_eigenpairs(op, 5, tol=1e-6, seed=0)
         assert np.all(res.converged)
         assert np.allclose(res.eigenvalues, [1, 3, 5, 7, 9], atol=2e-3)
 
@@ -34,7 +38,7 @@ class TestLowestEigenpairs:
         m = op.grid.points[0]
         delta = op.grid.spacing[0]
         exact = np.sort((2 - 2 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))) / delta**2)
-        res = lowest_eigenpairs(op, 4, tol=1e-9, max_iter=400, seed=0)
+        res = lowest_eigenpairs(op, 4, tol=1e-9, seed=0)
         assert np.allclose(res.eigenvalues, exact[:4], rtol=1e-8)
 
     def test_k_too_large(self):
@@ -44,7 +48,7 @@ class TestLowestEigenpairs:
 
     def test_residual_contract(self):
         op = oscillator_op(points=499)
-        res = lowest_eigenpairs(op, 3, tol=1e-7, max_iter=600, seed=1)
+        res = lowest_eigenpairs(op, 3, tol=1e-7, seed=1)
         for lam, vec, r, ok in zip(res.eigenvalues, res.vectors.T,
                                    res.residuals, res.converged):
             recomputed = np.linalg.norm(op.matrix @ vec - lam * vec)
@@ -54,27 +58,27 @@ class TestLowestEigenpairs:
 
     def test_orthonormality(self):
         op = oscillator_op(points=499)
-        res = lowest_eigenpairs(op, 4, tol=1e-7, max_iter=600, seed=0)
+        res = lowest_eigenpairs(op, 4, tol=1e-7, seed=0)
         gram = res.vectors.T @ res.vectors
         assert np.abs(gram - np.eye(4)).max() <= 1e-8
 
     def test_nonnegative_spectrum(self):
         op = oscillator_op(points=299)
-        res = lowest_eigenpairs(op, 3, tol=1e-6, max_iter=400, seed=0)
+        res = lowest_eigenpairs(op, 3, tol=1e-6, seed=0)
         assert np.all(res.eigenvalues >= -1e-6)
 
     def test_determinism(self):
         op = oscillator_op(points=299)
-        a = lowest_eigenpairs(op, 3, tol=1e-6, max_iter=400, seed=42)
-        b = lowest_eigenpairs(op, 3, tol=1e-6, max_iter=400, seed=42)
+        a = lowest_eigenpairs(op, 3, tol=1e-6, seed=42)
+        b = lowest_eigenpairs(op, 3, tol=1e-6, seed=42)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.residuals, b.residuals)
 
     def test_increasing_k_stable(self):
         op = oscillator_op(points=499)
         tol = 1e-7
-        small = lowest_eigenpairs(op, 3, tol=tol, max_iter=600, seed=0)
-        large = lowest_eigenpairs(op, 6, tol=tol, max_iter=700, seed=0)
+        small = lowest_eigenpairs(op, 3, tol=tol, seed=0)
+        large = lowest_eigenpairs(op, 6, tol=tol, seed=0)
         for i in range(3):
             if small.converged[i] and large.converged[i]:
                 assert abs(small.eigenvalues[i] - large.eigenvalues[i]) <= tol
@@ -98,11 +102,12 @@ class TestLowestEigenpairs:
         assert res.all_converged
         assert np.all(np.abs(res.eigenvalues - exact) <= 0.15 * delta**2 * exact**2)
 
-    def test_no_convergence_returns_k_flagged_pairs(self):
+    def test_no_convergence_returns_k_flagged_pairs(self, monkeypatch):
         # one restart cannot converge on the 3D grid; ARPACK raises inside
+        monkeypatch.setattr(eigensolver, "eigsh", functools.partial(eigsh, maxiter=1))
         grid = build_grid(1, 2, [8.0] * 3, [23] * 3)
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], np.eye(2)), 0.5)
-        res = lowest_eigenpairs(op, 6, tol=1e-7, max_iter=1, seed=0)
+        res = lowest_eigenpairs(op, 6, tol=1e-7, seed=0)
         assert res.eigenvalues.shape == (6,) and not res.all_converged
         assert np.all(np.diff(res.eigenvalues) >= 0)
         assert np.abs(res.vectors.T @ res.vectors - np.eye(6)).max() <= 1e-8
@@ -141,7 +146,7 @@ class TestConvergenceStudy:
     def test_oscillator_slope(self):
         pot = quadratic_potential([[1.0]])
         study = convergence_study(pot, [10.0], [125, 250, 500], k=1,
-                                  tol=1e-8, max_iter=500)
+                                  tol=1e-8)
         assert study.slopes[0] == pytest.approx(2.0, abs=0.3)
 
     def test_two_sizes_rejected(self):
@@ -156,7 +161,7 @@ class TestConvergenceStudy:
         exact = np.sort((2 - 2 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))) / delta**2)
         # reference equals the finest computation: errors at round-off there
         study = convergence_study(pot, [4.0], [31, 63, 127], k=1,
-                                  reference=exact[:1], tol=1e-10, max_iter=200)
+                                  reference=exact[:1], tol=1e-10)
         # coarser grids have different exact FD values, so errors are genuine;
         # the run must complete and flag inner solves as converged
         assert study.converged.all()
@@ -164,6 +169,6 @@ class TestConvergenceStudy:
     def test_richardson_for_expression(self):
         pot = expression_potential("x1^2", 1, 0, nonnegative=True)
         study = convergence_study(pot, [10.0], [125, 250, 500], k=1,
-                                  tol=1e-8, max_iter=500)
+                                  tol=1e-8)
         assert study.reference[0] == pytest.approx(1.0, abs=1e-3)
         assert study.slopes[0] == pytest.approx(2.0, abs=0.4)

@@ -71,6 +71,11 @@ class TestEssentialProbe:
         with pytest.raises(ValueError, match=">= 0"):
             essential_spectrum_probe(1.0, grid, [-1.0], [4.0, 8.0])
 
+    def test_h_out_of_range_rejected(self):
+        grid = build_grid(1, 0, [40.0], [399])
+        with pytest.raises(ValueError, match="h must lie"):
+            essential_spectrum_probe(0.0, grid, [1.0], [4.0, 8.0])
+
     def test_residuals_decay(self):
         grid = build_grid(1, 0, [80.0], [1999])
         reports = essential_spectrum_probe(1.0, grid, [0.0, 1.0], [5.0, 10.0, 20.0])
@@ -90,7 +95,7 @@ class TestDiscretenessCertificate:
         grid = build_grid(1, 1, [12.0, 12.0], [99, 99])
         pot = quadratic_potential([[1.0]], [[1.0]])
         op = assemble_hamiltonian(grid, pot, 1.0)
-        rep = discreteness_certificate(op, pot, lam=4.0, radii=[3.0, 5.0])
+        rep = discreteness_certificate(op, lam=4.0, radii=[3.0, 5.0])
         assert [e.lower_bound for e in rep.entries] == \
             pytest.approx([9.0 - 4.0, 25.0 - 4.0])
         assert rep.verdict == "discrete at lambda=4"
@@ -99,7 +104,7 @@ class TestDiscretenessCertificate:
         grid = build_grid(1, 1, [12.0, 12.0], [99, 99])
         pot = quadratic_potential([[1.0]], [[1.0]])
         op = assemble_hamiltonian(grid, pot, 1.0)
-        rep = discreteness_certificate(op, pot, lam=2.0, radii=[3.0, 5.0])
+        rep = discreteness_certificate(op, lam=2.0, radii=[3.0, 5.0])
         for e in rep.entries:
             if e.lower_bound > 0:
                 assert e.residual >= e.lower_bound
@@ -108,7 +113,7 @@ class TestDiscretenessCertificate:
         grid = build_grid(1, 0, [20.0], [199])
         pot = expression_potential("0*x1", 1, 0, nonnegative=True)
         op = assemble_hamiltonian(grid, pot, 1.0)
-        rep = discreteness_certificate(op, pot, lam=1.0, radii=[3.0, 5.0])
+        rep = discreteness_certificate(op, lam=1.0, radii=[3.0, 5.0])
         assert rep.verdict == "inconclusive"
 
     def test_refuses_unclaimed_potential(self):
@@ -116,14 +121,14 @@ class TestDiscretenessCertificate:
         pot = expression_potential("x1", 1, 0, nonnegative=False)
         op = assemble_hamiltonian(grid, pot, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            discreteness_certificate(op, pot, lam=0.0, radii=[3.0])
+            discreteness_certificate(op, lam=0.0, radii=[3.0])
 
     def test_radius_too_close_to_wall(self):
         grid = build_grid(1, 0, [10.0], [49])
         pot = quadratic_potential([[1.0]])
         op = assemble_hamiltonian(grid, pot, 1.0)
         with pytest.raises(ValueError, match="room"):
-            discreteness_certificate(op, pot, lam=0.0, radii=[9.5])
+            discreteness_certificate(op, lam=0.0, radii=[9.5])
 
 
 class TestCommutator:
@@ -161,9 +166,9 @@ class TestCommutator:
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
         shifted = op.matrix - 1j * sp.identity(op.dim, format="csr")
         v = np.random.default_rng(3).standard_normal(op.dim)
-        w_re, w_im = _resolvent_at_i(shifted, v)
+        w = _resolvent_at_i(shifted, v)
         exact = np.linalg.solve(op.matrix.toarray() - 1j * np.eye(op.dim), v)
-        err = np.linalg.norm(w_re + 1j * w_im - exact) / np.linalg.norm(exact)
+        err = np.linalg.norm(w - exact) / np.linalg.norm(exact)
         assert err < 1e-7
 
     def test_unconverged_solve_raises(self, monkeypatch):
@@ -181,26 +186,38 @@ class TestCommutator:
             commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
         assert caps and all(0 < c <= op.dim for c in caps)
 
-    def test_matches_matrix_commutator_on_smooth_vector(self):
-        # the assembled first-order form and the matrix commutator
-        # H(phi u) - phi(H u) both approximate the same continuum object;
-        # their gap on a smooth vector shrinks under refinement
-        from bospec.probe import _commutator_apply
+    def test_matches_dense_commutator_resolvent(self):
+        grid = build_grid(1, 1, [4.0, 4.0], [15, 17])
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
+        family = CutoffFamily(scales=(1.0, 2.0))
+        h = op.matrix.toarray()
+        resolvent = np.linalg.inv(h - 1j * np.eye(op.dim))
+        results = commutator_decay(op, family, probes=3, seed=5)
+        for qi, (q, estimate) in enumerate(results):
+            phi = np.diag(family.values(grid, q))
+            comm = h @ phi - phi @ h
+            best = 0.0
+            for pi in range(3):
+                v = np.random.default_rng((5, qi, pi)).standard_normal(op.dim)
+                v /= np.linalg.norm(v)
+                best = max(best, np.linalg.norm(comm @ resolvent @ v))
+            assert estimate == pytest.approx(best, rel=1e-7)
 
+    def test_matrix_commutator_converges_to_continuum(self):
+        # [H, phi] u -> -phi'' u - 2 phi' u' for smooth phi and u (h = 1);
+        # phi' = -(x/9) phi, phi'' = (x^2/81 - 1/9) phi, u' = -(x/4) u
         gaps = []
         for points in (199, 399):
             grid = build_grid(1, 0, [20.0], [points])
             op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), 1.0)
             x = grid.node_coords()[:, 0]
-            u = np.exp(-(x**2) / 8)
-            u /= np.linalg.norm(u)
-            phi = cutoff_profile(np.abs(x) / 5.0)
-            assembled = _commutator_apply(op, phi)(u)
-            direct = op.matrix @ (phi * u) - phi * (op.matrix @ u)
-            gaps.append(np.linalg.norm(assembled - direct)
-                        / np.linalg.norm(direct))
-        assert gaps[0] < 0.2
-        assert gaps[1] < gaps[0]
+            phi, u = np.exp(-(x**2) / 18), np.exp(-(x**2) / 8)
+            diag = sp.diags(phi)
+            assembled = (op.matrix @ diag - diag @ op.matrix) @ u
+            exact = -(x**2 / 81 - 1 / 9) * phi * u - 2 * (x / 9) * (x / 4) * phi * u
+            gaps.append(np.linalg.norm(assembled - exact) / np.linalg.norm(exact))
+        assert gaps[0] < 1e-2
+        assert gaps[1] < 0.3 * gaps[0]
 
 
 class TestFormChain:
