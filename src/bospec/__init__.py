@@ -22,7 +22,6 @@ _apply_thread_cap()
 from .analytic import (
     AnalyticSpectrum,
     bo_spectrum,
-    counting_function,
     dilate_spectrum,
     enumerate_spectrum,
     hermite_function,
@@ -40,15 +39,9 @@ from .grid import (
     GridOperator,
     assemble_hamiltonian,
     build_grid,
-    export_matrix,
-    matvec,
-    restrict,
 )
 from .potential import (
-    ConfinementProfile,
     Potential,
-    confinement_profile,
-    eval_potential,
     expression_potential,
     parse_potential,
     quadratic_potential,

@@ -1,5 +1,5 @@
 """Closed-form spectra of harmonic oscillators, Hermite functions with ladder
-relations, dilation scaling, and the eigenvalue counting function.
+relations, and dilation scaling of spectra.
 
 Energy levels come from weighted multi-index sums sum_i (2 n_i + 1) w_i, with
 the slow-dimension weights carrying the semiclassical factor h.  Enumeration is
@@ -28,13 +28,11 @@ __all__ = [
     "dirichlet_levels",
     "bo_spectrum",
     "dilate_spectrum",
-    "counting_function",
     "hermite_function",
     "hermite_values",
     "build_hermite_basis",
     "ladder_residual",
     "annihilation_residual",
-    "apply_dilation",
 ]
 
 MERGE_RTOL = 1e-9
@@ -46,17 +44,6 @@ class AnalyticSpectrum:
     e_max: object | None  # energy cutoff, if used
     k: int | None        # level-count cutoff, if used
     params: dict         # provenance: h / h_scale, weights
-
-    @property
-    def truncation_energy(self):
-        if self.e_max is not None:
-            return self.e_max
-        if not self.levels:
-            raise ValueError("empty spectrum has no truncation energy")
-        return self.levels[-1][0]
-
-    def energies(self) -> list:
-        return [e for e, _ in self.levels]
 
     def flat(self, count: int | None = None) -> list:
         """Eigenvalues repeated by multiplicity, optionally truncated."""
@@ -186,15 +173,6 @@ def dilate_spectrum(spec: AnalyticSpectrum, lam) -> AnalyticSpectrum:
     return AnalyticSpectrum(levels=levels, e_max=e_max, k=spec.k, params=params)
 
 
-def counting_function(spec: AnalyticSpectrum, e) -> int:
-    """N(E): number of eigenvalues (with multiplicity) not exceeding E."""
-    if e > spec.truncation_energy:
-        raise ValueError(
-            f"E={e} exceeds the spectrum truncation {spec.truncation_energy}; "
-            "the count would be incomplete")
-    return sum(m for lev, m in spec.levels if lev <= e)
-
-
 # ---------------------------------------------------------------------------
 # Hermite functions
 # ---------------------------------------------------------------------------
@@ -279,21 +257,3 @@ def annihilation_residual(x) -> float:
     psi0 = hermite_values(0, x)[0]
     lowered = _derivative_4th(psi0, delta) + x[2:-2] * psi0[2:-2]
     return float(np.linalg.norm(lowered) / np.linalg.norm(psi0[2:-2]))
-
-
-def apply_dilation(f, x, theta: float):
-    """Dilation theta^{1/2} f(theta x) resampled on the same grid by cubic
-    interpolation.  Points carried outside the grid support are set to zero;
-    the returned flag reports whether that happened."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if theta == 1.0:
-        return f.copy(), False
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(x, f, extrapolate=False)
-    out = np.sqrt(theta) * spline(theta * x)
-    clipped = bool(np.any(np.isnan(out)))
-    return np.nan_to_num(out, nan=0.0), clipped

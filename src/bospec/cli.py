@@ -43,11 +43,34 @@ class ConfigError(Exception):
 # Config parsing
 # ---------------------------------------------------------------------------
 
+# Every key some command reads, by section.  One table for all commands,
+# because a single config file may serve every command.
+CONFIG_KEYS = {
+    "grid": ("n", "p", "half_widths", "points"),
+    "potential": ("kind", "a", "b", "expression", "nonnegative"),
+    "solver": ("h", "k", "tol", "seed", "gap_tol"),
+    "analytic": ("e_max", "levels"),
+    "probe": ("mode", "lambdas", "radii"),
+    "converge": ("sizes", "reference"),
+    "output": ("format", "path"),
+}
+
+
 def _load_config(path: str) -> configparser.ConfigParser:
+    """Read the config and reject any section or key that no command reads."""
     cfg = configparser.ConfigParser()
     read = cfg.read(path)
     if not read:
         raise ConfigError("config", "path", f"cannot read {path}")
+    if cfg.defaults():
+        raise ConfigError(cfg.default_section, next(iter(cfg.defaults())),
+                          "unknown key")
+    for section in cfg.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(section, "", "unknown section")
+        for key in cfg.options(section):
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(section, key, "unknown key")
     return cfg
 
 
@@ -333,16 +356,12 @@ def cmd_probe(cfg, args) -> int:
     fmt, path = _output_target(cfg, args)
     grid = _build_grid_from_config(cfg)
 
-    reports = []
     if mode == "essential":
         reports = essential_spectrum_probe(params["h"], grid, lambdas, radii)
     elif mode == "certificate":
         pot = _build_potential_from_config(cfg, grid.n, grid.p)
         op = assemble_hamiltonian(grid, pot, params["h"])
-        samples = _get(cfg, "probe", "probes", int, default=2000)
-        for lam in lambdas:
-            reports.append(discreteness_certificate(
-                op, lam, radii, samples=samples, seed=params["seed"]))
+        reports = [discreteness_certificate(op, lam, radii) for lam in lambdas]
     else:
         raise ConfigError("probe", "mode", f"unknown mode {mode!r}")
 

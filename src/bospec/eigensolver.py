@@ -25,7 +25,6 @@ __all__ = [
     "fit_error_constants",
 ]
 
-DEFAULT_GAP_TOL = 1e-6
 # Largest grid dimension solved by shift-invert.  The sparse LU of H - sigma I
 # holds about 52 factor nonzeros per unknown on a 2D 255^2 grid but already
 # 274 on a 3D 23^3 grid (436 on 31^3), where on a 2-core host factoring alone

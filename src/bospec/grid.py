@@ -22,9 +22,6 @@ __all__ = [
     "build_grid",
     "assemble_hamiltonian",
     "kinetic_operator",
-    "matvec",
-    "restrict",
-    "export_matrix",
     "laplacian_1d",
 ]
 
@@ -152,30 +149,3 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     mat.sum_duplicates()
     return GridOperator(grid=grid, h=h, matrix=mat, kinetic=kin,
                         potential=pot, potential_values=vvals)
-
-
-def matvec(op: GridOperator, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.shape != (op.dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({op.dim},)")
-    return op.matrix @ v
-
-
-def restrict(v: np.ndarray, grid: Grid, radius: float) -> np.ndarray:
-    """Multiply by the characteristic function of the ball B(0, radius)."""
-    v = np.asarray(v)
-    if v.shape != (grid.size,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({grid.size},)")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return np.where(grid.node_radii() <= radius, v, 0.0 * v)
-
-
-def export_matrix(matrix: sp.spmatrix, path) -> None:
-    """Coordinate-triplet text export: header 'dimension nnz', then row col value."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"{coo.shape[0]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")

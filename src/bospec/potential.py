@@ -1,5 +1,4 @@
-"""Potentials V(x, y): quadratic forms, a small expression language, and
-confinement profiles.
+"""Potentials V(x, y): quadratic forms and a small expression language.
 
 Coordinates are split into n slow dimensions (x1..xn) and p fast dimensions
 (y1..yp).  A potential is either an exact quadratic form <Ax,x> + <By,y> or a
@@ -19,13 +18,10 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PotentialExpr",
     "Potential",
-    "ConfinementProfile",
     "parse_potential",
     "oscillator_frequencies",
     "quadratic_potential",
     "expression_potential",
-    "eval_potential",
-    "confinement_profile",
 ]
 
 
@@ -333,7 +329,11 @@ class Potential:
         return self.n + self.p
 
     def evaluate(self, point) -> float:
-        return eval_potential(self, point)
+        point = np.asarray(point, dtype=float)
+        if point.shape != (self.dim,):
+            raise ValueError(
+                f"point has shape {point.shape}, expected ({self.dim},)")
+        return float(self.evaluate_many(point[None, :])[0])
 
     def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -404,82 +404,3 @@ def expression_potential(text: str, n: int, p: int,
     expr = parse_potential(text, n, p)
     return Potential(kind="expression", n=n, p=p,
                      nonnegative_claimed=nonnegative, expr=expr)
-
-
-def eval_potential(pot: Potential, point) -> float:
-    point = np.asarray(point, dtype=float)
-    if point.shape != (pot.dim,):
-        raise ValueError(
-            f"point has shape {point.shape}, expected ({pot.dim},)")
-    return float(pot.evaluate_many(point[None, :])[0])
-
-
-# ---------------------------------------------------------------------------
-# Confinement profiles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConfinementProfile:
-    """Sampled estimates of inf V outside balls of increasing radius."""
-
-    radii: tuple
-    inf_estimates: tuple
-    sample_count: int
-    exact_infima: tuple | None = None  # lambda_min * q^2, quadratic kind only
-
-
-def _exterior_stream(rng: np.random.Generator, half_widths: np.ndarray,
-                     radius: float, samples: int) -> np.ndarray:
-    """First `samples` points of the seeded box stream lying outside B(0, radius)."""
-    out = []
-    have = 0
-    attempts = 0
-    max_attempts = max(100_000, 10_000 * samples)
-    while have < samples:
-        batch = rng.uniform(-half_widths, half_widths,
-                            size=(max(samples, 256), len(half_widths)))
-        keep = batch[np.linalg.norm(batch, axis=1) > radius]
-        if keep.size:
-            out.append(keep[: samples - have])
-            have += len(out[-1])
-        attempts += len(batch)
-        if attempts > max_attempts:
-            raise ValueError(
-                f"exterior of B(0, {radius}) has negligible volume in the box")
-    return np.vstack(out)
-
-
-def confinement_profile(pot: Potential, radii, box_half_widths, samples: int,
-                        seed: int = 0) -> ConfinementProfile:
-    """Estimate inf V over {box \\ B(0, q)} for each radius q by seeded sampling.
-
-    The same seeded point stream backs every radius, so adding samples never
-    increases an estimate and results are reproducible.
-    """
-    radii = [float(q) for q in radii]
-    if any(b >= a for a, b in zip(radii[1:], radii)):
-        raise ValueError("radii must be strictly ascending")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    hw = np.asarray(box_half_widths, dtype=float)
-    if hw.shape != (pot.dim,):
-        raise ValueError(f"box must have {pot.dim} half-widths")
-    diagonal = float(np.linalg.norm(hw))
-    estimates = []
-    for q in radii:
-        if q >= diagonal:
-            raise ValueError(
-                f"radius {q} leaves no exterior inside the box (diagonal {diagonal:g})")
-        rng = np.random.default_rng(seed)
-        pts = _exterior_stream(rng, hw, q, samples)
-        estimates.append(float(np.min(pot.evaluate_many(pts))))
-    exact = None
-    if pot.kind == "quadratic":
-        lam_min = pot.min_curvature()
-        exact = tuple(lam_min * q * q for q in radii)
-    return ConfinementProfile(
-        radii=tuple(radii),
-        inf_estimates=tuple(estimates),
-        sample_count=samples,
-        exact_infima=exact,
-    )

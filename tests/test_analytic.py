@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from bospec.analytic import (
     annihilation_residual,
-    apply_dilation,
     bo_spectrum,
     build_hermite_basis,
-    counting_function,
     dilate_spectrum,
     dirichlet_levels,
     enumerate_spectrum,
@@ -159,30 +157,6 @@ class TestDilation:
         assert direct.levels == chained.levels
 
 
-class TestCountingFunction:
-    def test_1d(self):
-        spec = enumerate_spectrum([1], e_max=10)
-        assert counting_function(spec, 10) == 5
-
-    def test_below_ground(self):
-        spec = enumerate_spectrum([1], e_max=10)
-        assert counting_function(spec, 0.5) == 0
-
-    def test_isotropic(self):
-        spec = enumerate_spectrum([1, 1], e_max=6)
-        assert counting_function(spec, 6) == 6
-
-    def test_beyond_truncation(self):
-        spec = enumerate_spectrum([1], e_max=10)
-        with pytest.raises(ValueError, match="truncation"):
-            counting_function(spec, 11)
-
-    def test_monotone(self):
-        spec = enumerate_spectrum([1, 2], e_max=20)
-        counts = [counting_function(spec, e) for e in np.linspace(2, 20, 40)]
-        assert all(b >= a for a, b in zip(counts, counts[1:]))
-
-
 class TestHermite:
     def test_ground_value(self):
         assert hermite_function(0, 0.0) == pytest.approx(np.pi ** -0.25)
@@ -254,33 +228,3 @@ class TestLadder:
         x = np.arange(-3.0, 3.0 + 1e-9, 0.02)
         with pytest.raises(ValueError, match="resolve"):
             ladder_residual(5, x)
-
-
-class TestApplyDilation:
-    def test_identity(self):
-        x = np.linspace(-10, 10, 501)
-        f = np.exp(-x**2 / 2)
-        out, clipped = apply_dilation(f, x, 1.0)
-        assert np.array_equal(out, f)
-        assert not clipped
-
-    def test_unitarity(self):
-        x = np.arange(-12.0, 12.0 + 1e-9, 0.01)
-        delta = x[1] - x[0]
-        f = np.exp(-x**2 / 2)
-        out, _ = apply_dilation(f, x, 2.0)
-        norm_in = np.sqrt(delta) * np.linalg.norm(f)
-        norm_out = np.sqrt(delta) * np.linalg.norm(out)
-        assert norm_out == pytest.approx(norm_in, rel=1e-6)
-
-    def test_composition_multiplicative(self):
-        x = np.arange(-12.0, 12.0 + 1e-9, 0.01)
-        f = np.exp(-x**2 / 2)
-        once, _ = apply_dilation(f, x, 3.0)
-        twice, _ = apply_dilation(once, x, 2.0)
-        direct, _ = apply_dilation(f, x, 6.0)
-        assert np.allclose(twice, direct, atol=1e-6)
-
-    def test_invalid_theta(self):
-        with pytest.raises(ValueError):
-            apply_dilation(np.zeros(5), np.linspace(-1, 1, 5), 0.0)

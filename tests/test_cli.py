@@ -384,6 +384,60 @@ class TestConverge:
         assert not out.exists()
 
 
+PROBE_CERT_EXPR = PROBE_CERT.replace(
+    "kind = quadratic\na = 1\nb = 1",
+    "kind = expression\nexpression = x1^2 + y1^2\nnonnegative = true")
+
+
+def test_probe_descending_radii_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, PROBE_CERT.replace("radii = 3 5", "radii = 5 3"))
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+    assert "ascending" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A key no command reads, placed in a section each command's config has.
+UNKNOWN_KEY_CASES = {
+    "solve": ("solve", SOLVE_1D, "solver", "tolerance = 1e-12"),
+    "analytic": ("analytic", ANALYTIC, "solver", "tolerance = 1e-12"),
+    "compare": ("compare", COMPARE, "solver", "tolerance = 1e-12"),
+    "probe": ("probe", PROBE_CERT, "solver", "tolerance = 1e-12"),
+    "converge": ("converge", CONVERGE, "solver", "tolerance = 1e-12"),
+    "probe-leftover-probes": ("probe", PROBE_CERT, "probe", "probes = 2000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEY_CASES))
+def test_unknown_key_rejected(tmp_path, capsys, case):
+    command, text, section, line = UNKNOWN_KEY_CASES[case]
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    key = line.split(" = ")[0]
+    assert f"config error: [{section}] {key}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analytic", "compare", "converge", "probe", "solve"])
+def test_readme_config_serves_every_command(tmp_path, command):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text().split("```ini\n")[1].split("```")[0]
+    text = text.replace("points = 127 127", "points = 63 63")
+    text = text.replace("sizes = 125 250 500", "sizes = 31 47 63")
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_unknown_section_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, SOLVE_1D + "\n[solvr]\ntol = 1e-12\n")
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: [solvr] : unknown section" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # One tiny config per command; each runs twice per format.
 DETERMINISM_CASES = {
     "solve": ("solve", SOLVE_1D),
@@ -391,6 +445,7 @@ DETERMINISM_CASES = {
     "compare": ("compare", COMPARE),
     "converge": ("converge", CONVERGE),
     "probe-certificate": ("probe", PROBE_CERT),
+    "probe-certificate-expression": ("probe", PROBE_CERT_EXPR),
     "probe-essential": ("probe", PROBE_ESS),
 }
 

@@ -4,11 +4,8 @@ import pytest
 from bospec.grid import (
     assemble_hamiltonian,
     build_grid,
-    export_matrix,
     kinetic_operator,
     laplacian_1d,
-    matvec,
-    restrict,
 )
 from bospec.potential import expression_potential, quadratic_potential
 
@@ -90,39 +87,40 @@ class TestMatvec:
     def test_constant_vector(self):
         grid = build_grid(1, 0, [2.0], [3])
         op = assemble_hamiltonian(grid, zero_potential(1, 0), h=1.0)
-        out = matvec(op, np.ones(3))
+        out = op.matrix @ np.ones(3)
         assert np.allclose(out, [1.0, 0.0, 1.0])
 
     def test_zero_vector(self):
         grid = build_grid(1, 0, [2.0], [3])
         op = assemble_hamiltonian(grid, zero_potential(1, 0), h=1.0)
-        assert np.allclose(matvec(op, np.zeros(3)), 0.0)
+        assert np.allclose(op.matrix @ np.zeros(3), 0.0)
 
     def test_first_column(self):
         grid = build_grid(1, 0, [2.0], [3])
         op = assemble_hamiltonian(grid, zero_potential(1, 0), h=1.0)
-        assert np.allclose(matvec(op, np.eye(3)[0]), [2.0, -1.0, 0.0])
+        assert np.allclose(op.matrix @ np.eye(3)[0], [2.0, -1.0, 0.0])
 
     def test_length_mismatch(self):
         grid = build_grid(1, 0, [2.0], [3])
         op = assemble_hamiltonian(grid, zero_potential(1, 0), h=1.0)
         with pytest.raises(ValueError):
-            matvec(op, np.ones(4))
+            op.matrix @ np.ones(4)
 
 
 class TestRestrict:
+    """Restriction to the ball B(0, r) is the node-radius mask the probes use."""
+
     def test_large_radius_identity(self):
         grid = build_grid(1, 0, [2.0], [3])
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(restrict(v, grid, 100.0), v)
+        assert np.all(grid.node_radii() <= 100.0)
 
     def test_small_radius(self):
         grid = build_grid(1, 0, [2.0], [3])  # nodes {-1, 0, 1}
-        assert np.allclose(restrict(np.ones(3), grid, 0.5), [0.0, 1.0, 0.0])
+        assert np.array_equal(grid.node_radii() <= 0.5, [False, True, False])
 
     def test_tiny_radius_off_origin(self):
         grid = build_grid(1, 0, [2.0], [4])  # nodes avoid the origin
-        assert np.allclose(restrict(np.ones(4), grid, 1e-12), 0.0)
+        assert not np.any(grid.node_radii() <= 1e-12)
 
 
 class TestInvariants:
@@ -177,19 +175,3 @@ class TestInvariants:
             vec = np.sin(k * np.pi * i / (m + 1))
             lam = (2 - 2 * np.cos(k * np.pi / (m + 1))) / delta**2
             assert np.allclose(lap @ vec, lam * vec, atol=1e-10 * lam)
-
-
-def test_export_matrix(tmp_path):
-    grid = build_grid(1, 0, [2.0], [3])
-    op = assemble_hamiltonian(grid, zero_potential(1, 0), h=1.0)
-    path = tmp_path / "mat.txt"
-    export_matrix(op.matrix, path)
-    lines = path.read_text().splitlines()
-    dim, nnz = map(int, lines[0].split())
-    assert dim == 3 and nnz == 7
-    entries = [line.split() for line in lines[1:]]
-    assert len(entries) == nnz
-    dense = np.zeros((dim, dim))
-    for r, c, v in entries:
-        dense[int(r), int(c)] = float(v)
-    assert np.allclose(dense, op.matrix.toarray())

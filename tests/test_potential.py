@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bospec.grid import assemble_hamiltonian, build_grid
 from bospec.potential import (
     BinOp,
     Call,
@@ -12,13 +13,12 @@ from bospec.potential import (
     Num,
     Pow,
     Var,
-    confinement_profile,
-    eval_potential,
     expression_potential,
     parse_potential,
     quadratic_potential,
     to_string,
 )
+from bospec.probe import discreteness_certificate
 
 
 class TestParser:
@@ -102,16 +102,16 @@ def test_roundtrip(ast):
 class TestQuadratic:
     def test_identity(self):
         pot = quadratic_potential([[1.0]], [[1.0]])
-        assert eval_potential(pot, [2.0, 3.0]) == pytest.approx(13.0)
+        assert pot.evaluate([2.0, 3.0]) == pytest.approx(13.0)
 
     def test_diagonal_p0(self):
         pot = quadratic_potential([[1.0, 0.0], [0.0, 4.0]])
         assert pot.p == 0
-        assert eval_potential(pot, [1.0, 1.0]) == pytest.approx(5.0)
+        assert pot.evaluate([1.0, 1.0]) == pytest.approx(5.0)
 
     def test_identity_2d(self):
         pot = quadratic_potential(np.eye(2))
-        assert eval_potential(pot, [1.0, 1.0]) == pytest.approx(2.0)
+        assert pot.evaluate([1.0, 1.0]) == pytest.approx(2.0)
 
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -128,16 +128,16 @@ class TestQuadratic:
     def test_symmetrization(self):
         pot = quadratic_potential([[1.0, 2.0], [0.0, 4.0]])
         assert np.allclose(pot.a, pot.a.T)
-        assert eval_potential(pot, [1.0, 1.0]) == pytest.approx(7.0)
+        assert pot.evaluate([1.0, 1.0]) == pytest.approx(7.0)
 
     def test_dimension_mismatch(self):
         pot = quadratic_potential([[1.0]])
         with pytest.raises(ValueError):
-            eval_potential(pot, [1.0, 2.0])
+            pot.evaluate([1.0, 2.0])
 
     def test_expression_zero_at_origin(self):
         pot = expression_potential("x1^2 + y1^2", 1, 1)
-        assert eval_potential(pot, [0.0, 0.0]) == 0.0
+        assert pot.evaluate([0.0, 0.0]) == 0.0
 
 
 @given(st.integers(0, 10_000))
@@ -150,48 +150,48 @@ def test_quadratic_matches_expanded_expression(seed):
     terms = [f"{float(a[i, j])!r}*x{i + 1}*x{j + 1}" for i in range(2) for j in range(2)]
     expr = expression_potential(" + ".join(terms).replace("+ -", "- "), 2, 0)
     pt = rng.uniform(-3, 3, size=2)
-    v1 = eval_potential(pot, pt)
+    v1 = pot.evaluate(pt)
     v2 = expr.evaluate(pt)
     assert v1 == pytest.approx(v2, rel=1e-12)
+
+
+def exterior_infima(pot, radii, half_width, points):
+    """inf V over the grid nodes outside B(0, q), per radius q, as the
+    certificate reads it (its lower bound at lambda = 0)."""
+    grid = build_grid(pot.n, pot.p, [half_width] * pot.dim, [points] * pot.dim)
+    rep = discreteness_certificate(assemble_hamiltonian(grid, pot, 1.0), 0.0, radii)
+    return [e.lower_bound for e in rep.entries]
 
 
 class TestConfinementProfile:
     def test_exact_infimum_quadratic(self):
         pot = quadratic_potential([[1.0]], [[1.0]])  # V = |X|^2 in 1+1 dims
-        prof = confinement_profile(pot, [5.0], [10.0, 10.0], samples=500, seed=1)
-        assert prof.inf_estimates[0] >= 25.0
-        assert prof.exact_infima[0] == pytest.approx(25.0)
+        assert exterior_infima(pot, [5.0], 20.0, 99) == [25.0]
 
     def test_zero_potential(self):
         pot = expression_potential("0*x1", 1, 1, nonnegative=True)
-        prof = confinement_profile(pot, [3.0], [10.0, 10.0], samples=50, seed=0)
-        assert prof.inf_estimates[0] == 0.0
+        assert exterior_infima(pot, [3.0], 10.0, 49) == [0.0]
 
     def test_empty_exterior(self):
         pot = quadratic_potential([[1.0]], [[1.0]])
-        with pytest.raises(ValueError, match="exterior"):
-            confinement_profile(pot, [20.0], [10.0, 10.0], samples=10)
+        with pytest.raises(ValueError, match="room"):
+            exterior_infima(pot, [20.0], 10.0, 49)
 
     def test_refinement_monotone(self):
+        # 2m + 1 points keep every node of the m-point grid, so refining can
+        # only lower the minimum over the exterior nodes
         pot = expression_potential("x1^2 + abs(y1)", 1, 1, nonnegative=True)
-        coarse = confinement_profile(pot, [2.0, 4.0], [8.0, 8.0], samples=40, seed=7)
-        fine = confinement_profile(pot, [2.0, 4.0], [8.0, 8.0], samples=400, seed=7)
-        for c, f in zip(coarse.inf_estimates, fine.inf_estimates):
+        coarse = exterior_infima(pot, [2.0, 4.0], 8.0, 49)
+        fine = exterior_infima(pot, [2.0, 4.0], 8.0, 99)
+        for c, f in zip(coarse, fine):
             assert f <= c
 
-    def test_sampled_respects_quadratic_bound(self):
-        pot = quadratic_potential([[2.0, 1.0], [1.0, 2.0]])
-        prof = confinement_profile(pot, [2.0, 3.0], [8.0, 8.0], samples=300, seed=3)
-        for q, est in zip(prof.radii, prof.inf_estimates):
-            assert est >= 1.0 * q * q  # lambda_min(A) = 1
-
     def test_radii_must_ascend(self):
-        pot = quadratic_potential([[1.0]])
+        pot = expression_potential("x1^2", 1, 0, nonnegative=True)
         with pytest.raises(ValueError, match="ascending"):
-            confinement_profile(pot, [3.0, 2.0], [10.0], samples=10)
+            exterior_infima(pot, [3.0, 3.0], 10.0, 99)
 
     def test_deterministic(self):
-        pot = quadratic_potential([[1.0]], [[1.0]])
-        a = confinement_profile(pot, [4.0], [10.0, 10.0], samples=100, seed=5)
-        b = confinement_profile(pot, [4.0], [10.0, 10.0], samples=100, seed=5)
-        assert a.inf_estimates == b.inf_estimates
+        pot = expression_potential("x1^2 + abs(x1*y1)", 1, 1, nonnegative=True)
+        a = exterior_infima(pot, [4.0], 10.0, 49)
+        assert a == exterior_infima(pot, [4.0], 10.0, 49)

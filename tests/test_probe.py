@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bospec.grid import assemble_hamiltonian, build_grid, restrict
+from bospec.grid import assemble_hamiltonian, build_grid
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import (
     CutoffFamily,
@@ -46,7 +46,7 @@ class TestZhislinVector:
         grid = build_grid(1, 1, [20.0, 20.0], [99, 99])
         v = make_zhislin_vector(grid, radius=5.0, k=None, width=3.0)
         assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert np.all(restrict(np.abs(v), grid, 5.0) == 0)
+        assert np.all(v[grid.node_radii() <= 5.0] == 0)
 
     def test_complex_with_wavevector(self):
         grid = build_grid(1, 0, [40.0], [399])
@@ -122,6 +122,44 @@ class TestDiscretenessCertificate:
         op = assemble_hamiltonian(grid, pot, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             discreteness_certificate(op, lam=0.0, radii=[3.0])
+
+    def test_expression_bounds_dominate_closed_form(self):
+        # the node minimum of x1^2 + y1^2 outside B(0, q) is at least q^2
+        grid = build_grid(1, 1, [12.0, 12.0], [99, 99])
+        quad = discreteness_certificate(assemble_hamiltonian(
+            grid, quadratic_potential([[1.0]], [[1.0]]), 1.0), lam=4.0, radii=[3.0, 5.0])
+        expr = discreteness_certificate(assemble_hamiltonian(
+            grid, expression_potential("x1^2 + y1^2", 1, 1, nonnegative=True), 1.0),
+            lam=4.0, radii=[3.0, 5.0])
+        for q, e in zip((3.0, 5.0), expr.entries):
+            assert e.lower_bound >= q * q - 4.0
+        assert expr.verdict == quad.verdict == "discrete at lambda=4"
+
+    @pytest.mark.parametrize("pot", [
+        quadratic_potential([[1.0]], [[1.0]]),
+        expression_potential("x1^2 + y1^2", 1, 1, nonnegative=True),
+    ], ids=["quadratic", "expression"])
+    def test_radii_must_ascend(self, pot):
+        grid = build_grid(1, 1, [12.0, 12.0], [99, 99])
+        op = assemble_hamiltonian(grid, pot, 1.0)
+        with pytest.raises(ValueError, match="ascending"):
+            discreteness_certificate(op, lam=4.0, radii=[5.0, 3.0])
+
+    def test_valley_bounds_are_node_minima(self):
+        # a sampled exterior infimum reported 0.086 and 0.283 here, above the
+        # true bounds
+        grid = build_grid(1, 1, [8.0, 8.0], [191, 191])
+        pot = expression_potential("(x1 - y1)^2 + 0.01*(x1^2 + y1^2)", 1, 1,
+                                   nonnegative=True)
+        rep = discreteness_certificate(assemble_hamiltonian(grid, pot, 0.5),
+                                       lam=0.05, radii=[3.0, 5.0])
+        x, y = grid.node_coords().T
+        v = (x - y) ** 2 + 0.01 * (x * x + y * y)
+        r = np.hypot(x, y)
+        exact = [v[r > q].min() - 0.05 for q in (3.0, 5.0)]
+        assert [e.lower_bound for e in rep.entries] == pytest.approx(exact, rel=1e-12)
+        assert exact == pytest.approx([0.0439, 0.2068], abs=1e-4)
+        assert exact[0] < 0.086 and exact[1] < 0.283
 
     def test_radius_too_close_to_wall(self):
         grid = build_grid(1, 0, [10.0], [49])
