@@ -59,7 +59,10 @@ CONFIG_KEYS = {
 def _load_config(path: str) -> configparser.ConfigParser:
     """Read the config and reject any section or key that no command reads."""
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        raise ConfigError("config", "path", str(exc)) from None
     if not read:
         raise ConfigError("config", "path", f"cannot read {path}")
     if cfg.defaults():

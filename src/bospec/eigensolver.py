@@ -135,32 +135,21 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
 
 
 def cluster_multiplicities(eigs, gap_tol: float) -> list[MultiplicityCluster]:
-    """Greedy left-to-right clustering of an ascending eigenvalue list.
+    """Cluster an ascending eigenvalue list.
 
-    A value joins the current cluster iff it lies within gap_tol of the
-    cluster's current maximum.
+    A cluster ends wherever the next value exceeds the previous one by more
+    than gap_tol.
     """
     if gap_tol <= 0:
         raise ValueError("gap_tol must be positive")
-    eigs = [float(e) for e in eigs]
-    if any(b < a for a, b in zip(eigs, eigs[1:])):
+    eigs = np.asarray(eigs, dtype=float)
+    if np.any(np.diff(eigs) < 0):
         raise ValueError("eigenvalues must be ascending")
-    clusters: list[MultiplicityCluster] = []
-    current: list[float] = []
-    for e in eigs:
-        if current and e - current[-1] > gap_tol:
-            clusters.append(MultiplicityCluster(
-                energy=float(np.mean(current)),
-                multiplicity=len(current),
-                spread=current[-1] - current[0]))
-            current = []
-        current.append(e)
-    if current:
-        clusters.append(MultiplicityCluster(
-            energy=float(np.mean(current)),
-            multiplicity=len(current),
-            spread=current[-1] - current[0]))
-    return clusters
+    if eigs.size == 0:
+        return []
+    return [MultiplicityCluster(energy=float(np.mean(c)), multiplicity=len(c),
+                                spread=float(c[-1] - c[0]))
+            for c in np.split(eigs, np.flatnonzero(np.diff(eigs) > gap_tol) + 1)]
 
 
 @dataclass(frozen=True)

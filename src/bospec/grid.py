@@ -93,7 +93,8 @@ def build_grid(n: int, p: int, half_widths, points) -> Grid:
         raise ValueError("need at least 3 interior points per dimension")
     total = math.prod(points)
     if total > DEFAULT_SIZE_CAP:
-        raise ValueError(f"grid size {total} exceeds cap {DEFAULT_SIZE_CAP}")
+        raise ValueError(f"grid size {total} exceeds the safety cap of {DEFAULT_SIZE_CAP} "
+                         "nodes (a fixed limit, not derived from solver memory)")
     return Grid(n=n, p=p, half_widths=half_widths, points=points)
 
 

@@ -7,6 +7,7 @@ parsed arithmetic expression over the coordinate variables.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass, field
 
@@ -86,138 +87,55 @@ Node = Num | Var | Neg | BinOp | Pow | Call
 
 _FUNCS = ("abs", "exp")
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExprError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-        for kind in ("num", "ident", "op"):
-            if m.group(kind) is not None:
-                start = m.start(kind)
-                text_val = text[start:m.end()]
-                tokens.append((kind, text_val, start))
-                break
-        pos = m.end()
-    return tokens
-
-
 _VAR_RE = re.compile(r"([xy])([1-9]\d*)$")
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
-class _Parser:
-    """Precedence-climbing parser for the fixed arithmetic grammar."""
+def _convert(node: ast.expr, n: int, p: int, where) -> Node:
+    """Whitelist Python's expression tree into the potential AST.
 
-    def __init__(self, text: str, n: int, p: int):
-        self.text = text
-        self.n = n
-        self.p = p
-        self.tokens = _tokenize(text)
-        self.i = 0
+    `where(node)` is the node's position in the user's text.
+    """
+    def conv(child):
+        return _convert(child, n, p, where)
 
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("end", "", len(self.text))
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        try:
+            return Num(float(node.value))
+        except OverflowError:
+            raise ExprError("number too large", where(node)) from None
+    if isinstance(node, ast.Name):
+        m = _VAR_RE.match(node.id)
+        if m is None:
+            raise ExprError(f"unbound variable name {node.id!r}", where(node))
+        axis, idx = m.group(1), int(m.group(2))
+        bound = n if axis == "x" else p
+        if idx > bound:
+            raise ExprError(
+                f"unbound variable {node.id!r}: only {bound} {axis}-dimension(s) declared",
+                where(node),
+            )
+        return Var(axis, idx)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Neg(conv(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return BinOp(_BINOPS[type(node.op)], conv(node.left), conv(node.right))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        # an integer literal, optionally negated
+        negated = isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+        literal = node.right.operand if negated else node.right
+        if not (isinstance(literal, ast.Constant) and type(literal.value) is int):
+            raise ExprError(f"expected integer exponent, found {_unparse(node.right)!r}",
+                            where(node.right))
+        return Pow(conv(node.left), -literal.value if negated else literal.value)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
+        return Call(node.func.id, conv(node.args[0]))
+    raise ExprError(f"unsupported expression {_unparse(node)!r}", where(node))
 
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}, found {val!r}" if kind != "end"
-                            else f"expected {op!r}, found end of input", pos)
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprError(f"unexpected trailing token {val!r}", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = BinOp(val, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Node:
-        node = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            node = Pow(node, self.integer())
-        return node
-
-    def integer(self) -> int:
-        sign = 1
-        kind, val, pos = self.next()
-        if kind == "op" and val == "-":
-            sign = -1
-            kind, val, pos = self.next()
-        if kind != "num":
-            raise ExprError(f"expected integer exponent, found {val!r}", pos)
-        if not re.fullmatch(r"\d+", val):
-            raise ExprError(f"non-integer exponent {val!r}", pos)
-        return sign * int(val)
-
-    def base(self) -> Node:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Num(float(val))
-        if kind == "op" and val == "-":
-            return Neg(self.base())
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "ident":
-            if val in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            m = _VAR_RE.match(val)
-            if m is None:
-                raise ExprError(f"unbound variable name {val!r}", pos)
-            axis, idx = m.group(1), int(m.group(2))
-            bound = self.n if axis == "x" else self.p
-            if idx > bound:
-                raise ExprError(
-                    f"unbound variable {val!r}: only {bound} {axis}-dimension(s) declared",
-                    pos,
-                )
-            return Var(axis, idx)
-        if kind == "end":
-            raise ExprError("unexpected end of input", pos)
-        raise ExprError(f"unexpected token {val!r}", pos)
+def _unparse(node: ast.expr) -> str:
+    return ast.unparse(node).replace("**", "^")
 
 
 def to_string(node: Node) -> str:
@@ -227,7 +145,6 @@ def to_string(node: Node) -> str:
     if isinstance(node, Var):
         return f"{node.axis}{node.index}"
     if isinstance(node, Neg):
-        # parenthesize the operand: "^" would otherwise bind to the negated base
         return f"(-({to_string(node.operand)}))"
     if isinstance(node, BinOp):
         return f"({to_string(node.left)} {node.op} {to_string(node.right)})"
@@ -274,13 +191,6 @@ class PotentialExpr:
     n: int
     p: int
 
-    def evaluate(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.n + self.p,):
-            raise ValueError(
-                f"point has dimension {point.shape}, expected {self.n + self.p}")
-        return float(self.evaluate_many(point[None, :])[0])
-
     def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; coords has shape (m, n+p)."""
         coords = np.asarray(coords, dtype=float)
@@ -299,14 +209,37 @@ class PotentialExpr:
 def parse_potential(text: str, n: int, p: int) -> PotentialExpr:
     """Parse a potential expression with n x-variables and p y-variables.
 
-    p = 0 permits purely semiclassical operators with no fast dimensions.
+    Python's parser reads the text with `^` as its power operator, so `^`
+    binds tighter than unary minus and numbers follow Python's literal
+    syntax; error positions index `text`.  p = 0 permits purely
+    semiclassical operators with no fast dimensions.
     """
     if not text or not text.strip():
         raise ExprError("empty expression")
     if n < 1 or p < 0:
         raise ValueError(f"need n >= 1 and p >= 0, got n={n}, p={p}")
-    text = text.replace("−", "-")  # unicode minus
-    return PotentialExpr(_Parser(text, n, p).parse(), n, p)
+    # one character for one, so positions still index the user's text; any
+    # whitespace (a newline in a multi-line config value) becomes a space
+    text = re.sub(r"\s", " ", text.replace("−", "-"))  # unicode minus
+    # `**` is not the power operator and `#` would start a Python comment;
+    # beyond printable ASCII Python folds look-alike letters into names and
+    # counts columns in UTF-8 bytes
+    bad = re.search(r"\*\*|#|[^ -~]", text)
+    if bad:
+        raise ExprError(f"unexpected {bad.group()!r}", bad.start())
+    body = text.lstrip()
+    lead = len(text) - len(body)  # Python rejects an indented expression
+    source = body.replace("^", "**")
+    # position in `text` of each column of `source`, plus the end of input
+    cols = [lead + i for i, ch in enumerate(body) for _ in range(1 + (ch == "^"))]
+    cols.append(len(text))
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        col = exc.offset - 1 if exc.offset else len(source)
+        raise ExprError(exc.msg, cols[min(col, len(source))]) from None
+    return PotentialExpr(_convert(tree.body, n, p, lambda node: cols[node.col_offset]),
+                         n, p)
 
 
 # ---------------------------------------------------------------------------

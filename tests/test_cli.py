@@ -438,6 +438,22 @@ def test_unknown_section_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+MALFORMED_CONFIGS = {
+    "duplicate-section": SOLVE_1D + "\n[grid]\nn = 1\n",
+    "line-without-equals": SOLVE_1D.replace("[solver]\n", "[solver]\nh 1.0\n"),
+    "key-before-section": "n = 1\n" + SOLVE_1D,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_rejected(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, MALFORMED_CONFIGS[case])
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 # One tiny config per command; each runs twice per format.
 DETERMINISM_CASES = {
     "solve": ("solve", SOLVE_1D),

@@ -23,11 +23,11 @@ from bospec.probe import discreteness_certificate
 
 class TestParser:
     def test_basic_eval(self):
-        expr = parse_potential("x1^2 + 2*y1^2", n=1, p=1)
+        expr = expression_potential("x1^2 + 2*y1^2", n=1, p=1)
         assert expr.evaluate([1.0, 1.0]) == pytest.approx(3.0)
 
     def test_zero_case(self):
-        expr = parse_potential("x1^2", n=1, p=0)
+        expr = expression_potential("x1^2", n=1, p=0)
         assert expr.evaluate([0.0]) == 0.0
 
     def test_unbound_variable(self):
@@ -54,23 +54,100 @@ class TestParser:
             parse_potential("   ", n=1, p=0)
 
     def test_functions_and_division(self):
-        expr = parse_potential("abs(x1) + exp(y1) / 2", n=1, p=1)
+        expr = expression_potential("abs(x1) + exp(y1) / 2", n=1, p=1)
         assert expr.evaluate([-3.0, 0.0]) == pytest.approx(3.5)
 
     def test_division_by_zero(self):
-        expr = parse_potential("1 / x1", n=1, p=0)
+        expr = expression_potential("1 / x1", n=1, p=0)
         from bospec.potential import PotentialDomainError
 
         with pytest.raises(PotentialDomainError):
             expr.evaluate([0.0])
 
     def test_unicode_minus(self):
-        expr = parse_potential("x1 − 1", n=1, p=0)
+        expr = expression_potential("x1 − 1", n=1, p=0)
         assert expr.evaluate([3.0]) == pytest.approx(2.0)
 
     def test_precedence(self):
-        expr = parse_potential("1 + 2 * 3 ^ 2", n=1, p=0)
+        expr = expression_potential("1 + 2 * 3 ^ 2", n=1, p=0)
         assert expr.evaluate([0.0]) == pytest.approx(19.0)
+
+    def test_power_binds_tighter_than_unary_minus(self):
+        assert expression_potential("-x1^2 + x1^4", 1, 0).evaluate([3.0]) == 72.0
+        assert expression_potential("2 * -x1^2", 1, 0).evaluate([3.0]) == -18.0
+
+    def test_python_literals_and_parenthesized_exponent(self):
+        assert parse_potential("1_000 + 0x10", 1, 0).ast == BinOp("+", Num(1000.0), Num(16.0))
+        assert parse_potential("x1^(2) + x1^-2", 1, 0).ast == BinOp(
+            "+", Pow(Var("x", 1), 2), Pow(Var("x", 1), -2))
+        with pytest.raises(ExprError):
+            parse_potential("01", 1, 0)
+
+    @pytest.mark.parametrize("text, position", [
+        ("x1 + * 2", 5),
+        ("x1^2 + * 2", 7),
+        ("x1^2 + z3", 7),
+        ("  x1 + * 2", 7),
+        ("x1^2 +\n y1^2 + *", 15),
+    ])
+    def test_error_position_indexes_the_text(self, text, position):
+        with pytest.raises(ExprError) as err:
+            parse_potential(text, n=1, p=1)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text", [
+        "x1 ** 2", "+x1", "sin(x1)", "abs(x1, y1)", "x1 < 2", "x1 if y1 else 2",
+        "x1.real", "'a'", "1j", "True", "x1^2.5", "x1^y1", "x1^2^2",
+    ])
+    def test_rejected(self, text):
+        with pytest.raises(ExprError) as err:
+            parse_potential(text, n=1, p=1)
+        assert err.value.position is not None
+
+
+# Every expression in README.md, tests/ and perfbench/workloads.py (the last
+# is a sample of the text test_quadratic_matches_expanded_expression builds),
+# with the tree the earlier hand-written parser produced for it.
+X1, X2, Y1, Y2 = Var("x", 1), Var("x", 2), Var("y", 1), Var("y", 2)
+CORPUS = {
+    "(x1 - y1)^2 + 0.01*(x1^2 + y1^2)":
+        BinOp("+", Pow(BinOp("-", X1, Y1), 2),
+              BinOp("*", Num(0.01), BinOp("+", Pow(X1, 2), Pow(Y1, 2)))),
+    "0*x1": BinOp("*", Num(0.0), X1),
+    "1 / x1": BinOp("/", Num(1.0), X1),
+    "abs(x1) + exp(y1) / 2":
+        BinOp("+", Call("abs", X1), BinOp("/", Call("exp", Y1), Num(2.0))),
+    "abs(x1)": Call("abs", X1),
+    "x1 − 1": BinOp("-", X1, Num(1.0)),
+    "x1": X1,
+    "x1^2 + 2*y1^2": BinOp("+", Pow(X1, 2), BinOp("*", Num(2.0), Pow(Y1, 2))),
+    "x1^2 + abs(x1*y1)": BinOp("+", Pow(X1, 2), Call("abs", BinOp("*", X1, Y1))),
+    "x1^2 + abs(y1)": BinOp("+", Pow(X1, 2), Call("abs", Y1)),
+    "x1^2 + y1^2 + y1*y2 + y2^2":
+        BinOp("+", BinOp("+", BinOp("+", Pow(X1, 2), Pow(Y1, 2)), BinOp("*", Y1, Y2)),
+              Pow(Y2, 2)),
+    "x1^2 + y1^2": BinOp("+", Pow(X1, 2), Pow(Y1, 2)),
+    "x1^2": Pow(X1, 2),
+    "1*x1^2": BinOp("*", Num(1.0), Pow(X1, 2)),
+    "4*x1^2": BinOp("*", Num(4.0), Pow(X1, 2)),
+    "16*x1^2": BinOp("*", Num(16.0), Pow(X1, 2)),
+    "1 + 2 * 3 ^ 2": BinOp("+", Num(1.0), BinOp("*", Num(2.0), Pow(Num(3.0), 2))),
+    "x1^2 + 2*y1^2 + abs(x1*y1)":
+        BinOp("+", BinOp("+", Pow(X1, 2), BinOp("*", Num(2.0), Pow(Y1, 2))),
+              Call("abs", BinOp("*", X1, Y1))),
+    "1.5*x1*x1 + 0.25*x1*x2 - 0.25*x2*x1 + 2.0*x2*x2":
+        BinOp("+",
+              BinOp("-",
+                    BinOp("+", BinOp("*", BinOp("*", Num(1.5), X1), X1),
+                          BinOp("*", BinOp("*", Num(0.25), X1), X2)),
+                    BinOp("*", BinOp("*", Num(0.25), X2), X1)),
+              BinOp("*", BinOp("*", Num(2.0), X2), X2)),
+}
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_corpus_parses_as_before(text):
+    assert parse_potential(text, n=2, p=2).ast == CORPUS[text]
 
 
 def _ast_strategy():
@@ -85,7 +162,7 @@ def _ast_strategy():
         lambda children: st.one_of(
             st.builds(BinOp, st.sampled_from("+-*/"), children, children),
             st.builds(Neg, children),
-            st.builds(Pow, children, st.integers(0, 5)),
+            st.builds(Pow, children, st.integers(-3, 5)),
             st.builds(Call, st.sampled_from(["abs", "exp"]), children),
         ),
         max_leaves=12,
