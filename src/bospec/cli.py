@@ -58,7 +58,7 @@ CONFIG_KEYS = {
 
 def _load_config(path: str) -> configparser.ConfigParser:
     """Read the config and reject any section or key that no command reads."""
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     try:
         read = cfg.read(path)
     except configparser.Error as exc:

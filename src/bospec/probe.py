@@ -208,28 +208,27 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
                      seed: int = 0) -> list[tuple]:
     """Monte-Carlo lower estimates of ||[H, phi_q] (H - i)^{-1}|| per scale q.
 
-    For each scale, seeded random unit vectors v give w = (H - i)^{-1} v by an
-    iterative solve on H - iI, built once per call; the commutator of the
-    assembled matrix with Phi = diag(phi_q), H Phi - Phi H (the potential
+    Each probe is a random unit vector v seeded by (seed, probe index); one
+    iterative solve on H - iI gives w = (H - i)^{-1} v, which every scale
+    shares, so all scales are compared on the same probes.  The commutator of
+    the assembled matrix with Phi = diag(phi_q), H Phi - Phi H (the potential
     cancels exactly), is applied to w and the max of ||[H, phi_q] w|| / ||v||
     over probes is reported.  Estimates are expected to decay like 1/q.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     shifted = op.matrix - 1j * sp.identity(op.dim, format="csr")
-    results = []
-    for qi, q in enumerate(family.scales):
+    comms = []
+    for q in family.scales:
         phi = sp.diags(family.values(op.grid, q))
-        comm = op.matrix @ phi - phi @ op.matrix
-        best = 0.0
-        for pi in range(probes):
-            rng = np.random.default_rng((seed, qi, pi))
-            v = rng.standard_normal(op.dim)
-            v /= np.linalg.norm(v)
-            w = _resolvent_at_i(shifted, v)
-            best = max(best, float(np.linalg.norm(comm @ w)))
-        results.append((float(q), best))
-    return results
+        comms.append(op.matrix @ phi - phi @ op.matrix)
+    best = [0.0] * len(comms)
+    for pi in range(probes):
+        v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
+        v /= np.linalg.norm(v)
+        w = _resolvent_at_i(shifted, v)
+        best = [max(b, float(np.linalg.norm(comm @ w))) for b, comm in zip(best, comms)]
+    return [(float(q), b) for q, b in zip(family.scales, best)]
 
 
 @dataclass(frozen=True)

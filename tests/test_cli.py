@@ -442,6 +442,9 @@ MALFORMED_CONFIGS = {
     "duplicate-section": SOLVE_1D + "\n[grid]\nn = 1\n",
     "line-without-equals": SOLVE_1D.replace("[solver]\n", "[solver]\nh 1.0\n"),
     "key-before-section": "n = 1\n" + SOLVE_1D,
+    # values are read verbatim, so the expression parser rejects the '%'
+    "percent-in-value": SOLVE_1D.replace("kind = quadratic\na = 1",
+                                         "kind = expression\nexpression = x1^2 + 5%x1"),
 }
 
 

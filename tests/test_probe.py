@@ -231,15 +231,36 @@ class TestCommutator:
         h = op.matrix.toarray()
         resolvent = np.linalg.inv(h - 1j * np.eye(op.dim))
         results = commutator_decay(op, family, probes=3, seed=5)
-        for qi, (q, estimate) in enumerate(results):
+        for q, estimate in results:
             phi = np.diag(family.values(grid, q))
             comm = h @ phi - phi @ h
             best = 0.0
             for pi in range(3):
-                v = np.random.default_rng((5, qi, pi)).standard_normal(op.dim)
+                v = np.random.default_rng((5, pi)).standard_normal(op.dim)
                 v /= np.linalg.norm(v)
                 best = max(best, np.linalg.norm(comm @ resolvent @ v))
             assert estimate == pytest.approx(best, rel=1e-7)
+
+    def test_one_solve_per_probe(self, monkeypatch):
+        import bospec.probe as probe
+
+        op = oscillator_op(points=99)
+        solve = probe._resolvent_at_i
+        calls = []
+
+        def counting(shifted, v, **kwargs):
+            calls.append(1)
+            return solve(shifted, v, **kwargs)
+
+        monkeypatch.setattr(probe, "_resolvent_at_i", counting)
+        commutator_decay(op, CutoffFamily(scales=(1.0, 2.0, 4.0)), probes=2, seed=0)
+        assert len(calls) == 2
+
+    def test_scale_independent_of_family(self):
+        op = oscillator_op(points=149)
+        both = commutator_decay(op, CutoffFamily(scales=(2.0, 4.0)), probes=2, seed=11)
+        alone = commutator_decay(op, CutoffFamily(scales=(4.0,)), probes=2, seed=11)
+        assert both[1] == alone[0]
 
     def test_matrix_commutator_converges_to_continuum(self):
         # [H, phi] u -> -phi'' u - 2 phi' u' for smooth phi and u (h = 1);
