@@ -103,6 +103,14 @@ def _ints(raw: str) -> list:
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _boolean(raw: str) -> bool:
+    """configparser's booleans: 1/yes/true/on or 0/no/false/off, any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("not a boolean (1/yes/true/on or 0/no/false/off)") from None
+
+
 def _matrix(raw: str):
     rows = [[float(tok) for tok in row.replace(",", " ").split()]
             for row in raw.split(";") if row.strip()]
@@ -138,9 +146,7 @@ def _build_potential_from_config(cfg, n: int, p: int):
         return pot
     if kind == "expression":
         text = _get(cfg, "potential", "expression", str, required=True)
-        nonneg = _get(cfg, "potential", "nonnegative",
-                      lambda s: s.strip().lower() in ("1", "true", "yes"),
-                      default=False)
+        nonneg = _get(cfg, "potential", "nonnegative", _boolean, default=False)
         try:
             return expression_potential(text, n, p, nonnegative=nonneg)
         except ValueError as exc:

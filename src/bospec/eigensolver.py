@@ -54,18 +54,6 @@ class MultiplicityCluster:
     spread: float        # max - min within the cluster
 
 
-def _shift_below_spectrum(op: GridOperator) -> float:
-    """A shift strictly below the spectrum of H = K + diag(V).
-
-    K is a Kronecker sum of Dirichlet stencils, so its smallest eigenvalue is
-    the sum of the per-axis ones; by Weyl's inequality min(V) plus it bounds
-    the spectrum from below for any V.  Half of the kinetic minimum is kept
-    as margin, so H - sigma I is positive definite even for constant V.
-    """
-    kinetic_min = sum(modes[0] for modes in op.grid.dirichlet_modes(op.h))
-    return float(op.potential_values.min()) + 0.5 * kinetic_min
-
-
 def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
                       seed: int = 0) -> SpectrumResult:
     """k smallest eigenpairs with residual check ||Hu - lu|| <= tol*max(1, |l|).
@@ -98,7 +86,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         return LinearOperator((dim, dim), matvec=matvec, dtype=a.dtype)
 
     if op.grid.dim <= SHIFT_INVERT_MAX_DIM:
-        sigma = _shift_below_spectrum(op)
+        sigma = op.shift_below_spectrum()
         shifted = (a - sigma * sp.identity(dim, format="csr")).tocsc()
         # H - sigma I is symmetric positive definite: no pivoting is needed,
         # and a symmetric ordering halves the fill of the default COLAMD

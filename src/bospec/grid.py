@@ -139,6 +139,18 @@ class GridOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def shift_below_spectrum(self) -> float:
+        """A shift strictly below the spectrum of H = K + diag(V).
+
+        K is a Kronecker sum of Dirichlet stencils, so its smallest eigenvalue
+        is the sum of the per-axis ones; by Weyl's inequality min(V) plus it
+        bounds the spectrum from below for any V.  Half of the kinetic minimum
+        is kept as margin, so H - sigma I is positive definite even for
+        constant V.
+        """
+        kinetic_min = sum(modes[0] for modes in self.grid.dirichlet_modes(self.h))
+        return float(self.potential_values.min()) + 0.5 * kinetic_min
+
 
 def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     if pot.n != grid.n or pot.p != grid.p:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import Grid, GridOperator, kinetic_operator
 
@@ -192,15 +191,64 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
                          verdict=verdict)
 
 
-def _resolvent_at_i(shifted, v: np.ndarray, rtol: float = 1e-8):
-    """w = (H - i)^{-1} v for real v, by BiCGSTAB (van der Vorst 1992) on the
-    complex CSR matrix `shifted` = H - iI; returns the complex w.
+def _resolvent_at_i(matrix, v: np.ndarray, shift: float, rtol: float = 1e-8):
+    """w = (H - i)^{-1} v for real v and the real symmetric H = `matrix`, by
+    shifted CG (Jegerlehner 1996; van den Eshof & Sleijpen 2004); returns the
+    complex w.
 
-    The iteration cap is the dimension; a solve that misses rtol raises."""
-    w, info = spla.bicgstab(shifted, v, rtol=rtol, atol=0.0,
-                            maxiter=shifted.shape[0])
-    if info != 0:
-        raise RuntimeError(f"inner BiCGSTAB solve did not converge (info={info})")
+    CG runs in real arithmetic on the seed A = H - shift*I, positive definite
+    for a `shift` below the spectrum, so it cannot break down for any V.  The
+    shifted system (A + (shift - i) I) w = v shares A's Krylov space and its
+    residuals stay collinear with the seed's, r'_k = zeta_k r_k, so its
+    iterate costs two complex vector updates and the scalar zeta recurrence
+    per iteration, and no product beyond the seed's one.
+
+    The iteration stops at |zeta_k| ||r_k|| <= rtol ||v||, capped at the
+    dimension; a solve that misses rtol there, or by its true residual
+    checked once at the end, raises."""
+    dim = matrix.shape[0]
+    sigma = shift - 1j
+    target = rtol * np.linalg.norm(v)
+    r = v.astype(float)
+    p = r.copy()
+    w = np.zeros(dim, dtype=complex)
+    p_sigma = r.astype(complex)
+    rr = float(r @ r)
+    # zeta_{-1} = zeta_0 = 1, alpha_{-1} = 1 and beta_{-1} = 0 start the
+    # zeta recurrence
+    zeta = zeta_old = 1.0 + 0j
+    alpha_old, beta_old = 1.0, 0.0
+    iterations = 0
+    while abs(zeta) * np.sqrt(rr) > target:
+        if iterations == dim:
+            raise RuntimeError(
+                f"shifted CG solve did not converge within {dim} iterations")
+        iterations += 1
+        ap = matrix @ p
+        ap -= shift * p
+        alpha = rr / float(p @ ap)
+        zeta_new = zeta * zeta_old * alpha_old / (
+            alpha * beta_old * (zeta_old - zeta)
+            + zeta_old * alpha_old * (1.0 + sigma * alpha))
+        w += (alpha * zeta_new / zeta) * p_sigma
+        r -= alpha * ap
+        rr_new = float(r @ r)
+        beta = rr_new / rr
+        beta_sigma = (zeta_new / zeta) ** 2 * beta
+        zeta_old, zeta = zeta, zeta_new
+        alpha_old, beta_old, rr = alpha, beta, rr_new
+        p *= beta
+        p += r
+        p_sigma *= beta_sigma
+        p_sigma += zeta * r
+    # H w - i w - v, split into real and imaginary parts so that each product
+    # stays real
+    residual = np.hypot(np.linalg.norm(matrix @ w.real + w.imag - v),
+                        np.linalg.norm(matrix @ w.imag - w.real))
+    if residual > target:
+        raise RuntimeError(
+            f"shifted CG solve did not converge: true residual {residual:.3g} "
+            f"exceeds {target:.3g}")
     return w
 
 
@@ -209,15 +257,17 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     """Monte-Carlo lower estimates of ||[H, phi_q] (H - i)^{-1}|| per scale q.
 
     Each probe is a random unit vector v seeded by (seed, probe index); one
-    iterative solve on H - iI gives w = (H - i)^{-1} v, which every scale
-    shares, so all scales are compared on the same probes.  The commutator of
-    the assembled matrix with Phi = diag(phi_q), H Phi - Phi H (the potential
-    cancels exactly), is applied to w and the max of ||[H, phi_q] w|| / ||v||
-    over probes is reported.  Estimates are expected to decay like 1/q.
+    shifted CG solve on the real H, seeded below the spectrum by the Weyl
+    bound `op.shift_below_spectrum()`, gives w = (H - i)^{-1} v, which every
+    scale shares, so all scales are compared on the same probes.  The
+    commutator of the assembled matrix with Phi = diag(phi_q), H Phi - Phi H
+    (the potential cancels exactly), is applied to the real and imaginary
+    parts of w, and the max of ||[H, phi_q] w|| / ||v|| over probes is
+    reported.  Estimates are expected to decay like 1/q.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    shifted = op.matrix - 1j * sp.identity(op.dim, format="csr")
+    shift = op.shift_below_spectrum()
     comms = []
     for q in family.scales:
         phi = sp.diags(family.values(op.grid, q))
@@ -226,8 +276,10 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     for pi in range(probes):
         v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
         v /= np.linalg.norm(v)
-        w = _resolvent_at_i(shifted, v)
-        best = [max(b, float(np.linalg.norm(comm @ w))) for b, comm in zip(best, comms)]
+        w = _resolvent_at_i(op.matrix, v, shift=shift)
+        norms = [np.hypot(np.linalg.norm(comm @ w.real), np.linalg.norm(comm @ w.imag))
+                 for comm in comms]
+        best = [max(b, float(n)) for b, n in zip(best, norms)]
     return [(float(q), b) for q, b in zip(family.scales, best)]
 
 
@@ -255,8 +307,9 @@ def form_inequality_check(op: GridOperator, trials: int, seed: int = 0,
     for _ in range(trials):
         u = rng.standard_normal(op.dim)
         u /= np.linalg.norm(u)
-        kinetic = float(u @ (op.kinetic @ u))
-        hu = op.matrix @ u
+        ku = op.kinetic @ u
+        kinetic = float(u @ ku)
+        hu = ku + op.potential_values * u
         full = float(u @ hu)
         shifted = full + 1.0
         norm_bound = float(np.linalg.norm(hu + u))

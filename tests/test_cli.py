@@ -397,6 +397,35 @@ def test_probe_descending_radii_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["on", "ON"])
+def test_nonnegative_accepts_configparser_true(tmp_path, value):
+    text = PROBE_CERT_EXPR.replace("nonnegative = true", f"nonnegative = {value}")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
+    assert "discrete at lambda=4" in out.read_text()
+
+
+@pytest.mark.parametrize("value", ["off", "Off"])
+def test_nonnegative_false_refuses_certificate(tmp_path, capsys, value):
+    text = PROBE_CERT_EXPR.replace("nonnegative = true", f"nonnegative = {value}")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+    assert "claimed nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nonnegative_typo_rejected(tmp_path, capsys):
+    text = PROBE_CERT_EXPR.replace("nonnegative = true", "nonnegative = treu")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [potential] nonnegative: ")
+    assert not out.exists()
+
+
 # A key no command reads, placed in a section each command's config has.
 UNKNOWN_KEY_CASES = {
     "solve": ("solve", SOLVE_1D, "solver", "tolerance = 1e-12"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bospec.grid import assemble_hamiltonian, build_grid
 from bospec.potential import expression_potential, quadratic_potential
@@ -197,32 +198,46 @@ class TestCommutator:
         b = commutator_decay(op, family, probes=2, seed=7)
         assert a == b
 
-    def test_resolvent_matches_dense_solve(self):
+    @staticmethod
+    def _dense_resolvent_error(pot):
         from bospec.probe import _resolvent_at_i
 
         grid = build_grid(1, 1, [4.0, 4.0], [21, 21])
-        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
-        shifted = op.matrix - 1j * sp.identity(op.dim, format="csr")
+        op = assemble_hamiltonian(grid, pot, 0.5)
         v = np.random.default_rng(3).standard_normal(op.dim)
-        w = _resolvent_at_i(shifted, v)
+        w = _resolvent_at_i(op.matrix, v, shift=op.shift_below_spectrum())
         exact = np.linalg.solve(op.matrix.toarray() - 1j * np.eye(op.dim), v)
-        err = np.linalg.norm(w - exact) / np.linalg.norm(exact)
-        assert err < 1e-7
+        return np.linalg.norm(w - exact) / np.linalg.norm(exact)
 
-    def test_unconverged_solve_raises(self, monkeypatch):
-        import bospec.probe as probe
+    def test_resolvent_matches_dense_solve(self):
+        pot = quadratic_potential([[1.0]], [[1.0]])
+        assert self._dense_resolvent_error(pot) < 1e-7
+
+    def test_resolvent_matches_dense_solve_indefinite(self):
+        # min V = -10 puts the lowest eigenvalue of H below 0, so CG is only
+        # safe on H - shift*I with the shift below the spectrum
+        pot = expression_potential("x1^2 + y1^2 - 10", 1, 1, nonnegative=False)
+        op = assemble_hamiltonian(build_grid(1, 1, [4.0, 4.0], [21, 21]), pot, 0.5)
+        lowest = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        assert op.shift_below_spectrum() < lowest < 0
+        assert self._dense_resolvent_error(pot) < 1e-7
+
+    def test_unconverged_solve_raises(self):
+        from bospec.probe import _resolvent_at_i
 
         op = oscillator_op(points=49)
-        caps = []
+        products = []
 
-        def stalled(a, b, **kwargs):
-            caps.append(kwargs["maxiter"])
-            return np.zeros(b.shape, dtype=complex), 5
+        def counted(x):
+            products.append(1)
+            return op.matrix @ x
 
-        monkeypatch.setattr(probe.spla, "bicgstab", stalled)
+        matrix = spla.LinearOperator(op.matrix.shape, matvec=counted, dtype=float)
+        v = np.random.default_rng(0).standard_normal(op.dim)
+        # no iterate reaches a residual of 1e-300: the cap must end the solve
         with pytest.raises(RuntimeError, match="did not converge"):
-            commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
-        assert caps and all(0 < c <= op.dim for c in caps)
+            _resolvent_at_i(matrix, v, shift=op.shift_below_spectrum(), rtol=1e-300)
+        assert 0 < len(products) <= op.dim
 
     def test_matches_dense_commutator_resolvent(self):
         grid = build_grid(1, 1, [4.0, 4.0], [15, 17])
