@@ -16,12 +16,7 @@ import sys
 import numpy as np
 
 from .analytic import bo_spectrum, dilate_spectrum
-from .eigensolver import (
-    cluster_multiplicities,
-    convergence_study,
-    fit_error_constants,
-    lowest_eigenpairs,
-)
+from .eigensolver import cluster_multiplicities, convergence_study, lowest_eigenpairs
 from .grid import DEFAULT_H_MAX, assemble_hamiltonian, build_grid
 from .potential import expression_potential, quadratic_potential
 from .probe import discreteness_certificate, essential_spectrum_probe
@@ -315,10 +310,13 @@ def cmd_compare(cfg, args) -> int:
         gap_tol = min(gaps) / 4 if gaps else 1e-6
     clusters = cluster_multiplicities(result.eigenvalues[:total], gap_tol)
 
-    # calibration is at least as tight as the solve it judges
-    constants, _, calibrated = fit_error_constants(
-        pot, grid.half_widths, grid.points, params["h"], total, params["seed"],
-        tol=min(params["tol"], 1e-8))
+    # |error| ~ C delta^2, C calibrated on two coarser grids by a solve at
+    # least as tight as the one it judges
+    base = max(grid.points)
+    sizes = (max(31, base // 4), max(63, base // 2))
+    study = convergence_study(pot, grid.half_widths, sizes, total, h=params["h"],
+                              tol=min(params["tol"], 1e-8), seed=params["seed"])
+    constants = (study.errors / np.square(study.deltas)[:, None]).max(axis=0)
     delta = max(grid.spacing)
 
     structural = len(clusters) != len(levels)
@@ -346,7 +344,7 @@ def cmd_compare(cfg, args) -> int:
         print(f"structural failure: {len(clusters)} numeric clusters vs "
               f"{len(levels)} analytic levels", file=sys.stderr)
         return EXIT_STRUCTURAL
-    if not (result.all_converged and calibrated):
+    if not (result.all_converged and study.converged.all()):
         print("partial convergence: an eigenpair of the solve or of its error "
               "calibration did not converge", file=sys.stderr)
         return EXIT_PARTIAL

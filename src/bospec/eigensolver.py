@@ -22,7 +22,6 @@ __all__ = [
     "lowest_eigenpairs",
     "cluster_multiplicities",
     "convergence_study",
-    "fit_error_constants",
 ]
 
 # Largest grid dimension solved by shift-invert.  The sparse LU of H - sigma I
@@ -150,19 +149,19 @@ class ConvergenceStudy:
 
 
 def convergence_study(pot: Potential, half_widths, sizes, k: int,
-                      h: float = 1.0, reference=None, tol: float = 1e-7,
+                      h: float = 1.0, tol: float = 1e-7,
                       seed: int = 0) -> ConvergenceStudy:
     """Solve the same physics on a family of grids and fit eigenvalue-error
     slopes against the spacing.
 
-    `sizes` are per-dimension interior point counts.  The reference spectrum is
-    taken from `reference` if given, from the exact oscillator formulas for
-    quadratic potentials, and by Richardson extrapolation of the two finest
+    `sizes` are ascending per-dimension interior point counts, at least two.
+    The reference spectrum comes from the exact oscillator formulas for
+    quadratic potentials and from Richardson extrapolation of the two finest
     grids otherwise.
     """
     sizes = [int(s) for s in sizes]
-    if len(sizes) < 3:
-        raise ValueError("need at least 3 grid sizes")
+    if len(sizes) < 2:
+        raise ValueError("need at least 2 grid sizes")
     if sorted(sizes) != sizes:
         raise ValueError("sizes must be ascending")
 
@@ -177,9 +176,7 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
         flags[i] = res.converged[:k]
         deltas.append(max(grid.spacing))
 
-    if reference is not None:
-        ref = np.asarray(reference, dtype=float)[:k]
-    elif pot.kind == "quadratic":
+    if pot.kind == "quadratic":
         ref = np.asarray(bo_spectrum(pot.a, pot.b, h, k=k).flat(k), dtype=float)
     else:
         # Richardson extrapolation assuming O(delta^2) error, two finest grids
@@ -208,24 +205,3 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
         reference=tuple(float(x) for x in ref),
         converged=flags,
     )
-
-
-def fit_error_constants(pot: Potential, half_widths, target_points, h: float,
-                        k: int, seed: int, tol: float):
-    """Per-eigenvalue constants C with |error| ~ C * delta^2, fitted on two
-    coarser grids against the analytic reference of a quadratic potential.
-    Returns the constants, the reference and whether every calibration pair
-    converged."""
-    ref = np.asarray(bo_spectrum(pot.a, pot.b, h, k=k + 2).flat(k), dtype=float)
-    base = max(target_points)
-    constants = np.zeros(k)
-    converged = True
-    for size in (max(31, base // 4), max(63, base // 2)):
-        grid = build_grid(pot.n, pot.p, half_widths, [size] * pot.dim)
-        op = assemble_hamiltonian(grid, pot, h)
-        res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
-        converged = converged and res.all_converged
-        delta = max(grid.spacing)
-        err = np.abs(res.eigenvalues[:k] - ref)
-        constants = np.maximum(constants, err / delta**2)
-    return constants, ref, converged

@@ -1,8 +1,11 @@
 """Potentials V(x, y): quadratic forms and a small expression language.
 
 Coordinates are split into n slow dimensions (x1..xn) and p fast dimensions
-(y1..yp).  A potential is either an exact quadratic form <Ax,x> + <By,y> or a
-parsed arithmetic expression over the coordinate variables.
+(y1..yp).  A potential is either an exact quadratic form <Ax,x> + <By,y> or an
+arithmetic expression over the coordinate variables.  Python's parser reads
+an expression, with `^` as its power operator; the resulting `ast.expr` is
+checked against the grammar and then evaluated directly, node by node, on
+numpy columns.
 """
 
 from __future__ import annotations
@@ -45,66 +48,26 @@ class NotPositiveDefiniteError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Expression AST
+# Expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    axis: str   # "x" or "y"
-    index: int  # 1-based within its axis
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*", "/"
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str  # "abs" or "exp"
-    arg: "Node"
-
-
-Node = Num | Var | Neg | BinOp | Pow | Call
-
-_FUNCS = ("abs", "exp")
-
 _VAR_RE = re.compile(r"([xy])([1-9]\d*)$")
-_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.Pow: np.power}
+_FUNCS = {"abs": np.abs, "exp": np.exp}
 
 
-def _convert(node: ast.expr, n: int, p: int, where) -> Node:
-    """Whitelist Python's expression tree into the potential AST.
-
-    `where(node)` is the node's position in the user's text.
-    """
-    def conv(child):
-        return _convert(child, n, p, where)
+def _check(node: ast.expr, n: int, p: int, where) -> None:
+    """Reject any node outside the grammar; `where(node)` is its position in the text."""
+    def check(child):
+        _check(child, n, p, where)
 
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         try:
-            return Num(float(node.value))
+            float(node.value)
         except OverflowError:
             raise ExprError("number too large", where(node)) from None
-    if isinstance(node, ast.Name):
+    elif isinstance(node, ast.Name):
         m = _VAR_RE.match(node.id)
         if m is None:
             raise ExprError(f"unbound variable name {node.id!r}", where(node))
@@ -115,89 +78,60 @@ def _convert(node: ast.expr, n: int, p: int, where) -> Node:
                 f"unbound variable {node.id!r}: only {bound} {axis}-dimension(s) declared",
                 where(node),
             )
-        return Var(axis, idx)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return Neg(conv(node.operand))
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        return BinOp(_BINOPS[type(node.op)], conv(node.left), conv(node.right))
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        check(node.operand)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         # an integer literal, optionally negated
         negated = isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
         literal = node.right.operand if negated else node.right
         if not (isinstance(literal, ast.Constant) and type(literal.value) is int):
             raise ExprError(f"expected integer exponent, found {_unparse(node.right)!r}",
                             where(node.right))
-        return Pow(conv(node.left), -literal.value if negated else literal.value)
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        check(node.left)
+        check(literal)  # rejects an exponent too large for a float
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        check(node.left)
+        check(node.right)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _FUNCS and len(node.args) == 1 and not node.keywords):
-        return Call(node.func.id, conv(node.args[0]))
-    raise ExprError(f"unsupported expression {_unparse(node)!r}", where(node))
+        check(node.args[0])
+    else:
+        raise ExprError(f"unsupported expression {_unparse(node)!r}", where(node))
 
 
 def _unparse(node: ast.expr) -> str:
     return ast.unparse(node).replace("**", "^")
 
 
-def to_string(node: Node) -> str:
-    """Fully parenthesized rendering; reparsing yields the identical AST."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"{node.axis}{node.index}"
-    if isinstance(node, Neg):
-        return f"(-({to_string(node.operand)}))"
-    if isinstance(node, BinOp):
-        return f"({to_string(node.left)} {node.op} {to_string(node.right)})"
-    if isinstance(node, Pow):
-        base = to_string(node.base)
-        if isinstance(node.base, (BinOp, Neg, Pow)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.func}({to_string(node.arg)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _eval_node(node: Node, xs, ys):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return xs[node.index - 1] if node.axis == "x" else ys[node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, xs, ys)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, xs, ys)
-        b = _eval_node(node.right, xs, ys)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return np.divide(a, b)
-    if isinstance(node, Pow):
-        return np.power(_eval_node(node.base, xs, ys), float(node.exponent))
-    if isinstance(node, Call):
-        v = _eval_node(node.arg, xs, ys)
-        return np.abs(v) if node.func == "abs" else np.exp(v)
-    raise TypeError(f"not an AST node: {node!r}")
+def _eval_node(node: ast.expr, env: dict):
+    """Evaluate a tree `_check` accepted; `env` maps variable names to columns."""
+    if isinstance(node, ast.Constant):
+        return float(node.value)
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return -_eval_node(node.operand, env)
+    if isinstance(node, ast.BinOp):
+        return _BINOPS[type(node.op)](_eval_node(node.left, env),
+                                      _eval_node(node.right, env))
+    return _FUNCS[node.func.id](_eval_node(node.args[0], env))
 
 
 @dataclass(frozen=True)
 class PotentialExpr:
     """Parsed expression over x1..xn, y1..yp."""
 
-    ast: Node
+    ast: ast.expr  # Python's tree of the text, `^` read as `**`
     n: int
     p: int
 
     def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; coords has shape (m, n+p)."""
         coords = np.asarray(coords, dtype=float)
-        xs = [coords[:, j] for j in range(self.n)]
-        ys = [coords[:, self.n + j] for j in range(self.p)]
+        env = {f"x{j + 1}": coords[:, j] for j in range(self.n)}
+        env.update({f"y{j + 1}": coords[:, self.n + j] for j in range(self.p)})
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = _eval_node(self.ast, xs, ys)
+            vals = _eval_node(self.ast, env)
         vals = np.broadcast_to(np.asarray(vals, dtype=float), (coords.shape[0],)).copy()
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
@@ -238,8 +172,8 @@ def parse_potential(text: str, n: int, p: int) -> PotentialExpr:
     except SyntaxError as exc:
         col = exc.offset - 1 if exc.offset else len(source)
         raise ExprError(exc.msg, cols[min(col, len(source))]) from None
-    return PotentialExpr(_convert(tree.body, n, p, lambda node: cols[node.col_offset]),
-                         n, p)
+    _check(tree.body, n, p, lambda node: cols[node.col_offset])
+    return PotentialExpr(tree.body, n, p)
 
 
 # ---------------------------------------------------------------------------

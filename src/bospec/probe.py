@@ -118,13 +118,15 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii,
                              noise_band: float = 0.05) -> list[ZhislinReport]:
     """For the free operator V = 0, check that lambda >= 0 admits Zhislin-type
     vectors with residuals decaying as the bump widens (width grows with the
-    exclusion radius).
+    exclusion radius).  A trend needs at least two strictly ascending radii.
 
     The residual targets the discrete symbol at the snapped wavevector, so the
     trend is not polluted by the O(delta^2) symbol mismatch.
     """
-    free = kinetic_operator(grid, h)
     radii = [float(r) for r in radii]
+    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("need at least two strictly ascending radii")
+    free = kinetic_operator(grid, h)
     reports = []
     for lam in lambdas:
         lam = float(lam)

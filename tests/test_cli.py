@@ -9,7 +9,7 @@ import pytest
 
 import bospec
 from bospec.cli import main
-from bospec.eigensolver import fit_error_constants
+from bospec.eigensolver import convergence_study
 from bospec.potential import quadratic_potential
 
 
@@ -231,12 +231,9 @@ class TestCompare:
 
     def test_unconverged_calibration_reported(self):
         pot = quadratic_potential([[1.0]])
-        *_, converged = fit_error_constants(pot, (8.0,), (255,), 1.0, 3, 0,
-                                            tol=1e-8)
-        assert converged
-        *_, converged = fit_error_constants(pot, (8.0,), (255,), 1.0, 3, 0,
-                                            tol=1e-15)
-        assert not converged
+        # the calibration grids compare uses for a 255-point grid
+        assert convergence_study(pot, (8.0,), (63, 127), 3, tol=1e-8).converged.all()
+        assert not convergence_study(pot, (8.0,), (63, 127), 3, tol=1e-15).converged.all()
 
     def test_partial_convergence_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, COMPARE.replace("tol = 1e-8", "tol = 1e-15"))
@@ -307,6 +304,14 @@ class TestProbe:
         assert len(rows) == 6
         assert all(r["verdict"] == "essential candidate" for r in rows)
 
+    @pytest.mark.parametrize("radii", ["5", "5 5"])
+    def test_essential_radii_without_trend_rejected(self, tmp_path, capsys, radii):
+        cfg = write_config(tmp_path, PROBE_ESS.replace("radii = 5 10 20", f"radii = {radii}"))
+        out = tmp_path / "probe.csv"
+        assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+        assert "ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_lambdas(self, tmp_path):
         cfg = write_config(tmp_path, PROBE_CERT.replace("lambdas = 4",
                                                         "lambdas ="))
@@ -357,12 +362,13 @@ class TestConverge:
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
         assert len(read_csv(out)) == 2
 
-    def test_two_sizes_rejected(self, tmp_path):
+    def test_two_sizes_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path,
                            CONVERGE.replace("sizes = 125 250 500",
                                             "sizes = 125 250"))
         assert main(["converge", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
+        assert "need at least 3 grid sizes" in capsys.readouterr().err
 
     def test_unknown_reference_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONVERGE + "reference = fdexact\n")

@@ -149,21 +149,14 @@ class TestConvergenceStudy:
                                   tol=1e-8)
         assert study.slopes[0] == pytest.approx(2.0, abs=0.3)
 
-    def test_two_sizes_rejected(self):
+    def test_one_size_rejected(self):
         pot = quadratic_potential([[1.0]])
-        with pytest.raises(ValueError, match="3"):
-            convergence_study(pot, [10.0], [100, 200], k=1)
+        with pytest.raises(ValueError, match="2"):
+            convergence_study(pot, [10.0], [100], k=1)
 
-    def test_exact_reference_gives_na_slope(self):
+    def test_free_operator_solves_converge(self):
         pot = expression_potential("0*x1", 1, 0, nonnegative=True)
-        grid = build_grid(1, 0, [4.0], [127])
-        m, delta = 127, grid.spacing[0]
-        exact = np.sort((2 - 2 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))) / delta**2)
-        # reference equals the finest computation: errors at round-off there
-        study = convergence_study(pot, [4.0], [31, 63, 127], k=1,
-                                  reference=exact[:1], tol=1e-10)
-        # coarser grids have different exact FD values, so errors are genuine;
-        # the run must complete and flag inner solves as converged
+        study = convergence_study(pot, [4.0], [31, 63, 127], k=1, tol=1e-10)
         assert study.converged.all()
 
     def test_richardson_for_expression(self):

@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,12 @@ from hypothesis import strategies as st
 
 from bospec.grid import assemble_hamiltonian, build_grid
 from bospec.potential import (
-    BinOp,
-    Call,
     ExprError,
-    Neg,
     NotPositiveDefiniteError,
-    Num,
-    Pow,
-    Var,
+    _unparse,
     expression_potential,
     parse_potential,
     quadratic_potential,
-    to_string,
 )
 from bospec.probe import discreteness_certificate
 
@@ -77,9 +73,9 @@ class TestParser:
         assert expression_potential("2 * -x1^2", 1, 0).evaluate([3.0]) == -18.0
 
     def test_python_literals_and_parenthesized_exponent(self):
-        assert parse_potential("1_000 + 0x10", 1, 0).ast == BinOp("+", Num(1000.0), Num(16.0))
-        assert parse_potential("x1^(2) + x1^-2", 1, 0).ast == BinOp(
-            "+", Pow(Var("x", 1), 2), Pow(Var("x", 1), -2))
+        assert ast.unparse(parse_potential("1_000 + 0x10", 1, 0).ast) == "1000 + 16"
+        assert ast.unparse(parse_potential("x1^(2) + x1^-2", 1, 0).ast) == \
+            "x1 ** 2 + x1 ** (-2)"
         with pytest.raises(ExprError):
             parse_potential("01", 1, 0)
 
@@ -104,76 +100,73 @@ class TestParser:
             parse_potential(text, n=1, p=1)
         assert err.value.position is not None
 
+    @pytest.mark.parametrize("text, position", [("1" * 400, 0), ("x1^" + "1" * 400, 3)],
+                             ids=["number", "exponent"])
+    def test_number_too_large(self, text, position):
+        with pytest.raises(ExprError, match="number too large") as err:
+            parse_potential(text, n=1, p=0)
+        assert err.value.position == position
+
 
 # Every expression in README.md, tests/ and perfbench/workloads.py (the last
 # is a sample of the text test_quadratic_matches_expanded_expression builds),
-# with the tree the earlier hand-written parser produced for it.
-X1, X2, Y1, Y2 = Var("x", 1), Var("x", 2), Var("y", 1), Var("y", 2)
+# with Python's rendering of its tree; the rendering parenthesizes wherever
+# precedence requires, so it fixes the tree's shape.
 CORPUS = {
-    "(x1 - y1)^2 + 0.01*(x1^2 + y1^2)":
-        BinOp("+", Pow(BinOp("-", X1, Y1), 2),
-              BinOp("*", Num(0.01), BinOp("+", Pow(X1, 2), Pow(Y1, 2)))),
-    "0*x1": BinOp("*", Num(0.0), X1),
-    "1 / x1": BinOp("/", Num(1.0), X1),
-    "abs(x1) + exp(y1) / 2":
-        BinOp("+", Call("abs", X1), BinOp("/", Call("exp", Y1), Num(2.0))),
-    "abs(x1)": Call("abs", X1),
-    "x1 − 1": BinOp("-", X1, Num(1.0)),
-    "x1": X1,
-    "x1^2 + 2*y1^2": BinOp("+", Pow(X1, 2), BinOp("*", Num(2.0), Pow(Y1, 2))),
-    "x1^2 + abs(x1*y1)": BinOp("+", Pow(X1, 2), Call("abs", BinOp("*", X1, Y1))),
-    "x1^2 + abs(y1)": BinOp("+", Pow(X1, 2), Call("abs", Y1)),
-    "x1^2 + y1^2 + y1*y2 + y2^2":
-        BinOp("+", BinOp("+", BinOp("+", Pow(X1, 2), Pow(Y1, 2)), BinOp("*", Y1, Y2)),
-              Pow(Y2, 2)),
-    "x1^2 + y1^2": BinOp("+", Pow(X1, 2), Pow(Y1, 2)),
-    "x1^2": Pow(X1, 2),
-    "1*x1^2": BinOp("*", Num(1.0), Pow(X1, 2)),
-    "4*x1^2": BinOp("*", Num(4.0), Pow(X1, 2)),
-    "16*x1^2": BinOp("*", Num(16.0), Pow(X1, 2)),
-    "1 + 2 * 3 ^ 2": BinOp("+", Num(1.0), BinOp("*", Num(2.0), Pow(Num(3.0), 2))),
-    "x1^2 + 2*y1^2 + abs(x1*y1)":
-        BinOp("+", BinOp("+", Pow(X1, 2), BinOp("*", Num(2.0), Pow(Y1, 2))),
-              Call("abs", BinOp("*", X1, Y1))),
+    "(x1 - y1)^2 + 0.01*(x1^2 + y1^2)": "(x1 - y1) ** 2 + 0.01 * (x1 ** 2 + y1 ** 2)",
+    "0*x1": "0 * x1",
+    "1 / x1": "1 / x1",
+    "abs(x1) + exp(y1) / 2": "abs(x1) + exp(y1) / 2",
+    "abs(x1)": "abs(x1)",
+    "x1 − 1": "x1 - 1",
+    "x1": "x1",
+    "x1^2 + 2*y1^2": "x1 ** 2 + 2 * y1 ** 2",
+    "x1^2 + abs(x1*y1)": "x1 ** 2 + abs(x1 * y1)",
+    "x1^2 + abs(y1)": "x1 ** 2 + abs(y1)",
+    "x1^2 + y1^2 + y1*y2 + y2^2": "x1 ** 2 + y1 ** 2 + y1 * y2 + y2 ** 2",
+    "x1^2 + y1^2": "x1 ** 2 + y1 ** 2",
+    "x1^2": "x1 ** 2",
+    "1*x1^2": "1 * x1 ** 2",
+    "4*x1^2": "4 * x1 ** 2",
+    "16*x1^2": "16 * x1 ** 2",
+    "1 + 2 * 3 ^ 2": "1 + 2 * 3 ** 2",
+    "x1^2 + 2*y1^2 + abs(x1*y1)": "x1 ** 2 + 2 * y1 ** 2 + abs(x1 * y1)",
     "1.5*x1*x1 + 0.25*x1*x2 - 0.25*x2*x1 + 2.0*x2*x2":
-        BinOp("+",
-              BinOp("-",
-                    BinOp("+", BinOp("*", BinOp("*", Num(1.5), X1), X1),
-                          BinOp("*", BinOp("*", Num(0.25), X1), X2)),
-                    BinOp("*", BinOp("*", Num(0.25), X2), X1)),
-              BinOp("*", BinOp("*", Num(2.0), X2), X2)),
+        "1.5 * x1 * x1 + 0.25 * x1 * x2 - 0.25 * x2 * x1 + 2.0 * x2 * x2",
 }
 
 
 @pytest.mark.parametrize("text", CORPUS)
 def test_corpus_parses_as_before(text):
-    assert parse_potential(text, n=2, p=2).ast == CORPUS[text]
+    assert ast.unparse(parse_potential(text, n=2, p=2).ast) == CORPUS[text]
 
 
-def _ast_strategy():
+def _text_strategy():
+    """Fully parenthesized expressions of the grammar, drawn as text."""
     leaves = st.one_of(
-        st.builds(Num, st.floats(min_value=0, max_value=100,
-                                 allow_nan=False, allow_infinity=False)),
-        st.builds(Var, st.just("x"), st.integers(1, 2)),
-        st.builds(Var, st.just("y"), st.integers(1, 2)),
+        st.floats(min_value=0, max_value=100, allow_nan=False,
+                  allow_infinity=False).map(repr),
+        st.sampled_from(["x1", "x2", "y1", "y2"]),
     )
     return st.recursive(
         leaves,
         lambda children: st.one_of(
-            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
-            st.builds(Neg, children),
-            st.builds(Pow, children, st.integers(-3, 5)),
-            st.builds(Call, st.sampled_from(["abs", "exp"]), children),
+            st.tuples(children, st.sampled_from("+-*/"), children).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            children.map(lambda c: f"(-({c}))"),
+            st.tuples(children, st.integers(-3, 5)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(["abs", "exp"]), children).map(
+                lambda t: f"{t[0]}({t[1]})"),
         ),
         max_leaves=12,
     )
 
 
-@given(_ast_strategy())
+@given(_text_strategy())
 @settings(max_examples=150, deadline=None)
-def test_roundtrip(ast):
-    text = to_string(ast)
-    assert parse_potential(text, n=2, p=2).ast == ast
+def test_roundtrip(text):
+    tree = parse_potential(text, n=2, p=2).ast
+    assert ast.dump(parse_potential(_unparse(tree), n=2, p=2).ast) == ast.dump(tree)
 
 
 class TestQuadratic:

@@ -77,6 +77,13 @@ class TestEssentialProbe:
         with pytest.raises(ValueError, match="h must lie"):
             essential_spectrum_probe(0.0, grid, [1.0], [4.0, 8.0])
 
+    @pytest.mark.parametrize("radii", [[5.0], [5.0, 5.0], [10.0, 5.0]])
+    def test_radii_need_an_ascending_pair(self, radii):
+        # one radius, or residuals at repeated radii, measure no trend
+        grid = build_grid(1, 0, [40.0], [399])
+        with pytest.raises(ValueError, match="ascending"):
+            essential_spectrum_probe(1.0, grid, [1.0], radii)
+
     def test_residuals_decay(self):
         grid = build_grid(1, 0, [80.0], [1999])
         reports = essential_spectrum_probe(1.0, grid, [0.0, 1.0], [5.0, 10.0, 20.0])
