@@ -403,6 +403,14 @@ def test_probe_descending_radii_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_probe_certificate_without_radii_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, PROBE_CERT.replace("radii = 3 5", "radii ="))
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: need at least one radius")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["on", "ON"])
 def test_nonnegative_accepts_configparser_true(tmp_path, value):
     text = PROBE_CERT_EXPR.replace("nonnegative = true", f"nonnegative = {value}")

@@ -153,6 +153,11 @@ class TestDiscretenessCertificate:
         with pytest.raises(ValueError, match="ascending"):
             discreteness_certificate(op, lam=4.0, radii=[5.0, 3.0])
 
+    def test_needs_a_radius(self):
+        op = oscillator_op(points=49)
+        with pytest.raises(ValueError, match="need at least one radius"):
+            discreteness_certificate(op, lam=4.0, radii=[])
+
     def test_valley_bounds_are_node_minima(self):
         # a sampled exterior infimum reported 0.086 and 0.283 here, above the
         # true bounds
@@ -206,14 +211,15 @@ class TestCommutator:
         assert a == b
 
     @staticmethod
-    def _dense_resolvent_error(pot):
+    def _dense_resolvent_error(pot, half_width=4.0, points=21):
         from bospec.probe import _resolvent_at_i
 
-        grid = build_grid(1, 1, [4.0, 4.0], [21, 21])
+        grid = build_grid(1, 1, [half_width, half_width], [points, points])
         op = assemble_hamiltonian(grid, pot, 0.5)
         v = np.random.default_rng(3).standard_normal(op.dim)
-        w = _resolvent_at_i(op.matrix, v, shift=op.shift_below_spectrum())
-        exact = np.linalg.solve(op.matrix.toarray() - 1j * np.eye(op.dim), v)
+        z = op.shift_below_spectrum() - 1.0
+        w = _resolvent_at_i(op.matrix, v, z=z)
+        exact = np.linalg.solve(op.matrix.toarray() - z * np.eye(op.dim), v)
         return np.linalg.norm(w - exact) / np.linalg.norm(exact)
 
     def test_resolvent_matches_dense_solve(self):
@@ -222,7 +228,7 @@ class TestCommutator:
 
     def test_resolvent_matches_dense_solve_indefinite(self):
         # min V = -10 puts the lowest eigenvalue of H below 0, so CG is only
-        # safe on H - shift*I with the shift below the spectrum
+        # safe at a z below the spectrum
         pot = expression_potential("x1^2 + y1^2 - 10", 1, 1, nonnegative=False)
         op = assemble_hamiltonian(build_grid(1, 1, [4.0, 4.0], [21, 21]), pot, 0.5)
         lowest = np.linalg.eigvalsh(op.matrix.toarray())[0]
@@ -243,7 +249,7 @@ class TestCommutator:
         v = np.random.default_rng(0).standard_normal(op.dim)
         # no iterate reaches a residual of 1e-300: the cap must end the solve
         with pytest.raises(RuntimeError, match="did not converge"):
-            _resolvent_at_i(matrix, v, shift=op.shift_below_spectrum(), rtol=1e-300)
+            _resolvent_at_i(matrix, v, z=op.shift_below_spectrum() - 1.0, rtol=1e-300)
         assert 0 < len(products) <= op.dim
 
     def test_matches_dense_commutator_resolvent(self):
@@ -251,7 +257,7 @@ class TestCommutator:
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
         family = CutoffFamily(scales=(1.0, 2.0))
         h = op.matrix.toarray()
-        resolvent = np.linalg.inv(h - 1j * np.eye(op.dim))
+        resolvent = np.linalg.inv(h - (op.shift_below_spectrum() - 1.0) * np.eye(op.dim))
         results = commutator_decay(op, family, probes=3, seed=5)
         for q, estimate in results:
             phi = np.diag(family.values(grid, q))
@@ -262,6 +268,15 @@ class TestCommutator:
                 v /= np.linalg.norm(v)
                 best = max(best, np.linalg.norm(comm @ resolvent @ v))
             assert estimate == pytest.approx(best, rel=1e-7)
+
+    def test_deep_well_converges(self):
+        # a well whose lowest eigenvalues lie far below 0: the former shifted
+        # CG solve at the point i hit its cap of 1,681 iterations here
+        pot = expression_potential("x1^4 - 3*x1^2 + y1^2 - 20", 1, 1, nonnegative=False)
+        op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
+        results = commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2, seed=0)
+        assert all(estimate > 0 for _, estimate in results)
+        assert self._dense_resolvent_error(pot, half_width=8.0, points=41) < 1e-7
 
     def test_one_solve_per_probe(self, monkeypatch):
         import bospec.probe as probe
