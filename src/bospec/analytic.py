@@ -43,7 +43,7 @@ class AnalyticSpectrum:
     levels: tuple        # ((energy, multiplicity), ...) strictly ascending
     e_max: object | None  # energy cutoff, if used
     k: int | None        # level-count cutoff, if used
-    params: dict         # provenance: h / h_scale, weights
+    params: dict         # provenance: h, weights
 
     def flat(self, count: int | None = None) -> list:
         """Eigenvalues repeated by multiplicity, optionally truncated."""
@@ -79,11 +79,11 @@ def _is_exact(values) -> bool:
                for v in values)
 
 
-def enumerate_spectrum(w, h_scale=1, e_max=None, k=None) -> AnalyticSpectrum:
-    """Levels h_scale * sum_i (2 n_i + 1) w_i with multiplicities, below a cutoff.
+def enumerate_spectrum(w, e_max=None, k=None) -> AnalyticSpectrum:
+    """Levels sum_i (2 n_i + 1) w_i with multiplicities, below a cutoff.
 
     Exactly one of e_max (energy cutoff, inclusive) and k (number of distinct
-    levels) must be given.  When every weight and h_scale are rational the
+    levels) must be given.  When every weight is rational the
     enumeration and merging are exact; otherwise coinciding levels are merged
     with 1e-9 relative tolerance.
     """
@@ -94,16 +94,11 @@ def enumerate_spectrum(w, h_scale=1, e_max=None, k=None) -> AnalyticSpectrum:
         raise ValueError("give exactly one of e_max or k")
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
-    exact = _is_exact(w) and _is_exact([h_scale])
-    if exact:
-        w = [Fraction(x) for x in w]
-        h_scale = Fraction(h_scale)
-    else:
-        w = [float(x) for x in w]
-        h_scale = float(h_scale)
+    exact = _is_exact(w)
+    w = [Fraction(x) if exact else float(x) for x in w]
 
     def energy(idx):
-        return h_scale * sum((2 * n + 1) * wi for n, wi in zip(idx, w))
+        return sum((2 * n + 1) * wi for n, wi in zip(idx, w))
 
     def same_level(e, level):
         if exact:
@@ -111,7 +106,7 @@ def enumerate_spectrum(w, h_scale=1, e_max=None, k=None) -> AnalyticSpectrum:
         return abs(e - level) <= MERGE_RTOL * max(1.0, abs(level))
 
     ground = energy((0,) * len(w))
-    params = {"h_scale": h_scale, "w": tuple(w)}
+    params = {"w": tuple(w)}
     if e_max is not None and ground > e_max * (1 + (0 if exact else MERGE_RTOL)):
         warnings.warn(f"cutoff {e_max} lies below the ground energy {ground}")
         return AnalyticSpectrum(levels=(), e_max=e_max, k=None, params=params)
@@ -157,7 +152,7 @@ def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:
     w = oscillator_frequencies(a)
     mu = oscillator_frequencies(b) if b is not None and np.size(b) > 0 else ()
     combined = [h * wi for wi in w] + list(mu)
-    spec = enumerate_spectrum(combined, h_scale=1, e_max=e_max, k=k)
+    spec = enumerate_spectrum(combined, e_max=e_max, k=k)
     return AnalyticSpectrum(levels=spec.levels, e_max=e_max, k=k,
                             params={"h": h, "w": w, "mu": tuple(mu)})
 

@@ -30,65 +30,11 @@ EXIT_STRUCTURAL = 3
 class ConfigError(Exception):
     def __init__(self, section: str, key: str, message: str):
         super().__init__(f"[{section}] {key}: {message}")
-        self.section = section
-        self.key = key
 
 
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
-
-# Every key some command reads, by section.  One table for all commands,
-# because a single config file may serve every command.
-CONFIG_KEYS = {
-    "grid": ("n", "p", "half_widths", "points"),
-    "potential": ("kind", "a", "b", "expression", "nonnegative"),
-    "solver": ("h", "k", "tol", "seed", "gap_tol"),
-    "analytic": ("e_max", "levels"),
-    "probe": ("mode", "lambdas", "radii"),
-    "converge": ("sizes", "reference"),
-    "output": ("format", "path"),
-}
-
-
-def _load_config(path: str) -> configparser.ConfigParser:
-    """Read the config and reject any section or key that no command reads."""
-    cfg = configparser.ConfigParser(interpolation=None)
-    try:
-        read = cfg.read(path)
-    except configparser.Error as exc:
-        raise ConfigError("config", "path", str(exc)) from None
-    if not read:
-        raise ConfigError("config", "path", f"cannot read {path}")
-    if cfg.defaults():
-        raise ConfigError(cfg.default_section, next(iter(cfg.defaults())),
-                          "unknown key")
-    for section in cfg.sections():
-        if section not in CONFIG_KEYS:
-            raise ConfigError(section, "", "unknown section")
-        for key in cfg.options(section):
-            if key not in CONFIG_KEYS[section]:
-                raise ConfigError(section, key, "unknown key")
-    return cfg
-
-
-def _get(cfg, section, key, conv, default=None, required=False):
-    if not cfg.has_section(section):
-        if required:
-            raise ConfigError(section, key, "missing section")
-        return default
-    if not cfg.has_option(section, key):
-        if required:
-            raise ConfigError(section, key, "missing key")
-        return default
-    raw = cfg.get(section, key)
-    try:
-        return conv(raw)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(section, key, f"cannot parse {raw!r}: {exc}") from exc
-
 
 def _floats(raw: str) -> list:
     return [float(tok) for tok in raw.replace(",", " ").split()]
@@ -114,11 +60,64 @@ def _matrix(raw: str):
     return np.array(rows)
 
 
+# Every key some command reads, by section, with its converter.  One table
+# for all commands, because a single config file may serve every command.
+CONFIG_KEYS = {
+    "grid": {"n": int, "p": int, "half_widths": _floats, "points": _ints},
+    "potential": {"kind": str.strip, "a": _matrix, "b": _matrix, "expression": str,
+                  "nonnegative": _boolean},
+    "solver": {"h": float, "k": int, "tol": float, "seed": int, "gap_tol": float},
+    "analytic": {"e_max": float, "levels": int},
+    "probe": {"mode": str.strip, "lambdas": _floats, "radii": _floats},
+    "converge": {"sizes": _ints},
+}
+
+
+def _load_config(path: str) -> dict:
+    """Read the config into {section: {key: value}}, each value converted;
+    reject any section or key that no command reads."""
+    cfg = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        raise ConfigError("config", "path", str(exc)) from None
+    if not read:
+        raise ConfigError("config", "path", f"cannot read {path}")
+    if cfg.defaults():
+        raise ConfigError(cfg.default_section, next(iter(cfg.defaults())),
+                          "unknown key")
+    values = {}
+    for section in cfg.sections():
+        if section not in CONFIG_KEYS:
+            raise ConfigError(section, "", "unknown section")
+        values[section] = {}
+        for key, raw in cfg.items(section):
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError(section, key, "unknown key")
+            try:
+                values[section][key] = CONFIG_KEYS[section][key](raw)
+            except ValueError as exc:
+                raise ConfigError(section, key, f"cannot parse {raw!r}: {exc}") from exc
+    return values
+
+
+def _need(cfg, section, key):
+    if section not in cfg:
+        raise ConfigError(section, key, "missing section")
+    if key not in cfg[section]:
+        raise ConfigError(section, key, "missing key")
+    return cfg[section][key]
+
+
+def _opt(cfg, section, key, default=None):
+    return cfg.get(section, {}).get(key, default)
+
+
 def _build_grid_from_config(cfg):
-    n = _get(cfg, "grid", "n", int, required=True)
-    p = _get(cfg, "grid", "p", int, default=0)
-    half_widths = _get(cfg, "grid", "half_widths", _floats, required=True)
-    points = _get(cfg, "grid", "points", _ints, required=True)
+    n = _need(cfg, "grid", "n")
+    p = _opt(cfg, "grid", "p", 0)
+    half_widths = _need(cfg, "grid", "half_widths")
+    points = _need(cfg, "grid", "points")
     try:
         return build_grid(n, p, half_widths, points)
     except ValueError as exc:
@@ -126,10 +125,10 @@ def _build_grid_from_config(cfg):
 
 
 def _build_potential_from_config(cfg, n: int, p: int):
-    kind = _get(cfg, "potential", "kind", str, required=True).strip()
+    kind = _need(cfg, "potential", "kind")
     if kind == "quadratic":
-        a = _get(cfg, "potential", "a", _matrix, required=True)
-        b = _get(cfg, "potential", "b", _matrix) if p > 0 else None
+        a = _need(cfg, "potential", "a")
+        b = _opt(cfg, "potential", "b") if p > 0 else None
         if p > 0 and b is None:
             raise ConfigError("potential", "b", "required when p > 0")
         # A alone first, so an error of the pair is B's
@@ -140,8 +139,8 @@ def _build_potential_from_config(cfg, n: int, p: int):
                 raise ConfigError("potential", key, str(exc)) from exc
         return pot
     if kind == "expression":
-        text = _get(cfg, "potential", "expression", str, required=True)
-        nonneg = _get(cfg, "potential", "nonnegative", _boolean, default=False)
+        text = _need(cfg, "potential", "expression")
+        nonneg = _opt(cfg, "potential", "nonnegative", False)
         try:
             return expression_potential(text, n, p, nonnegative=nonneg)
         except ValueError as exc:
@@ -150,30 +149,19 @@ def _build_potential_from_config(cfg, n: int, p: int):
 
 
 def _solver_params(cfg, seed_override=None):
-    h = _get(cfg, "solver", "h", float, default=0.1)
+    h = _opt(cfg, "solver", "h", 0.1)
     if not 0 < h <= DEFAULT_H_MAX:
         raise ConfigError("solver", "h", f"must lie in (0, {DEFAULT_H_MAX}]")
     params = {
         "h": h,
-        "k": _get(cfg, "solver", "k", int, default=5),
-        "tol": _get(cfg, "solver", "tol", float, default=1e-6),
-        "seed": _get(cfg, "solver", "seed", int, default=0),
-        "gap_tol": _get(cfg, "solver", "gap_tol", float, default=None),
+        "k": _opt(cfg, "solver", "k", 5),
+        "tol": _opt(cfg, "solver", "tol", 1e-6),
+        "seed": _opt(cfg, "solver", "seed", 0),
+        "gap_tol": _opt(cfg, "solver", "gap_tol"),
     }
     if seed_override is not None:
         params["seed"] = seed_override
     return params
-
-
-def _output_target(cfg, args):
-    fmt = args.format or _get(cfg, "output", "format", str, default="csv")
-    fmt = fmt.strip().lower()
-    if fmt not in ("csv", "json"):
-        raise ConfigError("output", "format", f"unknown format {fmt!r}")
-    path = args.out or _get(cfg, "output", "path", str, default=None)
-    if path is None:
-        raise ConfigError("output", "path", "no output path given (use --out)")
-    return fmt, path
 
 
 def _cell(value) -> str:
@@ -211,12 +199,9 @@ def _boundary_warning(op, result) -> None:
     if converged.size == 0:
         return
     window = float(converged.max())
-    coords = op.grid.node_coords()
-    mask = np.zeros(op.dim, dtype=bool)
-    for d in range(op.grid.dim):
-        axis = op.grid.axis_coords(d)
-        mask |= np.isclose(np.abs(coords[:, d]), axis[-1])
-    min_v = float(op.potential_values[mask].min())
+    # the boundary nodes are the first and last slice along each axis
+    values = op.potential_values.reshape(op.grid.points, order="F")
+    min_v = min(float(np.take(values, [0, -1], axis=d).min()) for d in range(values.ndim))
     if min_v < 1.1 * window:
         print(f"warning: min boundary V = {min_v:g} is below the spectral "
               f"window {window:g} + 10%; enlarge the box", file=sys.stderr)
@@ -226,12 +211,11 @@ def cmd_solve(cfg, args) -> int:
     grid = _build_grid_from_config(cfg)
     pot = _build_potential_from_config(cfg, grid.n, grid.p)
     params = _solver_params(cfg, args.seed)
-    fmt, path = _output_target(cfg, args)
     op = assemble_hamiltonian(grid, pot, params["h"])
     result = lowest_eigenpairs(op, params["k"], tol=params["tol"], seed=params["seed"])
     _boundary_warning(op, result)
     pairs = zip(result.eigenvalues, result.residuals, result.converged)
-    _write(path, fmt, ("index", "eigenvalue", "residual", "converged"),
+    _write(args.out, args.format, ("index", "eigenvalue", "residual", "converged"),
            [(i, e, r, c) for i, (e, r, c) in enumerate(pairs)], {
                "eigenvalues": [float(e) for e in result.eigenvalues],
                "residuals": [float(r) for r in result.residuals],
@@ -244,8 +228,8 @@ def cmd_solve(cfg, args) -> int:
 
 
 def _analytic_cutoff(cfg):
-    e_max = _get(cfg, "analytic", "e_max", float, default=None)
-    levels = _get(cfg, "analytic", "levels", int, default=None)
+    e_max = _opt(cfg, "analytic", "e_max")
+    levels = _opt(cfg, "analytic", "levels")
     if e_max is None and levels is None:
         levels = 10
     if e_max is not None and levels is not None:
@@ -254,22 +238,20 @@ def _analytic_cutoff(cfg):
 
 
 def cmd_analytic(cfg, args) -> int:
-    grid_n = _get(cfg, "grid", "n", int, required=True)
-    grid_p = _get(cfg, "grid", "p", int, default=0)
-    pot = _build_potential_from_config(cfg, grid_n, grid_p)
+    pot = _build_potential_from_config(cfg, _need(cfg, "grid", "n"),
+                                       _opt(cfg, "grid", "p", 0))
     if pot.kind != "quadratic":
         raise ConfigError("potential", "kind",
                           "analytic oracle requires quadratic form")
     params = _solver_params(cfg, args.seed)
     e_max, levels = _analytic_cutoff(cfg)
-    fmt, path = _output_target(cfg, args)
     spec = bo_spectrum(pot.a, pot.b, params["h"], e_max=e_max, k=levels)
     if args.dilate is not None:
         if args.dilate <= 0:
             raise ConfigError("cli", "--dilate", "must be positive")
         spec = dilate_spectrum(spec, args.dilate)
     rows = [(float(e), m) for e, m in spec.levels]
-    _write(path, fmt, ("energy", "multiplicity"), rows, {
+    _write(args.out, args.format, ("energy", "multiplicity"), rows, {
         "params": {key: (float(v) if isinstance(v, (int, float)) else
                          [float(x) for x in v])
                    for key, v in spec.params.items()},
@@ -287,7 +269,6 @@ def cmd_compare(cfg, args) -> int:
         raise ConfigError("potential", "kind",
                           "comparison requires a quadratic potential")
     params = _solver_params(cfg, args.seed)
-    fmt, path = _output_target(cfg, args)
     k = params["k"]
 
     op = assemble_hamiltonian(grid, pot, params["h"])
@@ -336,7 +317,7 @@ def cmd_compare(cfg, args) -> int:
 
     columns = ("level", "analytic_energy", "numeric_energy", "abs_error",
                "analytic_multiplicity", "numeric_multiplicity", "tolerance", "pass")
-    _write(path, fmt, columns, rows, {
+    _write(args.out, args.format, columns, rows, {
         "gap_tol": gap_tol,
         "rows": [dict(zip(columns, row)) for row in rows],
     })
@@ -352,15 +333,12 @@ def cmd_compare(cfg, args) -> int:
 
 
 def cmd_probe(cfg, args) -> int:
-    if not cfg.has_section("probe"):
-        raise ConfigError("probe", "", "missing section")
-    lambdas = _get(cfg, "probe", "lambdas", _floats, required=True)
+    lambdas = _need(cfg, "probe", "lambdas")
     if not lambdas:
         raise ConfigError("probe", "lambdas", "empty lambda list")
-    radii = _get(cfg, "probe", "radii", _floats, required=True)
-    mode = _get(cfg, "probe", "mode", str, default="certificate").strip()
+    radii = _need(cfg, "probe", "radii")
+    mode = _opt(cfg, "probe", "mode", "certificate")
     params = _solver_params(cfg, args.seed)
-    fmt, path = _output_target(cfg, args)
     grid = _build_grid_from_config(cfg)
 
     if mode == "essential":
@@ -375,24 +353,19 @@ def cmd_probe(cfg, args) -> int:
     columns = ("lambda", "radius_or_scale", "residual", "lower_bound", "verdict")
     rows = [(rep.candidate_lambda, e.radius, e.residual, e.lower_bound, rep.verdict)
             for rep in reports for e in rep.entries]
-    _write(path, fmt, columns, rows, [dict(zip(columns, row)) for row in rows])
+    _write(args.out, args.format, columns, rows, [dict(zip(columns, row)) for row in rows])
     return EXIT_OK
 
 
 def cmd_converge(cfg, args) -> int:
-    grid_n = _get(cfg, "grid", "n", int, required=True)
-    grid_p = _get(cfg, "grid", "p", int, default=0)
-    half_widths = _get(cfg, "grid", "half_widths", _floats, required=True)
-    sizes = _get(cfg, "converge", "sizes", _ints, required=True)
+    grid_n = _need(cfg, "grid", "n")
+    grid_p = _opt(cfg, "grid", "p", 0)
+    half_widths = _need(cfg, "grid", "half_widths")
+    sizes = _need(cfg, "converge", "sizes")
     if len(sizes) < 3:
         raise ConfigError("converge", "sizes", "need at least 3 grid sizes")
     pot = _build_potential_from_config(cfg, grid_n, grid_p)
     params = _solver_params(cfg, args.seed)
-    fmt, path = _output_target(cfg, args)
-    ref_mode = _get(cfg, "converge", "reference", str, default="auto").strip()
-    if ref_mode != "auto":
-        raise ConfigError("converge", "reference",
-                          f"unknown reference {ref_mode!r} (only auto)")
     study = convergence_study(pot, half_widths, sizes, params["k"], h=params["h"],
                               tol=params["tol"], seed=params["seed"])
     rows = []
@@ -400,7 +373,7 @@ def cmd_converge(cfg, args) -> int:
         ok = slope is not None and 1.7 <= slope <= 2.3
         rows.append((j, study.reference[j], slope, ok))
     columns = ("level", "reference", "slope", "pass")
-    _write(path, fmt, columns,
+    _write(args.out, args.format, columns,
            [(j, ref, "n/a" if slope is None else f"{slope:.6g}", ok)
             for j, ref, slope, ok in rows], {
                "deltas": list(study.deltas),
@@ -438,9 +411,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--dilate", type=float, default=None,
                         help="scale analytic energies by this factor")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     try:
+        if args.out is None:
+            raise ConfigError("cli", "--out", "no output path given")
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -152,7 +152,7 @@ class TestDilation:
 
     def test_chain_equals_scaled_enumeration(self):
         lam = Fraction(3, 2)
-        direct = enumerate_spectrum([1, 2], h_scale=lam, e_max=15)
+        direct = enumerate_spectrum([lam * 1, lam * 2], e_max=15)
         chained = dilate_spectrum(enumerate_spectrum([1, 2], e_max=10), lam)
         assert direct.levels == chained.levels
 

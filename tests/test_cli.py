@@ -206,9 +206,6 @@ h = 1.0
 k = 3
 tol = 1e-8
 seed = 0
-
-[output]
-format = csv
 """
 
 
@@ -448,6 +445,7 @@ UNKNOWN_KEY_CASES = {
     "probe": ("probe", PROBE_CERT, "solver", "tolerance = 1e-12"),
     "converge": ("converge", CONVERGE, "solver", "tolerance = 1e-12"),
     "probe-leftover-probes": ("probe", PROBE_CERT, "probe", "probes = 2000"),
+    "converge-reference": ("converge", CONVERGE, "converge", "reference = auto"),
 }
 
 
@@ -474,10 +472,21 @@ def test_readme_config_serves_every_command(tmp_path, command):
 
 
 def test_unknown_section_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, SOLVE_1D + "\n[solvr]\ntol = 1e-12\n")
+    # [output] is no section: --format and --out set the output
+    for section, line in (("solvr", "tol = 1e-12"), ("output", "format = csv")):
+        cfg = write_config(tmp_path, SOLVE_1D + f"\n[{section}]\n{line}\n")
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert f"config error: [{section}] : unknown section" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_malformed_value_rejected_by_every_command(tmp_path, capsys):
+    # values are parsed when the file is read, also those this command skips
+    cfg = write_config(tmp_path, ANALYTIC + "\n[probe]\nradii = 3 five\n")
     out = tmp_path / "out.csv"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-    assert "config error: [solvr] : unknown section" in capsys.readouterr().err
+    assert main(["analytic", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: [probe] radii: cannot parse")
     assert not out.exists()
 
 
