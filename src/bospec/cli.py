@@ -410,12 +410,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--dilate", type=float, default=None,
-                        help="scale analytic energies by this factor")
+                        help="scale analytic energies by this factor (analytic only)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     try:
         if args.out is None:
             raise ConfigError("cli", "--out", "no output path given")
+        if args.dilate is not None and args.command != "analytic":
+            raise ConfigError("cli", "--dilate", "only the analytic command takes it")
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

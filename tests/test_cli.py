@@ -160,6 +160,18 @@ class TestAnalytic:
         assert main(["analytic", "--config", cfg,
                      "--out", str(tmp_path / "x.csv"), "--dilate", "-1"]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "compare", "converge", "probe"])
+    def test_dilate_rejected_by_other_commands(self, tmp_path, capsys, command):
+        # --dilate scales analytic levels only; another command taking it
+        # would write undilated results
+        text = (SOLVE_1D + "\n[converge]\nsizes = 99 149 199\n"
+                "\n[probe]\nlambdas = 4\nradii = 2 4\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out), "--dilate", "2"]) == 1
+        assert capsys.readouterr().err.startswith("config error: [cli] --dilate: ")
+        assert not out.exists()
+
     def test_expression_rejected(self, tmp_path):
         text = ("[grid]\nn = 1\np = 0\n\n[potential]\nkind = expression\n"
                 "expression = x1^2\n")

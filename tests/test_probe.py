@@ -194,6 +194,14 @@ class TestCommutator:
         with pytest.raises(ValueError, match="probes"):
             commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=0)
 
+    @pytest.mark.parametrize("scales", [(), (-1.0,), (0.0,), (2.0, 0.0)])
+    def test_scales_must_be_positive(self, scales):
+        # a scale q <= 0 would give the estimate 0.0, which reads as perfect
+        # decay, and no scale an empty result
+        op = oscillator_op(points=49)
+        with pytest.raises(ValueError, match="scale"):
+            commutator_decay(op, CutoffFamily(scales=scales), probes=1)
+
     def test_decay_with_scale(self):
         grid = build_grid(1, 0, [40.0], [799])
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), 1.0)
@@ -329,6 +337,27 @@ class TestFormChain:
         op = assemble_hamiltonian(grid, pot, 0.5)
         report = form_inequality_check(op, trials=30, seed=1)
         assert report.violations == 0
+
+    @staticmethod
+    def _dip_op():
+        # claimed nonnegative, but V = -1 at the origin node; the mean of V
+        # over the nodes is 39.6, so Gaussian vectors alone never see the dip
+        pot = expression_potential("x1^2 + y1^2 - 1", 1, 1, nonnegative=True)
+        return assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
+
+    def test_negative_dip_violates(self):
+        op = self._dip_op()
+        report = form_inequality_check(op, trials=500, seed=0)
+        assert report.violations >= 1
+        assert report.max_violation > report.tolerance
+
+    def test_least_node_decides_alone(self):
+        op = self._dip_op()
+        report = form_inequality_check(op, trials=1, seed=0)
+        assert report.violations == 1
+        # the defect of e_m is -min V over the scale max(1, max |V|)
+        scale = np.abs(op.potential_values).max()
+        assert report.max_violation == pytest.approx(1.0 / scale, rel=1e-12)
 
     def test_refuses_unclaimed(self):
         grid = build_grid(1, 0, [10.0], [99])
