@@ -207,20 +207,14 @@ def _resolvent_at_i(matrix, v: np.ndarray, z: float, rtol: float = 1e-8):
     scipy's CG solves it in real arithmetic.  The name is kept from the former
     solve at the point i because perfbench's tracer wraps this function by name.
 
-    A sparse H is shifted into one CSR matrix H - zI, which serves every CG
-    product and the residual check; any other linear operator is shifted as
-    an operator sum.  CG runs at most dim iterations; a solve that scipy
-    reports unconverged, or whose true residual ||(H - z)w - v|| exceeds
-    rtol ||v||, raises."""
+    CG runs at most dim iterations; a solve that scipy reports unconverged,
+    or whose true residual ||Hw - zw - v|| exceeds rtol ||v||, raises."""
     dim = matrix.shape[0]
-    identity = sp.identity(dim, format="csr")
-    if not sp.issparse(matrix):
-        identity = spla.aslinearoperator(identity)
-    shifted = matrix - z * identity
+    shifted = spla.LinearOperator((dim, dim), lambda x: matrix @ x - z * x, dtype=float)
     w, info = spla.cg(shifted, v, rtol=rtol, atol=0.0, maxiter=dim)
     target = rtol * np.linalg.norm(v)
     # a miss scipy reports raises without the product of the residual check
-    if info != 0 or np.linalg.norm(shifted @ w - v) > target:
+    if info != 0 or np.linalg.norm(matrix @ w - z * w - v) > target:
         raise RuntimeError(
             f"CG solve did not converge to residual {target:.3g} within {dim} iterations")
     return w
@@ -277,9 +271,14 @@ def form_inequality_check(op: GridOperator, trials: int, seed: int = 0) -> FormC
     hold for every u and are not computed.  The first is <u, V u> >= 0.  The
     first of the `trials` test vectors is the unit vector e_m at the node m of
     least V: <e_m, V e_m> = min V <= <u, V u> / <u, u> for every u, so it
-    decides the link exactly.  The other trials - 1 are seeded Gaussian
-    vectors, each costing one weighted sum.  A vector's defect is
-    -<u, V u> / <u, u>, divided by max(1, max |V|).
+    decides the link for every u.  A vector's defect is -<u, V u> / <u, u>,
+    divided by max(1, max |V|), and counts as a violation above
+    FORM_TOLERANCE; so the link is reported broken iff
+    min V < -FORM_TOLERANCE * max(1, max |V|), a bound set by the largest |V|
+    on the grid, not by V near its minimum.  The other trials - 1 are seeded
+    Gaussian vectors, each costing one weighted sum; their defects never
+    exceed that of e_m, so they can add to `violations` but change neither
+    `max_violation` nor whether any violation is reported.
     """
     if not op.potential.nonnegative_claimed:
         raise ValueError(
