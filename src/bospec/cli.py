@@ -291,8 +291,10 @@ def cmd_compare(cfg, args) -> int:
         gap_tol = min(gaps) / 4 if gaps else 1e-6
     clusters = cluster_multiplicities(result.eigenvalues[:total], gap_tol)
 
-    # |error| ~ C delta^2, C calibrated on two coarser grids by a solve at
-    # least as tight as the one it judges
+    # |error| ~ C delta^2, C calibrated on grids of max(31, N // 4) and
+    # max(63, N // 2) points per axis, N = max(grid.points), by a solve at
+    # least as tight as the one it judges; both are coarser than the judged
+    # grid only for N > 63 (N = 31 gives 31 and 63)
     base = max(grid.points)
     sizes = (max(31, base // 4), max(63, base // 2))
     study = convergence_study(pot, grid.half_widths, sizes, total, h=params["h"],

@@ -6,7 +6,9 @@ import scipy.sparse.linalg as spla
 from bospec.grid import assemble_hamiltonian, build_grid
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import (
+    FORM_TOLERANCE,
     CutoffFamily,
+    FormChainReport,
     bump,
     commutator_decay,
     cutoff_profile,
@@ -339,11 +341,14 @@ class TestFormChain:
         assert report.violations == 0
 
     @staticmethod
-    def _dip_op():
+    def _plane_op(expression):
+        pot = expression_potential(expression, 1, 1, nonnegative=True)
+        return assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
+
+    def _dip_op(self):
         # claimed nonnegative, but V = -1 at the origin node; the mean of V
         # over the nodes is 39.6, so Gaussian vectors alone never see the dip
-        pot = expression_potential("x1^2 + y1^2 - 1", 1, 1, nonnegative=True)
-        return assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
+        return self._plane_op("x1^2 + y1^2 - 1")
 
     def test_negative_dip_violates(self):
         op = self._dip_op()
@@ -358,6 +363,74 @@ class TestFormChain:
         # the defect of e_m is -min V over the scale max(1, max |V|)
         scale = np.abs(op.potential_values).max()
         assert report.max_violation == pytest.approx(1.0 / scale, rel=1e-12)
+
+    @staticmethod
+    def _every_draw_report(op, trials, seed):
+        # the report with all trials - 1 Gaussian vectors drawn and weighed
+        values = op.potential_values
+        scale = max(1.0, float(np.abs(values).max()))
+        rng = np.random.default_rng(seed)
+        forms = [float(values.min())]
+        for _ in range(trials - 1):
+            squares = np.square(rng.standard_normal(op.dim))
+            forms.append(float(squares @ values) / float(squares.sum()))
+        defects = [-form / scale for form in forms]
+        return FormChainReport(trials=trials, max_violation=max(0.0, *defects),
+                               violations=sum(d > FORM_TOLERANCE for d in defects),
+                               tolerance=FORM_TOLERANCE)
+
+    def _nonnegative_ops(self):
+        grid = build_grid(1, 0, [10.0], [99])
+        zero = expression_potential("0*x1", 1, 0, nonnegative=True)
+        return [oscillator_op(points=199),
+                assemble_hamiltonian(grid, zero, 0.5),
+                self._plane_op("abs(x1) + y1^2")]
+
+    def test_skipped_draws_change_nothing(self):
+        ops = self._nonnegative_ops()
+        # min V = 0.0 exactly at the origin node of the 41^2 grid
+        assert ops[2].potential_values.min() == 0.0
+        for op in ops:
+            assert op.potential_values.min() >= 0
+            for trials in (1, 2, 37):
+                for seed in (0, 1, 7):
+                    report = form_inequality_check(op, trials=trials, seed=seed)
+                    reference = self._every_draw_report(op, trials, seed)
+                    assert report == reference
+                    assert repr(report) == repr(reference)
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        calls = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append(args)
+                return self._rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        return calls
+
+    def test_draws_only_when_v_dips(self, monkeypatch):
+        calls = self._count_draws(monkeypatch)
+        for op in self._nonnegative_ops():
+            form_inequality_check(op, trials=20, seed=0)
+        assert calls == []
+        form_inequality_check(self._dip_op(), trials=20, seed=0)
+        assert len(calls) == 19
+
+    def test_draws_counted_when_v_dips(self):
+        # mean V over the nodes is -9.4; each Gaussian form is a weighted
+        # mean of V close to it, so each counts as a violation
+        op = self._plane_op("x1^2 + y1^2 - 50")
+        assert op.potential_values.mean() < 0
+        report = form_inequality_check(op, trials=50, seed=0)
+        assert report.violations == 50
+        assert report == self._every_draw_report(op, 50, 0)
 
     def test_refuses_unclaimed(self):
         grid = build_grid(1, 0, [10.0], [99])
