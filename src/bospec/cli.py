@@ -27,6 +27,15 @@ EXIT_PARTIAL = 2
 EXIT_STRUCTURAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code bospec gives partial
+    convergence; here a usage error exits 1 like a config error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 class ConfigError(Exception):
     def __init__(self, section: str, key: str, message: str):
         super().__init__(f"[{section}] {key}: {message}")
@@ -403,7 +412,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bospec",
         description="Spectral solver and analytic oracle for Born-Oppenheimer "
                     "Hamiltonians -h^2 Lap_x - Lap_y + V(x, y)")

@@ -21,6 +21,7 @@ __all__ = [
     "GridOperator",
     "build_grid",
     "assemble_hamiltonian",
+    "axis_eigenpairs",
     "kinetic_operator",
     "laplacian_1d",
 ]
@@ -115,6 +116,22 @@ def kinetic_operator(grid: Grid, h: float) -> sp.csr_matrix:
         stencil = (h * h if d < grid.n else 1.0) * laplacian_1d(m, delta)
         total = stencil if total is None else sp.kronsum(total, stencil, format="csr")
     return total
+
+
+def axis_eigenpairs(grid: Grid, h: float, d: int, values) -> tuple:
+    """Ascending eigenvalues and orthonormal eigenvector columns of the axis-d
+    tridiagonal w_d * laplacian_1d + diag(values), w_d = h^2 on x-dimensions
+    and 1 on y-dimensions: the axis-d term of H when V is a sum of one-variable
+    terms, `values` being axis d's term at its nodes."""
+    # imported here: importing scipy.linalg with this module, ahead of
+    # scipy.sparse.linalg, measured 0.05 s slower set-up of the package
+    from scipy.linalg import eigh_tridiagonal
+
+    weight = h * h if d < grid.n else 1.0
+    delta = grid.spacing[d]
+    main = 2.0 * weight / delta**2 + np.asarray(values, dtype=float)
+    off = np.full(grid.points[d] - 1, -weight / delta**2)
+    return eigh_tridiagonal(main, off)
 
 
 @dataclass(frozen=True, eq=False)

@@ -473,6 +473,36 @@ def test_unknown_key_rejected(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# argparse's own exit code for these is 2, which bospec gives partial
+# convergence with results written
+USAGE_ERROR_CASES = {
+    "missing-config": (["solve", "--out", "out.csv"], "--config"),
+    "unknown-option": (["solve", "--config", "run.ini", "--out", "out.csv",
+                        "--tolerance", "1e-12"], "unrecognized arguments"),
+    "unknown-command": (["slove", "--config", "run.ini", "--out", "out.csv"],
+                        "invalid choice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERROR_CASES))
+def test_usage_error_exits_1(tmp_path, capsys, monkeypatch, case):
+    argv, message = USAGE_ERROR_CASES[case]
+    write_config(tmp_path, SOLVE_1D)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: bospec" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["analytic", "compare", "converge", "probe", "solve"])
 def test_readme_config_serves_every_command(tmp_path, command):
     readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -222,19 +222,28 @@ class TestCommutator:
 
     @staticmethod
     def _dense_resolvent_error(pot, half_width=4.0, points=21):
-        from bospec.probe import _resolvent_at_i
+        """Largest error, relative to a dense solve of (H - z) w = v, of the
+        unpreconditioned CG solve and of the one commutator_decay runs, on a
+        grid with `points` nodes per axis in the potential's dimensions."""
+        from bospec.probe import _resolvent_at_i, _separable_resolvent
 
-        grid = build_grid(1, 1, [half_width, half_width], [points, points])
+        dim = pot.n + pot.p
+        grid = build_grid(pot.n, pot.p, [half_width] * dim, [points] * dim)
         op = assemble_hamiltonian(grid, pot, 0.5)
         v = np.random.default_rng(3).standard_normal(op.dim)
         z = op.shift_below_spectrum() - 1.0
-        w = _resolvent_at_i(op.matrix, v, z=z)
         exact = np.linalg.solve(op.matrix.toarray() - z * np.eye(op.dim), v)
-        return np.linalg.norm(w - exact) / np.linalg.norm(exact)
+        errors = [np.linalg.norm(_resolvent_at_i(op.matrix, v, z=z, M=inverse) - exact)
+                  for inverse in (None, _separable_resolvent(op, z))]
+        return max(errors) / np.linalg.norm(exact)
 
-    def test_resolvent_matches_dense_solve(self):
-        pot = quadratic_potential([[1.0]], [[1.0]])
-        assert self._dense_resolvent_error(pot) < 1e-7
+    @pytest.mark.parametrize("pot, points", [
+        (quadratic_potential([[1.0]], [[1.0]]), 21),
+        (expression_potential("x1^4 + y1^2 + 2", 1, 1, nonnegative=True), 21),
+        (quadratic_potential([[1.0]], [[1.0, 0.0], [0.0, 2.0]]), 12),
+    ], ids=["quadratic-2d", "quartic-2d", "diagonal-3d"])
+    def test_resolvent_matches_dense_solve(self, pot, points):
+        assert self._dense_resolvent_error(pot, points=points) < 1e-7
 
     def test_resolvent_matches_dense_solve_indefinite(self):
         # min V = -10 puts the lowest eigenvalue of H below 0, so CG is only
@@ -262,9 +271,14 @@ class TestCommutator:
             _resolvent_at_i(matrix, v, z=op.shift_below_spectrum() - 1.0, rtol=1e-300)
         assert 0 < len(products) <= op.dim
 
-    def test_matches_dense_commutator_resolvent(self):
-        grid = build_grid(1, 1, [4.0, 4.0], [15, 17])
-        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
+    @pytest.mark.parametrize("pot, points", [
+        (quadratic_potential([[1.0]], [[1.0]]), (15, 17)),
+        (expression_potential("x1^4 + y1^2 + 2", 1, 1, nonnegative=True), (15, 15)),
+        (quadratic_potential([[1.0]], [[1.0, 0.0], [0.0, 2.0]]), (8, 8, 8)),
+    ], ids=["quadratic-2d", "quartic-2d", "diagonal-3d"])
+    def test_matches_dense_commutator_resolvent(self, pot, points):
+        grid = build_grid(pot.n, pot.p, [4.0] * len(points), points)
+        op = assemble_hamiltonian(grid, pot, 0.5)
         family = CutoffFamily(scales=(1.0, 2.0))
         h = op.matrix.toarray()
         resolvent = np.linalg.inv(h - (op.shift_below_spectrum() - 1.0) * np.eye(op.dim))
@@ -278,6 +292,62 @@ class TestCommutator:
                 v /= np.linalg.norm(v)
                 best = max(best, np.linalg.norm(comm @ resolvent @ v))
             assert estimate == pytest.approx(best, rel=1e-7)
+
+    # an even point count puts no node at the origin, so min V != 0 and the
+    # shift (dim - 1) min V of the per-axis split is exercised
+    @pytest.mark.parametrize("pot, points", [
+        (quadratic_potential([[1.0]], [[1.0]]), (48, 48)),
+        (expression_potential("x1^4 + y1^2 + 2", 1, 1, nonnegative=True), (49, 49)),
+        (quadratic_potential([[1.0]], [[1.0, 0.0], [0.0, 2.0]]), (14, 14, 14)),
+    ], ids=["quadratic-2d", "quartic-2d", "diagonal-3d"])
+    def test_separable_solve_takes_two_iterations(self, monkeypatch, pot, points):
+        import bospec.probe as probe
+
+        grid = build_grid(pot.n, pot.p, [6.0] * len(points), points)
+        op = assemble_hamiltonian(grid, pot, 0.5)
+        products = []
+
+        def counted(x):
+            products.append(1)
+            return op.matrix @ x
+
+        matrix = spla.LinearOperator(op.matrix.shape, matvec=counted, dtype=float)
+        v = np.random.default_rng(0).standard_normal(op.dim)
+        z = op.shift_below_spectrum() - 1.0
+        inverse = probe._separable_resolvent(op, z)
+        assert inverse is not None
+        probe._resolvent_at_i(matrix, v, z=z, M=inverse)
+        # one product per CG iteration, plus the true-residual check
+        assert len(products) - 1 <= 2
+        # commutator_decay hands its solves the preconditioner
+        solve, given = probe._resolvent_at_i, []
+
+        def recording(matrix, v, z, M):
+            given.append(M)
+            return solve(matrix, v, z=z, M=M)
+
+        monkeypatch.setattr(probe, "_resolvent_at_i", recording)
+        commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
+        assert given[0] is not None
+
+    @pytest.mark.parametrize("case", ["non-separable", "1d"])
+    def test_unselected_grid_solves_unpreconditioned(self, monkeypatch, case):
+        import bospec.probe as probe
+
+        if case == "non-separable":
+            pot = expression_potential("x1^2*y1^2", 1, 1, nonnegative=True)
+            op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
+            family = CutoffFamily(scales=(1.5, 3.0))
+        else:  # acceptance criterion 10's grid
+            grid = build_grid(1, 0, [70.0], [1399])
+            op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), 1.0)
+            family = CutoffFamily(scales=(4.0, 8.0, 16.0, 32.0))
+        assert probe._separable_resolvent(op, op.shift_below_spectrum() - 1.0) is None
+        chosen = commutator_decay(op, family, probes=2, seed=0)
+        solve = probe._resolvent_at_i
+        monkeypatch.setattr(probe, "_resolvent_at_i",
+                            lambda matrix, v, z, M: solve(matrix, v, z=z, M=None))
+        assert chosen == commutator_decay(op, family, probes=2, seed=0)
 
     def test_deep_well_converges(self):
         # a well whose lowest eigenvalues lie far below 0: the former shifted
