@@ -22,7 +22,6 @@ _apply_thread_cap()
 from .analytic import (
     AnalyticSpectrum,
     bo_spectrum,
-    dilate_spectrum,
     enumerate_spectrum,
     hermite_function,
     oscillator_frequencies,
@@ -30,7 +29,9 @@ from .analytic import (
 from .eigensolver import (
     MultiplicityCluster,
     SpectrumResult,
+    boundary_warning,
     cluster_multiplicities,
+    compare_with_oscillator,
     convergence_study,
     lowest_eigenpairs,
 )

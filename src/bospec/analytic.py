@@ -1,5 +1,5 @@
-"""Closed-form spectra of harmonic oscillators, Hermite functions with ladder
-relations, and dilation scaling of spectra.
+"""Closed-form spectra of harmonic oscillators and Hermite functions with
+ladder relations.
 
 Energy levels come from weighted multi-index sums sum_i (2 n_i + 1) w_i, with
 the slow-dimension weights carrying the semiclassical factor h.  Enumeration is
@@ -27,7 +27,6 @@ __all__ = [
     "enumerate_spectrum",
     "dirichlet_levels",
     "bo_spectrum",
-    "dilate_spectrum",
     "hermite_function",
     "hermite_values",
     "build_hermite_basis",
@@ -155,17 +154,6 @@ def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:
     spec = enumerate_spectrum(combined, e_max=e_max, k=k)
     return AnalyticSpectrum(levels=spec.levels, e_max=e_max, k=k,
                             params={"h": h, "w": w, "mu": tuple(mu)})
-
-
-def dilate_spectrum(spec: AnalyticSpectrum, lam) -> AnalyticSpectrum:
-    """Energies scale linearly under dilation; multiplicities are unchanged."""
-    if lam <= 0:
-        raise ValueError("dilation factor must be positive")
-    levels = tuple((lam * e, m) for e, m in spec.levels)
-    params = dict(spec.params)
-    params["dilated_by"] = lam
-    e_max = None if spec.e_max is None else lam * spec.e_max
-    return AnalyticSpectrum(levels=levels, e_max=e_max, k=spec.k, params=params)
 
 
 # ---------------------------------------------------------------------------

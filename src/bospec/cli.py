@@ -15,8 +15,9 @@ import sys
 
 import numpy as np
 
-from .analytic import bo_spectrum, dilate_spectrum
-from .eigensolver import cluster_multiplicities, convergence_study, lowest_eigenpairs
+from .analytic import bo_spectrum
+from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
+                          convergence_study, lowest_eigenpairs)
 from .grid import DEFAULT_H_MAX, assemble_hamiltonian, build_grid
 from .potential import expression_potential, quadratic_potential
 from .probe import discreteness_certificate, essential_spectrum_probe
@@ -75,7 +76,7 @@ CONFIG_KEYS = {
     "grid": {"n": int, "p": int, "half_widths": _floats, "points": _ints},
     "potential": {"kind": str.strip, "a": _matrix, "b": _matrix, "expression": str,
                   "nonnegative": _boolean},
-    "solver": {"h": float, "k": int, "tol": float, "seed": int, "gap_tol": float},
+    "solver": {"h": float, "k": int, "tol": float, "seed": int},
     "analytic": {"e_max": float, "levels": int},
     "probe": {"mode": str.strip, "lambdas": _floats, "radii": _floats},
     "converge": {"sizes": _ints},
@@ -166,7 +167,6 @@ def _solver_params(cfg, seed_override=None):
         "k": _opt(cfg, "solver", "k", 5),
         "tol": _opt(cfg, "solver", "tol", 1e-6),
         "seed": _opt(cfg, "solver", "seed", 0),
-        "gap_tol": _opt(cfg, "solver", "gap_tol"),
     }
     if seed_override is not None:
         params["seed"] = seed_override
@@ -201,28 +201,15 @@ def _write(path, fmt, columns, rows, payload) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _boundary_warning(op, result) -> None:
-    """Warn when V on the box boundary is within 10% of the spectral window,
-    the largest converged eigenvalue; unconverged pairs set no window."""
-    converged = result.eigenvalues[result.converged]
-    if converged.size == 0:
-        return
-    window = float(converged.max())
-    # the boundary nodes are the first and last slice along each axis
-    values = op.potential_values.reshape(op.grid.points, order="F")
-    min_v = min(float(np.take(values, [0, -1], axis=d).min()) for d in range(values.ndim))
-    if min_v < 1.1 * window:
-        print(f"warning: min boundary V = {min_v:g} is below the spectral "
-              f"window {window:g} + 10%; enlarge the box", file=sys.stderr)
-
-
 def cmd_solve(cfg, args) -> int:
     grid = _build_grid_from_config(cfg)
     pot = _build_potential_from_config(cfg, grid.n, grid.p)
     params = _solver_params(cfg, args.seed)
     op = assemble_hamiltonian(grid, pot, params["h"])
     result = lowest_eigenpairs(op, params["k"], tol=params["tol"], seed=params["seed"])
-    _boundary_warning(op, result)
+    warning = boundary_warning(op, result)
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
     pairs = zip(result.eigenvalues, result.residuals, result.converged)
     _write(args.out, args.format, ("index", "eigenvalue", "residual", "converged"),
            [(i, e, r, c) for i, (e, r, c) in enumerate(pairs)], {
@@ -255,10 +242,6 @@ def cmd_analytic(cfg, args) -> int:
     params = _solver_params(cfg, args.seed)
     e_max, levels = _analytic_cutoff(cfg)
     spec = bo_spectrum(pot.a, pot.b, params["h"], e_max=e_max, k=levels)
-    if args.dilate is not None:
-        if args.dilate <= 0:
-            raise ConfigError("cli", "--dilate", "must be positive")
-        spec = dilate_spectrum(spec, args.dilate)
     rows = [(float(e), m) for e, m in spec.levels]
     _write(args.out, args.format, ("energy", "multiplicity"), rows, {
         "params": {key: (float(v) if isinstance(v, (int, float)) else
@@ -274,69 +257,20 @@ def cmd_analytic(cfg, args) -> int:
 def cmd_compare(cfg, args) -> int:
     grid = _build_grid_from_config(cfg)
     pot = _build_potential_from_config(cfg, grid.n, grid.p)
-    if pot.kind != "quadratic":
-        raise ConfigError("potential", "kind",
-                          "comparison requires a quadratic potential")
     params = _solver_params(cfg, args.seed)
-    k = params["k"]
-
     op = assemble_hamiltonian(grid, pot, params["h"])
-    result = lowest_eigenpairs(op, k, tol=params["tol"], seed=params["seed"])
-    spec = bo_spectrum(pot.a, pot.b, params["h"], k=k)
-    # keep only analytic levels fully covered by the k computed eigenvalues
-    levels = []
-    total = 0
-    for e, m in spec.levels:
-        if total + m > k:
-            break
-        levels.append((float(e), m))
-        total += m
-    if not levels:
-        raise ConfigError("solver", "k", "too small to cover one analytic level")
-
-    gaps = [b - a for (a, _), (b, _) in zip(levels, levels[1:])]
-    gap_tol = params["gap_tol"]
-    if gap_tol is None:
-        gap_tol = min(gaps) / 4 if gaps else 1e-6
-    clusters = cluster_multiplicities(result.eigenvalues[:total], gap_tol)
-
-    # |error| ~ C delta^2, C calibrated on grids of max(31, N // 4) and
-    # max(63, N // 2) points per axis, N = max(grid.points), by a solve at
-    # least as tight as the one it judges; both are coarser than the judged
-    # grid only for N > 63 (N = 31 gives 31 and 63)
-    base = max(grid.points)
-    sizes = (max(31, base // 4), max(63, base // 2))
-    study = convergence_study(pot, grid.half_widths, sizes, total, h=params["h"],
-                              tol=min(params["tol"], 1e-8), seed=params["seed"])
-    constants = (study.errors / np.square(study.deltas)[:, None]).max(axis=0)
-    delta = max(grid.spacing)
-
-    structural = len(clusters) != len(levels)
-    rows = []
-    idx = 0
-    for li, (energy, mult) in enumerate(levels):
-        tol_level = 1.5 * float(constants[idx: idx + mult].max()) * delta**2
-        if li < len(clusters):
-            cl = clusters[li]
-            err = abs(cl.energy - energy)
-            ok = err <= tol_level and cl.multiplicity == mult
-            rows.append((li, energy, cl.energy, err, mult, cl.multiplicity,
-                         tol_level, ok))
-        else:
-            rows.append((li, energy, None, None, mult, 0, tol_level, False))
-        idx += mult
-
-    columns = ("level", "analytic_energy", "numeric_energy", "abs_error",
-               "analytic_multiplicity", "numeric_multiplicity", "tolerance", "pass")
-    _write(args.out, args.format, columns, rows, {
-        "gap_tol": gap_tol,
-        "rows": [dict(zip(columns, row)) for row in rows],
+    report = compare_with_oscillator(op, params["k"], tol=params["tol"],
+                                     seed=params["seed"])
+    _write(args.out, args.format, COMPARE_COLUMNS, report.rows, {
+        "gap_tol": report.gap_tol,
+        "rows": [dict(zip(COMPARE_COLUMNS, row)) for row in report.rows],
     })
-    if structural:
-        print(f"structural failure: {len(clusters)} numeric clusters vs "
-              f"{len(levels)} analytic levels", file=sys.stderr)
+    if report.structural:
+        print("structural failure: numeric cluster multiplicities "
+              f"{[c.multiplicity for c in report.clusters]} vs analytic level "
+              f"multiplicities {[m for _, m in report.levels]}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    if not (result.all_converged and study.converged.all()):
+    if not report.converged:
         print("partial convergence: an eigenpair of the solve or of its error "
               "calibration did not converge", file=sys.stderr)
         return EXIT_PARTIAL
@@ -379,10 +313,8 @@ def cmd_converge(cfg, args) -> int:
     params = _solver_params(cfg, args.seed)
     study = convergence_study(pot, half_widths, sizes, params["k"], h=params["h"],
                               tol=params["tol"], seed=params["seed"])
-    rows = []
-    for j, slope in enumerate(study.slopes):
-        ok = slope is not None and 1.7 <= slope <= 2.3
-        rows.append((j, study.reference[j], slope, ok))
+    rows = [(j, ref, slope, ok) for j, (ref, slope, ok)
+            in enumerate(zip(study.reference, study.slopes, study.passed))]
     columns = ("level", "reference", "slope", "pass")
     _write(args.out, args.format, columns,
            [(j, ref, "n/a" if slope is None else f"{slope:.6g}", ok)
@@ -420,15 +352,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--dilate", type=float, default=None,
-                        help="scale analytic energies by this factor (analytic only)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     try:
         if args.out is None:
             raise ConfigError("cli", "--out", "no output path given")
-        if args.dilate is not None and args.command != "analytic":
-            raise ConfigError("cli", "--dilate", "only the analytic command takes it")
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

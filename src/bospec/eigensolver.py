@@ -1,6 +1,7 @@
 """Lowest eigenpairs of a grid operator by ARPACK's Lanczos iteration
 (shift-invert on a sparse LU, or implicitly restarted on matvecs alone),
-multiplicity clustering, and grid-convergence studies.
+multiplicity clustering, grid-convergence studies, and the verdicts drawn
+from them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ __all__ = [
     "lowest_eigenpairs",
     "cluster_multiplicities",
     "convergence_study",
+    "OscillatorComparison",
+    "compare_with_oscillator",
+    "boundary_warning",
 ]
 
 # Largest grid dimension solved by shift-invert.  The sparse LU of H - sigma I
@@ -29,6 +33,12 @@ __all__ = [
 # 274 on a 3D 23^3 grid (436 on 31^3), where on a 2-core host factoring alone
 # (0.4 s) outlasts the whole matvec-only solve (0.2 s).
 SHIFT_INVERT_MAX_DIM = 2
+
+# A fitted error slope in this range passes as second-order convergence.
+SLOPE_RANGE = (1.7, 2.3)
+
+COMPARE_COLUMNS = ("level", "analytic_energy", "numeric_energy", "abs_error",
+                   "analytic_multiplicity", "numeric_multiplicity", "tolerance", "pass")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +131,23 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     )
 
 
+def boundary_warning(op: GridOperator, result: SpectrumResult) -> str | None:
+    """A warning when V on the box boundary is within 10% of the spectral
+    window, the largest converged eigenvalue, else None; unconverged pairs
+    set no window."""
+    converged = result.eigenvalues[result.converged]
+    if converged.size == 0:
+        return None
+    window = float(converged.max())
+    # the boundary nodes are the first and last slice along each axis
+    values = op.potential_values.reshape(op.grid.points, order="F")
+    min_v = min(float(np.take(values, [0, -1], axis=d).min()) for d in range(values.ndim))
+    if min_v < 1.1 * window:
+        return (f"min boundary V = {min_v:g} is below the spectral window "
+                f"{window:g} + 10%; enlarge the box")
+    return None
+
+
 def cluster_multiplicities(eigs, gap_tol: float) -> list[MultiplicityCluster]:
     """Cluster an ascending eigenvalue list.
 
@@ -146,6 +173,12 @@ class ConvergenceStudy:
     slopes: tuple                 # fitted log-log slope per eigenvalue, or None
     reference: tuple              # eigenvalues the errors are measured against
     converged: np.ndarray         # (num_sizes, k) inner-solve flags
+
+    @property
+    def passed(self) -> tuple:
+        """Per eigenvalue: its slope was fitted and lies in SLOPE_RANGE."""
+        lo, hi = SLOPE_RANGE
+        return tuple(s is not None and lo <= s <= hi for s in self.slopes)
 
 
 def convergence_study(pot: Potential, half_widths, sizes, k: int,
@@ -204,4 +237,75 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
         slopes=tuple(slopes),
         reference=tuple(float(x) for x in ref),
         converged=flags,
+    )
+
+
+@dataclass(frozen=True)
+class OscillatorComparison:
+    rows: tuple          # one per covered analytic level, fields as COMPARE_COLUMNS
+    levels: tuple        # ((energy, multiplicity), ...) the k eigenvalues cover
+    clusters: tuple      # MultiplicityCluster per cluster of those eigenvalues
+    gap_tol: float       # cluster gap: least analytic gap / 4, or 1e-6 for one level
+    converged: bool      # the solve and both calibration solves
+
+    @property
+    def structural(self) -> bool:
+        """The cluster count or a cluster multiplicity differs from the levels'."""
+        return [c.multiplicity for c in self.clusters] != [m for _, m in self.levels]
+
+
+def compare_with_oscillator(op: GridOperator, k: int, tol: float = 1e-8,
+                            seed: int = 0) -> OscillatorComparison:
+    """Judge the k lowest eigenvalues of a quadratic-V operator against its
+    exact Born-Oppenheimer levels.
+
+    Only the analytic levels the k eigenvalues cover whole are judged; the
+    i-th numeric cluster is matched to the i-th level.  A level passes when
+    its cluster has its multiplicity and |error| <= 1.5 C delta^2, where
+    delta is the largest grid spacing and C the largest |error| / delta^2 of
+    the level's eigenvalues over two calibration grids.
+    """
+    pot, grid = op.potential, op.grid
+    if pot.kind != "quadratic":
+        raise ValueError("comparison requires a quadratic potential")
+    result = lowest_eigenpairs(op, k, tol=tol, seed=seed)
+    # the analytic levels the k eigenvalues cover whole; level i holds the
+    # eigenvalues ends[i] - m_i .. ends[i] - 1
+    spec = bo_spectrum(pot.a, pot.b, op.h, k=k).levels
+    ends = np.cumsum([m for _, m in spec])
+    levels = [(float(e), m) for (e, m), end in zip(spec, ends) if end <= k]
+    total = sum(m for _, m in levels)
+
+    gaps = [b - a for (a, _), (b, _) in zip(levels, levels[1:])]
+    gap_tol = min(gaps) / 4 if gaps else 1e-6
+    clusters = cluster_multiplicities(result.eigenvalues[:total], gap_tol)
+
+    # |error| ~ C delta^2, C calibrated on grids of max(31, N // 4) and
+    # max(63, N // 2) points per axis, N = max(grid.points), by a solve at
+    # least as tight as the one it judges; both are coarser than the judged
+    # grid only for N > 63 (N = 31 gives 31 and 63)
+    base = max(grid.points)
+    sizes = (max(31, base // 4), max(63, base // 2))
+    study = convergence_study(pot, grid.half_widths, sizes, total, h=op.h,
+                              tol=min(tol, 1e-8), seed=seed)
+    constants = (study.errors / np.square(study.deltas)[:, None]).max(axis=0)
+    delta = max(grid.spacing)
+
+    rows = []
+    for li, ((energy, mult), end) in enumerate(zip(levels, ends)):
+        tol_level = 1.5 * float(constants[end - mult: end].max()) * delta**2
+        if li < len(clusters):
+            cl = clusters[li]
+            err = abs(cl.energy - energy)
+            ok = err <= tol_level and cl.multiplicity == mult
+            rows.append((li, energy, cl.energy, err, mult, cl.multiplicity,
+                         tol_level, ok))
+        else:
+            rows.append((li, energy, None, None, mult, 0, tol_level, False))
+    return OscillatorComparison(
+        rows=tuple(rows),
+        levels=tuple(levels),
+        clusters=tuple(clusters),
+        gap_tol=gap_tol,
+        converged=result.all_converged and bool(study.converged.all()),
     )

@@ -10,7 +10,6 @@ from bospec.analytic import (
     annihilation_residual,
     bo_spectrum,
     build_hermite_basis,
-    dilate_spectrum,
     dirichlet_levels,
     enumerate_spectrum,
     hermite_function,
@@ -133,28 +132,6 @@ class TestBoSpectrum:
         assert spec.params["h"] == 0.5
         assert spec.params["w"] == pytest.approx((1.0, 2.0))
         assert spec.params["mu"] == pytest.approx((1.0,))
-
-
-class TestDilation:
-    def test_scaling(self):
-        spec = enumerate_spectrum([1], k=3)
-        scaled = dilate_spectrum(spec, 4)
-        assert [e for e, _ in scaled.levels] == [4, 12, 20]
-
-    def test_identity(self):
-        spec = enumerate_spectrum([1, 2], k=4)
-        assert dilate_spectrum(spec, 1).levels == spec.levels
-
-    def test_multiplicities_preserved(self):
-        spec = enumerate_spectrum([1, 1], e_max=4)
-        scaled = dilate_spectrum(spec, 2)
-        assert [(e, m) for e, m in scaled.levels] == [(4, 1), (8, 2)]
-
-    def test_chain_equals_scaled_enumeration(self):
-        lam = Fraction(3, 2)
-        direct = enumerate_spectrum([lam * 1, lam * 2], e_max=15)
-        chained = dilate_spectrum(enumerate_spectrum([1, 2], e_max=10), lam)
-        assert direct.levels == chained.levels
 
 
 class TestHermite:

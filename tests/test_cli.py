@@ -147,31 +147,6 @@ class TestAnalytic:
         assert got == [(pytest.approx(1.5), 1), (pytest.approx(2.5), 1),
                        (pytest.approx(3.5), 2)]
 
-    def test_dilate(self, tmp_path):
-        cfg = write_config(tmp_path, ANALYTIC)
-        out = tmp_path / "levels.csv"
-        assert main(["analytic", "--config", cfg, "--out", str(out),
-                     "--dilate", "2"]) == 0
-        rows = read_csv(out)
-        assert float(rows[0]["energy"]) == pytest.approx(3.0)
-
-    def test_negative_dilate_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, ANALYTIC)
-        assert main(["analytic", "--config", cfg,
-                     "--out", str(tmp_path / "x.csv"), "--dilate", "-1"]) == 1
-
-    @pytest.mark.parametrize("command", ["solve", "compare", "converge", "probe"])
-    def test_dilate_rejected_by_other_commands(self, tmp_path, capsys, command):
-        # --dilate scales analytic levels only; another command taking it
-        # would write undilated results
-        text = (SOLVE_1D + "\n[converge]\nsizes = 99 149 199\n"
-                "\n[probe]\nlambdas = 4\nradii = 2 4\n")
-        cfg = write_config(tmp_path, text)
-        out = tmp_path / "out.csv"
-        assert main([command, "--config", cfg, "--out", str(out), "--dilate", "2"]) == 1
-        assert capsys.readouterr().err.startswith("config error: [cli] --dilate: ")
-        assert not out.exists()
-
     def test_expression_rejected(self, tmp_path):
         text = ("[grid]\nn = 1\np = 0\n\n[potential]\nkind = expression\n"
                 "expression = x1^2\n")
@@ -221,6 +196,25 @@ seed = 0
 """
 
 
+ISOTROPIC_2D = """
+[grid]
+n = 1
+p = 1
+half_widths = 6 6
+points = 7 31
+
+[potential]
+kind = quadratic
+a = 1
+b = 1
+
+[solver]
+h = 1.0
+k = 6
+tol = 1e-8
+"""
+
+
 class TestCompare:
     def test_oscillator_passes(self, tmp_path):
         cfg = write_config(tmp_path, COMPARE)
@@ -254,6 +248,29 @@ class TestCompare:
         cfg = write_config(tmp_path, COMPARE.replace("k = 3", "k = 0"))
         assert main(["compare", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_expression_potential_rejected(self, tmp_path, capsys):
+        text = COMPARE.replace("kind = quadratic\na = 1",
+                               "kind = expression\nexpression = x1^2\nnonnegative = true")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: comparison requires a quadratic potential")
+        assert not out.exists()
+
+    # 7 x 31: three clusters against three levels, but of multiplicities
+    # 1, 3, 2 against 1, 2, 3; 5 x 41: four clusters against three levels
+    @pytest.mark.parametrize("points", ["7 31", "5 41"])
+    def test_structural_failure_exit_3(self, tmp_path, capsys, points):
+        cfg = write_config(tmp_path, ISOTROPIC_2D.replace("points = 7 31",
+                                                          f"points = {points}"))
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("structural failure: ")
+        rows = read_csv(out)
+        assert [int(r["analytic_multiplicity"]) for r in rows] == [1, 2, 3]
+        assert any(r["pass"] == "false" for r in rows)
 
 
 PROBE_CERT = """
@@ -458,6 +475,7 @@ UNKNOWN_KEY_CASES = {
     "converge": ("converge", CONVERGE, "solver", "tolerance = 1e-12"),
     "probe-leftover-probes": ("probe", PROBE_CERT, "probe", "probes = 2000"),
     "converge-reference": ("converge", CONVERGE, "converge", "reference = auto"),
+    "compare-gap-tol": ("compare", COMPARE, "solver", "gap_tol = 0.5"),
 }
 
 
@@ -481,6 +499,8 @@ USAGE_ERROR_CASES = {
                         "--tolerance", "1e-12"], "unrecognized arguments"),
     "unknown-command": (["slove", "--config", "run.ini", "--out", "out.csv"],
                         "invalid choice"),
+    "removed-dilate": (["analytic", "--config", "run.ini", "--out", "out.csv",
+                        "--dilate", "2"], "unrecognized arguments"),
 }
 
 

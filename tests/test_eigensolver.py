@@ -7,7 +7,10 @@ from scipy.sparse.linalg import eigsh
 from bospec import eigensolver
 from bospec.analytic import bo_spectrum
 from bospec.eigensolver import (
+    ConvergenceStudy,
+    boundary_warning,
     cluster_multiplicities,
+    compare_with_oscillator,
     convergence_study,
     lowest_eigenpairs,
 )
@@ -165,3 +168,29 @@ class TestConvergenceStudy:
                                   tol=1e-8)
         assert study.reference[0] == pytest.approx(1.0, abs=1e-3)
         assert study.slopes[0] == pytest.approx(2.0, abs=0.4)
+
+    def test_slope_gate_edges(self):
+        # the gate is the closed range [1.7, 2.3]; a level without a fitted
+        # slope never passes
+        slopes = (1.69, 1.7, 2.3, 2.31, None)
+        study = ConvergenceStudy(deltas=(0.2, 0.1), errors=np.ones((2, 5)),
+                                 slopes=slopes, reference=(1.0,) * 5,
+                                 converged=np.ones((2, 5), dtype=bool))
+        assert study.passed == (False, True, True, False, False)
+
+
+@pytest.mark.parametrize("length, warns", [(2.0, True), (10.0, False)])
+def test_boundary_warning(length, warns):
+    # boundary V = x^2 is about 4 against a window of 6.8 at half-width 2,
+    # and about 100 against 5 at half-width 10
+    op = oscillator_op(399, length)
+    result = lowest_eigenpairs(op, 3, tol=1e-7)
+    assert (boundary_warning(op, result) is not None) == warns
+
+
+def test_compare_with_oscillator_report():
+    report = compare_with_oscillator(oscillator_op(255, 8.0), 3, tol=1e-8)
+    assert report.levels == ((1.0, 1), (3.0, 1), (5.0, 1))
+    assert report.gap_tol == 0.5  # a quarter of the least level gap
+    assert not report.structural and report.converged
+    assert all(row[-1] for row in report.rows)
