@@ -1,5 +1,6 @@
 """Lowest eigenpairs of a grid operator by ARPACK's Lanczos iteration
-(shift-invert on a sparse LU, or implicitly restarted on matvecs alone),
+(shift-invert through the exact per-axis inverse or a sparse LU, or
+implicitly restarted on matvecs alone),
 multiplicity clustering, grid-convergence studies, and the verdicts drawn
 from them.
 """
@@ -13,7 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .analytic import bo_spectrum
-from .grid import GridOperator, assemble_hamiltonian, build_grid
+from .grid import GridOperator, assemble_hamiltonian, build_grid, separable_inverse
 from .potential import Potential
 
 __all__ = [
@@ -31,7 +32,8 @@ __all__ = [
 # Largest grid dimension solved by shift-invert.  The sparse LU of H - sigma I
 # holds about 52 factor nonzeros per unknown on a 2D 255^2 grid but already
 # 274 on a 3D 23^3 grid (436 on 31^3), where on a 2-core host factoring alone
-# (0.4 s) outlasts the whole matvec-only solve (0.2 s).
+# (0.4 s) outlasts the whole matvec-only solve (0.2 s).  The LU serves only
+# V that are not sums of one-variable terms (see grid.separable_inverse).
 SHIFT_INVERT_MAX_DIM = 2
 
 # A fitted error slope in this range passes as second-order convergence.
@@ -46,10 +48,12 @@ class SpectrumResult:
     eigenvalues: np.ndarray   # ascending
     residuals: np.ndarray     # ||H u - lambda u|| per pair
     vectors: np.ndarray       # (dim, k), orthonormal columns
-    iterations: int           # operator applications (LU solves or matvecs)
+    iterations: int           # operator applications (inverse applies or matvecs)
     converged: np.ndarray     # per-pair flags
     h: float
     grid_signature: str
+    backend: str              # operator ARPACK iterated on: "separable inverse",
+                              # "sparse LU" or "matvec" (which='SA')
 
     @property
     def all_converged(self) -> bool:
@@ -67,12 +71,14 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
                       seed: int = 0) -> SpectrumResult:
     """k smallest eigenpairs with residual check ||Hu - lu|| <= tol*max(1, |l|).
 
-    Grids of dimension <= 2 use shift-invert Lanczos on one sparse LU of
-    H - sigma I, sigma strictly below the spectrum, so the k eigenvalues
-    nearest sigma are the k smallest.  Higher-dimensional grids, whose LU
-    fills in too much, use ARPACK's implicitly restarted Lanczos
-    (``which='SA'``) with scipy's default restart cap; `iterations` counts
-    operator applications.
+    Grids of dimension <= 2 use shift-invert Lanczos on (H - sigma I)^{-1},
+    sigma strictly below the spectrum, so the k eigenvalues nearest sigma
+    are the k smallest.  The inverse is applied by `separable_inverse` when
+    it admits the operator, else by one sparse LU of H - sigma I.
+    Higher-dimensional grids, whose LU fills in too much, use ARPACK's
+    implicitly restarted Lanczos (``which='SA'``) with scipy's default
+    restart cap; `iterations` counts operator applications and `backend`
+    names the operator.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
@@ -96,19 +102,25 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
 
     if op.grid.dim <= SHIFT_INVERT_MAX_DIM:
         sigma = op.shift_below_spectrum()
-        shifted = (a - sigma * sp.identity(dim, format="csr")).tocsc()
-        # H - sigma I is symmetric positive definite: no pivoting is needed,
-        # and a symmetric ordering halves the fill of the default COLAMD
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        backend = {"A": a, "sigma": sigma, "which": "LM", "OPinv": counted(lu.solve)}
+        inverse = separable_inverse(op, sigma)
+        if inverse is not None:
+            backend, solve = "separable inverse", inverse.matvec
+        else:
+            shifted = (a - sigma * sp.identity(dim, format="csr")).tocsc()
+            # H - sigma I is symmetric positive definite: no pivoting is
+            # needed, and a symmetric ordering halves the fill of the default
+            # COLAMD
+            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+            backend, solve = "sparse LU", lu.solve
+        arpack = {"A": a, "sigma": sigma, "which": "LM", "OPinv": counted(solve)}
     else:
-        backend = {"A": counted(a.dot), "which": "SA"}
+        backend, arpack = "matvec", {"A": counted(a.dot), "which": "SA"}
 
     rng = np.random.default_rng(seed)
     try:
         theta, vectors = eigsh(k=k, v0=rng.standard_normal(dim), tol=0.1 * tol,
-                               **backend)
+                               **arpack)
     except ArpackNoConvergence as exc:
         # keep the pairs ARPACK converged and fill up to k by a Rayleigh-Ritz
         # step on seeded random directions; the residuals flag the fill
@@ -128,6 +140,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         converged=converged[order],
         h=op.h,
         grid_signature=op.grid.signature(),
+        backend=backend,
     )
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .potential import Potential
 
@@ -24,6 +26,7 @@ __all__ = [
     "axis_eigenpairs",
     "kinetic_operator",
     "laplacian_1d",
+    "separable_inverse",
 ]
 
 DEFAULT_SIZE_CAP = 2_000_000
@@ -168,3 +171,56 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     mat.sum_duplicates()
     return GridOperator(grid=grid, h=h, matrix=mat, potential=pot,
                         potential_values=vvals)
+
+
+def separable_inverse(op: GridOperator, z: float):
+    """(H - zI)^{-1} as a LinearOperator by per-axis fast diagonalization
+    (Lynch, Rice & Thomas, Numer. Math. 6, 1964), or None.
+
+    It is built only when V is a sum of one-variable terms on the grid: its
+    node values equal the sum of its per-axis slices through the node m of
+    least V, minus (dim - 1) V(m), up to 1e-12 max(1, max |V|).  H - zI is
+    then the Kronecker sum of the per-axis tridiagonals T_d = w_d stencil +
+    diag(slice_d), less z + (dim - 1) V(m), and the eigendecompositions
+    T_d = Q_d diag(lam_d) Q_d^T invert it; z must not be an eigenvalue of H.
+
+    The dense Q_d are kept only while each takes at most the bytes of the two
+    grid vectors the apply holds anyway (the denominators and its work
+    array), N_d^2 <= 2 prod N: never on a 1D grid (N^2 <= 2N needs N <= 2),
+    and in 2D while neither axis has more than twice the other's points.
+
+    The apply runs on scipy's BLAS (dgemm), the library ARPACK runs on, not
+    on numpy's: numpy and scipy each load their own OpenBLAS with its own
+    thread pool, and alternating the two inside an ARPACK iteration
+    oversubscribes the cores."""
+    # imported here like eigh_tridiagonal in axis_eigenpairs
+    from scipy.linalg.blas import dgemm
+
+    grid = op.grid
+    if max(grid.points) ** 2 > 2 * grid.size:
+        return None
+    # array axis a holds dimension dim - 1 - a, since dimension 0 runs fastest
+    values = op.potential_values.reshape(grid.points[::-1])
+    least = np.unravel_index(np.argmin(values), values.shape)
+    slices = [values[least[:a] + (slice(None),) + least[a + 1:]] for a in range(grid.dim)]
+    offset = (grid.dim - 1) * values[least]
+    gap = np.abs(reduce(np.add.outer, slices) - offset - values).max()
+    if gap > 1e-12 * max(1.0, float(np.abs(values).max())):
+        return None
+    pairs = [axis_eigenpairs(grid, op.h, d, s) for d, s in enumerate(slices[::-1])]
+    denominators = (reduce(np.add.outer, [lam for lam, _ in reversed(pairs)])
+                    - (z + offset)).ravel()
+
+    def rotate(x, trans_b):
+        # one product per axis: with x read as the (N_d, rest) matrix of its
+        # leading axis d, x^T Q_d (or x^T Q_d^T) transforms axis d and moves
+        # it last, so after all axes the order is the original one
+        for _, q in pairs:
+            x = dgemm(1.0, x.reshape((q.shape[0], -1), order="F"), q,
+                      trans_a=1, trans_b=trans_b)
+        return x.ravel(order="F")
+
+    def apply(r):
+        return rotate(rotate(r, 0) / denominators, 1)
+
+    return LinearOperator((op.dim, op.dim), apply, dtype=float)

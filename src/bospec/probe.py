@@ -7,13 +7,12 @@ form-chain check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridOperator, axis_eigenpairs, kinetic_operator
+from .grid import Grid, GridOperator, kinetic_operator, separable_inverse
 
 __all__ = [
     "CutoffFamily",
@@ -223,44 +222,6 @@ def _resolvent_at_i(matrix, v: np.ndarray, z: float, rtol: float = 1e-8, M=None)
     return w
 
 
-def _separable_resolvent(op: GridOperator, z: float):
-    """(H - zI)^{-1} as a LinearOperator by per-axis fast diagonalization
-    (Lynch, Rice & Thomas, Numer. Math. 6, 1964), or None.
-
-    It is built only when V is a sum of one-variable terms on the grid: its
-    node values equal the sum of its per-axis slices through the node m of
-    least V, minus (dim - 1) V(m), up to 1e-12 max(1, max |V|).  H - zI is
-    then the Kronecker sum of the per-axis tridiagonals T_d = w_d stencil +
-    diag(slice_d), less z + (dim - 1) V(m), and the eigendecompositions
-    T_d = Q_d diag(lam_d) Q_d^T invert it.  The dense Q_d are kept only while
-    they hold at most two grid vectors' worth of entries,
-    sum N_d^2 <= 2 prod N_d: never on a 1D grid, and in 2D only if N_0 = N_1."""
-    grid = op.grid
-    if sum(m * m for m in grid.points) > 2 * grid.size:
-        return None
-    # array axis a holds dimension dim - 1 - a, since dimension 0 runs fastest
-    values = op.potential_values.reshape(grid.points[::-1])
-    least = np.unravel_index(np.argmin(values), values.shape)
-    slices = [values[least[:a] + (slice(None),) + least[a + 1:]] for a in range(grid.dim)]
-    offset = (grid.dim - 1) * values[least]
-    gap = np.abs(reduce(np.add.outer, slices) - offset - values).max()
-    if gap > 1e-12 * max(1.0, float(np.abs(values).max())):
-        return None
-    pairs = [axis_eigenpairs(grid, op.h, grid.dim - 1 - a, s) for a, s in enumerate(slices)]
-    denominators = reduce(np.add.outer, [lam for lam, _ in pairs]) - (z + offset)
-
-    def apply(r):
-        x = r.reshape(denominators.shape)
-        for a, (_, q) in enumerate(pairs):  # Q_d^T along each axis
-            x = np.moveaxis(np.tensordot(x, q, axes=(a, 0)), -1, a)
-        x = x / denominators
-        for a, (_, q) in enumerate(pairs):  # Q_d along each axis
-            x = np.moveaxis(np.tensordot(x, q, axes=(a, 1)), -1, a)
-        return x.ravel()
-
-    return spla.LinearOperator((op.dim, op.dim), apply, dtype=float)
-
-
 def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
                      seed: int = 0) -> list[tuple]:
     """Monte-Carlo lower estimates of ||[H, phi_q] (H - z)^{-1}|| per scale q,
@@ -275,7 +236,7 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     CG solve gives the real w = (H - z)^{-1} v, which every scale shares, so
     all scales are compared on the same probes.  When V is a sum of
     one-variable terms on the grid, CG is preconditioned by the exact inverse
-    from `_separable_resolvent`; otherwise it runs unpreconditioned.  The
+    from `grid.separable_inverse`; otherwise it runs unpreconditioned.  The
     commutator of the assembled matrix with Phi = diag(phi_q), H Phi - Phi H
     (the potential cancels exactly), is applied to w, and the max of
     ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate is a
@@ -286,7 +247,7 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     if not family.scales or min(family.scales) <= 0:
         raise ValueError(f"need at least one cutoff scale, all > 0; got {family.scales}")
     z = op.shift_below_spectrum() - 1.0
-    inverse = _separable_resolvent(op, z)
+    inverse = separable_inverse(op, z)
     comms = []
     for q in family.scales:
         phi = sp.diags(family.values(op.grid, q))

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 from bospec import eigensolver
 from bospec.analytic import bo_spectrum
@@ -102,7 +102,7 @@ class TestLowestEigenpairs:
         exact = np.array(bo_spectrum([[1.0]], [[1.0, 0.5], [0.5, 1.0]], 0.5,
                                      k=8).flat(6))
         delta = max(grid.spacing)
-        assert res.all_converged
+        assert res.all_converged and res.backend == "matvec"
         assert np.all(np.abs(res.eigenvalues - exact) <= 0.15 * delta**2 * exact**2)
 
     def test_no_convergence_returns_k_flagged_pairs(self, monkeypatch):
@@ -117,6 +117,54 @@ class TestLowestEigenpairs:
         recomputed = np.linalg.norm(op.matrix @ res.vectors
                                     - res.vectors * res.eigenvalues, axis=0)
         assert np.allclose(recomputed, res.residuals, rtol=1e-8)
+
+
+def op_2d(expression, points, half_width=6.0, h=0.5):
+    grid = build_grid(1, 1, [half_width] * 2, points)
+    return assemble_hamiltonian(
+        grid, expression_potential(expression, 1, 1, nonnegative=True), h)
+
+
+class TestShiftInvertBackend:
+    # 63 x 65 is near-square: the separable inverse must admit it
+    @pytest.mark.parametrize("tol", [1e-7, 1e-12])
+    @pytest.mark.parametrize("expression", ["x1^2 + y1^2", "x1^4 + y1^2"])
+    def test_separable_inverse_matches_sparse_lu(self, monkeypatch, expression, tol):
+        op = op_2d(expression, (63, 65))
+        fast = lowest_eigenpairs(op, 6, tol=tol, seed=0)
+        monkeypatch.setattr(eigensolver, "separable_inverse", lambda op, z: None)
+        lu = lowest_eigenpairs(op, 6, tol=tol, seed=0)
+        assert (fast.backend, lu.backend) == ("separable inverse", "sparse LU")
+        assert fast.iterations == lu.iterations
+        assert fast.all_converged and np.array_equal(fast.converged, lu.converged)
+        assert np.all(np.abs(fast.eigenvalues - lu.eigenvalues)
+                      <= 1e-10 * np.maximum(1.0, np.abs(lu.eigenvalues)))
+
+    @pytest.mark.parametrize("case", ["non-separable", "1d"])
+    def test_other_grids_factor_a_sparse_lu(self, monkeypatch, case):
+        if case == "non-separable":
+            op = op_2d("x1^2*y1^2 + x1^2 + y1^2", (41, 41))
+        else:
+            op = oscillator_op(points=299)
+        factored = []
+        monkeypatch.setattr(eigensolver, "splu",
+                            lambda *args, **kwargs: factored.append(1) or splu(*args, **kwargs))
+        res = lowest_eigenpairs(op, 3, tol=1e-8, seed=0)
+        assert res.backend == "sparse LU" and len(factored) == 1 and res.all_converged
+
+    def test_inverse_applies_on_scipy_blas(self, monkeypatch):
+        # ARPACK runs on scipy's OpenBLAS; an apply on numpy's, which loads
+        # its own thread pool, oversubscribed the cores and ran 2.4x slower
+        import scipy.linalg.blas
+
+        products = []
+        dgemm = scipy.linalg.blas.dgemm
+        monkeypatch.setattr(scipy.linalg.blas, "dgemm",
+                            lambda *args, **kwargs: products.append(1) or dgemm(*args, **kwargs))
+        res = lowest_eigenpairs(op_2d("x1^2 + y1^2", (31, 31)), 4, tol=1e-8, seed=0)
+        # one product per axis on the way into the eigenbasis and one back
+        assert res.backend == "separable inverse"
+        assert len(products) == 4 * res.iterations > 0
 
 
 class TestClusterMultiplicities:

@@ -6,6 +6,7 @@ from bospec.grid import (
     build_grid,
     kinetic_operator,
     laplacian_1d,
+    separable_inverse,
 )
 from bospec.potential import expression_potential, quadratic_potential
 
@@ -193,3 +194,18 @@ class TestInvariants:
             vec = np.sin(k * np.pi * i / (m + 1))
             lam = (2 - 2 * np.cos(k * np.pi / (m + 1))) / delta**2
             assert np.allclose(lap @ vec, lam * vec, atol=1e-10 * lam)
+
+
+class TestSeparableInverse:
+    # each dense per-axis eigenvector matrix may take the bytes of two grid
+    # vectors, N_d^2 <= 2 prod N: 82^2 = 2 * 41 * 82 is the edge, and a 1D
+    # grid (N^2 <= 2N) is never admitted
+    @pytest.mark.parametrize("points, admitted", [
+        ((191, 193), True), ((255, 257), True), ((41, 82), True), ((41, 83), False),
+        ((5, 41), False), ((1399,), False)])
+    def test_admission_by_eigenvector_bytes(self, points, admitted):
+        dim = len(points)
+        pot = quadratic_potential([[1.0]], np.eye(dim - 1) if dim > 1 else None)
+        op = assemble_hamiltonian(build_grid(1, dim - 1, [8.0] * dim, points), pot, 0.5)
+        inverse = separable_inverse(op, op.shift_below_spectrum())
+        assert (inverse is not None) == admitted

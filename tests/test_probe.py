@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bospec.grid import assemble_hamiltonian, build_grid
+from bospec.grid import assemble_hamiltonian, build_grid, separable_inverse
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import (
     FORM_TOLERANCE,
@@ -234,7 +234,7 @@ class TestCommutator:
         """Largest error, relative to a dense solve of (H - z) w = v, of the
         unpreconditioned CG solve and of the one commutator_decay runs, on a
         grid with `points` nodes per axis in the potential's dimensions."""
-        from bospec.probe import _resolvent_at_i, _separable_resolvent
+        from bospec.probe import _resolvent_at_i
 
         dim = pot.n + pot.p
         grid = build_grid(pot.n, pot.p, [half_width] * dim, [points] * dim)
@@ -243,7 +243,7 @@ class TestCommutator:
         z = op.shift_below_spectrum() - 1.0
         exact = np.linalg.solve(op.matrix.toarray() - z * np.eye(op.dim), v)
         errors = [np.linalg.norm(_resolvent_at_i(op.matrix, v, z=z, M=inverse) - exact)
-                  for inverse in (None, _separable_resolvent(op, z))]
+                  for inverse in (None, separable_inverse(op, z))]
         return max(errors) / np.linalg.norm(exact)
 
     @pytest.mark.parametrize("case, points", [
@@ -277,7 +277,7 @@ class TestCommutator:
             _resolvent_at_i(matrix, v, z=op.shift_below_spectrum() - 1.0, rtol=1e-300)
         assert 0 < len(products) <= op.dim
 
-    # 15 x 17 is not square, so that case solves unpreconditioned
+    # 15 x 17 is near-square, which separable_inverse admits
     @pytest.mark.parametrize("case, points", [
         ("quadratic-2d", (15, 17)), ("quartic-2d", (15, 15)), ("diagonal-3d", (8, 8, 8))], ids=list(SEPARABLE))
     def test_matches_dense_commutator_resolvent(self, case, points):
@@ -300,8 +300,11 @@ class TestCommutator:
 
     # an even point count puts no node at the origin, so min V != 0 and the
     # shift (dim - 1) min V of the per-axis split is exercised
+    # 191 x 193 is near-square: the former rule sum N_d^2 <= 2 prod N_d
+    # admitted square 2D grids only
     @pytest.mark.parametrize("case, points", [
-        ("quadratic-2d", (48, 48)), ("quartic-2d", (49, 49)), ("diagonal-3d", (14, 14, 14))], ids=list(SEPARABLE))
+        ("quadratic-2d", (48, 48)), ("quartic-2d", (49, 49)), ("diagonal-3d", (14, 14, 14)),
+        ("quadratic-2d", (191, 193))], ids=[*SEPARABLE, "quadratic-191x193"])
     def test_separable_solve_takes_two_iterations(self, monkeypatch, case, points):
         import bospec.probe as probe
 
@@ -317,7 +320,7 @@ class TestCommutator:
         matrix = spla.LinearOperator(op.matrix.shape, matvec=counted, dtype=float)
         v = np.random.default_rng(0).standard_normal(op.dim)
         z = op.shift_below_spectrum() - 1.0
-        inverse = probe._separable_resolvent(op, z)
+        inverse = separable_inverse(op, z)
         assert inverse is not None
         probe._resolvent_at_i(matrix, v, z=z, M=inverse)
         # one product per CG iteration, plus the true-residual check
@@ -345,7 +348,7 @@ class TestCommutator:
             grid = build_grid(1, 0, [70.0], [1399])
             op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), 1.0)
             family = CutoffFamily(scales=(4.0, 8.0, 16.0, 32.0))
-        assert probe._separable_resolvent(op, op.shift_below_spectrum() - 1.0) is None
+        assert separable_inverse(op, op.shift_below_spectrum() - 1.0) is None
         chosen = commutator_decay(op, family, probes=2, seed=0)
         solve = probe._resolvent_at_i
         monkeypatch.setattr(probe, "_resolvent_at_i",
