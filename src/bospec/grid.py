@@ -189,13 +189,22 @@ def separable_inverse(op: GridOperator, z: float):
     array), N_d^2 <= 2 prod N: never on a 1D grid (N^2 <= 2N needs N <= 2),
     and in 2D while neither axis has more than twice the other's points.
 
-    The apply runs on scipy's BLAS (dgemm), the library ARPACK runs on, not
-    on numpy's: numpy and scipy each load their own OpenBLAS with its own
-    thread pool, and alternating the two inside an ARPACK iteration
-    oversubscribes the cores."""
+    The apply makes one scipy BLAS dgemm per axis and direction.  numpy and
+    scipy each load their own OpenBLAS with its own thread pool, and ARPACK
+    runs on scipy's: an apply on numpy's inside an ARPACK iteration makes the
+    two pools alternate and oversubscribe the cores."""
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.blas import dgemm
 
+    return _separable_inverse(
+        op, z, lambda x, q, trans: dgemm(1.0, x, q, trans_a=1, trans_b=trans))
+
+
+def _separable_inverse(op: GridOperator, z: float, product):
+    """`separable_inverse` with the per-axis products left to the caller, so
+    that they run on the BLAS of the iteration that applies the inverse:
+    product(x, q, trans) returns x^T Q (trans 0) or x^T Q^T (trans 1) in
+    Fortran order, x being Fortran-ordered."""
     grid = op.grid
     if max(grid.points) ** 2 > 2 * grid.size:
         return None
@@ -211,13 +220,12 @@ def separable_inverse(op: GridOperator, z: float):
     denominators = (reduce(np.add.outer, [lam for lam, _ in reversed(pairs)])
                     - (z + offset)).ravel()
 
-    def rotate(x, trans_b):
+    def rotate(x, trans):
         # one product per axis: with x read as the (N_d, rest) matrix of its
         # leading axis d, x^T Q_d (or x^T Q_d^T) transforms axis d and moves
         # it last, so after all axes the order is the original one
         for _, q in pairs:
-            x = dgemm(1.0, x.reshape((q.shape[0], -1), order="F"), q,
-                      trans_a=1, trans_b=trans_b)
+            x = product(x.reshape((q.shape[0], -1), order="F"), q, trans)
         return x.ravel(order="F")
 
     def apply(r):

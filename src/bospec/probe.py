@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridOperator, kinetic_operator, separable_inverse
+from .grid import Grid, GridOperator, _separable_inverse, kinetic_operator
 
 __all__ = [
     "CutoffFamily",
@@ -236,7 +236,8 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     CG solve gives the real w = (H - z)^{-1} v, which every scale shares, so
     all scales are compared on the same probes.  When V is a sum of
     one-variable terms on the grid, CG is preconditioned by the exact inverse
-    from `grid.separable_inverse`; otherwise it runs unpreconditioned.  The
+    from `grid.separable_inverse`, its products on numpy's BLAS like CG's
+    own; otherwise it runs unpreconditioned.  The
     commutator of the assembled matrix with Phi = diag(phi_q), H Phi - Phi H
     (the potential cancels exactly), is applied to w, and the max of
     ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate is a
@@ -247,7 +248,10 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     if not family.scales or min(family.scales) <= 0:
         raise ValueError(f"need at least one cutoff scale, all > 0; got {family.scales}")
     z = op.shift_below_spectrum() - 1.0
-    inverse = separable_inverse(op, z)
+    # scipy's CG takes its dot products and norms on numpy's BLAS; products on
+    # scipy's, whose OpenBLAS has its own thread pool, made each solve on
+    # 191^2 4.6x slower at 2 threads (8.0 against 1.7 ms)
+    inverse = _separable_inverse(op, z, lambda x, q, trans: ((q if trans else q.T) @ x).T)
     comms = []
     for q in family.scales:
         phi = sp.diags(family.values(op.grid, q))

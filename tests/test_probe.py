@@ -325,16 +325,23 @@ class TestCommutator:
         probe._resolvent_at_i(matrix, v, z=z, M=inverse)
         # one product per CG iteration, plus the true-residual check
         assert len(products) - 1 <= 2
-        # commutator_decay hands its solves the preconditioner
-        solve, given = probe._resolvent_at_i, []
+        # commutator_decay hands its solves the preconditioner, applied on
+        # numpy's BLAS like CG's own products: one on scipy's, whose OpenBLAS
+        # has its own thread pool, made each solve 4.6x slower at 2 threads
+        import scipy.linalg.blas
+
+        solve, given, scipy_products = probe._resolvent_at_i, [], []
 
         def recording(matrix, v, z, M):
             given.append(M)
             return solve(matrix, v, z=z, M=M)
 
+        dgemm = scipy.linalg.blas.dgemm
+        monkeypatch.setattr(scipy.linalg.blas, "dgemm",
+                            lambda *args, **kwargs: scipy_products.append(1) or dgemm(*args, **kwargs))
         monkeypatch.setattr(probe, "_resolvent_at_i", recording)
         commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
-        assert given[0] is not None
+        assert given[0] is not None and scipy_products == []
 
     @pytest.mark.parametrize("case", ["non-separable", "1d"])
     def test_unselected_grid_solves_unpreconditioned(self, monkeypatch, case):
