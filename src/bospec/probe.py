@@ -236,10 +236,10 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     CG solve gives the real w = (H - z)^{-1} v, which every scale shares, so
     all scales are compared on the same probes.  When V is a sum of
     one-variable terms on the grid, CG is preconditioned by the exact inverse
-    from `grid.separable_inverse`, its products on numpy's BLAS like CG's
-    own; otherwise it runs unpreconditioned.  The
-    commutator of the assembled matrix with Phi = diag(phi_q), H Phi - Phi H
-    (the potential cancels exactly), is applied to w, and the max of
+    of `grid.separable_inverse`, its products on numpy's BLAS like CG's own;
+    otherwise it runs unpreconditioned.  The commutator of the assembled
+    matrix with Phi = diag(phi_q), H Phi - Phi H (the potential cancels
+    exactly), is applied to w, and the max of
     ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate is a
     lower estimate of the norm; both tend to 0 as q grows.
     """
