@@ -153,8 +153,9 @@ class TestShiftInvertBackend:
         assert res.backend == "sparse LU" and len(factored) == 1 and res.all_converged
 
     def test_inverse_applies_on_scipy_blas(self, monkeypatch):
-        # ARPACK runs on scipy's OpenBLAS; an apply on numpy's, which loads
-        # its own thread pool, oversubscribed the cores and ran 2.4x slower
+        # ARPACK runs on scipy's OpenBLAS; the same apply on numpy's, which
+        # loads its own thread pool, oversubscribed 2 cores: a 255^2 solve
+        # took 0.60-1.02 s against 0.16 s
         import scipy.linalg.blas
 
         products = []
