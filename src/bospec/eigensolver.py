@@ -29,11 +29,12 @@ __all__ = [
     "boundary_warning",
 ]
 
-# Largest grid dimension solved by shift-invert.  The sparse LU of H - sigma I
-# holds about 52 factor nonzeros per unknown on a 2D 255^2 grid but already
-# 274 on a 3D 23^3 grid (436 on 31^3), where on a 2-core host factoring alone
-# (0.4 s) outlasts the whole matvec-only solve (0.2 s).  The LU serves only
-# V that are not sums of one-variable terms (see grid.separable_inverse).
+# Largest grid dimension whose V, when not a sum of one-variable terms (see
+# grid.separable_inverse, which serves every dimension), is solved by
+# shift-invert through a sparse LU.  The LU of H - sigma I holds about 52
+# factor nonzeros per unknown on a 2D 255^2 grid but already 274 on a 3D 23^3
+# grid (436 on 31^3), where on a 2-core host factoring alone (0.4 s) outlasts
+# the whole matvec-only solve (0.2 s).
 SHIFT_INVERT_MAX_DIM = 2
 
 # A fitted error slope in this range passes as second-order convergence.
@@ -71,14 +72,15 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
                       seed: int = 0) -> SpectrumResult:
     """k smallest eigenpairs with residual check ||Hu - lu|| <= tol*max(1, |l|).
 
-    Grids of dimension <= 2 use shift-invert Lanczos on (H - sigma I)^{-1},
-    sigma strictly below the spectrum, so the k eigenvalues nearest sigma
-    are the k smallest.  The inverse is applied by `separable_inverse` when
-    it admits the operator, else by one sparse LU of H - sigma I.
-    Higher-dimensional grids, whose LU fills in too much, use ARPACK's
-    implicitly restarted Lanczos (``which='SA'``) with scipy's default
-    restart cap; `iterations` counts operator applications and `backend`
-    names the operator.
+    When `separable_inverse` admits the operator (V a sum of one-variable
+    terms, on a grid of any dimension) it applies (H - sigma I)^{-1} for
+    shift-invert Lanczos, sigma strictly below the spectrum, so the k
+    eigenvalues nearest sigma are the k smallest.  Otherwise grids of
+    dimension <= SHIFT_INVERT_MAX_DIM apply it by one sparse LU of
+    H - sigma I, and higher-dimensional grids, whose LU fills in too much,
+    use ARPACK's implicitly restarted Lanczos (``which='SA'``) with scipy's
+    default restart cap; `iterations` counts operator applications and
+    `backend` names the operator.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
@@ -100,9 +102,9 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
             return apply(x)
         return LinearOperator((dim, dim), matvec=matvec, dtype=a.dtype)
 
-    if op.grid.dim <= SHIFT_INVERT_MAX_DIM:
-        sigma = op.shift_below_spectrum()
-        inverse = separable_inverse(op, sigma)
+    sigma = op.shift_below_spectrum()
+    inverse = separable_inverse(op, sigma)
+    if inverse is not None or op.grid.dim <= SHIFT_INVERT_MAX_DIM:
         if inverse is not None:
             backend, solve = "separable inverse", inverse.matvec
         else:

@@ -111,14 +111,66 @@ def laplacian_1d(m: int, delta: float) -> sp.csr_matrix:
 
 def kinetic_operator(grid: Grid, h: float) -> sp.csr_matrix:
     """-h^2 Lap_x - Lap_y on the grid (x-dimension stencils scaled by h^2): the
-    Kronecker sum of the per-axis stencils, dimension 0 fastest."""
+    Kronecker sum of the per-axis stencils, dimension 0 fastest, assembled
+    from its bands like `assemble_hamiltonian` with V = 0."""
+    return _band_matrix(grid, h, 0.0)
+
+
+def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
+    """The kinetic operator plus diag(potential_values), built in canonical
+    CSR straight from its 2 dim + 1 bands.
+
+    The couplings of a node to its neighbours one stride of dimension d away
+    are w_d * (-1 / delta_d^2), left out where they would cross an end of
+    axis d, and the main band is sum_d w_d * (2 / delta_d^2), summed in
+    dimension order, plus V.  Each value is formed as w_d * laplacian_1d,
+    scipy.sparse.kronsum and a sparse add of diags(V) form it, so the matrix
+    equals theirs bit for bit at a fraction of the time and transient
+    memory."""
     if not 0 < h <= DEFAULT_H_MAX:
         raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
-    total = None
-    for d, (m, delta) in enumerate(zip(grid.points, grid.spacing)):
-        stencil = (h * h if d < grid.n else 1.0) * laplacian_1d(m, delta)
-        total = stencil if total is None else sp.kronsum(total, stencil, format="csr")
-    return total
+    dim, size = grid.dim, grid.size
+    bands = 2 * dim + 1
+    # band dim - 1 - d couples to the node one stride of dimension d below,
+    # band dim + 1 + d to the one above, so each row's columns ascend
+    strides = [math.prod(grid.points[:d]) for d in range(dim)]
+    offsets = [-s for s in reversed(strides)] + [0] + strides
+    values = np.empty((size, bands))
+    kept = np.ones((size, bands), dtype=bool)
+    counts = np.full(size, bands, dtype=np.int32)
+    # array axis a holds dimension dim - 1 - a, since dimension 0 runs fastest
+    kept_nodes = kept.reshape(grid.points[::-1] + (bands,))
+    count_nodes = counts.reshape(grid.points[::-1])
+    main = 0.0
+    for d, delta in enumerate(grid.spacing):
+        weight = h * h if d < grid.n else 1.0
+        # a loop, not sum(): Python 3.12's sum() compensates float rounding
+        main = main + weight * (2.0 / delta**2)
+        edge = [slice(None)] * dim
+        for band, end in ((dim - 1 - d, 0), (dim + 1 + d, -1)):
+            values[:, band] = weight * (-1.0 / delta**2)
+            edge[dim - 1 - d] = end
+            kept_nodes[(*edge, band)] = False
+            count_nodes[tuple(edge)] -= 1
+    values[:, dim] = main + potential_values
+    data = values[kept]
+    del values
+    columns = np.empty((size, bands), dtype=np.int32)
+    nodes = np.arange(size, dtype=np.int32)
+    for band, offset in enumerate(offsets):
+        np.add(nodes, offset, out=columns[:, band])
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((data, columns[kept], indptr), shape=(size, size))
+
+
+def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:
+    """Main and off diagonal of the axis-d tridiagonal w_d * laplacian_1d +
+    diag(values), w_d = h^2 on x-dimensions and 1 on y-dimensions."""
+    weight = h * h if d < grid.n else 1.0
+    delta = grid.spacing[d]
+    main = 2.0 * weight / delta**2 + np.asarray(values, dtype=float)
+    return main, np.full(grid.points[d] - 1, -weight / delta**2)
 
 
 def axis_eigenpairs(grid: Grid, h: float, d: int, values) -> tuple:
@@ -130,11 +182,7 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values) -> tuple:
     # scipy.sparse.linalg, measured 0.05 s slower set-up of the package
     from scipy.linalg import eigh_tridiagonal
 
-    weight = h * h if d < grid.n else 1.0
-    delta = grid.spacing[d]
-    main = 2.0 * weight / delta**2 + np.asarray(values, dtype=float)
-    off = np.full(grid.points[d] - 1, -weight / delta**2)
-    return eigh_tridiagonal(main, off)
+    return eigh_tridiagonal(*_axis_tridiagonal(grid, h, d, values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,68 +215,85 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
         raise ValueError(
             f"potential dims ({pot.n},{pot.p}) do not match grid ({grid.n},{grid.p})")
     vvals = pot.evaluate_many(grid.node_coords())
-    mat = (kinetic_operator(grid, h) + sp.diags(vvals)).tocsr()
-    mat.sum_duplicates()
-    return GridOperator(grid=grid, h=h, matrix=mat, potential=pot,
-                        potential_values=vvals)
+    return GridOperator(grid=grid, h=h, matrix=_band_matrix(grid, h, vvals),
+                        potential=pot, potential_values=vvals)
 
 
 def separable_inverse(op: GridOperator, z: float):
-    """(H - zI)^{-1} as a LinearOperator by per-axis fast diagonalization
-    (Lynch, Rice & Thomas, Numer. Math. 6, 1964), or None.
+    """(H - zI)^{-1} as a LinearOperator by the matrix decomposition method
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), or None.
 
     It is built only when V is a sum of one-variable terms on the grid: its
     node values equal the sum of its per-axis slices through the node m of
     least V, minus (dim - 1) V(m), up to 1e-12 max(1, max |V|).  H - zI is
     then the Kronecker sum of the per-axis tridiagonals T_d = w_d stencil +
-    diag(slice_d), less z + (dim - 1) V(m), and the eigendecompositions
-    T_d = Q_d diag(lam_d) Q_d^T invert it; z must not be an eigenvalue of H.
+    diag(slice_d), less z + (dim - 1) V(m).  Every axis but the one with the
+    most points, t, is rotated into the eigenbasis of its T_d = Q_d diag(lam_d)
+    Q_d^T, so each dense Q_d holds N_d^2 <= prod N entries, at most one grid
+    vector's bytes.  In that basis H - zI is one tridiagonal matrix of size
+    prod N whose blocks along axis t are uncoupled, T_t shifted by one
+    eigenvalue of each rotated axis; it is factored once by LAPACK's dpttrf,
+    and z must lie below the spectrum of H, so that the matrix is positive
+    definite.  A 1D grid rotates nothing.
 
-    The dense Q_d are kept only while each takes at most the bytes of the two
-    grid vectors the apply holds anyway (the denominators and its work
-    array), N_d^2 <= 2 prod N: never on a 1D grid (N^2 <= 2N needs N <= 2),
-    and in 2D while neither axis has more than twice the other's points.
-
-    The apply makes one scipy BLAS dgemm per axis and direction.  numpy and
-    scipy each load their own OpenBLAS with its own thread pool, and ARPACK
-    runs on scipy's: an apply on numpy's inside an ARPACK iteration makes the
-    two pools alternate and oversubscribe the cores."""
+    The apply makes one scipy BLAS dgemm per rotated axis and direction and
+    one dpttrs solve.  numpy and scipy each load their own OpenBLAS with its
+    own thread pool, and ARPACK runs on scipy's: an apply on numpy's inside
+    an ARPACK iteration makes the two pools alternate and oversubscribe the
+    cores."""
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.blas import dgemm
 
     return _separable_inverse(
-        op, z, lambda x, q, trans: dgemm(1.0, x, q, trans_a=1, trans_b=trans))
+        op, z, lambda x, q, back: (dgemm(1.0, q, x, trans_b=1) if back
+                                   else dgemm(1.0, x, q, trans_a=1)))
 
 
 def _separable_inverse(op: GridOperator, z: float, product):
-    """`separable_inverse` with the per-axis products left to the caller, so
+    """`separable_inverse` with the dense products left to the caller, so
     that they run on the BLAS of the iteration that applies the inverse:
-    product(x, q, trans) returns x^T Q (trans 0) or x^T Q^T (trans 1) in
-    Fortran order, x being Fortran-ordered."""
+    product(x, q, back) returns, in Fortran order, x^T Q for the
+    Fortran-ordered (N_d, rest) matrix x (back false) or Q x^T for the
+    Fortran-ordered (rest, N_d) matrix x (back true)."""
+    # dpttrs is unthreaded, so it suits either BLAS's caller
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     grid = op.grid
-    if max(grid.points) ** 2 > 2 * grid.size:
-        return None
+    dim, points = grid.dim, grid.points
     # array axis a holds dimension dim - 1 - a, since dimension 0 runs fastest
-    values = op.potential_values.reshape(grid.points[::-1])
+    values = op.potential_values.reshape(points[::-1])
     least = np.unravel_index(np.argmin(values), values.shape)
-    slices = [values[least[:a] + (slice(None),) + least[a + 1:]] for a in range(grid.dim)]
-    offset = (grid.dim - 1) * values[least]
+    slices = [values[least[:a] + (slice(None),) + least[a + 1:]] for a in range(dim)]
+    offset = (dim - 1) * values[least]
     gap = np.abs(reduce(np.add.outer, slices) - offset - values).max()
     if gap > 1e-12 * max(1.0, float(np.abs(values).max())):
         return None
-    pairs = [axis_eigenpairs(grid, op.h, d, s) for d, s in enumerate(slices[::-1])]
-    denominators = (reduce(np.add.outer, [lam for lam, _ in reversed(pairs)])
-                    - (z + offset)).ravel()
-
-    def rotate(x, trans):
-        # one product per axis: with x read as the (N_d, rest) matrix of its
-        # leading axis d, x^T Q_d (or x^T Q_d^T) transforms axis d and moves
-        # it last, so after all axes the order is the original one
-        for _, q in pairs:
-            x = product(x.reshape((q.shape[0], -1), order="F"), q, trans)
-        return x.ravel(order="F")
+    slices.reverse()
+    # of equal axes the last stays tridiagonal, which needs no transposition
+    t = max(range(dim), key=lambda d: (points[d], d))
+    # x^T Q_d for x read as the (N_d, rest) matrix of its leading dimension d
+    # transforms d and moves it last: after dimensions 0..t are moved last
+    # untransformed, rotating these in turn leaves t leading again
+    rotated = [*range(t + 1, dim), *range(t)]
+    pairs = [axis_eigenpairs(grid, op.h, d, slices[d]) for d in rotated]
+    shifts = np.ravel(reduce(np.add.outer, [lam for lam, _ in reversed(pairs)],
+                             -(z + offset)))
+    main, off = _axis_tridiagonal(grid, op.h, t, slices[t])
+    factor_d, factor_e, info = dpttrf(np.add.outer(shifts, main).ravel(),
+                                      np.tile(np.append(off, 0.0), shifts.size)[:-1])
+    if info != 0:
+        raise ValueError(f"H - zI is not positive definite at z = {z} (dpttrf info {info})")
+    lead = math.prod(points[:t + 1])
 
     def apply(r):
-        return rotate(rotate(r, 0) / denominators, 1)
+        x = r if t == dim - 1 else r.reshape((lead, -1), order="F").T
+        for d, (_, q) in zip(rotated, pairs):
+            x = product(x.reshape((points[d], -1), order="F"), q, False)
+        x, _ = dpttrs(factor_d, factor_e, x.ravel(order="F"))
+        for d, (_, q) in zip(rotated[::-1], pairs[::-1]):
+            x = product(x.reshape((-1, points[d]), order="F"), q, True)
+        if t < dim - 1:
+            x = x.reshape((-1, lead), order="F").T
+        return x.ravel(order="F")
 
     return LinearOperator((op.dim, op.dim), apply, dtype=float)

@@ -251,7 +251,7 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     # scipy's CG takes its dot products and norms on numpy's BLAS; products on
     # scipy's, whose OpenBLAS has its own thread pool, made each solve on
     # 191^2 4.6x slower at 2 threads (8.0 against 1.7 ms)
-    inverse = _separable_inverse(op, z, lambda x, q, trans: ((q if trans else q.T) @ x).T)
+    inverse = _separable_inverse(op, z, lambda x, q, back: (x @ q.T).T if back else (q.T @ x).T)
     comms = []
     for q in family.scales:
         phi = sp.diags(family.values(op.grid, q))

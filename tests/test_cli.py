@@ -633,3 +633,20 @@ def test_bospec_threads_caps_blas():
     if not found:
         pytest.skip("no OpenBLAS loaded")
     assert set(found.values()) == {1}
+
+
+def test_bospec_threads_after_numpy_warns():
+    # numpy's BLAS reads its thread count when numpy is imported: a cap set by
+    # a later `import bospec` cannot reach it, and the import says so
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["BOSPEC_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(bospec.__file__).resolve().parent.parent)
+    runs = {order: subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                                   f"import {order}"], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            for order in ("numpy, bospec", "bospec, numpy")}
+    late = runs["numpy, bospec"]
+    assert late.returncode != 0 and "RuntimeWarning" in late.stderr
+    assert "import bospec first, or set OPENBLAS_NUM_THREADS" in late.stderr
+    assert runs["bospec, numpy"].returncode == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from bospec.grid import (
     assemble_hamiltonian,
@@ -100,6 +102,30 @@ class TestAssembly:
                                    rtol=1e-14, atol=0)
 
 
+    # assembly from the bands must give the matrix that kronsum and a sparse
+    # add of diags(V) give, bit for bit and in the same canonical layout
+    @pytest.mark.parametrize("h", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n, p, points, expression", [
+        (1, 0, (31,), "x1^2"), (1, 1, (5, 9), "x1^4 + y1^2 - 3"),
+        (1, 1, (191, 191), "x1^2 + y1^2"), (1, 2, (7, 9, 11), "x1^2 + y1^2 + y1*y2 + 2*y2^2"),
+        (2, 2, (5, 6, 7, 4), "x1^2 + x2^2 + x1*y2 + y1^2 + y2^2")],
+        ids=["1d", "5x9", "191x191", "3d", "n2p2"])
+    def test_bitwise_equal_to_kronsum(self, n, p, points, expression, h):
+        dim = n + p
+        grid = build_grid(n, p, [3.0 + d for d in range(dim)], points)
+        pot = expression_potential(expression, n, p, nonnegative=False)
+        kinetic = None
+        for d, (m, delta) in enumerate(zip(grid.points, grid.spacing)):
+            stencil = (h * h if d < n else 1.0) * laplacian_1d(m, delta)
+            kinetic = stencil if kinetic is None else sp.kronsum(kinetic, stencil, format="csr")
+        matrix = assemble_hamiltonian(grid, pot, h).matrix
+        reference = (kinetic + sp.diags(pot.evaluate_many(grid.node_coords()))).tocsr()
+        for built, expected in ((matrix, reference), (kinetic_operator(grid, h), kinetic)):
+            assert built.format == "csr" and built.has_canonical_format
+            for field in ("indptr", "indices", "data"):
+                got, want = getattr(built, field), getattr(expected, field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 class TestMatvec:
     def test_constant_vector(self):
         grid = build_grid(1, 0, [2.0], [3])
@@ -197,15 +223,41 @@ class TestInvariants:
 
 
 class TestSeparableInverse:
-    # each dense per-axis eigenvector matrix may take the bytes of two grid
-    # vectors, N_d^2 <= 2 prod N: 82^2 = 2 * 41 * 82 is the edge, and a 1D
-    # grid (N^2 <= 2N) is never admitted
-    @pytest.mark.parametrize("points, admitted", [
-        ((191, 193), True), ((255, 257), True), ((41, 82), True), ((41, 83), False),
-        ((5, 41), False), ((1399,), False)])
-    def test_admission_by_eigenvector_bytes(self, points, admitted):
+    @staticmethod
+    def op(points, expression):
         dim = len(points)
-        pot = quadratic_potential([[1.0]], np.eye(dim - 1) if dim > 1 else None)
-        op = assemble_hamiltonian(build_grid(1, dim - 1, [8.0] * dim, points), pot, 0.5)
+        pot = expression_potential(expression, 1, dim - 1, nonnegative=False)
+        return assemble_hamiltonian(build_grid(1, dim - 1, [6.0] * dim, points), pot, 0.5)
+
+    # separability alone admits: a 1D grid, and grids of any aspect or
+    # dimension, since only axes no longer than the longest are made dense
+    @pytest.mark.parametrize("points, expression, admitted", [
+        ((191, 193), "x1^2 + y1^2", True), ((41, 83), "x1^2 + y1^4", True),
+        ((5, 41), "x1^2 + y1^2", True), ((1399,), "x1^2", True),
+        ((9, 7, 8), "x1^2 + y1^2 + 2*y2^2", True),
+        ((41, 83), "x1^2 + y1^2 + x1*y1", False), ((9, 7, 8), "x1^2 + y1*y2", False)])
+    def test_admission_by_separability(self, points, expression, admitted):
+        op = self.op(points, expression)
         inverse = separable_inverse(op, op.shift_below_spectrum())
         assert (inverse is not None) == admitted
+
+    # the longest axis stays tridiagonal: last (5 x 41, 3D), first (1399 x 5,
+    # the apply transposes around its products) or the only one (1D); an even
+    # count keeps the nodes off the origin, so min V != 0
+    @pytest.mark.parametrize("points", [(31,), (5, 41), (41, 83), (1399, 5), (7, 9, 8), (9, 8, 7)])
+    def test_apply_matches_direct_solve(self, points):
+        expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
+        op = self.op(points, expression)
+        z = op.shift_below_spectrum()
+        shifted = (op.matrix - z * sp.identity(op.dim, format="csr")).tocsc()
+        r = np.random.default_rng(0).standard_normal(op.dim)
+        exact = spsolve(shifted, r)
+        x = separable_inverse(op, z).matvec(r)
+        assert np.linalg.norm(shifted @ x - r) <= 1e-13 * np.linalg.norm(r)
+        assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    def test_z_not_below_spectrum_raises(self):
+        op = self.op((15, 17), "x1^2 + y1^2")
+        lowest = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        with pytest.raises(ValueError, match="positive definite"):
+            separable_inverse(op, lowest + 1e-3)

@@ -277,9 +277,10 @@ class TestCommutator:
             _resolvent_at_i(matrix, v, z=op.shift_below_spectrum() - 1.0, rtol=1e-300)
         assert 0 < len(products) <= op.dim
 
-    # 15 x 17 is near-square, which separable_inverse admits
+    # 17 x 15 keeps its longer axis 0 tridiagonal, so the inverse transposes
+    # around the products commutator_decay supplies
     @pytest.mark.parametrize("case, points", [
-        ("quadratic-2d", (15, 17)), ("quartic-2d", (15, 15)), ("diagonal-3d", (8, 8, 8))], ids=list(SEPARABLE))
+        ("quadratic-2d", (17, 15)), ("quartic-2d", (15, 15)), ("diagonal-3d", (8, 8, 8))], ids=list(SEPARABLE))
     def test_matches_dense_commutator_resolvent(self, case, points):
         pot = SEPARABLE[case]
         grid = build_grid(pot.n, pot.p, [4.0] * len(points), points)
@@ -343,24 +344,42 @@ class TestCommutator:
         commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
         assert given[0] is not None and scipy_products == []
 
-    @pytest.mark.parametrize("case", ["non-separable", "1d"])
+    @pytest.mark.parametrize("case", ["non-separable"])
     def test_unselected_grid_solves_unpreconditioned(self, monkeypatch, case):
         import bospec.probe as probe
 
-        if case == "non-separable":
-            pot = expression_potential("x1^2*y1^2", 1, 1, nonnegative=True)
-            op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
-            family = CutoffFamily(scales=(1.5, 3.0))
-        else:  # acceptance criterion 10's grid
-            grid = build_grid(1, 0, [70.0], [1399])
-            op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), 1.0)
-            family = CutoffFamily(scales=(4.0, 8.0, 16.0, 32.0))
+        pot = expression_potential("x1^2*y1^2", 1, 1, nonnegative=True)
+        op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
+        family = CutoffFamily(scales=(1.5, 3.0))
         assert separable_inverse(op, op.shift_below_spectrum() - 1.0) is None
         chosen = commutator_decay(op, family, probes=2, seed=0)
         solve = probe._resolvent_at_i
         monkeypatch.setattr(probe, "_resolvent_at_i",
                             lambda matrix, v, z, M: solve(matrix, v, z=z, M=None))
         assert chosen == commutator_decay(op, family, probes=2, seed=0)
+
+    def test_1d_grid_solves_preconditioned(self, monkeypatch):
+        # acceptance criterion 10's grid: every 1D V is a sum of one-variable
+        # terms, so each solve is preconditioned by the exact inverse
+        import bospec.probe as probe
+
+        grid = build_grid(1, 0, [70.0], [1399])
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), 1.0)
+        family = CutoffFamily(scales=(4.0, 8.0, 16.0, 32.0))
+        solve, given = probe._resolvent_at_i, []
+
+        def recording(matrix, v, z, M):
+            given.append(M)
+            return solve(matrix, v, z=z, M=M)
+
+        monkeypatch.setattr(probe, "_resolvent_at_i", recording)
+        chosen = commutator_decay(op, family, probes=2, seed=0)
+        monkeypatch.setattr(probe, "_resolvent_at_i",
+                            lambda matrix, v, z, M: solve(matrix, v, z=z, M=None))
+        plain = commutator_decay(op, family, probes=2, seed=0)
+        assert len(given) == 2 and all(M is not None for M in given)
+        for (q, estimate), (_, reference) in zip(chosen, plain):
+            assert estimate == pytest.approx(reference, rel=1e-7)
 
     def test_deep_well_converges(self):
         # a well whose lowest eigenvalues lie far below 0: the former shifted
