@@ -232,9 +232,9 @@ def separable_inverse(op: GridOperator, z: float):
     Q_d^T, so each dense Q_d holds N_d^2 <= prod N entries, at most one grid
     vector's bytes.  In that basis H - zI is one tridiagonal matrix of size
     prod N whose blocks along axis t are uncoupled, T_t shifted by one
-    eigenvalue of each rotated axis; it is factored once by LAPACK's dpttrf,
-    and z must lie below the spectrum of H, so that the matrix is positive
-    definite.  A 1D grid rotates nothing.
+    eigenvalue of each rotated axis; it is factored once by LAPACK's dpttrf.
+    z must lie below the spectrum of H, so that the matrix is positive
+    definite; else ValueError.  A 1D grid rotates nothing.
 
     The apply makes one scipy BLAS dgemm per rotated axis and direction and
     one dpttrs solve.  numpy and scipy each load their own OpenBLAS with its
@@ -255,7 +255,8 @@ def _separable_inverse(op: GridOperator, z: float, product):
     product(x, q, back) returns, in Fortran order, x^T Q for the
     Fortran-ordered (N_d, rest) matrix x (back false) or Q x^T for the
     Fortran-ordered (rest, N_d) matrix x (back true)."""
-    # dpttrs is unthreaded, so it suits either BLAS's caller
+    # imported here like eigh_tridiagonal in axis_eigenpairs; dpttrs is
+    # unthreaded, so it suits the callers of either BLAS
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     grid = op.grid
@@ -268,7 +269,7 @@ def _separable_inverse(op: GridOperator, z: float, product):
     gap = np.abs(reduce(np.add.outer, slices) - offset - values).max()
     if gap > 1e-12 * max(1.0, float(np.abs(values).max())):
         return None
-    slices.reverse()
+    slices.reverse()  # indexed by dimension from here on
     # of equal axes the last stays tridiagonal, which needs no transposition
     t = max(range(dim), key=lambda d: (points[d], d))
     # x^T Q_d for x read as the (N_d, rest) matrix of its leading dimension d
@@ -276,6 +277,8 @@ def _separable_inverse(op: GridOperator, z: float, product):
     # untransformed, rotating these in turn leaves t leading again
     rotated = [*range(t + 1, dim), *range(t)]
     pairs = [axis_eigenpairs(grid, op.h, d, slices[d]) for d in rotated]
+    # block j of the system along t is T_t shifted by one eigenvalue of each
+    # rotated axis, the first of `rotated` varying fastest with j
     shifts = np.ravel(reduce(np.add.outer, [lam for lam, _ in reversed(pairs)],
                              -(z + offset)))
     main, off = _axis_tridiagonal(grid, op.h, t, slices[t])
@@ -286,7 +289,9 @@ def _separable_inverse(op: GridOperator, z: float, product):
     lead = math.prod(points[:t + 1])
 
     def apply(r):
-        x = r if t == dim - 1 else r.reshape((lead, -1), order="F").T
+        x = r
+        if t < dim - 1:
+            x = x.reshape((lead, -1), order="F").T
         for d, (_, q) in zip(rotated, pairs):
             x = product(x.reshape((points[d], -1), order="F"), q, False)
         x, _ = dpttrs(factor_d, factor_e, x.ravel(order="F"))
