@@ -154,7 +154,7 @@ def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
             count_nodes[tuple(edge)] -= 1
     values[:, dim] = main + potential_values
     data = values[kept]
-    del values
+    del values  # freed before the column table is made, to lower the peak memory
     columns = np.empty((size, bands), dtype=np.int32)
     nodes = np.arange(size, dtype=np.int32)
     for band, offset in enumerate(offsets):

@@ -235,7 +235,8 @@ class TestSeparableInverse:
         ((191, 193), "x1^2 + y1^2", True), ((41, 83), "x1^2 + y1^4", True),
         ((5, 41), "x1^2 + y1^2", True), ((1399,), "x1^2", True),
         ((9, 7, 8), "x1^2 + y1^2 + 2*y2^2", True),
-        ((41, 83), "x1^2 + y1^2 + x1*y1", False), ((9, 7, 8), "x1^2 + y1*y2", False)])
+        ((41, 83), "x1^2 + y1^2 + x1*y1", False), ((9, 7, 8), "x1^2 + y1*y2", False)],
+        ids=["191x193", "41x83", "5x41", "1d", "3d", "41x83-coupled", "3d-coupled"])
     def test_admission_by_separability(self, points, expression, admitted):
         op = self.op(points, expression)
         inverse = separable_inverse(op, op.shift_below_spectrum())
@@ -244,7 +245,8 @@ class TestSeparableInverse:
     # the longest axis stays tridiagonal: last (5 x 41, 3D), first (1399 x 5,
     # the apply transposes around its products) or the only one (1D); an even
     # count keeps the nodes off the origin, so min V != 0
-    @pytest.mark.parametrize("points", [(31,), (5, 41), (41, 83), (1399, 5), (7, 9, 8), (9, 8, 7)])
+    @pytest.mark.parametrize("points", [(31,), (5, 41), (41, 83), (1399, 5), (7, 9, 8), (9, 8, 7)],
+                             ids=["1d", "5x41", "41x83", "1399x5", "7x9x8", "9x8x7"])
     def test_apply_matches_direct_solve(self, points):
         expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
         op = self.op(points, expression)
