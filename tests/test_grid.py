@@ -101,7 +101,6 @@ class TestAssembly:
         np.testing.assert_allclose(kinetic_operator(grid, h).toarray(), expected,
                                    rtol=1e-14, atol=0)
 
-
     # assembly from the bands must give the matrix that kronsum and a sparse
     # add of diags(V) give, bit for bit and in the same canonical layout
     @pytest.mark.parametrize("h", [0.3, 0.5, 1.0])
@@ -125,6 +124,7 @@ class TestAssembly:
             for field in ("indptr", "indices", "data"):
                 got, want = getattr(built, field), getattr(expected, field)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestMatvec:
     def test_constant_vector(self):
@@ -242,9 +242,10 @@ class TestSeparableInverse:
         inverse = separable_inverse(op, op.shift_below_spectrum())
         assert (inverse is not None) == admitted
 
-    # the longest axis stays tridiagonal: last (5 x 41, 3D), first (1399 x 5,
-    # the apply transposes around its products) or the only one (1D); an even
-    # count keeps the nodes off the origin, so min V != 0
+    # the longest axis stays tridiagonal: the last (5 x 41, 41 x 83), the
+    # first (1399 x 5, 9 x 8 x 7) or a middle one (7 x 9 x 8), where the
+    # apply transposes around its products, or the only one (1D); the -3 makes
+    # min V nonzero, so the shift (dim - 1) min V of the split is exercised
     @pytest.mark.parametrize("points", [(31,), (5, 41), (41, 83), (1399, 5), (7, 9, 8), (9, 8, 7)],
                              ids=["1d", "5x41", "41x83", "1399x5", "7x9x8", "9x8x7"])
     def test_apply_matches_direct_solve(self, points):
