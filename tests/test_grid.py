@@ -242,6 +242,30 @@ class TestSeparableInverse:
         inverse = separable_inverse(op, op.shift_below_spectrum())
         assert (inverse is not None) == admitted
 
+    # `admitted` is whether each axis's dense eigenvectors would take at most
+    # the bytes of two grid vectors, N_d^2 <= 2 prod N (41 x 83 would not);
+    # eigenvector bytes no longer decide admission: the longest axis is never
+    # made dense and every other axis's eigenvectors fit in one grid vector
+    @pytest.mark.parametrize("points, admitted", [
+        ((191, 193), True), ((255, 257), True), ((41, 82), True), ((41, 83), False)])
+    def test_admission_by_eigenvector_bytes(self, points, admitted, monkeypatch):
+        import bospec.grid as grid_module
+
+        dense = []
+        eigenpairs = grid_module.axis_eigenpairs
+
+        def recording(grid, h, d, values):
+            dense.append(d)
+            return eigenpairs(grid, h, d, values)
+
+        monkeypatch.setattr(grid_module, "axis_eigenpairs", recording)
+        size = int(np.prod(points))
+        assert all(n * n <= 2 * size for n in points) == admitted
+        op = self.op(points, "x1^2 + y1^2")
+        assert separable_inverse(op, op.shift_below_spectrum()) is not None
+        assert dense == [int(np.argmin(points))]
+        assert all(points[d] ** 2 <= size for d in dense)
+
     # the longest axis stays tridiagonal: the last (5 x 41, 41 x 83), the
     # first (1399 x 5, 9 x 8 x 7) or a middle one (7 x 9 x 8), where the
     # apply transposes around its products, or the only one (1D); the -3 makes
