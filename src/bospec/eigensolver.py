@@ -14,7 +14,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .analytic import bo_spectrum
-from .grid import GridOperator, assemble_hamiltonian, build_grid, separable_inverse
+from .grid import (GridOperator, assemble_hamiltonian, build_grid, eigenbasis_inverse,
+                   separable_decomposition)
 from .potential import Potential
 
 __all__ = [
@@ -72,15 +73,21 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
                       seed: int = 0) -> SpectrumResult:
     """k smallest eigenpairs with residual check ||Hu - lu|| <= tol*max(1, |l|).
 
-    When `separable_inverse` admits the operator (V a sum of one-variable
-    terms, on a grid of any dimension) it applies (H - sigma I)^{-1} for
-    shift-invert Lanczos, sigma strictly below the spectrum, so the k
-    eigenvalues nearest sigma are the k smallest.  Otherwise grids of
-    dimension <= SHIFT_INVERT_MAX_DIM apply it by one sparse LU of
-    H - sigma I, and higher-dimensional grids, whose LU fills in too much,
-    use ARPACK's implicitly restarted Lanczos (``which='SA'``) with scipy's
-    default restart cap; `iterations` counts operator applications and
-    `backend` names the operator.
+    Shift-invert Lanczos applies (H - sigma I)^{-1}, sigma strictly below
+    the spectrum, so the k eigenvalues nearest sigma are the k smallest.
+    When `grid.separable_decomposition` admits the operator (V a sum of
+    one-variable terms, on a grid of any dimension), sigma is its exact
+    lowest eigenvalue less 1e-2 max(1, |lowest|), and ARPACK iterates in the
+    decomposition's rotated basis, where the inverse is one `dpttrs` solve
+    (`grid.eigenbasis_inverse`): the start vector is rotated in once and the
+    Ritz vectors back once.  Otherwise sigma is
+    `GridOperator.shift_below_spectrum`; grids of dimension <=
+    SHIFT_INVERT_MAX_DIM apply the inverse by one sparse LU of H - sigma I,
+    and higher-dimensional grids, whose LU fills in too much, use ARPACK's
+    implicitly restarted Lanczos (``which='SA'``) with scipy's default
+    restart cap.  Residuals and flags are computed in the grid basis against
+    the assembled H; `iterations` counts operator applications and `backend`
+    names the operator.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
@@ -102,11 +109,17 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
             return apply(x)
         return LinearOperator((dim, dim), matvec=matvec, dtype=a.dtype)
 
-    sigma = op.shift_below_spectrum()
-    inverse = separable_inverse(op, sigma)
+    decomposition = separable_decomposition(op)
+    if decomposition is None:
+        sigma = op.shift_below_spectrum()
+    else:
+        # far above the rounding of the exact lowest eigenvalue, so that
+        # H - sigma I stays positive definite
+        sigma = decomposition.lowest - 1e-2 * max(1.0, abs(decomposition.lowest))
+    inverse = None if decomposition is None else eigenbasis_inverse(decomposition, sigma)
     if inverse is not None or op.grid.dim <= SHIFT_INVERT_MAX_DIM:
         if inverse is not None:
-            backend, solve = "separable inverse", inverse.matvec
+            backend, solve = "separable inverse", inverse
         else:
             shifted = (a - sigma * sp.identity(dim, format="csr")).tocsc()
             # H - sigma I is symmetric positive definite: no pivoting is
@@ -115,19 +128,31 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
             lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
             backend, solve = "sparse LU", lu.solve
+        # in shift-invert mode eigsh applies OPinv alone; A gives the shape
         arpack = {"A": a, "sigma": sigma, "which": "LM", "OPinv": counted(solve)}
     else:
         backend, arpack = "matvec", {"A": counted(a.dot), "which": "SA"}
 
+    def grid_basis(vectors):
+        # the separable inverse iterates in the rotated basis; rotated back in
+        # place, a column at a time, since a stacked copy raised the peak memory
+        if inverse is not None:
+            for j in range(vectors.shape[1]):
+                vectors[:, j] = decomposition.rotate_back(vectors[:, j])
+        return vectors
+
     rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(dim)
+    if inverse is not None:
+        v0 = decomposition.rotate(v0)
     try:
-        theta, vectors = eigsh(k=k, v0=rng.standard_normal(dim), tol=0.1 * tol,
-                               **arpack)
+        theta, vectors = eigsh(k=k, v0=v0, tol=0.1 * tol, **arpack)
+        vectors = grid_basis(vectors)
     except ArpackNoConvergence as exc:
         # keep the pairs ARPACK converged and fill up to k by a Rayleigh-Ritz
         # step on seeded random directions; the residuals flag the fill
         fill = rng.standard_normal((dim, k - len(exc.eigenvalues)))
-        basis, _ = np.linalg.qr(np.hstack([exc.eigenvectors, fill]))
+        basis, _ = np.linalg.qr(np.hstack([grid_basis(exc.eigenvectors), fill]))
         theta, s = np.linalg.eigh(basis.T @ (a @ basis))
         vectors = basis @ s
 

@@ -21,11 +21,14 @@ from .potential import Potential
 __all__ = [
     "Grid",
     "GridOperator",
+    "SeparableDecomposition",
     "build_grid",
     "assemble_hamiltonian",
     "axis_eigenpairs",
     "kinetic_operator",
     "laplacian_1d",
+    "eigenbasis_inverse",
+    "separable_decomposition",
     "separable_inverse",
 ]
 
@@ -198,7 +201,10 @@ class GridOperator:
         return self.matrix.shape[0]
 
     def shift_below_spectrum(self) -> float:
-        """A shift strictly below the spectrum of H = K + diag(V).
+        """A shift strictly below the spectrum of H = K + diag(V), for any V:
+        the eigensolver's shift when V is not a sum of one-variable terms
+        (else it shifts from the exact lowest eigenvalue of
+        `separable_decomposition`), and, less 1, the probe's resolvent point.
 
         K is a Kronecker sum of Dirichlet stencils, so its smallest eigenvalue
         is the sum of the per-axis ones; by Weyl's inequality min(V) plus it
@@ -219,86 +225,152 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
                         potential=pot, potential_values=vvals)
 
 
-def separable_inverse(op: GridOperator, z: float):
-    """(H - zI)^{-1} as a LinearOperator by the matrix decomposition method
-    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), or None.
-
-    It is built only when V is a sum of one-variable terms on the grid: its
-    node values equal the sum of its per-axis slices through the node m of
-    least V, minus (dim - 1) V(m), up to 1e-12 max(1, max |V|).  H - zI is
-    then the Kronecker sum of the per-axis tridiagonals T_d = w_d stencil +
-    diag(slice_d), less z + (dim - 1) V(m).  Every axis but the one with the
-    most points, t, is rotated into the eigenbasis of its T_d = Q_d diag(lam_d)
-    Q_d^T, so each dense Q_d holds N_d^2 <= prod N entries, at most one grid
-    vector's bytes.  In that basis H - zI is one tridiagonal matrix of size
-    prod N whose blocks along axis t are uncoupled, T_t shifted by one
-    eigenvalue of each rotated axis; it is factored once by LAPACK's dpttrf.
-    z must lie below the spectrum of H, so that the matrix is positive
-    definite; else ValueError.  A 1D grid rotates nothing.
-
-    The apply makes one scipy BLAS dgemm per rotated axis and direction and
-    one dpttrs solve.  numpy and scipy each load their own OpenBLAS with its
-    own thread pool, and ARPACK runs on scipy's: an apply on numpy's inside
-    an ARPACK iteration makes the two pools alternate and oversubscribe the
-    cores."""
+def _dgemm_product(x, q, back):
+    """The dense product of `SeparableDecomposition.rotate` and `rotate_back`
+    on scipy's BLAS dgemm: x^T Q (back false) or Q x^T (back true)."""
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.blas import dgemm
 
-    return _separable_inverse(
-        op, z, lambda x, q, back: (dgemm(1.0, q, x, trans_b=1) if back
-                                   else dgemm(1.0, x, q, trans_a=1)))
+    return dgemm(1.0, q, x, trans_b=1) if back else dgemm(1.0, x, q, trans_a=1)
 
 
-def _separable_inverse(op: GridOperator, z: float, product):
-    """`separable_inverse` with the dense products left to the caller, so
-    that they run on the BLAS of the iteration that applies the inverse:
-    product(x, q, back) returns, in Fortran order, x^T Q for the
-    Fortran-ordered (N_d, rest) matrix x (back false) or Q x^T for the
-    Fortran-ordered (rest, N_d) matrix x (back true)."""
-    # imported here like eigh_tridiagonal in axis_eigenpairs; dpttrs is
-    # unthreaded, so it suits the callers of either BLAS
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
-    grid = op.grid
-    dim, points = grid.dim, grid.points
+def _separable_split(op: GridOperator):
+    """The per-axis slices of V through its node m of least V, indexed by
+    dimension, and the offset (dim - 1) V(m), when V is a sum of one-variable
+    terms on the grid: its node values equal the sum of the slices minus the
+    offset, up to 1e-12 max(1, max |V|).  Else None."""
+    dim = op.grid.dim
     # array axis a holds dimension dim - 1 - a, since dimension 0 runs fastest
-    values = op.potential_values.reshape(points[::-1])
+    values = op.potential_values.reshape(op.grid.points[::-1])
     least = np.unravel_index(np.argmin(values), values.shape)
     slices = [values[least[:a] + (slice(None),) + least[a + 1:]] for a in range(dim)]
     offset = (dim - 1) * values[least]
     gap = np.abs(reduce(np.add.outer, slices) - offset - values).max()
     if gap > 1e-12 * max(1.0, float(np.abs(values).max())):
         return None
-    slices.reverse()  # indexed by dimension from here on
+    return slices[::-1], offset
+
+
+@dataclass(frozen=True, eq=False)
+class SeparableDecomposition:
+    """H as the Kronecker sum of the per-axis tridiagonals T_d = w_d stencil +
+    diag(slice_d), less the offset (dim - 1) V(m), by the matrix decomposition
+    method (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
+
+    Every axis but the one with the most points, t, is rotated into the
+    eigenbasis of its T_d = Q_d diag(lam_d) Q_d^T, so each dense Q_d holds
+    N_d^2 <= prod N entries, at most one grid vector's bytes.  `rotate` applies
+    the orthogonal change of basis Q^T, `rotate_back` its transpose Q.  In the
+    rotated basis H - zI is one tridiagonal matrix of size prod N whose blocks
+    along axis t are uncoupled, T_t shifted by one eigenvalue of each rotated
+    axis (see `eigenbasis_inverse`).  `lowest` is the lowest eigenvalue of H,
+    the sum of each T_d's lowest less the offset.  A 1D grid rotates nothing.
+    """
+    points: tuple
+    t: int           # the axis kept tridiagonal
+    rotated: tuple   # the other axes, in the order `rotate` transforms them
+    pairs: tuple     # (lam_d, Q_d) per rotated axis, from axis_eigenpairs
+    main: np.ndarray  # main and off diagonal of T_t
+    off: np.ndarray
+    offset: float
+    lowest: float
+
+    def rotate(self, r, product=_dgemm_product):
+        """Q^T r for a grid vector r.  product(x, q, back) returns, in Fortran
+        order, x^T Q for the Fortran-ordered (N_d, rest) matrix x (back false)
+        or Q x^T for the Fortran-ordered (rest, N_d) matrix x (back true); the
+        default runs on scipy's BLAS."""
+        x = r
+        if self.t < len(self.points) - 1:
+            x = x.reshape((math.prod(self.points[:self.t + 1]), -1), order="F").T
+        # x^T Q_d for x read as the (N_d, rest) matrix of its leading dimension
+        # d transforms d and moves it last: after dimensions 0..t are moved
+        # last untransformed, rotating these in turn leaves t leading again
+        for d, (_, q) in zip(self.rotated, self.pairs):
+            x = product(x.reshape((self.points[d], -1), order="F"), q, False)
+        return x.ravel(order="F")
+
+    def rotate_back(self, x, product=_dgemm_product):
+        """Q x, the inverse of `rotate`, with the same `product`."""
+        for d, (_, q) in zip(self.rotated[::-1], self.pairs[::-1]):
+            x = product(x.reshape((-1, self.points[d]), order="F"), q, True)
+        if self.t < len(self.points) - 1:
+            x = x.reshape((-1, math.prod(self.points[:self.t + 1])), order="F").T
+        return x.ravel(order="F")
+
+
+def separable_decomposition(op: GridOperator):
+    """The `SeparableDecomposition` of H when V is a sum of one-variable terms
+    on the grid (see `_separable_split`), else None; z-independent, so one
+    serves every shift."""
+    # imported here like eigh_tridiagonal in axis_eigenpairs
+    from scipy.linalg import eigh_tridiagonal
+
+    split = _separable_split(op)
+    if split is None:
+        return None
+    slices, offset = split
+    points = op.grid.points
+    dim = len(points)
     # of equal axes the last stays tridiagonal, which needs no transposition
     t = max(range(dim), key=lambda d: (points[d], d))
-    # x^T Q_d for x read as the (N_d, rest) matrix of its leading dimension d
-    # transforms d and moves it last: after dimensions 0..t are moved last
-    # untransformed, rotating these in turn leaves t leading again
-    rotated = [*range(t + 1, dim), *range(t)]
-    pairs = [axis_eigenpairs(grid, op.h, d, slices[d]) for d in rotated]
+    rotated = (*range(t + 1, dim), *range(t))
+    pairs = tuple(axis_eigenpairs(op.grid, op.h, d, slices[d]) for d in rotated)
+    main, off = _axis_tridiagonal(op.grid, op.h, t, slices[t])
+    bottom = eigh_tridiagonal(main, off, eigvals_only=True, select="i", select_range=(0, 0))
+    lowest = sum(lam[0] for lam, _ in pairs) + bottom[0] - offset
+    return SeparableDecomposition(points=points, t=t, rotated=rotated, pairs=pairs,
+                                  main=main, off=off, offset=float(offset),
+                                  lowest=float(lowest))
+
+
+def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
+    """(H - zI)^{-1} in the rotated basis of `decomposition`, as a function of
+    one vector: there H - zI is tridiagonal, factored once by LAPACK's dpttrf,
+    and each apply is one dpttrs solve, with no dense product.  z must lie
+    below the spectrum of H, so that the matrix is positive definite; else
+    ValueError."""
+    # imported here like eigh_tridiagonal in axis_eigenpairs; dpttrs is
+    # unthreaded, so it suits the callers of either BLAS
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     # block j of the system along t is T_t shifted by one eigenvalue of each
     # rotated axis, the first of `rotated` varying fastest with j
-    shifts = np.ravel(reduce(np.add.outer, [lam for lam, _ in reversed(pairs)],
-                             -(z + offset)))
-    main, off = _axis_tridiagonal(grid, op.h, t, slices[t])
-    factor_d, factor_e, info = dpttrf(np.add.outer(shifts, main).ravel(),
-                                      np.tile(np.append(off, 0.0), shifts.size)[:-1])
+    shifts = np.ravel(reduce(np.add.outer, [lam for lam, _ in reversed(decomposition.pairs)],
+                             -(z + decomposition.offset)))
+    factor_d, factor_e, info = dpttrf(
+        np.add.outer(shifts, decomposition.main).ravel(),
+        np.tile(np.append(decomposition.off, 0.0), shifts.size)[:-1])
     if info != 0:
         raise ValueError(f"H - zI is not positive definite at z = {z} (dpttrf info {info})")
-    lead = math.prod(points[:t + 1])
+    return lambda x: dpttrs(factor_d, factor_e, x)[0]
+
+
+def separable_inverse(op: GridOperator, z: float):
+    """(H - zI)^{-1} as a LinearOperator when V is a sum of one-variable terms
+    on the grid, else None: each apply rotates into the eigenbasis of
+    `separable_decomposition`, solves there by `eigenbasis_inverse` and
+    rotates back, so it makes one scipy BLAS dgemm per rotated axis and
+    direction and one dpttrs solve.  z must lie below the spectrum of H; else
+    ValueError.
+
+    The products run on scipy's BLAS: numpy and scipy each load their own
+    OpenBLAS with its own thread pool, and ARPACK runs on scipy's, so an apply
+    on numpy's inside an ARPACK iteration makes the two pools alternate and
+    oversubscribe the cores."""
+    return _separable_inverse(op, z, _dgemm_product)
+
+
+def _separable_inverse(op: GridOperator, z: float, product):
+    """`separable_inverse` with the dense products left to the caller (see
+    `SeparableDecomposition.rotate`), so that they run on the BLAS of the
+    iteration that applies the inverse."""
+    decomposition = separable_decomposition(op)
+    if decomposition is None:
+        return None
+    solve = eigenbasis_inverse(decomposition, z)
 
     def apply(r):
-        x = r
-        if t < dim - 1:
-            x = x.reshape((lead, -1), order="F").T
-        for d, (_, q) in zip(rotated, pairs):
-            x = product(x.reshape((points[d], -1), order="F"), q, False)
-        x, _ = dpttrs(factor_d, factor_e, x.ravel(order="F"))
-        for d, (_, q) in zip(rotated[::-1], pairs[::-1]):
-            x = product(x.reshape((-1, points[d]), order="F"), q, True)
-        if t < dim - 1:
-            x = x.reshape((-1, lead), order="F").T
-        return x.ravel(order="F")
+        return decomposition.rotate_back(solve(decomposition.rotate(r, product)), product)
 
     return LinearOperator((op.dim, op.dim), apply, dtype=float)

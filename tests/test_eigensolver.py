@@ -119,6 +119,20 @@ class TestLowestEigenpairs:
                                     - res.vectors * res.eigenvalues, axis=0)
         assert np.allclose(recomputed, res.residuals, rtol=1e-8)
 
+    def test_no_convergence_fill_in_grid_basis(self, monkeypatch):
+        # ARPACK iterates in the separable inverse's rotated basis; the pairs
+        # it converged within one restart must reach the fill rotated back,
+        # or the Rayleigh-Ritz step would mix bases and converge nothing
+        monkeypatch.setattr(eigensolver, "eigsh", functools.partial(eigsh, maxiter=1))
+        op = op_2d("x1^2 + y1^2", (63, 65))
+        res = lowest_eigenpairs(op, 6, tol=1e-12, seed=0)
+        assert res.backend == "separable inverse"
+        assert res.converged.any() and not res.all_converged
+        assert np.abs(res.vectors.T @ res.vectors - np.eye(6)).max() <= 1e-8
+        recomputed = np.linalg.norm(op.matrix @ res.vectors
+                                    - res.vectors * res.eigenvalues, axis=0)
+        assert np.allclose(recomputed, res.residuals, rtol=1e-8)
+
 
 def op_2d(expression, points, half_width=6.0, h=0.5):
     grid = build_grid(1, 1, [half_width] * 2, points)
@@ -133,7 +147,7 @@ class TestShiftInvertBackend:
     def test_separable_inverse_matches_sparse_lu(self, monkeypatch, expression, tol):
         op = op_2d(expression, (63, 65))
         fast = lowest_eigenpairs(op, 6, tol=tol, seed=0)
-        monkeypatch.setattr(eigensolver, "separable_inverse", lambda op, z: None)
+        monkeypatch.setattr(eigensolver, "eigenbasis_inverse", lambda decomposition, z: None)
         lu = lowest_eigenpairs(op, 6, tol=tol, seed=0)
         assert (fast.backend, lu.backend) == ("separable inverse", "sparse LU")
         assert fast.iterations == lu.iterations
@@ -162,12 +176,22 @@ class TestShiftInvertBackend:
             other = "matvec"
         tol = 1e-7
         fast = lowest_eigenpairs(op, 6, tol=tol, seed=0)
-        monkeypatch.setattr(eigensolver, "separable_inverse", lambda op, z: None)
+        monkeypatch.setattr(eigensolver, "eigenbasis_inverse", lambda decomposition, z: None)
         reference = lowest_eigenpairs(op, 6, tol=tol, seed=0)
         assert (fast.backend, reference.backend) == ("separable inverse", other)
         assert fast.all_converged and reference.all_converged
         assert np.all(np.abs(fast.eigenvalues - reference.eigenvalues)
                       <= tol * np.maximum(1.0, np.abs(reference.eigenvalues)))
+
+    def test_non_separable_shift_is_weyl_bound(self, monkeypatch):
+        # only a sum of one-variable terms has its lowest eigenvalue exact;
+        # other V keep the shift strictly below the spectrum by Weyl
+        op = op_2d("x1^2*y1^2 + x1^2 + y1^2", (31, 33))
+        shifts = []
+        monkeypatch.setattr(eigensolver, "eigsh",
+                            lambda **kwargs: shifts.append(kwargs["sigma"]) or eigsh(**kwargs))
+        res = lowest_eigenpairs(op, 3, tol=1e-8, seed=0)
+        assert res.backend == "sparse LU" and shifts == [op.shift_below_spectrum()]
 
     def test_inverse_applies_on_scipy_blas(self, monkeypatch):
         # ARPACK runs on scipy's OpenBLAS; the same apply on numpy's, which
@@ -180,10 +204,11 @@ class TestShiftInvertBackend:
         monkeypatch.setattr(scipy.linalg.blas, "dgemm",
                             lambda *args, **kwargs: products.append(1) or dgemm(*args, **kwargs))
         res = lowest_eigenpairs(op_2d("x1^2 + y1^2", (31, 31)), 4, tol=1e-8, seed=0)
-        # axis 1 stays tridiagonal: one product rotates axis 0 into its
-        # eigenbasis and one rotates it back
-        assert res.backend == "separable inverse"
-        assert len(products) == 2 * res.iterations > 0
+        # ARPACK iterates in the eigenbasis of axis 0, where an apply is one
+        # dpttrs solve: one product rotates the start vector in and one
+        # rotates each of the k Ritz vectors back, whatever the iterations
+        assert res.backend == "separable inverse" and res.iterations > 0
+        assert len(products) == 1 + 4
 
 
 class TestClusterMultiplicities:

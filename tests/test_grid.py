@@ -8,6 +8,7 @@ from bospec.grid import (
     build_grid,
     kinetic_operator,
     laplacian_1d,
+    separable_decomposition,
     separable_inverse,
 )
 from bospec.potential import expression_potential, quadratic_potential
@@ -282,6 +283,17 @@ class TestSeparableInverse:
         x = separable_inverse(op, z).matvec(r)
         assert np.linalg.norm(shifted @ x - r) <= 1e-13 * np.linalg.norm(r)
         assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    # the eigensolver shifts 1e-2 max(1, |lowest|) below it, so the lowest
+    # eigenvalue must be exact far beyond that margin; the -3 makes min V
+    # nonzero, so the offset (dim - 1) min V is exercised
+    @pytest.mark.parametrize("points", [(31,), (9, 11), (5, 6, 7)], ids=["1d", "9x11", "5x6x7"])
+    def test_lowest_eigenvalue_exact(self, points):
+        expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
+        op = self.op(points, expression)
+        lowest = separable_decomposition(op).lowest
+        exact = np.linalg.eigvalsh(op.matrix.toarray())[0]
+        assert abs(lowest - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_z_not_below_spectrum_raises(self):
         op = self.op((15, 17), "x1^2 + y1^2")
