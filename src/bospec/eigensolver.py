@@ -115,7 +115,8 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     else:
         # far above the rounding of the exact lowest eigenvalue, so that
         # H - sigma I stays positive definite
-        sigma = decomposition.lowest - 1e-2 * max(1.0, abs(decomposition.lowest))
+        lowest = decomposition.lowest()
+        sigma = lowest - 1e-2 * max(1.0, abs(lowest))
     inverse = None if decomposition is None else eigenbasis_inverse(decomposition, sigma)
     if inverse is not None or op.grid.dim <= SHIFT_INVERT_MAX_DIM:
         if inverse is not None:

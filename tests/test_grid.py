@@ -291,7 +291,7 @@ class TestSeparableInverse:
     def test_lowest_eigenvalue_exact(self, points):
         expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
         op = self.op(points, expression)
-        lowest = separable_decomposition(op).lowest
+        lowest = separable_decomposition(op).lowest()
         exact = np.linalg.eigvalsh(op.matrix.toarray())[0]
         assert abs(lowest - exact) <= 1e-12 * max(1.0, abs(exact))
 
