@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # Largest grid dimension whose V, when not a sum of one-variable terms (see
-# grid.separable_inverse, which serves every dimension), is solved by
+# grid.separable_decomposition, which serves every dimension), is solved by
 # shift-invert through a sparse LU.  The LU of H - sigma I holds about 52
 # factor nonzeros per unknown on a 2D 255^2 grid but already 274 on a 3D 23^3
 # grid (436 on 31^3), where on a 2-core host factoring alone (0.4 s) outlasts
@@ -109,7 +109,9 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
             return apply(x)
         return LinearOperator((dim, dim), matvec=matvec, dtype=a.dtype)
 
-    decomposition = separable_decomposition(op)
+    # ARPACK runs on scipy's BLAS, so the decomposition's eigensolver and
+    # products do too (see grid.BLAS_SIDES)
+    decomposition = separable_decomposition(op, blas="scipy")
     if decomposition is None:
         sigma = op.shift_below_spectrum()
     else:

@@ -19,6 +19,7 @@ from scipy.sparse.linalg import LinearOperator
 from .potential import Potential
 
 __all__ = [
+    "BLAS_SIDES",
     "Grid",
     "GridOperator",
     "SeparableDecomposition",
@@ -67,7 +68,10 @@ class Grid:
         return np.stack([m.ravel(order="F") for m in mesh], axis=1)
 
     def node_radii(self) -> np.ndarray:
-        return np.linalg.norm(self.node_coords(), axis=1)
+        """|X| per node in flat-index order, from outer sums of the per-axis
+        squares in dimension order, without the coordinate table."""
+        squares = reduce(np.add.outer, [self.axis_coords(d) ** 2 for d in range(self.dim)])
+        return np.sqrt(squares).ravel(order="F")
 
     def dirichlet_modes(self, h: float) -> list:
         """Per-axis eigenvalues of the Dirichlet stencils of -h^2 Lap_x - Lap_y,
@@ -176,16 +180,39 @@ def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:
     return main, np.full(grid.points[d] - 1, -weight / delta**2)
 
 
-def axis_eigenpairs(grid: Grid, h: float, d: int, values) -> tuple:
+# numpy and scipy each load their own OpenBLAS with its own thread pool.  An
+# iteration runs its own products on one of them: ARPACK on scipy's, CG its dot
+# products and norms on numpy's.  A threaded call on the other pool leaves that
+# pool's workers spinning while the iteration goes on, so on 2 cores three
+# threads compete: a 191^2 CG solve with its products on scipy's pool was 4.6x
+# slower, and the eigensolver with its decomposition on numpy's side 2.1-2.6x
+# slower on grids up to 255^2.  So each separable decomposition runs every
+# threaded BLAS call on one side, the BLAS of the iteration that applies it:
+# its axis eigensolver as well as its products.  LAPACK's dpttrf and dpttrs
+# are unthreaded and serve both sides.
+BLAS_SIDES = ("scipy", "numpy")
+
+
+def axis_eigenpairs(grid: Grid, h: float, d: int, values, blas: str) -> tuple:
     """Ascending eigenvalues and orthonormal eigenvector columns of the axis-d
     tridiagonal w_d * laplacian_1d + diag(values), w_d = h^2 on x-dimensions
     and 1 on y-dimensions: the axis-d term of H when V is a sum of one-variable
-    terms, `values` being axis d's term at its nodes."""
+    terms, `values` being axis d's term at its nodes.
+
+    On the "scipy" side by eigh_tridiagonal, whose LAPACK dstevd calls dgemm
+    on scipy's BLAS in its merges; on the "numpy" side by numpy's eigh of the
+    dense tridiagonal, whose N_d^2 entries are the size of the eigenvectors."""
+    main, off = _axis_tridiagonal(grid, h, d, values)
+    if blas == "numpy":
+        # eigh reads the lower triangle only
+        dense = np.diag(main)
+        np.fill_diagonal(dense[1:], off)
+        return np.linalg.eigh(dense)
     # imported here: importing scipy.linalg with this module, ahead of
     # scipy.sparse.linalg, measured 0.05 s slower set-up of the package
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(*_axis_tridiagonal(grid, h, d, values))
+    return eigh_tridiagonal(main, off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +252,13 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
                         potential=pot, potential_values=vvals)
 
 
-def _dgemm_product(x, q, back):
-    """The dense product of `SeparableDecomposition.rotate` and `rotate_back`
-    on scipy's BLAS dgemm: x^T Q (back false) or Q x^T (back true)."""
+def _product(blas: str, x, q, back: bool):
+    """The dense product of `SeparableDecomposition.rotate` (back false) and
+    `rotate_back` (back true) on the given BLAS side, in Fortran order: x^T Q
+    for the Fortran-ordered (N_d, rest) matrix x, or Q x^T for the
+    Fortran-ordered (rest, N_d) matrix x."""
+    if blas == "numpy":
+        return (x @ q.T).T if back else (q.T @ x).T
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.blas import dgemm
 
@@ -263,9 +294,12 @@ class SeparableDecomposition:
     the orthogonal change of basis Q^T, `rotate_back` its transpose Q.  In the
     rotated basis H - zI is one tridiagonal matrix of size prod N whose blocks
     along axis t are uncoupled, T_t shifted by one eigenvalue of each rotated
-    axis (see `eigenbasis_inverse`).  A 1D grid rotates nothing.
+    axis (see `eigenbasis_inverse`).  A 1D grid rotates nothing.  `blas`
+    names the BLAS side (see BLAS_SIDES) of the eigendecomposition and of
+    every product.
     """
     points: tuple
+    blas: str        # "scipy" or "numpy"
     t: int           # the axis kept tridiagonal
     rotated: tuple   # the other axes, in the order `rotate` transforms them
     pairs: tuple     # (lam_d, Q_d) per rotated axis, from axis_eigenpairs
@@ -286,11 +320,8 @@ class SeparableDecomposition:
                                   select="i", select_range=(0, 0))
         return float(sum(lam[0] for lam, _ in self.pairs) + bottom[0] - self.offset)
 
-    def rotate(self, r, product=_dgemm_product):
-        """Q^T r for a grid vector r.  product(x, q, back) returns, in Fortran
-        order, x^T Q for the Fortran-ordered (N_d, rest) matrix x (back false)
-        or Q x^T for the Fortran-ordered (rest, N_d) matrix x (back true); the
-        default runs on scipy's BLAS."""
+    def rotate(self, r):
+        """Q^T r for a grid vector r."""
         x = r
         if self.t < len(self.points) - 1:
             x = x.reshape((math.prod(self.points[:self.t + 1]), -1), order="F").T
@@ -298,22 +329,26 @@ class SeparableDecomposition:
         # d transforms d and moves it last: after dimensions 0..t are moved
         # last untransformed, rotating these in turn leaves t leading again
         for d, (_, q) in zip(self.rotated, self.pairs):
-            x = product(x.reshape((self.points[d], -1), order="F"), q, False)
+            x = _product(self.blas, x.reshape((self.points[d], -1), order="F"), q, False)
         return x.ravel(order="F")
 
-    def rotate_back(self, x, product=_dgemm_product):
-        """Q x, the inverse of `rotate`, with the same `product`."""
+    def rotate_back(self, x):
+        """Q x, the inverse of `rotate`."""
         for d, (_, q) in zip(self.rotated[::-1], self.pairs[::-1]):
-            x = product(x.reshape((-1, self.points[d]), order="F"), q, True)
+            x = _product(self.blas, x.reshape((-1, self.points[d]), order="F"), q, True)
         if self.t < len(self.points) - 1:
             x = x.reshape((-1, math.prod(self.points[:self.t + 1])), order="F").T
         return x.ravel(order="F")
 
 
-def separable_decomposition(op: GridOperator):
+def separable_decomposition(op: GridOperator, blas: str):
     """The `SeparableDecomposition` of H when V is a sum of one-variable terms
     on the grid (see `_separable_split`), else None; z-independent, so one
-    serves every shift."""
+    serves every shift.  `blas` is the side of BLAS_SIDES the iteration that
+    applies it runs on: "scipy" for ARPACK, "numpy" for CG; the axis
+    eigensolver and every product run there."""
+    if blas not in BLAS_SIDES:
+        raise ValueError(f"blas must be one of {BLAS_SIDES}, got {blas!r}")
     split = _separable_split(op)
     if split is None:
         return None
@@ -323,9 +358,9 @@ def separable_decomposition(op: GridOperator):
     # of equal axes the last stays tridiagonal, which needs no transposition
     t = max(range(dim), key=lambda d: (points[d], d))
     rotated = (*range(t + 1, dim), *range(t))
-    pairs = tuple(axis_eigenpairs(op.grid, op.h, d, slices[d]) for d in rotated)
+    pairs = tuple(axis_eigenpairs(op.grid, op.h, d, slices[d], blas) for d in rotated)
     main, off = _axis_tridiagonal(op.grid, op.h, t, slices[t])
-    return SeparableDecomposition(points=points, t=t, rotated=rotated, pairs=pairs,
+    return SeparableDecomposition(points=points, blas=blas, t=t, rotated=rotated, pairs=pairs,
                                   main=main, off=off, offset=float(offset))
 
 
@@ -335,8 +370,8 @@ def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
     and each apply is one dpttrs solve, with no dense product.  z must lie
     below the spectrum of H, so that the matrix is positive definite; else
     ValueError."""
-    # imported here like eigh_tridiagonal in axis_eigenpairs; dpttrs is
-    # unthreaded, so it suits the callers of either BLAS
+    # imported here like eigh_tridiagonal in axis_eigenpairs; dpttrf and
+    # dpttrs are unthreaded, so they serve either BLAS side
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     # block j of the system along t is T_t shifted by one eigenvalue of each
@@ -352,30 +387,19 @@ def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
 
 
 def separable_inverse(op: GridOperator, z: float):
-    """(H - zI)^{-1} as a LinearOperator when V is a sum of one-variable terms
-    on the grid, else None: each apply rotates into the eigenbasis of
-    `separable_decomposition`, solves there by `eigenbasis_inverse` and
-    rotates back, so it makes one scipy BLAS dgemm per rotated axis and
-    direction and one dpttrs solve.  z must lie below the spectrum of H; else
-    ValueError.
-
-    The products run on scipy's BLAS: numpy and scipy each load their own
-    OpenBLAS with its own thread pool, and ARPACK runs on scipy's, so an apply
-    on numpy's inside an ARPACK iteration makes the two pools alternate and
-    oversubscribe the cores."""
-    return _separable_inverse(op, z, _dgemm_product)
-
-
-def _separable_inverse(op: GridOperator, z: float, product):
-    """`separable_inverse` with the dense products left to the caller (see
-    `SeparableDecomposition.rotate`), so that they run on the BLAS of the
-    iteration that applies the inverse."""
-    decomposition = separable_decomposition(op)
+    """(H - zI)^{-1} in the grid basis as a LinearOperator for an iteration on
+    numpy's BLAS, such as scipy's CG, when V is a sum of one-variable terms on
+    the grid, else None.  Its `separable_decomposition` is built on the
+    "numpy" side; each apply rotates into its eigenbasis, solves there by
+    `eigenbasis_inverse` and rotates back, one numpy product per rotated axis
+    and direction and one dpttrs solve.  z must lie below the spectrum of H;
+    else ValueError."""
+    decomposition = separable_decomposition(op, blas="numpy")
     if decomposition is None:
         return None
     solve = eigenbasis_inverse(decomposition, z)
 
     def apply(r):
-        return decomposition.rotate_back(solve(decomposition.rotate(r, product)), product)
+        return decomposition.rotate_back(solve(decomposition.rotate(r)))
 
     return LinearOperator((op.dim, op.dim), apply, dtype=float)

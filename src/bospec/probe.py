@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridOperator, _separable_inverse, kinetic_operator
+from .grid import Grid, GridOperator, kinetic_operator, separable_inverse
 
 __all__ = [
     "CutoffFamily",
@@ -80,9 +79,12 @@ class ZhislinReport:
     verdict: str
 
 
-def make_zhislin_vector(grid: Grid, radius: float, k, width: float) -> np.ndarray:
+def make_zhislin_vector(grid: Grid, radius: float, k, width: float,
+                        radii=None) -> np.ndarray:
     """Normalized e^{i k.X} times a radial bump supported in
-    radius + width < |X| < radius + 2*width; complex unless k = 0."""
+    radius + width < |X| < radius + 2*width; complex unless k = 0.  `radii`,
+    if given, is `grid.node_radii()`, for callers that make several vectors
+    on one grid."""
     spacing = max(grid.spacing)
     if width < 4 * spacing:
         raise ValueError(f"width {width} unresolvable: need >= 4 spacings ({4 * spacing:g})")
@@ -90,14 +92,20 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float) -> np.ndarra
         raise ValueError(
             f"support radius {radius + 2 * width:g} exceeds the box "
             f"(min half-width {min(grid.half_widths)})")
-    coords = grid.node_coords()
-    r = np.linalg.norm(coords, axis=1)
-    envelope = bump(2 * (r - radius - width) / width - 1.0)
+    if radii is None:
+        radii = grid.node_radii()
+    envelope = bump(2 * (radii - radius - width) / width - 1.0)
     k = np.zeros(grid.dim) if k is None else np.asarray(k, dtype=float)
     if np.any(k != 0):
-        v = envelope * np.exp(1j * coords @ k)
+        # the phase k.X only where the bump is nonzero, from the per-axis
+        # coordinates of those nodes
+        support = np.flatnonzero(envelope)
+        index = np.unravel_index(support, grid.points, order="F")
+        phase = sum(kd * grid.axis_coords(d)[index[d]] for d, kd in enumerate(k) if kd != 0)
+        v = np.zeros(grid.size, dtype=complex)
+        v[support] = envelope[support] * np.exp(1j * phase)
     else:
-        v = envelope.astype(float)
+        v = envelope
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("bump not resolved by any grid node")
@@ -105,7 +113,11 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float) -> np.ndarra
 
 
 def _residual(matrix, v: np.ndarray, lam: float) -> float:
-    return float(np.linalg.norm(matrix @ v - lam * v))
+    """||(H - lam) v|| for the real H = `matrix`; a complex v is taken as its
+    real and imaginary parts, since a real sparse matrix times a complex
+    vector copies the matrix into complex numbers first."""
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return float(np.linalg.norm([np.linalg.norm(matrix @ x - lam * x) for x in parts]))
 
 
 def _snap_wavevector(grid: Grid, h: float, lam: float):
@@ -133,6 +145,7 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii) -> list[Zhisl
     if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("need at least two strictly ascending radii")
     free = kinetic_operator(grid, h)
+    node_radii = grid.node_radii()
     reports = []
     for lam in lambdas:
         lam = float(lam)
@@ -141,7 +154,7 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii) -> list[Zhisl
         k, target = _snap_wavevector(grid, h, lam)
         entries = []
         for r in radii:
-            v = make_zhislin_vector(grid, r, k, width=r)
+            v = make_zhislin_vector(grid, r, k, width=r, radii=node_radii)
             entries.append(ProbeEntry(radius=r, residual=_residual(free, v, target),
                                       target=target))
         res = [e.residual for e in entries]
@@ -172,6 +185,7 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
         raise ValueError("radii must be strictly ascending")
     grid = op.grid
     spacing = max(grid.spacing)
+    node_radii = grid.node_radii()
     entries = []
     for q in radii:
         width = 0.95 * (min(grid.half_widths) - q) / 2
@@ -181,8 +195,8 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
         if pot.kind == "quadratic":
             inf_v = pot.min_curvature() * q * q
         else:
-            inf_v = float(op.potential_values[grid.node_radii() > q].min())
-        v = make_zhislin_vector(grid, q, None, width)
+            inf_v = float(op.potential_values[node_radii > q].min())
+        v = make_zhislin_vector(grid, q, None, width, radii=node_radii)
         entries.append(ProbeEntry(radius=q, residual=_residual(op.matrix, v, lam),
                                   lower_bound=inf_v - lam, target=lam))
     bounds = [e.lower_bound for e in entries]
@@ -206,14 +220,16 @@ def _resolvent_at_i(matrix, v: np.ndarray, z: float, rtol: float = 1e-8, M=None)
     real z below its spectrum, so that H - zI is positive definite and
     scipy's CG solves it in real arithmetic.  M, if given, is a symmetric
     positive definite approximation of (H - zI)^{-1} that CG uses as its
-    preconditioner.  The name is kept from the former solve at the point i
+    preconditioner, and CG starts from M v, so an exact M leaves CG only its
+    convergence check.  The name is kept from the former solve at the point i
     because perfbench's tracer wraps this function by name.
 
     CG runs at most dim iterations; a solve that scipy reports unconverged,
     or whose true residual ||Hw - zw - v|| exceeds rtol ||v||, raises."""
     dim = matrix.shape[0]
     shifted = spla.LinearOperator((dim, dim), lambda x: matrix @ x - z * x, dtype=float)
-    w, info = spla.cg(shifted, v, rtol=rtol, atol=0.0, maxiter=dim, M=M)
+    x0 = None if M is None else M @ v
+    w, info = spla.cg(shifted, v, x0=x0, rtol=rtol, atol=0.0, maxiter=dim, M=M)
     target = rtol * np.linalg.norm(v)
     # a miss scipy reports raises without the product of the residual check
     if info != 0 or np.linalg.norm(matrix @ w - z * w - v) > target:
@@ -236,11 +252,12 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     CG solve gives the real w = (H - z)^{-1} v, which every scale shares, so
     all scales are compared on the same probes.  When V is a sum of
     one-variable terms on the grid, CG is preconditioned by the exact inverse
-    of `grid.separable_inverse`, its products on numpy's BLAS like CG's own;
-    otherwise it runs unpreconditioned.  The commutator of the assembled
-    matrix with Phi = diag(phi_q), H Phi - Phi H (the potential cancels
-    exactly), is applied to w, and the max of
-    ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate is a
+    of `grid.separable_inverse`, which runs its eigendecomposition and
+    products on numpy's BLAS like CG's own dot products and norms; otherwise
+    it runs unpreconditioned.  The commutator with Phi = diag(phi_q) is
+    applied matrix-free, [H, Phi] w = H (phi w) - phi (H w), the potential
+    cancelling in exact arithmetic, with H w shared by every scale; the max
+    of ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate is a
     lower estimate of the norm; both tend to 0 as q grows.
     """
     if probes < 1:
@@ -248,20 +265,19 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     if not family.scales or min(family.scales) <= 0:
         raise ValueError(f"need at least one cutoff scale, all > 0; got {family.scales}")
     z = op.shift_below_spectrum() - 1.0
-    # scipy's CG takes its dot products and norms on numpy's BLAS; products on
-    # scipy's, whose OpenBLAS has its own thread pool, made each solve on
-    # 191^2 4.6x slower at 2 threads (8.0 against 1.7 ms)
-    inverse = _separable_inverse(op, z, lambda x, q, back: (x @ q.T).T if back else (q.T @ x).T)
-    comms = []
-    for q in family.scales:
-        phi = sp.diags(family.values(op.grid, q))
-        comms.append(op.matrix @ phi - phi @ op.matrix)
-    best = [0.0] * len(comms)
+    # scipy's CG takes its dot products and norms on numpy's BLAS, and so does
+    # this inverse (see grid.BLAS_SIDES)
+    inverse = separable_inverse(op, z)
+    radii = op.grid.node_radii()
+    phis = [cutoff_profile(radii / q) for q in family.scales]
+    best = [0.0] * len(phis)
     for pi in range(probes):
         v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
         v /= np.linalg.norm(v)
         w = _resolvent_at_i(op.matrix, v, z=z, M=inverse)
-        best = [max(b, float(np.linalg.norm(comm @ w))) for b, comm in zip(best, comms)]
+        hw = op.matrix @ w
+        best = [max(b, float(np.linalg.norm(op.matrix @ (phi * w) - phi * hw)))
+                for b, phi in zip(best, phis)]
     return [(float(q), b) for q, b in zip(family.scales, best)]
 
 

@@ -6,6 +6,7 @@ from scipy.sparse.linalg import spsolve
 from bospec.grid import (
     assemble_hamiltonian,
     build_grid,
+    eigenbasis_inverse,
     kinetic_operator,
     laplacian_1d,
     separable_decomposition,
@@ -166,6 +167,16 @@ class TestRestrict:
         grid = build_grid(1, 0, [2.0], [4])  # nodes avoid the origin
         assert not np.any(grid.node_radii() <= 1e-12)
 
+    # node_radii sums per-axis squares without the coordinate table; unequal
+    # axes catch a wrong flat-index order
+    @pytest.mark.parametrize("n, p, half_widths, points", [
+        (1, 0, [3.0], [17]), (1, 1, [2.0, 5.0], [7, 12]), (1, 2, [1.5, 4.0, 3.0], [5, 9, 6])],
+        ids=["1d", "2d", "3d"])
+    def test_radii_are_coordinate_norms(self, n, p, half_widths, points):
+        grid = build_grid(n, p, half_widths, points)
+        reference = np.linalg.norm(grid.node_coords(), axis=1)
+        assert np.all(np.abs(grid.node_radii() - reference) <= 1e-15 * reference)
+
 
 class TestInvariants:
     def test_symmetry(self):
@@ -255,9 +266,9 @@ class TestSeparableInverse:
         dense = []
         eigenpairs = grid_module.axis_eigenpairs
 
-        def recording(grid, h, d, values):
+        def recording(grid, h, d, values, blas):
             dense.append(d)
-            return eigenpairs(grid, h, d, values)
+            return eigenpairs(grid, h, d, values, blas)
 
         monkeypatch.setattr(grid_module, "axis_eigenpairs", recording)
         size = int(np.prod(points))
@@ -291,7 +302,7 @@ class TestSeparableInverse:
     def test_lowest_eigenvalue_exact(self, points):
         expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
         op = self.op(points, expression)
-        lowest = separable_decomposition(op).lowest()
+        lowest = separable_decomposition(op, blas="scipy").lowest()
         exact = np.linalg.eigvalsh(op.matrix.toarray())[0]
         assert abs(lowest - exact) <= 1e-12 * max(1.0, abs(exact))
 
@@ -300,3 +311,22 @@ class TestSeparableInverse:
         lowest = np.linalg.eigvalsh(op.matrix.toarray())[0]
         with pytest.raises(ValueError, match="positive definite"):
             separable_inverse(op, lowest + 1e-3)
+
+    # the eigensolver's side (eigh_tridiagonal, scipy's dgemm) and the probe's
+    # (numpy's eigh and products) must give the same inverse; 17 x 15 keeps
+    # axis 0 tridiagonal, so the apply transposes around its products
+    @pytest.mark.parametrize("points", [(17, 15), (8, 8, 8)], ids=["17x15", "8x8x8"])
+    def test_blas_sides_agree(self, points):
+        expression = ["x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 2]
+        op = self.op(points, expression)
+        z = op.shift_below_spectrum()
+        r = np.random.default_rng(1).standard_normal(op.dim)
+        scipy_side = separable_decomposition(op, blas="scipy")
+        assert scipy_side.blas == "scipy"
+        x = scipy_side.rotate_back(eigenbasis_inverse(scipy_side, z)(scipy_side.rotate(r)))
+        y = separable_inverse(op, z).matvec(r)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(x)
+
+    def test_unknown_blas_side_raises(self):
+        with pytest.raises(ValueError, match="blas"):
+            separable_decomposition(self.op((9, 11), "x1^2 + y1^2"), blas="mkl")

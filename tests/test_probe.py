@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bospec.grid import assemble_hamiltonian, build_grid, separable_inverse
+from bospec.grid import assemble_hamiltonian, build_grid, kinetic_operator, separable_inverse
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import (
     FORM_TOLERANCE,
@@ -66,6 +66,19 @@ class TestZhislinVector:
         assert np.iscomplexobj(v)
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+    # the phase is evaluated only on the bump's support
+    @pytest.mark.parametrize("n, p, k", [(1, 1, [0.7, -1.3]), (1, 2, [0.4, 1.1, -0.9])],
+                             ids=["2d", "3d"])
+    def test_wavevector_phase(self, n, p, k):
+        dim = n + p
+        grid = build_grid(n, p, [6.0] * dim, [23, 27, 25][:dim])
+        v = make_zhislin_vector(grid, radius=1.0, k=k, width=2.0)
+        coords = grid.node_coords()
+        envelope = bump(2 * (np.linalg.norm(coords, axis=1) - 3.0) / 2.0 - 1.0)
+        reference = envelope * np.exp(1j * coords @ np.asarray(k))
+        reference /= np.linalg.norm(reference)
+        assert np.abs(v - reference).max() <= 1e-14
+
     def test_width_unresolvable(self):
         grid = build_grid(1, 0, [10.0], [19])  # spacing = 1
         with pytest.raises(ValueError, match="width"):
@@ -107,6 +120,16 @@ class TestEssentialProbe:
         grid = build_grid(1, 0, [80.0], [1999])
         (rep,) = essential_spectrum_probe(1.0, grid, [1.0], [5.0, 10.0])
         assert rep.entries[0].target == pytest.approx(1.0, abs=0.05)
+
+    def test_complex_residual(self):
+        # a complex vector's residual is taken as two real products
+        from bospec.probe import _residual
+
+        grid = build_grid(1, 1, [6.0, 6.0], [23, 25])
+        free = kinetic_operator(grid, 0.5)
+        v = make_zhislin_vector(grid, radius=1.0, k=[0.8, -0.5], width=2.0)
+        reference = np.linalg.norm(free.astype(complex) @ v - 1.3 * v)
+        assert _residual(free, v, 1.3) == pytest.approx(reference, rel=1e-14)
 
 
 class TestDiscretenessCertificate:
@@ -326,23 +349,51 @@ class TestCommutator:
         probe._resolvent_at_i(matrix, v, z=z, M=inverse)
         # one product per CG iteration, plus the true-residual check
         assert len(products) - 1 <= 2
-        # commutator_decay hands its solves the preconditioner, applied on
-        # numpy's BLAS like CG's own products: one on scipy's, whose OpenBLAS
-        # has its own thread pool, made each solve 4.6x slower at 2 threads
+        # commutator_decay hands its solves the preconditioner, built and
+        # applied on numpy's BLAS like CG's own products: one on scipy's, whose
+        # OpenBLAS has its own thread pool, made each solve 4.6x slower at 2
+        # threads.  eigh_tridiagonal is recorded too, since its LAPACK dstevd
+        # calls dgemm where Python cannot see it
+        import scipy.linalg
         import scipy.linalg.blas
 
-        solve, given, scipy_products = probe._resolvent_at_i, [], []
+        solve, given, scipy_calls = probe._resolvent_at_i, [], []
 
         def recording(matrix, v, z, M):
             given.append(M)
             return solve(matrix, v, z=z, M=M)
 
-        dgemm = scipy.linalg.blas.dgemm
-        monkeypatch.setattr(scipy.linalg.blas, "dgemm",
-                            lambda *args, **kwargs: scipy_products.append(1) or dgemm(*args, **kwargs))
+        for module, name in ((scipy.linalg.blas, "dgemm"), (scipy.linalg, "eigh_tridiagonal")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, original=original, **kwargs:
+                                scipy_calls.append(name) or original(*args, **kwargs))
         monkeypatch.setattr(probe, "_resolvent_at_i", recording)
         commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
-        assert given[0] is not None and scipy_products == []
+        assert given[0] is not None and scipy_calls == []
+
+    # probe-2d's V is separable; x1^2*y1^2 takes the unpreconditioned solve
+    @pytest.mark.parametrize("expression", ["x1^2*y1^2", "x1^2 + y1^4"],
+                             ids=["non-separable", "separable"])
+    def test_matrix_free_commutator_matches_assembled(self, monkeypatch, expression):
+        import bospec.probe as probe
+
+        pot = expression_potential(expression, 1, 1, nonnegative=True)
+        op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
+        family = CutoffFamily(scales=(1.5, 3.0))
+        solve, solved = probe._resolvent_at_i, []
+
+        def recording(matrix, v, z, M):
+            solved.append((M, solve(matrix, v, z=z, M=M)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(probe, "_resolvent_at_i", recording)
+        results = commutator_decay(op, family, probes=2, seed=0)
+        assert [M is None for M, _ in solved] == [expression == "x1^2*y1^2"] * 2
+        for q, estimate in results:
+            phi = sp.diags(family.values(op.grid, q))
+            comm = op.matrix @ phi - phi @ op.matrix
+            assembled = max(np.linalg.norm(comm @ w) for _, w in solved)
+            assert estimate == pytest.approx(assembled, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["non-separable"])
     def test_unselected_grid_solves_unpreconditioned(self, monkeypatch, case):
