@@ -230,7 +230,8 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
     """Solve the same physics on a family of grids and fit eigenvalue-error
     slopes against the spacing.
 
-    `sizes` are ascending per-dimension interior point counts, at least two.
+    `sizes` are strictly ascending per-dimension interior point counts, at
+    least two: a repeated size would fit one grid twice.
     The reference spectrum comes from the exact oscillator formulas for
     quadratic potentials and from Richardson extrapolation of the two finest
     grids otherwise.
@@ -238,8 +239,8 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2:
         raise ValueError("need at least 2 grid sizes")
-    if sorted(sizes) != sizes:
-        raise ValueError("sizes must be ascending")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly ascending")
 
     eigs = np.empty((len(sizes), k))
     flags = np.empty((len(sizes), k), dtype=bool)

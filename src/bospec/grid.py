@@ -124,51 +124,39 @@ def kinetic_operator(grid: Grid, h: float) -> sp.csr_matrix:
 
 
 def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
-    """The kinetic operator plus diag(potential_values), built in canonical
-    CSR straight from its 2 dim + 1 bands.
+    """The kinetic operator plus diag(potential_values) in canonical CSR,
+    converted by scipy from its 2 dim + 1 bands in DIA layout.
 
     The couplings of a node to its neighbours one stride of dimension d away
-    are w_d * (-1 / delta_d^2), left out where they would cross an end of
-    axis d, and the main band is sum_d w_d * (2 / delta_d^2), summed in
-    dimension order, plus V.  Each value is formed as w_d * laplacian_1d,
-    scipy.sparse.kronsum and a sparse add of diags(V) form it, so the matrix
-    equals theirs bit for bit at a fraction of the time and transient
-    memory."""
+    are w_d * (-1 / delta_d^2), zeroed where they would cross an end of axis
+    d, and the main band is sum_d w_d * (2 / delta_d^2), summed in dimension
+    order, plus V.  Each value is formed as w_d * laplacian_1d,
+    scipy.sparse.kronsum and a sparse add of diags(V) form it, and the
+    conversion drops zero entries as that add does, so the matrix equals
+    theirs bit for bit."""
     if not 0 < h <= DEFAULT_H_MAX:
         raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
     dim, size = grid.dim, grid.size
-    bands = 2 * dim + 1
-    # band dim - 1 - d couples to the node one stride of dimension d below,
-    # band dim + 1 + d to the one above, so each row's columns ascend
     strides = [math.prod(grid.points[:d]) for d in range(dim)]
-    offsets = [-s for s in reversed(strides)] + [0] + strides
-    values = np.empty((size, bands))
-    kept = np.ones((size, bands), dtype=bool)
-    counts = np.full(size, bands, dtype=np.int32)
-    # array axis a holds dimension dim - 1 - a, since dimension 0 runs fastest
-    kept_nodes = kept.reshape(grid.points[::-1] + (bands,))
-    count_nodes = counts.reshape(grid.points[::-1])
+    offsets = [0] + strides + [-s for s in strides]
+    # band k holds the entry (j - offsets[k], j) at column j
+    data = np.empty((len(offsets), size))
+    # array axis 1 + a holds dimension dim - 1 - a, since dimension 0 runs fastest
+    nodes = data.reshape((len(offsets),) + grid.points[::-1])
     main = 0.0
     for d, delta in enumerate(grid.spacing):
         weight = h * h if d < grid.n else 1.0
         # a loop, not sum(): Python 3.12's sum() compensates float rounding
         main = main + weight * (2.0 / delta**2)
+        # the coupling one stride up crosses the end of axis d where its
+        # column is the first node along d, the one down where it is the last
         edge = [slice(None)] * dim
-        for band, end in ((dim - 1 - d, 0), (dim + 1 + d, -1)):
-            values[:, band] = weight * (-1.0 / delta**2)
+        for band, end in ((1 + d, 0), (1 + dim + d, -1)):
+            data[band] = weight * (-1.0 / delta**2)
             edge[dim - 1 - d] = end
-            kept_nodes[(*edge, band)] = False
-            count_nodes[tuple(edge)] -= 1
-    values[:, dim] = main + potential_values
-    data = values[kept]
-    del values  # freed before the column table is made, to lower the peak memory
-    columns = np.empty((size, bands), dtype=np.int32)
-    nodes = np.arange(size, dtype=np.int32)
-    for band, offset in enumerate(offsets):
-        np.add(nodes, offset, out=columns[:, band])
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    return sp.csr_matrix((data, columns[kept], indptr), shape=(size, size))
+            nodes[(band, *edge)] = 0.0
+    data[0] = main + potential_values
+    return sp.dia_matrix((data, offsets), shape=(size, size)).tocsr()
 
 
 def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:

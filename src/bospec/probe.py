@@ -173,7 +173,8 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
     expressions use the minimum of V over the grid nodes with |X| > q, which
     bounds every grid vector supported there.  V is the potential `op` was
     assembled from.  Bounds that diverge with q rule out a Zhislin sequence
-    at lam.
+    at lam.  Radii must be nonnegative and strictly ascending: for q < 0 the
+    exterior is the whole box, which lambda_min * q^2 does not bound.
     """
     pot = op.potential
     if not pot.nonnegative_claimed:
@@ -183,6 +184,8 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
         raise ValueError("need at least one radius")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly ascending")
+    if radii[0] < 0:
+        raise ValueError("radii must be nonnegative")
     grid = op.grid
     spacing = max(grid.spacing)
     node_radii = grid.node_radii()

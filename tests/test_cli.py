@@ -396,6 +396,14 @@ class TestConverge:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "need at least 3 grid sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", ["125 250 250", "125 125 250"])
+    def test_repeated_size_rejected(self, tmp_path, capsys, sizes):
+        cfg = write_config(tmp_path, CONVERGE.replace("sizes = 125 250 500", f"sizes = {sizes}"))
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_reference_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONVERGE + "reference = fdexact\n")
         out = tmp_path / "conv.csv"
@@ -426,6 +434,14 @@ def test_probe_descending_radii_rejected(tmp_path, capsys):
     out = tmp_path / "probe.csv"
     assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
     assert "ascending" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_probe_certificate_negative_radius_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, PROBE_CERT.replace("radii = 3 5", "radii = -5 3"))
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+    assert "nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 

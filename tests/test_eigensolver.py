@@ -266,6 +266,18 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="2"):
             convergence_study(pot, [10.0], [100], k=1)
 
+    # a repeated finest size divided the Richardson reference by zero, and a
+    # repeated coarse one fitted two grids to an exact slope of 2
+    @pytest.mark.parametrize("sizes", [[23, 31, 31], [23, 23, 31]])
+    def test_repeated_size_rejected_before_any_solve(self, monkeypatch, sizes):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the sizes were checked")
+
+        monkeypatch.setattr(eigensolver, "lowest_eigenpairs", no_solve)
+        pot = expression_potential("x1^2 + y1^2 + x1^2*y1^2", 1, 1, nonnegative=True)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            convergence_study(pot, [6.0, 6.0], sizes, k=3, h=0.5)
+
     def test_free_operator_solves_converge(self):
         pot = expression_potential("0*x1", 1, 0, nonnegative=True)
         study = convergence_study(pot, [4.0], [31, 63, 127], k=1, tol=1e-10)

@@ -187,6 +187,14 @@ class TestDiscretenessCertificate:
         with pytest.raises(ValueError, match="ascending"):
             discreteness_certificate(op, lam=4.0, radii=[5.0, 3.0])
 
+    def test_negative_radius_rejected(self):
+        # B(0, -5) is empty, so its exterior is the whole box, where inf V = 0:
+        # the closed form lambda_min q^2 = 25 would bound nothing there
+        grid = build_grid(1, 1, [12.0, 12.0], [63, 63])
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            discreteness_certificate(op, lam=4.0, radii=[-5.0])
+
     def test_needs_a_radius(self):
         op = oscillator_op(points=49)
         with pytest.raises(ValueError, match="need at least one radius"):
