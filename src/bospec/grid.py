@@ -14,7 +14,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from .potential import Potential
 
@@ -168,16 +167,16 @@ def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:
     return main, np.full(grid.points[d] - 1, -weight / delta**2)
 
 
-# numpy and scipy each load their own OpenBLAS with its own thread pool.  An
-# iteration runs its own products on one of them: ARPACK on scipy's, CG its dot
-# products and norms on numpy's.  A threaded call on the other pool leaves that
-# pool's workers spinning while the iteration goes on, so on 2 cores three
-# threads compete: a 191^2 CG solve with its products on scipy's pool was 4.6x
-# slower, and the eigensolver with its decomposition on numpy's side 2.1-2.6x
-# slower on grids up to 255^2.  So each separable decomposition runs every
-# threaded BLAS call on one side, the BLAS of the iteration that applies it:
-# its axis eigensolver as well as its products.  LAPACK's dpttrf and dpttrs
-# are unthreaded and serve both sides.
+# numpy and scipy each load their own OpenBLAS with its own thread pool.  The
+# eigensolver runs ARPACK's products on scipy's; the probe applies its inverse
+# and takes its norms on numpy's.  A threaded call on the other pool leaves
+# that pool's workers spinning while the work goes on, so on 2 cores three
+# threads compete: the eigensolver with its decomposition on numpy's side was
+# 2.1-2.6x slower on grids up to 255^2, and the probe with its decomposition
+# on scipy's side took 52.1 ms per probe-2d pass against 26.9 ms.  So each
+# separable decomposition runs every threaded BLAS call on one side, the BLAS
+# of the work that applies it: its axis eigensolver as well as its products.
+# LAPACK's dpttrf and dpttrs are unthreaded and serve both sides.
 BLAS_SIDES = ("scipy", "numpy")
 
 
@@ -332,9 +331,9 @@ class SeparableDecomposition:
 def separable_decomposition(op: GridOperator, blas: str):
     """The `SeparableDecomposition` of H when V is a sum of one-variable terms
     on the grid (see `_separable_split`), else None; z-independent, so one
-    serves every shift.  `blas` is the side of BLAS_SIDES the iteration that
-    applies it runs on: "scipy" for ARPACK, "numpy" for CG; the axis
-    eigensolver and every product run there."""
+    serves every shift.  `blas` is the side of BLAS_SIDES the work that
+    applies it runs on: "scipy" for ARPACK, "numpy" for the probe's
+    resolvent; the axis eigensolver and every product run there."""
     if blas not in BLAS_SIDES:
         raise ValueError(f"blas must be one of {BLAS_SIDES}, got {blas!r}")
     split = _separable_split(op)
@@ -375,19 +374,14 @@ def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
 
 
 def separable_inverse(op: GridOperator, z: float):
-    """(H - zI)^{-1} in the grid basis as a LinearOperator for an iteration on
-    numpy's BLAS, such as scipy's CG, when V is a sum of one-variable terms on
-    the grid, else None.  Its `separable_decomposition` is built on the
-    "numpy" side; each apply rotates into its eigenbasis, solves there by
-    `eigenbasis_inverse` and rotates back, one numpy product per rotated axis
-    and direction and one dpttrs solve.  z must lie below the spectrum of H;
-    else ValueError."""
+    """(H - zI)^{-1} in the grid basis as a function r -> (H - zI)^{-1} r on
+    numpy's BLAS, when V is a sum of one-variable terms on the grid, else
+    None.  Its `separable_decomposition` is built on the "numpy" side; each
+    apply rotates into its eigenbasis, solves there by `eigenbasis_inverse`
+    and rotates back, one numpy product per rotated axis and direction and
+    one dpttrs solve.  z must lie below the spectrum of H; else ValueError."""
     decomposition = separable_decomposition(op, blas="numpy")
     if decomposition is None:
         return None
     solve = eigenbasis_inverse(decomposition, z)
-
-    def apply(r):
-        return decomposition.rotate_back(solve(decomposition.rotate(r)))
-
-    return LinearOperator((op.dim, op.dim), apply, dtype=float)
+    return lambda r: decomposition.rotate_back(solve(decomposition.rotate(r)))

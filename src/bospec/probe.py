@@ -133,17 +133,29 @@ def _snap_wavevector(grid: Grid, h: float, lam: float):
     return k, float(realized)
 
 
+def _checked_radii(radii, least: int) -> list:
+    """The radii of either probe mode as floats: at least `least` of them
+    (1 or 2), strictly ascending and none negative; else ValueError."""
+    radii = [float(r) for r in radii]
+    if len(radii) < least:
+        raise ValueError("need at least one radius" if least == 1
+                         else "need at least two strictly ascending radii")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly ascending")
+    if radii[0] < 0:
+        raise ValueError("radii must be nonnegative")
+    return radii
+
+
 def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii) -> list[ZhislinReport]:
     """For the free operator V = 0, check that lambda >= 0 admits Zhislin-type
-    vectors with residuals decaying as the bump widens (width grows with the
-    exclusion radius).  A trend needs at least two strictly ascending radii.
+    vectors with residuals decaying as the bump widens (its width equals the
+    radius).  A trend needs at least two strictly ascending radii, all >= 0.
 
     The residual targets the discrete symbol at the snapped wavevector, so the
     trend is not polluted by the O(delta^2) symbol mismatch.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("need at least two strictly ascending radii")
+    radii = _checked_radii(radii, least=2)
     free = kinetic_operator(grid, h)
     node_radii = grid.node_radii()
     reports = []
@@ -179,13 +191,7 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
     pot = op.potential
     if not pot.nonnegative_claimed:
         raise ValueError("certificate requires a potential claimed nonnegative")
-    radii = [float(q) for q in radii]
-    if not radii:
-        raise ValueError("need at least one radius")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly ascending")
-    if radii[0] < 0:
-        raise ValueError("radii must be nonnegative")
+    radii = _checked_radii(radii, least=1)
     grid = op.grid
     spacing = max(grid.spacing)
     node_radii = grid.node_radii()
@@ -218,26 +224,27 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
                          verdict=verdict)
 
 
-def _resolvent_at_i(matrix, v: np.ndarray, z: float, rtol: float = 1e-8, M=None):
+def _resolvent_at_i(matrix, v: np.ndarray, z: float, rtol: float = 1e-8, inverse=None):
     """w = (H - z)^{-1} v for real v, the real symmetric H = `matrix` and a
-    real z below its spectrum, so that H - zI is positive definite and
-    scipy's CG solves it in real arithmetic.  M, if given, is a symmetric
-    positive definite approximation of (H - zI)^{-1} that CG uses as its
-    preconditioner, and CG starts from M v, so an exact M leaves CG only its
-    convergence check.  The name is kept from the former solve at the point i
-    because perfbench's tracer wraps this function by name.
+    real z below its spectrum, so that H - zI is positive definite.  With
+    `inverse`, the exact (H - zI)^{-1} of `grid.separable_inverse`, w is one
+    apply of it; otherwise scipy's CG solves in real arithmetic, from zero and
+    for at most dim iterations.  The name is kept from the former solve at
+    the point i because perfbench's tracer wraps this function by name.
 
-    CG runs at most dim iterations; a solve that scipy reports unconverged,
-    or whose true residual ||Hw - zw - v|| exceeds rtol ||v||, raises."""
+    A w whose true residual ||Hw - zw - v|| exceeds rtol ||v||, or a CG solve
+    that scipy reports unconverged, raises."""
     dim = matrix.shape[0]
-    shifted = spla.LinearOperator((dim, dim), lambda x: matrix @ x - z * x, dtype=float)
-    x0 = None if M is None else M @ v
-    w, info = spla.cg(shifted, v, x0=x0, rtol=rtol, atol=0.0, maxiter=dim, M=M)
+    if inverse is not None:
+        w, info = inverse(v), 0
+    else:
+        shifted = spla.LinearOperator((dim, dim), lambda x: matrix @ x - z * x, dtype=float)
+        w, info = spla.cg(shifted, v, rtol=rtol, atol=0.0, maxiter=dim)
     target = rtol * np.linalg.norm(v)
     # a miss scipy reports raises without the product of the residual check
     if info != 0 or np.linalg.norm(matrix @ w - z * w - v) > target:
-        raise RuntimeError(
-            f"CG solve did not converge to residual {target:.3g} within {dim} iterations")
+        how = "by the separable inverse" if inverse is not None else f"within {dim} CG iterations"
+        raise RuntimeError(f"resolvent solve did not converge to residual {target:.3g} {how}")
     return w
 
 
@@ -252,13 +259,13 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     the other up to the factor 1 + |i - z|; one tends to 0 iff the other does.
 
     Each probe is a random unit vector v seeded by (seed, probe index); one
-    CG solve gives the real w = (H - z)^{-1} v, which every scale shares, so
-    all scales are compared on the same probes.  When V is a sum of
-    one-variable terms on the grid, CG is preconditioned by the exact inverse
-    of `grid.separable_inverse`, which runs its eigendecomposition and
-    products on numpy's BLAS like CG's own dot products and norms; otherwise
-    it runs unpreconditioned.  The commutator with Phi = diag(phi_q) is
-    applied matrix-free, [H, Phi] w = H (phi w) - phi (H w), the potential
+    solve gives the real w = (H - z)^{-1} v, which every scale shares, so all
+    scales are compared on the same probes.  When V is a sum of one-variable
+    terms on the grid, w is one apply of the exact inverse of
+    `grid.separable_inverse`, whose eigendecomposition and products run on
+    numpy's BLAS like the norms after it (see grid.BLAS_SIDES); otherwise
+    scipy's CG solves, unpreconditioned.  The commutator with Phi = diag(phi_q)
+    is applied matrix-free, [H, Phi] w = H (phi w) - phi (H w), the potential
     cancelling in exact arithmetic, with H w shared by every scale; the max
     of ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate is a
     lower estimate of the norm; both tend to 0 as q grows.
@@ -268,8 +275,6 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     if not family.scales or min(family.scales) <= 0:
         raise ValueError(f"need at least one cutoff scale, all > 0; got {family.scales}")
     z = op.shift_below_spectrum() - 1.0
-    # scipy's CG takes its dot products and norms on numpy's BLAS, and so does
-    # this inverse (see grid.BLAS_SIDES)
     inverse = separable_inverse(op, z)
     radii = op.grid.node_radii()
     phis = [cutoff_profile(radii / q) for q in family.scales]
@@ -277,7 +282,7 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     for pi in range(probes):
         v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
         v /= np.linalg.norm(v)
-        w = _resolvent_at_i(op.matrix, v, z=z, M=inverse)
+        w = _resolvent_at_i(op.matrix, v, z=z, inverse=inverse)
         hw = op.matrix @ w
         best = [max(b, float(np.linalg.norm(op.matrix @ (phi * w) - phi * hw)))
                 for b, phi in zip(best, phis)]

@@ -338,6 +338,13 @@ class TestProbe:
         assert "ascending" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_essential_negative_radius_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PROBE_ESS.replace("radii = 5 10 20", "radii = -1 2"))
+        out = tmp_path / "probe.csv"
+        assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+        assert "radii must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_lambdas(self, tmp_path):
         cfg = write_config(tmp_path, PROBE_CERT.replace("lambdas = 4",
                                                         "lambdas ="))

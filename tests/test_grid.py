@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -293,7 +295,10 @@ class TestSeparableInverse:
         shifted = (op.matrix - z * sp.identity(op.dim, format="csr")).tocsc()
         r = np.random.default_rng(0).standard_normal(op.dim)
         exact = spsolve(shifted, r)
-        x = separable_inverse(op, z).matvec(r)
+        inverse = separable_inverse(op, z)
+        # a plain function of one vector, not a scipy LinearOperator
+        assert inspect.isfunction(inverse)
+        x = inverse(r)
         assert np.linalg.norm(shifted @ x - r) <= 1e-13 * np.linalg.norm(r)
         assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
@@ -326,7 +331,7 @@ class TestSeparableInverse:
         scipy_side = separable_decomposition(op, blas="scipy")
         assert scipy_side.blas == "scipy"
         x = scipy_side.rotate_back(eigenbasis_inverse(scipy_side, z)(scipy_side.rotate(r)))
-        y = separable_inverse(op, z).matvec(r)
+        y = separable_inverse(op, z)(r)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(x)
 
     def test_unknown_blas_side_raises(self):

@@ -19,8 +19,8 @@ from bospec.probe import (
 )
 
 
-# V that are sums of one-variable terms, on which commutator_decay
-# preconditions its resolvent solves; min V = 2 for the quartic
+# V that are sums of one-variable terms, on which commutator_decay applies
+# the exact separable inverse as its resolvent; min V = 2 for the quartic
 SEPARABLE = {
     "quadratic-2d": quadratic_potential([[1.0]], [[1.0]]),
     "quartic-2d": expression_potential("x1^4 + y1^2 + 2", 1, 1, nonnegative=True),
@@ -107,6 +107,19 @@ class TestEssentialProbe:
         grid = build_grid(1, 0, [40.0], [399])
         with pytest.raises(ValueError, match="ascending"):
             essential_spectrum_probe(1.0, grid, [1.0], radii)
+
+    def test_negative_radius_rejected(self, monkeypatch):
+        # the bump width equals the radius, so a negative radius must be
+        # refused by name before any vector is built, not as a width
+        import bospec.probe as probe
+
+        def no_vector(*args, **kwargs):
+            raise AssertionError("no vector may be built")
+
+        monkeypatch.setattr(probe, "make_zhislin_vector", no_vector)
+        grid = build_grid(1, 1, [6.0, 6.0], [31, 31])
+        with pytest.raises(ValueError, match="radii must be nonnegative"):
+            essential_spectrum_probe(0.5, grid, [1.0], [-1.0, 2.0])
 
     def test_residuals_decay(self):
         grid = build_grid(1, 0, [80.0], [1999])
@@ -263,8 +276,8 @@ class TestCommutator:
     @staticmethod
     def _dense_resolvent_error(pot, half_width=4.0, points=21):
         """Largest error, relative to a dense solve of (H - z) w = v, of the
-        unpreconditioned CG solve and of the one commutator_decay runs, on a
-        grid with `points` nodes per axis in the potential's dimensions."""
+        CG solve and of the direct apply of the separable inverse, on a grid
+        with `points` nodes per axis in the potential's dimensions."""
         from bospec.probe import _resolvent_at_i
 
         dim = pot.n + pot.p
@@ -273,8 +286,10 @@ class TestCommutator:
         v = np.random.default_rng(3).standard_normal(op.dim)
         z = op.shift_below_spectrum() - 1.0
         exact = np.linalg.solve(op.matrix.toarray() - z * np.eye(op.dim), v)
-        errors = [np.linalg.norm(_resolvent_at_i(op.matrix, v, z=z, M=inverse) - exact)
-                  for inverse in (None, separable_inverse(op, z))]
+        inverse = separable_inverse(op, z)
+        assert inverse is not None
+        errors = [np.linalg.norm(_resolvent_at_i(op.matrix, v, z=z, inverse=given) - exact)
+                  for given in (None, inverse)]
         return max(errors) / np.linalg.norm(exact)
 
     @pytest.mark.parametrize("case, points", [
@@ -307,6 +322,17 @@ class TestCommutator:
         with pytest.raises(RuntimeError, match="did not converge"):
             _resolvent_at_i(matrix, v, z=op.shift_below_spectrum() - 1.0, rtol=1e-300)
         assert 0 < len(products) <= op.dim
+
+    def test_separable_solve_checks_its_residual(self):
+        # the direct apply is exact only up to rounding, so its residual
+        # check must still refuse a tolerance no float vector meets
+        from bospec.probe import _resolvent_at_i
+
+        op = oscillator_op(points=49)
+        z = op.shift_below_spectrum() - 1.0
+        v = np.random.default_rng(0).standard_normal(op.dim)
+        with pytest.raises(RuntimeError, match="separable inverse"):
+            _resolvent_at_i(op.matrix, v, z=z, rtol=1e-300, inverse=separable_inverse(op, z))
 
     # 17 x 15 keeps its longer axis 0 tridiagonal, so the inverse transposes
     # around the products commutator_decay supplies
@@ -349,27 +375,31 @@ class TestCommutator:
             products.append(1)
             return op.matrix @ x
 
+        def no_cg(*args, **kwargs):
+            raise AssertionError("a separable solve must not run CG")
+
+        monkeypatch.setattr(spla, "cg", no_cg)
         matrix = spla.LinearOperator(op.matrix.shape, matvec=counted, dtype=float)
         v = np.random.default_rng(0).standard_normal(op.dim)
         z = op.shift_below_spectrum() - 1.0
         inverse = separable_inverse(op, z)
         assert inverse is not None
-        probe._resolvent_at_i(matrix, v, z=z, M=inverse)
-        # one product per CG iteration, plus the true-residual check
-        assert len(products) - 1 <= 2
-        # commutator_decay hands its solves the preconditioner, built and
-        # applied on numpy's BLAS like CG's own products: one on scipy's, whose
-        # OpenBLAS has its own thread pool, made each solve 4.6x slower at 2
-        # threads.  eigh_tridiagonal is recorded too, since its LAPACK dstevd
-        # calls dgemm where Python cannot see it
+        probe._resolvent_at_i(matrix, v, z=z, inverse=inverse)
+        # no CG iteration at all: the one product is the true-residual check
+        assert len(products) == 1
+        # commutator_decay hands its solves the inverse, built and applied on
+        # numpy's BLAS like the norms after it: one on scipy's, whose OpenBLAS
+        # has its own thread pool, took a probe-2d pass from 26.9 to 52.1 ms.
+        # eigh_tridiagonal is recorded too, since its LAPACK dstevd calls
+        # dgemm where Python cannot see it
         import scipy.linalg
         import scipy.linalg.blas
 
         solve, given, scipy_calls = probe._resolvent_at_i, [], []
 
-        def recording(matrix, v, z, M):
-            given.append(M)
-            return solve(matrix, v, z=z, M=M)
+        def recording(matrix, v, z, inverse):
+            given.append(inverse)
+            return solve(matrix, v, z=z, inverse=inverse)
 
         for module, name in ((scipy.linalg.blas, "dgemm"), (scipy.linalg, "eigh_tridiagonal")):
             original = getattr(module, name)
@@ -379,7 +409,7 @@ class TestCommutator:
         commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
         assert given[0] is not None and scipy_calls == []
 
-    # probe-2d's V is separable; x1^2*y1^2 takes the unpreconditioned solve
+    # probe-2d's V is separable; x1^2*y1^2 takes the CG solve
     @pytest.mark.parametrize("expression", ["x1^2*y1^2", "x1^2 + y1^4"],
                              ids=["non-separable", "separable"])
     def test_matrix_free_commutator_matches_assembled(self, monkeypatch, expression):
@@ -390,13 +420,13 @@ class TestCommutator:
         family = CutoffFamily(scales=(1.5, 3.0))
         solve, solved = probe._resolvent_at_i, []
 
-        def recording(matrix, v, z, M):
-            solved.append((M, solve(matrix, v, z=z, M=M)))
+        def recording(matrix, v, z, inverse):
+            solved.append((inverse, solve(matrix, v, z=z, inverse=inverse)))
             return solved[-1][1]
 
         monkeypatch.setattr(probe, "_resolvent_at_i", recording)
         results = commutator_decay(op, family, probes=2, seed=0)
-        assert [M is None for M, _ in solved] == [expression == "x1^2*y1^2"] * 2
+        assert [inverse is None for inverse, _ in solved] == [expression == "x1^2*y1^2"] * 2
         for q, estimate in results:
             phi = sp.diags(family.values(op.grid, q))
             comm = op.matrix @ phi - phi @ op.matrix
@@ -411,15 +441,27 @@ class TestCommutator:
         op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
         family = CutoffFamily(scales=(1.5, 3.0))
         assert separable_inverse(op, op.shift_below_spectrum() - 1.0) is None
+        cg, calls = spla.cg, []
+
+        def recording(A, b, **kwargs):
+            calls.append(kwargs)
+            return cg(A, b, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", recording)
         chosen = commutator_decay(op, family, probes=2, seed=0)
+        # one CG solve per probe, from zero, unpreconditioned, capped at dim
+        # iterations
+        assert len(calls) == 2
+        assert all(kwargs.keys() == {"rtol", "atol", "maxiter"} for kwargs in calls)
+        assert all(kwargs["maxiter"] == op.dim for kwargs in calls)
         solve = probe._resolvent_at_i
         monkeypatch.setattr(probe, "_resolvent_at_i",
-                            lambda matrix, v, z, M: solve(matrix, v, z=z, M=None))
+                            lambda matrix, v, z, inverse: solve(matrix, v, z=z, inverse=None))
         assert chosen == commutator_decay(op, family, probes=2, seed=0)
 
     def test_1d_grid_solves_preconditioned(self, monkeypatch):
         # acceptance criterion 10's grid: every 1D V is a sum of one-variable
-        # terms, so each solve is preconditioned by the exact inverse
+        # terms, so each solve is one apply of the exact inverse
         import bospec.probe as probe
 
         grid = build_grid(1, 0, [70.0], [1399])
@@ -427,16 +469,16 @@ class TestCommutator:
         family = CutoffFamily(scales=(4.0, 8.0, 16.0, 32.0))
         solve, given = probe._resolvent_at_i, []
 
-        def recording(matrix, v, z, M):
-            given.append(M)
-            return solve(matrix, v, z=z, M=M)
+        def recording(matrix, v, z, inverse):
+            given.append(inverse)
+            return solve(matrix, v, z=z, inverse=inverse)
 
         monkeypatch.setattr(probe, "_resolvent_at_i", recording)
         chosen = commutator_decay(op, family, probes=2, seed=0)
         monkeypatch.setattr(probe, "_resolvent_at_i",
-                            lambda matrix, v, z, M: solve(matrix, v, z=z, M=None))
+                            lambda matrix, v, z, inverse: solve(matrix, v, z=z, inverse=None))
         plain = commutator_decay(op, family, probes=2, seed=0)
-        assert len(given) == 2 and all(M is not None for M in given)
+        assert len(given) == 2 and all(inverse is not None for inverse in given)
         for (q, estimate), (_, reference) in zip(chosen, plain):
             assert estimate == pytest.approx(reference, rel=1e-7)
 
