@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,6 +92,10 @@ def enumerate_spectrum(w, e_max=None, k=None) -> AnalyticSpectrum:
         raise ValueError("weights must be positive and nonempty")
     if (e_max is None) == (k is None):
         raise ValueError("give exactly one of e_max or k")
+    # no energy exceeds a NaN or infinite cutoff, so the enumeration would
+    # never stop
+    if e_max is not None and not math.isfinite(e_max):
+        raise ValueError(f"e_max must be finite, got {e_max}")
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     exact = _is_exact(w)

@@ -7,6 +7,7 @@ from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,19 +87,19 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     and higher-dimensional grids, whose LU fills in too much, use ARPACK's
     implicitly restarted Lanczos (``which='SA'``) with scipy's default
     restart cap.  Residuals and flags are computed in the grid basis against
-    the assembled H; `iterations` counts operator applications and `backend`
-    names the operator.
+    H, `op.matrix`, which the separable path builds only after ARPACK has
+    returned; `iterations` counts operator applications and `backend` names
+    the operator.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
     flags set accordingly.
     """
-    a = op.matrix
-    dim = a.shape[0]
+    dim = op.dim
     if not 1 <= k <= dim // 4:
         raise ValueError(f"need 1 <= k <= dim/4 = {dim // 4}, got k={k}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     applications = 0
 
@@ -107,7 +108,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
             nonlocal applications
             applications += 1
             return apply(x)
-        return LinearOperator((dim, dim), matvec=matvec, dtype=a.dtype)
+        return LinearOperator((dim, dim), matvec=matvec, dtype=float)
 
     # ARPACK runs on scipy's BLAS, so the decomposition's eigensolver and
     # products do too (see grid.BLAS_SIDES)
@@ -124,17 +125,20 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         if inverse is not None:
             backend, solve = "separable inverse", inverse
         else:
-            shifted = (a - sigma * sp.identity(dim, format="csr")).tocsc()
+            shifted = (op.matrix - sigma * sp.identity(dim, format="csr")).tocsc()
             # H - sigma I is symmetric positive definite: no pivoting is
             # needed, and a symmetric ordering halves the fill of the default
             # COLAMD
             lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
             backend, solve = "sparse LU", lu.solve
-        # in shift-invert mode eigsh applies OPinv alone; A gives the shape
-        arpack = {"A": a, "sigma": sigma, "which": "LM", "OPinv": counted(solve)}
+        # in shift-invert mode eigsh applies OPinv alone and reads only the
+        # shape and dtype of A, so OPinv stands in for it: the separable path
+        # builds no H until ARPACK has returned
+        opinv = counted(solve)
+        arpack = {"A": opinv, "sigma": sigma, "which": "LM", "OPinv": opinv}
     else:
-        backend, arpack = "matvec", {"A": counted(a.dot), "which": "SA"}
+        backend, arpack = "matvec", {"A": counted(op.matrix.dot), "which": "SA"}
 
     def grid_basis(vectors):
         # the separable inverse iterates in the rotated basis; rotated back in
@@ -156,10 +160,10 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         # step on seeded random directions; the residuals flag the fill
         fill = rng.standard_normal((dim, k - len(exc.eigenvalues)))
         basis, _ = np.linalg.qr(np.hstack([grid_basis(exc.eigenvectors), fill]))
-        theta, s = np.linalg.eigh(basis.T @ (a @ basis))
+        theta, s = np.linalg.eigh(basis.T @ (op.matrix @ basis))
         vectors = basis @ s
 
-    residuals = np.linalg.norm(a @ vectors - vectors * theta, axis=0)
+    residuals = np.linalg.norm(op.matrix @ vectors - vectors * theta, axis=0)
     converged = residuals <= tol * np.maximum(1.0, np.abs(theta))
     order = np.argsort(theta)
     return SpectrumResult(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,8 +97,8 @@ def build_grid(n: int, p: int, half_widths, points) -> Grid:
     points = tuple(int(m) for m in points)
     if len(half_widths) != n + p or len(points) != n + p:
         raise ValueError(f"need {n + p} half-widths and point counts")
-    if any(l <= 0 for l in half_widths):
-        raise ValueError("half-widths must be positive")
+    if not all(0 < l < math.inf for l in half_widths):
+        raise ValueError("half-widths must be positive and finite")
     if any(m < 3 for m in points):
         raise ValueError("need at least 3 interior points per dimension")
     total = math.prod(points)
@@ -118,8 +118,14 @@ def laplacian_1d(m: int, delta: float) -> sp.csr_matrix:
 def kinetic_operator(grid: Grid, h: float) -> sp.csr_matrix:
     """-h^2 Lap_x - Lap_y on the grid (x-dimension stencils scaled by h^2): the
     Kronecker sum of the per-axis stencils, dimension 0 fastest, assembled
-    from its bands like `assemble_hamiltonian` with V = 0."""
+    from its bands like `GridOperator.matrix` with V = 0."""
+    _check_h(h)
     return _band_matrix(grid, h, 0.0)
+
+
+def _check_h(h: float) -> None:
+    if not 0 < h <= DEFAULT_H_MAX:
+        raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
 
 
 def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
@@ -133,8 +139,6 @@ def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
     scipy.sparse.kronsum and a sparse add of diags(V) form it, and the
     conversion drops zero entries as that add does, so the matrix equals
     theirs bit for bit."""
-    if not 0 < h <= DEFAULT_H_MAX:
-        raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
     dim, size = grid.dim, grid.size
     strides = [math.prod(grid.points[:d]) for d in range(dim)]
     offsets = [0] + strides + [-s for s in strides]
@@ -204,15 +208,22 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values, blas: str) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class GridOperator:
+    """H = -h^2 Lap_x - Lap_y + diag(V) on `grid`, V given by its node values."""
     grid: Grid
     h: float
-    matrix: sp.csr_matrix
     potential: Potential
     potential_values: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.grid.size
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """H in canonical CSR, built on first read and then kept: the
+        separable eigensolve reads it only after ARPACK returns, so its
+        Lanczos basis and H are never held at once."""
+        return _band_matrix(self.grid, self.h, self.potential_values)
 
     def shift_below_spectrum(self) -> float:
         """A shift strictly below the spectrum of H = K + diag(V), for any V:
@@ -235,8 +246,8 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
         raise ValueError(
             f"potential dims ({pot.n},{pot.p}) do not match grid ({grid.n},{grid.p})")
     vvals = pot.evaluate_many(grid.node_coords())
-    return GridOperator(grid=grid, h=h, matrix=_band_matrix(grid, h, vvals),
-                        potential=pot, potential_values=vvals)
+    _check_h(h)
+    return GridOperator(grid=grid, h=h, potential=pot, potential_values=vvals)
 
 
 def _product(blas: str, x, q, back: bool):

@@ -6,6 +6,7 @@ form-chain check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,10 +134,21 @@ def _snap_wavevector(grid: Grid, h: float, lam: float):
     return k, float(realized)
 
 
+def _checked_lambda(lam) -> float:
+    """A probe's lambda as a float, if finite; else ValueError."""
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+    return lam
+
+
 def _checked_radii(radii, least: int) -> list:
     """The radii of either probe mode as floats: at least `least` of them
-    (1 or 2), strictly ascending and none negative; else ValueError."""
+    (1 or 2), all finite, strictly ascending and none negative; else
+    ValueError."""
     radii = [float(r) for r in radii]
+    if not all(math.isfinite(r) for r in radii):
+        raise ValueError("radii must be finite")
     if len(radii) < least:
         raise ValueError("need at least one radius" if least == 1
                          else "need at least two strictly ascending radii")
@@ -160,7 +172,7 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii) -> list[Zhisl
     node_radii = grid.node_radii()
     reports = []
     for lam in lambdas:
-        lam = float(lam)
+        lam = _checked_lambda(lam)
         if lam < 0:
             raise ValueError(f"lambda must be >= 0 for the free operator, got {lam}")
         k, target = _snap_wavevector(grid, h, lam)
@@ -191,6 +203,7 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
     pot = op.potential
     if not pot.nonnegative_claimed:
         raise ValueError("certificate requires a potential claimed nonnegative")
+    lam = _checked_lambda(lam)
     radii = _checked_radii(radii, least=1)
     grid = op.grid
     spacing = max(grid.spacing)

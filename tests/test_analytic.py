@@ -69,6 +69,18 @@ class TestEnumerateSpectrum:
             spec = enumerate_spectrum([1, 1], e_max=1)
         assert spec.levels == ()
 
+    @pytest.mark.parametrize("e_max", [float("nan"), float("inf")])
+    def test_non_finite_cutoff_rejected(self, monkeypatch, e_max):
+        # no energy exceeds such a cutoff: the enumeration is cut at 100
+        # energies here, so that a missing check fails instead of running on
+        import bospec.analytic as analytic
+
+        ascending = analytic._ascending_energies
+        monkeypatch.setattr(analytic, "_ascending_energies",
+                            lambda *args: itertools.islice(ascending(*args), 100))
+        with pytest.raises(ValueError, match="e_max must be finite"):
+            enumerate_spectrum([1.0, 2.0], e_max=e_max)
+
     def test_float_weights_merge(self):
         spec = enumerate_spectrum([0.5, 1.0], e_max=3.5)
         assert [m for _, m in spec.levels] == [1, 1, 2]

@@ -452,6 +452,36 @@ def test_probe_certificate_negative_radius_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+# every comparison with NaN is false: a NaN radius or lambda must be refused
+# by name, in both modes, with nothing written
+@pytest.mark.parametrize("mode", ["certificate", "essential"])
+@pytest.mark.parametrize("key, value, message", [
+    ("radii", "nan 5", "radii must be finite"),
+    ("lambdas", "nan", "lambda must be finite"),
+])
+def test_probe_non_finite_rejected(tmp_path, capsys, mode, key, value, message):
+    text = PROBE_CERT if mode == "certificate" else PROBE_ESS
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    out = tmp_path / "probe.csv"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("tol = 1e-7", "tol = nan", "tol must be positive and finite"),
+    ("half_widths = 10", "half_widths = nan", "half-widths must be positive and finite"),
+])
+def test_solve_non_finite_rejected(tmp_path, capsys, old, new, message):
+    cfg = write_config(tmp_path, SOLVE_1D.replace(old, new))
+    out = tmp_path / "spec.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_probe_certificate_without_radii_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, PROBE_CERT.replace("radii = 3 5", "radii ="))
     out = tmp_path / "probe.csv"

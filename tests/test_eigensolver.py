@@ -49,6 +49,14 @@ class TestLowestEigenpairs:
         with pytest.raises(ValueError, match="dim/4"):
             lowest_eigenpairs(op, 5)
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+    def test_tol_positive_and_finite(self, monkeypatch, tol):
+        # a NaN tol fails every comparison, so ARPACK would run and no pair
+        # could ever be flagged converged
+        monkeypatch.setattr(eigensolver, "eigsh", None)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            lowest_eigenpairs(free_op(), 3, tol=tol)
+
     def test_residual_contract(self):
         op = oscillator_op(points=499)
         res = lowest_eigenpairs(op, 3, tol=1e-7, seed=1)
@@ -182,6 +190,43 @@ class TestShiftInvertBackend:
         assert fast.all_converged and reference.all_converged
         assert np.all(np.abs(fast.eigenvalues - reference.eigenvalues)
                       <= tol * np.maximum(1.0, np.abs(reference.eigenvalues)))
+
+    # the separable path hands eigsh its inverse in place of H and builds H
+    # for the residuals only after ARPACK has returned, so the Lanczos basis
+    # and H are never held at once; the sparse LU and matvec paths need H first
+    @pytest.mark.parametrize("case, order", [
+        ("2d", ["eigsh", "eigsh returned", "H built"]),
+        ("3d", ["eigsh", "eigsh returned", "H built"]),
+        ("sparse LU", ["H built", "eigsh", "eigsh returned"]),
+        ("matvec", ["H built", "eigsh", "eigsh returned"]),
+    ])
+    def test_matrix_built_once_in_order(self, monkeypatch, case, order):
+        import bospec.grid
+
+        events = []
+        band_matrix = bospec.grid._band_matrix
+        monkeypatch.setattr(bospec.grid, "_band_matrix",
+                            lambda *args: events.append("H built") or band_matrix(*args))
+
+        def recorded_eigsh(**kwargs):
+            events.append("eigsh")
+            out = eigsh(**kwargs)
+            events.append("eigsh returned")
+            return out
+
+        monkeypatch.setattr(eigensolver, "eigsh", recorded_eigsh)
+        if case == "2d":
+            op = op_2d("x1^2 + y1^4", (31, 33))
+        elif case == "sparse LU":
+            op = op_2d("x1^2*y1^2 + x1^2 + y1^2", (31, 33))
+        else:
+            v = "x1^2 + y1^2 + 2*y2^2" if case == "3d" else "x1^2 + y1^2 + y1*y2 + y2^2"
+            grid = build_grid(1, 2, [6.0] * 3, [11, 13, 12])
+            op = assemble_hamiltonian(grid, expression_potential(v, 1, 2), 0.5)
+        res = lowest_eigenpairs(op, 4, tol=1e-8, seed=0)
+        backend = "separable inverse" if case in ("2d", "3d") else case
+        assert res.backend == backend and res.all_converged
+        assert events == order
 
     def test_non_separable_shift_is_weyl_bound(self, monkeypatch):
         # only a sum of one-variable terms has its lowest eigenvalue exact;

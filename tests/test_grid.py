@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from bospec import grid as grid_module
 from bospec.grid import (
     assemble_hamiltonian,
     build_grid,
@@ -19,6 +20,15 @@ from bospec.potential import expression_potential, quadratic_potential
 
 def zero_potential(n, p):
     return expression_potential("0*x1", n, p, nonnegative=True)
+
+
+def record_band_matrix(monkeypatch):
+    """A list that gains one entry per build of H by grid._band_matrix."""
+    built = []
+    band_matrix = grid_module._band_matrix
+    monkeypatch.setattr(grid_module, "_band_matrix",
+                        lambda *args: built.append(1) or band_matrix(*args))
+    return built
 
 
 class TestBuildGrid:
@@ -37,6 +47,11 @@ class TestBuildGrid:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_grid(1, 1, [1.0, 1.0], [2000, 2000])
+
+    @pytest.mark.parametrize("half_width", [float("nan"), float("inf")])
+    def test_non_finite_half_width_rejected(self, half_width):
+        with pytest.raises(ValueError, match="half-widths must be positive and finite"):
+            build_grid(1, 1, [half_width, 6.0], [31, 31])
 
     def test_node_order_x_fastest(self):
         grid = build_grid(1, 1, [2.0, 2.0], [3, 3])
@@ -65,10 +80,21 @@ class TestAssembly:
         op = assemble_hamiltonian(grid, pot, h)
         assert op.matrix[2, 2] == pytest.approx(2 * h**2 / 4.0 + 4.0)
 
-    def test_h_out_of_range(self):
+    def test_h_out_of_range(self, monkeypatch):
+        built = record_band_matrix(monkeypatch)
         grid = build_grid(1, 0, [2.0], [3])
-        with pytest.raises(ValueError, match="h"):
+        with pytest.raises(ValueError, match="h must lie"):
             assemble_hamiltonian(grid, zero_potential(1, 0), h=1.5)
+        assert built == []
+
+    def test_matrix_built_on_first_read(self, monkeypatch):
+        built = record_band_matrix(monkeypatch)
+        grid = build_grid(1, 1, [3.0, 3.0], [7, 9])
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[2.0]]), 0.7)
+        assert op.dim == grid.size == 63
+        assert built == []
+        assert op.matrix is op.matrix and op.matrix.shape == (63, 63)
+        assert built == [1]
 
     def test_dim_mismatch(self):
         grid = build_grid(1, 1, [2.0, 2.0], [3, 3])

@@ -121,6 +121,18 @@ class TestEssentialProbe:
         with pytest.raises(ValueError, match="radii must be nonnegative"):
             essential_spectrum_probe(0.5, grid, [1.0], [-1.0, 2.0])
 
+    @pytest.mark.parametrize("lambdas, radii, match", [
+        ([1.0], [float("nan"), 2.0], "radii must be finite"),
+        ([1.0], [1.5, float("inf")], "radii must be finite"),
+        ([float("nan")], [1.5, 2.0], "lambda must be finite"),
+        ([1.0, float("inf")], [1.5, 2.0], "lambda must be finite"),
+    ])
+    def test_non_finite_rejected(self, lambdas, radii, match):
+        # every comparison with NaN is false, so no ordering check catches it
+        grid = build_grid(1, 1, [6.0, 6.0], [31, 31])
+        with pytest.raises(ValueError, match=match):
+            essential_spectrum_probe(0.5, grid, lambdas, radii)
+
     def test_residuals_decay(self):
         grid = build_grid(1, 0, [80.0], [1999])
         reports = essential_spectrum_probe(1.0, grid, [0.0, 1.0], [5.0, 10.0, 20.0])
@@ -207,6 +219,18 @@ class TestDiscretenessCertificate:
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             discreteness_certificate(op, lam=4.0, radii=[-5.0])
+
+    @pytest.mark.parametrize("lam, radii, match", [
+        (1.0, [float("nan"), 2.5], "radii must be finite"),
+        (1.0, [1.5, float("inf")], "radii must be finite"),
+        (float("nan"), [1.5, 2.5], "lambda must be finite"),
+        (float("-inf"), [1.5, 2.5], "lambda must be finite"),
+    ])
+    def test_non_finite_rejected(self, lam, radii, match):
+        grid = build_grid(1, 1, [6.0, 6.0], [31, 31])
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
+        with pytest.raises(ValueError, match=match):
+            discreteness_certificate(op, lam=lam, radii=radii)
 
     def test_needs_a_radius(self):
         op = oscillator_op(points=49)
