@@ -18,7 +18,7 @@ import numpy as np
 from .analytic import bo_spectrum
 from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
                           convergence_study, lowest_eigenpairs)
-from .grid import DEFAULT_H_MAX, assemble_hamiltonian, build_grid
+from .grid import DEFAULT_H_MAX, GridError, assemble_hamiltonian, build_grid
 from .potential import expression_potential, quadratic_potential
 from .probe import discreteness_certificate, essential_spectrum_probe
 
@@ -130,8 +130,8 @@ def _build_grid_from_config(cfg):
     points = _need(cfg, "grid", "points")
     try:
         return build_grid(n, p, half_widths, points)
-    except ValueError as exc:
-        raise ConfigError("grid", "points", str(exc)) from exc
+    except GridError as exc:
+        raise ConfigError("grid", exc.argument, str(exc)) from exc
 
 
 def _build_potential_from_config(cfg, n: int, p: int):

@@ -187,7 +187,7 @@ def boundary_warning(op: GridOperator, result: SpectrumResult) -> str | None:
         return None
     window = float(converged.max())
     # the boundary nodes are the first and last slice along each axis
-    values = op.potential_values.reshape(op.grid.points, order="F")
+    values = op.grid.nodes(op.potential_values)
     min_v = min(float(np.take(values, [0, -1], axis=d).min()) for d in range(values.ndim))
     if min_v < 1.1 * window:
         return (f"min boundary V = {min_v:g} is below the spectral window "

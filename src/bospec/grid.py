@@ -20,6 +20,7 @@ from .potential import Potential
 __all__ = [
     "BLAS_SIDES",
     "Grid",
+    "GridError",
     "GridOperator",
     "SeparableDecomposition",
     "build_grid",
@@ -56,9 +57,12 @@ class Grid:
         return math.prod(self.points)
 
     def axis_coords(self, d: int) -> np.ndarray:
-        l, m = self.half_widths[d], self.points[d]
-        delta = 2 * l / (m + 1)
-        return -l + delta * np.arange(1, m + 1)
+        return -self.half_widths[d] + self.spacing[d] * np.arange(1, self.points[d] + 1)
+
+    def nodes(self, values: np.ndarray) -> np.ndarray:
+        """A view of the grid vector `values` with array axis d running along
+        dimension d: the flat index runs dimension 0 fastest."""
+        return values.reshape(self.points, order="F")
 
     def node_coords(self) -> np.ndarray:
         """(size, dim) coordinates in flat-index order (dimension 0 fastest)."""
@@ -72,16 +76,24 @@ class Grid:
         squares = reduce(np.add.outer, [self.axis_coords(d) ** 2 for d in range(self.dim)])
         return np.sqrt(squares).ravel(order="F")
 
+    def stencil(self, h: float, d: int) -> tuple:
+        """The weight w_d of axis d in -h^2 Lap_x - Lap_y, h^2 on x-dimensions
+        and 1 on y-dimensions, and the main and off entries of its 3-point
+        Dirichlet stencil, w_d * (2 / delta_d^2) and w_d * (-1 / delta_d^2)."""
+        weight = h * h if d < self.n else 1.0
+        delta = self.spacing[d]
+        return weight, weight * (2.0 / delta**2), weight * (-1.0 / delta**2)
+
+    def symbol(self, h: float, d: int, theta):
+        """The axis-d stencil on the mode e^{i theta j}, w_d (2 - 2 cos theta)
+        / delta_d^2: its eigenvalues at theta = j pi / (N_d + 1)."""
+        return self.stencil(h, d)[0] * (2 - 2 * np.cos(theta)) / self.spacing[d] ** 2
+
     def dirichlet_modes(self, h: float) -> list:
         """Per-axis eigenvalues of the Dirichlet stencils of -h^2 Lap_x - Lap_y,
-        ascending: c (2 - 2 cos(j pi / (m+1))) / delta^2, j = 1..m, with
-        c = h^2 on x-dimensions and 1 on y-dimensions."""
-        modes = []
-        for d, (m, delta) in enumerate(zip(self.points, self.spacing)):
-            weight = h * h if d < self.n else 1.0
-            j = np.arange(1, m + 1)
-            modes.append(np.sort(weight * (2 - 2 * np.cos(j * np.pi / (m + 1))) / delta**2))
-        return modes
+        ascending, since 2 - 2 cos rises on (0, pi)."""
+        return [self.symbol(h, d, np.arange(1, m + 1) * np.pi / (m + 1))
+                for d, m in enumerate(self.points)]
 
     def signature(self) -> str:
         import hashlib
@@ -90,21 +102,33 @@ class Grid:
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
+class GridError(ValueError):
+    """An invalid argument of `build_grid`, named by `argument`."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
 def build_grid(n: int, p: int, half_widths, points) -> Grid:
-    if n < 1 or p < 0:
-        raise ValueError(f"need n >= 1 and p >= 0, got n={n}, p={p}")
+    if n < 1:
+        raise GridError("n", f"need n >= 1, got n={n}")
+    if p < 0:
+        raise GridError("p", f"need p >= 0, got p={p}")
     half_widths = tuple(float(l) for l in half_widths)
     points = tuple(int(m) for m in points)
-    if len(half_widths) != n + p or len(points) != n + p:
-        raise ValueError(f"need {n + p} half-widths and point counts")
+    if len(half_widths) != n + p:
+        raise GridError("half_widths", f"need {n + p} half-widths, got {len(half_widths)}")
     if not all(0 < l < math.inf for l in half_widths):
-        raise ValueError("half-widths must be positive and finite")
+        raise GridError("half_widths", "half-widths must be positive and finite")
+    if len(points) != n + p:
+        raise GridError("points", f"need {n + p} point counts, got {len(points)}")
     if any(m < 3 for m in points):
-        raise ValueError("need at least 3 interior points per dimension")
+        raise GridError("points", "need at least 3 interior points per dimension")
     total = math.prod(points)
     if total > DEFAULT_SIZE_CAP:
-        raise ValueError(f"grid size {total} exceeds the safety cap of {DEFAULT_SIZE_CAP} "
-                         "nodes (a fixed limit, not derived from solver memory)")
+        raise GridError("points", f"grid size {total} exceeds the safety cap of {DEFAULT_SIZE_CAP}"
+                        " nodes (a fixed limit, not derived from solver memory)")
     return Grid(n=n, p=p, half_widths=half_widths, points=points)
 
 
@@ -130,65 +154,51 @@ def _check_h(h: float) -> None:
 
 def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
     """The kinetic operator plus diag(potential_values) in canonical CSR,
-    converted by scipy from its 2 dim + 1 bands in DIA layout.
-
-    The couplings of a node to its neighbours one stride of dimension d away
-    are w_d * (-1 / delta_d^2), zeroed where they would cross an end of axis
-    d, and the main band is sum_d w_d * (2 / delta_d^2), summed in dimension
-    order, plus V.  Each value is formed as w_d * laplacian_1d,
-    scipy.sparse.kronsum and a sparse add of diags(V) form it, and the
-    conversion drops zero entries as that add does, so the matrix equals
-    theirs bit for bit."""
+    converted by scipy from its 2 dim + 1 bands in DIA layout: the off entry
+    of `Grid.stencil` one stride of each dimension d away, zeroed where it
+    would cross an end of axis d, and the main entries summed in dimension
+    order plus V.  So it equals scipy.sparse.kronsum of w_d * laplacian_1d
+    plus a sparse add of diags(V) bit for bit, zero entries dropped as that
+    add drops them."""
     dim, size = grid.dim, grid.size
     strides = [math.prod(grid.points[:d]) for d in range(dim)]
     offsets = [0] + strides + [-s for s in strides]
     # band k holds the entry (j - offsets[k], j) at column j
     data = np.empty((len(offsets), size))
-    # array axis 1 + a holds dimension dim - 1 - a, since dimension 0 runs fastest
-    nodes = data.reshape((len(offsets),) + grid.points[::-1])
     main = 0.0
-    for d, delta in enumerate(grid.spacing):
-        weight = h * h if d < grid.n else 1.0
+    for d in range(dim):
+        _, center, coupling = grid.stencil(h, d)
         # a loop, not sum(): Python 3.12's sum() compensates float rounding
-        main = main + weight * (2.0 / delta**2)
+        main = main + center
         # the coupling one stride up crosses the end of axis d where its
         # column is the first node along d, the one down where it is the last
-        edge = [slice(None)] * dim
         for band, end in ((1 + d, 0), (1 + dim + d, -1)):
-            data[band] = weight * (-1.0 / delta**2)
-            edge[dim - 1 - d] = end
-            nodes[(band, *edge)] = 0.0
+            data[band] = coupling
+            np.moveaxis(grid.nodes(data[band]), d, 0)[end] = 0.0
     data[0] = main + potential_values
     return sp.dia_matrix((data, offsets), shape=(size, size)).tocsr()
 
 
 def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:
-    """Main and off diagonal of the axis-d tridiagonal w_d * laplacian_1d +
-    diag(values), w_d = h^2 on x-dimensions and 1 on y-dimensions."""
-    weight = h * h if d < grid.n else 1.0
-    delta = grid.spacing[d]
-    main = 2.0 * weight / delta**2 + np.asarray(values, dtype=float)
-    return main, np.full(grid.points[d] - 1, -weight / delta**2)
+    """Main and off diagonal of the axis-d stencil (see `Grid.stencil`) plus
+    diag(values): the entries of H's bands along axis d."""
+    _, center, coupling = grid.stencil(h, d)
+    return center + np.asarray(values, dtype=float), np.full(grid.points[d] - 1, coupling)
 
 
-# numpy and scipy each load their own OpenBLAS with its own thread pool.  The
-# eigensolver runs ARPACK's products on scipy's; the probe applies its inverse
-# and takes its norms on numpy's.  A threaded call on the other pool leaves
-# that pool's workers spinning while the work goes on, so on 2 cores three
-# threads compete: the eigensolver with its decomposition on numpy's side was
-# 2.1-2.6x slower on grids up to 255^2, and the probe with its decomposition
-# on scipy's side took 52.1 ms per probe-2d pass against 26.9 ms.  So each
-# separable decomposition runs every threaded BLAS call on one side, the BLAS
-# of the work that applies it: its axis eigensolver as well as its products.
-# LAPACK's dpttrf and dpttrs are unthreaded and serve both sides.
+# numpy and scipy each load their own OpenBLAS with its own thread pool, and a
+# threaded call on one pool leaves the other's workers spinning against it.
+# So each separable decomposition runs every threaded BLAS call, its axis
+# eigensolver as well as its products, on the side of the work that applies
+# it: scipy's for ARPACK, numpy's for the probe.  LAPACK's dpttrf and dpttrs
+# are unthreaded and serve both sides.
 BLAS_SIDES = ("scipy", "numpy")
 
 
 def axis_eigenpairs(grid: Grid, h: float, d: int, values, blas: str) -> tuple:
     """Ascending eigenvalues and orthonormal eigenvector columns of the axis-d
-    tridiagonal w_d * laplacian_1d + diag(values), w_d = h^2 on x-dimensions
-    and 1 on y-dimensions: the axis-d term of H when V is a sum of one-variable
-    terms, `values` being axis d's term at its nodes.
+    tridiagonal `_axis_tridiagonal`: the axis-d term of H when V is a sum of
+    one-variable terms, `values` being axis d's term at its nodes.
 
     On the "scipy" side by eigh_tridiagonal, whose LAPACK dstevd calls dgemm
     on scipy's BLAS in its merges; on the "numpy" side by numpy's eigh of the
@@ -227,16 +237,13 @@ class GridOperator:
 
     def shift_below_spectrum(self) -> float:
         """A shift strictly below the spectrum of H = K + diag(V), for any V:
-        the eigensolver's shift when V is not a sum of one-variable terms
-        (else it shifts from the exact lowest eigenvalue of
-        `separable_decomposition`), and, less 1, the probe's resolvent point.
+        the eigensolver's shift when V is not a sum of one-variable terms,
+        and, less 1, the probe's resolvent point.
 
-        K is a Kronecker sum of Dirichlet stencils, so its smallest eigenvalue
-        is the sum of the per-axis ones; by Weyl's inequality min(V) plus it
-        bounds the spectrum from below for any V.  Half of the kinetic minimum
-        is kept as margin, so H - sigma I is positive definite even for
-        constant V.
-        """
+        K's smallest eigenvalue is the sum of the per-axis lowest Dirichlet
+        modes; by Weyl's inequality min(V) plus it bounds the spectrum from
+        below.  Half of it is kept as margin, so H - sigma I is positive
+        definite even for constant V."""
         kinetic_min = sum(modes[0] for modes in self.grid.dirichlet_modes(self.h))
         return float(self.potential_values.min()) + 0.5 * kinetic_min
 
@@ -269,15 +276,15 @@ def _separable_split(op: GridOperator):
     terms on the grid: its node values equal the sum of the slices minus the
     offset, up to 1e-12 max(1, max |V|).  Else None."""
     dim = op.grid.dim
-    # array axis a holds dimension dim - 1 - a, since dimension 0 runs fastest
-    values = op.potential_values.reshape(op.grid.points[::-1])
-    least = np.unravel_index(np.argmin(values), values.shape)
-    slices = [values[least[:a] + (slice(None),) + least[a + 1:]] for a in range(dim)]
+    values = op.grid.nodes(op.potential_values)
+    # the flat argmin, so a tie at min V picks the first node in flat order
+    least = np.unravel_index(np.argmin(op.potential_values), op.grid.points, order="F")
+    slices = [values[least[:d] + (slice(None),) + least[d + 1:]] for d in range(dim)]
     offset = (dim - 1) * values[least]
     gap = np.abs(reduce(np.add.outer, slices) - offset - values).max()
     if gap > 1e-12 * max(1.0, float(np.abs(values).max())):
         return None
-    return slices[::-1], offset
+    return slices, offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,9 +315,7 @@ class SeparableDecomposition:
     def lowest(self) -> float:
         """The lowest eigenvalue of H: the sum of each T_d's lowest, from the
         rotated axes' eigenvalues and one eigh_tridiagonal(select='i') of T_t,
-        less the offset.  Computed on demand, since the probe, which needs no
-        shift, measured 0.13 MB more peak memory on 191^2 when this LAPACK
-        bisection ran there."""
+        less the offset.  Computed on demand: the probe needs no shift."""
         # imported here like eigh_tridiagonal in axis_eigenpairs
         from scipy.linalg import eigh_tridiagonal
 
@@ -342,9 +347,7 @@ class SeparableDecomposition:
 def separable_decomposition(op: GridOperator, blas: str):
     """The `SeparableDecomposition` of H when V is a sum of one-variable terms
     on the grid (see `_separable_split`), else None; z-independent, so one
-    serves every shift.  `blas` is the side of BLAS_SIDES the work that
-    applies it runs on: "scipy" for ARPACK, "numpy" for the probe's
-    resolvent; the axis eigensolver and every product run there."""
+    serves every shift.  `blas` names its side of BLAS_SIDES."""
     if blas not in BLAS_SIDES:
         raise ValueError(f"blas must be one of {BLAS_SIDES}, got {blas!r}")
     split = _separable_split(op)

@@ -228,6 +228,8 @@ def oscillator_frequencies(a, name: str = "matrix") -> tuple:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
     if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ValueError(f"{name} must be symmetric")
     eigs = np.linalg.eigvalsh(a)

@@ -125,13 +125,9 @@ def _snap_wavevector(grid: Grid, h: float, lam: float):
     """Wavevector along the first slow dimension with discrete symbol close to
     lam, snapped to multiples of pi/L; returns (k vector, realized lambda)."""
     l0 = grid.half_widths[0]
-    delta0 = grid.spacing[0]
-    k1 = np.sqrt(lam) / h
-    k1 = np.round(k1 * l0 / np.pi) * np.pi / l0
     k = np.zeros(grid.dim)
-    k[0] = k1
-    realized = h * h * (2 - 2 * np.cos(k1 * delta0)) / delta0**2
-    return k, float(realized)
+    k[0] = np.round(np.sqrt(lam) / h * l0 / np.pi) * np.pi / l0
+    return k, float(grid.symbol(h, 0, k[0] * grid.spacing[0]))
 
 
 def _checked_lambda(lam) -> float:
@@ -273,15 +269,14 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
 
     Each probe is a random unit vector v seeded by (seed, probe index); one
     solve gives the real w = (H - z)^{-1} v, which every scale shares, so all
-    scales are compared on the same probes.  When V is a sum of one-variable
-    terms on the grid, w is one apply of the exact inverse of
-    `grid.separable_inverse`, whose eigendecomposition and products run on
-    numpy's BLAS like the norms after it (see grid.BLAS_SIDES); otherwise
-    scipy's CG solves, unpreconditioned.  The commutator with Phi = diag(phi_q)
-    is applied matrix-free, [H, Phi] w = H (phi w) - phi (H w), the potential
-    cancelling in exact arithmetic, with H w shared by every scale; the max
-    of ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate is a
-    lower estimate of the norm; both tend to 0 as q grows.
+    scales are compared on the same probes.  w is one apply of the exact
+    `grid.separable_inverse` when that admits the operator (on numpy's BLAS,
+    like the norms after it), else an unpreconditioned CG solve.  The
+    commutator with Phi = diag(phi_q) is applied matrix-free, [H, Phi] w =
+    H (phi w) - phi (H w), the potential cancelling in exact arithmetic, with
+    H w shared by every scale; the max of ||[H, phi_q] w|| / ||v|| over
+    probes is reported.  Each estimate is a lower estimate of the norm; both
+    tend to 0 as q grows.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")

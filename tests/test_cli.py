@@ -482,6 +482,37 @@ def test_solve_non_finite_rejected(tmp_path, capsys, old, new, message):
     assert not out.exists()
 
 
+# each build_grid error is filed under the key at fault, with nothing written
+@pytest.mark.parametrize("old, new, key", [
+    ("half_widths = 10", "half_widths = nan", "half_widths"),
+    ("half_widths = 10", "half_widths = 10 10", "half_widths"),
+    ("points = 399", "points = 2", "points"),
+    ("n = 1", "n = 0", "n"),
+], ids=["nan-half-width", "half-width-count", "too-few-points", "n-zero"])
+def test_grid_error_names_its_key(tmp_path, capsys, old, new, key):
+    cfg = write_config(tmp_path, SOLVE_1D.replace(old, new))
+    out = tmp_path / "spec.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: [grid] {key}: ")
+    assert not out.exists()
+
+
+# a non-finite quadratic matrix is refused by name before any level or solve:
+# an infinite A once gave ten rows of inf levels from analytic
+@pytest.mark.parametrize("command, config, old, new, key", [
+    ("analytic", ANALYTIC, "a = 1", "a = inf", "a"),
+    ("solve", SOLVE_1D, "a = 1", "a = inf", "a"),
+    ("analytic", ANALYTIC, "b = 1", "b = nan", "b"),
+], ids=["analytic-a-inf", "solve-a-inf", "analytic-b-nan"])
+def test_non_finite_matrix_rejected(tmp_path, capsys, command, config, old, new, key):
+    cfg = write_config(tmp_path, config.replace(old, new))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: [potential] {key}: matrix {key.upper()} must be finite")
+    assert not out.exists()
+
+
 def test_probe_certificate_without_radii_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, PROBE_CERT.replace("radii = 3 5", "radii ="))
     out = tmp_path / "probe.csv"

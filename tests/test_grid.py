@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.sparse.linalg import spsolve
 
 from bospec import grid as grid_module
 from bospec.grid import (
+    GridError,
     assemble_hamiltonian,
     build_grid,
     eigenbasis_inverse,
@@ -16,6 +18,7 @@ from bospec.grid import (
     separable_inverse,
 )
 from bospec.potential import expression_potential, quadratic_potential
+from bospec.probe import essential_spectrum_probe
 
 
 def zero_potential(n, p):
@@ -53,12 +56,31 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="half-widths must be positive and finite"):
             build_grid(1, 1, [half_width, 6.0], [31, 31])
 
+    # each error names the argument at fault, which the CLI reports as its key
+    @pytest.mark.parametrize("args, argument", [
+        ((0, 0, [1.0], [5]), "n"), ((1, -1, [1.0], [5]), "p"),
+        ((1, 1, [1.0], [5, 5]), "half_widths"), ((1, 0, [0.0], [5]), "half_widths"),
+        ((1, 1, [1.0, 1.0], [5]), "points"), ((1, 0, [1.0], [2]), "points"),
+        ((1, 1, [1.0, 1.0], [2000, 2000]), "points")])
+    def test_error_names_its_argument(self, args, argument):
+        with pytest.raises(GridError) as caught:
+            build_grid(*args)
+        assert caught.value.argument == argument
+
     def test_node_order_x_fastest(self):
         grid = build_grid(1, 1, [2.0, 2.0], [3, 3])
         coords = grid.node_coords()
         # first three nodes sweep x1 at the lowest y1
         assert np.allclose(coords[:3, 0], [-1.0, 0.0, 1.0])
         assert np.allclose(coords[:3, 1], -1.0)
+
+    def test_nodes_view_axis_d_is_dimension_d(self):
+        grid = build_grid(1, 2, [2.0, 3.0, 4.0], [3, 4, 5])
+        coords = grid.node_coords()
+        for d in range(grid.dim):
+            nodes = grid.nodes(coords[:, d].copy())
+            assert nodes.shape == grid.points
+            assert np.array_equal(np.moveaxis(nodes, d, 0)[:, 0, 0], grid.axis_coords(d))
 
 
 class TestAssembly:
@@ -363,3 +385,50 @@ class TestSeparableInverse:
     def test_unknown_blas_side_raises(self):
         with pytest.raises(ValueError, match="blas"):
             separable_decomposition(self.op((9, 11), "x1^2 + y1^2"), blas="mkl")
+
+
+class TestOneStencil:
+    """H, the separable decomposition and the probes read one stencil."""
+
+    # every axis tridiagonal the decomposition factors carries H's entries bit
+    # for bit; the x-axis entries were once rounded differently at h = 0.1 and
+    # h = 0.3, so the decomposition inverted an operator close to H but not H
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("points, expression", [((41,), "x1^2"), ((41, 43), "x1^2 + y1^4")],
+                             ids=["1d", "41x43"])
+    def test_decomposition_factors_h_entries(self, points, expression, h, monkeypatch):
+        dim = len(points)
+        grid = build_grid(1, dim - 1, [5.0] * dim, points)
+        op = assemble_hamiltonian(grid, expression_potential(expression, 1, dim - 1), h)
+        tridiagonals = {}
+        axis_tridiagonal = grid_module._axis_tridiagonal
+
+        def recording(grid, h, d, values):
+            main, off = axis_tridiagonal(grid, h, d, values)
+            tridiagonals[d] = (np.array(values), main, off)
+            return main, off
+
+        monkeypatch.setattr(grid_module, "_axis_tridiagonal", recording)
+        assert separable_decomposition(op, blas="scipy") is not None
+        assert sorted(tridiagonals) == list(range(dim))
+        for d, (values, main, off) in tridiagonals.items():
+            # H is the kronsum of these stencils bit for bit (TestAssembly)
+            stencil = (h * h if d < grid.n else 1.0) * laplacian_1d(points[d], grid.spacing[d])
+            band = op.matrix.diagonal(math.prod(points[:d]))
+            assert np.unique(band[band != 0]).tobytes() == off[:1].tobytes()
+            assert off.tobytes() == stencil.diagonal(1).tobytes()
+            assert main.tobytes() == (stencil.diagonal() + values).tobytes()
+        if dim == 1:
+            assert tridiagonals[0][1].tobytes() == op.matrix.diagonal().tobytes()
+
+    # the stencil's symbol keeps the bits of its former copies in Grid and the
+    # essential probe: the shift below the spectrum, built from the lowest
+    # per-axis modes, and the probe's snapped targets, at h = 0.3
+    def test_symbol_bits_pinned(self):
+        grid = build_grid(1, 1, [5.0, 5.0], [41, 43])
+        op = assemble_hamiltonian(grid, expression_potential("x1^2 + y1^4", 1, 1), 0.3)
+        assert op.shift_below_spectrum().hex() == "0x1.b874215b1f8d3p-5"
+        reports = essential_spectrum_probe(0.3, build_grid(1, 1, [6.0, 6.0], [31, 31]),
+                                           [1.0, 2.5], [1.5, 2.0])
+        assert [[e.target.hex() for e in r.entries] for r in reports] == [
+            ["0x1.949088b155626p-1"] * 2, ["0x1.c513e49d17de1p+0"] * 2]

@@ -11,6 +11,7 @@ from bospec.potential import (
     NotPositiveDefiniteError,
     _unparse,
     expression_potential,
+    oscillator_frequencies,
     parse_potential,
     quadratic_potential,
 )
@@ -194,6 +195,17 @@ class TestQuadratic:
     def test_rejects_semidefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             quadratic_potential([[1.0, 1.0], [1.0, 1.0]])
+
+    # an infinite entry passed the symmetry and eigenvalue checks, and a NaN
+    # one was reported as asymmetric
+    @pytest.mark.parametrize("a, b, name", [
+        ([[np.inf]], None, "matrix A"), ([[1.0, np.nan], [0.0, 1.0]], None, "matrix A"),
+        ([[1.0]], [[np.nan]], "matrix B")], ids=["a-inf", "a-nan", "b-nan"])
+    def test_rejects_non_finite(self, a, b, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            quadratic_potential(a, b)
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            oscillator_frequencies(b if b is not None else a)
 
     def test_symmetrization(self):
         pot = quadratic_potential([[1.0, 2.0], [0.0, 4.0]])
