@@ -18,7 +18,7 @@ import numpy as np
 from .analytic import bo_spectrum
 from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
                           convergence_study, lowest_eigenpairs)
-from .grid import DEFAULT_H_MAX, GridError, assemble_hamiltonian, build_grid
+from .grid import GridError, assemble_hamiltonian, build_grid, check_h
 from .potential import expression_potential, quadratic_potential
 from .probe import discreteness_certificate, essential_spectrum_probe
 
@@ -123,14 +123,19 @@ def _opt(cfg, section, key, default=None):
     return cfg.get(section, {}).get(key, default)
 
 
-def _build_grid_from_config(cfg):
+def _build_grid_from_config(cfg, size=None):
+    """The [grid] grid; with `size`, a grid of `bospec converge` with `size`
+    points per dimension in place of [grid] points, whose point errors are
+    filed under [converge] sizes."""
     n = _need(cfg, "grid", "n")
     p = _opt(cfg, "grid", "p", 0)
     half_widths = _need(cfg, "grid", "half_widths")
-    points = _need(cfg, "grid", "points")
+    points = _need(cfg, "grid", "points") if size is None else [size] * (n + p)
     try:
         return build_grid(n, p, half_widths, points)
     except GridError as exc:
+        if size is not None and exc.argument == "points":
+            raise ConfigError("converge", "sizes", str(exc)) from exc
         raise ConfigError("grid", exc.argument, str(exc)) from exc
 
 
@@ -160,8 +165,10 @@ def _build_potential_from_config(cfg, n: int, p: int):
 
 def _solver_params(cfg, seed_override=None):
     h = _opt(cfg, "solver", "h", 0.1)
-    if not 0 < h <= DEFAULT_H_MAX:
-        raise ConfigError("solver", "h", f"must lie in (0, {DEFAULT_H_MAX}]")
+    try:
+        check_h(h)
+    except ValueError as exc:
+        raise ConfigError("solver", "h", str(exc)) from exc
     params = {
         "h": h,
         "k": _opt(cfg, "solver", "k", 5),
@@ -303,15 +310,16 @@ def cmd_probe(cfg, args) -> int:
 
 
 def cmd_converge(cfg, args) -> int:
-    grid_n = _need(cfg, "grid", "n")
-    grid_p = _opt(cfg, "grid", "p", 0)
-    half_widths = _need(cfg, "grid", "half_widths")
     sizes = _need(cfg, "converge", "sizes")
     if len(sizes) < 3:
         raise ConfigError("converge", "sizes", "need at least 3 grid sizes")
-    pot = _build_potential_from_config(cfg, grid_n, grid_p)
+    # convergence_study builds these grids itself; built here first, so an
+    # error is filed under its key before any solve
+    for size in sizes:
+        grid = _build_grid_from_config(cfg, size)
+    pot = _build_potential_from_config(cfg, grid.n, grid.p)
     params = _solver_params(cfg, args.seed)
-    study = convergence_study(pot, half_widths, sizes, params["k"], h=params["h"],
+    study = convergence_study(pot, grid.half_widths, sizes, params["k"], h=params["h"],
                               tol=params["tol"], seed=params["seed"])
     rows = [(j, ref, slope, ok) for j, (ref, slope, ok)
             in enumerate(zip(study.reference, study.slopes, study.passed))]

@@ -80,9 +80,13 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     one-variable terms, on a grid of any dimension), sigma is its exact
     lowest eigenvalue less 1e-2 max(1, |lowest|), and ARPACK iterates in the
     decomposition's rotated basis, where the inverse is one `dpttrs` solve
-    (`grid.eigenbasis_inverse`): the start vector is rotated in once and the
-    Ritz vectors back once.  Otherwise sigma is
-    `GridOperator.shift_below_spectrum`; grids of dimension <=
+    (`grid.eigenbasis_inverse`), restricted to the blocks whose floor is no
+    higher than the k-th smallest floor
+    (`grid.SeparableDecomposition.keep_lowest`): the floors are eigenvalues
+    and every eigenvalue of a block lies at or above its floor, so the other
+    blocks hold none of the k smallest.  The start vector is drawn in the grid
+    basis and rotated in once, and the Ritz vectors back once.  Otherwise
+    sigma is `GridOperator.shift_below_spectrum`; grids of dimension <=
     SHIFT_INVERT_MAX_DIM apply the inverse by one sparse LU of H - sigma I,
     and higher-dimensional grids, whose LU fills in too much, use ARPACK's
     implicitly restarted Lanczos (``which='SA'``) with scipy's default
@@ -103,12 +107,12 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
 
     applications = 0
 
-    def counted(apply):
+    def counted(apply, n):
         def matvec(x):
             nonlocal applications
             applications += 1
             return apply(x)
-        return LinearOperator((dim, dim), matvec=matvec, dtype=float)
+        return LinearOperator((n, n), matvec=matvec, dtype=float)
 
     # ARPACK runs on scipy's BLAS, so the decomposition's eigensolver and
     # products do too (see grid.BLAS_SIDES)
@@ -120,10 +124,11 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         # H - sigma I stays positive definite
         lowest = decomposition.lowest()
         sigma = lowest - 1e-2 * max(1.0, abs(lowest))
+        decomposition = decomposition.keep_lowest(k)
     inverse = None if decomposition is None else eigenbasis_inverse(decomposition, sigma)
     if inverse is not None or op.grid.dim <= SHIFT_INVERT_MAX_DIM:
         if inverse is not None:
-            backend, solve = "separable inverse", inverse
+            backend, solve, n = "separable inverse", inverse, decomposition.size
         else:
             shifted = (op.matrix - sigma * sp.identity(dim, format="csr")).tocsc()
             # H - sigma I is symmetric positive definite: no pivoting is
@@ -131,22 +136,25 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
             # COLAMD
             lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
-            backend, solve = "sparse LU", lu.solve
+            backend, solve, n = "sparse LU", lu.solve, dim
         # in shift-invert mode eigsh applies OPinv alone and reads only the
         # shape and dtype of A, so OPinv stands in for it: the separable path
         # builds no H until ARPACK has returned
-        opinv = counted(solve)
+        opinv = counted(solve, n)
         arpack = {"A": opinv, "sigma": sigma, "which": "LM", "OPinv": opinv}
     else:
-        backend, arpack = "matvec", {"A": counted(op.matrix.dot), "which": "SA"}
+        backend, arpack = "matvec", {"A": counted(op.matrix.dot, dim), "which": "SA"}
 
     def grid_basis(vectors):
-        # the separable inverse iterates in the rotated basis; rotated back in
-        # place, a column at a time, since a stacked copy raised the peak memory
-        if inverse is not None:
-            for j in range(vectors.shape[1]):
-                vectors[:, j] = decomposition.rotate_back(vectors[:, j])
-        return vectors
+        # the separable inverse iterates on the kept blocks of the rotated
+        # basis; rotated back a column at a time, since a stacked copy raised
+        # the peak memory
+        if inverse is None:
+            return vectors
+        rotated_back = np.empty((dim, vectors.shape[1]))
+        for j in range(vectors.shape[1]):
+            rotated_back[:, j] = decomposition.rotate_back(vectors[:, j])
+        return rotated_back
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)

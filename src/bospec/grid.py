@@ -9,7 +9,7 @@ the x-dimensions varying fastest: index = i_0 + N_0*(i_1 + N_1*(...)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
 import numpy as np
@@ -143,11 +143,12 @@ def kinetic_operator(grid: Grid, h: float) -> sp.csr_matrix:
     """-h^2 Lap_x - Lap_y on the grid (x-dimension stencils scaled by h^2): the
     Kronecker sum of the per-axis stencils, dimension 0 fastest, assembled
     from its bands like `GridOperator.matrix` with V = 0."""
-    _check_h(h)
+    check_h(h)
     return _band_matrix(grid, h, 0.0)
 
 
-def _check_h(h: float) -> None:
+def check_h(h: float) -> None:
+    """Refuse an h outside (0, DEFAULT_H_MAX] with ValueError."""
     if not 0 < h <= DEFAULT_H_MAX:
         raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
 
@@ -253,7 +254,7 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
         raise ValueError(
             f"potential dims ({pot.n},{pot.p}) do not match grid ({grid.n},{grid.p})")
     vvals = pot.evaluate_many(grid.node_coords())
-    _check_h(h)
+    check_h(h)
     return GridOperator(grid=grid, h=h, potential=pot, potential_values=vvals)
 
 
@@ -297,20 +298,31 @@ class SeparableDecomposition:
     eigenbasis of its T_d = Q_d diag(lam_d) Q_d^T, so each dense Q_d holds
     N_d^2 <= prod N entries, at most one grid vector's bytes.  `rotate` applies
     the orthogonal change of basis Q^T, `rotate_back` its transpose Q.  In the
-    rotated basis H - zI is one tridiagonal matrix of size prod N whose blocks
-    along axis t are uncoupled, T_t shifted by one eigenvalue of each rotated
-    axis (see `eigenbasis_inverse`).  A 1D grid rotates nothing.  `blas`
-    names the BLAS side (see BLAS_SIDES) of the eigendecomposition and of
-    every product.
+    rotated basis H - zI is block diagonal: block j along axis t is T_t
+    shifted by s_j, one eigenvalue of each rotated axis summed (see
+    `eigenbasis_inverse`).  A 1D grid rotates nothing.  `keep_lowest`
+    restricts the rotated basis to the blocks that can hold the k lowest
+    eigenvalues.  `blas` names the BLAS side (see BLAS_SIDES) of the
+    eigendecomposition and of every product.
     """
     points: tuple
     blas: str        # "scipy" or "numpy"
     t: int           # the axis kept tridiagonal
     rotated: tuple   # the other axes, in the order `rotate` transforms them
-    pairs: tuple     # (lam_d, Q_d) per rotated axis, from axis_eigenpairs
+    pairs: tuple     # (lam_d, Q_d) per rotated axis, from axis_eigenpairs, or
+                     # their leading eigenpairs after keep_lowest
     main: np.ndarray  # main and off diagonal of T_t
     off: np.ndarray
     offset: float
+    # the kept blocks' indices among those the leading eigenpairs span, the
+    # first of `rotated` varying fastest, or None for all of them
+    blocks: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        """The dimension of the rotated basis: N_t per kept block."""
+        blocks = _box(self.pairs) if self.blocks is None else self.blocks.size
+        return self.main.size * blocks
 
     def lowest(self) -> float:
         """The lowest eigenvalue of H: the sum of each T_d's lowest, from the
@@ -323,8 +335,33 @@ class SeparableDecomposition:
                                   select="i", select_range=(0, 0))
         return float(sum(lam[0] for lam, _ in self.pairs) + bottom[0] - self.offset)
 
+    def keep_lowest(self, k: int) -> SeparableDecomposition:
+        """This decomposition on the blocks that can hold the k lowest
+        eigenvalues of H, or on all of them when there are at most k.
+
+        Block j's eigenvalues lie at or above its floor s_j + mu_0(T_t) -
+        offset, and the k lowest floors are eigenvalues of H, so lambda_k is
+        at most the k-th smallest floor: a block whose floor lies above it
+        holds none of the k lowest.  Blocks tied at the cut, to 1e-12 of it
+        for the rounding of the sums, are kept.  Each rotated axis's
+        eigenvalues ascend, so the kept blocks use only a leading run of its
+        eigenpairs, and only those columns of Q_d are kept."""
+        lams = [lam for lam, _ in reversed(self.pairs)]
+        sums = reduce(np.add.outer, lams, 0.0)
+        if np.size(sums) <= k:
+            return self
+        cut = np.partition(np.ravel(sums), k - 1)[k - 1]
+        kept = np.nonzero(sums <= cut + 1e-12 * max(1.0, abs(cut)))
+        box = tuple(int(i.max()) + 1 for i in kept)
+        # copied, so the full Q_d is freed with the full decomposition
+        pairs = tuple((lam[:m], q[:, :m].copy(order="F"))
+                      for (lam, q), m in zip(self.pairs, box[::-1]))
+        blocks = np.ravel_multi_index(kept, box)
+        return replace(self, pairs=pairs,
+                       blocks=None if blocks.size == math.prod(box) else blocks)
+
     def rotate(self, r):
-        """Q^T r for a grid vector r."""
+        """Q^T r for a grid vector r, on the kept blocks."""
         x = r
         if self.t < len(self.points) - 1:
             x = x.reshape((math.prod(self.points[:self.t + 1]), -1), order="F").T
@@ -333,15 +370,26 @@ class SeparableDecomposition:
         # last untransformed, rotating these in turn leaves t leading again
         for d, (_, q) in zip(self.rotated, self.pairs):
             x = _product(self.blas, x.reshape((self.points[d], -1), order="F"), q, False)
+        if self.blocks is not None:
+            x = x.reshape((self.main.size, -1), order="F")[:, self.blocks]
         return x.ravel(order="F")
 
     def rotate_back(self, x):
-        """Q x, the inverse of `rotate`."""
-        for d, (_, q) in zip(self.rotated[::-1], self.pairs[::-1]):
-            x = _product(self.blas, x.reshape((-1, self.points[d]), order="F"), q, True)
+        """Q x, the inverse of `rotate` on the kept blocks."""
+        if self.blocks is not None:
+            spanned = np.zeros((self.main.size, _box(self.pairs)), order="F")
+            spanned[:, self.blocks] = x.reshape((self.main.size, -1), order="F")
+            x = spanned
+        for _, q in self.pairs[::-1]:
+            x = _product(self.blas, x.reshape((-1, q.shape[1]), order="F"), q, True)
         if self.t < len(self.points) - 1:
             x = x.reshape((-1, math.prod(self.points[:self.t + 1])), order="F").T
         return x.ravel(order="F")
+
+
+def _box(pairs) -> int:
+    """The number of blocks the rotated axes' eigenpairs span."""
+    return math.prod(lam.size for lam, _ in pairs)
 
 
 def separable_decomposition(op: GridOperator, blas: str):
@@ -366,11 +414,13 @@ def separable_decomposition(op: GridOperator, blas: str):
 
 
 def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
-    """(H - zI)^{-1} in the rotated basis of `decomposition`, as a function of
-    one vector: there H - zI is tridiagonal, factored once by LAPACK's dpttrf,
-    and each apply is one dpttrs solve, with no dense product.  z must lie
-    below the spectrum of H, so that the matrix is positive definite; else
-    ValueError."""
+    """(H - zI)^{-1} in the rotated basis of `decomposition`, on its kept
+    blocks (see `SeparableDecomposition.keep_lowest`), as a function of one
+    vector: there H - zI is tridiagonal, factored once by LAPACK's dpttrf,
+    and each apply is one dpttrs solve, with no dense product.  The blocks
+    are uncoupled, so the kept ones are solved exactly without the others.
+    z must lie below the spectrum of H, so that the matrix is positive
+    definite; else ValueError."""
     # imported here like eigh_tridiagonal in axis_eigenpairs; dpttrf and
     # dpttrs are unthreaded, so they serve either BLAS side
     from scipy.linalg.lapack import dpttrf, dpttrs
@@ -379,6 +429,8 @@ def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
     # rotated axis, the first of `rotated` varying fastest with j
     shifts = np.ravel(reduce(np.add.outer, [lam for lam, _ in reversed(decomposition.pairs)],
                              -(z + decomposition.offset)))
+    if decomposition.blocks is not None:
+        shifts = shifts[decomposition.blocks]
     factor_d, factor_e, info = dpttrf(
         np.add.outer(shifts, decomposition.main).ravel(),
         np.tile(np.append(decomposition.off, 0.0), shifts.size)[:-1])

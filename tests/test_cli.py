@@ -411,6 +411,23 @@ class TestConverge:
         assert "strictly ascending" in capsys.readouterr().err
         assert not out.exists()
 
+    # converge builds its grids itself, so each is checked first and an error
+    # is filed under its key, before any solve and with nothing written
+    @pytest.mark.parametrize("old, new, message", [
+        ("p = 0\nhalf_widths = 10", "p = 1\nhalf_widths = nan 6",
+         "[grid] half_widths: half-widths must be positive and finite"),
+        ("sizes = 125 250 500", "sizes = 2 250 500",
+         "[converge] sizes: need at least 3 interior points per dimension"),
+        ("sizes = 125 250 500", "sizes = 125 250 2000001",
+         "[converge] sizes: grid size 2000001 exceeds the safety cap"),
+    ], ids=["nan-half-width", "too-few-points", "over-cap"])
+    def test_grid_error_names_its_key(self, tmp_path, capsys, old, new, message):
+        cfg = write_config(tmp_path, CONVERGE.replace(old, new))
+        out = tmp_path / "conv.csv"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     def test_unknown_reference_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONVERGE + "reference = fdexact\n")
         out = tmp_path / "conv.csv"
@@ -494,6 +511,16 @@ def test_grid_error_names_its_key(tmp_path, capsys, old, new, key):
     out = tmp_path / "spec.csv"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: [grid] {key}: ")
+    assert not out.exists()
+
+
+# h is refused by the library's own range check, filed under its key
+@pytest.mark.parametrize("h", ["0", "2", "nan"])
+def test_h_out_of_range_names_its_key(tmp_path, capsys, h):
+    cfg = write_config(tmp_path, SOLVE_1D.replace("h = 1.0", f"h = {h}"))
+    out = tmp_path / "spec.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: [solver] h: h must lie in (0, 1.0]")
     assert not out.exists()
 
 

@@ -158,7 +158,6 @@ class TestShiftInvertBackend:
         monkeypatch.setattr(eigensolver, "eigenbasis_inverse", lambda decomposition, z: None)
         lu = lowest_eigenpairs(op, 6, tol=tol, seed=0)
         assert (fast.backend, lu.backend) == ("separable inverse", "sparse LU")
-        assert fast.iterations == lu.iterations
         assert fast.all_converged and np.array_equal(fast.converged, lu.converged)
         assert np.all(np.abs(fast.eigenvalues - lu.eigenvalues)
                       <= 1e-10 * np.maximum(1.0, np.abs(lu.eigenvalues)))
@@ -271,6 +270,58 @@ class TestShiftInvertBackend:
         res = lowest_eigenpairs(op, 4, tol=1e-8, seed=0)
         assert res.backend == "separable inverse" and res.all_converged
         assert calls == []
+
+
+def record_operator_shapes(monkeypatch):
+    """A list that gains the shape of the operator each eigsh call iterates on."""
+    shapes = []
+    monkeypatch.setattr(eigensolver, "eigsh",
+                        lambda **kwargs: shapes.append(kwargs["A"].shape) or eigsh(**kwargs))
+    return shapes
+
+
+class TestKeptBlocks:
+    """The separable solve iterates on the eigenbasis blocks whose floor is no
+    higher than the k-th smallest floor, N_t rows per kept block."""
+
+    # the floors are distinct here, so exactly k blocks are kept; a 1D grid
+    # has one block, which is always kept
+    @pytest.mark.parametrize("case", ["1d", "23x29", "9x11x10"])
+    def test_matches_dense_spectrum(self, monkeypatch, case):
+        if case == "1d":
+            op, rows = oscillator_op(points=199), 199
+        elif case == "23x29":
+            op, rows = op_2d("x1^4 + y1^2", (23, 29)), 5 * 29
+        else:
+            grid = build_grid(1, 2, [6.0] * 3, [9, 11, 10])
+            op = assemble_hamiltonian(grid, expression_potential("x1^2 + y1^2 + 2*y2^2", 1, 2), 0.5)
+            rows = 5 * 11
+        shapes = record_operator_shapes(monkeypatch)
+        tol = 1e-8
+        res = lowest_eigenpairs(op, 5, tol=tol, seed=0)
+        exact = np.linalg.eigvalsh(op.matrix.toarray())[:5]
+        assert res.backend == "separable inverse" and res.all_converged
+        assert shapes == [(rows, rows)]
+        assert np.all(np.abs(res.eigenvalues - exact) <= tol * np.maximum(1.0, np.abs(exact)))
+
+    # at h = 1 on a square grid every axis has the same tridiagonal: in 2D
+    # block j's floor lam_j + mu_0 ties block 0's eigenvalue lam_0 + mu_j, in
+    # 3D the floors of blocks (0, 1) and (1, 0) tie exactly, and in 4D the
+    # floors of (0, 0, 1), (0, 1, 0) and (1, 0, 0) tie but for the rounding
+    # of the sums (on 9 points their sums differ in the last bit); every
+    # block tied at the cut is kept
+    @pytest.mark.parametrize("points, k, blocks", [
+        ((31, 31), 2, 2), ((31, 31), 4, 4), ((11, 11, 11), 2, 3), ((9, 9, 9, 9), 2, 4)],
+        ids=["2d-k2", "2d-k4", "3d", "4d"])
+    def test_ties_at_the_cut_keep_every_tied_block(self, monkeypatch, points, k, blocks):
+        dim = len(points)
+        expression = " + ".join(["x1^2"] + [f"y{i}^2" for i in range(1, dim)])
+        grid = build_grid(1, dim - 1, [6.0] * dim, points)
+        op = assemble_hamiltonian(grid, expression_potential(expression, 1, dim - 1), 1.0)
+        shapes = record_operator_shapes(monkeypatch)
+        res = lowest_eigenpairs(op, k, tol=1e-8, seed=0)
+        assert res.backend == "separable inverse" and res.all_converged
+        assert shapes == [(blocks * points[0],) * 2]
 
 
 class TestClusterMultiplicities:

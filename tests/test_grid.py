@@ -382,6 +382,27 @@ class TestSeparableInverse:
         y = separable_inverse(op, z)(r)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(x)
 
+    # restricted to the blocks that can hold the k lowest eigenvalues, the
+    # rotation maps their span isometrically onto the kept basis and the
+    # inverse solves exactly there: 17 x 15 keeps a leading run of axis 1's
+    # eigenpairs, 7 x 9 x 8 a staircase of blocks inside the leading runs
+    @pytest.mark.parametrize("points", [(17, 15), (7, 9, 8)], ids=["17x15", "7x9x8"])
+    def test_kept_blocks_solve_exactly(self, points):
+        expression = ["x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 2]
+        op = self.op(points, expression)
+        z = op.shift_below_spectrum()
+        kept = separable_decomposition(op, blas="scipy").keep_lowest(4)
+        assert (kept.blocks is None) == (len(points) == 2)
+        assert kept.size < op.dim and kept.size % max(points) == 0
+        y = np.random.default_rng(2).standard_normal(kept.size)
+        r = kept.rotate_back(y)
+        assert r.shape == (op.dim,)
+        assert abs(np.linalg.norm(r) - np.linalg.norm(y)) <= 1e-12 * np.linalg.norm(y)
+        assert np.linalg.norm(kept.rotate(r) - y) <= 1e-12 * np.linalg.norm(y)
+        shifted = op.matrix - z * sp.identity(op.dim, format="csr")
+        x = kept.rotate_back(eigenbasis_inverse(kept, z)(y))
+        assert np.linalg.norm(shifted @ x - r) <= 1e-12 * np.linalg.norm(r)
+
     def test_unknown_blas_side_raises(self):
         with pytest.raises(ValueError, match="blas"):
             separable_decomposition(self.op((9, 11), "x1^2 + y1^2"), blas="mkl")
