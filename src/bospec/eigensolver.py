@@ -74,26 +74,28 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
                       seed: int = 0) -> SpectrumResult:
     """k smallest eigenpairs with residual check ||Hu - lu|| <= tol*max(1, |l|).
 
-    Shift-invert Lanczos applies (H - sigma I)^{-1}, sigma strictly below
-    the spectrum, so the k eigenvalues nearest sigma are the k smallest.
-    When `grid.separable_decomposition` admits the operator (V a sum of
-    one-variable terms, on a grid of any dimension), sigma is its exact
-    lowest eigenvalue less 1e-2 max(1, |lowest|), and ARPACK iterates in the
-    decomposition's rotated basis, where the inverse is one `dpttrs` solve
-    (`grid.eigenbasis_inverse`), restricted to the blocks whose floor is no
-    higher than the k-th smallest floor
-    (`grid.SeparableDecomposition.keep_lowest`): the floors are eigenvalues
-    and every eigenvalue of a block lies at or above its floor, so the other
-    blocks hold none of the k smallest.  The start vector is drawn in the grid
-    basis and rotated in once, and the Ritz vectors back once.  Otherwise
-    sigma is `GridOperator.shift_below_spectrum`; grids of dimension <=
-    SHIFT_INVERT_MAX_DIM apply the inverse by one sparse LU of H - sigma I,
-    and higher-dimensional grids, whose LU fills in too much, use ARPACK's
-    implicitly restarted Lanczos (``which='SA'``) with scipy's default
-    restart cap.  Residuals and flags are computed in the grid basis against
-    H, `op.matrix`, which the separable path builds only after ARPACK has
-    returned; `iterations` counts operator applications and `backend` names
-    the operator.
+    One of three backends, chosen by the operator:
+
+    - "separable inverse", when `grid.separable_decomposition` admits it (V
+      a sum of one-variable terms, on a grid of any dimension): its
+      decomposition is built for k, on the eigenbasis blocks that can hold
+      the k smallest eigenvalues, and ARPACK's shift-invert Lanczos iterates
+      there, where (H - sigma I)^{-1} is one `dpttrs` solve
+      (`grid.eigenbasis_inverse`).  sigma is the exact lowest eigenvalue
+      less 1e-2 max(1, |lowest|).  The start vector is drawn in the grid
+      basis and rotated in once, and the Ritz vectors back once.
+    - "sparse LU", on grids of dimension <= SHIFT_INVERT_MAX_DIM: shift-
+      invert Lanczos through one sparse LU of H - sigma I, sigma being the
+      Weyl bound `GridOperator.shift_below_spectrum`.
+    - "matvec", on higher-dimensional grids, whose LU fills in too much:
+      ARPACK's implicitly restarted Lanczos (``which='SA'``) on products
+      with H, with scipy's default restart cap, and no shift.
+
+    Residuals and flags are computed in the grid basis against H,
+    `op.matrix`, which the separable path builds only after ARPACK has
+    returned, one pair at a time, so the step holds H, the k Ritz vectors
+    and a few grid vectors.  `iterations` counts operator applications and
+    `backend` names the operator.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
@@ -114,34 +116,31 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
             return apply(x)
         return LinearOperator((n, n), matvec=matvec, dtype=float)
 
-    # ARPACK runs on scipy's BLAS, so the decomposition's eigensolver and
-    # products do too (see grid.BLAS_SIDES)
-    decomposition = separable_decomposition(op, blas="scipy")
-    if decomposition is None:
-        sigma = op.shift_below_spectrum()
-    else:
-        # far above the rounding of the exact lowest eigenvalue, so that
-        # H - sigma I stays positive definite
-        lowest = decomposition.lowest()
-        sigma = lowest - 1e-2 * max(1.0, abs(lowest))
-        decomposition = decomposition.keep_lowest(k)
-    inverse = None if decomposition is None else eigenbasis_inverse(decomposition, sigma)
-    if inverse is not None or op.grid.dim <= SHIFT_INVERT_MAX_DIM:
-        if inverse is not None:
-            backend, solve, n = "separable inverse", inverse, decomposition.size
-        else:
-            shifted = (op.matrix - sigma * sp.identity(dim, format="csr")).tocsc()
-            # H - sigma I is symmetric positive definite: no pivoting is
-            # needed, and a symmetric ordering halves the fill of the default
-            # COLAMD
-            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-            backend, solve, n = "sparse LU", lu.solve, dim
+    def shift_invert(solve, n, sigma):
         # in shift-invert mode eigsh applies OPinv alone and reads only the
         # shape and dtype of A, so OPinv stands in for it: the separable path
         # builds no H until ARPACK has returned
         opinv = counted(solve, n)
-        arpack = {"A": opinv, "sigma": sigma, "which": "LM", "OPinv": opinv}
+        return {"A": opinv, "sigma": sigma, "which": "LM", "OPinv": opinv}
+
+    # ARPACK runs on scipy's BLAS, so the decomposition's eigensolver and
+    # products do too (see grid.BLAS_SIDES)
+    decomposition = separable_decomposition(op, blas="scipy", k=k)
+    if decomposition is not None:
+        # far above the rounding of the exact lowest eigenvalue, so that
+        # H - sigma I stays positive definite
+        lowest = decomposition.lowest()
+        sigma = lowest - 1e-2 * max(1.0, abs(lowest))
+        backend = "separable inverse"
+        arpack = shift_invert(eigenbasis_inverse(decomposition, sigma), decomposition.size, sigma)
+    elif op.grid.dim <= SHIFT_INVERT_MAX_DIM:
+        sigma = op.shift_below_spectrum()
+        shifted = (op.matrix - sigma * sp.identity(dim, format="csr")).tocsc()
+        # H - sigma I is symmetric positive definite: no pivoting is needed,
+        # and a symmetric ordering halves the fill of the default COLAMD
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        backend, arpack = "sparse LU", shift_invert(lu.solve, dim, sigma)
     else:
         backend, arpack = "matvec", {"A": counted(op.matrix.dot, dim), "which": "SA"}
 
@@ -149,7 +148,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         # the separable inverse iterates on the kept blocks of the rotated
         # basis; rotated back a column at a time, since a stacked copy raised
         # the peak memory
-        if inverse is None:
+        if decomposition is None:
             return vectors
         rotated_back = np.empty((dim, vectors.shape[1]))
         for j in range(vectors.shape[1]):
@@ -158,28 +157,36 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
-    if inverse is not None:
+    if decomposition is not None:
         v0 = decomposition.rotate(v0)
     try:
         theta, vectors = eigsh(k=k, v0=v0, tol=0.1 * tol, **arpack)
-        vectors = grid_basis(vectors)
+        # sorted before the rotation back, so no stacked copy sorts them after
+        order = np.argsort(theta)
+        theta, vectors = theta[order], grid_basis(vectors[:, order])
     except ArpackNoConvergence as exc:
         # keep the pairs ARPACK converged and fill up to k by a Rayleigh-Ritz
         # step on seeded random directions; the residuals flag the fill
         fill = rng.standard_normal((dim, k - len(exc.eigenvalues)))
         basis, _ = np.linalg.qr(np.hstack([grid_basis(exc.eigenvectors), fill]))
+        # eigh returns theta ascending
         theta, s = np.linalg.eigh(basis.T @ (op.matrix @ basis))
         vectors = basis @ s
 
-    residuals = np.linalg.norm(op.matrix @ vectors - vectors * theta, axis=0)
-    converged = residuals <= tol * np.maximum(1.0, np.abs(theta))
-    order = np.argsort(theta)
+    # a column at a time, so the step holds one grid vector per term, not a
+    # (dim, k) array; the norm as a running sum of squares, which adds in the
+    # order numpy's norm of the stacked residuals did and, unlike a 1-D
+    # norm, stays off numpy's threaded BLAS (see grid.BLAS_SIDES)
+    residuals = np.empty(k)
+    for j in range(k):
+        r = op.matrix @ vectors[:, j] - vectors[:, j] * theta[j]
+        residuals[j] = np.sqrt(np.add.accumulate(r * r)[-1])
     return SpectrumResult(
-        eigenvalues=theta[order],
-        residuals=residuals[order],
-        vectors=vectors[:, order],
+        eigenvalues=theta,
+        residuals=residuals,
+        vectors=vectors,
         iterations=applications,
-        converged=converged[order],
+        converged=residuals <= tol * np.maximum(1.0, np.abs(theta)),
         h=op.h,
         grid_signature=op.grid.signature(),
         backend=backend,

@@ -9,7 +9,7 @@ the x-dimensions varying fastest: index = i_0 + N_0*(i_1 + N_1*(...)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -298,67 +298,43 @@ class SeparableDecomposition:
     eigenbasis of its T_d = Q_d diag(lam_d) Q_d^T, so each dense Q_d holds
     N_d^2 <= prod N entries, at most one grid vector's bytes.  `rotate` applies
     the orthogonal change of basis Q^T, `rotate_back` its transpose Q.  In the
-    rotated basis H - zI is block diagonal: block j along axis t is T_t
-    shifted by s_j, one eigenvalue of each rotated axis summed (see
-    `eigenbasis_inverse`).  A 1D grid rotates nothing.  `keep_lowest`
-    restricts the rotated basis to the blocks that can hold the k lowest
-    eigenvalues.  `blas` names the BLAS side (see BLAS_SIDES) of the
-    eigendecomposition and of every product.
+    rotated basis H is block diagonal: block j along axis t is T_t +
+    (shifts[j] - offset) I, shifts[j] one eigenvalue of each rotated axis
+    summed, the first of `rotated` varying fastest with j.  A 1D grid rotates
+    nothing and has the one shift 0.  The basis holds every block, or only
+    those that can hold the k lowest eigenvalues (see
+    `separable_decomposition`).  `blas` names the BLAS side (see BLAS_SIDES)
+    of the eigendecomposition and of every product.
     """
     points: tuple
     blas: str        # "scipy" or "numpy"
     t: int           # the axis kept tridiagonal
     rotated: tuple   # the other axes, in the order `rotate` transforms them
     pairs: tuple     # (lam_d, Q_d) per rotated axis, from axis_eigenpairs, or
-                     # their leading eigenpairs after keep_lowest
+                     # the leading eigenpairs the kept blocks use
     main: np.ndarray  # main and off diagonal of T_t
     off: np.ndarray
     offset: float
-    # the kept blocks' indices among those the leading eigenpairs span, the
-    # first of `rotated` varying fastest, or None for all of them
-    blocks: np.ndarray | None = None
+    shifts: np.ndarray  # s_j of each kept block, in block order
+    # which blocks the leading eigenpairs span are kept, as a mask in block
+    # order, or None for all of them
+    blocks: np.ndarray | None
 
     @property
     def size(self) -> int:
         """The dimension of the rotated basis: N_t per kept block."""
-        blocks = _box(self.pairs) if self.blocks is None else self.blocks.size
-        return self.main.size * blocks
+        return self.main.size * self.shifts.size
 
     def lowest(self) -> float:
-        """The lowest eigenvalue of H: the sum of each T_d's lowest, from the
-        rotated axes' eigenvalues and one eigh_tridiagonal(select='i') of T_t,
-        less the offset.  Computed on demand: the probe needs no shift."""
+        """The lowest eigenvalue of H: the least shift, block 0's, plus the
+        lowest eigenvalue of T_t from one eigh_tridiagonal(select='i'), less
+        the offset.  Computed on demand: the probe needs no shift."""
         # imported here like eigh_tridiagonal in axis_eigenpairs
         from scipy.linalg import eigh_tridiagonal
 
         bottom = eigh_tridiagonal(self.main, self.off, eigvals_only=True,
                                   select="i", select_range=(0, 0))
-        return float(sum(lam[0] for lam, _ in self.pairs) + bottom[0] - self.offset)
-
-    def keep_lowest(self, k: int) -> SeparableDecomposition:
-        """This decomposition on the blocks that can hold the k lowest
-        eigenvalues of H, or on all of them when there are at most k.
-
-        Block j's eigenvalues lie at or above its floor s_j + mu_0(T_t) -
-        offset, and the k lowest floors are eigenvalues of H, so lambda_k is
-        at most the k-th smallest floor: a block whose floor lies above it
-        holds none of the k lowest.  Blocks tied at the cut, to 1e-12 of it
-        for the rounding of the sums, are kept.  Each rotated axis's
-        eigenvalues ascend, so the kept blocks use only a leading run of its
-        eigenpairs, and only those columns of Q_d are kept."""
-        lams = [lam for lam, _ in reversed(self.pairs)]
-        sums = reduce(np.add.outer, lams, 0.0)
-        if np.size(sums) <= k:
-            return self
-        cut = np.partition(np.ravel(sums), k - 1)[k - 1]
-        kept = np.nonzero(sums <= cut + 1e-12 * max(1.0, abs(cut)))
-        box = tuple(int(i.max()) + 1 for i in kept)
-        # copied, so the full Q_d is freed with the full decomposition
-        pairs = tuple((lam[:m], q[:, :m].copy(order="F"))
-                      for (lam, q), m in zip(self.pairs, box[::-1]))
-        blocks = np.ravel_multi_index(kept, box)
-        return replace(self, pairs=pairs,
-                       blocks=None if blocks.size == math.prod(box) else blocks)
+        return float(self.shifts[0] + bottom[0] - self.offset)
 
     def rotate(self, r):
         """Q^T r for a grid vector r, on the kept blocks."""
@@ -377,7 +353,7 @@ class SeparableDecomposition:
     def rotate_back(self, x):
         """Q x, the inverse of `rotate` on the kept blocks."""
         if self.blocks is not None:
-            spanned = np.zeros((self.main.size, _box(self.pairs)), order="F")
+            spanned = np.zeros((self.main.size, self.blocks.size), order="F")
             spanned[:, self.blocks] = x.reshape((self.main.size, -1), order="F")
             x = spanned
         for _, q in self.pairs[::-1]:
@@ -387,15 +363,20 @@ class SeparableDecomposition:
         return x.ravel(order="F")
 
 
-def _box(pairs) -> int:
-    """The number of blocks the rotated axes' eigenpairs span."""
-    return math.prod(lam.size for lam, _ in pairs)
-
-
-def separable_decomposition(op: GridOperator, blas: str):
+def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
     """The `SeparableDecomposition` of H when V is a sum of one-variable terms
     on the grid (see `_separable_split`), else None; z-independent, so one
-    serves every shift.  `blas` names its side of BLAS_SIDES."""
+    serves every shift.  `blas` names its side of BLAS_SIDES.
+
+    With k, its basis holds only the blocks that can hold the k lowest
+    eigenvalues of H, or every block when there are at most k.  Block j's
+    eigenvalues lie at or above its floor s_j + mu_0(T_t) - offset, and the k
+    lowest floors are eigenvalues of H, so lambda_k is at most the k-th
+    smallest floor: a block whose floor lies above it holds none of the k
+    lowest.  Blocks tied at the cut, to 1e-12 of it for the rounding of the
+    sums, are kept.  Each rotated axis's eigenvalues ascend, so the kept
+    blocks use only a leading run of its eigenpairs, and only those columns
+    of Q_d are kept."""
     if blas not in BLAS_SIDES:
         raise ValueError(f"blas must be one of {BLAS_SIDES}, got {blas!r}")
     split = _separable_split(op)
@@ -409,14 +390,28 @@ def separable_decomposition(op: GridOperator, blas: str):
     rotated = (*range(t + 1, dim), *range(t))
     pairs = tuple(axis_eigenpairs(op.grid, op.h, d, slices[d], blas) for d in rotated)
     main, off = _axis_tridiagonal(op.grid, op.h, t, slices[t])
+    # the shift of every block: one eigenvalue of each rotated axis summed,
+    # the first of `rotated` varying fastest
+    sums = reduce(np.add.outer, [lam for lam, _ in reversed(pairs)], 0.0)
+    shifts, blocks = np.ravel(sums), None
+    if k is not None and shifts.size > k:
+        cut = np.partition(shifts, k - 1)[k - 1]
+        kept = sums <= cut + 1e-12 * max(1.0, abs(cut))
+        box = tuple(slice(int(i.max()) + 1) for i in np.nonzero(kept))
+        # copied, so the full Q_d is freed with the full eigenpairs
+        pairs = tuple((lam[m], q[:, m].copy(order="F")) for (lam, q), m in zip(pairs, box[::-1]))
+        shifts, kept = sums[box].ravel(), kept[box].ravel()
+        if not kept.all():
+            shifts, blocks = shifts[kept], kept
     return SeparableDecomposition(points=points, blas=blas, t=t, rotated=rotated, pairs=pairs,
-                                  main=main, off=off, offset=float(offset))
+                                  main=main, off=off, offset=float(offset), shifts=shifts,
+                                  blocks=blocks)
 
 
 def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
     """(H - zI)^{-1} in the rotated basis of `decomposition`, on its kept
-    blocks (see `SeparableDecomposition.keep_lowest`), as a function of one
-    vector: there H - zI is tridiagonal, factored once by LAPACK's dpttrf,
+    blocks, as a function of one vector: there H - zI is tridiagonal, block j
+    being T_t + (shifts[j] - offset - z) I, factored once by LAPACK's dpttrf,
     and each apply is one dpttrs solve, with no dense product.  The blocks
     are uncoupled, so the kept ones are solved exactly without the others.
     z must lie below the spectrum of H, so that the matrix is positive
@@ -425,12 +420,7 @@ def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
     # dpttrs are unthreaded, so they serve either BLAS side
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    # block j of the system along t is T_t shifted by one eigenvalue of each
-    # rotated axis, the first of `rotated` varying fastest with j
-    shifts = np.ravel(reduce(np.add.outer, [lam for lam, _ in reversed(decomposition.pairs)],
-                             -(z + decomposition.offset)))
-    if decomposition.blocks is not None:
-        shifts = shifts[decomposition.blocks]
+    shifts = decomposition.shifts - (z + decomposition.offset)
     factor_d, factor_e, info = dpttrf(
         np.add.outer(shifts, decomposition.main).ravel(),
         np.tile(np.append(decomposition.off, 0.0), shifts.size)[:-1])

@@ -684,8 +684,8 @@ def test_malformed_config_rejected(tmp_path, capsys, case):
 
 # One tiny config per command; each runs twice per format.
 # a sum of one-variable terms on a 3D grid, which the eigensolver iterates in
-# the eigenbasis of two of its axes, and a 2D V that is not, which it solves
-# by a sparse LU
+# the eigenbasis of two of its axes, a 2D V that is not, which it solves by a
+# sparse LU, and a 3D V that is not, which it solves on matvecs alone
 SOLVE_SEPARABLE_3D = """
 [grid]
 n = 1
@@ -720,10 +720,28 @@ h = 0.5
 k = 4
 """
 
+SOLVE_COUPLED_3D = """
+[grid]
+n = 1
+p = 2
+half_widths = 6 6 6
+points = 11 13 12
+
+[potential]
+kind = expression
+expression = x1^2 + y1^2 + y1*y2 + y2^2
+nonnegative = true
+
+[solver]
+h = 0.5
+k = 4
+"""
+
 DETERMINISM_CASES = {
     "solve": ("solve", SOLVE_1D),
     "solve-separable-3d": ("solve", SOLVE_SEPARABLE_3D),
     "solve-coupled-2d": ("solve", SOLVE_COUPLED_2D),
+    "solve-coupled-3d": ("solve", SOLVE_COUPLED_3D),
     "analytic": ("analytic", ANALYTIC),
     "compare": ("compare", COMPARE),
     "converge": ("converge", CONVERGE),

@@ -391,7 +391,7 @@ class TestSeparableInverse:
         expression = ["x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 2]
         op = self.op(points, expression)
         z = op.shift_below_spectrum()
-        kept = separable_decomposition(op, blas="scipy").keep_lowest(4)
+        kept = separable_decomposition(op, blas="scipy", k=4)
         assert (kept.blocks is None) == (len(points) == 2)
         assert kept.size < op.dim and kept.size % max(points) == 0
         y = np.random.default_rng(2).standard_normal(kept.size)
@@ -402,6 +402,35 @@ class TestSeparableInverse:
         shifted = op.matrix - z * sp.identity(op.dim, format="csr")
         x = kept.rotate_back(eigenbasis_inverse(kept, z)(y))
         assert np.linalg.norm(shifted @ x - r) <= 1e-12 * np.linalg.norm(r)
+
+    # the one block layout: in the kept basis H is block diagonal, block j
+    # being T_t + (shifts[j] - offset) I, in the order `rotate` lays blocks
+    # out; 1D has the one shift 0, 17 x 15 keeps axis 0 tridiagonal (the
+    # transposed apply), 15 x 17 axis 1, 7 x 9 x 8 keeps a staircase of blocks,
+    # and 9^4 at h = 1 ties floors at the cut
+    @pytest.mark.parametrize("points", [(31,), (17, 15), (15, 17), (7, 9, 8), (9, 9, 9, 9)],
+                             ids=["1d", "17x15", "15x17", "7x9x8", "9^4"])
+    @pytest.mark.parametrize("k", [None, 4])
+    def test_block_layout_matches_rotate(self, points, k):
+        dim = len(points)
+        if dim == 4:
+            grid = build_grid(1, 3, [6.0] * 4, points)
+            pot = expression_potential("x1^2 + y1^2 + y2^2 + y3^2", 1, 3)
+            op = assemble_hamiltonian(grid, pot, 1.0)
+        else:
+            op = self.op(points, ["x1^2 - 3", "x1^2 + y1^4 - 3",
+                                  "x1^2 + y1^2 + 2*y2^2 - 3"][dim - 1])
+        decomposition = separable_decomposition(op, blas="scipy", k=k)
+        n_t = decomposition.main.size
+        assert decomposition.size == n_t * decomposition.shifts.size
+        y = np.random.default_rng(3).standard_normal(decomposition.size)
+        blocks = y.reshape((n_t, -1), order="F")
+        expected = (decomposition.main[:, None] + decomposition.shifts - decomposition.offset) * blocks
+        expected[:-1] += decomposition.off[:, None] * blocks[1:]
+        expected[1:] += decomposition.off[:, None] * blocks[:-1]
+        expected = expected.ravel(order="F")
+        got = decomposition.rotate(op.matrix @ decomposition.rotate_back(y))
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_unknown_blas_side_raises(self):
         with pytest.raises(ValueError, match="blas"):
