@@ -91,11 +91,12 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
       ARPACK's implicitly restarted Lanczos (``which='SA'``) on products
       with H, with scipy's default restart cap, and no shift.
 
-    Residuals and flags are computed in the grid basis against H,
-    `op.matrix`, which the separable path builds only after ARPACK has
-    returned, one pair at a time, so the step holds H, the k Ritz vectors
-    and a few grid vectors.  `iterations` counts operator applications and
-    `backend` names the operator.
+    Residuals and flags are computed in the grid basis one pair at a time,
+    by `GridOperator.apply`, which equals `op.matrix @ u` bit for bit
+    without building H: the step holds the k Ritz vectors and a few grid
+    vectors, and the separable path builds no H at all.  Only the sparse LU
+    and matvec backends read `op.matrix`.  `iterations` counts operator
+    applications and `backend` names the operator.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
@@ -119,7 +120,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     def shift_invert(solve, n, sigma):
         # in shift-invert mode eigsh applies OPinv alone and reads only the
         # shape and dtype of A, so OPinv stands in for it: the separable path
-        # builds no H until ARPACK has returned
+        # builds no H
         opinv = counted(solve, n)
         return {"A": opinv, "sigma": sigma, "which": "LM", "OPinv": opinv}
 
@@ -147,10 +148,11 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     def grid_basis(vectors):
         # the separable inverse iterates on the kept blocks of the rotated
         # basis; rotated back a column at a time, since a stacked copy raised
-        # the peak memory
+        # the peak memory, into Fortran order, so each residual column is
+        # contiguous (the apply of a strided column took twice as long)
         if decomposition is None:
             return vectors
-        rotated_back = np.empty((dim, vectors.shape[1]))
+        rotated_back = np.empty((dim, vectors.shape[1]), order="F")
         for j in range(vectors.shape[1]):
             rotated_back[:, j] = decomposition.rotate_back(vectors[:, j])
         return rotated_back
@@ -169,8 +171,12 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         # step on seeded random directions; the residuals flag the fill
         fill = rng.standard_normal((dim, k - len(exc.eigenvalues)))
         basis, _ = np.linalg.qr(np.hstack([grid_basis(exc.eigenvectors), fill]))
+        # H applied a column at a time by its stencil: the fill builds no H
+        applied = np.empty_like(basis)
+        for j in range(k):
+            applied[:, j] = op.apply(basis[:, j])
         # eigh returns theta ascending
-        theta, s = np.linalg.eigh(basis.T @ (op.matrix @ basis))
+        theta, s = np.linalg.eigh(basis.T @ applied)
         vectors = basis @ s
 
     # a column at a time, so the step holds one grid vector per term, not a
@@ -179,7 +185,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     # norm, stays off numpy's threaded BLAS (see grid.BLAS_SIDES)
     residuals = np.empty(k)
     for j in range(k):
-        r = op.matrix @ vectors[:, j] - vectors[:, j] * theta[j]
+        r = op.apply(vectors[:, j]) - vectors[:, j] * theta[j]
         residuals[j] = np.sqrt(np.add.accumulate(r * r)[-1])
     return SpectrumResult(
         eigenvalues=theta,

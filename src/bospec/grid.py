@@ -153,6 +153,20 @@ def check_h(h: float) -> None:
         raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
 
 
+def _stencil_entries(grid: Grid, h: float) -> tuple:
+    """The entries H takes from `Grid.stencil`: the main entry less V, the
+    axes' main entries summed in dimension order, and the off entry of each
+    axis.  Shared by `_band_matrix` and `_band_apply`, whose bit-for-bit
+    agreement rests on summing in one order."""
+    main, couplings = 0.0, []
+    for d in range(grid.dim):
+        _, center, coupling = grid.stencil(h, d)
+        # a loop, not sum(): Python 3.12's sum() compensates float rounding
+        main = main + center
+        couplings.append(coupling)
+    return main, couplings
+
+
 def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
     """The kinetic operator plus diag(potential_values) in canonical CSR,
     converted by scipy from its 2 dim + 1 bands in DIA layout: the off entry
@@ -166,11 +180,8 @@ def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
     offsets = [0] + strides + [-s for s in strides]
     # band k holds the entry (j - offsets[k], j) at column j
     data = np.empty((len(offsets), size))
-    main = 0.0
-    for d in range(dim):
-        _, center, coupling = grid.stencil(h, d)
-        # a loop, not sum(): Python 3.12's sum() compensates float rounding
-        main = main + center
+    main, couplings = _stencil_entries(grid, h)
+    for d, coupling in enumerate(couplings):
         # the coupling one stride up crosses the end of axis d where its
         # column is the first node along d, the one down where it is the last
         for band, end in ((1 + d, 0), (1 + dim + d, -1)):
@@ -178,6 +189,39 @@ def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
             np.moveaxis(grid.nodes(data[band]), d, 0)[end] = 0.0
     data[0] = main + potential_values
     return sp.dia_matrix((data, offsets), shape=(size, size)).tocsr()
+
+
+def _band_apply(grid: Grid, h: float, potential_values, u) -> np.ndarray:
+    """H u for H = `_band_matrix(grid, h, potential_values)`, without building
+    H: one pass over the grid per band of H, neighbours found along the axes
+    of `Grid.nodes`.
+
+    Each row sums its terms from 0 in the column order of its CSR row, as
+    scipy's CSR product does: the neighbours one stride down by descending
+    stride, the main entry, then the neighbours one stride up by ascending
+    stride, none past an end of its axis.  So it equals H @ u bit for bit,
+    for a contiguous or strided u; the zero entries CSR drops add 0 to a sum
+    started at 0, which changes no bit of a finite u's product."""
+    main, couplings = _stencil_entries(grid, h)
+    # each term is formed in `scratch` and added, so the apply holds two
+    # grid vectors, not one more per temporary product
+    out, scratch = np.zeros(grid.size), np.empty(grid.size)
+    y, x, term = grid.nodes(out), grid.nodes(u), grid.nodes(scratch)
+
+    def add_neighbours(d, rows, cols):
+        # to the nodes at `rows` along axis d, the coupling times u at `cols`
+        at = (slice(None),) * d
+        target = y[at + (rows,)]
+        target += np.multiply(x[at + (cols,)], couplings[d], out=term[at + (rows,)])
+
+    head, tail = slice(None, -1), slice(1, None)
+    for d in reversed(range(grid.dim)):
+        add_neighbours(d, tail, head)
+    np.multiply(np.add(main, potential_values, out=scratch), u, out=scratch)
+    out += scratch
+    for d in range(grid.dim):
+        add_neighbours(d, head, tail)
+    return out
 
 
 def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:
@@ -231,10 +275,16 @@ class GridOperator:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """H in canonical CSR, built on first read and then kept: the
-        separable eigensolve reads it only after ARPACK returns, so its
-        Lanczos basis and H are never held at once."""
+        """H in canonical CSR, built on first read and then kept.  Only the
+        paths that factor or iterate on H read it: the eigensolver's sparse
+        LU and matvec backends and the probe's CG solve.  Every other product
+        with H is `apply`, so a separable solve or probe builds no H."""
         return _band_matrix(self.grid, self.h, self.potential_values)
+
+    def apply(self, u) -> np.ndarray:
+        """H u from the stencil, equal to `matrix @ u` bit for bit, without
+        building `matrix` (see `_band_apply`)."""
+        return _band_apply(self.grid, self.h, self.potential_values, u)
 
     def shift_below_spectrum(self) -> float:
         """A shift strictly below the spectrum of H = K + diag(V), for any V:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridOperator, kinetic_operator, separable_inverse
+from .grid import Grid, GridOperator, _band_apply, check_h, separable_inverse
 
 __all__ = [
     "CutoffFamily",
@@ -113,12 +114,12 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float,
     return v / nrm
 
 
-def _residual(matrix, v: np.ndarray, lam: float) -> float:
-    """||(H - lam) v|| for the real H = `matrix`; a complex v is taken as its
-    real and imaginary parts, since a real sparse matrix times a complex
-    vector copies the matrix into complex numbers first."""
+def _residual(apply, v: np.ndarray, lam: float) -> float:
+    """||(H - lam) v|| for the real H whose product with a real vector is
+    `apply`; a complex v is taken as its real and imaginary parts, which the
+    real apply takes as strided views."""
     parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    return float(np.linalg.norm([np.linalg.norm(matrix @ x - lam * x) for x in parts]))
+    return float(np.linalg.norm([np.linalg.norm(apply(x) - lam * x) for x in parts]))
 
 
 def _snap_wavevector(grid: Grid, h: float, lam: float):
@@ -164,7 +165,9 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii) -> list[Zhisl
     trend is not polluted by the O(delta^2) symbol mismatch.
     """
     radii = _checked_radii(radii, least=2)
-    free = kinetic_operator(grid, h)
+    check_h(h)
+    # the free operator's product from its stencil, V = 0: no matrix is built
+    free = partial(_band_apply, grid, h, 0.0)
     node_radii = grid.node_radii()
     reports = []
     for lam in lambdas:
@@ -215,7 +218,7 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
         else:
             inf_v = float(op.potential_values[node_radii > q].min())
         v = make_zhislin_vector(grid, q, None, width, radii=node_radii)
-        entries.append(ProbeEntry(radius=q, residual=_residual(op.matrix, v, lam),
+        entries.append(ProbeEntry(radius=q, residual=_residual(op.apply, v, lam),
                                   lower_bound=inf_v - lam, target=lam))
     bounds = [e.lower_bound for e in entries]
     respected = all(e.residual >= e.lower_bound - 1e-9 * max(1.0, abs(e.lower_bound))
@@ -233,25 +236,28 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
                          verdict=verdict)
 
 
-def _resolvent_at_i(matrix, v: np.ndarray, z: float, rtol: float = 1e-8, inverse=None):
-    """w = (H - z)^{-1} v for real v, the real symmetric H = `matrix` and a
-    real z below its spectrum, so that H - zI is positive definite.  With
-    `inverse`, the exact (H - zI)^{-1} of `grid.separable_inverse`, w is one
-    apply of it; otherwise scipy's CG solves in real arithmetic, from zero and
-    for at most dim iterations.  The name is kept from the former solve at
-    the point i because perfbench's tracer wraps this function by name.
+def _resolvent_at_i(op: GridOperator, v: np.ndarray, z: float, rtol: float = 1e-8,
+                    inverse=None):
+    """w = (H - z)^{-1} v for real v, H = `op` and a real z below its
+    spectrum, so that H - zI is positive definite.  With `inverse`, the exact
+    (H - zI)^{-1} of `grid.separable_inverse`, w is one apply of it and no H
+    is built; otherwise scipy's CG iterates on `op.matrix` in real
+    arithmetic, from zero and for at most dim iterations.  The name is kept
+    from the former solve at the point i because perfbench's tracer wraps
+    this function by name.
 
-    A w whose true residual ||Hw - zw - v|| exceeds rtol ||v||, or a CG solve
-    that scipy reports unconverged, raises."""
-    dim = matrix.shape[0]
+    A w whose true residual ||Hw - zw - v|| (by `op.apply`) exceeds
+    rtol ||v||, or a CG solve that scipy reports unconverged, raises."""
+    dim = v.size
     if inverse is not None:
         w, info = inverse(v), 0
     else:
+        matrix = op.matrix
         shifted = spla.LinearOperator((dim, dim), lambda x: matrix @ x - z * x, dtype=float)
         w, info = spla.cg(shifted, v, rtol=rtol, atol=0.0, maxiter=dim)
     target = rtol * np.linalg.norm(v)
     # a miss scipy reports raises without the product of the residual check
-    if info != 0 or np.linalg.norm(matrix @ w - z * w - v) > target:
+    if info != 0 or np.linalg.norm(op.apply(w) - z * w - v) > target:
         how = "by the separable inverse" if inverse is not None else f"within {dim} CG iterations"
         raise RuntimeError(f"resolvent solve did not converge to residual {target:.3g} {how}")
     return w
@@ -271,9 +277,10 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     solve gives the real w = (H - z)^{-1} v, which every scale shares, so all
     scales are compared on the same probes.  w is one apply of the exact
     `grid.separable_inverse` when that admits the operator (on numpy's BLAS,
-    like the norms after it), else an unpreconditioned CG solve.  The
-    commutator with Phi = diag(phi_q) is applied matrix-free, [H, Phi] w =
-    H (phi w) - phi (H w), the potential cancelling in exact arithmetic, with
+    like the norms after it), else an unpreconditioned CG solve, the one
+    use of the assembled `op.matrix`.  The commutator with Phi = diag(phi_q)
+    is applied matrix-free, [H, Phi] w = H (phi w) - phi (H w), each H by
+    `GridOperator.apply`, the potential cancelling in exact arithmetic, with
     H w shared by every scale; the max of ||[H, phi_q] w|| / ||v|| over
     probes is reported.  Each estimate is a lower estimate of the norm; both
     tend to 0 as q grows.
@@ -290,9 +297,9 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     for pi in range(probes):
         v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
         v /= np.linalg.norm(v)
-        w = _resolvent_at_i(op.matrix, v, z=z, inverse=inverse)
-        hw = op.matrix @ w
-        best = [max(b, float(np.linalg.norm(op.matrix @ (phi * w) - phi * hw)))
+        w = _resolvent_at_i(op, v, z=z, inverse=inverse)
+        hw = op.apply(w)
+        best = [max(b, float(np.linalg.norm(op.apply(phi * w) - phi * hw)))
                 for b, phi in zip(best, phis)]
     return [(float(q), b) for q, b in zip(family.scales, best)]
 

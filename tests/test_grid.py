@@ -25,15 +25,6 @@ def zero_potential(n, p):
     return expression_potential("0*x1", n, p, nonnegative=True)
 
 
-def record_band_matrix(monkeypatch):
-    """A list that gains one entry per build of H by grid._band_matrix."""
-    built = []
-    band_matrix = grid_module._band_matrix
-    monkeypatch.setattr(grid_module, "_band_matrix",
-                        lambda *args: built.append(1) or band_matrix(*args))
-    return built
-
-
 class TestBuildGrid:
     def test_spacing_formula(self):
         grid = build_grid(1, 0, [10.0], [1999])
@@ -102,21 +93,20 @@ class TestAssembly:
         op = assemble_hamiltonian(grid, pot, h)
         assert op.matrix[2, 2] == pytest.approx(2 * h**2 / 4.0 + 4.0)
 
-    def test_h_out_of_range(self, monkeypatch):
-        built = record_band_matrix(monkeypatch)
+    def test_h_out_of_range(self, record_band_matrix):
         grid = build_grid(1, 0, [2.0], [3])
         with pytest.raises(ValueError, match="h must lie"):
             assemble_hamiltonian(grid, zero_potential(1, 0), h=1.5)
-        assert built == []
+        assert record_band_matrix == []
 
-    def test_matrix_built_on_first_read(self, monkeypatch):
-        built = record_band_matrix(monkeypatch)
+    def test_matrix_built_on_first_read(self, record_band_matrix):
         grid = build_grid(1, 1, [3.0, 3.0], [7, 9])
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[2.0]]), 0.7)
         assert op.dim == grid.size == 63
-        assert built == []
+        op.apply(np.ones(63))
+        assert record_band_matrix == []
         assert op.matrix is op.matrix and op.matrix.shape == (63, 63)
-        assert built == [1]
+        assert record_band_matrix == [1]
 
     def test_dim_mismatch(self):
         grid = build_grid(1, 1, [2.0, 2.0], [3, 3])
@@ -202,6 +192,36 @@ class TestMatvec:
         op = assemble_hamiltonian(grid, zero_potential(1, 0), h=1.0)
         with pytest.raises(ValueError):
             op.matrix @ np.ones(4)
+
+
+class TestApply:
+    """`GridOperator.apply`, H u from the stencil, is `op.matrix @ u` bit for
+    bit, and with V = 0 the kinetic operator's product."""
+
+    # V has exact zeros and negative values on every grid; at h = 1 the 1D
+    # grid has spacing 1 and a zero main entry at x = 0, which CSR drops
+    @pytest.mark.parametrize("h", [0.3, 1.0])
+    @pytest.mark.parametrize("n, p, points, expression", [
+        (1, 0, (5,), "2*x1^2 - 2"), (1, 1, (15, 17), "x1*y1"),
+        (2, 1, (7, 5, 9), "x1*y1 - x2^2"), (1, 2, (9, 7, 5), "y1*y2 - x1^2"),
+        (2, 2, (5, 5, 7, 5), "x1*y2 - x2*y1")],
+        ids=["1d", "2d", "n2p1", "n1p2", "n2p2"])
+    def test_bitwise_equal_to_matrix_product(self, n, p, points, expression, h):
+        dim = n + p
+        grid = build_grid(n, p, [3.0 + d for d in range(dim)], points)
+        op = assemble_hamiltonian(grid, expression_potential(expression, n, p), h)
+        assert (op.potential_values == 0).any() and (op.potential_values < 0).any()
+        # columns of a C-ordered array are strided; zero entries make the
+        # products -0.0 that a sum started at 0 turns to +0.0
+        columns = np.random.default_rng(0).standard_normal((grid.size, 3))
+        columns[::4] = 0.0
+        strided = columns[:, 1]
+        assert not strided.flags.c_contiguous
+        kinetic = kinetic_operator(grid, h)
+        for u in (strided, np.ascontiguousarray(strided)):
+            assert op.apply(u).tobytes() == (op.matrix @ u).tobytes()
+            free = grid_module._band_apply(grid, h, 0.0, u)
+            assert free.tobytes() == (kinetic @ u).tobytes()
 
 
 class TestRestrict:

@@ -1,9 +1,14 @@
+import functools
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bospec.grid import assemble_hamiltonian, build_grid, kinetic_operator, separable_inverse
+from bospec import grid as grid_module
+from bospec.grid import (GridOperator, assemble_hamiltonian, build_grid, kinetic_operator,
+                         separable_inverse)
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import (
     FORM_TOLERANCE,
@@ -154,7 +159,8 @@ class TestEssentialProbe:
         free = kinetic_operator(grid, 0.5)
         v = make_zhislin_vector(grid, radius=1.0, k=[0.8, -0.5], width=2.0)
         reference = np.linalg.norm(free.astype(complex) @ v - 1.3 * v)
-        assert _residual(free, v, 1.3) == pytest.approx(reference, rel=1e-14)
+        apply = functools.partial(grid_module._band_apply, grid, 0.5, 0.0)
+        assert _residual(apply, v, 1.3) == pytest.approx(reference, rel=1e-14)
 
 
 class TestDiscretenessCertificate:
@@ -312,7 +318,7 @@ class TestCommutator:
         exact = np.linalg.solve(op.matrix.toarray() - z * np.eye(op.dim), v)
         inverse = separable_inverse(op, z)
         assert inverse is not None
-        errors = [np.linalg.norm(_resolvent_at_i(op.matrix, v, z=z, inverse=given) - exact)
+        errors = [np.linalg.norm(_resolvent_at_i(op, v, z=z, inverse=given) - exact)
                   for given in (None, inverse)]
         return max(errors) / np.linalg.norm(exact)
 
@@ -340,11 +346,14 @@ class TestCommutator:
             products.append(1)
             return op.matrix @ x
 
-        matrix = spla.LinearOperator(op.matrix.shape, matvec=counted, dtype=float)
+        # CG iterates on the assembled H, here counting its products
+        counting = types.SimpleNamespace(
+            matrix=spla.LinearOperator(op.matrix.shape, matvec=counted, dtype=float),
+            apply=op.apply)
         v = np.random.default_rng(0).standard_normal(op.dim)
         # no iterate reaches a residual of 1e-300: the cap must end the solve
         with pytest.raises(RuntimeError, match="did not converge"):
-            _resolvent_at_i(matrix, v, z=op.shift_below_spectrum() - 1.0, rtol=1e-300)
+            _resolvent_at_i(counting, v, z=op.shift_below_spectrum() - 1.0, rtol=1e-300)
         assert 0 < len(products) <= op.dim
 
     def test_separable_solve_checks_its_residual(self):
@@ -356,7 +365,7 @@ class TestCommutator:
         z = op.shift_below_spectrum() - 1.0
         v = np.random.default_rng(0).standard_normal(op.dim)
         with pytest.raises(RuntimeError, match="separable inverse"):
-            _resolvent_at_i(op.matrix, v, z=z, rtol=1e-300, inverse=separable_inverse(op, z))
+            _resolvent_at_i(op, v, z=z, rtol=1e-300, inverse=separable_inverse(op, z))
 
     # 17 x 15 keeps its longer axis 0 tridiagonal, so the inverse transposes
     # around the products commutator_decay supplies
@@ -387,30 +396,30 @@ class TestCommutator:
     @pytest.mark.parametrize("case, points", [
         ("quadratic-2d", (48, 48)), ("quartic-2d", (49, 49)), ("diagonal-3d", (14, 14, 14)),
         ("quadratic-2d", (191, 193))], ids=[*SEPARABLE, "quadratic-191x193"])
-    def test_separable_solve_takes_two_iterations(self, monkeypatch, case, points):
+    def test_separable_solve_takes_two_iterations(self, monkeypatch, record_band_matrix,
+                                                   case, points):
         import bospec.probe as probe
 
         pot = SEPARABLE[case]
         grid = build_grid(pot.n, pot.p, [6.0] * len(points), points)
         op = assemble_hamiltonian(grid, pot, 0.5)
         products = []
-
-        def counted(x):
-            products.append(1)
-            return op.matrix @ x
+        apply = GridOperator.apply
+        monkeypatch.setattr(GridOperator, "apply",
+                            lambda self, u: products.append(1) or apply(self, u))
 
         def no_cg(*args, **kwargs):
             raise AssertionError("a separable solve must not run CG")
 
         monkeypatch.setattr(spla, "cg", no_cg)
-        matrix = spla.LinearOperator(op.matrix.shape, matvec=counted, dtype=float)
         v = np.random.default_rng(0).standard_normal(op.dim)
         z = op.shift_below_spectrum() - 1.0
         inverse = separable_inverse(op, z)
         assert inverse is not None
-        probe._resolvent_at_i(matrix, v, z=z, inverse=inverse)
-        # no CG iteration at all: the one product is the true-residual check
-        assert len(products) == 1
+        probe._resolvent_at_i(op, v, z=z, inverse=inverse)
+        # no CG iteration at all: the one product is the true-residual check,
+        # by the stencil, so no H is built
+        assert len(products) == 1 and record_band_matrix == []
         # commutator_decay hands its solves the inverse, built and applied on
         # numpy's BLAS like the norms after it: one on scipy's, whose OpenBLAS
         # has its own thread pool, took a probe-2d pass from 26.9 to 52.1 ms.
@@ -421,9 +430,9 @@ class TestCommutator:
 
         solve, given, scipy_calls = probe._resolvent_at_i, [], []
 
-        def recording(matrix, v, z, inverse):
+        def recording(op, v, z, inverse):
             given.append(inverse)
-            return solve(matrix, v, z=z, inverse=inverse)
+            return solve(op, v, z=z, inverse=inverse)
 
         for module, name in ((scipy.linalg.blas, "dgemm"), (scipy.linalg, "eigh_tridiagonal")):
             original = getattr(module, name)
@@ -444,8 +453,8 @@ class TestCommutator:
         family = CutoffFamily(scales=(1.5, 3.0))
         solve, solved = probe._resolvent_at_i, []
 
-        def recording(matrix, v, z, inverse):
-            solved.append((inverse, solve(matrix, v, z=z, inverse=inverse)))
+        def recording(op, v, z, inverse):
+            solved.append((inverse, solve(op, v, z=z, inverse=inverse)))
             return solved[-1][1]
 
         monkeypatch.setattr(probe, "_resolvent_at_i", recording)
@@ -480,7 +489,7 @@ class TestCommutator:
         assert all(kwargs["maxiter"] == op.dim for kwargs in calls)
         solve = probe._resolvent_at_i
         monkeypatch.setattr(probe, "_resolvent_at_i",
-                            lambda matrix, v, z, inverse: solve(matrix, v, z=z, inverse=None))
+                            lambda op, v, z, inverse: solve(op, v, z=z, inverse=None))
         assert chosen == commutator_decay(op, family, probes=2, seed=0)
 
     def test_1d_grid_solves_preconditioned(self, monkeypatch):
@@ -493,14 +502,14 @@ class TestCommutator:
         family = CutoffFamily(scales=(4.0, 8.0, 16.0, 32.0))
         solve, given = probe._resolvent_at_i, []
 
-        def recording(matrix, v, z, inverse):
+        def recording(op, v, z, inverse):
             given.append(inverse)
-            return solve(matrix, v, z=z, inverse=inverse)
+            return solve(op, v, z=z, inverse=inverse)
 
         monkeypatch.setattr(probe, "_resolvent_at_i", recording)
         chosen = commutator_decay(op, family, probes=2, seed=0)
         monkeypatch.setattr(probe, "_resolvent_at_i",
-                            lambda matrix, v, z, inverse: solve(matrix, v, z=z, inverse=None))
+                            lambda op, v, z, inverse: solve(op, v, z=z, inverse=None))
         plain = commutator_decay(op, family, probes=2, seed=0)
         assert len(given) == 2 and all(inverse is not None for inverse in given)
         for (q, estimate), (_, reference) in zip(chosen, plain):
@@ -522,9 +531,9 @@ class TestCommutator:
         solve = probe._resolvent_at_i
         calls = []
 
-        def counting(shifted, v, **kwargs):
+        def counting(op, v, **kwargs):
             calls.append(1)
-            return solve(shifted, v, **kwargs)
+            return solve(op, v, **kwargs)
 
         monkeypatch.setattr(probe, "_resolvent_at_i", counting)
         commutator_decay(op, CutoffFamily(scales=(1.0, 2.0, 4.0)), probes=2, seed=0)
@@ -551,6 +560,30 @@ class TestCommutator:
             gaps.append(np.linalg.norm(assembled - exact) / np.linalg.norm(exact))
         assert gaps[0] < 1e-2
         assert gaps[1] < 0.3 * gaps[0]
+
+
+class TestStencilProducts:
+    """The probes apply H by its stencil: only the CG solve of a V that is not
+    a sum of one-variable terms builds the sparse H, once."""
+
+    @pytest.mark.parametrize("expression, builds", [("x1^2 + y1^4", 0), ("x1^2*y1^2", 1)],
+                             ids=["separable", "non-separable"])
+    def test_commutator_decay(self, record_band_matrix, expression, builds):
+        pot = expression_potential(expression, 1, 1, nonnegative=True)
+        op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [41, 41]), pot, 0.5)
+        commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2, seed=0)
+        assert len(record_band_matrix) == builds
+
+    def test_discreteness_certificate(self, record_band_matrix):
+        grid = build_grid(1, 1, [12.0, 12.0], [99, 99])
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 1.0)
+        rep = discreteness_certificate(op, lam=4.0, radii=[3.0, 5.0])
+        assert rep.verdict == "discrete at lambda=4" and record_band_matrix == []
+
+    def test_essential_spectrum_probe(self, record_band_matrix):
+        grid = build_grid(1, 1, [6.0, 6.0], [31, 31])
+        (rep,) = essential_spectrum_probe(0.5, grid, [1.0], [1.5, 2.0])
+        assert len(rep.entries) == 2 and record_band_matrix == []
 
 
 class TestFormChain:
