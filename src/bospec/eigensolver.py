@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .analytic import bo_spectrum
-from .grid import (GridOperator, assemble_hamiltonian, build_grid, eigenbasis_inverse,
-                   separable_decomposition)
+from .grid import (GridOperator, SeparableDecomposition, assemble_hamiltonian, build_grid,
+                   eigenbasis_inverse, separable_decomposition)
 from .potential import Potential
 
 __all__ = [
@@ -48,9 +49,15 @@ COMPARE_COLUMNS = ("level", "analytic_energy", "numeric_energy", "abs_error",
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
+    """The k lowest eigenpairs found.  The Ritz vectors are kept in the basis
+    ARPACK iterated in, `ritz_vectors`, with the `decomposition` that rotates
+    them back to the grid (None when that basis is the grid, as on the sparse
+    LU and matvec backends and after a no-convergence fill); `vectors`, the
+    grid-basis eigenvectors, is built from them on first read and then kept."""
     eigenvalues: np.ndarray   # ascending
     residuals: np.ndarray     # ||H u - lambda u|| per pair
-    vectors: np.ndarray       # (dim, k), orthonormal columns
+    ritz_vectors: np.ndarray  # (size, k) in ARPACK's basis, Fortran order
+    decomposition: SeparableDecomposition | None
     iterations: int           # operator applications (inverse applies or matvecs)
     converged: np.ndarray     # per-pair flags
     h: float
@@ -61,6 +68,24 @@ class SpectrumResult:
     @property
     def all_converged(self) -> bool:
         return bool(np.all(self.converged))
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """(dim, k) orthonormal eigenvector columns in the grid basis,
+        Fortran order: the Ritz vectors, rotated back a column at a time
+        when ARPACK iterated in the separable eigenbasis."""
+        return _grid_basis(self.ritz_vectors, self.decomposition)
+
+
+def _grid_basis(ritz: np.ndarray, decomposition) -> np.ndarray:
+    """The columns of `ritz` in the grid basis, Fortran order: rotated back a
+    column at a time by `decomposition`, or `ritz` itself when it is None."""
+    if decomposition is None:
+        return ritz
+    vectors = np.empty((math.prod(decomposition.points), ritz.shape[1]), order="F")
+    for j in range(ritz.shape[1]):
+        decomposition.rotate_back(ritz[:, j], out=vectors[:, j])
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -83,7 +108,9 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
       there, where (H - sigma I)^{-1} is one `dpttrs` solve
       (`grid.eigenbasis_inverse`).  sigma is the exact lowest eigenvalue
       less 1e-2 max(1, |lowest|).  The start vector is drawn in the grid
-      basis and rotated in once, and the Ritz vectors back once.
+      basis and rotated in once.  The Ritz vectors stay in the rotated
+      basis: the residual step rotates each back in turn, and
+      `SpectrumResult.vectors` rotates them back on first read.
     - "sparse LU", on grids of dimension <= SHIFT_INVERT_MAX_DIM: shift-
       invert Lanczos through one sparse LU of H - sigma I, sigma being the
       Weyl bound `GridOperator.shift_below_spectrum`.
@@ -93,9 +120,10 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
 
     Residuals and flags are computed in the grid basis one pair at a time,
     by `GridOperator.apply`, which equals `op.matrix @ u` bit for bit
-    without building H: the step holds the k Ritz vectors and a few grid
-    vectors, and the separable path builds no H at all.  Only the sparse LU
-    and matvec backends read `op.matrix`.  `iterations` counts operator
+    without building H, in three work vectors reused for every pair, so on
+    the separable path the grid-size arrays of the call are V and a few
+    work vectors, whatever k is, and no H is built.  Only the sparse LU and
+    matvec backends read `op.matrix`.  `iterations` counts operator
     applications and `backend` names the operator.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
@@ -145,52 +173,62 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     else:
         backend, arpack = "matvec", {"A": counted(op.matrix.dot, dim), "which": "SA"}
 
-    def grid_basis(vectors):
-        # the separable inverse iterates on the kept blocks of the rotated
-        # basis; rotated back a column at a time, since a stacked copy raised
-        # the peak memory, into Fortran order, so each residual column is
-        # contiguous (the apply of a strided column took twice as long)
-        if decomposition is None:
-            return vectors
-        rotated_back = np.empty((dim, vectors.shape[1]), order="F")
-        for j in range(vectors.shape[1]):
-            rotated_back[:, j] = decomposition.rotate_back(vectors[:, j])
-        return rotated_back
-
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     if decomposition is not None:
         v0 = decomposition.rotate(v0)
     try:
-        theta, vectors = eigsh(k=k, v0=v0, tol=0.1 * tol, **arpack)
-        # sorted before the rotation back, so no stacked copy sorts them after
+        theta, ritz = eigsh(k=k, v0=v0, tol=0.1 * tol, **arpack)
+        # Fortran order, so that a grid-basis column is contiguous (the apply
+        # of a strided column took twice as long)
         order = np.argsort(theta)
-        theta, vectors = theta[order], grid_basis(vectors[:, order])
+        theta, ritz = theta[order], np.asfortranarray(ritz[:, order])
     except ArpackNoConvergence as exc:
-        # keep the pairs ARPACK converged and fill up to k by a Rayleigh-Ritz
-        # step on seeded random directions; the residuals flag the fill
+        # keep the pairs ARPACK converged, in the grid basis, and fill up to k
+        # by a Rayleigh-Ritz step on seeded random directions; the residuals
+        # flag the fill.  Fortran order throughout, so every column applied
+        # is contiguous (the apply of a strided column took twice as long)
         fill = rng.standard_normal((dim, k - len(exc.eigenvalues)))
-        basis, _ = np.linalg.qr(np.hstack([grid_basis(exc.eigenvectors), fill]))
+        basis, _ = np.linalg.qr(np.hstack([_grid_basis(exc.eigenvectors, decomposition), fill]))
+        basis = np.asfortranarray(basis)
         # H applied a column at a time by its stencil: the fill builds no H
-        applied = np.empty_like(basis)
+        applied = np.empty_like(basis, order="F")
         for j in range(k):
-            applied[:, j] = op.apply(basis[:, j])
+            op.apply(basis[:, j], out=applied[:, j])
         # eigh returns theta ascending
         theta, s = np.linalg.eigh(basis.T @ applied)
-        vectors = basis @ s
+        del applied
+        # the transpose of a C-ordered product is Fortran-ordered
+        ritz, decomposition = (s.T @ basis.T).T, None
 
-    # a column at a time, so the step holds one grid vector per term, not a
-    # (dim, k) array; the norm as a running sum of squares, which adds in the
-    # order numpy's norm of the stacked residuals did and, unlike a 1-D
-    # norm, stays off numpy's threaded BLAS (see grid.BLAS_SIDES)
+    # a column at a time, so the step holds three grid vectors whatever k
+    # is: the column rotated back, its residual and the apply's scratch,
+    # reused for every column, since a fresh grid vector per column cost
+    # page faults as the allocator handed each freed one back to the system.
+    # They are allocated after ARPACK returns, so they add nothing to its
+    # peak, and the column on its own, so that it can take the place the
+    # start vector freed: one block of all three was mapped afresh beside
+    # that place, which raised the peak RSS of a 1023^2 solve by 8 MB.  The
+    # residual is H u - u theta in that order of operations and its norm a
+    # running sum of squares, which adds in the order numpy's norm of the
+    # stacked residuals did and, unlike a 1-D norm, stays off numpy's
+    # threaded BLAS (see grid.BLAS_SIDES)
+    column = None if decomposition is None else np.empty(dim)
+    r, scratch = np.empty((2, dim))
     residuals = np.empty(k)
     for j in range(k):
-        r = op.apply(vectors[:, j]) - vectors[:, j] * theta[j]
-        residuals[j] = np.sqrt(np.add.accumulate(r * r)[-1])
+        u = ritz[:, j]
+        if decomposition is not None:
+            u = decomposition.rotate_back(u, out=column)
+        op.apply(u, out=r, scratch=scratch)
+        r -= np.multiply(u, theta[j], out=scratch)
+        np.multiply(r, r, out=scratch)
+        residuals[j] = np.sqrt(np.add.accumulate(scratch, out=r)[-1])
     return SpectrumResult(
         eigenvalues=theta,
         residuals=residuals,
-        vectors=vectors,
+        ritz_vectors=ritz,
+        decomposition=decomposition,
         iterations=applications,
         converged=residuals <= tol * np.maximum(1.0, np.abs(theta)),
         h=op.h,

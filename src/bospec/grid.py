@@ -26,8 +26,6 @@ __all__ = [
     "build_grid",
     "assemble_hamiltonian",
     "axis_eigenpairs",
-    "kinetic_operator",
-    "laplacian_1d",
     "eigenbasis_inverse",
     "separable_decomposition",
     "separable_inverse",
@@ -132,21 +130,6 @@ def build_grid(n: int, p: int, half_widths, points) -> Grid:
     return Grid(n=n, p=p, half_widths=half_widths, points=points)
 
 
-def laplacian_1d(m: int, delta: float) -> sp.csr_matrix:
-    """Second-order central-difference -d^2/dx^2 with Dirichlet truncation."""
-    main = np.full(m, 2.0 / delta**2)
-    off = np.full(m - 1, -1.0 / delta**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def kinetic_operator(grid: Grid, h: float) -> sp.csr_matrix:
-    """-h^2 Lap_x - Lap_y on the grid (x-dimension stencils scaled by h^2): the
-    Kronecker sum of the per-axis stencils, dimension 0 fastest, assembled
-    from its bands like `GridOperator.matrix` with V = 0."""
-    check_h(h)
-    return _band_matrix(grid, h, 0.0)
-
-
 def check_h(h: float) -> None:
     """Refuse an h outside (0, DEFAULT_H_MAX] with ValueError."""
     if not 0 < h <= DEFAULT_H_MAX:
@@ -172,7 +155,7 @@ def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
     converted by scipy from its 2 dim + 1 bands in DIA layout: the off entry
     of `Grid.stencil` one stride of each dimension d away, zeroed where it
     would cross an end of axis d, and the main entries summed in dimension
-    order plus V.  So it equals scipy.sparse.kronsum of w_d * laplacian_1d
+    order plus V.  So it equals scipy.sparse.kronsum of the per-axis stencils
     plus a sparse add of diags(V) bit for bit, zero entries dropped as that
     add drops them."""
     dim, size = grid.dim, grid.size
@@ -191,7 +174,7 @@ def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
     return sp.dia_matrix((data, offsets), shape=(size, size)).tocsr()
 
 
-def _band_apply(grid: Grid, h: float, potential_values, u) -> np.ndarray:
+def _band_apply(grid: Grid, h: float, potential_values, u, out=None, scratch=None) -> np.ndarray:
     """H u for H = `_band_matrix(grid, h, potential_values)`, without building
     H: one pass over the grid per band of H, neighbours found along the axes
     of `Grid.nodes`.
@@ -201,11 +184,20 @@ def _band_apply(grid: Grid, h: float, potential_values, u) -> np.ndarray:
     stride, the main entry, then the neighbours one stride up by ascending
     stride, none past an end of its axis.  So it equals H @ u bit for bit,
     for a contiguous or strided u; the zero entries CSR drops add 0 to a sum
-    started at 0, which changes no bit of a finite u's product."""
+    started at 0, which changes no bit of a finite u's product.
+
+    H u is written into `out` and each term formed in `scratch`, contiguous
+    grid vectors other than u that a caller applying H many times passes to
+    reuse; those not passed are allocated."""
     main, couplings = _stencil_entries(grid, h)
     # each term is formed in `scratch` and added, so the apply holds two
     # grid vectors, not one more per temporary product
-    out, scratch = np.zeros(grid.size), np.empty(grid.size)
+    if out is None:
+        out = np.zeros(grid.size)
+    else:
+        out.fill(0.0)
+    if scratch is None:
+        scratch = np.empty(grid.size)
     y, x, term = grid.nodes(out), grid.nodes(u), grid.nodes(scratch)
 
     def add_neighbours(d, rows, cols):
@@ -240,16 +232,21 @@ def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:
 BLAS_SIDES = ("scipy", "numpy")
 
 
-def axis_eigenpairs(grid: Grid, h: float, d: int, values, blas: str) -> tuple:
+def axis_eigenpairs(grid: Grid, h: float, d: int, values, blas: str,
+                    count: int | None = None) -> tuple:
     """Ascending eigenvalues and orthonormal eigenvector columns of the axis-d
     tridiagonal `_axis_tridiagonal`: the axis-d term of H when V is a sum of
-    one-variable terms, `values` being axis d's term at its nodes.
+    one-variable terms, `values` being axis d's term at its nodes.  All of
+    them, or with `count` only the `count` lowest.
 
-    On the "scipy" side by eigh_tridiagonal, whose LAPACK dstevd calls dgemm
-    on scipy's BLAS in its merges; on the "numpy" side by numpy's eigh of the
-    dense tridiagonal, whose N_d^2 entries are the size of the eigenvectors."""
+    All of them on the "scipy" side by eigh_tridiagonal, whose LAPACK dstevd
+    calls dgemm on scipy's BLAS in its merges; on the "numpy" side by
+    numpy's eigh of the dense tridiagonal, whose N_d^2 entries are the size
+    of the eigenvectors.  The `count` lowest on either side by
+    eigh_tridiagonal(select='i'), LAPACK's bisection (dstebz) and inverse
+    iteration (dstein), which call no dgemm."""
     main, off = _axis_tridiagonal(grid, h, d, values)
-    if blas == "numpy":
+    if blas == "numpy" and count is None:
         # eigh reads the lower triangle only
         dense = np.diag(main)
         np.fill_diagonal(dense[1:], off)
@@ -258,7 +255,9 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values, blas: str) -> tuple:
     # scipy.sparse.linalg, measured 0.05 s slower set-up of the package
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(main, off)
+    if count is None:
+        return eigh_tridiagonal(main, off)
+    return eigh_tridiagonal(main, off, select="i", select_range=(0, count - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,10 +280,11 @@ class GridOperator:
         with H is `apply`, so a separable solve or probe builds no H."""
         return _band_matrix(self.grid, self.h, self.potential_values)
 
-    def apply(self, u) -> np.ndarray:
+    def apply(self, u, out=None, scratch=None) -> np.ndarray:
         """H u from the stencil, equal to `matrix @ u` bit for bit, without
-        building `matrix` (see `_band_apply`)."""
-        return _band_apply(self.grid, self.h, self.potential_values, u)
+        building `matrix`; `out` and `scratch` are optional work vectors
+        (see `_band_apply`)."""
+        return _band_apply(self.grid, self.h, self.potential_values, u, out, scratch)
 
     def shift_below_spectrum(self) -> float:
         """A shift strictly below the spectrum of H = K + diag(V), for any V:
@@ -303,22 +303,29 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     if pot.n != grid.n or pot.p != grid.p:
         raise ValueError(
             f"potential dims ({pot.n},{pot.p}) do not match grid ({grid.n},{grid.p})")
-    vvals = pot.evaluate_many(grid.node_coords())
+    # each axis's coordinates along its own array axis, dimension 0 last, so
+    # that the broadcast values in C order run in flat-index order, with no
+    # coordinate table
+    axes = [grid.axis_coords(d).reshape((-1,) + (1,) * d) for d in range(grid.dim)]
+    vvals = pot.evaluate_many(axes)
     check_h(h)
     return GridOperator(grid=grid, h=h, potential=pot, potential_values=vvals)
 
 
-def _product(blas: str, x, q, back: bool):
-    """The dense product of `SeparableDecomposition.rotate` (back false) and
-    `rotate_back` (back true) on the given BLAS side, in Fortran order: x^T Q
-    for the Fortran-ordered (N_d, rest) matrix x, or Q x^T for the
-    Fortran-ordered (rest, N_d) matrix x."""
+def _product(blas: str, a, b, trans_a: bool = False, trans_b: bool = False, out=None):
+    """op(a) op(b) in Fortran order on the given BLAS side, op(m) being m^T
+    where asked and m otherwise: the dense products of
+    `SeparableDecomposition.rotate` and `rotate_back`.  Written into `out`, a
+    Fortran-ordered array of the product's shape, when one is given."""
     if blas == "numpy":
-        return (x @ q.T).T if back else (q.T @ x).T
+        left, right = (a.T if trans_a else a), (b.T if trans_b else b)
+        # the transpose of the C-ordered product of the transposes
+        return np.matmul(right.T, left.T, out=None if out is None else out.T).T
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.blas import dgemm
 
-    return dgemm(1.0, q, x, trans_b=1) if back else dgemm(1.0, x, q, trans_a=1)
+    into = {} if out is None else {"c": out, "overwrite_c": 1}
+    return dgemm(1.0, a, b, trans_a=int(trans_a), trans_b=int(trans_b), **into)
 
 
 def _separable_split(op: GridOperator):
@@ -332,8 +339,13 @@ def _separable_split(op: GridOperator):
     least = np.unravel_index(np.argmin(op.potential_values), op.grid.points, order="F")
     slices = [values[least[:d] + (slice(None),) + least[d + 1:]] for d in range(dim)]
     offset = (dim - 1) * values[least]
-    gap = np.abs(reduce(np.add.outer, slices) - offset - values).max()
-    if gap > 1e-12 * max(1.0, float(np.abs(values).max())):
+    # in place, so the check holds one grid vector; the initial 0 makes the
+    # sum a new array even in 1D, where the one slice is a view of V
+    gap = reduce(np.add.outer, slices, 0.0)
+    gap -= offset
+    gap -= values
+    largest = max(1.0, float(values.max()), -float(values.min()))
+    if np.abs(gap, out=gap).max() > 1e-12 * largest:
         return None
     return slices, offset
 
@@ -395,22 +407,44 @@ class SeparableDecomposition:
         # d transforms d and moves it last: after dimensions 0..t are moved
         # last untransformed, rotating these in turn leaves t leading again
         for d, (_, q) in zip(self.rotated, self.pairs):
-            x = _product(self.blas, x.reshape((self.points[d], -1), order="F"), q, False)
+            x = _product(self.blas, x.reshape((self.points[d], -1), order="F"), q, trans_a=True)
         if self.blocks is not None:
             x = x.reshape((self.main.size, -1), order="F")[:, self.blocks]
         return x.ravel(order="F")
 
-    def rotate_back(self, x):
-        """Q x, the inverse of `rotate` on the kept blocks."""
+    def rotate_back(self, x, out=None):
+        """Q x, the inverse of `rotate` on the kept blocks.  Written into
+        `out`, a contiguous grid vector, when one is given: then the last
+        product writes into it, and no grid vector is allocated unless t
+        lies before the last two dimensions (t < dim - 2), where the result
+        is transposed into `out`."""
         if self.blocks is not None:
             spanned = np.zeros((self.main.size, self.blocks.size), order="F")
             spanned[:, self.blocks] = x.reshape((self.main.size, -1), order="F")
             x = spanned
-        for _, q in self.pairs[::-1]:
-            x = _product(self.blas, x.reshape((-1, q.shape[1]), order="F"), q, True)
-        if self.t < len(self.points) - 1:
+        dim, written = len(self.points), False
+        for i, (_, q) in enumerate(self.pairs[::-1]):
+            x = x.reshape((-1, q.shape[1]), order="F")
+            # Q_d x^T moves dimension d first; the last product, of
+            # rotated[0], lands in the grid's layout unless t < dim - 2, and
+            # for t = dim - 2 as x Q_d^T, which keeps the last dimension last
+            last = i == len(self.pairs) - 1
+            flip = last and self.t == dim - 2
+            target = None
+            if last and out is not None and self.t >= dim - 2:
+                shape = (x.shape[0], q.shape[0]) if flip else (q.shape[0], x.shape[0])
+                target, written = out.reshape(shape, order="F"), True
+            if flip:
+                x = _product(self.blas, x, q, trans_b=True, out=target)
+            else:
+                x = _product(self.blas, q, x, trans_b=True, out=target)
+        if self.t < dim - 2:
             x = x.reshape((-1, math.prod(self.points[:self.t + 1])), order="F").T
-        return x.ravel(order="F")
+        if out is None:
+            return x.ravel(order="F")
+        if not written:
+            out.reshape(x.shape, order="F")[...] = x
+        return out
 
 
 def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
@@ -425,8 +459,12 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
     smallest floor: a block whose floor lies above it holds none of the k
     lowest.  Blocks tied at the cut, to 1e-12 of it for the rounding of the
     sums, are kept.  Each rotated axis's eigenvalues ascend, so the kept
-    blocks use only a leading run of its eigenpairs, and only those columns
-    of Q_d are kept."""
+    blocks use only a leading run of its eigenpairs, and only those are
+    kept.  Each rotated axis computes just its k + 1 lowest eigenpairs
+    (`axis_eigenpairs` with a count), since the k-th smallest floor uses
+    indices below k on every axis; where the ties at the cut reach the last
+    index computed on an axis, they may continue past it, and that axis is
+    computed in full.  Without k every eigenpair is computed."""
     if blas not in BLAS_SIDES:
         raise ValueError(f"blas must be one of {BLAS_SIDES}, got {blas!r}")
     split = _separable_split(op)
@@ -438,24 +476,45 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
     # of equal axes the last stays tridiagonal, which needs no transposition
     t = max(range(dim), key=lambda d: (points[d], d))
     rotated = (*range(t + 1, dim), *range(t))
-    pairs = tuple(axis_eigenpairs(op.grid, op.h, d, slices[d], blas) for d in rotated)
+
+    def eigenpairs(d, count=None):
+        return axis_eigenpairs(op.grid, op.h, d, slices[d], blas, count)
+
+    def block_sums():
+        # the shift of every block the eigenpairs span: one eigenvalue of each
+        # rotated axis summed, the first of `rotated` varying fastest
+        return reduce(np.add.outer, [lam for lam, _ in reversed(pairs)], 0.0)
+
+    pairs = [eigenpairs(d, None if k is None or k + 1 >= points[d] else k + 1)
+             for d in rotated]
     main, off = _axis_tridiagonal(op.grid, op.h, t, slices[t])
-    # the shift of every block: one eigenvalue of each rotated axis summed,
-    # the first of `rotated` varying fastest
-    sums = reduce(np.add.outer, [lam for lam, _ in reversed(pairs)], 0.0)
+    sums = block_sums()
     shifts, blocks = np.ravel(sums), None
     if k is not None and shifts.size > k:
-        cut = np.partition(shifts, k - 1)[k - 1]
-        kept = sums <= cut + 1e-12 * max(1.0, abs(cut))
-        box = tuple(slice(int(i.max()) + 1) for i in np.nonzero(kept))
-        # copied, so the full Q_d is freed with the full eigenpairs
-        pairs = tuple((lam[m], q[:, m].copy(order="F")) for (lam, q), m in zip(pairs, box[::-1]))
-        shifts, kept = sums[box].ravel(), kept[box].ravel()
+        while True:
+            cut = np.partition(shifts, k - 1)[k - 1]
+            kept = sums <= cut + 1e-12 * max(1.0, abs(cut))
+            # the leading run of each rotated axis that the kept blocks use
+            box = [int(i.max()) + 1 for i in np.nonzero(kept)][::-1]
+            # ties at the cut that reach the last index computed on an axis
+            # may continue past it: that axis is computed in full
+            short = [i for i, ((lam, _), m) in enumerate(zip(pairs, box))
+                     if m == lam.size < points[rotated[i]]]
+            if not short:
+                break
+            for i in short:
+                pairs[i] = eigenpairs(rotated[i])
+            sums = block_sums()
+            shifts = np.ravel(sums)
+        # copied, so the computed Q_d is freed with the computed eigenpairs
+        pairs = [(lam[:m], q[:, :m].copy(order="F")) for (lam, q), m in zip(pairs, box)]
+        spanned = tuple(slice(m) for m in box[::-1])
+        shifts, kept = sums[spanned].ravel(), kept[spanned].ravel()
         if not kept.all():
             shifts, blocks = shifts[kept], kept
-    return SeparableDecomposition(points=points, blas=blas, t=t, rotated=rotated, pairs=pairs,
-                                  main=main, off=off, offset=float(offset), shifts=shifts,
-                                  blocks=blocks)
+    return SeparableDecomposition(points=points, blas=blas, t=t, rotated=rotated,
+                                  pairs=tuple(pairs), main=main, off=off, offset=float(offset),
+                                  shifts=shifts, blocks=blocks)
 
 
 def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):

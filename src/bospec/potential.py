@@ -125,19 +125,51 @@ class PotentialExpr:
     n: int
     p: int
 
-    def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; coords has shape (m, n+p)."""
-        coords = np.asarray(coords, dtype=float)
-        env = {f"x{j + 1}": coords[:, j] for j in range(self.n)}
-        env.update({f"y{j + 1}": coords[:, self.n + j] for j in range(self.p)})
+    def evaluate_many(self, coords) -> np.ndarray:
+        """The expression at the nodes that `coords` spans, flat in C order
+        (see `Potential.evaluate_many`); PotentialDomainError names the
+        coordinates of the first node where it is not finite."""
+        coords, shape = _broadcast(coords, self.n + self.p)
+        env = {f"x{j + 1}": coords[j] for j in range(self.n)}
+        env.update({f"y{j + 1}": coords[self.n + j] for j in range(self.p)})
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = _eval_node(self.ast, env)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), (coords.shape[0],)).copy()
+        vals = _flat(vals, shape, coords)
         if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise PotentialDomainError(
-                f"expression evaluated to non-finite value at {coords[bad].tolist()}")
+            bad = np.unravel_index(int(np.flatnonzero(~np.isfinite(vals))[0]), shape)
+            point = [float(np.broadcast_to(c, shape)[bad]) for c in coords]
+            raise PotentialDomainError(f"expression evaluated to non-finite value at {point}")
         return vals
+
+
+def _broadcast(coords, dim: int) -> tuple:
+    """`coords` as `dim` float arrays, one per dimension, and the shape they
+    broadcast to; ValueError when their count differs from `dim` or they do
+    not broadcast together."""
+    coords = [np.asarray(c, dtype=float) for c in coords]
+    if len(coords) != dim:
+        raise ValueError(f"need {dim} coordinate arrays, one per dimension, got {len(coords)}")
+    return coords, np.broadcast_shapes(*(c.shape for c in coords))
+
+
+def _flat(vals, shape: tuple, coords: list) -> np.ndarray:
+    """Values broadcast to `shape` as a new flat float array in C order: an
+    array of that shape the evaluation made is kept, not copied, but one of
+    the caller's `coords` (V = x1, say) or a smaller one is copied."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != shape or any(vals is c for c in coords):
+        vals = np.array(np.broadcast_to(vals, shape))
+    return vals.ravel()
+
+
+def _quadratic_form(matrix: np.ndarray, coords: list):
+    """sum_ij matrix_ij c_i c_j over broadcasting coordinate arrays, each term
+    formed on the arrays' own shapes before the sum broadcasts them."""
+    total = 0.0
+    for i, ci in enumerate(coords):
+        for j, cj in enumerate(coords):
+            total = total + matrix[i, j] * ci * cj
+    return total
 
 
 def parse_potential(text: str, n: int, p: int) -> PotentialExpr:
@@ -200,19 +232,21 @@ class Potential:
         if point.shape != (self.dim,):
             raise ValueError(
                 f"point has shape {point.shape}, expected ({self.dim},)")
-        return float(self.evaluate_many(point[None, :])[0])
+        return float(self.evaluate_many(point)[0])
 
-    def evaluate_many(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[1] != self.dim:
-            raise ValueError(f"coords must have shape (m, {self.dim})")
+    def evaluate_many(self, coords) -> np.ndarray:
+        """V at the nodes that `coords` spans, flat in C order: `coords`
+        holds one coordinate array per dimension (x1..xn, then y1..yp),
+        arrays that broadcast together, and V is evaluated on their
+        broadcast.  The columns of an (m, n + p) table of points, `table.T`,
+        are one such set; per-axis coordinates shaped along separate array
+        axes span a tensor grid without its table."""
         if self.kind == "quadratic":
-            x = coords[:, : self.n]
-            vals = np.einsum("mi,ij,mj->m", x, self.a, x)
+            coords, shape = _broadcast(coords, self.dim)
+            vals = _quadratic_form(self.a, coords[:self.n])
             if self.p:
-                y = coords[:, self.n:]
-                vals = vals + np.einsum("mi,ij,mj->m", y, self.b, y)
-            return vals
+                vals = vals + _quadratic_form(self.b, coords[self.n:])
+            return _flat(vals, shape, coords)
         return self.expr.evaluate_many(coords)
 
     def min_curvature(self) -> float:

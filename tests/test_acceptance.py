@@ -23,7 +23,7 @@ from bospec.eigensolver import (
     convergence_study,
     lowest_eigenpairs,
 )
-from bospec.grid import assemble_hamiltonian, build_grid, kinetic_operator
+from bospec.grid import assemble_hamiltonian, build_grid
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import (
     CutoffFamily,
@@ -32,6 +32,8 @@ from bospec.probe import (
     essential_spectrum_probe,
     form_inequality_check,
 )
+
+from reference import kinetic_operator
 
 
 def report(num, name, ok, detail):

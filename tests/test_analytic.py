@@ -17,7 +17,9 @@ from bospec.analytic import (
     ladder_residual,
     oscillator_frequencies,
 )
-from bospec.grid import build_grid, kinetic_operator
+from bospec.grid import build_grid
+
+from reference import kinetic_operator
 
 
 def brute_force_levels(w, h_scale, e_max):

@@ -12,13 +12,13 @@ from bospec.grid import (
     assemble_hamiltonian,
     build_grid,
     eigenbasis_inverse,
-    kinetic_operator,
-    laplacian_1d,
     separable_decomposition,
     separable_inverse,
 )
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import essential_spectrum_probe
+
+from reference import kinetic_operator, laplacian_1d
 
 
 def zero_potential(n, p):
@@ -162,7 +162,7 @@ class TestAssembly:
             stencil = (h * h if d < n else 1.0) * laplacian_1d(m, delta)
             kinetic = stencil if kinetic is None else sp.kronsum(kinetic, stencil, format="csr")
         matrix = assemble_hamiltonian(grid, pot, h).matrix
-        reference = (kinetic + sp.diags(pot.evaluate_many(grid.node_coords()))).tocsr()
+        reference = (kinetic + sp.diags(pot.evaluate_many(grid.node_coords().T))).tocsr()
         for built, expected in ((matrix, reference), (kinetic_operator(grid, h), kinetic)):
             assert built.format == "csr" and built.has_canonical_format
             for field in ("indptr", "indices", "data"):
@@ -338,9 +338,9 @@ class TestSeparableInverse:
         dense = []
         eigenpairs = grid_module.axis_eigenpairs
 
-        def recording(grid, h, d, values, blas):
+        def recording(grid, h, d, values, blas, count=None):
             dense.append(d)
-            return eigenpairs(grid, h, d, values, blas)
+            return eigenpairs(grid, h, d, values, blas, count)
 
         monkeypatch.setattr(grid_module, "axis_eigenpairs", recording)
         size = int(np.prod(points))
@@ -455,6 +455,90 @@ class TestSeparableInverse:
     def test_unknown_blas_side_raises(self):
         with pytest.raises(ValueError, match="blas"):
             separable_decomposition(self.op((9, 11), "x1^2 + y1^2"), blas="mkl")
+
+
+class TestLeadingEigenpairs:
+    """With k, each rotated axis computes only its k + 1 lowest eigenpairs,
+    and the decomposition equals the one built on full axis eigenbases."""
+
+    @staticmethod
+    def full_eigenbases(monkeypatch):
+        """Make every axis compute all its eigenpairs, whatever the count."""
+        eigenpairs = grid_module.axis_eigenpairs
+        monkeypatch.setattr(grid_module, "axis_eigenpairs",
+                            lambda grid, h, d, values, blas, count=None:
+                            eigenpairs(grid, h, d, values, blas))
+
+    @staticmethod
+    def record_counts(monkeypatch):
+        """A list that gains (d, count) per axis eigendecomposition."""
+        calls = []
+        eigenpairs = grid_module.axis_eigenpairs
+
+        def recording(grid, h, d, values, blas, count=None):
+            calls.append((d, count))
+            return eigenpairs(grid, h, d, values, blas, count)
+
+        monkeypatch.setattr(grid_module, "axis_eigenpairs", recording)
+        return calls
+
+    # two identical rotated axes tie floors exactly at the cut; in the double
+    # well (wells at y = +-4, y rotated) each pair of levels ties to about
+    # 1e-13, so the tie at the cut reaches the last computed index, k, and
+    # the axis is computed in full
+    @pytest.mark.parametrize("points, expression, k, fallback", [
+        ((255,), "x1^2", 6, False), ((127, 129), "x1^2 + y1^4", 6, False),
+        ((127, 129), "x1^2 + y1^4", 12, False), ((31, 21, 21), "x1^2 + y1^2 + y2^2", 3, False),
+        ((31, 21, 21), "x1^2 + y1^2 + y2^2", 6, False),
+        ((63, 41), "x1^2 + (y1^2 - 16)^2", 1, True), ((63, 41), "x1^2 + (y1^2 - 16)^2", 3, True)],
+        ids=["1d", "127x129-k6", "127x129-k12", "3d-ties-k3", "3d-ties-k6", "double-well-k1",
+             "double-well-k3"])
+    def test_equals_decomposition_on_full_eigenbases(self, monkeypatch, points, expression, k,
+                                                     fallback):
+        dim = len(points)
+        grid = build_grid(1, dim - 1, [6.0] * dim, points)
+        op = assemble_hamiltonian(grid, expression_potential(expression, 1, dim - 1), 0.5)
+        calls = self.record_counts(monkeypatch)
+        leading = separable_decomposition(op, blas="scipy", k=k)
+        # every rotated axis asks first for its k + 1 lowest eigenpairs
+        asked = {d: [c for e, c in calls if e == d] for d in leading.rotated}
+        assert all(counts[0] == k + 1 for counts in asked.values())
+        assert any(counts[1:] == [None] for counts in asked.values()) == fallback
+        assert all(len(counts) <= 2 for counts in asked.values())
+        monkeypatch.undo()
+        self.full_eigenbases(monkeypatch)
+        full = separable_decomposition(op, blas="scipy", k=k)
+        assert (leading.blocks is None) == (full.blocks is None)
+        if full.blocks is not None:
+            assert np.array_equal(leading.blocks, full.blocks)
+        assert leading.shifts.shape == full.shifts.shape
+        assert np.all(np.abs(leading.shifts - full.shifts)
+                      <= 1e-12 * np.maximum(1.0, np.abs(full.shifts)))
+        for (lam, q), (lam_full, q_full) in zip(leading.pairs, full.pairs):
+            assert q.shape == q_full.shape and q.flags.f_contiguous
+            assert np.all(np.abs(lam - lam_full) <= 1e-12 * np.maximum(1.0, np.abs(lam_full)))
+            signs = np.sign(np.sum(q * q_full, axis=0))
+            assert np.abs(q * signs - q_full).max() <= 1e-10
+
+    # rotated back into a work vector, with no grid vector allocated where the
+    # layout needs no transposition: t last (15 x 17, 8^3), t second to last
+    # (17 x 15, 7 x 9 x 8), where the last product keeps the last dimension
+    # last, t first of three (9 x 8 x 7), transposed into `out`, and 1D
+    @pytest.mark.parametrize("blas", ["scipy", "numpy"])
+    @pytest.mark.parametrize("points", [(31,), (15, 17), (17, 15), (8, 8, 8), (7, 9, 8), (9, 8, 7)],
+                             ids=["1d", "15x17", "17x15", "8x8x8", "7x9x8", "9x8x7"])
+    def test_rotate_back_into_out(self, points, blas):
+        dim = len(points)
+        grid = build_grid(1, dim - 1, [6.0] * dim, points)
+        expression = ["x1^2", "x1^2 + y1^4", "x1^2 + y1^2 + 2*y2^2"][dim - 1]
+        op = assemble_hamiltonian(grid, expression_potential(expression, 1, dim - 1), 0.5)
+        decomposition = separable_decomposition(op, blas=blas, k=4)
+        y = np.random.default_rng(4).standard_normal(decomposition.size)
+        expected = decomposition.rotate_back(y)
+        out = np.full(op.dim, np.nan)
+        assert decomposition.rotate_back(y, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert np.linalg.norm(decomposition.rotate(out) - y) <= 1e-12 * np.linalg.norm(y)
 
 
 class TestOneStencil:

@@ -9,6 +9,7 @@ from bospec.grid import assemble_hamiltonian, build_grid
 from bospec.potential import (
     ExprError,
     NotPositiveDefiniteError,
+    PotentialDomainError,
     _unparse,
     expression_potential,
     oscillator_frequencies,
@@ -235,6 +236,58 @@ def test_quadratic_matches_expanded_expression(seed):
     v1 = pot.evaluate(pt)
     v2 = expr.evaluate(pt)
     assert v1 == pytest.approx(v2, rel=1e-12)
+
+
+class TestEvaluateMany:
+    """V on per-axis coordinates that broadcast over the grid equals V on the
+    columns of the coordinate table, node for node in flat-index order."""
+
+    @staticmethod
+    def axes(grid):
+        # axis d along array axis -(d + 1), so C order runs dimension 0 fastest
+        return [grid.axis_coords(d).reshape((-1,) + (1,) * d) for d in range(grid.dim)]
+
+    @pytest.mark.parametrize("pot", [
+        quadratic_potential([[1.0, 0.3], [0.3, 2.0]], [[1.5, -0.4], [-0.4, 0.7]]),
+        expression_potential("3.5", 2, 2),
+        expression_potential("abs(x1 - y2) + exp(-y1^2) * x2 / 2", 2, 2)],
+        ids=["quadratic-n2p2", "constant", "abs-exp"])
+    def test_axes_equal_table(self, pot):
+        grid = build_grid(2, 2, [2.0, 3.0, 4.0, 2.5], [5, 6, 7, 4])
+        table = grid.node_coords()
+        on_axes = pot.evaluate_many(self.axes(grid))
+        on_table = pot.evaluate_many(table.T)
+        assert on_axes.shape == on_table.shape == (grid.size,)
+        assert np.all(np.abs(on_axes - on_table) <= 1e-15 * np.abs(on_table))
+        # each node's value is V at its point, and assembly reads the same
+        pointwise = [pot.evaluate(point) for point in table]
+        assert np.allclose(on_axes, pointwise, rtol=1e-14, atol=0)
+        op = assemble_hamiltonian(grid, pot, 1.0)
+        assert op.potential_values.tobytes() == on_axes.tobytes()
+
+    def test_quadratic_form_with_coupling(self):
+        a, b = np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[1.5, -0.4], [-0.4, 0.7]])
+        grid = build_grid(2, 2, [2.0, 3.0, 4.0, 2.5], [5, 6, 7, 4])
+        x, y = grid.node_coords()[:, :2], grid.node_coords()[:, 2:]
+        exact = np.einsum("mi,ij,mj->m", x, a, x) + np.einsum("mi,ij,mj->m", y, b, y)
+        values = quadratic_potential(a, b).evaluate_many(self.axes(grid))
+        assert np.allclose(values, exact, rtol=1e-14, atol=0)
+
+    # the first non-finite node in flat order (x1 = 0 at the lowest y1) is
+    # named by its coordinates on either path
+    def test_division_by_zero_names_the_node(self):
+        grid = build_grid(1, 1, [2.0, 2.0], [3, 3])
+        pot = expression_potential("1 / x1", 1, 1)
+        for coords in (self.axes(grid), grid.node_coords().T):
+            with pytest.raises(PotentialDomainError, match=r"at \[0\.0, -1\.0\]"):
+                pot.evaluate_many(coords)
+        with pytest.raises(PotentialDomainError, match=r"at \[0\.0, -1\.0\]"):
+            assemble_hamiltonian(grid, pot, 1.0)
+
+    def test_count_of_coordinate_arrays(self):
+        pot = quadratic_potential([[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="2 coordinate arrays"):
+            pot.evaluate_many([np.zeros(3)])
 
 
 def exterior_infima(pot, radii, half_width, points):

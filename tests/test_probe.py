@@ -7,8 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bospec import grid as grid_module
-from bospec.grid import (GridOperator, assemble_hamiltonian, build_grid, kinetic_operator,
-                         separable_inverse)
+from bospec.grid import GridOperator, assemble_hamiltonian, build_grid, separable_inverse
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import (
     FORM_TOLERANCE,
@@ -22,6 +21,8 @@ from bospec.probe import (
     form_inequality_check,
     make_zhislin_vector,
 )
+
+from reference import kinetic_operator
 
 
 # V that are sums of one-variable terms, on which commutator_decay applies
