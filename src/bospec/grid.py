@@ -312,20 +312,21 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     return GridOperator(grid=grid, h=h, potential=pot, potential_values=vvals)
 
 
-def _product(blas: str, a, b, trans_a: bool = False, trans_b: bool = False, out=None):
-    """op(a) op(b) in Fortran order on the given BLAS side, op(m) being m^T
-    where asked and m otherwise: the dense products of
-    `SeparableDecomposition.rotate` and `rotate_back`.  Written into `out`, a
+def _product(blas: str, x, q, back: bool, out=None):
+    """The dense product of `SeparableDecomposition.rotate` (back false) and
+    `rotate_back` (back true) on the given BLAS side, in Fortran order: x^T Q
+    for the Fortran-ordered (N_d, rest) matrix x, or Q x^T for the
+    Fortran-ordered (rest, N_d) matrix x.  Written into `out`, a
     Fortran-ordered array of the product's shape, when one is given."""
     if blas == "numpy":
-        left, right = (a.T if trans_a else a), (b.T if trans_b else b)
         # the transpose of the C-ordered product of the transposes
-        return np.matmul(right.T, left.T, out=None if out is None else out.T).T
+        into = None if out is None else out.T
+        return (np.matmul(x, q.T, out=into) if back else np.matmul(q.T, x, out=into)).T
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.blas import dgemm
 
     into = {} if out is None else {"c": out, "overwrite_c": 1}
-    return dgemm(1.0, a, b, trans_a=int(trans_a), trans_b=int(trans_b), **into)
+    return dgemm(1.0, q, x, trans_b=1, **into) if back else dgemm(1.0, x, q, trans_a=1, **into)
 
 
 def _separable_split(op: GridOperator):
@@ -407,7 +408,7 @@ class SeparableDecomposition:
         # d transforms d and moves it last: after dimensions 0..t are moved
         # last untransformed, rotating these in turn leaves t leading again
         for d, (_, q) in zip(self.rotated, self.pairs):
-            x = _product(self.blas, x.reshape((self.points[d], -1), order="F"), q, trans_a=True)
+            x = _product(self.blas, x.reshape((self.points[d], -1), order="F"), q, False)
         if self.blocks is not None:
             x = x.reshape((self.main.size, -1), order="F")[:, self.blocks]
         return x.ravel(order="F")
@@ -415,34 +416,25 @@ class SeparableDecomposition:
     def rotate_back(self, x, out=None):
         """Q x, the inverse of `rotate` on the kept blocks.  Written into
         `out`, a contiguous grid vector, when one is given: then the last
-        product writes into it, and no grid vector is allocated unless t
-        lies before the last two dimensions (t < dim - 2), where the result
-        is transposed into `out`."""
+        product writes into it, and no grid vector is allocated unless t is
+        not the last dimension (t < dim - 1), where the result is transposed
+        into `out`."""
         if self.blocks is not None:
             spanned = np.zeros((self.main.size, self.blocks.size), order="F")
             spanned[:, self.blocks] = x.reshape((self.main.size, -1), order="F")
             x = spanned
-        dim, written = len(self.points), False
+        transposed, target = self.t < len(self.points) - 1, None
         for i, (_, q) in enumerate(self.pairs[::-1]):
             x = x.reshape((-1, q.shape[1]), order="F")
-            # Q_d x^T moves dimension d first; the last product, of
-            # rotated[0], lands in the grid's layout unless t < dim - 2, and
-            # for t = dim - 2 as x Q_d^T, which keeps the last dimension last
-            last = i == len(self.pairs) - 1
-            flip = last and self.t == dim - 2
-            target = None
-            if last and out is not None and self.t >= dim - 2:
-                shape = (x.shape[0], q.shape[0]) if flip else (q.shape[0], x.shape[0])
-                target, written = out.reshape(shape, order="F"), True
-            if flip:
-                x = _product(self.blas, x, q, trans_b=True, out=target)
-            else:
-                x = _product(self.blas, q, x, trans_b=True, out=target)
-        if self.t < dim - 2:
+            # the last product lands in the grid's layout when t is last
+            if out is not None and not transposed and i == len(self.pairs) - 1:
+                target = out.reshape((q.shape[0], x.shape[0]), order="F")
+            x = _product(self.blas, x, q, True, out=target)
+        if transposed:
             x = x.reshape((-1, math.prod(self.points[:self.t + 1])), order="F").T
         if out is None:
             return x.ravel(order="F")
-        if not written:
+        if target is None:
             out.reshape(x.shape, order="F")[...] = x
         return out
 
@@ -485,27 +477,29 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
         # rotated axis summed, the first of `rotated` varying fastest
         return reduce(np.add.outer, [lam for lam, _ in reversed(pairs)], 0.0)
 
+    def cut(sums):
+        # the blocks at or below the k-th smallest shift, and the leading run
+        # of each rotated axis that they use
+        at = np.partition(sums, k - 1, axis=None)[k - 1]
+        kept = sums <= at + 1e-12 * max(1.0, abs(at))
+        return kept, [int(i.max()) + 1 for i in np.nonzero(kept)][::-1]
+
     pairs = [eigenpairs(d, None if k is None or k + 1 >= points[d] else k + 1)
              for d in rotated]
     main, off = _axis_tridiagonal(op.grid, op.h, t, slices[t])
     sums = block_sums()
     shifts, blocks = np.ravel(sums), None
     if k is not None and shifts.size > k:
-        while True:
-            cut = np.partition(shifts, k - 1)[k - 1]
-            kept = sums <= cut + 1e-12 * max(1.0, abs(cut))
-            # the leading run of each rotated axis that the kept blocks use
-            box = [int(i.max()) + 1 for i in np.nonzero(kept)][::-1]
-            # ties at the cut that reach the last index computed on an axis
-            # may continue past it: that axis is computed in full
-            short = [i for i, ((lam, _), m) in enumerate(zip(pairs, box))
-                     if m == lam.size < points[rotated[i]]]
-            if not short:
-                break
+        kept, box = cut(sums)
+        # ties at the cut that reach the last index computed on an axis may
+        # continue past it: that axis is computed in full, and the cut redone
+        short = [i for i, ((lam, _), m) in enumerate(zip(pairs, box))
+                 if m == lam.size < points[rotated[i]]]
+        if short:
             for i in short:
                 pairs[i] = eigenpairs(rotated[i])
             sums = block_sums()
-            shifts = np.ravel(sums)
+            kept, box = cut(sums)
         # copied, so the computed Q_d is freed with the computed eigenpairs
         pairs = [(lam[:m], q[:, :m].copy(order="F")) for (lam, q), m in zip(pairs, box)]
         spanned = tuple(slice(m) for m in box[::-1])

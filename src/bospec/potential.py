@@ -144,8 +144,13 @@ class PotentialExpr:
 
 def _broadcast(coords, dim: int) -> tuple:
     """`coords` as `dim` float arrays, one per dimension, and the shape they
-    broadcast to; ValueError when their count differs from `dim` or they do
-    not broadcast together."""
+    broadcast to.  TypeError unless `coords` is a list or tuple of numpy
+    arrays, so that a table of points, the older form, is refused rather
+    than read by columns; ValueError when their count differs from `dim` or
+    they do not broadcast together."""
+    if not (isinstance(coords, (list, tuple)) and all(isinstance(c, np.ndarray) for c in coords)):
+        raise TypeError("coords must be a list or tuple of numpy arrays, one per dimension; "
+                        "for an (m, n + p) table of points pass list(table.T)")
     coords = [np.asarray(c, dtype=float) for c in coords]
     if len(coords) != dim:
         raise ValueError(f"need {dim} coordinate arrays, one per dimension, got {len(coords)}")
@@ -232,15 +237,16 @@ class Potential:
         if point.shape != (self.dim,):
             raise ValueError(
                 f"point has shape {point.shape}, expected ({self.dim},)")
-        return float(self.evaluate_many(point)[0])
+        return float(self.evaluate_many(list(point[:, None]))[0])
 
     def evaluate_many(self, coords) -> np.ndarray:
-        """V at the nodes that `coords` spans, flat in C order: `coords`
-        holds one coordinate array per dimension (x1..xn, then y1..yp),
-        arrays that broadcast together, and V is evaluated on their
-        broadcast.  The columns of an (m, n + p) table of points, `table.T`,
-        are one such set; per-axis coordinates shaped along separate array
-        axes span a tensor grid without its table."""
+        """V at the nodes that `coords` spans, flat in C order: `coords` is a
+        list or tuple of numpy arrays, one coordinate array per dimension
+        (x1..xn, then y1..yp), that broadcast together, and V is evaluated on
+        their broadcast.  The columns of an (m, n + p) table of points,
+        `list(table.T)`, are one such set; per-axis coordinates shaped along
+        separate array axes span a tensor grid without its table.  A table
+        itself, an array or nested list of points, raises TypeError."""
         if self.kind == "quadratic":
             coords, shape = _broadcast(coords, self.dim)
             vals = _quadratic_form(self.a, coords[:self.n])

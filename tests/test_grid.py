@@ -157,13 +157,11 @@ class TestAssembly:
         dim = n + p
         grid = build_grid(n, p, [3.0 + d for d in range(dim)], points)
         pot = expression_potential(expression, n, p, nonnegative=False)
-        kinetic = None
-        for d, (m, delta) in enumerate(zip(grid.points, grid.spacing)):
-            stencil = (h * h if d < n else 1.0) * laplacian_1d(m, delta)
-            kinetic = stencil if kinetic is None else sp.kronsum(kinetic, stencil, format="csr")
+        kinetic = kinetic_operator(grid, h)
         matrix = assemble_hamiltonian(grid, pot, h).matrix
-        reference = (kinetic + sp.diags(pot.evaluate_many(grid.node_coords().T))).tocsr()
-        for built, expected in ((matrix, reference), (kinetic_operator(grid, h), kinetic)):
+        reference = (kinetic + sp.diags(pot.evaluate_many(list(grid.node_coords().T)))).tocsr()
+        for built, expected in ((matrix, reference),
+                                (grid_module._band_matrix(grid, h, 0.0), kinetic)):
             assert built.format == "csr" and built.has_canonical_format
             for field in ("indptr", "indices", "data"):
                 got, want = getattr(built, field), getattr(expected, field)

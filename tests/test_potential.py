@@ -256,7 +256,7 @@ class TestEvaluateMany:
         grid = build_grid(2, 2, [2.0, 3.0, 4.0, 2.5], [5, 6, 7, 4])
         table = grid.node_coords()
         on_axes = pot.evaluate_many(self.axes(grid))
-        on_table = pot.evaluate_many(table.T)
+        on_table = pot.evaluate_many(list(table.T))
         assert on_axes.shape == on_table.shape == (grid.size,)
         assert np.all(np.abs(on_axes - on_table) <= 1e-15 * np.abs(on_table))
         # each node's value is V at its point, and assembly reads the same
@@ -278,7 +278,7 @@ class TestEvaluateMany:
     def test_division_by_zero_names_the_node(self):
         grid = build_grid(1, 1, [2.0, 2.0], [3, 3])
         pot = expression_potential("1 / x1", 1, 1)
-        for coords in (self.axes(grid), grid.node_coords().T):
+        for coords in (self.axes(grid), list(grid.node_coords().T)):
             with pytest.raises(PotentialDomainError, match=r"at \[0\.0, -1\.0\]"):
                 pot.evaluate_many(coords)
         with pytest.raises(PotentialDomainError, match=r"at \[0\.0, -1\.0\]"):
@@ -288,6 +288,18 @@ class TestEvaluateMany:
         pot = quadratic_potential([[1.0]], [[1.0]])
         with pytest.raises(ValueError, match="2 coordinate arrays"):
             pot.evaluate_many([np.zeros(3)])
+
+    # an (m, n + p) table of points, the older form, is refused, also when
+    # m = n + p, where reading it by columns would evaluate other points
+    @pytest.mark.parametrize("table", [np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                       [[1.0, 2.0], [3.0, 4.0]], np.zeros((5, 2))],
+                             ids=["square-array", "square-list", "array"])
+    def test_table_of_points_refused(self, table):
+        pot = quadratic_potential([[1.0]], [[1.0]])
+        with pytest.raises(TypeError, match="list or tuple of numpy arrays"):
+            pot.evaluate_many(table)
+        assert pot.evaluate_many(list(np.asarray(table).T)).tolist() == [
+            pot.evaluate(point) for point in np.asarray(table)]
 
 
 def exterior_infima(pot, radii, half_width, points):
