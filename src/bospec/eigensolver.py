@@ -55,7 +55,9 @@ class SpectrumResult:
     LU and matvec backends and after a no-convergence fill); `vectors`, the
     grid-basis eigenvectors, is built from them on first read and then kept."""
     eigenvalues: np.ndarray   # ascending
-    residuals: np.ndarray     # ||H u - lambda u|| per pair
+    residuals: np.ndarray     # ||H u - lambda u|| per pair; on the separable
+                              # backend a bound on it, the rotated-basis norm
+                              # plus the decomposition's measured defect
     ritz_vectors: np.ndarray  # (size, k) in ARPACK's basis, Fortran order
     decomposition: SeparableDecomposition | None
     iterations: int           # operator applications (inverse applies or matvecs)
@@ -109,8 +111,11 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
       (`grid.eigenbasis_inverse`).  sigma is the exact lowest eigenvalue
       less 1e-2 max(1, |lowest|).  The start vector is drawn in the grid
       basis and rotated in once.  The Ritz vectors stay in the rotated
-      basis: the residual step rotates each back in turn, and
-      `SpectrumResult.vectors` rotates them back on first read.
+      basis, where each residual is taken block by block and the
+      decomposition's measured defect added
+      (`grid.SeparableDecomposition.residuals`): a bound on ||Hu - lu||
+      that touches no grid vector.  `SpectrumResult.vectors` rotates the
+      Ritz vectors back on first read.
     - "sparse LU", on grids of dimension <= SHIFT_INVERT_MAX_DIM: shift-
       invert Lanczos through one sparse LU of H - sigma I, sigma being the
       Weyl bound `GridOperator.shift_below_spectrum`.
@@ -118,13 +123,14 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
       ARPACK's implicitly restarted Lanczos (``which='SA'``) on products
       with H, with scipy's default restart cap, and no shift.
 
-    Residuals and flags are computed in the grid basis one pair at a time,
-    by `GridOperator.apply`, which equals `op.matrix @ u` bit for bit
-    without building H, in three work vectors reused for every pair, so on
-    the separable path the grid-size arrays of the call are V and a few
-    work vectors, whatever k is, and no H is built.  Only the sparse LU and
-    matvec backends read `op.matrix`.  `iterations` counts operator
-    applications and `backend` names the operator.
+    On the other backends, and after a no-convergence fill, residuals are
+    computed in the grid basis one pair at a time, by `GridOperator.apply`,
+    which equals `op.matrix @ u` bit for bit without building H, in two
+    work vectors reused for every pair.  So the grid-size arrays of a
+    separable call are V and a few work vectors, whatever k is, and no H is
+    built.  Only the sparse LU and matvec backends read `op.matrix`.
+    `iterations` counts operator applications and `backend` names the
+    operator.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
@@ -201,29 +207,27 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         # the transpose of a C-ordered product is Fortran-ordered
         ritz, decomposition = (s.T @ basis.T).T, None
 
-    # a column at a time, so the step holds three grid vectors whatever k
-    # is: the column rotated back, its residual and the apply's scratch,
-    # reused for every column, since a fresh grid vector per column cost
-    # page faults as the allocator handed each freed one back to the system.
-    # They are allocated after ARPACK returns, so they add nothing to its
-    # peak, and the column on its own, so that it can take the place the
-    # start vector freed: one block of all three was mapped afresh beside
-    # that place, which raised the peak RSS of a 1023^2 solve by 8 MB.  The
-    # residual is H u - u theta in that order of operations and its norm a
-    # running sum of squares, which adds in the order numpy's norm of the
-    # stacked residuals did and, unlike a 1-D norm, stays off numpy's
-    # threaded BLAS (see grid.BLAS_SIDES)
-    column = None if decomposition is None else np.empty(dim)
-    r, scratch = np.empty((2, dim))
-    residuals = np.empty(k)
-    for j in range(k):
-        u = ritz[:, j]
-        if decomposition is not None:
-            u = decomposition.rotate_back(u, out=column)
-        op.apply(u, out=r, scratch=scratch)
-        r -= np.multiply(u, theta[j], out=scratch)
-        np.multiply(r, r, out=scratch)
-        residuals[j] = np.sqrt(np.add.accumulate(scratch, out=r)[-1])
+    if decomposition is not None:
+        # in the rotated basis, plus the decomposition's measured defect: a
+        # bound on the grid residual that touches no grid vector
+        residuals = decomposition.residuals(ritz, theta)
+    else:
+        # a column at a time, so the step holds two grid vectors whatever k
+        # is, the residual and the apply's scratch, reused for every column,
+        # since a fresh grid vector per column cost page faults as the
+        # allocator handed each freed one back to the system.  The residual
+        # is H u - u theta in that order of operations and its norm a running
+        # sum of squares, which adds in the order numpy's norm of the stacked
+        # residuals did and, unlike a 1-D norm, stays off numpy's threaded
+        # BLAS (see grid.BLAS_SIDES)
+        r, scratch = np.empty((2, dim))
+        residuals = np.empty(k)
+        for j in range(k):
+            u = ritz[:, j]
+            op.apply(u, out=r, scratch=scratch)
+            r -= np.multiply(u, theta[j], out=scratch)
+            np.multiply(r, r, out=scratch)
+            residuals[j] = np.sqrt(np.add.accumulate(scratch, out=r)[-1])
     return SpectrumResult(
         eigenvalues=theta,
         residuals=residuals,

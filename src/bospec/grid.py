@@ -329,11 +329,24 @@ def _product(blas: str, x, q, back: bool, out=None):
     return dgemm(1.0, q, x, trans_b=1, **into) if back else dgemm(1.0, x, q, trans_a=1, **into)
 
 
+def _tridiagonal_product(diagonal, off, x) -> np.ndarray:
+    """T x for the symmetric tridiagonal T along axis 0 of x with main
+    diagonal `diagonal`, broadcast against x (so it may differ per column),
+    and off diagonal `off`: in elementwise products, which call no BLAS."""
+    off = off.reshape((-1,) + (1,) * (x.ndim - 1))
+    r = diagonal * x
+    r[1:] += off * x[:-1]
+    r[:-1] += off * x[1:]
+    return r
+
+
 def _separable_split(op: GridOperator):
     """The per-axis slices of V through its node m of least V, indexed by
-    dimension, and the offset (dim - 1) V(m), when V is a sum of one-variable
-    terms on the grid: its node values equal the sum of the slices minus the
-    offset, up to 1e-12 max(1, max |V|).  Else None."""
+    dimension, the offset (dim - 1) V(m), and the split gap, the largest
+    |V - (sum of the slices - offset)| over the nodes, when V is a sum of
+    one-variable terms on the grid: when that gap is at most 1e-12 max(1,
+    max |V|).  Else None.  The gap is part of a separable solve's residual
+    bound (see `SeparableDecomposition.defect`)."""
     dim = op.grid.dim
     values = op.grid.nodes(op.potential_values)
     # the flat argmin, so a tie at min V picks the first node in flat order
@@ -346,9 +359,10 @@ def _separable_split(op: GridOperator):
     gap -= offset
     gap -= values
     largest = max(1.0, float(values.max()), -float(values.min()))
-    if np.abs(gap, out=gap).max() > 1e-12 * largest:
+    most = float(np.abs(gap, out=gap).max())
+    if most > 1e-12 * largest:
         return None
-    return slices, offset
+    return slices, offset, most
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,6 +382,13 @@ class SeparableDecomposition:
     those that can hold the k lowest eigenvalues (see
     `separable_decomposition`).  `blas` names the BLAS side (see BLAS_SIDES)
     of the eigendecomposition and of every product.
+
+    `defect`, measured when the decomposition is built for k eigenpairs, is
+    eta = the split gap of `_separable_split` plus, over the rotated axes,
+    ||T_d Q_d - Q_d diag(lam_d)||_F on the kept eigenpairs: H Q - Q H~ =
+    sum_d R_d + diag(gap) Q, H~ the block-diagonal H of the rotated basis,
+    so with Q's columns orthonormal to rounding ||H~ x - theta x|| + eta
+    bounds ||H Q x - theta Q x|| for a unit x (see `residuals`).
     """
     points: tuple
     blas: str        # "scipy" or "numpy"
@@ -382,6 +403,7 @@ class SeparableDecomposition:
     # which blocks the leading eigenpairs span are kept, as a mask in block
     # order, or None for all of them
     blocks: np.ndarray | None
+    defect: float | None  # eta, or None when built without k
 
     @property
     def size(self) -> int:
@@ -398,6 +420,20 @@ class SeparableDecomposition:
         bottom = eigh_tridiagonal(self.main, self.off, eigvals_only=True,
                                   select="i", select_range=(0, 0))
         return float(self.shifts[0] + bottom[0] - self.offset)
+
+    def residuals(self, x, theta) -> np.ndarray:
+        """For the unit columns of the (size, k) Fortran-ordered x, in the
+        rotated basis, and their Ritz values theta: ||H~ x_j - theta_j x_j|| +
+        `defect`, a bound on the grid residual ||H u - theta_j u|| of u = Q x_j,
+        for a decomposition built for k pairs (which measured the defect).
+        H~ is applied block by block as T_t + (shifts[j] - offset) I, in
+        elementwise products summed by np.add.reduce, which call no BLAS, and
+        in arrays the size of x: no grid vector is allocated."""
+        x = x.reshape((self.main.size, self.shifts.size, -1), order="F")
+        diagonal = np.add.outer(self.main, self.shifts - self.offset)[:, :, None] - theta
+        r = _tridiagonal_product(diagonal, self.off, x)
+        r *= r
+        return np.sqrt(np.add.reduce(r, axis=(0, 1))) + self.defect
 
     def rotate(self, r):
         """Q^T r for a grid vector r, on the kept blocks."""
@@ -456,13 +492,14 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
     (`axis_eigenpairs` with a count), since the k-th smallest floor uses
     indices below k on every axis; where the ties at the cut reach the last
     index computed on an axis, they may continue past it, and that axis is
-    computed in full.  Without k every eigenpair is computed."""
+    computed in full.  With k the `defect` of the kept eigenpairs is
+    measured too.  Without k every eigenpair is computed, and no defect."""
     if blas not in BLAS_SIDES:
         raise ValueError(f"blas must be one of {BLAS_SIDES}, got {blas!r}")
     split = _separable_split(op)
     if split is None:
         return None
-    slices, offset = split
+    slices, offset, gap = split
     points = op.grid.points
     dim = len(points)
     # of equal axes the last stays tridiagonal, which needs no transposition
@@ -476,6 +513,15 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
         # the shift of every block the eigenpairs span: one eigenvalue of each
         # rotated axis summed, the first of `rotated` varying fastest
         return reduce(np.add.outer, [lam for lam, _ in reversed(pairs)], 0.0)
+
+    def defect():
+        # the split gap plus ||T_d Q_d - Q_d diag(lam_d)||_F per rotated axis
+        total = gap
+        for d, (lam, q) in zip(rotated, pairs):
+            main_d, off_d = _axis_tridiagonal(op.grid, op.h, d, slices[d])
+            r = _tridiagonal_product(main_d[:, None] - lam, off_d, q)
+            total += math.sqrt(np.add.reduce(r * r, axis=None))
+        return total
 
     def cut(sums):
         # the blocks at or below the k-th smallest shift, and the leading run
@@ -508,7 +554,8 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
             shifts, blocks = shifts[kept], kept
     return SeparableDecomposition(points=points, blas=blas, t=t, rotated=rotated,
                                   pairs=tuple(pairs), main=main, off=off, offset=float(offset),
-                                  shifts=shifts, blocks=blocks)
+                                  shifts=shifts, blocks=blocks,
+                                  defect=None if k is None else defect())
 
 
 def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):

@@ -289,9 +289,12 @@ class TestShiftInvertBackend:
                             lambda *args, **kwargs: products.append(1) or dgemm(*args, **kwargs))
         res = lowest_eigenpairs(op_2d("x1^2 + y1^2", (31, 31)), 4, tol=1e-8, seed=0)
         # ARPACK iterates in the eigenbasis of axis 0, where an apply is one
-        # dpttrs solve: one product rotates the start vector in and one
-        # rotates each of the k Ritz vectors back, whatever the iterations
+        # dpttrs solve: one product rotates the start vector in, whatever the
+        # iterations, and the residuals are taken in that basis; reading the
+        # grid-basis vectors rotates each of the k Ritz vectors back
         assert res.backend == "separable inverse" and res.iterations > 0
+        assert len(products) == 1
+        res.vectors
         assert len(products) == 1 + 4
 
     # the probe's side of the decomposition takes numpy's eigh, which inside
@@ -370,19 +373,69 @@ def op_3d(expression, points=(11, 13, 12)):
 
 
 class TestResiduals:
-    """The residuals are computed a column at a time, with the bits of the
-    stacked ||H V - V diag(theta)|| per column."""
+    """On the sparse LU and matvec backends the residuals are computed a
+    column at a time, with the bits of the stacked ||H V - V diag(theta)||
+    per column.  On the separable backend they are taken in the rotated
+    basis plus the decomposition's defect eta, which bounds that stacked
+    norm: with G = sum_d (center_d + 2 |coupling_d|) + max |V|, H's
+    Gershgorin bound, stacked <= reported + eps G and |reported - stacked|
+    <= eta + eps G."""
 
-    @pytest.mark.parametrize("case", ["2d", "3d", "sparse LU", "matvec"])
+    @staticmethod
+    def _stacked(op, res):
+        return np.linalg.norm(op.matrix @ res.vectors - res.vectors * res.eigenvalues, axis=0)
+
+    @pytest.mark.parametrize("case", ["sparse LU", "matvec"])
     def test_match_stacked_norm_bit_for_bit(self, case):
-        op = {"2d": lambda: op_2d("x1^2 + y1^4", (31, 33)),
-              "3d": lambda: op_3d("x1^2 + y1^2 + 2*y2^2"),
-              "sparse LU": lambda: op_2d("x1^2*y1^2 + x1^2 + y1^2", (31, 33)),
+        op = {"sparse LU": lambda: op_2d("x1^2*y1^2 + x1^2 + y1^2", (31, 33)),
               "matvec": lambda: op_3d("x1^2 + y1^2 + y1*y2 + y2^2")}[case]()
         res = lowest_eigenpairs(op, 4, tol=1e-8, seed=0)
-        assert res.backend == ("separable inverse" if case in ("2d", "3d") else case)
-        stacked = np.linalg.norm(op.matrix @ res.vectors - res.vectors * res.eigenvalues, axis=0)
-        assert res.residuals.tobytes() == stacked.tobytes()
+        assert res.backend == case
+        assert res.residuals.tobytes() == self._stacked(op, res).tobytes()
+
+    @classmethod
+    def _assert_bound(cls, op, res):
+        stencils = [op.grid.stencil(op.h, d) for d in range(op.grid.dim)]
+        gershgorin = (sum(center + 2 * abs(coupling) for _, center, coupling in stencils)
+                      + np.abs(op.potential_values).max())
+        rounding = np.finfo(float).eps * gershgorin
+        stacked = cls._stacked(op, res)
+        assert np.all(stacked <= res.residuals + rounding)
+        assert np.all(np.abs(res.residuals - stacked) <= res.decomposition.defect + rounding)
+
+    @pytest.mark.parametrize("case", ["2d", "3d"])
+    def test_bound_the_stacked_norm(self, case):
+        op = {"2d": lambda: op_2d("x1^2 + y1^4", (31, 33)),
+              "3d": lambda: op_3d("x1^2 + y1^2 + 2*y2^2")}[case]()
+        res = lowest_eigenpairs(op, 4, tol=1e-8, seed=0)
+        assert res.backend == "separable inverse" and res.decomposition.defect > 0
+        self._assert_bound(op, res)
+
+    # cli-2d's physics: a residual taken in the rotated basis flags a pair
+    # converged exactly when the stacked grid norm does
+    @pytest.mark.parametrize("points", [63, 127])
+    def test_flags_match_stacked_norm(self, points):
+        grid = build_grid(1, 1, [8.0] * 2, [points] * 2)
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
+        for k in (3, 6):
+            for tol in (1e-7, 1e-8):
+                for seed in range(6):
+                    res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
+                    assert res.backend == "separable inverse"
+                    flags = self._stacked(op, res) <= tol * np.maximum(1.0, np.abs(res.eigenvalues))
+                    assert np.array_equal(res.converged, flags)
+
+    # a V that _separable_split admits with a gap of about 3.6e-12 at the
+    # corners: the defect carries the gap, and the bound holds with it
+    def test_split_gap_enters_the_defect(self):
+        import bospec.grid
+
+        op = op_2d("x1^2 + y1^2 + 1e-13*x1*y1", (63, 63))
+        gap = bospec.grid._separable_split(op)[2]
+        res = lowest_eigenpairs(op, 6, tol=1e-8, seed=0)
+        assert res.backend == "separable inverse" and gap > 0
+        assert res.decomposition.defect >= gap
+        self._assert_bound(op, res)
 
     @staticmethod
     def _peak_in_grid_vectors(case, read_matrix, k=6):
@@ -407,22 +460,26 @@ class TestResiduals:
 
     # numpy reports its buffers to tracemalloc; H, read before, is resident,
     # so the call adds a few grid vectors whatever k is: the Ritz vectors stay
-    # in the kept basis, where they take a few blocks of N_t entries each, and
-    # are rotated back a column at a time into one workspace, and each
-    # rotated axis computes only its leading eigenpairs (8.8, 10.8 and 17.0
-    # grid vectors for k = 4, 6 and 12, when the step held the k Ritz vectors
-    # in the grid basis)
+    # in the kept basis, where they take a few blocks of N_t entries each and
+    # their residuals are taken, and each rotated axis computes only its
+    # leading eigenpairs.  At k = 4 and 6 the start vector and the
+    # separability check set the peak (8.8 and 10.8 grid vectors when the
+    # step held the k Ritz vectors in the grid basis, about 5 when it rotated
+    # each back and applied H there); at k = 12 ARPACK's own arrays set it
+    # (17.0 grid vectors once)
+    PEAK_BOUNDS = ((4, 4), (6, 4), (12, 8))
+
     @pytest.mark.parametrize("case", ["2d", "3d"])
     def test_peak_memory_is_the_ritz_vectors_and_a_few_grid_vectors(self, case):
-        for k in (4, 6, 12):
-            assert self._peak_in_grid_vectors(case, read_matrix=True, k=k) <= 8
+        for k, bound in self.PEAK_BOUNDS:
+            assert self._peak_in_grid_vectors(case, read_matrix=True, k=k) <= bound
 
     # nor does the call build H, whose build from its bands alone peaked at
     # about 13 grid vectors in 2D and 18 in 3D
     @pytest.mark.parametrize("case", ["2d", "3d"])
     def test_peak_memory_builds_no_matrix(self, case, record_band_matrix):
-        for k in (4, 6, 12):
-            assert self._peak_in_grid_vectors(case, read_matrix=False, k=k) <= 8
+        for k, bound in self.PEAK_BOUNDS:
+            assert self._peak_in_grid_vectors(case, read_matrix=False, k=k) <= bound
         assert record_band_matrix == []
 
     # the grid-basis eigenvectors are rotated back on first read, then kept

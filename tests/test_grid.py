@@ -379,6 +379,19 @@ class TestSeparableInverse:
         exact = np.linalg.eigvalsh(op.matrix.toarray())[0]
         assert abs(lowest - exact) <= 1e-12 * max(1.0, abs(exact))
 
+    # the residual bound's defect is measured only for an eigensolve, built
+    # for k pairs; the probe's inverse, built without k, measures none
+    def test_inverse_measures_no_defect(self, monkeypatch):
+        built = []
+        decompose = grid_module.separable_decomposition
+        monkeypatch.setattr(grid_module, "separable_decomposition",
+                            lambda *args, **kwargs: built.append(decompose(*args, **kwargs))
+                            or built[-1])
+        op = self.op((15, 17), "x1^2 + y1^4")
+        separable_inverse(op, op.shift_below_spectrum())
+        assert len(built) == 1 and built[0].blas == "numpy" and built[0].defect is None
+        assert separable_decomposition(op, blas="scipy", k=4).defect > 0
+
     def test_z_not_below_spectrum_raises(self):
         op = self.op((15, 17), "x1^2 + y1^2")
         lowest = np.linalg.eigvalsh(op.matrix.toarray())[0]
