@@ -127,8 +127,10 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     computed in the grid basis one pair at a time, by `GridOperator.apply`,
     which equals `op.matrix @ u` bit for bit without building H, in two
     work vectors reused for every pair.  So the grid-size arrays of a
-    separable call are V and a few work vectors, whatever k is, and no H is
-    built.  Only the sparse LU and matvec backends read `op.matrix`.
+    separable call are V and a few work vectors, and no H is built, while
+    k^2 is small against the rotated axes' point count: ARPACK's kept basis
+    grows as k^2 N_t.  Only the sparse LU and matvec backends read
+    `op.matrix`.
     `iterations` counts operator applications and `backend` names the
     operator.
 

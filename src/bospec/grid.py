@@ -69,10 +69,13 @@ class Grid:
         return np.stack([m.ravel(order="F") for m in mesh], axis=1)
 
     def node_radii(self) -> np.ndarray:
-        """|X| per node in flat-index order, from outer sums of the per-axis
-        squares in dimension order, without the coordinate table."""
-        squares = reduce(np.add.outer, [self.axis_coords(d) ** 2 for d in range(self.dim)])
-        return np.sqrt(squares).ravel(order="F")
+        """|X| per node in flat-index order, without the coordinate table:
+        the per-axis squares, each along its own array axis with dimension
+        0 last, summed in dimension order into one grid vector whose C order
+        is the flat-index order, and its square root taken in place."""
+        radii = reduce(np.add, [(self.axis_coords(d) ** 2).reshape((-1,) + (1,) * d)
+                                for d in range(self.dim)])
+        return np.sqrt(radii, out=radii).ravel()
 
     def stencil(self, h: float, d: int) -> tuple:
         """The weight w_d of axis d in -h^2 Lap_x - Lap_y, h^2 on x-dimensions
@@ -188,7 +191,14 @@ def _band_apply(grid: Grid, h: float, potential_values, u, out=None, scratch=Non
 
     H u is written into `out` and each term formed in `scratch`, contiguous
     grid vectors other than u that a caller applying H many times passes to
-    reuse; those not passed are allocated."""
+    reuse; those not passed are allocated.
+
+    Each neighbour term is formed on flat slices one stride of its dimension
+    apart and zeroed where the neighbour lies past an end of the axis, then
+    added: a row sum starts at +0.0 and so is never -0.0, and adding +0.0
+    changes none of its bits.  On flat slices numpy runs each product
+    without its buffered iterator, which on the grid-shaped views of an
+    axis other than the last allocated 64 KB per operand."""
     main, couplings = _stencil_entries(grid, h)
     # each term is formed in `scratch` and added, so the apply holds two
     # grid vectors, not one more per temporary product
@@ -198,21 +208,25 @@ def _band_apply(grid: Grid, h: float, potential_values, u, out=None, scratch=Non
         out.fill(0.0)
     if scratch is None:
         scratch = np.empty(grid.size)
-    y, x, term = grid.nodes(out), grid.nodes(u), grid.nodes(scratch)
+    term = grid.nodes(scratch)
 
-    def add_neighbours(d, rows, cols):
-        # to the nodes at `rows` along axis d, the coupling times u at `cols`
-        at = (slice(None),) * d
-        target = y[at + (rows,)]
-        target += np.multiply(x[at + (cols,)], couplings[d], out=term[at + (rows,)])
+    def add_neighbours(d, up):
+        # to each node, the coupling times u at its neighbour one stride of
+        # dimension d up (or down)
+        stride = math.prod(grid.points[:d])
+        rows, cols = slice(None, -stride), slice(stride, None)
+        if not up:
+            rows, cols = cols, rows
+        np.multiply(u[cols], couplings[d], out=scratch[rows])
+        np.moveaxis(term, d, 0)[-1 if up else 0] = 0.0
+        out[rows] += scratch[rows]
 
-    head, tail = slice(None, -1), slice(1, None)
     for d in reversed(range(grid.dim)):
-        add_neighbours(d, tail, head)
+        add_neighbours(d, up=False)
     np.multiply(np.add(main, potential_values, out=scratch), u, out=scratch)
     out += scratch
     for d in range(grid.dim):
-        add_neighbours(d, head, tail)
+        add_neighbours(d, up=True)
     return out
 
 
@@ -558,24 +572,37 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
                                   defect=None if k is None else defect())
 
 
+def _shifted_blocks(decomposition: SeparableDecomposition, shifts) -> tuple:
+    """Main and off diagonal of the blocks T_t + s I, one per s in `shifts`,
+    laid end to end with a zero off entry between blocks: H - zI in the
+    rotated basis of `decomposition` when `shifts` are its kept blocks'
+    shifts less offset + z."""
+    return (np.add.outer(shifts, decomposition.main).ravel(),
+            np.tile(np.append(decomposition.off, 0.0), len(shifts))[:-1])
+
+
+def _check_definite(info: int, z: float) -> None:
+    """Refuse a z at which LAPACK's factorization of H - zI reported `info`
+    != 0, a pivot <= 0, with ValueError."""
+    if info != 0:
+        raise ValueError(f"H - zI is not positive definite at z = {z} (LAPACK info {info})")
+
+
 def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
     """(H - zI)^{-1} in the rotated basis of `decomposition`, on its kept
     blocks, as a function of one vector: there H - zI is tridiagonal, block j
-    being T_t + (shifts[j] - offset - z) I, factored once by LAPACK's dpttrf,
-    and each apply is one dpttrs solve, with no dense product.  The blocks
-    are uncoupled, so the kept ones are solved exactly without the others.
-    z must lie below the spectrum of H, so that the matrix is positive
-    definite; else ValueError."""
+    being T_t + (shifts[j] - offset - z) I, factored once by LAPACK's dpttrf
+    and held, since ARPACK applies it many times, and each apply is one
+    dpttrs solve, with no dense product.  The blocks are uncoupled, so the
+    kept ones are solved exactly without the others.  z must lie below the
+    spectrum of H, so that the matrix is positive definite; else ValueError."""
     # imported here like eigh_tridiagonal in axis_eigenpairs; dpttrf and
     # dpttrs are unthreaded, so they serve either BLAS side
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    shifts = decomposition.shifts - (z + decomposition.offset)
     factor_d, factor_e, info = dpttrf(
-        np.add.outer(shifts, decomposition.main).ravel(),
-        np.tile(np.append(decomposition.off, 0.0), shifts.size)[:-1])
-    if info != 0:
-        raise ValueError(f"H - zI is not positive definite at z = {z} (dpttrf info {info})")
+        *_shifted_blocks(decomposition, decomposition.shifts - (z + decomposition.offset)))
+    _check_definite(info, z)
     return lambda x: dpttrs(factor_d, factor_e, x)[0]
 
 
@@ -583,11 +610,32 @@ def separable_inverse(op: GridOperator, z: float):
     """(H - zI)^{-1} in the grid basis as a function r -> (H - zI)^{-1} r on
     numpy's BLAS, when V is a sum of one-variable terms on the grid, else
     None.  Its `separable_decomposition` is built on the "numpy" side; each
-    apply rotates into its eigenbasis, solves there by `eigenbasis_inverse`
-    and rotates back, one numpy product per rotated axis and direction and
-    one dpttrs solve.  z must lie below the spectrum of H; else ValueError."""
+    apply rotates into its eigenbasis, solves there and rotates back, one
+    numpy product per rotated axis and direction and one LAPACK dptsv.
+
+    dptsv is dpttrf then dpttrs, so each apply solves with the bits of
+    `eigenbasis_inverse`'s held factor, but the factor, two grid vectors,
+    lives only while the apply runs: its caller, the probe, applies the
+    inverse once per probe vector.  z must lie below the spectrum of H;
+    else ValueError, from the block with the least shift, whose dpttrf
+    pivots are the lowest: every other block adds a larger shift to the
+    same diagonal, which raises each pivot, rounded too."""
+    # imported here like eigh_tridiagonal in axis_eigenpairs
+    from scipy.linalg.lapack import dpttrf, dptsv
+
     decomposition = separable_decomposition(op, blas="numpy")
     if decomposition is None:
         return None
-    solve = eigenbasis_inverse(decomposition, z)
-    return lambda r: decomposition.rotate_back(solve(decomposition.rotate(r)))
+    shifts = decomposition.shifts - (z + decomposition.offset)
+    _check_definite(dpttrf(*_shifted_blocks(decomposition, [shifts.min()]))[2], z)
+
+    def inverse(r):
+        x = decomposition.rotate(r)
+        # solved in place unless x is r itself (a 1D grid rotates nothing);
+        # the factor is left unbound, so it is freed before x is rotated back
+        x, info = dptsv(*_shifted_blocks(decomposition, shifts), x, overwrite_d=1,
+                        overwrite_e=1, overwrite_b=not np.may_share_memory(x, r))[2:]
+        _check_definite(info, z)
+        return decomposition.rotate_back(x)
+
+    return inverse

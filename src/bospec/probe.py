@@ -62,8 +62,10 @@ class CutoffFamily:
 
     scales: tuple
 
-    def values(self, grid: Grid, q: float) -> np.ndarray:
-        return cutoff_profile(grid.node_radii() / q)
+    def values(self, grid: Grid, q: float, radii=None) -> np.ndarray:
+        """phi_q at the grid nodes; `radii`, if given, is `grid.node_radii()`,
+        for callers that take several scales on one grid."""
+        return cutoff_profile((grid.node_radii() if radii is None else radii) / q)
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,17 @@ class ZhislinReport:
 def make_zhislin_vector(grid: Grid, radius: float, k, width: float,
                         radii=None) -> np.ndarray:
     """Normalized e^{i k.X} times a radial bump supported in
-    radius + width < |X| < radius + 2*width; complex unless k = 0.  `radii`,
-    if given, is `grid.node_radii()`, for callers that make several vectors
-    on one grid."""
+    radius + width < |X| < radius + 2*width; complex unless k = 0.  k has one
+    component per grid dimension, or is None for 0.  `radii`, if given, is
+    `grid.node_radii()`, for callers that make several vectors on one grid.
+
+    e^{i k.X} is the product of the per-axis e^{i k_d x_d} over the nonzero
+    components of k, each broadcast along its axis of `Grid.nodes`: one
+    complex exponential per node of an axis, not one per grid node."""
+    k = np.zeros(grid.dim) if k is None else np.asarray(k, dtype=float)
+    if k.shape != (grid.dim,):
+        raise ValueError(f"wavevector k must be a vector of {grid.dim} components, "
+                         f"one per grid dimension; got shape {k.shape}")
     spacing = max(grid.spacing)
     if width < 4 * spacing:
         raise ValueError(f"width {width} unresolvable: need >= 4 spacings ({4 * spacing:g})")
@@ -96,30 +106,49 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float,
             f"(min half-width {min(grid.half_widths)})")
     if radii is None:
         radii = grid.node_radii()
-    envelope = bump(2 * (radii - radius - width) / width - 1.0)
-    k = np.zeros(grid.dim) if k is None else np.asarray(k, dtype=float)
-    if np.any(k != 0):
-        # the phase k.X only where the bump is nonzero, from the per-axis
-        # coordinates of those nodes
-        support = np.flatnonzero(envelope)
-        index = np.unravel_index(support, grid.points, order="F")
-        phase = sum(kd * grid.axis_coords(d)[index[d]] for d, kd in enumerate(k) if kd != 0)
-        v = np.zeros(grid.size, dtype=complex)
-        v[support] = envelope[support] * np.exp(1j * phase)
-    else:
-        v = envelope
+    # the bump's argument 2 (|X| - radius - width) / width - 1, in place
+    t = np.subtract(radii, radius)
+    t -= width
+    t *= 2
+    t /= width
+    t -= 1.0
+    envelope = bump(t)
+    del t
+    waves = [np.exp(1j * (kd * grid.axis_coords(d))).reshape(
+                 [-1 if e == d else 1 for e in range(grid.dim)])
+             for d, kd in enumerate(k) if kd != 0]
+    v = envelope
+    if waves:
+        v = np.empty(grid.size, dtype=complex)
+        nodes = np.multiply(grid.nodes(envelope), waves[0], out=grid.nodes(v))
+        for wave in waves[1:]:
+            nodes *= wave
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("bump not resolved by any grid node")
-    return v / nrm
+    v /= nrm
+    return v
+
+
+def _shifted_product(apply, x, lam: float, product, scratch) -> np.ndarray:
+    """H x - lam x into `product`, in that order of operations: H x by
+    `apply` (a `_band_apply`) with `product` as its out and `scratch` as its
+    scratch, then lam x formed in `scratch`; both are contiguous grid
+    vectors other than x."""
+    apply(x, out=product, scratch=scratch)
+    product -= np.multiply(x, lam, out=scratch)
+    return product
 
 
 def _residual(apply, v: np.ndarray, lam: float) -> float:
     """||(H - lam) v|| for the real H whose product with a real vector is
-    `apply`; a complex v is taken as its real and imaginary parts, which the
-    real apply takes as strided views."""
+    `apply` (see `_shifted_product`); a complex v is taken as its real and
+    imaginary parts, which the real apply takes as strided views, both in
+    the same two work vectors."""
     parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    return float(np.linalg.norm([np.linalg.norm(apply(x) - lam * x) for x in parts]))
+    product, scratch = np.empty(v.size), np.empty(v.size)
+    return float(np.linalg.norm([np.linalg.norm(_shifted_product(apply, x, lam, product, scratch))
+                                 for x in parts]))
 
 
 def _snap_wavevector(grid: Grid, h: float, lam: float):
@@ -175,11 +204,10 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii) -> list[Zhisl
         if lam < 0:
             raise ValueError(f"lambda must be >= 0 for the free operator, got {lam}")
         k, target = _snap_wavevector(grid, h, lam)
-        entries = []
-        for r in radii:
-            v = make_zhislin_vector(grid, r, k, width=r, radii=node_radii)
-            entries.append(ProbeEntry(radius=r, residual=_residual(free, v, target),
-                                      target=target))
+        # each vector is freed once its residual is taken
+        entries = [ProbeEntry(radius=r, target=target, residual=_residual(
+                       free, make_zhislin_vector(grid, r, k, width=r, radii=node_radii), target))
+                   for r in radii]
         res = [e.residual for e in entries]
         decaying = all(b <= a * (1 + NOISE_BAND) for a, b in zip(res, res[1:]))
         verdict = "essential candidate" if decaying else "inconclusive"
@@ -217,9 +245,11 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
             inf_v = pot.min_curvature() * q * q
         else:
             inf_v = float(op.potential_values[node_radii > q].min())
+        # the vector is freed once its residual is taken
         v = make_zhislin_vector(grid, q, None, width, radii=node_radii)
         entries.append(ProbeEntry(radius=q, residual=_residual(op.apply, v, lam),
                                   lower_bound=inf_v - lam, target=lam))
+        del v
     bounds = [e.lower_bound for e in entries]
     respected = all(e.residual >= e.lower_bound - 1e-9 * max(1.0, abs(e.lower_bound))
                     for e in entries if e.lower_bound > 0)
@@ -246,8 +276,9 @@ def _resolvent_at_i(op: GridOperator, v: np.ndarray, z: float, rtol: float = 1e-
     from the former solve at the point i because perfbench's tracer wraps
     this function by name.
 
-    A w whose true residual ||Hw - zw - v|| (by `op.apply`) exceeds
-    rtol ||v||, or a CG solve that scipy reports unconverged, raises."""
+    A w whose true residual ||Hw - zw - v|| (by `op.apply`, in two work
+    vectors allocated once w is formed) exceeds rtol ||v||, or a CG solve
+    that scipy reports unconverged, raises."""
     dim = v.size
     if inverse is not None:
         w, info = inverse(v), 0
@@ -257,7 +288,10 @@ def _resolvent_at_i(op: GridOperator, v: np.ndarray, z: float, rtol: float = 1e-
         w, info = spla.cg(shifted, v, rtol=rtol, atol=0.0, maxiter=dim)
     target = rtol * np.linalg.norm(v)
     # a miss scipy reports raises without the product of the residual check
-    if info != 0 or np.linalg.norm(op.apply(w) - z * w - v) > target:
+    if info == 0:
+        residual = _shifted_product(op.apply, w, z, np.empty(dim), np.empty(dim))
+        residual -= v
+    if info != 0 or np.linalg.norm(residual) > target:
         how = "by the separable inverse" if inverse is not None else f"within {dim} CG iterations"
         raise RuntimeError(f"resolvent solve did not converge to residual {target:.3g} {how}")
     return w
@@ -280,10 +314,15 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     like the norms after it), else an unpreconditioned CG solve, the one
     use of the assembled `op.matrix`.  The commutator with Phi = diag(phi_q)
     is applied matrix-free, [H, Phi] w = H (phi w) - phi (H w), each H by
-    `GridOperator.apply`, the potential cancelling in exact arithmetic, with
-    H w shared by every scale; the max of ||[H, phi_q] w|| / ||v|| over
-    probes is reported.  Each estimate is a lower estimate of the norm; both
-    tend to 0 as q grows.
+    `GridOperator.apply`, the potential cancelling in exact arithmetic; the
+    max of ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate
+    is a lower estimate of the norm; both tend to 0 as q grows.
+
+    Besides the phi_q (`CutoffFamily.values`, from one table of node radii)
+    and the inverse's axis eigenvectors, a probe holds at most four grid
+    vectors at once: v and the inverse's rotated vector and factor while w
+    is solved, then w and three work vectors reused for every scale (see
+    `_commutator_norms`); each is freed before the next probe is drawn.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -292,16 +331,35 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     z = op.shift_below_spectrum() - 1.0
     inverse = separable_inverse(op, z)
     radii = op.grid.node_radii()
-    phis = [cutoff_profile(radii / q) for q in family.scales]
+    phis = [family.values(op.grid, q, radii=radii) for q in family.scales]
+    del radii
     best = [0.0] * len(phis)
     for pi in range(probes):
         v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
         v /= np.linalg.norm(v)
         w = _resolvent_at_i(op, v, z=z, inverse=inverse)
-        hw = op.apply(w)
-        best = [max(b, float(np.linalg.norm(op.apply(phi * w) - phi * hw)))
-                for b, phi in zip(best, phis)]
+        # the probe vector is freed once its resolvent is checked, and w once
+        # its commutators are taken
+        del v
+        norms = _commutator_norms(op, w, phis)
+        del w
+        best = [max(b, n) for b, n in zip(best, norms)]
     return [(float(q), b) for q, b in zip(family.scales, best)]
+
+
+def _commutator_norms(op: GridOperator, w: np.ndarray, phis) -> list:
+    """||[H, phi] w|| = ||H (phi w) - phi (H w)|| per phi in `phis`, in that
+    order of operations, in three work vectors reused for every phi: phi w,
+    the product and the apply's scratch.  H w is applied anew for each phi
+    into the vector phi w vacates, so that no fourth work vector holds it
+    across the scales."""
+    pw, product, scratch = np.empty(op.dim), np.empty(op.dim), np.empty(op.dim)
+    norms = []
+    for phi in phis:
+        op.apply(np.multiply(phi, w, out=pw), out=product, scratch=scratch)
+        product -= np.multiply(phi, op.apply(w, out=pw, scratch=scratch), out=pw)
+        norms.append(float(np.linalg.norm(product)))
+    return norms
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,15 @@
 """Independent references the tests check the library against, kept out of
-the package: the grid's stencil built afresh as sparse matrices."""
+the package: the grid's stencil built afresh as sparse matrices, and the
+probe layer's former formulas."""
+
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from bospec.grid import eigenbasis_inverse, separable_decomposition
+from bospec.probe import bump, cutoff_profile
 
 
 def laplacian_1d(m: int, delta: float) -> sp.csr_matrix:
@@ -20,3 +27,64 @@ def kinetic_operator(grid, h: float) -> sp.csr_matrix:
         stencil = (h * h if d < grid.n else 1.0) * laplacian_1d(m, delta)
         kinetic = stencil if kinetic is None else sp.kronsum(kinetic, stencil, format="csr")
     return kinetic
+
+
+# The probe layer's former formulas, each allocating a fresh array per
+# product: the probes must give their outputs bit for bit.
+
+def node_radii(grid) -> np.ndarray:
+    """|X| per node: outer sums of the per-axis squares in dimension order,
+    raveled in flat-index order (dimension 0 fastest)."""
+    squares = reduce(np.add.outer, [grid.axis_coords(d) ** 2 for d in range(grid.dim)])
+    return np.sqrt(squares).ravel(order="F")
+
+
+def zhislin_vector(grid, radius, k, width) -> np.ndarray:
+    """The normalized bump times e^{i k.X}, the phase k.X summed and its
+    exponential taken at each node of the bump's support."""
+    envelope = bump(2 * (node_radii(grid) - radius - width) / width - 1.0)
+    k = np.zeros(grid.dim) if k is None else np.asarray(k, dtype=float)
+    if not np.any(k != 0):
+        return envelope / np.linalg.norm(envelope)
+    support = np.flatnonzero(envelope)
+    index = np.unravel_index(support, grid.points, order="F")
+    phase = sum(kd * grid.axis_coords(d)[index[d]] for d, kd in enumerate(k) if kd != 0)
+    v = np.zeros(grid.size, dtype=complex)
+    v[support] = envelope[support] * np.exp(1j * phase)
+    return v / np.linalg.norm(v)
+
+
+def residual(matrix, v, lam) -> float:
+    """||(H - lam) v|| for the real sparse H = `matrix`, a complex v taken as
+    its real and imaginary parts."""
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return float(np.linalg.norm([np.linalg.norm(matrix @ x - lam * x) for x in parts]))
+
+
+def commutator_estimates(op, scales, probes, seed) -> list:
+    """max over the probes of ||H (phi_q w) - phi_q (H w)|| per scale q, w =
+    (H - z)^{-1} v for the seeded unit vectors v: by the separable inverse
+    with its factor held (dpttrf once, dpttrs per solve) when V is a sum of
+    one-variable terms, else by unpreconditioned CG; H by the sparse
+    matrix."""
+    z = op.shift_below_spectrum() - 1.0
+    decomposition = separable_decomposition(op, blas="numpy")
+    matrix = op.matrix
+    radii = node_radii(op.grid)
+    phis = [cutoff_profile(radii / q) for q in scales]
+    if decomposition is not None:
+        solve = eigenbasis_inverse(decomposition, z)
+    best = [0.0] * len(phis)
+    for pi in range(probes):
+        v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
+        v /= np.linalg.norm(v)
+        if decomposition is not None:
+            w = decomposition.rotate_back(solve(decomposition.rotate(v)))
+        else:
+            shifted = spla.LinearOperator(matrix.shape, lambda x: matrix @ x - z * x,
+                                          dtype=float)
+            w, _ = spla.cg(shifted, v, rtol=1e-8, atol=0.0, maxiter=op.dim)
+        hw = matrix @ w
+        best = [max(b, float(np.linalg.norm(matrix @ (phi * w) - phi * hw)))
+                for b, phi in zip(best, phis)]
+    return [(float(q), b) for q, b in zip(scales, best)]

@@ -18,6 +18,7 @@ from bospec.grid import (
 from bospec.potential import expression_potential, quadratic_potential
 from bospec.probe import essential_spectrum_probe
 
+import reference
 from reference import kinetic_operator, laplacian_1d
 
 
@@ -244,8 +245,13 @@ class TestRestrict:
         ids=["1d", "2d", "3d"])
     def test_radii_are_coordinate_norms(self, n, p, half_widths, points):
         grid = build_grid(n, p, half_widths, points)
-        reference = np.linalg.norm(grid.node_coords(), axis=1)
-        assert np.all(np.abs(grid.node_radii() - reference) <= 1e-15 * reference)
+        norms = np.linalg.norm(grid.node_coords(), axis=1)
+        radii = grid.node_radii()
+        assert np.all(np.abs(radii - norms) <= 1e-15 * norms)
+        # the squares summed in dimension order, as the former outer sums
+        # raveled in Fortran order did, and in one contiguous grid vector
+        assert radii.tobytes() == reference.node_radii(grid).tobytes()
+        assert radii.flags.c_contiguous and radii.base is not None
 
 
 class TestInvariants:
@@ -367,6 +373,37 @@ class TestSeparableInverse:
         x = inverse(r)
         assert np.linalg.norm(shifted @ x - r) <= 1e-13 * np.linalg.norm(r)
         assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    # each apply factors the shifted blocks anew by dptsv, dpttrf then
+    # dpttrs: the bits of the eigensolver's inverse, which holds its factor;
+    # r itself is left as it was, also in 1D, where rotate returns it
+    @pytest.mark.parametrize("points", [(31,), (41, 83), (1399, 5), (7, 9, 8)],
+                             ids=["1d", "41x83", "1399x5", "7x9x8"])
+    def test_apply_matches_held_factor(self, points):
+        expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
+        op = self.op(points, expression)
+        z = op.shift_below_spectrum()
+        r = np.random.default_rng(0).standard_normal(op.dim)
+        given = r.copy()
+        decomposition = separable_decomposition(op, blas="numpy")
+        held = decomposition.rotate_back(eigenbasis_inverse(decomposition, z)(decomposition.rotate(r)))
+        assert separable_inverse(op, z)(r).tobytes() == held.tobytes()
+        assert r.tobytes() == given.tobytes()
+
+    # between applies the inverse holds the decomposition, whose one dense
+    # axis has 191^2 entries, and no factor of the shifted blocks (two grid
+    # vectors when it was held)
+    def test_holds_no_factor(self):
+        import tracemalloc
+
+        op = self.op((191, 193), "x1^2 + y1^2")
+        tracemalloc.start()
+        try:
+            inverse = separable_inverse(op, op.shift_below_spectrum())
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inverse is not None and held <= 1.05 * 8 * 191 * 191
 
     # the eigensolver shifts 1e-2 max(1, |lowest|) below it, so the lowest
     # eigenvalue must be exact far beyond that margin; the -3 makes min V

@@ -22,6 +22,7 @@ from bospec.probe import (
     make_zhislin_vector,
 )
 
+import reference
 from reference import kinetic_operator
 
 
@@ -84,6 +85,28 @@ class TestZhislinVector:
         reference = envelope * np.exp(1j * coords @ np.asarray(k))
         reference /= np.linalg.norm(reference)
         assert np.abs(v - reference).max() <= 1e-14
+
+    # one nonzero component or none, along either axis: the bits of the
+    # former formula, which took the exponential at each node of the support
+    # (there +0.0, here +-0.0 off it, which compare equal); odd point counts
+    # put a node at x = 0, where a negative k_d makes the phase -0.0
+    @pytest.mark.parametrize("n, p, k", [
+        (1, 0, [0.9]), (1, 1, None), (1, 1, [-1.3, 0.0]), (1, 1, [0.0, 0.7]),
+        (1, 2, [0.0, 0.0, -0.4])], ids=["1d", "2d-zero", "2d-x", "2d-y", "3d"])
+    def test_matches_former_formula(self, n, p, k):
+        dim = n + p
+        grid = build_grid(n, p, [6.0] * dim, [23, 27, 25][:dim])
+        v = make_zhislin_vector(grid, radius=1.0, k=k, width=2.0)
+        assert np.array_equal(v, reference.zhislin_vector(grid, 1.0, k, 2.0))
+
+    # on a 2D grid [1, 2, 3] raised IndexError, [[1, 2]] an ambiguous truth
+    # value, and [1.0] was read as (1, 0)
+    @pytest.mark.parametrize("k", [[1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0]],
+                             ids=["three", "nested", "one"])
+    def test_wavevector_needs_one_component_per_dimension(self, k):
+        grid = build_grid(1, 1, [6.0, 6.0], [31, 31])
+        with pytest.raises(ValueError, match="vector of 2 components"):
+            make_zhislin_vector(grid, radius=1.0, k=k, width=2.0)
 
     def test_width_unresolvable(self):
         grid = build_grid(1, 0, [10.0], [19])  # spacing = 1
@@ -407,7 +430,8 @@ class TestCommutator:
         products = []
         apply = GridOperator.apply
         monkeypatch.setattr(GridOperator, "apply",
-                            lambda self, u: products.append(1) or apply(self, u))
+                            lambda self, u, out=None, scratch=None:
+                            products.append(1) or apply(self, u, out=out, scratch=scratch))
 
         def no_cg(*args, **kwargs):
             raise AssertionError("a separable solve must not run CG")
@@ -585,6 +609,94 @@ class TestStencilProducts:
         grid = build_grid(1, 1, [6.0, 6.0], [31, 31])
         (rep,) = essential_spectrum_probe(0.5, grid, [1.0], [1.5, 2.0])
         assert len(rep.entries) == 2 and record_band_matrix == []
+
+
+class TestFormerFormulas:
+    """The probes give the outputs of their former formulas (tests/reference.py),
+    which took a fresh grid vector per product, bit for bit."""
+
+    def test_essential_residuals(self):
+        from bospec.probe import _snap_wavevector
+
+        grid = build_grid(1, 1, [8.0, 8.0], [63, 65])
+        kinetic = kinetic_operator(grid, 0.5)
+        radii = [1.25, 2.5]
+        for rep in essential_spectrum_probe(0.5, grid, [0.0, 4.0], radii):
+            k, target = _snap_wavevector(grid, 0.5, rep.candidate_lambda)
+            assert [e.residual for e in rep.entries] == [
+                reference.residual(kinetic, reference.zhislin_vector(grid, r, k, r), target)
+                for r in radii]
+
+    @pytest.mark.parametrize("pot", [
+        quadratic_potential([[1.0]], [[1.0]]),
+        expression_potential("x1^2 + y1^4", 1, 1, nonnegative=True),
+    ], ids=["quadratic", "expression"])
+    def test_certificate_residuals(self, pot):
+        grid = build_grid(1, 1, [8.0, 8.0], [63, 65])
+        op = assemble_hamiltonian(grid, pot, 0.5)
+        rep = discreteness_certificate(op, lam=4.0, radii=[3.0, 5.0])
+        assert [e.residual for e in rep.entries] == [
+            reference.residual(op.matrix, reference.zhislin_vector(
+                grid, q, None, 0.95 * (8.0 - q) / 2), 4.0) for q in (3.0, 5.0)]
+
+    # the per-axis exponentials of a wavevector with two nonzero components
+    # round their product, not the phase sum
+    def test_multicomponent_residual(self):
+        from bospec.probe import _residual
+
+        grid = build_grid(1, 1, [6.0, 6.0], [23, 25])
+        apply = functools.partial(grid_module._band_apply, grid, 0.5, 0.0)
+        v = make_zhislin_vector(grid, radius=1.0, k=[0.8, -0.5], width=2.0)
+        former = reference.residual(kinetic_operator(grid, 0.5),
+                                    reference.zhislin_vector(grid, 1.0, [0.8, -0.5], 2.0), 1.3)
+        assert _residual(apply, v, 1.3) == pytest.approx(former, rel=1e-14)
+
+    # the separable inverse on either tridiagonal axis and in 3D, the 1D one,
+    # and CG for a V that is not a sum of one-variable terms
+    @pytest.mark.parametrize("points, expression", [
+        ((17, 15), "x1^2 + y1^2"), ((15, 17), "x1^4 + y1^2 + 2"), ((8, 9, 7), "x1^2 + y1^2 + 2*y2^2"),
+        ((199,), "x1^2"), ((21, 21), "x1^2*y1^2")],
+        ids=["17x15", "15x17", "3d", "1d", "non-separable"])
+    def test_commutator_estimates(self, points, expression):
+        dim = len(points)
+        pot = expression_potential(expression, 1, dim - 1, nonnegative=True)
+        op = assemble_hamiltonian(build_grid(1, dim - 1, [4.0] * dim, points), pot, 0.5)
+        scales = (0.7, 1.0, 2.0)
+        assert (commutator_decay(op, CutoffFamily(scales), probes=3, seed=5)
+                == reference.commutator_estimates(op, scales, 3, 5))
+
+
+class TestPeakMemory:
+    """tracemalloc peaks of the probes on probe-2d's 191^2 grid, the operator
+    built before the call, in grid vectors.  Each took a fresh grid vector
+    per product, the separable inverse held its tridiagonal factor and the
+    stencil apply took numpy's iterator buffers: 12.7 (commutator_decay),
+    9.9 (essential) and 5.1 (certificate)."""
+
+    @staticmethod
+    def _peak_in_grid_vectors(call, size):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * size)
+
+    @pytest.mark.parametrize("probe, bound", [
+        ("commutator_decay", 8.0), ("essential", 6.0), ("certificate", 4.5)])
+    def test_peak(self, probe, bound):
+        grid = build_grid(1, 1, [8.0, 8.0], [191, 191])
+        op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], [[1.0]]), 0.5)
+        call = {
+            "commutator_decay": lambda: commutator_decay(
+                op, CutoffFamily(scales=(1.5, 3.0)), probes=2, seed=0),
+            "essential": lambda: essential_spectrum_probe(0.5, grid, [4.0], [1.25, 2.5]),
+            "certificate": lambda: discreteness_certificate(op, lam=4.0, radii=[3.0, 5.0]),
+        }[probe]
+        assert self._peak_in_grid_vectors(call, op.dim) <= bound
 
 
 class TestFormChain:
