@@ -109,13 +109,13 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
       the k smallest eigenvalues, and ARPACK's shift-invert Lanczos iterates
       there, where (H - sigma I)^{-1} is one `dpttrs` solve
       (`grid.eigenbasis_inverse`).  sigma is the exact lowest eigenvalue
-      less 1e-2 max(1, |lowest|).  The start vector is drawn in the grid
-      basis and rotated in once.  The Ritz vectors stay in the rotated
-      basis, where each residual is taken block by block and the
-      decomposition's measured defect added
-      (`grid.SeparableDecomposition.residuals`): a bound on ||Hu - lu||
-      that touches no grid vector.  `SpectrumResult.vectors` rotates the
-      Ritz vectors back on first read.
+      less 1e-2 max(1, |lowest|).  The start vector is drawn there, in the
+      kept basis, not in the grid basis and rotated in, so the solve makes
+      no dense product.  The Ritz vectors stay in the rotated basis, where
+      each residual is taken block by block and the decomposition's
+      measured defect added (`grid.SeparableDecomposition.residuals`): a
+      bound on ||Hu - lu|| that touches no grid vector.
+      `SpectrumResult.vectors` rotates the Ritz vectors back on first read.
     - "sparse LU", on grids of dimension <= SHIFT_INVERT_MAX_DIM: shift-
       invert Lanczos through one sparse LU of H - sigma I, sigma being the
       Weyl bound `GridOperator.shift_below_spectrum`.
@@ -126,11 +126,11 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     On the other backends, and after a no-convergence fill, residuals are
     computed in the grid basis one pair at a time, by `GridOperator.apply`,
     which equals `op.matrix @ u` bit for bit without building H, in two
-    work vectors reused for every pair.  So the grid-size arrays of a
-    separable call are V and a few work vectors, and no H is built, while
-    k^2 is small against the rotated axes' point count: ARPACK's kept basis
-    grows as k^2 N_t.  Only the sparse LU and matvec backends read
-    `op.matrix`.
+    work vectors reused for every pair.  So a separable call allocates no
+    grid vector (V is the caller's, and its separability is checked in
+    slabs) and builds no H; its largest arrays are ARPACK's, in the kept
+    basis, which grows as k^2 N_t.  Only the sparse LU and matvec backends
+    read `op.matrix`.
     `iterations` counts operator applications and `backend` names the
     operator.
 
@@ -182,9 +182,11 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         backend, arpack = "matvec", {"A": counted(op.matrix.dot, dim), "which": "SA"}
 
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    if decomposition is not None:
-        v0 = decomposition.rotate(v0)
+    # on the separable backend drawn in ARPACK's kept basis: Q^T of a standard
+    # Gaussian grid vector is again a standard Gaussian there, Q's kept
+    # columns being orthonormal, so the start is as random without a grid
+    # vector or a product
+    v0 = rng.standard_normal(dim if decomposition is None else decomposition.size)
     try:
         theta, ritz = eigsh(k=k, v0=v0, tol=0.1 * tol, **arpack)
         # Fortran order, so that a grid-basis column is contiguous (the apply
@@ -251,9 +253,11 @@ def boundary_warning(op: GridOperator, result: SpectrumResult) -> str | None:
     if converged.size == 0:
         return None
     window = float(converged.max())
-    # the boundary nodes are the first and last slice along each axis
+    # the boundary nodes are the first and last slice along each axis, read
+    # as views: np.take copied the Fortran-ordered V whole into C order
     values = op.grid.nodes(op.potential_values)
-    min_v = min(float(np.take(values, [0, -1], axis=d).min()) for d in range(values.ndim))
+    min_v = min(float(np.moveaxis(values, d, 0)[end].min())
+                for d in range(values.ndim) for end in (0, -1))
     if min_v < 1.1 * window:
         return (f"min boundary V = {min_v:g} is below the spectral window "
                 f"{window:g} + 10%; enlarge the box")

@@ -1,6 +1,6 @@
 """Independent references the tests check the library against, kept out of
-the package: the grid's stencil built afresh as sparse matrices, and the
-probe layer's former formulas."""
+the package: the grid's stencil built afresh as sparse matrices, the
+separability check's and the probe layer's former formulas."""
 
 from functools import reduce
 
@@ -9,7 +9,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bospec.grid import eigenbasis_inverse, separable_decomposition
-from bospec.probe import bump, cutoff_profile
 
 
 def laplacian_1d(m: int, delta: float) -> sp.csr_matrix:
@@ -29,8 +28,40 @@ def kinetic_operator(grid, h: float) -> sp.csr_matrix:
     return kinetic
 
 
+def separable_split_gap(op) -> float:
+    """The largest |V - (sum of the slices of V through its least node -
+    (dim - 1) min V)|, summed over the whole grid at once, as
+    `grid._separable_split` did before it took the gap in slabs."""
+    values = op.grid.nodes(op.potential_values)
+    least = np.unravel_index(np.argmin(op.potential_values), op.grid.points, order="F")
+    dim = op.grid.dim
+    slices = [values[least[:d] + (slice(None),) + least[d + 1:]] for d in range(dim)]
+    gap = reduce(np.add.outer, slices, 0.0) - (dim - 1) * values[least] - values
+    return float(np.abs(gap).max())
+
+
 # The probe layer's former formulas, each allocating a fresh array per
 # product: the probes must give their outputs bit for bit.
+
+def bump(t) -> np.ndarray:
+    """exp(1 - 1/(1 - t^2)) where |t| < 1, else 0, over the whole array."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1
+    ti = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
+    return out
+
+
+def cutoff_profile(r) -> np.ndarray:
+    """1 where r <= 1, bump(r - 1) where 1 < r < 2, else 0."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    out[r <= 1] = 1.0
+    mid = (r > 1) & (r < 2)
+    out[mid] = bump(r[mid] - 1.0)
+    return out
+
 
 def node_radii(grid) -> np.ndarray:
     """|X| per node: outer sums of the per-axis squares in dimension order,

@@ -505,6 +505,67 @@ class TestSeparableInverse:
             separable_decomposition(self.op((9, 11), "x1^2 + y1^2"), blas="mkl")
 
 
+class TestSeparableSplit:
+    """`_separable_split` takes the split gap over slabs of the last axis,
+    each node's gap in the whole-grid order of operations."""
+
+    @staticmethod
+    def op(points, expression):
+        dim = len(points)
+        pot = expression_potential(expression, 1, dim - 1, nonnegative=False)
+        return assemble_hamiltonian(build_grid(1, dim - 1, [6.0] * dim, points), pot, 0.5)
+
+    # slabs of one layer, of a few layers with a shorter last slab, and the
+    # default; the -3 makes the offset nonzero, and the 1e-13 x1 y1 term a
+    # gap the check admits but the rounding floor does not explain
+    @pytest.mark.parametrize("points, expression", [
+        ((31,), "x1^2 - 3"), ((41, 83), "x1^2 + y1^4 - 3"), ((9, 8, 7), "x1^2 + y1^2 + 2*y2^2 - 3"),
+        ((7, 9, 8), "x1^2 + y1^2 + 2*y2^2 - 3"), ((63, 63), "x1^2 + y1^2 + 1e-13*x1*y1")],
+        ids=["1d", "41x83", "9x8x7", "7x9x8", "63-split-gap"])
+    @pytest.mark.parametrize("slab", [1, 150, None], ids=["layer", "layers", "default"])
+    def test_gap_equals_whole_grid_formula(self, points, expression, slab, monkeypatch):
+        if slab is not None:
+            monkeypatch.setattr(grid_module, "SPLIT_SLAB_NODES", slab)
+        op = self.op(points, expression)
+        _, offset, gap = grid_module._separable_split(op)
+        assert gap == reference.separable_split_gap(op)
+        assert offset == (len(points) - 1) * op.potential_values.min()
+        if expression.endswith("x1*y1"):
+            assert gap > 0
+
+    # a coupling at one node of the last slab alone, or a coupled V, is
+    # refused, whatever the slab size
+    @pytest.mark.parametrize("slab", [1, 150, None], ids=["layer", "layers", "default"])
+    def test_non_separable_refused(self, slab, monkeypatch):
+        if slab is not None:
+            monkeypatch.setattr(grid_module, "SPLIT_SLAB_NODES", slab)
+        assert grid_module._separable_split(self.op((41, 83), "x1^2 + y1^2 + x1*y1")) is None
+        op = self.op((41, 83), "x1^2 + y1^2")
+        assert grid_module._separable_split(op) is not None
+        values = op.potential_values.copy()
+        values[-1] += 1e-6
+        coupled = grid_module.GridOperator(grid=op.grid, h=op.h, potential=op.potential,
+                                           potential_values=values)
+        assert grid_module._separable_split(coupled) is None
+
+    # two slabs of at most a quarter of the grid, not a grid vector: the
+    # whole-grid gap and numpy's buffers for its broadcast sums took 2.0
+    # grid vectors on 127 x 129 and 1.0 on 1023^2
+    @pytest.mark.parametrize("points", [(127, 129), (23, 25, 24), (1023, 1023)],
+                             ids=["127x129", "23x25x24", "1023"])
+    def test_allocates_no_grid_vector(self, points):
+        import tracemalloc
+
+        op = self.op(points, "x1^2 + y1^2" + (" + 2*y2^2" if len(points) == 3 else ""))
+        tracemalloc.start()
+        try:
+            split = grid_module._separable_split(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert split is not None and peak <= 0.55 * 8 * op.dim
+
+
 class TestLeadingEigenpairs:
     """With k, each rotated axis computes only its k + 1 lowest eigenpairs,
     and the decomposition equals the one built on full axis eigenbases."""
