@@ -160,9 +160,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         opinv = counted(solve, n)
         return {"A": opinv, "sigma": sigma, "which": "LM", "OPinv": opinv}
 
-    # ARPACK runs on scipy's BLAS, so the decomposition's eigensolver and
-    # products do too (see grid.BLAS_SIDES)
-    decomposition = separable_decomposition(op, blas="scipy", k=k)
+    decomposition = separable_decomposition(op, k=k)
     if decomposition is not None:
         # far above the rounding of the exact lowest eigenvalue, so that
         # H - sigma I stays positive definite
@@ -197,19 +195,23 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         # keep the pairs ARPACK converged, in the grid basis, and fill up to k
         # by a Rayleigh-Ritz step on seeded random directions; the residuals
         # flag the fill.  Fortran order throughout, so every column applied
-        # is contiguous (the apply of a strided column took twice as long)
+        # is contiguous (the apply of a strided column took twice as long).
+        # On scipy's LAPACK and BLAS, like ARPACK just before (see the note
+        # above grid.axis_eigenpairs); imported here like grid's
+        from scipy.linalg import eigh, qr
+        from scipy.linalg.blas import dgemm
+
         fill = rng.standard_normal((dim, k - len(exc.eigenvalues)))
-        basis, _ = np.linalg.qr(np.hstack([_grid_basis(exc.eigenvectors, decomposition), fill]))
-        basis = np.asfortranarray(basis)
+        basis = qr(np.hstack([_grid_basis(exc.eigenvectors, decomposition), fill]),
+                   overwrite_a=True, mode="economic")[0]
         # H applied a column at a time by its stencil: the fill builds no H
         applied = np.empty_like(basis, order="F")
         for j in range(k):
             op.apply(basis[:, j], out=applied[:, j])
         # eigh returns theta ascending
-        theta, s = np.linalg.eigh(basis.T @ applied)
+        theta, s = eigh(dgemm(1.0, basis, applied, trans_a=1))
         del applied
-        # the transpose of a C-ordered product is Fortran-ordered
-        ritz, decomposition = (s.T @ basis.T).T, None
+        ritz, decomposition = dgemm(1.0, basis, s), None
 
     if decomposition is not None:
         # in the rotated basis, plus the decomposition's measured defect: a
@@ -222,8 +224,8 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         # allocator handed each freed one back to the system.  The residual
         # is H u - u theta in that order of operations and its norm a running
         # sum of squares, which adds in the order numpy's norm of the stacked
-        # residuals did and, unlike a 1-D norm, stays off numpy's threaded
-        # BLAS (see grid.BLAS_SIDES)
+        # residuals did and, unlike a 1-D norm (numpy's threaded ddot), calls
+        # no BLAS
         r, scratch = np.empty((2, dim))
         residuals = np.empty(k)
         for j in range(k):

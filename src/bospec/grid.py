@@ -18,7 +18,6 @@ import scipy.sparse as sp
 from .potential import Potential
 
 __all__ = [
-    "BLAS_SIDES",
     "Grid",
     "GridError",
     "GridOperator",
@@ -239,35 +238,25 @@ def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:
 
 # numpy and scipy each load their own OpenBLAS with its own thread pool, and a
 # threaded call on one pool leaves the other's workers spinning against it.
-# So each separable decomposition runs every threaded BLAS call, its axis
-# eigensolver as well as its products, on the side of the work that applies
-# it: scipy's for ARPACK, numpy's for the probe.  LAPACK's dpttrf and dpttrs
-# are unthreaded and serve both sides.  A separable solve itself makes no
-# product (ARPACK's start vector is drawn in the rotated basis), so scipy's
-# side serves only `SpectrumResult.vectors` and the rare axis computed in full
-# for ties at the cut (see `separable_decomposition`).
-BLAS_SIDES = ("scipy", "numpy")
+# ARPACK runs on scipy's, so every BLAS or LAPACK call on a grid-sized
+# operand does too: the axis eigensolver and the products here, and the
+# probe's norms (`probe._norm`) and weighted sums.
 
 
-def axis_eigenpairs(grid: Grid, h: float, d: int, values, blas: str,
+def axis_eigenpairs(grid: Grid, h: float, d: int, values,
                     count: int | None = None) -> tuple:
     """Ascending eigenvalues and orthonormal eigenvector columns of the axis-d
     tridiagonal `_axis_tridiagonal`: the axis-d term of H when V is a sum of
     one-variable terms, `values` being axis d's term at its nodes.  All of
     them, or with `count` only the `count` lowest.
 
-    All of them on the "scipy" side by eigh_tridiagonal, whose LAPACK dstevd
-    calls dgemm on scipy's BLAS in its merges; on the "numpy" side by
-    numpy's eigh of the dense tridiagonal, whose N_d^2 entries are the size
-    of the eigenvectors.  The `count` lowest on either side by
-    eigh_tridiagonal(select='i'), LAPACK's bisection (dstebz) and inverse
-    iteration (dstein), which call no dgemm."""
+    All of them by eigh_tridiagonal's default driver: LAPACK's divide and
+    conquer dstevd (Cuppen; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16,
+    1995), whose merges call dgemm, on the scipy releases that wrap it, and
+    MRRR (dstemr) on those before; no dense eigensolver of the tridiagonal.
+    The `count` lowest by eigh_tridiagonal(select='i'), LAPACK's bisection
+    (dstebz) and inverse iteration (dstein), which call no dgemm."""
     main, off = _axis_tridiagonal(grid, h, d, values)
-    if blas == "numpy" and count is None:
-        # eigh reads the lower triangle only
-        dense = np.diag(main)
-        np.fill_diagonal(dense[1:], off)
-        return np.linalg.eigh(dense)
     # imported here: importing scipy.linalg with this module, ahead of
     # scipy.sparse.linalg, measured 0.05 s slower set-up of the package
     from scipy.linalg import eigh_tridiagonal
@@ -329,16 +318,12 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     return GridOperator(grid=grid, h=h, potential=pot, potential_values=vvals)
 
 
-def _product(blas: str, x, q, back: bool, out=None):
+def _product(x, q, back: bool, out=None):
     """The dense product of `SeparableDecomposition.rotate` (back false) and
-    `rotate_back` (back true) on the given BLAS side, in Fortran order: x^T Q
-    for the Fortran-ordered (N_d, rest) matrix x, or Q x^T for the
+    `rotate_back` (back true) by scipy's dgemm, in Fortran order: x^T Q for
+    the Fortran-ordered (N_d, rest) matrix x, or Q x^T for the
     Fortran-ordered (rest, N_d) matrix x.  Written into `out`, a
     Fortran-ordered array of the product's shape, when one is given."""
-    if blas == "numpy":
-        # the transpose of the C-ordered product of the transposes
-        into = None if out is None else out.T
-        return (np.matmul(x, q.T, out=into) if back else np.matmul(q.T, x, out=into)).T
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.blas import dgemm
 
@@ -422,8 +407,7 @@ class SeparableDecomposition:
     summed, the first of `rotated` varying fastest with j.  A 1D grid rotates
     nothing and has the one shift 0.  The basis holds every block, or only
     those that can hold the k lowest eigenvalues (see
-    `separable_decomposition`).  `blas` names the BLAS side (see BLAS_SIDES)
-    of the eigendecomposition and of every product.
+    `separable_decomposition`).
 
     `defect`, measured when the decomposition is built for k eigenpairs, is
     eta = the split gap of `_separable_split` plus, over the rotated axes,
@@ -433,7 +417,6 @@ class SeparableDecomposition:
     bounds ||H Q x - theta Q x|| for a unit x (see `residuals`).
     """
     points: tuple
-    blas: str        # "scipy" or "numpy"
     t: int           # the axis kept tridiagonal
     rotated: tuple   # the other axes, in the order `rotate` transforms them
     pairs: tuple     # (lam_d, Q_d) per rotated axis, from axis_eigenpairs, or
@@ -486,7 +469,7 @@ class SeparableDecomposition:
         # d transforms d and moves it last: after dimensions 0..t are moved
         # last untransformed, rotating these in turn leaves t leading again
         for d, (_, q) in zip(self.rotated, self.pairs):
-            x = _product(self.blas, x.reshape((self.points[d], -1), order="F"), q, False)
+            x = _product(x.reshape((self.points[d], -1), order="F"), q, False)
         if self.blocks is not None:
             x = x.reshape((self.main.size, -1), order="F")[:, self.blocks]
         return x.ravel(order="F")
@@ -507,7 +490,7 @@ class SeparableDecomposition:
             # the last product lands in the grid's layout when t is last
             if out is not None and not transposed and i == len(self.pairs) - 1:
                 target = out.reshape((q.shape[0], x.shape[0]), order="F")
-            x = _product(self.blas, x, q, True, out=target)
+            x = _product(x, q, True, out=target)
         if transposed:
             x = x.reshape((-1, math.prod(self.points[:self.t + 1])), order="F").T
         if out is None:
@@ -517,10 +500,10 @@ class SeparableDecomposition:
         return out
 
 
-def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
+def separable_decomposition(op: GridOperator, k: int | None = None):
     """The `SeparableDecomposition` of H when V is a sum of one-variable terms
     on the grid (see `_separable_split`), else None; z-independent, so one
-    serves every shift.  `blas` names its side of BLAS_SIDES.
+    serves every shift.
 
     With k, its basis holds only the blocks that can hold the k lowest
     eigenvalues of H, or every block when there are at most k.  Block j's
@@ -536,8 +519,6 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
     index computed on an axis, they may continue past it, and that axis is
     computed in full.  With k the `defect` of the kept eigenpairs is
     measured too.  Without k every eigenpair is computed, and no defect."""
-    if blas not in BLAS_SIDES:
-        raise ValueError(f"blas must be one of {BLAS_SIDES}, got {blas!r}")
     split = _separable_split(op)
     if split is None:
         return None
@@ -549,7 +530,7 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
     rotated = (*range(t + 1, dim), *range(t))
 
     def eigenpairs(d, count=None):
-        return axis_eigenpairs(op.grid, op.h, d, slices[d], blas, count)
+        return axis_eigenpairs(op.grid, op.h, d, slices[d], count)
 
     def block_sums():
         # the shift of every block the eigenpairs span: one eigenvalue of each
@@ -594,7 +575,7 @@ def separable_decomposition(op: GridOperator, blas: str, k: int | None = None):
         shifts, kept = sums[spanned].ravel(), kept[spanned].ravel()
         if not kept.all():
             shifts, blocks = shifts[kept], kept
-    return SeparableDecomposition(points=points, blas=blas, t=t, rotated=rotated,
+    return SeparableDecomposition(points=points, t=t, rotated=rotated,
                                   pairs=tuple(pairs), main=main, off=off, offset=float(offset),
                                   shifts=shifts, blocks=blocks,
                                   defect=None if k is None else defect())
@@ -624,8 +605,7 @@ def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
     dpttrs solve, with no dense product.  The blocks are uncoupled, so the
     kept ones are solved exactly without the others.  z must lie below the
     spectrum of H, so that the matrix is positive definite; else ValueError."""
-    # imported here like eigh_tridiagonal in axis_eigenpairs; dpttrf and
-    # dpttrs are unthreaded, so they serve either BLAS side
+    # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     factor_d, factor_e, info = dpttrf(
@@ -635,11 +615,11 @@ def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
 
 
 def separable_inverse(op: GridOperator, z: float):
-    """(H - zI)^{-1} in the grid basis as a function r -> (H - zI)^{-1} r on
-    numpy's BLAS, when V is a sum of one-variable terms on the grid, else
-    None.  Its `separable_decomposition` is built on the "numpy" side; each
-    apply rotates into its eigenbasis, solves there and rotates back, one
-    numpy product per rotated axis and direction and one LAPACK dptsv.
+    """(H - zI)^{-1} in the grid basis as a function r -> (H - zI)^{-1} r,
+    when V is a sum of one-variable terms on the grid, else None.  Each
+    apply rotates into the eigenbasis of its `separable_decomposition`,
+    solves there and rotates back, one dgemm per rotated axis and direction
+    and one LAPACK dptsv.
 
     dptsv is dpttrf then dpttrs, so each apply solves with the bits of
     `eigenbasis_inverse`'s held factor, but the factor, two grid vectors,
@@ -651,7 +631,7 @@ def separable_inverse(op: GridOperator, z: float):
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.lapack import dpttrf, dptsv
 
-    decomposition = separable_decomposition(op, blas="numpy")
+    decomposition = separable_decomposition(op)
     if decomposition is None:
         return None
     shifts = decomposition.shifts - (z + decomposition.offset)

@@ -36,6 +36,18 @@ NOISE_BAND = 0.05
 FORM_TOLERANCE = 1e-10
 
 
+def _norm(x) -> float:
+    """||x|| of a contiguous grid vector, real or complex, by scipy's dnrm2
+    over its float view, never numpy's BLAS (see the note above
+    `grid.axis_eigenpairs`).  dnrm2 is unthreaded, so it wakes neither
+    pool: a threaded ddot left scipy's workers spinning against the numpy
+    inner products of the CG solve, which then took 1.6 times as long."""
+    # imported here like scipy.linalg in grid
+    from scipy.linalg.blas import dnrm2
+
+    return float(dnrm2(x.view(float)))
+
+
 def bump(t):
     """Smooth compactly supported mollifier: exp(1 - 1/(1-t^2)) on (-1, 1)."""
     return _bump_over(np.array(t, dtype=float))
@@ -132,7 +144,7 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float,
         nodes = np.multiply(grid.nodes(envelope), waves[0], out=grid.nodes(v))
         for wave in waves[1:]:
             nodes *= wave
-    nrm = np.linalg.norm(v)
+    nrm = _norm(v)
     if nrm == 0:
         raise ValueError("bump not resolved by any grid node")
     v /= nrm
@@ -156,8 +168,7 @@ def _residual(apply, v: np.ndarray, lam: float) -> float:
     the same two work vectors."""
     parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
     product, scratch = np.empty(v.size), np.empty(v.size)
-    return float(np.linalg.norm([np.linalg.norm(_shifted_product(apply, x, lam, product, scratch))
-                                 for x in parts]))
+    return math.hypot(*(_norm(_shifted_product(apply, x, lam, product, scratch)) for x in parts))
 
 
 def _snap_wavevector(grid: Grid, h: float, lam: float):
@@ -295,12 +306,12 @@ def _resolvent_at_i(op: GridOperator, v: np.ndarray, z: float, rtol: float = 1e-
         matrix = op.matrix
         shifted = spla.LinearOperator((dim, dim), lambda x: matrix @ x - z * x, dtype=float)
         w, info = spla.cg(shifted, v, rtol=rtol, atol=0.0, maxiter=dim)
-    target = rtol * np.linalg.norm(v)
+    target = rtol * _norm(v)
     # a miss scipy reports raises without the product of the residual check
     if info == 0:
         residual = _shifted_product(op.apply, w, z, np.empty(dim), np.empty(dim))
         residual -= v
-    if info != 0 or np.linalg.norm(residual) > target:
+    if info != 0 or _norm(residual) > target:
         how = "by the separable inverse" if inverse is not None else f"within {dim} CG iterations"
         raise RuntimeError(f"resolvent solve did not converge to residual {target:.3g} {how}")
     return w
@@ -319,10 +330,10 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     Each probe is a random unit vector v seeded by (seed, probe index); one
     solve gives the real w = (H - z)^{-1} v, which every scale shares, so all
     scales are compared on the same probes.  w is one apply of the exact
-    `grid.separable_inverse` when that admits the operator (on numpy's BLAS,
-    like the norms after it), else an unpreconditioned CG solve, the one
-    use of the assembled `op.matrix`.  The commutator with Phi = diag(phi_q)
-    is applied matrix-free, [H, Phi] w = H (phi w) - phi (H w), each H by
+    `grid.separable_inverse` when that admits the operator, else an
+    unpreconditioned CG solve, the one use of the assembled `op.matrix`.
+    The commutator with Phi = diag(phi_q) is applied matrix-free,
+    [H, Phi] w = H (phi w) - phi (H w), each H by
     `GridOperator.apply`, the potential cancelling in exact arithmetic; the
     max of ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate
     is a lower estimate of the norm; both tend to 0 as q grows.
@@ -345,7 +356,7 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     best = [0.0] * len(phis)
     for pi in range(probes):
         v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
-        v /= np.linalg.norm(v)
+        v /= _norm(v)
         w = _resolvent_at_i(op, v, z=z, inverse=inverse)
         # the probe vector is freed once its resolvent is checked, and w once
         # its commutators are taken
@@ -367,7 +378,7 @@ def _commutator_norms(op: GridOperator, w: np.ndarray, phis) -> list:
     for phi in phis:
         op.apply(np.multiply(phi, w, out=pw), out=product, scratch=scratch)
         product -= np.multiply(phi, op.apply(w, out=pw, scratch=scratch), out=pw)
-        norms.append(float(np.linalg.norm(product)))
+        norms.append(_norm(product))
     return norms
 
 
@@ -403,6 +414,10 @@ def form_inequality_check(op: GridOperator, trials: int, seed: int = 0) -> FormC
             "refusing to certify the form chain: potential not claimed nonnegative")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # imported here like scipy.linalg in grid; a weighted sum on scipy's
+    # BLAS, not numpy's
+    from scipy.linalg.blas import ddot
+
     values = op.potential_values
     scale = max(1.0, float(np.abs(values).max()))
     rng = np.random.default_rng(seed)
@@ -411,7 +426,7 @@ def form_inequality_check(op: GridOperator, trials: int, seed: int = 0) -> FormC
     draws = trials - 1 if forms[0] < 0 else 0
     for _ in range(draws):
         squares = np.square(rng.standard_normal(op.dim))
-        forms.append(float(squares @ values) / float(squares.sum()))
+        forms.append(float(ddot(squares, values)) / float(squares.sum()))
     defects = [-form / scale for form in forms]
     return FormChainReport(trials=trials, max_violation=max(0.0, *defects),
                            violations=sum(d > FORM_TOLERANCE for d in defects),

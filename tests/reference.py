@@ -2,6 +2,7 @@
 the package: the grid's stencil built afresh as sparse matrices, the
 separability check's and the probe layer's former formulas."""
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from bospec.grid import eigenbasis_inverse, separable_decomposition
+from bospec.probe import _norm
 
 
 def laplacian_1d(m: int, delta: float) -> sp.csr_matrix:
@@ -41,7 +43,8 @@ def separable_split_gap(op) -> float:
 
 
 # The probe layer's former formulas, each allocating a fresh array per
-# product: the probes must give their outputs bit for bit.
+# product: the probes must give their outputs bit for bit.  Their norms are
+# the probe's own (`probe._norm`, scipy's dnrm2).
 
 def bump(t) -> np.ndarray:
     """exp(1 - 1/(1 - t^2)) where |t| < 1, else 0, over the whole array."""
@@ -76,20 +79,20 @@ def zhislin_vector(grid, radius, k, width) -> np.ndarray:
     envelope = bump(2 * (node_radii(grid) - radius - width) / width - 1.0)
     k = np.zeros(grid.dim) if k is None else np.asarray(k, dtype=float)
     if not np.any(k != 0):
-        return envelope / np.linalg.norm(envelope)
+        return envelope / _norm(envelope)
     support = np.flatnonzero(envelope)
     index = np.unravel_index(support, grid.points, order="F")
     phase = sum(kd * grid.axis_coords(d)[index[d]] for d, kd in enumerate(k) if kd != 0)
     v = np.zeros(grid.size, dtype=complex)
     v[support] = envelope[support] * np.exp(1j * phase)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def residual(matrix, v, lam) -> float:
     """||(H - lam) v|| for the real sparse H = `matrix`, a complex v taken as
     its real and imaginary parts."""
     parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    return float(np.linalg.norm([np.linalg.norm(matrix @ x - lam * x) for x in parts]))
+    return math.hypot(*[_norm(matrix @ x - lam * x) for x in parts])
 
 
 def commutator_estimates(op, scales, probes, seed) -> list:
@@ -99,7 +102,7 @@ def commutator_estimates(op, scales, probes, seed) -> list:
     one-variable terms, else by unpreconditioned CG; H by the sparse
     matrix."""
     z = op.shift_below_spectrum() - 1.0
-    decomposition = separable_decomposition(op, blas="numpy")
+    decomposition = separable_decomposition(op)
     matrix = op.matrix
     radii = node_radii(op.grid)
     phis = [cutoff_profile(radii / q) for q in scales]
@@ -108,7 +111,7 @@ def commutator_estimates(op, scales, probes, seed) -> list:
     best = [0.0] * len(phis)
     for pi in range(probes):
         v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
-        v /= np.linalg.norm(v)
+        v /= _norm(v)
         if decomposition is not None:
             w = decomposition.rotate_back(solve(decomposition.rotate(v)))
         else:
@@ -116,6 +119,6 @@ def commutator_estimates(op, scales, probes, seed) -> list:
                                           dtype=float)
             w, _ = spla.cg(shifted, v, rtol=1e-8, atol=0.0, maxiter=op.dim)
         hw = matrix @ w
-        best = [max(b, float(np.linalg.norm(matrix @ (phi * w) - phi * hw)))
+        best = [max(b, _norm(matrix @ (phi * w) - phi * hw))
                 for b, phi in zip(best, phis)]
     return [(float(q), b) for q, b in zip(scales, best)]

@@ -149,11 +149,24 @@ class TestNoConvergenceFill:
 
     @pytest.mark.parametrize("case", ["separable inverse", "sparse LU"])
     def test_returns_k_orthonormal_pairs(self, monkeypatch, record_band_matrix, case):
+        import scipy.linalg.blas
+
         def two_pairs(**kwargs):
             theta, vectors = eigsh(**kwargs)
             raise ArpackNoConvergence("two pairs only", theta[:2], vectors[:, :2])
 
+        def refused(*args, **kwargs):
+            raise AssertionError("the fill called numpy's LAPACK")
+
         monkeypatch.setattr(eigensolver, "eigsh", two_pairs)
+        # the fill runs right after ARPACK, on scipy's LAPACK and BLAS like
+        # it: numpy's qr and eigh are never called, and its two products are
+        # dgemm, as is the rotation back of each of ARPACK's separable pairs
+        products, dgemm = [], scipy.linalg.blas.dgemm
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(scipy.linalg.blas, "dgemm",
+                            lambda *args, **kwargs: products.append(1) or dgemm(*args, **kwargs))
         # every column H is applied to is contiguous: the fill keeps its basis
         # and vectors in Fortran order, as a strided column's apply took twice
         # as long
@@ -167,6 +180,7 @@ class TestNoConvergenceFill:
         k, tol = 6, 1e-8
         res = lowest_eigenpairs(op, k, tol=tol, seed=0)
         assert res.backend == case
+        assert len(products) == 2 + 2 * (case == "separable inverse")
         assert len(strided) == 2 * k and not any(strided)
         assert res.decomposition is None and res.vectors.flags.f_contiguous
         # the LU factors H; the separable path builds none
@@ -319,8 +333,8 @@ class TestShiftInvertBackend:
         res.vectors
         assert len(products) == 4
 
-    # the probe's side of the decomposition takes numpy's eigh, which inside
-    # ARPACK clashed with scipy's pool: cli-2d ran 1.8x slower
+    # numpy's eigh of a dense axis tridiagonal, once the probe's, clashed
+    # with scipy's pool inside ARPACK: cli-2d ran 1.8x slower
     @pytest.mark.parametrize("case", ["2d", "3d"])
     def test_decomposition_stays_off_numpy_eigh(self, monkeypatch, case):
         if case == "2d":

@@ -342,9 +342,9 @@ class TestSeparableInverse:
         dense = []
         eigenpairs = grid_module.axis_eigenpairs
 
-        def recording(grid, h, d, values, blas, count=None):
+        def recording(grid, h, d, values, count=None):
             dense.append(d)
-            return eigenpairs(grid, h, d, values, blas, count)
+            return eigenpairs(grid, h, d, values, count)
 
         monkeypatch.setattr(grid_module, "axis_eigenpairs", recording)
         size = int(np.prod(points))
@@ -385,7 +385,7 @@ class TestSeparableInverse:
         z = op.shift_below_spectrum()
         r = np.random.default_rng(0).standard_normal(op.dim)
         given = r.copy()
-        decomposition = separable_decomposition(op, blas="numpy")
+        decomposition = separable_decomposition(op)
         held = decomposition.rotate_back(eigenbasis_inverse(decomposition, z)(decomposition.rotate(r)))
         assert separable_inverse(op, z)(r).tobytes() == held.tobytes()
         assert r.tobytes() == given.tobytes()
@@ -412,7 +412,7 @@ class TestSeparableInverse:
     def test_lowest_eigenvalue_exact(self, points):
         expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
         op = self.op(points, expression)
-        lowest = separable_decomposition(op, blas="scipy").lowest()
+        lowest = separable_decomposition(op).lowest()
         exact = np.linalg.eigvalsh(op.matrix.toarray())[0]
         assert abs(lowest - exact) <= 1e-12 * max(1.0, abs(exact))
 
@@ -426,8 +426,8 @@ class TestSeparableInverse:
                             or built[-1])
         op = self.op((15, 17), "x1^2 + y1^4")
         separable_inverse(op, op.shift_below_spectrum())
-        assert len(built) == 1 and built[0].blas == "numpy" and built[0].defect is None
-        assert separable_decomposition(op, blas="scipy", k=4).defect > 0
+        assert len(built) == 1 and built[0].defect is None
+        assert separable_decomposition(op, k=4).defect > 0
 
     def test_z_not_below_spectrum_raises(self):
         op = self.op((15, 17), "x1^2 + y1^2")
@@ -435,20 +435,22 @@ class TestSeparableInverse:
         with pytest.raises(ValueError, match="positive definite"):
             separable_inverse(op, lowest + 1e-3)
 
-    # the eigensolver's side (eigh_tridiagonal, scipy's dgemm) and the probe's
-    # (numpy's eigh and products) must give the same inverse; 17 x 15 keeps
-    # axis 0 tridiagonal, so the apply transposes around its products
+    # the probe's decomposition takes every axis eigenpair by
+    # eigh_tridiagonal's full driver, the eigensolver's only the k + 1 lowest
+    # by bisection and inverse iteration (dstebz, dstein): the eigenpairs
+    # both hold agree; 17 x 15 keeps axis 0 tridiagonal, 8 x 8 x 8 rotates two
     @pytest.mark.parametrize("points", [(17, 15), (8, 8, 8)], ids=["17x15", "8x8x8"])
-    def test_blas_sides_agree(self, points):
+    def test_full_and_leading_eigenpairs_agree(self, points):
         expression = ["x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 2]
         op = self.op(points, expression)
-        z = op.shift_below_spectrum()
-        r = np.random.default_rng(1).standard_normal(op.dim)
-        scipy_side = separable_decomposition(op, blas="scipy")
-        assert scipy_side.blas == "scipy"
-        x = scipy_side.rotate_back(eigenbasis_inverse(scipy_side, z)(scipy_side.rotate(r)))
-        y = separable_inverse(op, z)(r)
-        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(x)
+        full, leading = separable_decomposition(op), separable_decomposition(op, k=4)
+        assert full.rotated == leading.rotated
+        for d, (lam, q), (lam_leading, q_leading) in zip(full.rotated, full.pairs, leading.pairs):
+            m = lam_leading.size
+            assert lam.size == q.shape[1] == points[d] > m
+            assert np.all(np.abs(lam[:m] - lam_leading) <= 1e-12 * np.maximum(1.0, np.abs(lam[:m])))
+            signs = np.sign(np.sum(q[:, :m] * q_leading, axis=0))
+            assert np.abs(q[:, :m] * signs - q_leading).max() <= 1e-12
 
     # restricted to the blocks that can hold the k lowest eigenvalues, the
     # rotation maps their span isometrically onto the kept basis and the
@@ -459,7 +461,7 @@ class TestSeparableInverse:
         expression = ["x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 2]
         op = self.op(points, expression)
         z = op.shift_below_spectrum()
-        kept = separable_decomposition(op, blas="scipy", k=4)
+        kept = separable_decomposition(op, k=4)
         assert (kept.blocks is None) == (len(points) == 2)
         assert kept.size < op.dim and kept.size % max(points) == 0
         y = np.random.default_rng(2).standard_normal(kept.size)
@@ -488,7 +490,7 @@ class TestSeparableInverse:
         else:
             op = self.op(points, ["x1^2 - 3", "x1^2 + y1^4 - 3",
                                   "x1^2 + y1^2 + 2*y2^2 - 3"][dim - 1])
-        decomposition = separable_decomposition(op, blas="scipy", k=k)
+        decomposition = separable_decomposition(op, k=k)
         n_t = decomposition.main.size
         assert decomposition.size == n_t * decomposition.shifts.size
         y = np.random.default_rng(3).standard_normal(decomposition.size)
@@ -499,10 +501,6 @@ class TestSeparableInverse:
         expected = expected.ravel(order="F")
         got = decomposition.rotate(op.matrix @ decomposition.rotate_back(y))
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    def test_unknown_blas_side_raises(self):
-        with pytest.raises(ValueError, match="blas"):
-            separable_decomposition(self.op((9, 11), "x1^2 + y1^2"), blas="mkl")
 
 
 class TestSeparableSplit:
@@ -575,8 +573,8 @@ class TestLeadingEigenpairs:
         """Make every axis compute all its eigenpairs, whatever the count."""
         eigenpairs = grid_module.axis_eigenpairs
         monkeypatch.setattr(grid_module, "axis_eigenpairs",
-                            lambda grid, h, d, values, blas, count=None:
-                            eigenpairs(grid, h, d, values, blas))
+                            lambda grid, h, d, values, count=None:
+                            eigenpairs(grid, h, d, values))
 
     @staticmethod
     def record_counts(monkeypatch):
@@ -584,9 +582,9 @@ class TestLeadingEigenpairs:
         calls = []
         eigenpairs = grid_module.axis_eigenpairs
 
-        def recording(grid, h, d, values, blas, count=None):
+        def recording(grid, h, d, values, count=None):
             calls.append((d, count))
-            return eigenpairs(grid, h, d, values, blas, count)
+            return eigenpairs(grid, h, d, values, count)
 
         monkeypatch.setattr(grid_module, "axis_eigenpairs", recording)
         return calls
@@ -608,7 +606,7 @@ class TestLeadingEigenpairs:
         grid = build_grid(1, dim - 1, [6.0] * dim, points)
         op = assemble_hamiltonian(grid, expression_potential(expression, 1, dim - 1), 0.5)
         calls = self.record_counts(monkeypatch)
-        leading = separable_decomposition(op, blas="scipy", k=k)
+        leading = separable_decomposition(op, k=k)
         # every rotated axis asks first for its k + 1 lowest eigenpairs
         asked = {d: [c for e, c in calls if e == d] for d in leading.rotated}
         assert all(counts[0] == k + 1 for counts in asked.values())
@@ -616,7 +614,7 @@ class TestLeadingEigenpairs:
         assert all(len(counts) <= 2 for counts in asked.values())
         monkeypatch.undo()
         self.full_eigenbases(monkeypatch)
-        full = separable_decomposition(op, blas="scipy", k=k)
+        full = separable_decomposition(op, k=k)
         assert (leading.blocks is None) == (full.blocks is None)
         if full.blocks is not None:
             assert np.array_equal(leading.blocks, full.blocks)
@@ -632,16 +630,18 @@ class TestLeadingEigenpairs:
     # rotated back into a work vector, with no grid vector allocated where the
     # layout needs no transposition: t last (15 x 17, 8^3), t second to last
     # (17 x 15, 7 x 9 x 8), where the last product keeps the last dimension
-    # last, t first of three (9 x 8 x 7), transposed into `out`, and 1D
-    @pytest.mark.parametrize("blas", ["scipy", "numpy"])
+    # last, t first of three (9 x 8 x 7), transposed into `out`, and 1D; on
+    # the probe's decomposition of every block and on the eigensolver's of
+    # the blocks that can hold the 4 lowest eigenvalues
+    @pytest.mark.parametrize("k", [None, 4], ids=["full", "leading"])
     @pytest.mark.parametrize("points", [(31,), (15, 17), (17, 15), (8, 8, 8), (7, 9, 8), (9, 8, 7)],
                              ids=["1d", "15x17", "17x15", "8x8x8", "7x9x8", "9x8x7"])
-    def test_rotate_back_into_out(self, points, blas):
+    def test_rotate_back_into_out(self, points, k):
         dim = len(points)
         grid = build_grid(1, dim - 1, [6.0] * dim, points)
         expression = ["x1^2", "x1^2 + y1^4", "x1^2 + y1^2 + 2*y2^2"][dim - 1]
         op = assemble_hamiltonian(grid, expression_potential(expression, 1, dim - 1), 0.5)
-        decomposition = separable_decomposition(op, blas=blas, k=4)
+        decomposition = separable_decomposition(op, k=k)
         y = np.random.default_rng(4).standard_normal(decomposition.size)
         expected = decomposition.rotate_back(y)
         out = np.full(op.dim, np.nan)
@@ -672,7 +672,7 @@ class TestOneStencil:
             return main, off
 
         monkeypatch.setattr(grid_module, "_axis_tridiagonal", recording)
-        assert separable_decomposition(op, blas="scipy") is not None
+        assert separable_decomposition(op) is not None
         assert sorted(tridiagonals) == list(range(dim))
         for d, (values, main, off) in tridiagonals.items():
             # H is the kronsum of these stencils bit for bit (TestAssembly)

@@ -475,10 +475,10 @@ class TestCommutator:
         # by the stencil, so no H is built
         assert len(products) == 1 and record_band_matrix == []
         # commutator_decay hands its solves the inverse, built and applied on
-        # numpy's BLAS like the norms after it: one on scipy's, whose OpenBLAS
-        # has its own thread pool, took a probe-2d pass from 26.9 to 52.1 ms.
-        # eigh_tridiagonal is recorded too, since its LAPACK dstevd calls
-        # dgemm where Python cannot see it
+        # scipy's BLAS, ARPACK's: every axis eigenpair of each rotated axis by
+        # eigh_tridiagonal's full driver (LAPACK's dstevd, whose merges call
+        # dgemm) and one dgemm per rotated axis each way, and no numpy eigh
+        # of the dense tridiagonal, which the inverse took on numpy's BLAS
         import scipy.linalg
         import scipy.linalg.blas
 
@@ -491,10 +491,57 @@ class TestCommutator:
         for module, name in ((scipy.linalg.blas, "dgemm"), (scipy.linalg, "eigh_tridiagonal")):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, name=name, original=original, **kwargs:
-                                scipy_calls.append(name) or original(*args, **kwargs))
+                                scipy_calls.append((name, kwargs.get("select", "a")))
+                                or original(*args, **kwargs))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy's eigh on the separable inverse's axis")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
         monkeypatch.setattr(probe, "_resolvent_at_i", recording)
         commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=1)
-        assert given[0] is not None and scipy_calls == []
+        rotated = len(points) - 1
+        assert given[0] is not None
+        assert sorted(scipy_calls) == ([("dgemm", "a")] * 2 * rotated
+                                       + [("eigh_tridiagonal", "a")] * rotated)
+
+    # every norm of a grid vector in the probe layer is scipy's unthreaded
+    # dnrm2 and the form check's weighted sum scipy's ddot: numpy's threaded
+    # ddot in np.linalg.norm, against scipy's thread pool, took a probe-2d
+    # pass from 24.3 to 43.1 ms once the separable inverse ran on scipy's,
+    # and a threaded scipy ddot for the norms slowed the CG solve by half
+    def test_probes_take_no_numpy_norm(self, monkeypatch):
+        import sys
+
+        import bospec.probe as probe
+        from scipy.linalg import blas
+
+        norm, calls = np.linalg.norm, []
+
+        def guarded(*args, **kwargs):
+            assert sys._getframe(1).f_globals["__name__"] != probe.__name__, (
+                "a probe function called numpy.linalg.norm")
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", guarded)
+        for name in ("dnrm2", "ddot"):
+            original = getattr(blas, name)
+            monkeypatch.setattr(blas, name, lambda *args, name=name, original=original, **kwargs:
+                                calls.append(name) or original(*args, **kwargs))
+        grid = build_grid(1, 1, [8.0, 8.0], [63, 65])
+        separable = assemble_hamiltonian(grid, SEPARABLE["quadratic-2d"], 0.5)
+        coupled = assemble_hamiltonian(
+            grid, expression_potential("x1^2*y1^2", 1, 1, nonnegative=True), 0.5)
+        dipping = assemble_hamiltonian(
+            grid, expression_potential("x1^2 + y1^2 - 1", 1, 1, nonnegative=True), 0.5)
+        essential_spectrum_probe(0.5, grid, [0.0, 4.0], [1.25, 2.5])
+        discreteness_certificate(separable, lam=4.0, radii=[3.0, 5.0])
+        for op in (separable, coupled):
+            commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2)
+        norms = len(calls)
+        assert norms > 0 and set(calls) == {"dnrm2"}
+        form_inequality_check(dipping, trials=5)
+        assert calls[norms:] == ["ddot"] * 4
 
     # probe-2d's V is separable; x1^2*y1^2 takes the CG solve
     @pytest.mark.parametrize("expression", ["x1^2*y1^2", "x1^2 + y1^4"],
