@@ -193,15 +193,19 @@ def _cell(value) -> str:
 
 
 def _write(path, fmt, columns, rows, payload) -> None:
-    """Write `rows` under the header `columns` as CSV, or `payload` as JSON."""
-    with open(path, "w") as fh:
-        if fmt == "json":
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-            return
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+    """Write `rows` under the header `columns` as CSV, or `payload` as JSON;
+    ValueError when the file cannot be opened or written."""
+    try:
+        with open(path, "w") as fh:
+            if fmt == "json":
+                json.dump(payload, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+                return
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_cell(v) for v in row) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,17 @@ def build_grid(n: int, p: int, half_widths, points) -> Grid:
     if total > DEFAULT_SIZE_CAP:
         raise GridError("points", f"grid size {total} exceeds the safety cap of {DEFAULT_SIZE_CAP}"
                         " nodes (a fixed limit, not derived from solver memory)")
-    return Grid(n=n, p=p, half_widths=half_widths, points=points)
+    grid = Grid(n=n, p=p, half_widths=half_widths, points=points)
+    for d, (l, m) in enumerate(zip(half_widths, points)):
+        try:
+            center = grid.stencil(1.0, d)[1]  # 2 / spacing^2, twice the off entry
+        except (OverflowError, ZeroDivisionError):
+            center = math.inf
+        if not 0 < center < math.inf:
+            raise GridError("half_widths", f"half-width {l:g} over {m} points gives spacing "
+                            f"{grid.spacing[d]:g}, whose stencil entry 2 / spacing^2 is not "
+                            "a finite nonzero float")
+    return grid
 
 
 def check_h(h: float) -> None:

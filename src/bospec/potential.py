@@ -3,9 +3,10 @@
 Coordinates are split into n slow dimensions (x1..xn) and p fast dimensions
 (y1..yp).  A potential is either an exact quadratic form <Ax,x> + <By,y> or an
 arithmetic expression over the coordinate variables.  Python's parser reads
-an expression, with `^` as its power operator; the resulting `ast.expr` is
-checked against the grammar and then evaluated directly, node by node, on
-numpy columns.
+an expression, with `^` as its power operator, and the resulting `ast.expr`
+is checked against the grammar; a quadratic form is built as the `ast.expr`
+of its terms.  Either tree is evaluated directly, node by node, on numpy
+columns.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -20,7 +22,6 @@ __all__ = [
     "ExprError",
     "PotentialDomainError",
     "NotPositiveDefiniteError",
-    "PotentialExpr",
     "Potential",
     "parse_potential",
     "oscillator_frequencies",
@@ -117,31 +118,6 @@ def _eval_node(node: ast.expr, env: dict):
     return _FUNCS[node.func.id](_eval_node(node.args[0], env))
 
 
-@dataclass(frozen=True)
-class PotentialExpr:
-    """Parsed expression over x1..xn, y1..yp."""
-
-    ast: ast.expr  # Python's tree of the text, `^` read as `**`
-    n: int
-    p: int
-
-    def evaluate_many(self, coords) -> np.ndarray:
-        """The expression at the nodes that `coords` spans, flat in C order
-        (see `Potential.evaluate_many`); PotentialDomainError names the
-        coordinates of the first node where it is not finite."""
-        coords, shape = _broadcast(coords, self.n + self.p)
-        env = {f"x{j + 1}": coords[j] for j in range(self.n)}
-        env.update({f"y{j + 1}": coords[self.n + j] for j in range(self.p)})
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = _eval_node(self.ast, env)
-        vals = _flat(vals, shape, coords)
-        if not np.all(np.isfinite(vals)):
-            bad = np.unravel_index(int(np.flatnonzero(~np.isfinite(vals))[0]), shape)
-            point = [float(np.broadcast_to(c, shape)[bad]) for c in coords]
-            raise PotentialDomainError(f"expression evaluated to non-finite value at {point}")
-        return vals
-
-
 def _broadcast(coords, dim: int) -> tuple:
     """`coords` as `dim` float arrays, one per dimension, and the shape they
     broadcast to.  TypeError unless `coords` is a list or tuple of numpy
@@ -167,23 +143,14 @@ def _flat(vals, shape: tuple, coords: list) -> np.ndarray:
     return vals.ravel()
 
 
-def _quadratic_form(matrix: np.ndarray, coords: list):
-    """sum_ij matrix_ij c_i c_j over broadcasting coordinate arrays, each term
-    formed on the arrays' own shapes before the sum broadcasts them."""
-    total = 0.0
-    for i, ci in enumerate(coords):
-        for j, cj in enumerate(coords):
-            total = total + matrix[i, j] * ci * cj
-    return total
-
-
-def parse_potential(text: str, n: int, p: int) -> PotentialExpr:
+def parse_potential(text: str, n: int, p: int) -> ast.expr:
     """Parse a potential expression with n x-variables and p y-variables.
 
     Python's parser reads the text with `^` as its power operator, so `^`
     binds tighter than unary minus and numbers follow Python's literal
     syntax; error positions index `text`.  p = 0 permits purely
-    semiclassical operators with no fast dimensions.
+    semiclassical operators with no fast dimensions.  Returns Python's
+    tree of the text, `^` read as `**`, once `_check` accepted it.
     """
     if not text or not text.strip():
         raise ExprError("empty expression")
@@ -210,7 +177,7 @@ def parse_potential(text: str, n: int, p: int) -> PotentialExpr:
         col = exc.offset - 1 if exc.offset else len(source)
         raise ExprError(exc.msg, cols[min(col, len(source))]) from None
     _check(tree.body, n, p, lambda node: cols[node.col_offset])
-    return PotentialExpr(tree.body, n, p)
+    return tree.body
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +190,9 @@ class Potential:
     n: int
     p: int
     nonnegative_claimed: bool
+    tree: ast.expr  # V over x1..xn, y1..yp, either kind
     a: np.ndarray | None = None
     b: np.ndarray | None = None
-    expr: PotentialExpr | None = None
     frequencies: tuple = field(default=())  # (w, mu) square roots, quadratic only
 
     @property
@@ -246,14 +213,20 @@ class Potential:
         their broadcast.  The columns of an (m, n + p) table of points,
         `list(table.T)`, are one such set; per-axis coordinates shaped along
         separate array axes span a tensor grid without its table.  A table
-        itself, an array or nested list of points, raises TypeError."""
-        if self.kind == "quadratic":
-            coords, shape = _broadcast(coords, self.dim)
-            vals = _quadratic_form(self.a, coords[:self.n])
-            if self.p:
-                vals = vals + _quadratic_form(self.b, coords[self.n:])
-            return _flat(vals, shape, coords)
-        return self.expr.evaluate_many(coords)
+        itself, an array or nested list of points, raises TypeError.
+        PotentialDomainError names the coordinates of the first node where V
+        is not finite."""
+        coords, shape = _broadcast(coords, self.dim)
+        names = [f"x{j + 1}" for j in range(self.n)] + [f"y{j + 1}" for j in range(self.p)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = _flat(_eval_node(self.tree, dict(zip(names, coords))), shape, coords)
+        # min and max (0 on no nodes) carry any NaN or infinity, with no
+        # grid-sized mask
+        if not (np.isfinite(vals.min(initial=0.0)) and np.isfinite(vals.max(initial=0.0))):
+            bad = np.unravel_index(int(np.flatnonzero(~np.isfinite(vals))[0]), shape)
+            point = [float(np.broadcast_to(c, shape)[bad]) for c in coords]
+            raise PotentialDomainError(f"potential evaluated to non-finite value at {point}")
+        return vals
 
     def min_curvature(self) -> float:
         """Smallest eigenvalue of blkdiag(A, B); quadratic kind only."""
@@ -279,6 +252,16 @@ def oscillator_frequencies(a, name: str = "matrix") -> tuple:
     return tuple(np.sort(np.sqrt(eigs)))
 
 
+def _form_tree(matrix: np.ndarray, axis: str) -> ast.expr:
+    """<Mc,c> over the `axis` coordinates: every term m_ij * c_i * c_j in row
+    order, zero entries included, summed left to right."""
+    names = [ast.Name(f"{axis}{i + 1}", ast.Load()) for i in range(len(matrix))]
+    terms = [ast.BinOp(ast.BinOp(ast.Constant(float(matrix[i, j])), ast.Mult(), ci),
+                       ast.Mult(), cj)
+             for i, ci in enumerate(names) for j, cj in enumerate(names)]
+    return reduce(lambda total, term: ast.BinOp(total, ast.Add(), term), terms)
+
+
 def quadratic_potential(a, b=None) -> Potential:
     """Build V(x, y) = <Ax,x> + <By,y>; matrices are symmetrized as (M+M^T)/2.
 
@@ -297,11 +280,15 @@ def quadratic_potential(a, b=None) -> Potential:
         b = None
     w = oscillator_frequencies(a, "matrix A")
     mu = () if b is None else oscillator_frequencies(b, "matrix B")
+    tree = _form_tree(a, "x")
+    if b is not None:
+        tree = ast.BinOp(tree, ast.Add(), _form_tree(b, "y"))
     return Potential(
         kind="quadratic",
         n=a.shape[0],
         p=0 if b is None else b.shape[0],
         nonnegative_claimed=True,
+        tree=tree,
         a=a,
         b=b,
         frequencies=(w, mu),
@@ -310,6 +297,5 @@ def quadratic_potential(a, b=None) -> Potential:
 
 def expression_potential(text: str, n: int, p: int,
                          nonnegative: bool = False) -> Potential:
-    expr = parse_potential(text, n, p)
-    return Potential(kind="expression", n=n, p=p,
-                     nonnegative_claimed=nonnegative, expr=expr)
+    return Potential(kind="expression", n=n, p=p, nonnegative_claimed=nonnegative,
+                     tree=parse_potential(text, n, p))

@@ -1,6 +1,7 @@
 """Independent references the tests check the library against, kept out of
 the package: the grid's stencil built afresh as sparse matrices, the
-separability check's and the probe layer's former formulas."""
+quadratic potential's, the separability check's and the probe layer's
+former formulas."""
 
 import math
 from functools import reduce
@@ -28,6 +29,17 @@ def kinetic_operator(grid, h: float) -> sp.csr_matrix:
         stencil = (h * h if d < grid.n else 1.0) * laplacian_1d(m, delta)
         kinetic = stencil if kinetic is None else sp.kronsum(kinetic, stencil, format="csr")
     return kinetic
+
+
+def quadratic_form(matrix: np.ndarray, coords: list):
+    """sum_ij matrix_ij c_i c_j over broadcasting coordinate arrays, each term
+    formed on the arrays' own shapes before the sum broadcasts them, as
+    `Potential.evaluate_many` formed a quadratic V before it walked V's tree."""
+    total = 0.0
+    for i, ci in enumerate(coords):
+        for j, cj in enumerate(coords):
+            total = total + matrix[i, j] * ci * cj
+    return total
 
 
 def separable_split_gap(op) -> float:

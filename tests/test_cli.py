@@ -107,6 +107,15 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
         assert "enlarge the box" not in capsys.readouterr().err
 
+    # an output path that cannot be opened is an error line and exit 1
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SOLVE_1D)
+        out = tmp_path / "no-such-dir" / "spec.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
     def test_no_output_path(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_1D)
         assert main(["solve", "--config", cfg]) == 1
@@ -487,9 +496,14 @@ def test_probe_non_finite_rejected(tmp_path, capsys, mode, key, value, message):
     assert not out.exists()
 
 
+# a NaN tol or half-width is refused by name, and a V that is not finite by
+# the first node where it is not (x1^2 overflows at the first node of a box
+# 1e155 wide, where a solve once met the infinities in scipy)
 @pytest.mark.parametrize("old, new, message", [
     ("tol = 1e-7", "tol = nan", "tol must be positive and finite"),
     ("half_widths = 10", "half_widths = nan", "half-widths must be positive and finite"),
+    ("half_widths = 10\npoints = 399", "half_widths = 1e155\npoints = 1001",
+     "error: potential evaluated to non-finite value at [-9.98003992015968e+154]\n"),
 ])
 def test_solve_non_finite_rejected(tmp_path, capsys, old, new, message):
     cfg = write_config(tmp_path, SOLVE_1D.replace(old, new))
@@ -499,13 +513,17 @@ def test_solve_non_finite_rejected(tmp_path, capsys, old, new, message):
     assert not out.exists()
 
 
-# each build_grid error is filed under the key at fault, with nothing written
+# each build_grid error is filed under the key at fault, with nothing written;
+# a spacing whose square overflows or underflows to 0 leaves no stencil entry
 @pytest.mark.parametrize("old, new, key", [
     ("half_widths = 10", "half_widths = nan", "half_widths"),
     ("half_widths = 10", "half_widths = 10 10", "half_widths"),
+    ("half_widths = 10", "half_widths = 1e160", "half_widths"),
+    ("half_widths = 10", "half_widths = 1e-170", "half_widths"),
     ("points = 399", "points = 2", "points"),
     ("n = 1", "n = 0", "n"),
-], ids=["nan-half-width", "half-width-count", "too-few-points", "n-zero"])
+], ids=["nan-half-width", "half-width-count", "stencil-overflow", "stencil-underflow",
+        "too-few-points", "n-zero"])
 def test_grid_error_names_its_key(tmp_path, capsys, old, new, key):
     cfg = write_config(tmp_path, SOLVE_1D.replace(old, new))
     out = tmp_path / "spec.csv"

@@ -48,12 +48,22 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="half-widths must be positive and finite"):
             build_grid(1, 1, [half_width, 6.0], [31, 31])
 
-    # each error names the argument at fault, which the CLI reports as its key
+    @pytest.mark.parametrize("half_width", [1e150, 1e-150])
+    def test_stencil_in_float_range_accepted(self, half_width):
+        grid = build_grid(1, 1, [half_width, 1.0], [31, 31])
+        assert all(0 < abs(e) < math.inf for e in grid.stencil(1.0, 0)[1:])
+
+    # each error names the argument at fault, which the CLI reports as its key;
+    # a spacing whose square overflows (1e160) or underflows to 0 (1e-170)
+    # leaves no stencil entry to form, where Grid.stencil once raised
+    # OverflowError or ZeroDivisionError
     @pytest.mark.parametrize("args, argument", [
         ((0, 0, [1.0], [5]), "n"), ((1, -1, [1.0], [5]), "p"),
         ((1, 1, [1.0], [5, 5]), "half_widths"), ((1, 0, [0.0], [5]), "half_widths"),
         ((1, 1, [1.0, 1.0], [5]), "points"), ((1, 0, [1.0], [2]), "points"),
-        ((1, 1, [1.0, 1.0], [2000, 2000]), "points")])
+        ((1, 1, [1.0, 1.0], [2000, 2000]), "points"),
+        ((1, 1, [1e160, 1.0], [31, 31]), "half_widths"),
+        ((1, 1, [1e-170, 1.0], [31, 31]), "half_widths")])
     def test_error_names_its_argument(self, args, argument):
         with pytest.raises(GridError) as caught:
             build_grid(*args)

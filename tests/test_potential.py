@@ -1,4 +1,5 @@
 import ast
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from bospec.potential import (
     quadratic_potential,
 )
 from bospec.probe import discreteness_certificate
+
+from reference import quadratic_form
 
 
 class TestParser:
@@ -75,8 +78,8 @@ class TestParser:
         assert expression_potential("2 * -x1^2", 1, 0).evaluate([3.0]) == -18.0
 
     def test_python_literals_and_parenthesized_exponent(self):
-        assert ast.unparse(parse_potential("1_000 + 0x10", 1, 0).ast) == "1000 + 16"
-        assert ast.unparse(parse_potential("x1^(2) + x1^-2", 1, 0).ast) == \
+        assert ast.unparse(parse_potential("1_000 + 0x10", 1, 0)) == "1000 + 16"
+        assert ast.unparse(parse_potential("x1^(2) + x1^-2", 1, 0)) == \
             "x1 ** 2 + x1 ** (-2)"
         with pytest.raises(ExprError):
             parse_potential("01", 1, 0)
@@ -140,7 +143,7 @@ CORPUS = {
 
 @pytest.mark.parametrize("text", CORPUS)
 def test_corpus_parses_as_before(text):
-    assert ast.unparse(parse_potential(text, n=2, p=2).ast) == CORPUS[text]
+    assert ast.unparse(parse_potential(text, n=2, p=2)) == CORPUS[text]
 
 
 def _text_strategy():
@@ -167,8 +170,8 @@ def _text_strategy():
 @given(_text_strategy())
 @settings(max_examples=150, deadline=None)
 def test_roundtrip(text):
-    tree = parse_potential(text, n=2, p=2).ast
-    assert ast.dump(parse_potential(_unparse(tree), n=2, p=2).ast) == ast.dump(tree)
+    tree = parse_potential(text, n=2, p=2)
+    assert ast.dump(parse_potential(_unparse(tree), n=2, p=2)) == ast.dump(tree)
 
 
 class TestQuadratic:
@@ -207,6 +210,10 @@ class TestQuadratic:
             quadratic_potential(a, b)
         with pytest.raises(ValueError, match="matrix must be finite"):
             oscillator_frequencies(b if b is not None else a)
+
+    def test_tree_of_the_form(self):
+        assert ast.unparse(quadratic_potential([[1.0]], [[1.0]]).tree) == \
+            "1.0 * x1 * x1 + 1.0 * y1 * y1"
 
     def test_symmetrization(self):
         pot = quadratic_potential([[1.0, 2.0], [0.0, 4.0]])
@@ -272,6 +279,38 @@ class TestEvaluateMany:
         exact = np.einsum("mi,ij,mj->m", x, a, x) + np.einsum("mi,ij,mj->m", y, b, y)
         values = quadratic_potential(a, b).evaluate_many(self.axes(grid))
         assert np.allclose(values, exact, rtol=1e-14, atol=0)
+
+    # a quadratic V walks its tree term by term as `quadratic_form` sums it:
+    # the same bits on broadcast axes and on table columns, off-diagonal and
+    # zero entries included, and the same bits as the expression potential
+    # of the tree's text
+    @pytest.mark.parametrize("a, b, half_widths, points", [
+        ([[1.3]], None, [4.0], [9]),
+        ([[1.0, 0.3], [0.3, 2.0]], None, [2.0, 3.0], [5, 6]),
+        ([[1.5]], [[1.0, 0.0], [0.0, 0.7]], [2.0, 3.0, 4.0], [5, 6, 7]),
+        ([[1.0, 0.3], [0.3, 2.0]], [[0.9]], [2.0, 3.0, 4.0], [5, 6, 7]),
+        ([[2.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 3.0]], None, [2.0, 3.0, 4.0], [5, 6, 7]),
+        ([[1.0, 0.3], [0.3, 2.0]], [[1.5, -0.4], [-0.4, 0.7]], [2.0, 3.0, 4.0, 2.5], [5, 6, 7, 4]),
+    ], ids=["1d", "2d-n2", "3d-p2-zeros", "3d-n2", "3d-n3-zeros", "4d"])
+    def test_quadratic_bits_equal_reference(self, a, b, half_widths, points):
+        pot = quadratic_potential(a, b)
+        grid = build_grid(pot.n, pot.p, half_widths, points)
+        for coords in (self.axes(grid), list(grid.node_coords().T)):
+            expected = quadratic_form(pot.a, coords[:pot.n])
+            if pot.p:
+                expected = expected + quadratic_form(pot.b, coords[pot.n:])
+            assert pot.evaluate_many(coords).tobytes() == expected.ravel().tobytes()
+            expr = expression_potential(ast.unparse(pot.tree), pot.n, pot.p)
+            assert expr.evaluate_many(coords).tobytes() == expected.ravel().tobytes()
+
+    # quadratic V takes the same non-finite check: x1^2 overflows at the
+    # first node of a box 1e155 wide
+    def test_quadratic_overflow_names_the_node(self):
+        grid = build_grid(1, 0, [1e155], [1001])
+        first = float(grid.axis_coords(0)[0])
+        message = f"potential evaluated to non-finite value at [{first!r}]"
+        with pytest.raises(PotentialDomainError, match=f"^{re.escape(message)}$"):
+            quadratic_potential([[1.0]]).evaluate_many(self.axes(grid))
 
     # the first non-finite node in flat order (x1 = 0 at the lowest y1) is
     # named by its coordinates on either path
