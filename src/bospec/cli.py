@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -175,6 +177,8 @@ def _solver_params(cfg, seed_override=None):
         "tol": _opt(cfg, "solver", "tol", 1e-6),
         "seed": _opt(cfg, "solver", "seed", 0),
     }
+    if params["seed"] < 0:
+        raise ConfigError("solver", "seed", "must be a non-negative integer")
     if seed_override is not None:
         params["seed"] = seed_override
     return params
@@ -190,6 +194,19 @@ def _cell(value) -> str:
     if isinstance(value, (int, str)):
         return str(value)
     return f"{float(value):.17g}"
+
+
+def _check_out(path) -> None:
+    """The ValueError `_write` gives, raised before any solve, when `path`
+    is a directory or its directory does not exist; `_write` still reports
+    any other failure to open or write it."""
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or os.curdir):
+        reason = errno.ENOENT
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {os.strerror(reason)}")
 
 
 def _write(path, fmt, columns, rows, payload) -> None:
@@ -366,9 +383,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
+    # numpy's generators take no negative seed
+    if args.seed is not None and args.seed < 0:
+        parser.error("argument --seed: must be a non-negative integer")
     try:
         if args.out is None:
             raise ConfigError("cli", "--out", "no output path given")
+        _check_out(args.out)
         cfg = _load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

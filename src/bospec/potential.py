@@ -199,13 +199,6 @@ class Potential:
     def dim(self) -> int:
         return self.n + self.p
 
-    def evaluate(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
-            raise ValueError(
-                f"point has shape {point.shape}, expected ({self.dim},)")
-        return float(self.evaluate_many(list(point[:, None]))[0])
-
     def evaluate_many(self, coords) -> np.ndarray:
         """V at the nodes that `coords` spans, flat in C order: `coords` is a
         list or tuple of numpy arrays, one coordinate array per dimension
@@ -245,7 +238,13 @@ def oscillator_frequencies(a, name: str = "matrix") -> tuple:
         raise ValueError(f"{name} must be finite")
     if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ValueError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(a)
+    # imported here like scipy.linalg in grid; LAPACK's dsyevd on the lower
+    # triangle, the routine numpy's eigvalsh runs, on scipy's LAPACK
+    from scipy.linalg.lapack import dsyevd
+
+    eigs, _, info = dsyevd(a, compute_v=0, lower=1)
+    if info != 0:
+        raise ValueError(f"{name}: LAPACK dsyevd failed (info {info})")
     if np.any(eigs <= 0):
         raise NotPositiveDefiniteError(
             f"{name} is not positive definite (eigenvalue {eigs.min():g})")

@@ -116,6 +116,25 @@ class TestSolve:
             f"error: cannot write {out}: No such file or directory\n"
         assert not out.parent.exists()
 
+    # a directory, or a path whose directory does not exist, is refused
+    # before any solve, with the message a failed write gives
+    @pytest.mark.parametrize("where", ["no-such-dir", "directory"])
+    def test_unwritable_output_path_refused_before_any_solve(self, tmp_path, capsys,
+                                                             monkeypatch, where):
+        from bospec import eigensolver
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before --out was checked")
+
+        monkeypatch.setattr(eigensolver, "lowest_eigenpairs", no_solve)
+        cfg = write_config(tmp_path, CONVERGE)
+        out, reason = {"no-such-dir": (tmp_path / "no-such-dir" / "conv.csv",
+                                       "No such file or directory"),
+                       "directory": (tmp_path, "Is a directory")}[where]
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
     def test_no_output_path(self, tmp_path):
         cfg = write_config(tmp_path, SOLVE_1D)
         assert main(["solve", "--config", cfg]) == 1
@@ -630,6 +649,9 @@ USAGE_ERROR_CASES = {
                         "invalid choice"),
     "removed-dilate": (["analytic", "--config", "run.ini", "--out", "out.csv",
                         "--dilate", "2"], "unrecognized arguments"),
+    # numpy's generators take no negative seed, and its own error named no option
+    "negative-seed": (["solve", "--config", "run.ini", "--out", "out.csv",
+                       "--seed", "-1"], "argument --seed: must be a non-negative integer"),
 }
 
 
@@ -643,6 +665,15 @@ def test_usage_error_exits_1(tmp_path, capsys, monkeypatch, case):
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_negative_config_seed_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, SOLVE_1D.replace("seed = 0", "seed = -1"))
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "config error: [solver] seed: must be a non-negative integer\n"
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):
@@ -836,3 +867,66 @@ def test_bospec_threads_after_numpy_warns():
     assert late.returncode != 0 and "RuntimeWarning" in late.stderr
     assert "import bospec first, or set OPENBLAS_NUM_THREADS" in late.stderr
     assert runs["bospec, numpy"].returncode == 0
+
+
+# a sum of one-variable terms, so no solve or probe takes scipy's CG, which
+# calls numpy.linalg.norm itself
+SEPARABLE_ALL_COMMANDS = """
+[grid]
+n = 1
+p = 1
+half_widths = 6 6
+points = 31 31
+
+[potential]
+kind = quadratic
+a = 1
+b = 1
+
+[solver]
+h = 0.5
+k = 4
+
+[converge]
+sizes = 15 23 31
+
+[probe]
+mode = certificate
+lambdas = 1
+radii = 1.5 2.5
+"""
+
+
+def test_no_numpy_lapack(tmp_path, monkeypatch):
+    """No bospec module calls numpy.linalg or numpy.polyfit, so no command
+    pages in numpy's LAPACK: every LAPACK call runs on scipy's."""
+    import numpy as np
+
+    from bospec.grid import assemble_hamiltonian, build_grid
+    from bospec.potential import expression_potential
+    from bospec.probe import CutoffFamily, commutator_decay, form_inequality_check
+
+    def guarded(name, original):
+        def call(*args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__", "")
+            assert not caller.startswith("bospec"), f"{caller} called numpy's {name}"
+            return original(*args, **kwargs)
+        return call
+
+    for name in np.linalg.__all__:
+        original = getattr(np.linalg, name)
+        if callable(original) and not isinstance(original, type):
+            monkeypatch.setattr(np.linalg, name, guarded(f"linalg.{name}", original))
+    monkeypatch.setattr(np, "polyfit", guarded("polyfit", np.polyfit))
+
+    cfg = write_config(tmp_path, SEPARABLE_ALL_COMMANDS)
+    essential = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(
+        "mode = certificate", "mode = essential").replace("radii = 1.5 2.5", "radii = 1.5 2"),
+        name="essential.ini")
+    for command, config in (("solve", cfg), ("analytic", cfg), ("compare", cfg),
+                            ("converge", cfg), ("probe", cfg), ("probe", essential)):
+        assert main([command, "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
+    pot = expression_potential("x1^2 + y1^2", 1, 1, nonnegative=True)
+    op = assemble_hamiltonian(build_grid(1, 1, [6.0, 6.0], [31, 31]), pot, 0.5)
+    commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2)
+    form_inequality_check(op, trials=3)

@@ -600,6 +600,38 @@ class TestConvergenceStudy:
         assert study.reference[0] == pytest.approx(1.0, abs=1e-3)
         assert study.slopes[0] == pytest.approx(2.0, abs=0.4)
 
+    # the slope is the closed-form least-squares slope of log error on log
+    # delta, which needs no LAPACK; it equals numpy's fit on drawn errors,
+    # also where a zero error leaves two points
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closed_form_slope_matches_polyfit(self, monkeypatch, seed):
+        from types import SimpleNamespace
+
+        rng = np.random.default_rng(seed)
+        sizes, k = [7, 9, 12, 15, 20], 4
+        pot = quadratic_potential([[1.0]])
+        ref = np.asarray(bo_spectrum(pot.a, None, 1.0, k=k).flat(k), dtype=float)
+        deltas = np.array([max(build_grid(1, 0, [5.0], [n]).spacing) for n in sizes])
+        errors = np.exp(rng.uniform(1.0, 3.0, k) * np.log(deltas)[:, None]
+                        + rng.uniform(-8.0, 0.0, k) + rng.normal(0.0, 0.3, (len(sizes), k)))
+        errors[rng.choice(len(sizes), 3, replace=False), 0] = 0.0  # a 2-point fit
+        errors[rng.choice(len(sizes), 1), 1] = 0.0
+        solves = iter(ref + errors)
+        monkeypatch.setattr(eigensolver, "lowest_eigenpairs", lambda *a, **kw: SimpleNamespace(
+            eigenvalues=next(solves), converged=np.ones(k, dtype=bool)))
+        polyfit = np.polyfit
+
+        def no_polyfit(*args, **kwargs):
+            raise AssertionError("the slope called numpy.polyfit")
+
+        monkeypatch.setattr(np, "polyfit", no_polyfit)
+        study = convergence_study(pot, [5.0], sizes, k=k, h=1.0)
+        for j, slope in enumerate(study.slopes):
+            mask = study.errors[:, j] > 0
+            assert mask.sum() == (2, 4, 5, 5)[j]
+            fit = polyfit(np.log(study.deltas)[mask], np.log(study.errors[mask, j]), 1)[0]
+            assert slope == pytest.approx(fit, rel=1e-13, abs=0)
+
     def test_slope_gate_edges(self):
         # the gate is the closed range [1.7, 2.3]; a level without a fitted
         # slope never passes

@@ -22,14 +22,19 @@ from bospec.probe import discreteness_certificate
 from reference import quadratic_form
 
 
+def value_at(pot, point):
+    """V at one point, by evaluate_many on one-element coordinate arrays."""
+    return pot.evaluate_many([np.array([c], dtype=float) for c in point])[0]
+
+
 class TestParser:
     def test_basic_eval(self):
         expr = expression_potential("x1^2 + 2*y1^2", n=1, p=1)
-        assert expr.evaluate([1.0, 1.0]) == pytest.approx(3.0)
+        assert value_at(expr, [1.0, 1.0]) == pytest.approx(3.0)
 
     def test_zero_case(self):
         expr = expression_potential("x1^2", n=1, p=0)
-        assert expr.evaluate([0.0]) == 0.0
+        assert value_at(expr, [0.0]) == 0.0
 
     def test_unbound_variable(self):
         with pytest.raises(ExprError, match="z3"):
@@ -56,26 +61,26 @@ class TestParser:
 
     def test_functions_and_division(self):
         expr = expression_potential("abs(x1) + exp(y1) / 2", n=1, p=1)
-        assert expr.evaluate([-3.0, 0.0]) == pytest.approx(3.5)
+        assert value_at(expr, [-3.0, 0.0]) == pytest.approx(3.5)
 
     def test_division_by_zero(self):
         expr = expression_potential("1 / x1", n=1, p=0)
         from bospec.potential import PotentialDomainError
 
         with pytest.raises(PotentialDomainError):
-            expr.evaluate([0.0])
+            value_at(expr, [0.0])
 
     def test_unicode_minus(self):
         expr = expression_potential("x1 − 1", n=1, p=0)
-        assert expr.evaluate([3.0]) == pytest.approx(2.0)
+        assert value_at(expr, [3.0]) == pytest.approx(2.0)
 
     def test_precedence(self):
         expr = expression_potential("1 + 2 * 3 ^ 2", n=1, p=0)
-        assert expr.evaluate([0.0]) == pytest.approx(19.0)
+        assert value_at(expr, [0.0]) == pytest.approx(19.0)
 
     def test_power_binds_tighter_than_unary_minus(self):
-        assert expression_potential("-x1^2 + x1^4", 1, 0).evaluate([3.0]) == 72.0
-        assert expression_potential("2 * -x1^2", 1, 0).evaluate([3.0]) == -18.0
+        assert value_at(expression_potential("-x1^2 + x1^4", 1, 0), [3.0]) == 72.0
+        assert value_at(expression_potential("2 * -x1^2", 1, 0), [3.0]) == -18.0
 
     def test_python_literals_and_parenthesized_exponent(self):
         assert ast.unparse(parse_potential("1_000 + 0x10", 1, 0)) == "1000 + 16"
@@ -177,16 +182,16 @@ def test_roundtrip(text):
 class TestQuadratic:
     def test_identity(self):
         pot = quadratic_potential([[1.0]], [[1.0]])
-        assert pot.evaluate([2.0, 3.0]) == pytest.approx(13.0)
+        assert value_at(pot, [2.0, 3.0]) == pytest.approx(13.0)
 
     def test_diagonal_p0(self):
         pot = quadratic_potential([[1.0, 0.0], [0.0, 4.0]])
         assert pot.p == 0
-        assert pot.evaluate([1.0, 1.0]) == pytest.approx(5.0)
+        assert value_at(pot, [1.0, 1.0]) == pytest.approx(5.0)
 
     def test_identity_2d(self):
         pot = quadratic_potential(np.eye(2))
-        assert pot.evaluate([1.0, 1.0]) == pytest.approx(2.0)
+        assert value_at(pot, [1.0, 1.0]) == pytest.approx(2.0)
 
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -211,6 +216,25 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="matrix must be finite"):
             oscillator_frequencies(b if b is not None else a)
 
+    # scipy's dsyevd on the lower triangle is the routine numpy's eigvalsh
+    # runs, so the frequencies keep their bits with no call to numpy.linalg
+    def test_frequencies_equal_numpy_eigvalsh(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        corpus = [np.diag(rng.uniform(0.1, 5.0, n)) for n in (1, 2, 3, 4)]
+        for n in (2, 3, 4):
+            for _ in range(5):
+                m = rng.uniform(-1.0, 1.0, (n, n))
+                corpus.append(m @ m.T + 0.5 * np.eye(n))
+        corpus += [np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.0, 0.3], [0.3, 2.0]])]
+        expected = [tuple(np.sort(np.sqrt(np.linalg.eigvalsh(a)))) for a in corpus]
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("oscillator_frequencies called numpy.linalg.eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        for a, want in zip(corpus, expected):
+            assert oscillator_frequencies(a) == want
+
     def test_tree_of_the_form(self):
         assert ast.unparse(quadratic_potential([[1.0]], [[1.0]]).tree) == \
             "1.0 * x1 * x1 + 1.0 * y1 * y1"
@@ -218,16 +242,16 @@ class TestQuadratic:
     def test_symmetrization(self):
         pot = quadratic_potential([[1.0, 2.0], [0.0, 4.0]])
         assert np.allclose(pot.a, pot.a.T)
-        assert pot.evaluate([1.0, 1.0]) == pytest.approx(7.0)
+        assert value_at(pot, [1.0, 1.0]) == pytest.approx(7.0)
 
     def test_dimension_mismatch(self):
         pot = quadratic_potential([[1.0]])
         with pytest.raises(ValueError):
-            pot.evaluate([1.0, 2.0])
+            value_at(pot, [1.0, 2.0])
 
     def test_expression_zero_at_origin(self):
         pot = expression_potential("x1^2 + y1^2", 1, 1)
-        assert pot.evaluate([0.0, 0.0]) == 0.0
+        assert value_at(pot, [0.0, 0.0]) == 0.0
 
 
 @given(st.integers(0, 10_000))
@@ -240,8 +264,8 @@ def test_quadratic_matches_expanded_expression(seed):
     terms = [f"{float(a[i, j])!r}*x{i + 1}*x{j + 1}" for i in range(2) for j in range(2)]
     expr = expression_potential(" + ".join(terms).replace("+ -", "- "), 2, 0)
     pt = rng.uniform(-3, 3, size=2)
-    v1 = pot.evaluate(pt)
-    v2 = expr.evaluate(pt)
+    v1 = value_at(pot, pt)
+    v2 = value_at(expr, pt)
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -267,7 +291,7 @@ class TestEvaluateMany:
         assert on_axes.shape == on_table.shape == (grid.size,)
         assert np.all(np.abs(on_axes - on_table) <= 1e-15 * np.abs(on_table))
         # each node's value is V at its point, and assembly reads the same
-        pointwise = [pot.evaluate(point) for point in table]
+        pointwise = [value_at(pot, point) for point in table]
         assert np.allclose(on_axes, pointwise, rtol=1e-14, atol=0)
         op = assemble_hamiltonian(grid, pot, 1.0)
         assert op.potential_values.tobytes() == on_axes.tobytes()
@@ -338,7 +362,7 @@ class TestEvaluateMany:
         with pytest.raises(TypeError, match="list or tuple of numpy arrays"):
             pot.evaluate_many(table)
         assert pot.evaluate_many(list(np.asarray(table).T)).tolist() == [
-            pot.evaluate(point) for point in np.asarray(table)]
+            value_at(pot, point) for point in np.asarray(table)]
 
 
 def exterior_infima(pot, radii, half_width, points):
