@@ -3,14 +3,12 @@ ladder relations.
 
 Energy levels come from weighted multi-index sums sum_i (2 n_i + 1) w_i, with
 the slow-dimension weights carrying the semiclassical factor h.  Enumeration is
-best-first over multi-indices, so no level below the cutoff is missed; the
-same enumerator gives the exact levels of the discrete free operator.
+best-first over multi-indices, so no level below the cutoff is missed.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import Grid
 from .potential import oscillator_frequencies
 
 __all__ = [
@@ -26,7 +23,6 @@ __all__ = [
     "HermiteBasis",
     "oscillator_frequencies",
     "enumerate_spectrum",
-    "dirichlet_levels",
     "bo_spectrum",
     "hermite_function",
     "hermite_values",
@@ -55,11 +51,11 @@ class AnalyticSpectrum:
         return out
 
 
-def _ascending_energies(energy, dim: int, counts=None):
+def _ascending_energies(energy, dim: int):
     """Energies energy(idx) over multi-indices idx in N^dim, ascending, with
-    multiplicity.  `energy` must not decrease when any index grows; `counts`
-    optionally bounds index d below counts[d].  Best-first over a heap, so
-    every energy is yielded before any larger one."""
+    multiplicity.  `energy` must not decrease when any index grows.
+    Best-first over a heap, so every energy is yielded before any larger
+    one."""
     start = (0,) * dim
     heap = [(energy(start), start)]
     seen = {start}
@@ -67,11 +63,10 @@ def _ascending_energies(energy, dim: int, counts=None):
         e, idx = heapq.heappop(heap)
         yield e
         for d in range(dim):
-            if counts is None or idx[d] + 1 < counts[d]:
-                succ = idx[:d] + (idx[d] + 1,) + idx[d + 1:]
-                if succ not in seen:
-                    seen.add(succ)
-                    heapq.heappush(heap, (energy(succ), succ))
+            succ = idx[:d] + (idx[d] + 1,) + idx[d + 1:]
+            if succ not in seen:
+                seen.add(succ)
+                heapq.heappush(heap, (energy(succ), succ))
 
 
 def _is_exact(values) -> bool:
@@ -88,8 +83,10 @@ def enumerate_spectrum(w, e_max=None, k=None) -> AnalyticSpectrum:
     with 1e-9 relative tolerance.
     """
     w = list(w)
-    if not w or any(float(x) <= 0 for x in w):
-        raise ValueError("weights must be positive and nonempty")
+    # a NaN weight makes every energy NaN, which no cutoff stops, and an
+    # infinite one gives infinite levels
+    if not w or not all(0 < float(x) < math.inf for x in w):
+        raise ValueError("weights must be positive, finite and nonempty")
     if (e_max is None) == (k is None):
         raise ValueError("give exactly one of e_max or k")
     # no energy exceeds a NaN or infinite cutoff, so the enumeration would
@@ -135,24 +132,11 @@ def enumerate_spectrum(w, e_max=None, k=None) -> AnalyticSpectrum:
     )
 
 
-def dirichlet_levels(grid: Grid, h: float, k: int) -> list:
-    """The k smallest eigenvalues, with multiplicity, of the discrete free
-    operator -h^2 Lap_x - Lap_y on the grid: sums of per-axis Dirichlet
-    stencil eigenvalues, one mode per axis (fewer when the grid is smaller)."""
-    per_dim = grid.dirichlet_modes(h)
-
-    def energy(idx):
-        return sum(per_dim[d][i] for d, i in enumerate(idx))
-
-    stream = _ascending_energies(energy, grid.dim, grid.points)
-    return [float(e) for e in itertools.islice(stream, k)]
-
-
 def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:
     """Spectrum of -h^2 Lap_x - Lap_y + <Ax,x> + <By,y>: weighted sums with
     combined weight list (h*w_1, ..., h*w_n, mu_1, ..., mu_p)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     w = oscillator_frequencies(a)
     mu = oscillator_frequencies(b) if b is not None and np.size(b) > 0 else ()
     combined = [h * wi for wi in w] + list(mu)

@@ -164,7 +164,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     if decomposition is not None:
         # far above the rounding of the exact lowest eigenvalue, so that
         # H - sigma I stays positive definite
-        lowest = decomposition.lowest()
+        lowest = float(decomposition.lowest(1)[0])
         sigma = lowest - 1e-2 * max(1.0, abs(lowest))
         backend = "separable inverse"
         arpack = shift_invert(eigenbasis_inverse(decomposition, sigma), decomposition.size, sigma)

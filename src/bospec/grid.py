@@ -89,12 +89,6 @@ class Grid:
         / delta_d^2: its eigenvalues at theta = j pi / (N_d + 1)."""
         return self.stencil(h, d)[0] * (2 - 2 * np.cos(theta)) / self.spacing[d] ** 2
 
-    def dirichlet_modes(self, h: float) -> list:
-        """Per-axis eigenvalues of the Dirichlet stencils of -h^2 Lap_x - Lap_y,
-        ascending, since 2 - 2 cos rises on (0, pi)."""
-        return [self.symbol(h, d, np.arange(1, m + 1) * np.pi / (m + 1))
-                for d, m in enumerate(self.points)]
-
     def signature(self) -> str:
         import hashlib
 
@@ -308,10 +302,12 @@ class GridOperator:
         and, less 1, the probe's resolvent point.
 
         K's smallest eigenvalue is the sum of the per-axis lowest Dirichlet
-        modes; by Weyl's inequality min(V) plus it bounds the spectrum from
-        below.  Half of it is kept as margin, so H - sigma I is positive
-        definite even for constant V."""
-        kinetic_min = sum(modes[0] for modes in self.grid.dirichlet_modes(self.h))
+        modes, each stencil's symbol at theta = pi / (N_d + 1); by Weyl's
+        inequality min(V) plus it bounds the spectrum from below.  Half of it
+        is kept as margin, so H - sigma I is positive definite even for
+        constant V."""
+        kinetic_min = sum(self.grid.symbol(self.h, d, np.pi / (m + 1))
+                          for d, m in enumerate(self.grid.points))
         return float(self.potential_values.min()) + 0.5 * kinetic_min
 
 
@@ -438,6 +434,7 @@ class SeparableDecomposition:
     # which blocks the leading eigenpairs span are kept, as a mask in block
     # order, or None for all of them
     blocks: np.ndarray | None
+    k: int | None         # the k it was built for, or None
     defect: float | None  # eta, or None when built without k
 
     @property
@@ -445,16 +442,26 @@ class SeparableDecomposition:
         """The dimension of the rotated basis: N_t per kept block."""
         return self.main.size * self.shifts.size
 
-    def lowest(self) -> float:
-        """The lowest eigenvalue of H: the least shift, block 0's, plus the
-        lowest eigenvalue of T_t from one eigh_tridiagonal(select='i'), less
-        the offset.  Computed on demand: the probe needs no shift."""
+    def lowest(self, count: int) -> np.ndarray:
+        """The count lowest eigenvalues of H, ascending and repeated by
+        multiplicity: the count lowest of T_t, from one
+        eigh_tridiagonal(select='i'), added to each kept block's shift, less
+        the offset, and sorted.  Built for k, the kept blocks may lack every
+        level above the k-th, so a count above k is refused; built without
+        k, any count up to the grid size is served.  Computed on demand: the
+        probe needs no shift."""
         # imported here like eigh_tridiagonal in axis_eigenpairs
         from scipy.linalg import eigh_tridiagonal
 
-        bottom = eigh_tridiagonal(self.main, self.off, eigvals_only=True,
-                                  select="i", select_range=(0, 0))
-        return float(self.shifts[0] + bottom[0] - self.offset)
+        limit = math.prod(self.points) if self.k is None else min(self.k, math.prod(self.points))
+        if not 1 <= count <= limit:
+            raise ValueError(f"need 1 <= count <= {limit}, got count={count}")
+        bottom = eigh_tridiagonal(self.main, self.off, eigvals_only=True, select="i",
+                                  select_range=(0, min(count, self.main.size) - 1))
+        levels = np.ravel(np.add.outer(self.shifts, bottom) - self.offset)
+        # ordered by argsort, whose code the eigensolver has paged in
+        # already: np.sort's float kernels add about 0.1 MiB to a solve
+        return levels[np.argsort(levels)[:count]]
 
     def residuals(self, x, theta) -> np.ndarray:
         """For the unit columns of the (size, k) Fortran-ordered x, in the
@@ -588,7 +595,7 @@ def separable_decomposition(op: GridOperator, k: int | None = None):
     return SeparableDecomposition(points=points, t=t, rotated=rotated,
                                   pairs=tuple(pairs), main=main, off=off, offset=float(offset),
                                   shifts=shifts, blocks=blocks,
-                                  defect=None if k is None else defect())
+                                  k=k, defect=None if k is None else defect())
 
 
 def _shifted_blocks(decomposition: SeparableDecomposition, shifts) -> tuple:

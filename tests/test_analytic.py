@@ -10,16 +10,12 @@ from bospec.analytic import (
     annihilation_residual,
     bo_spectrum,
     build_hermite_basis,
-    dirichlet_levels,
     enumerate_spectrum,
     hermite_function,
     hermite_values,
     ladder_residual,
     oscillator_frequencies,
 )
-from bospec.grid import build_grid
-
-from reference import kinetic_operator
 
 
 def brute_force_levels(w, h_scale, e_max):
@@ -83,6 +79,22 @@ class TestEnumerateSpectrum:
         with pytest.raises(ValueError, match="e_max must be finite"):
             enumerate_spectrum([1.0, 2.0], e_max=e_max)
 
+    # a NaN weight makes every energy NaN, which no cutoff stops, and an
+    # infinite one gives infinite levels: the enumeration is cut at 100
+    # energies here, so that a missing check fails instead of running on
+    @pytest.mark.parametrize("w, cutoff", [
+        ([float("nan"), 1.0], {"e_max": 5.0}), ([float("nan")], {"k": 3}),
+        ([1.0, float("inf")], {"k": 3}), ([float("-inf")], {"k": 3})],
+        ids=["nan-e_max", "nan-k", "inf-k", "-inf-k"])
+    def test_non_finite_weight_rejected(self, monkeypatch, w, cutoff):
+        import bospec.analytic as analytic
+
+        ascending = analytic._ascending_energies
+        monkeypatch.setattr(analytic, "_ascending_energies",
+                            lambda *args: itertools.islice(ascending(*args), 100))
+        with pytest.raises(ValueError, match="weights must be positive, finite and nonempty"):
+            enumerate_spectrum(w, **cutoff)
+
     def test_float_weights_merge(self):
         spec = enumerate_spectrum([0.5, 1.0], e_max=3.5)
         assert [m for _, m in spec.levels] == [1, 1, 2]
@@ -108,22 +120,6 @@ def test_enumeration_matches_brute_force(w, e_max):
     assert spec.levels == brute_force_levels(w, 1, e_max)
 
 
-@pytest.mark.parametrize("n, p, half_widths, points", [
-    (1, 1, (3.0, 4.5), (5, 7)),
-    (1, 2, (2.0, 3.0, 2.5), (4, 5, 6)),
-])
-def test_dirichlet_levels_match_dense_kinetic(n, p, half_widths, points):
-    """Every level of the discrete free operator, with multiplicity, against
-    a dense eigensolve of the assembled kinetic matrix; asking for more levels
-    than nodes returns one per node."""
-    grid = build_grid(n, p, half_widths, points)
-    dense = np.linalg.eigvalsh(kinetic_operator(grid, 0.6).toarray())
-    levels = dirichlet_levels(grid, 0.6, grid.size + 3)
-    assert len(levels) == grid.size
-    assert np.all(np.diff(levels) >= 0)
-    np.testing.assert_allclose(levels, dense, rtol=1e-12, atol=0)
-
-
 class TestBoSpectrum:
     def test_semiclassical_bo(self):
         spec = bo_spectrum([[1.0]], [[1.0]], h=0.5, e_max=3.5)
@@ -146,6 +142,11 @@ class TestBoSpectrum:
         assert spec.params["h"] == 0.5
         assert spec.params["w"] == pytest.approx((1.0, 2.0))
         assert spec.params["mu"] == pytest.approx((1.0,))
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_positive_or_non_finite_h_rejected(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            bo_spectrum([[1.0]], [[1.0]], h=h, k=3)
 
 
 class TestHermite:

@@ -415,16 +415,26 @@ class TestSeparableInverse:
             tracemalloc.stop()
         assert inverse is not None and held <= 1.05 * 8 * 191 * 191
 
-    # the eigensolver shifts 1e-2 max(1, |lowest|) below it, so the lowest
-    # eigenvalue must be exact far beyond that margin; the -3 makes min V
-    # nonzero, so the offset (dim - 1) min V is exercised
+    # the eigensolver shifts 1e-2 max(1, |lowest|) below the lowest
+    # eigenvalue, and the solver's tests read every level as their oracle, so
+    # each must be exact far beyond that margin: all of them from the full
+    # decomposition, the k lowest from one built for k, whose kept blocks may
+    # lack every level above the k-th; the -3 makes min V nonzero, so the
+    # offset (dim - 1) min V is exercised
     @pytest.mark.parametrize("points", [(31,), (9, 11), (5, 6, 7)], ids=["1d", "9x11", "5x6x7"])
     def test_lowest_eigenvalue_exact(self, points):
         expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
         op = self.op(points, expression)
-        lowest = separable_decomposition(op).lowest()
-        exact = np.linalg.eigvalsh(op.matrix.toarray())[0]
-        assert abs(lowest - exact) <= 1e-12 * max(1.0, abs(exact))
+        exact = np.linalg.eigvalsh(op.matrix.toarray())
+        full, kept = separable_decomposition(op), separable_decomposition(op, k=4)
+        for decomposition, count in [(full, op.dim), (kept, 4)]:
+            levels = decomposition.lowest(count)
+            assert levels.shape == (count,) and np.all(np.diff(levels) >= 0)
+            assert np.all(np.abs(levels - exact[:count])
+                          <= 1e-12 * np.maximum(1.0, np.abs(exact[:count])))
+            for beyond in (0, count + 1):
+                with pytest.raises(ValueError, match="count"):
+                    decomposition.lowest(beyond)
 
     # the residual bound's defect is measured only for an eigensolve, built
     # for k pairs; the probe's inverse, built without k, measures none
@@ -511,6 +521,23 @@ class TestSeparableInverse:
         expected = expected.ravel(order="F")
         got = decomposition.rotate(op.matrix @ decomposition.rotate_back(y))
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+# every level of the discrete free operator -h^2 Lap_x - Lap_y, with
+# multiplicity, from the decomposition of V = 0, against a dense eigensolve of
+# the tests' own kinetic matrix
+@pytest.mark.parametrize("n, p, half_widths, points", [
+    (1, 1, (3.0, 4.5), (5, 7)),
+    (1, 2, (2.0, 3.0, 2.5), (4, 5, 6)),
+])
+def test_free_operator_levels_match_dense_kinetic(n, p, half_widths, points):
+    grid = build_grid(n, p, half_widths, points)
+    dense = np.linalg.eigvalsh(kinetic_operator(grid, 0.6).toarray())
+    decomposition = separable_decomposition(assemble_hamiltonian(grid, zero_potential(n, p), 0.6))
+    levels = decomposition.lowest(grid.size)
+    assert levels.shape == (grid.size,)
+    assert np.all(np.diff(levels) >= 0)
+    np.testing.assert_allclose(levels, dense, rtol=1e-12, atol=0)
 
 
 class TestSeparableSplit:
@@ -693,6 +720,32 @@ class TestOneStencil:
             assert main.tobytes() == (stencil.diagonal() + values).tobytes()
         if dim == 1:
             assert tridiagonals[0][1].tobytes() == op.matrix.diagonal().tobytes()
+
+    # lowest(1) keeps the bits of the former one-value lowest(), the least
+    # shift plus T_t's lowest eigenvalue less the offset, and the Weyl shift
+    # those of the former per-axis mode lists, the symbol at
+    # arange(1, N_d + 1) pi / (N_d + 1), each with its decomposition built
+    # for k and without it
+    @pytest.mark.parametrize("h", [0.1, 0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("points, expression", [
+        ((31,), "x1^4 - 3"), ((17, 15), "x1^2 + y1^4 - 3"), ((7, 9, 8), "x1^2 + y1^2 + 2*y2^2 - 3")],
+        ids=["1d", "17x15", "7x9x8"])
+    def test_lowest_and_shift_bits_pinned(self, points, expression, h):
+        from scipy.linalg import eigh_tridiagonal
+
+        dim = len(points)
+        grid = build_grid(1, dim - 1, [5.0, 6.0, 4.5][:dim], points)
+        op = assemble_hamiltonian(grid, expression_potential(expression, 1, dim - 1), h)
+        for k in (None, 1, 4, 6):
+            decomposition = separable_decomposition(op, k=k)
+            bottom = eigh_tridiagonal(decomposition.main, decomposition.off, eigvals_only=True,
+                                      select="i", select_range=(0, 0))
+            former = float(decomposition.shifts[0] + bottom[0] - decomposition.offset)
+            assert decomposition.lowest(1)[0] == former
+        modes = [grid.symbol(h, d, np.arange(1, m + 1) * np.pi / (m + 1))
+                 for d, m in enumerate(points)]
+        former = float(op.potential_values.min()) + 0.5 * sum(mode[0] for mode in modes)
+        assert op.shift_below_spectrum() == former
 
     # the stencil's symbol keeps the bits of its former copies in Grid and the
     # essential probe: the shift below the spectrum, built from the lowest
