@@ -24,6 +24,7 @@ __all__ = [
     "oscillator_frequencies",
     "enumerate_spectrum",
     "bo_spectrum",
+    "frequency_spectrum",
     "hermite_function",
     "hermite_values",
     "build_hermite_basis",
@@ -137,8 +138,16 @@ def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:
     combined weight list (h*w_1, ..., h*w_n, mu_1, ..., mu_p)."""
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    w = oscillator_frequencies(a)
     mu = oscillator_frequencies(b) if b is not None and np.size(b) > 0 else ()
+    return frequency_spectrum(oscillator_frequencies(a), mu, h, e_max=e_max, k=k)
+
+
+def frequency_spectrum(w, mu, h, e_max=None, k=None) -> AnalyticSpectrum:
+    """`bo_spectrum` from the frequencies w of A and mu of B, as
+    `oscillator_frequencies` gives them (and `Potential.frequencies` holds
+    them): the levels of the weights (h*w_1, ..., h*w_n, mu_1, ..., mu_p).
+    An h that is not positive and finite gives a weight that
+    `enumerate_spectrum` refuses."""
     combined = [h * wi for wi in w] + list(mu)
     spec = enumerate_spectrum(combined, e_max=e_max, k=k)
     return AnalyticSpectrum(levels=spec.levels, e_max=e_max, k=k,

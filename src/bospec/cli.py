@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .analytic import bo_spectrum
+from .analytic import frequency_spectrum
 from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
                           convergence_study, lowest_eigenpairs)
 from .grid import GridError, assemble_hamiltonian, build_grid, check_h
@@ -142,18 +142,32 @@ def _build_grid_from_config(cfg, size=None):
 
 
 def _build_potential_from_config(cfg, n: int, p: int):
+    # checked by build_grid on every command but analytic, which builds no grid
+    if n < 1 or p < 0:
+        raise ConfigError("grid", "n" if n < 1 else "p",
+                          f"need n >= 1 and p >= 0, got n={n}, p={p}")
     kind = _need(cfg, "potential", "kind")
     if kind == "quadratic":
         a = _need(cfg, "potential", "a")
-        b = _opt(cfg, "potential", "b") if p > 0 else None
+        b = _opt(cfg, "potential", "b")
         if p > 0 and b is None:
             raise ConfigError("potential", "b", "required when p > 0")
-        # A alone first, so an error of the pair is B's
-        for key, matrices in (("a", (a,)), ("b", (a, b))):
+        if p == 0 and b is not None:
+            raise ConfigError("potential", "b", "given, but [grid] p = 0 declares no y-dimension")
+        try:
+            pot = quadratic_potential(a, b)
+        except ValueError as exc:
+            # the error is A's when A alone fails, else B's: built again only
+            # on this path, so a valid pair is built once
             try:
-                pot = quadratic_potential(*matrices)
-            except ValueError as exc:
-                raise ConfigError("potential", key, str(exc)) from exc
+                quadratic_potential(a)
+            except ValueError as exc_a:
+                raise ConfigError("potential", "a", str(exc_a)) from exc_a
+            raise ConfigError("potential", "b", str(exc)) from exc
+        for key, size, axis, declared in (("a", pot.n, "n", n), ("b", pot.p, "p", p)):
+            if size != declared:
+                raise ConfigError("potential", key, f"{key.upper()} is {size}x{size}, "
+                                  f"but [grid] {axis} = {declared}")
         return pot
     if kind == "expression":
         text = _need(cfg, "potential", "expression")
@@ -269,7 +283,7 @@ def cmd_analytic(cfg, args) -> int:
                           "analytic oracle requires quadratic form")
     params = _solver_params(cfg, args.seed)
     e_max, levels = _analytic_cutoff(cfg)
-    spec = bo_spectrum(pot.a, pot.b, params["h"], e_max=e_max, k=levels)
+    spec = frequency_spectrum(*pot.frequencies, params["h"], e_max=e_max, k=levels)
     rows = [(float(e), m) for e, m in spec.levels]
     _write(args.out, args.format, ("energy", "multiplicity"), rows, {
         "params": {key: (float(v) if isinstance(v, (int, float)) else

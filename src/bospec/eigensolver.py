@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .analytic import bo_spectrum
+from .analytic import frequency_spectrum
 from .grid import (GridOperator, SeparableDecomposition, assemble_hamiltonian, build_grid,
                    eigenbasis_inverse, separable_decomposition)
 from .potential import Potential
@@ -108,7 +108,8 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
       decomposition is built for k, on the eigenbasis blocks that can hold
       the k smallest eigenvalues, and ARPACK's shift-invert Lanczos iterates
       there, where (H - sigma I)^{-1} is one `dpttrs` solve
-      (`grid.eigenbasis_inverse`).  sigma is the exact lowest eigenvalue
+      (`grid.eigenbasis_inverse`).  sigma is the lowest eigenvalue, to
+      within 1e-9 of an axis norm (`grid.SeparableDecomposition.bottom`),
       less 1e-2 max(1, |lowest|).  The start vector is drawn there, in the
       kept basis, not in the grid basis and rotated in, so the solve makes
       no dense product.  The Ritz vectors stay in the rotated basis, where
@@ -162,9 +163,9 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
 
     decomposition = separable_decomposition(op, k=k)
     if decomposition is not None:
-        # far above the rounding of the exact lowest eigenvalue, so that
+        # far above the bisection tolerance of the lowest eigenvalue, so that
         # H - sigma I stays positive definite
-        lowest = float(decomposition.lowest(1)[0])
+        lowest = decomposition.bottom()
         sigma = lowest - 1e-2 * max(1.0, abs(lowest))
         backend = "separable inverse"
         arpack = shift_invert(eigenbasis_inverse(decomposition, sigma), decomposition.size, sigma)
@@ -329,7 +330,7 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
         deltas.append(max(grid.spacing))
 
     if pot.kind == "quadratic":
-        ref = np.asarray(bo_spectrum(pot.a, pot.b, h, k=k).flat(k), dtype=float)
+        ref = np.asarray(frequency_spectrum(*pot.frequencies, h, k=k).flat(k), dtype=float)
     else:
         # Richardson extrapolation assuming O(delta^2) error, two finest grids
         d1, d2 = deltas[-2], deltas[-1]
@@ -393,7 +394,7 @@ def compare_with_oscillator(op: GridOperator, k: int, tol: float = 1e-8,
     result = lowest_eigenpairs(op, k, tol=tol, seed=seed)
     # the analytic levels the k eigenvalues cover whole; level i holds the
     # eigenvalues ends[i] - m_i .. ends[i] - 1
-    spec = bo_spectrum(pot.a, pot.b, op.h, k=k).levels
+    spec = frequency_spectrum(*pot.frequencies, op.h, k=k).levels
     ends = np.cumsum([m for _, m in spec])
     levels = [(float(e), m) for (e, m), end in zip(spec, ends) if end <= k]
     total = sum(m for _, m in levels)

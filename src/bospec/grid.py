@@ -252,22 +252,81 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values,
     """Ascending eigenvalues and orthonormal eigenvector columns of the axis-d
     tridiagonal `_axis_tridiagonal`: the axis-d term of H when V is a sum of
     one-variable terms, `values` being axis d's term at its nodes.  All of
-    them, or with `count` only the `count` lowest.
+    them, or with `count` only the `count` lowest (`_leading_eigenpairs`).
 
     All of them by eigh_tridiagonal's default driver: LAPACK's divide and
     conquer dstevd (Cuppen; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16,
     1995), whose merges call dgemm, on the scipy releases that wrap it, and
-    MRRR (dstemr) on those before; no dense eigensolver of the tridiagonal.
-    The `count` lowest by eigh_tridiagonal(select='i'), LAPACK's bisection
-    (dstebz) and inverse iteration (dstein), which call no dgemm."""
+    MRRR (dstemr) on those before; no dense eigensolver of the tridiagonal."""
     main, off = _axis_tridiagonal(grid, h, d, values)
+    if count is not None:
+        return _leading_eigenpairs(main, off, count)
     # imported here: importing scipy.linalg with this module, ahead of
     # scipy.sparse.linalg, measured 0.05 s slower set-up of the package
     from scipy.linalg import eigh_tridiagonal
 
-    if count is None:
-        return eigh_tridiagonal(main, off)
-    return eigh_tridiagonal(main, off, select="i", select_range=(0, count - 1))
+    return eigh_tridiagonal(main, off)
+
+
+# the absolute tolerance of `_bisection`, as a fraction of the tridiagonal's
+# Gershgorin norm.  Bisection for the 7 lowest eigenvalues of the x-axis of
+# `cli-2d` (x^2 at h = 0.5) took 56/116/225 us on 63, 127 and 255 points at
+# 1e-9, against 93/202/412 us at its default tolerance, machine precision
+# (2-core host)
+BISECTION_TOL = 1e-9
+
+
+def _bisection(main, off, count: int, eigvals_only: bool):
+    """The `count` lowest eigenvalues of the symmetric tridiagonal (main,
+    off) by LAPACK's bisection (dstebz), stopped at BISECTION_TOL of its
+    Gershgorin norm, and unless `eigvals_only` their unit eigenvectors by
+    inverse iteration (dstein): what eigh_tridiagonal(select='i') runs, less
+    its checks of the input, which is finite by construction (`cli-2d`
+    passes took 0.35 ms less without them).  In dstebz's block order, which
+    is ascending unless an off entry is negligible against the diagonal."""
+    # imported here like eigh_tridiagonal in axis_eigenpairs
+    from scipy.linalg.lapack import dstebz, dstein
+
+    norm = np.abs(main)
+    norm[:-1] += np.abs(off)
+    norm[1:] += np.abs(off)
+    # the count lowest: range 3 takes the il-th to iu-th eigenvalues,
+    # counted from 1; block order ("B"), the layout dstein reads
+    m, w, block, split, info = dstebz(main, off, 3, 0.0, 0.0, 1, count,
+                                      BISECTION_TOL * float(norm.max()), "B")
+    if info == 0 and not eigvals_only:
+        q, info = dstein(main, off, w[:m], block, split)
+    if info != 0:
+        raise ValueError(f"LAPACK bisection or inverse iteration failed (info {info})")
+    return w[:m] if eigvals_only else (w[:m], q)
+
+
+def _leading_eigenpairs(main, off, count: int) -> tuple:
+    """The `count` lowest eigenvalues, ascending, and orthonormal eigenvector
+    columns (Fortran order) of the symmetric tridiagonal T with main diagonal
+    `main` and off diagonal `off`, at working precision.
+
+    `_bisection` stops at BISECTION_TOL of T's Gershgorin norm, and inverse
+    iteration takes the vectors Q from those shifts: each converges in a few
+    steps to rounding, the shift error entering only as (error / gap) per
+    step.  One Rayleigh-Ritz step then gives the pairs their precision: the
+    eigenpairs (theta, S) of the count x count matrix Q^T T Q, by scipy's
+    dsyevd, and the vectors Q S (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 11).  Not one Rayleigh quotient per vector: the quotients of a pair
+    of levels split by less than the tolerance (a double well's) came out in
+    descending order, whereas theta ascends and Q S stays orthonormal.  The
+    products are `_tridiagonal_product` and np.einsum, which without
+    `optimize` runs numpy's own sum-of-products loops: no dgemm, and no
+    numpy BLAS or LAPACK."""
+    # imported here like eigh_tridiagonal in axis_eigenpairs
+    from scipy.linalg.lapack import dsyevd
+
+    _, q = _bisection(main, off, count, eigvals_only=False)
+    projected = np.einsum("ij,ik->jk", q, _tridiagonal_product(main[:, None], off, q))
+    theta, s, info = dsyevd(projected, lower=1)
+    if info != 0:
+        raise ValueError(f"LAPACK dsyevd failed on the projected tridiagonal (info {info})")
+    return theta, np.einsum("ij,jk->ik", q, s, order="F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,6 +522,18 @@ class SeparableDecomposition:
         # already: np.sort's float kernels add about 0.1 MiB to a solve
         return levels[np.argsort(levels)[:count]]
 
+    def bottom(self) -> float:
+        """The lowest eigenvalue of H to within BISECTION_TOL of T_t's
+        Gershgorin norm, the eigensolver's anchor for a shift set 1e-2
+        max(1, |bottom|) below it: the least kept shift plus T_t's lowest
+        eigenvalue by the rotated axes' bisection (`_bisection`), less the
+        offset.  The shift needs no more: `_leading_eigenpairs` with count
+        1, whose vector and Rayleigh-Ritz step would give it full working
+        precision, took 0.18 ms more per `cli-2d` pass (7 solves).  `lowest`
+        bisects to full precision, as the tests' oracle."""
+        lowest = _bisection(self.main, self.off, 1, eigvals_only=True)[0]
+        return float(self.shifts.min() + lowest - self.offset)
+
     def residuals(self, x, theta) -> np.ndarray:
         """For the unit columns of the (size, k) Fortran-ordered x, in the
         rotated basis, and their Ritz values theta: ||H~ x_j - theta_j x_j|| +
@@ -531,11 +602,13 @@ def separable_decomposition(op: GridOperator, k: int | None = None):
     sums, are kept.  Each rotated axis's eigenvalues ascend, so the kept
     blocks use only a leading run of its eigenpairs, and only those are
     kept.  Each rotated axis computes just its k + 1 lowest eigenpairs
-    (`axis_eigenpairs` with a count), since the k-th smallest floor uses
-    indices below k on every axis; where the ties at the cut reach the last
-    index computed on an axis, they may continue past it, and that axis is
-    computed in full.  With k the `defect` of the kept eigenpairs is
-    measured too.  Without k every eigenpair is computed, and no defect."""
+    (`axis_eigenpairs` with a count, at working precision), since the k-th
+    smallest floor uses indices below k on every axis; where the ties at the
+    cut reach the last index computed on an axis, they may continue past it,
+    and that axis is computed in full.  With k the `defect` of the kept
+    eigenpairs is measured too, so whatever precision they were computed to
+    is in the residual bound.  Without k every eigenpair is computed, and no
+    defect."""
     split = _separable_split(op)
     if split is None:
         return None

@@ -236,7 +236,8 @@ def oscillator_frequencies(a, name: str = "matrix") -> tuple:
         raise ValueError(f"{name} must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
+    # a is finite, so this decides as np.allclose(a, a.T, rtol=0, atol=...)
+    if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
         raise ValueError(f"{name} must be symmetric")
     # imported here like scipy.linalg in grid; LAPACK's dsyevd on the lower
     # triangle, the routine numpy's eigvalsh runs, on scipy's LAPACK

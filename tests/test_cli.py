@@ -930,3 +930,113 @@ def test_no_numpy_lapack(tmp_path, monkeypatch):
     op = assemble_hamiltonian(build_grid(1, 1, [6.0, 6.0], [31, 31]), pot, 0.5)
     commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2)
     form_inequality_check(op, trials=3)
+
+
+# a quadratic form must have one row per grid dimension of its kind: A with
+# two rows on a grid with n = 1 once gave `analytic` the levels of a
+# two-dimensional x-oscillator, and a B given with p = 0 was ignored; both
+# are refused under their key before any solve or level, with nothing written
+MISMATCHED_FORMS = {
+    "a": SEPARABLE_ALL_COMMANDS.replace("a = 1\n", "a = 1 0; 0 4\n"),
+    "b": SEPARABLE_ALL_COMMANDS.replace("p = 1\n", "p = 0\n")
+    .replace("half_widths = 6 6\n", "half_widths = 6\n").replace("points = 31 31\n", "points = 31\n"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISMATCHED_FORMS))
+@pytest.mark.parametrize("command", ["solve", "analytic", "compare", "converge", "probe"])
+def test_form_size_must_match_grid(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path, MISMATCHED_FORMS[key])
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: [potential] {key}: ")
+    assert not out.exists()
+
+
+# analytic builds no grid, so its n and p are checked with the form: each is
+# refused under its own key, not as a form of the wrong size
+@pytest.mark.parametrize("key, old, new", [("n", "n = 1\n", "n = 0\n"),
+                                           ("p", "p = 1\n", "p = -1\n")])
+def test_analytic_refuses_grid_dims(tmp_path, capsys, key, old, new):
+    cfg = write_config(tmp_path, ANALYTIC.replace(old, new))
+    out = tmp_path / "levels.csv"
+    assert main(["analytic", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: [grid] {key}: need n >= 1 and p >= 0")
+    assert not out.exists()
+
+
+# a valid pair is built once per command; A is built alone again only when
+# the pair fails, so that an error of A is filed under a even when B is bad
+# too, and one of B alone under b
+def test_quadratic_potential_built_once(tmp_path, capsys, monkeypatch):
+    import bospec.cli as cli_module
+
+    built = []
+    build = cli_module.quadratic_potential
+    monkeypatch.setattr(cli_module, "quadratic_potential",
+                        lambda *args: built.append(len(args)) or build(*args))
+    cfg = write_config(tmp_path, SEPARABLE_ALL_COMMANDS)
+    for command in ("solve", "analytic", "compare", "converge", "probe"):
+        built.clear()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+        assert built == [2], command
+    for old, new, key, message in [("a = 1\n", "a = 1 2\n", "a", "A must be square"),
+                                   ("b = 1\n", "b = -1\n", "b",
+                                    "matrix B is not positive definite")]:
+        text = SEPARABLE_ALL_COMMANDS.replace(old, new)
+        if key == "a":
+            text = text.replace("b = 1\n", "b = -1\n")
+        built.clear()
+        out = tmp_path / "bad.csv"
+        assert main(["solve", "--config", write_config(tmp_path, text, name="bad.ini"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: [potential] {key}: {message}")
+        assert built == [2, 1] and not out.exists()
+
+
+CLI_2D = """
+[grid]
+n = 1
+p = 1
+half_widths = 8 8
+points = 255 255
+
+[potential]
+kind = quadratic
+a = 1
+b = 1
+
+[solver]
+h = 0.5
+k = 6
+tol = 1e-7
+
+[converge]
+sizes = 63 127 255
+"""
+
+
+# the commands of the cli-2d benchmark pass take their levels from the
+# frequencies the potential holds: one call per matrix per command (2 + 2 +
+# 2), where building the potential twice and re-deriving the frequencies for
+# the analytic reference once took 3 + 7 + 5
+def test_frequencies_derived_once_per_matrix(tmp_path, monkeypatch):
+    import bospec.analytic as analytic_module
+    import bospec.potential as potential_module
+
+    calls = []
+    frequencies = potential_module.oscillator_frequencies
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return frequencies(*args, **kwargs)
+
+    for module in (potential_module, analytic_module):
+        monkeypatch.setattr(module, "oscillator_frequencies", counting)
+    cfg = write_config(tmp_path, CLI_2D)
+    per_command = {}
+    for command in ("solve", "compare", "converge"):
+        calls.clear()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+        per_command[command] = len(calls)
+    assert per_command == {"solve": 2, "compare": 2, "converge": 2}

@@ -445,6 +445,60 @@ class TestSeparableOracle:
         assert misses == []
 
 
+class TestWorkingPrecisionAxes:
+    """The rotated axes' leading eigenpairs come from a bisection stopped at
+    1e-9 of the axis's norm and one Rayleigh-Ritz step: on double wells,
+    whose pairs of levels split by less than that tolerance, the values
+    still ascend, the vectors are orthonormal, the measured defect stays at
+    rounding and the solve converges on the exact grid spectrum."""
+
+    @pytest.mark.parametrize("points", [127, 255])
+    @pytest.mark.parametrize("expression, h", [("(x1^2 - 25)^2/4 + y1^2", 0.2),
+                                               ("(x1^2 - 16)^2/8 + y1^2", 0.3)],
+                             ids=["wells-5", "wells-4"])
+    def test_double_wells(self, expression, h, points, monkeypatch):
+        import bospec.grid as grid_module
+
+        op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [points, points]),
+                                  expression_potential(expression, 1, 1), h)
+        k, tol = 6, 1e-8
+        computed = []
+        eigenpairs = grid_module.axis_eigenpairs
+        monkeypatch.setattr(grid_module, "axis_eigenpairs", lambda *args: computed.append(
+            eigenpairs(*args)) or computed[-1])
+        res = lowest_eigenpairs(op, k, tol=tol, seed=0)
+        # the x axis, the double well, is the one rotated, at its k + 1 lowest
+        assert res.decomposition.rotated == (0,) and len(computed) == 1
+        lam, q = computed[0]
+        assert lam.shape == (k + 1,) and np.all(np.diff(lam) >= 0)
+        assert q.flags.f_contiguous
+        assert np.abs(np.einsum("ij,ik->jk", q, q) - np.eye(k + 1)).max() <= 1e-12
+        assert res.decomposition.defect <= 1e-13
+        oracle = separable_decomposition(op).lowest(k)
+        assert res.backend == "separable inverse" and res.all_converged
+        assert np.all(np.abs(res.eigenvalues - oracle) <= tol * np.maximum(1.0, np.abs(oracle)))
+
+    # the shift's anchor, T_t's lowest eigenvalue by the same bisection, lies
+    # within its tolerance, BISECTION_TOL of T_t's Gershgorin norm, of the
+    # oracle's full-precision bisection: far inside the shift's margin
+    @pytest.mark.parametrize("points, expression", [
+        ((31,), "x1^4 - 3"), ((63, 63), "(x1^2 - 16)^2/8 + y1^2"),
+        ((17, 15), "x1^2 + y1^4 - 3"), ((7, 9, 8), "x1^2 + y1^2 + 2*y2^2 - 3")],
+        ids=["1d", "double-well", "17x15", "7x9x8"])
+    def test_bottom_within_bisection_tolerance(self, points, expression):
+        import bospec.grid as grid_module
+
+        dim = len(points)
+        op = assemble_hamiltonian(build_grid(1, dim - 1, [6.0] * dim, points),
+                                  expression_potential(expression, 1, dim - 1), 0.3)
+        decomposition = separable_decomposition(op, k=4)
+        exact = decomposition.lowest(1)[0]
+        off = np.abs(decomposition.off)
+        norm = (np.abs(decomposition.main) + np.append(off, 0.0) + np.insert(off, 0, 0.0)).max()
+        error = abs(decomposition.bottom() - exact)
+        assert error <= grid_module.BISECTION_TOL * norm and error < 1e-6 * max(1.0, abs(exact))
+
+
 def op_3d(expression, points=(11, 13, 12)):
     grid = build_grid(1, 2, [6.0] * 3, points)
     return assemble_hamiltonian(grid, expression_potential(expression, 1, 2), 0.5)

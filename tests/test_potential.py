@@ -235,6 +235,20 @@ class TestQuadratic:
         for a, want in zip(corpus, expected):
             assert oscillator_frequencies(a) == want
 
+    # max |a - a^T| against the tolerance decides as np.allclose(a, a^T,
+    # rtol=0, atol=1e-12 max(1, max |a|)) did, on either side of the bound
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("skew", [0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e6])
+    def test_symmetry_decision_matches_allclose(self, scale, skew):
+        a = scale * np.array([[2.0, 0.5], [0.5, 3.0]])
+        a[0, 1] += skew * 1e-12 * max(1.0, np.abs(a).max())
+        symmetric = np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max()))
+        if symmetric:
+            assert len(oscillator_frequencies(a)) == 2
+        else:
+            with pytest.raises(ValueError, match="must be symmetric"):
+                oscillator_frequencies(a)
+
     def test_tree_of_the_form(self):
         assert ast.unparse(quadratic_potential([[1.0]], [[1.0]]).tree) == \
             "1.0 * x1 * x1 + 1.0 * y1 * y1"
