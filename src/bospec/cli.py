@@ -142,10 +142,6 @@ def _build_grid_from_config(cfg, size=None):
 
 
 def _build_potential_from_config(cfg, n: int, p: int):
-    # checked by build_grid on every command but analytic, which builds no grid
-    if n < 1 or p < 0:
-        raise ConfigError("grid", "n" if n < 1 else "p",
-                          f"need n >= 1 and p >= 0, got n={n}, p={p}")
     kind = _need(cfg, "potential", "kind")
     if kind == "quadratic":
         a = _need(cfg, "potential", "a")
@@ -276,8 +272,12 @@ def _analytic_cutoff(cfg):
 
 
 def cmd_analytic(cfg, args) -> int:
-    pot = _build_potential_from_config(cfg, _need(cfg, "grid", "n"),
-                                       _opt(cfg, "grid", "p", 0))
+    n, p = _need(cfg, "grid", "n"), _opt(cfg, "grid", "p", 0)
+    # build_grid checks these on the other commands; analytic builds no grid
+    if n < 1 or p < 0:
+        raise ConfigError("grid", "n" if n < 1 else "p",
+                          f"need n >= 1 and p >= 0, got n={n}, p={p}")
+    pot = _build_potential_from_config(cfg, n, p)
     if pot.kind != "quadratic":
         raise ConfigError("potential", "kind",
                           "analytic oracle requires quadratic form")

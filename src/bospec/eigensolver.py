@@ -108,11 +108,11 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
       decomposition is built for k, on the eigenbasis blocks that can hold
       the k smallest eigenvalues, and ARPACK's shift-invert Lanczos iterates
       there, where (H - sigma I)^{-1} is one `dpttrs` solve
-      (`grid.eigenbasis_inverse`).  sigma is the lowest eigenvalue, to
-      within 1e-9 of an axis norm (`grid.SeparableDecomposition.bottom`),
-      less 1e-2 max(1, |lowest|).  The start vector is drawn there, in the
-      kept basis, not in the grid basis and rotated in, so the solve makes
-      no dense product.  The Ritz vectors stay in the rotated basis, where
+      (`grid.eigenbasis_inverse`).  sigma is a lower bound on the lowest
+      eigenvalue, within 2e-9 of the lowest levels' magnitude
+      (`grid.SeparableDecomposition.bottom`), less 1e-2 max(1, |lowest|).
+      The start vector is drawn there, in the kept basis, not in the grid
+      basis and rotated in, so the solve makes no dense product.  The Ritz vectors stay in the rotated basis, where
       each residual is taken block by block and the decomposition's
       measured defect added (`grid.SeparableDecomposition.residuals`): a
       bound on ||Hu - lu|| that touches no grid vector.
@@ -163,8 +163,8 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
 
     decomposition = separable_decomposition(op, k=k)
     if decomposition is not None:
-        # far above the bisection tolerance of the lowest eigenvalue, so that
-        # H - sigma I stays positive definite
+        # a lower bound, less a margin far above rounding, so that H - sigma I
+        # stays positive definite
         lowest = decomposition.bottom()
         sigma = lowest - 1e-2 * max(1.0, abs(lowest))
         backend = "separable inverse"

@@ -268,32 +268,50 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values,
     return eigh_tridiagonal(main, off)
 
 
-# the absolute tolerance of `_bisection`, as a fraction of the tridiagonal's
-# Gershgorin norm.  Bisection for the 7 lowest eigenvalues of the x-axis of
-# `cli-2d` (x^2 at h = 0.5) took 56/116/225 us on 63, 127 and 255 points at
-# 1e-9, against 93/202/412 us at its default tolerance, machine precision
-# (2-core host)
+# the absolute tolerance of the axes' bisection, as a fraction of the
+# largest magnitude the eigenvalues sought can have (`_bisection_tolerance`).
+# Bisection for the 7 lowest eigenvalues of the x-axis of `cli-2d` (x^2 at
+# h = 0.5) took 49/111/222 us on 63, 127 and 255 points at 1e-9, against
+# 82/192/402 us at its default tolerance, machine precision of the axis's
+# norm (2-core host)
 BISECTION_TOL = 1e-9
 
 
-def _bisection(main, off, count: int, eigvals_only: bool):
+def _bisection_tolerance(main, off, count: int) -> float:
+    """BISECTION_TOL of the largest magnitude the `count` lowest eigenvalues
+    of the symmetric tridiagonal (main, off) can have: they lie at or above
+    its lower Gershgorin bound, and at or below the count-th smallest of
+    main[::2], the eigenvalues of the principal submatrix on the even
+    indices, which no off entry couples (Cauchy interlacing), or with fewer
+    even indices than `count` its upper Gershgorin bound.  Scaled to those
+    levels, not to the norm of T, which a steep V at the box edge sets far
+    above them: there a tolerance of the norm may exceed the gap between
+    levels and the shift's margin below the lowest (`bottom`)."""
+    edge = np.abs(off)
+    reach = np.append(edge, 0.0)
+    reach[1:] += edge
+    even = main[::2]
+    upper = (np.partition(even, count - 1)[count - 1] if count <= even.size
+             else np.max(main + reach))
+    return BISECTION_TOL * max(abs(float(np.min(main - reach))), abs(float(upper)))
+
+
+def _bisection(main, off, count: int, tol: float, eigvals_only: bool = False):
     """The `count` lowest eigenvalues of the symmetric tridiagonal (main,
-    off) by LAPACK's bisection (dstebz), stopped at BISECTION_TOL of its
-    Gershgorin norm, and unless `eigvals_only` their unit eigenvectors by
-    inverse iteration (dstein): what eigh_tridiagonal(select='i') runs, less
-    its checks of the input, which is finite by construction (`cli-2d`
-    passes took 0.35 ms less without them).  In dstebz's block order, which
-    is ascending unless an off entry is negligible against the diagonal."""
+    off) by LAPACK's bisection (dstebz), stopped at the absolute tolerance
+    `tol`, and unless `eigvals_only` their unit eigenvectors by inverse
+    iteration (dstein): what eigh_tridiagonal(select='i', tol=tol,
+    check_finite=False) runs, less its argument handling and its reordering
+    of the vectors.  Called through eigh_tridiagonal, the `cli-2d` pass
+    (7 separable solves) took 0.4-0.5 ms longer, about a quarter of what
+    the loose bisection saves.  In dstebz's block order, which is ascending
+    unless an off entry is negligible against the diagonal."""
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.lapack import dstebz, dstein
 
-    norm = np.abs(main)
-    norm[:-1] += np.abs(off)
-    norm[1:] += np.abs(off)
     # the count lowest: range 3 takes the il-th to iu-th eigenvalues,
     # counted from 1; block order ("B"), the layout dstein reads
-    m, w, block, split, info = dstebz(main, off, 3, 0.0, 0.0, 1, count,
-                                      BISECTION_TOL * float(norm.max()), "B")
+    m, w, block, split, info = dstebz(main, off, 3, 0.0, 0.0, 1, count, tol, "B")
     if info == 0 and not eigvals_only:
         q, info = dstein(main, off, w[:m], block, split)
     if info != 0:
@@ -306,14 +324,14 @@ def _leading_eigenpairs(main, off, count: int) -> tuple:
     columns (Fortran order) of the symmetric tridiagonal T with main diagonal
     `main` and off diagonal `off`, at working precision.
 
-    `_bisection` stops at BISECTION_TOL of T's Gershgorin norm, and inverse
-    iteration takes the vectors Q from those shifts: each converges in a few
-    steps to rounding, the shift error entering only as (error / gap) per
-    step.  One Rayleigh-Ritz step then gives the pairs their precision: the
-    eigenpairs (theta, S) of the count x count matrix Q^T T Q, by scipy's
-    dsyevd, and the vectors Q S (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 11).  Not one Rayleigh quotient per vector: the quotients of a pair
-    of levels split by less than the tolerance (a double well's) came out in
+    `_bisection` stops at `_bisection_tolerance`, and inverse iteration
+    takes the vectors Q from those shifts: each converges in a few steps to
+    rounding, the shift error entering only as (error / gap) per step.  One
+    Rayleigh-Ritz step then gives the pairs their precision: the eigenpairs
+    (theta, S) of the count x count matrix Q^T T Q, by scipy's dsyevd, and
+    the vectors Q S (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
+    Not one Rayleigh quotient per vector: the quotients of a pair of levels
+    split by less than the tolerance (a double well's) came out in
     descending order, whereas theta ascends and Q S stays orthonormal.  The
     products are `_tridiagonal_product` and np.einsum, which without
     `optimize` runs numpy's own sum-of-products loops: no dgemm, and no
@@ -321,7 +339,7 @@ def _leading_eigenpairs(main, off, count: int) -> tuple:
     # imported here like eigh_tridiagonal in axis_eigenpairs
     from scipy.linalg.lapack import dsyevd
 
-    _, q = _bisection(main, off, count, eigvals_only=False)
+    _, q = _bisection(main, off, count, _bisection_tolerance(main, off, count))
     projected = np.einsum("ij,ik->jk", q, _tridiagonal_product(main[:, None], off, q))
     theta, s, info = dsyevd(projected, lower=1)
     if info != 0:
@@ -523,16 +541,19 @@ class SeparableDecomposition:
         return levels[np.argsort(levels)[:count]]
 
     def bottom(self) -> float:
-        """The lowest eigenvalue of H to within BISECTION_TOL of T_t's
-        Gershgorin norm, the eigensolver's anchor for a shift set 1e-2
-        max(1, |bottom|) below it: the least kept shift plus T_t's lowest
-        eigenvalue by the rotated axes' bisection (`_bisection`), less the
-        offset.  The shift needs no more: `_leading_eigenpairs` with count
-        1, whose vector and Rayleigh-Ritz step would give it full working
-        precision, took 0.18 ms more per `cli-2d` pass (7 solves).  `lowest`
-        bisects to full precision, as the tests' oracle."""
-        lowest = _bisection(self.main, self.off, 1, eigvals_only=True)[0]
-        return float(self.shifts.min() + lowest - self.offset)
+        """A lower bound on the lowest eigenvalue of H, within twice T_t's
+        `_bisection_tolerance` of it, up to rounding: the eigensolver's
+        anchor for a shift set 1e-2 max(1, |bottom|) below it.  The least
+        kept shift plus T_t's lowest eigenvalue, bisected to that tolerance
+        (`_bisection`), which returns the midpoint of an interval no wider
+        than it, less the offset and the tolerance.  The shift needs no
+        more: `_leading_eigenpairs` with count 1, whose vector and
+        Rayleigh-Ritz step would give it full working precision, took 0.18
+        ms more per `cli-2d` pass (7 solves).  `lowest` bisects to LAPACK's
+        default tolerance, as the tests' oracle."""
+        tol = _bisection_tolerance(self.main, self.off, 1)
+        lowest = _bisection(self.main, self.off, 1, tol, eigvals_only=True)[0]
+        return float(self.shifts.min() + lowest - self.offset - tol)
 
     def residuals(self, x, theta) -> np.ndarray:
         """For the unit columns of the (size, k) Fortran-ordered x, in the

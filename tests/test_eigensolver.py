@@ -447,10 +447,11 @@ class TestSeparableOracle:
 
 class TestWorkingPrecisionAxes:
     """The rotated axes' leading eigenpairs come from a bisection stopped at
-    1e-9 of the axis's norm and one Rayleigh-Ritz step: on double wells,
-    whose pairs of levels split by less than that tolerance, the values
-    still ascend, the vectors are orthonormal, the measured defect stays at
-    rounding and the solve converges on the exact grid spectrum."""
+    1e-9 of the largest magnitude the levels sought can have and one
+    Rayleigh-Ritz step: on double wells, whose pairs of levels split by less
+    than that tolerance, the values still ascend, the vectors are
+    orthonormal, the measured defect stays at rounding and the solve
+    converges on the exact grid spectrum."""
 
     @pytest.mark.parametrize("points", [127, 255])
     @pytest.mark.parametrize("expression, h", [("(x1^2 - 25)^2/4 + y1^2", 0.2),
@@ -478,14 +479,14 @@ class TestWorkingPrecisionAxes:
         assert res.backend == "separable inverse" and res.all_converged
         assert np.all(np.abs(res.eigenvalues - oracle) <= tol * np.maximum(1.0, np.abs(oracle)))
 
-    # the shift's anchor, T_t's lowest eigenvalue by the same bisection, lies
-    # within its tolerance, BISECTION_TOL of T_t's Gershgorin norm, of the
-    # oracle's full-precision bisection: far inside the shift's margin
+    # the shift's anchor lies below T_t's lowest eigenvalue plus the block's
+    # shift, as the oracle's full-precision bisection gives it, and within
+    # twice its tolerance of it: far inside the shift's margin
     @pytest.mark.parametrize("points, expression", [
         ((31,), "x1^4 - 3"), ((63, 63), "(x1^2 - 16)^2/8 + y1^2"),
         ((17, 15), "x1^2 + y1^4 - 3"), ((7, 9, 8), "x1^2 + y1^2 + 2*y2^2 - 3")],
         ids=["1d", "double-well", "17x15", "7x9x8"])
-    def test_bottom_within_bisection_tolerance(self, points, expression):
+    def test_bottom_is_a_close_lower_bound(self, points, expression):
         import bospec.grid as grid_module
 
         dim = len(points)
@@ -493,10 +494,49 @@ class TestWorkingPrecisionAxes:
                                   expression_potential(expression, 1, dim - 1), 0.3)
         decomposition = separable_decomposition(op, k=4)
         exact = decomposition.lowest(1)[0]
-        off = np.abs(decomposition.off)
-        norm = (np.abs(decomposition.main) + np.append(off, 0.0) + np.insert(off, 0, 0.0)).max()
-        error = abs(decomposition.bottom() - exact)
-        assert error <= grid_module.BISECTION_TOL * norm and error < 1e-6 * max(1.0, abs(exact))
+        tol = grid_module._bisection_tolerance(decomposition.main, decomposition.off, 1)
+        below = exact - decomposition.bottom()
+        assert 0 < below <= 2 * tol and below < 1e-6 * max(1.0, abs(exact))
+
+    # the tolerance's scale bounds the magnitude of every eigenvalue sought,
+    # the count-th included, also past the even indices' count
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tolerance_scale_bounds_the_levels(self, seed):
+        import bospec.grid as grid_module
+
+        rng = np.random.default_rng(seed)
+        size, spread = int(rng.integers(2, 12)), 10.0 ** rng.integers(0, 3)
+        # positive definite like H on even seeds, its levels set by the upper
+        # bound; shifted below zero on odd ones, set by the lower
+        main = rng.uniform(0, spread, size) + (2.0 if seed % 2 == 0 else -spread)
+        off = rng.uniform(-1, 1, size - 1)
+        dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        levels = np.linalg.eigvalsh(dense)
+        for count in range(1, size + 1):
+            scale = grid_module._bisection_tolerance(main, off, count) / grid_module.BISECTION_TOL
+            assert np.abs(levels[:count]).max() <= scale * (1 + 1e-12)
+
+    # a steep V at the box edge sets an axis's norm far above its low levels:
+    # the shift stays below the spectrum when that axis is kept tridiagonal,
+    # and inverse iteration stays accurate when it is rotated.  The oracle
+    # bisects T_t to LAPACK's default tolerance, ulp times its Gershgorin
+    # norm, about 1e-8 here, and is allowed that error on top of tol
+    @pytest.mark.parametrize("expression, half_width, h", [
+        ("x1^2 + y1^8", 12.0, 1.0), ("x1^2 + y1^8", 12.0, 0.2), ("x1^8 + y1^2", 10.0, 0.2),
+        ("x1^8 + y1^2", 10.0, 1.0)], ids=["kept-h1", "kept-h0.2", "rotated-h0.2", "rotated-h1"])
+    @pytest.mark.parametrize("points", [127, 255])
+    def test_steep_axis_converges_on_oracle(self, expression, half_width, h, points):
+        op = assemble_hamiltonian(build_grid(1, 1, [half_width] * 2, [points, points]),
+                                  expression_potential(expression, 1, 1), h)
+        k, tol = 6, 1e-8
+        res = lowest_eigenpairs(op, k, tol=tol, seed=0)
+        assert res.backend == "separable inverse" and res.all_converged
+        full = separable_decomposition(op)
+        off = np.abs(full.off)
+        norm = (np.abs(full.main) + np.append(off, 0.0) + np.insert(off, 0, 0.0)).max()
+        oracle = full.lowest(k)
+        error = np.abs(res.eigenvalues - oracle)
+        assert np.all(error <= tol * np.maximum(1.0, np.abs(oracle)) + np.finfo(float).eps * norm)
 
 
 def op_3d(expression, points=(11, 13, 12)):
