@@ -20,14 +20,12 @@ from .potential import oscillator_frequencies
 
 __all__ = [
     "AnalyticSpectrum",
-    "HermiteBasis",
     "oscillator_frequencies",
     "enumerate_spectrum",
     "bo_spectrum",
     "frequency_spectrum",
     "hermite_function",
     "hermite_values",
-    "build_hermite_basis",
     "ladder_residual",
     "annihilation_residual",
 ]
@@ -182,25 +180,6 @@ def hermite_function(p: int, x):
     scalar = np.isscalar(x) or np.ndim(x) == 0
     vals = hermite_values(p, x)[p]
     return float(vals[0]) if scalar else vals
-
-
-@dataclass(frozen=True, eq=False)
-class HermiteBasis:
-    max_order: int
-    x: np.ndarray
-    spacing: float
-    values: np.ndarray  # (max_order+1, len(x))
-
-    def gram(self) -> np.ndarray:
-        return self.values @ self.values.T * self.spacing
-
-
-def build_hermite_basis(max_order: int, half_width: float,
-                        spacing: float) -> HermiteBasis:
-    m = int(round(2 * half_width / spacing)) + 1
-    x = np.linspace(-half_width, half_width, m)
-    return HermiteBasis(max_order=max_order, x=x, spacing=x[1] - x[0],
-                        values=hermite_values(max_order, x))
 
 
 def _check_hermite_grid(p: int, x: np.ndarray) -> float:

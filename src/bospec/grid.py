@@ -521,20 +521,18 @@ class SeparableDecomposition:
 
     def lowest(self, count: int) -> np.ndarray:
         """The count lowest eigenvalues of H, ascending and repeated by
-        multiplicity: the count lowest of T_t, from one
-        eigh_tridiagonal(select='i'), added to each kept block's shift, less
-        the offset, and sorted.  Built for k, the kept blocks may lack every
-        level above the k-th, so a count above k is refused; built without
-        k, any count up to the grid size is served.  Computed on demand: the
-        probe needs no shift."""
-        # imported here like eigh_tridiagonal in axis_eigenpairs
-        from scipy.linalg import eigh_tridiagonal
-
-        limit = math.prod(self.points) if self.k is None else min(self.k, math.prod(self.points))
+        multiplicity, for a decomposition built for k: the min(count, N_t)
+        lowest of T_t at working precision (`_leading_eigenpairs`, the
+        routine the rotated axes use), added to each kept block's shift, less
+        the offset, and sorted.  The kept blocks may lack every level above
+        the k-th, so count is at most k.  Computed on demand: the solver
+        needs only `bottom`."""
+        if self.k is None:
+            raise ValueError("lowest needs a decomposition built for k, and this one has k=None")
+        limit = min(self.k, math.prod(self.points))
         if not 1 <= count <= limit:
             raise ValueError(f"need 1 <= count <= {limit}, got count={count}")
-        bottom = eigh_tridiagonal(self.main, self.off, eigvals_only=True, select="i",
-                                  select_range=(0, min(count, self.main.size) - 1))
+        bottom = _leading_eigenpairs(self.main, self.off, min(count, self.main.size))[0]
         levels = np.ravel(np.add.outer(self.shifts, bottom) - self.offset)
         # ordered by argsort, whose code the eigensolver has paged in
         # already: np.sort's float kernels add about 0.1 MiB to a solve
@@ -549,8 +547,7 @@ class SeparableDecomposition:
         than it, less the offset and the tolerance.  The shift needs no
         more: `_leading_eigenpairs` with count 1, whose vector and
         Rayleigh-Ritz step would give it full working precision, took 0.18
-        ms more per `cli-2d` pass (7 solves).  `lowest` bisects to LAPACK's
-        default tolerance, as the tests' oracle."""
+        ms more per `cli-2d` pass (7 solves)."""
         tol = _bisection_tolerance(self.main, self.off, 1)
         lowest = _bisection(self.main, self.off, 1, tol, eigvals_only=True)[0]
         return float(self.shifts.min() + lowest - self.offset - tol)
@@ -622,14 +619,14 @@ def separable_decomposition(op: GridOperator, k: int | None = None):
     lowest.  Blocks tied at the cut, to 1e-12 of it for the rounding of the
     sums, are kept.  Each rotated axis's eigenvalues ascend, so the kept
     blocks use only a leading run of its eigenpairs, and only those are
-    kept.  Each rotated axis computes just its k + 1 lowest eigenpairs
-    (`axis_eigenpairs` with a count, at working precision), since the k-th
-    smallest floor uses indices below k on every axis; where the ties at the
-    cut reach the last index computed on an axis, they may continue past it,
-    and that axis is computed in full.  With k the `defect` of the kept
-    eigenpairs is measured too, so whatever precision they were computed to
-    is in the residual bound.  Without k every eigenpair is computed, and no
-    defect."""
+    kept.  Each rotated axis computes just its min(k + 1, N_d) lowest
+    eigenpairs (`axis_eigenpairs` with a count, at working precision), since
+    the k-th smallest floor uses indices below k on every axis; where the
+    ties at the cut reach the last index computed on an axis short of N_d,
+    they may continue past it, and that axis is computed in full.  With k
+    the `defect` of the kept eigenpairs is measured too, so whatever
+    precision they were computed to is in the residual bound.  Without k,
+    the probe's inverse, every eigenpair is computed, and no defect."""
     split = _separable_split(op)
     if split is None:
         return None
@@ -664,8 +661,7 @@ def separable_decomposition(op: GridOperator, k: int | None = None):
         kept = sums <= at + 1e-12 * max(1.0, abs(at))
         return kept, [int(i.max()) + 1 for i in np.nonzero(kept)][::-1]
 
-    pairs = [eigenpairs(d, None if k is None or k + 1 >= points[d] else k + 1)
-             for d in rotated]
+    pairs = [eigenpairs(d, None if k is None else min(k + 1, points[d])) for d in rotated]
     main, off = _axis_tridiagonal(op.grid, op.h, t, slices[t])
     sums = block_sums()
     shifts, blocks = np.ravel(sums), None

@@ -417,16 +417,16 @@ class TestSeparableInverse:
 
     # the eigensolver shifts 1e-2 max(1, |lowest|) below the lowest
     # eigenvalue, and the solver's tests read every level as their oracle, so
-    # each must be exact far beyond that margin: all of them from the full
-    # decomposition, the k lowest from one built for k, whose kept blocks may
-    # lack every level above the k-th; the -3 makes min V nonzero, so the
-    # offset (dim - 1) min V is exercised
+    # each must be exact far beyond that margin: all of them from one built
+    # for k = the grid size, which keeps every block, the k lowest from one
+    # built for k = 4, whose kept blocks may lack every level above the k-th;
+    # the -3 makes min V nonzero, so the offset (dim - 1) min V is exercised
     @pytest.mark.parametrize("points", [(31,), (9, 11), (5, 6, 7)], ids=["1d", "9x11", "5x6x7"])
     def test_lowest_eigenvalue_exact(self, points):
         expression = ["x1^2 - 3", "x1^2 + y1^4 - 3", "x1^2 + y1^2 + 2*y2^2 - 3"][len(points) - 1]
         op = self.op(points, expression)
         exact = np.linalg.eigvalsh(op.matrix.toarray())
-        full, kept = separable_decomposition(op), separable_decomposition(op, k=4)
+        full, kept = separable_decomposition(op, k=op.dim), separable_decomposition(op, k=4)
         for decomposition, count in [(full, op.dim), (kept, 4)]:
             levels = decomposition.lowest(count)
             assert levels.shape == (count,) and np.all(np.diff(levels) >= 0)
@@ -524,8 +524,8 @@ class TestSeparableInverse:
 
 
 # every level of the discrete free operator -h^2 Lap_x - Lap_y, with
-# multiplicity, from the decomposition of V = 0, against a dense eigensolve of
-# the tests' own kinetic matrix
+# multiplicity, from the decomposition of V = 0 built for every level,
+# against a dense eigensolve of the tests' own kinetic matrix
 @pytest.mark.parametrize("n, p, half_widths, points", [
     (1, 1, (3.0, 4.5), (5, 7)),
     (1, 2, (2.0, 3.0, 2.5), (4, 5, 6)),
@@ -533,7 +533,8 @@ class TestSeparableInverse:
 def test_free_operator_levels_match_dense_kinetic(n, p, half_widths, points):
     grid = build_grid(n, p, half_widths, points)
     dense = np.linalg.eigvalsh(kinetic_operator(grid, 0.6).toarray())
-    decomposition = separable_decomposition(assemble_hamiltonian(grid, zero_potential(n, p), 0.6))
+    decomposition = separable_decomposition(assemble_hamiltonian(grid, zero_potential(n, p), 0.6),
+                                            k=grid.size)
     levels = decomposition.lowest(grid.size)
     assert levels.shape == (grid.size,)
     assert np.all(np.diff(levels) >= 0)
@@ -721,27 +722,26 @@ class TestOneStencil:
         if dim == 1:
             assert tridiagonals[0][1].tobytes() == op.matrix.diagonal().tobytes()
 
-    # lowest(1) keeps the bits of the former one-value lowest(), the least
-    # shift plus T_t's lowest eigenvalue less the offset, and the Weyl shift
-    # those of the former per-axis mode lists, the symbol at
-    # arange(1, N_d + 1) pi / (N_d + 1), each with its decomposition built
-    # for k and without it
+    # lowest(1) is the least shift plus T_t's lowest eigenvalue from
+    # `_leading_eigenpairs`, the rotated axes' routine, less the offset, bit
+    # for bit, on a decomposition built for k; one built without k has no
+    # oracle.  The Weyl shift keeps the bits of the former per-axis mode
+    # lists, the symbol at arange(1, N_d + 1) pi / (N_d + 1)
     @pytest.mark.parametrize("h", [0.1, 0.3, 0.6, 1.0])
     @pytest.mark.parametrize("points, expression", [
         ((31,), "x1^4 - 3"), ((17, 15), "x1^2 + y1^4 - 3"), ((7, 9, 8), "x1^2 + y1^2 + 2*y2^2 - 3")],
         ids=["1d", "17x15", "7x9x8"])
     def test_lowest_and_shift_bits_pinned(self, points, expression, h):
-        from scipy.linalg import eigh_tridiagonal
-
         dim = len(points)
         grid = build_grid(1, dim - 1, [5.0, 6.0, 4.5][:dim], points)
         op = assemble_hamiltonian(grid, expression_potential(expression, 1, dim - 1), h)
-        for k in (None, 1, 4, 6):
+        for k in (1, 4, 6):
             decomposition = separable_decomposition(op, k=k)
-            bottom = eigh_tridiagonal(decomposition.main, decomposition.off, eigvals_only=True,
-                                      select="i", select_range=(0, 0))
-            former = float(decomposition.shifts[0] + bottom[0] - decomposition.offset)
-            assert decomposition.lowest(1)[0] == former
+            bottom = grid_module._leading_eigenpairs(decomposition.main, decomposition.off, 1)[0]
+            pinned = decomposition.shifts.min() + bottom[0] - decomposition.offset
+            assert decomposition.lowest(1)[0] == pinned
+        with pytest.raises(ValueError, match="built for k"):
+            separable_decomposition(op).lowest(1)
         modes = [grid.symbol(h, d, np.arange(1, m + 1) * np.pi / (m + 1))
                  for d, m in enumerate(points)]
         former = float(op.potential_values.min()) + 0.5 * sum(mode[0] for mode in modes)

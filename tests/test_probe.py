@@ -349,6 +349,19 @@ class TestCommutator:
         assert ests[1] < ests[0]
         assert ests[2] < ests[1]
 
+    # a steep V at the box edge of a rotated axis: the inverse's full axis
+    # eigenbasis by dstevd has its low eigenvalues 7.8e-6 off on 63 points,
+    # so the separable solve misses its residual check and raises; MRRR
+    # (lapack_driver='stemr') passes.  The mark turns into a failure once
+    # the inverse solves to its tolerance here
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="full dstevd axis eigenbasis on steep V (ROADMAP, Measured)")
+    def test_steep_rotated_axis(self):
+        op = assemble_hamiltonian(build_grid(1, 1, [14.0, 14.0], [63, 63]),
+                                  expression_potential("x1^12 + y1^2", 1, 1), 0.5)
+        results = commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2, seed=0)
+        assert all(estimate > 0 for _, estimate in results)
+
     def test_deterministic(self):
         op = oscillator_op(points=149)
         family = CutoffFamily(scales=(3.0, 6.0))
