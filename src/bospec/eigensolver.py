@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+import scipy.linalg
+from scipy.linalg import blas
 
 from .analytic import frequency_spectrum
 from .grid import (GridOperator, SeparableDecomposition, assemble_hamiltonian, build_grid,
@@ -133,7 +133,8 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     basis, which grows as k^2 N_t.  Only the sparse LU and matvec backends
     read `op.matrix`.
     `iterations` counts operator applications and `backend` names the
-    operator.
+    operator.  scipy.sparse, ARPACK's and the LU's home, is imported here,
+    so that a process that solves nothing never loads it.
 
     Deterministic for fixed inputs and seed at a fixed BLAS thread count.  On
     non-convergence k pairs are still returned, with per-pair `converged`
@@ -145,6 +146,9 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     applications = 0
 
     def counted(apply, n):
@@ -152,7 +156,7 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
             nonlocal applications
             applications += 1
             return apply(x)
-        return LinearOperator((n, n), matvec=matvec, dtype=float)
+        return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
     def shift_invert(solve, n, sigma):
         # in shift-invert mode eigsh applies OPinv alone and reads only the
@@ -174,8 +178,8 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         shifted = (op.matrix - sigma * sp.identity(dim, format="csr")).tocsc()
         # H - sigma I is symmetric positive definite: no pivoting is needed,
         # and a symmetric ordering halves the fill of the default COLAMD
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
         backend, arpack = "sparse LU", shift_invert(lu.solve, dim, sigma)
     else:
         backend, arpack = "matvec", {"A": counted(op.matrix.dot, dim), "which": "SA"}
@@ -187,32 +191,30 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     # vector or a product
     v0 = rng.standard_normal(dim if decomposition is None else decomposition.size)
     try:
-        theta, ritz = eigsh(k=k, v0=v0, tol=0.1 * tol, **arpack)
+        theta, ritz = spla.eigsh(k=k, v0=v0, tol=0.1 * tol, **arpack)
         # Fortran order, so that a grid-basis column is contiguous (the apply
         # of a strided column took twice as long)
         order = np.argsort(theta)
         theta, ritz = theta[order], np.asfortranarray(ritz[:, order])
-    except ArpackNoConvergence as exc:
+    except spla.ArpackNoConvergence as exc:
         # keep the pairs ARPACK converged, in the grid basis, and fill up to k
         # by a Rayleigh-Ritz step on seeded random directions; the residuals
         # flag the fill.  Fortran order throughout, so every column applied
         # is contiguous (the apply of a strided column took twice as long).
         # On scipy's LAPACK and BLAS, like ARPACK just before (see the note
-        # above grid.axis_eigenpairs); imported here like grid's
-        from scipy.linalg import eigh, qr
-        from scipy.linalg.blas import dgemm
-
+        # above grid.axis_eigenpairs)
         fill = rng.standard_normal((dim, k - len(exc.eigenvalues)))
-        basis = qr(np.hstack([_grid_basis(exc.eigenvectors, decomposition), fill]),
-                   overwrite_a=True, mode="economic")[0]
+        basis = scipy.linalg.qr(
+            np.hstack([_grid_basis(exc.eigenvectors, decomposition), fill]),
+            overwrite_a=True, mode="economic")[0]
         # H applied a column at a time by its stencil: the fill builds no H
         applied = np.empty_like(basis, order="F")
         for j in range(k):
             op.apply(basis[:, j], out=applied[:, j])
         # eigh returns theta ascending
-        theta, s = eigh(dgemm(1.0, basis, applied, trans_a=1))
+        theta, s = scipy.linalg.eigh(blas.dgemm(1.0, basis, applied, trans_a=1))
         del applied
-        ritz, decomposition = dgemm(1.0, basis, s), None
+        ritz, decomposition = blas.dgemm(1.0, basis, s), None
 
     if decomposition is not None:
         # in the rotated basis, plus the decomposition's measured defect: a

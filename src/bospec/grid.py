@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .potential import Potential
 
@@ -156,14 +157,17 @@ def _stencil_entries(grid: Grid, h: float) -> tuple:
     return main, couplings
 
 
-def _band_matrix(grid: Grid, h: float, potential_values) -> sp.csr_matrix:
+def _band_matrix(grid: Grid, h: float, potential_values) -> "scipy.sparse.csr_matrix":
     """The kinetic operator plus diag(potential_values) in canonical CSR,
     converted by scipy from its 2 dim + 1 bands in DIA layout: the off entry
     of `Grid.stencil` one stride of each dimension d away, zeroed where it
     would cross an end of axis d, and the main entries summed in dimension
     order plus V.  So it equals scipy.sparse.kronsum of the per-axis stencils
     plus a sparse add of diags(V) bit for bit, zero entries dropped as that
-    add drops them."""
+    add drops them.  scipy.sparse is imported here, where H is built, so
+    that a process that builds no H never loads it."""
+    import scipy.sparse as sp
+
     dim, size = grid.dim, grid.size
     strides = [math.prod(grid.points[:d]) for d in range(dim)]
     offsets = [0] + strides + [-s for s in strides]
@@ -261,11 +265,7 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values,
     main, off = _axis_tridiagonal(grid, h, d, values)
     if count is not None:
         return _leading_eigenpairs(main, off, count)
-    # imported here: importing scipy.linalg with this module, ahead of
-    # scipy.sparse.linalg, measured 0.05 s slower set-up of the package
-    from scipy.linalg import eigh_tridiagonal
-
-    return eigh_tridiagonal(main, off)
+    return scipy.linalg.eigh_tridiagonal(main, off)
 
 
 # the absolute tolerance of the axes' bisection, as a fraction of the
@@ -306,14 +306,11 @@ def _bisection(main, off, count: int, tol: float, eigvals_only: bool = False):
     (7 separable solves) took 0.4-0.5 ms longer, about a quarter of what
     the loose bisection saves.  In dstebz's block order, which is ascending
     unless an off entry is negligible against the diagonal."""
-    # imported here like eigh_tridiagonal in axis_eigenpairs
-    from scipy.linalg.lapack import dstebz, dstein
-
     # the count lowest: range 3 takes the il-th to iu-th eigenvalues,
     # counted from 1; block order ("B"), the layout dstein reads
-    m, w, block, split, info = dstebz(main, off, 3, 0.0, 0.0, 1, count, tol, "B")
+    m, w, block, split, info = lapack.dstebz(main, off, 3, 0.0, 0.0, 1, count, tol, "B")
     if info == 0 and not eigvals_only:
-        q, info = dstein(main, off, w[:m], block, split)
+        q, info = lapack.dstein(main, off, w[:m], block, split)
     if info != 0:
         raise ValueError(f"LAPACK bisection or inverse iteration failed (info {info})")
     return w[:m] if eigvals_only else (w[:m], q)
@@ -336,12 +333,9 @@ def _leading_eigenpairs(main, off, count: int) -> tuple:
     products are `_tridiagonal_product` and np.einsum, which without
     `optimize` runs numpy's own sum-of-products loops: no dgemm, and no
     numpy BLAS or LAPACK."""
-    # imported here like eigh_tridiagonal in axis_eigenpairs
-    from scipy.linalg.lapack import dsyevd
-
     _, q = _bisection(main, off, count, _bisection_tolerance(main, off, count))
     projected = np.einsum("ij,ik->jk", q, _tridiagonal_product(main[:, None], off, q))
-    theta, s, info = dsyevd(projected, lower=1)
+    theta, s, info = lapack.dsyevd(projected, lower=1)
     if info != 0:
         raise ValueError(f"LAPACK dsyevd failed on the projected tridiagonal (info {info})")
     return theta, np.einsum("ij,jk->ik", q, s, order="F")
@@ -360,7 +354,7 @@ class GridOperator:
         return self.grid.size
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> "scipy.sparse.csr_matrix":
         """H in canonical CSR, built on first read and then kept.  Only the
         paths that factor or iterate on H read it: the eigensolver's sparse
         LU and matvec backends and the probe's CG solve.  Every other product
@@ -407,11 +401,9 @@ def _product(x, q, back: bool, out=None):
     the Fortran-ordered (N_d, rest) matrix x, or Q x^T for the
     Fortran-ordered (rest, N_d) matrix x.  Written into `out`, a
     Fortran-ordered array of the product's shape, when one is given."""
-    # imported here like eigh_tridiagonal in axis_eigenpairs
-    from scipy.linalg.blas import dgemm
-
     into = {} if out is None else {"c": out, "overwrite_c": 1}
-    return dgemm(1.0, q, x, trans_b=1, **into) if back else dgemm(1.0, x, q, trans_a=1, **into)
+    return (blas.dgemm(1.0, q, x, trans_b=1, **into) if back
+            else blas.dgemm(1.0, x, q, trans_a=1, **into))
 
 
 def _tridiagonal_product(diagonal, off, x) -> np.ndarray:
@@ -712,13 +704,10 @@ def eigenbasis_inverse(decomposition: SeparableDecomposition, z: float):
     dpttrs solve, with no dense product.  The blocks are uncoupled, so the
     kept ones are solved exactly without the others.  z must lie below the
     spectrum of H, so that the matrix is positive definite; else ValueError."""
-    # imported here like eigh_tridiagonal in axis_eigenpairs
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
-    factor_d, factor_e, info = dpttrf(
+    factor_d, factor_e, info = lapack.dpttrf(
         *_shifted_blocks(decomposition, decomposition.shifts - (z + decomposition.offset)))
     _check_definite(info, z)
-    return lambda x: dpttrs(factor_d, factor_e, x)[0]
+    return lambda x: lapack.dpttrs(factor_d, factor_e, x)[0]
 
 
 def separable_inverse(op: GridOperator, z: float):
@@ -735,21 +724,18 @@ def separable_inverse(op: GridOperator, z: float):
     else ValueError, from the block with the least shift, whose dpttrf
     pivots are the lowest: every other block adds a larger shift to the
     same diagonal, which raises each pivot, rounded too."""
-    # imported here like eigh_tridiagonal in axis_eigenpairs
-    from scipy.linalg.lapack import dpttrf, dptsv
-
     decomposition = separable_decomposition(op)
     if decomposition is None:
         return None
     shifts = decomposition.shifts - (z + decomposition.offset)
-    _check_definite(dpttrf(*_shifted_blocks(decomposition, [shifts.min()]))[2], z)
+    _check_definite(lapack.dpttrf(*_shifted_blocks(decomposition, [shifts.min()]))[2], z)
 
     def inverse(r):
         x = decomposition.rotate(r)
         # solved in place unless x is r itself (a 1D grid rotates nothing);
         # the factor is left unbound, so it is freed before x is rotated back
-        x, info = dptsv(*_shifted_blocks(decomposition, shifts), x, overwrite_d=1,
-                        overwrite_e=1, overwrite_b=not np.may_share_memory(x, r))[2:]
+        x, info = lapack.dptsv(*_shifted_blocks(decomposition, shifts), x, overwrite_d=1,
+                               overwrite_e=1, overwrite_b=not np.may_share_memory(x, r))[2:]
         _check_definite(info, z)
         return decomposition.rotate_back(x)
 

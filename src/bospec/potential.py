@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "ExprError",
@@ -239,11 +240,9 @@ def oscillator_frequencies(a, name: str = "matrix") -> tuple:
     # a is finite, so this decides as np.allclose(a, a.T, rtol=0, atol=...)
     if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
         raise ValueError(f"{name} must be symmetric")
-    # imported here like scipy.linalg in grid; LAPACK's dsyevd on the lower
-    # triangle, the routine numpy's eigvalsh runs, on scipy's LAPACK
-    from scipy.linalg.lapack import dsyevd
-
-    eigs, _, info = dsyevd(a, compute_v=0, lower=1)
+    # LAPACK's dsyevd on the lower triangle, the routine numpy's eigvalsh
+    # runs, on scipy's LAPACK
+    eigs, _, info = lapack.dsyevd(a, compute_v=0, lower=1)
     if info != 0:
         raise ValueError(f"{name}: LAPACK dsyevd failed (info {info})")
     if np.any(eigs <= 0):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse.linalg as spla
+from scipy.linalg import blas
 
 from .grid import Grid, GridOperator, _band_apply, check_h, separable_inverse
 
@@ -34,6 +34,9 @@ __all__ = [
 NOISE_BAND = 0.05
 # Largest relative defect a form-chain link may show before it counts as broken.
 FORM_TOLERANCE = 1e-10
+# Most refinement steps of a separable resolvent solve that misses its check
+# (`_resolvent_at_i`); one took a steep rotated axis from 1.9e-5 to 3.1e-9.
+REFINEMENT_STEPS = 2
 
 
 def _norm(x) -> float:
@@ -42,10 +45,7 @@ def _norm(x) -> float:
     `grid.axis_eigenpairs`).  dnrm2 is unthreaded, so it wakes neither
     pool: a threaded ddot left scipy's workers spinning against the numpy
     inner products of the CG solve, which then took 1.6 times as long."""
-    # imported here like scipy.linalg in grid
-    from scipy.linalg.blas import dnrm2
-
-    return float(dnrm2(x.view(float)))
+    return float(blas.dnrm2(x.view(float)))
 
 
 def bump(t):
@@ -296,25 +296,38 @@ def _resolvent_at_i(op: GridOperator, v: np.ndarray, z: float, rtol: float = 1e-
     from the former solve at the point i because perfbench's tracer wraps
     this function by name.
 
-    A w whose true residual ||Hw - zw - v|| (by `op.apply`, in two work
+    A w whose true residual r = Hw - zw - v (by `op.apply`, in two work
     vectors allocated once w is formed) exceeds rtol ||v||, or a CG solve
-    that scipy reports unconverged, raises."""
+    that scipy reports unconverged, raises.  A separable w that misses is
+    first refined, w <- w - (H - zI)^{-1} r, for at most REFINEMENT_STEPS
+    steps (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 12): the inverse's full axis eigenbasis carries an error of about
+    ulp times the axis norm, which a steep V makes large."""
     dim = v.size
     if inverse is not None:
         w, info = inverse(v), 0
     else:
+        # scipy.sparse is imported here, by the one solve that runs it
+        import scipy.sparse.linalg as spla
+
         matrix = op.matrix
         shifted = spla.LinearOperator((dim, dim), lambda x: matrix @ x - z * x, dtype=float)
         w, info = spla.cg(shifted, v, rtol=rtol, atol=0.0, maxiter=dim)
     target = rtol * _norm(v)
     # a miss scipy reports raises without the product of the residual check
     if info == 0:
-        residual = _shifted_product(op.apply, w, z, np.empty(dim), np.empty(dim))
-        residual -= v
-    if info != 0 or _norm(residual) > target:
-        how = "by the separable inverse" if inverse is not None else f"within {dim} CG iterations"
-        raise RuntimeError(f"resolvent solve did not converge to residual {target:.3g} {how}")
-    return w
+        residual, scratch = np.empty(dim), np.empty(dim)
+        for step in range(REFINEMENT_STEPS + 1):
+            _shifted_product(op.apply, w, z, residual, scratch)
+            residual -= v
+            if _norm(residual) <= target:
+                return w
+            if inverse is None or step == REFINEMENT_STEPS:
+                break
+            w -= inverse(residual)
+    how = (f"by the separable inverse and {step} refinement steps" if inverse is not None
+           else f"within {dim} CG iterations")
+    raise RuntimeError(f"resolvent solve did not converge to residual {target:.3g} {how}")
 
 
 def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
@@ -414,10 +427,6 @@ def form_inequality_check(op: GridOperator, trials: int, seed: int = 0) -> FormC
             "refusing to certify the form chain: potential not claimed nonnegative")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # imported here like scipy.linalg in grid; a weighted sum on scipy's
-    # BLAS, not numpy's
-    from scipy.linalg.blas import ddot
-
     values = op.potential_values
     scale = max(1.0, float(np.abs(values).max()))
     rng = np.random.default_rng(seed)
@@ -426,7 +435,8 @@ def form_inequality_check(op: GridOperator, trials: int, seed: int = 0) -> FormC
     draws = trials - 1 if forms[0] < 0 else 0
     for _ in range(draws):
         squares = np.square(rng.standard_normal(op.dim))
-        forms.append(float(ddot(squares, values)) / float(squares.sum()))
+        # a weighted sum on scipy's BLAS, not numpy's
+        forms.append(float(blas.ddot(squares, values)) / float(squares.sum()))
     defects = [-form / scale for form in forms]
     return FormChainReport(trials=trials, max_violation=max(0.0, *defects),
                            violations=sum(d > FORM_TOLERANCE for d in defects),

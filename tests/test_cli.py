@@ -932,6 +932,56 @@ def test_no_numpy_lapack(tmp_path, monkeypatch):
     form_inequality_check(op, trials=3)
 
 
+# which of scipy's stacks a fresh process holds after each step, as JSON on
+# the last line of stdout: the config paths and --out are its arguments
+SCIPY_STACKS = """
+import json, sys
+loaded = []
+def record(step):
+    loaded.append((step, "scipy.linalg" in sys.modules, "scipy.sparse" in sys.modules))
+import bospec
+record("import bospec")
+from bospec.cli import main
+certificate, essential, coupled, out = sys.argv[1:]
+for command, config in (("probe", certificate), ("probe", essential),
+                        ("analytic", certificate), ("solve", coupled)):
+    assert main([command, "--config", config, "--out", out]) == 0
+    record(command + " " + config.rsplit("/", 1)[-1])
+print(json.dumps(loaded))
+"""
+
+
+def test_sparse_stack_loaded_only_by_sparse_work(tmp_path):
+    """Every command calls scipy's LAPACK, so `import bospec` loads
+    scipy.linalg; scipy.sparse (ARPACK, SuperLU, CG) is loaded only by a
+    solve or a probe on a V that is not a sum of one-variable terms, so the
+    probes and the analytic levels on a separable V never load it."""
+    certificate = write_config(tmp_path, SEPARABLE_ALL_COMMANDS, name="certificate.ini")
+    essential = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(
+        "mode = certificate", "mode = essential").replace("radii = 1.5 2.5", "radii = 1.5 2"),
+        name="essential.ini")
+    coupled = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(
+        "kind = quadratic\na = 1\nb = 1\n",
+        "kind = expression\nexpression = x1^2 + y1^2 + x1^2*y1^2\nnonnegative = true\n"),
+        name="coupled.ini")
+    assert "x1^2*y1^2" in Path(coupled).read_text()
+    env = dict(os.environ, PYTHONPATH=str(Path(bospec.__file__).resolve().parent.parent))
+    alone = subprocess.run([sys.executable, "-c", "import sys, scipy.linalg; "
+                            "print('scipy.sparse' in sys.modules)"], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    if alone.stdout.split()[-1] == "True":
+        pytest.skip("this scipy release's scipy.linalg imports scipy.sparse itself")
+    proc = subprocess.run([sys.executable, "-c", SCIPY_STACKS, certificate, essential,
+                           coupled, str(tmp_path / "out.csv")], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == [["import bospec", True, False],
+                      ["probe certificate.ini", True, False],
+                      ["probe essential.ini", True, False],
+                      ["analytic certificate.ini", True, False],
+                      ["solve coupled.ini", True, True]]
+
+
 # a quadratic form must have one row per grid dimension of its kind: A with
 # two rows on a grid with n = 1 once gave `analytic` the levels of a
 # two-dimensional x-oscillator, and a B given with p = 0 was ignored; both

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
 from bospec import eigensolver
@@ -53,7 +54,7 @@ class TestLowestEigenpairs:
     def test_tol_positive_and_finite(self, monkeypatch, tol):
         # a NaN tol fails every comparison, so ARPACK would run and no pair
         # could ever be flagged converged
-        monkeypatch.setattr(eigensolver, "eigsh", None)
+        monkeypatch.setattr(spla, "eigsh", None)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             lowest_eigenpairs(free_op(), 3, tol=tol)
 
@@ -116,7 +117,7 @@ class TestLowestEigenpairs:
 
     def test_no_convergence_returns_k_flagged_pairs(self, monkeypatch):
         # one restart cannot converge on the 3D grid; ARPACK raises inside
-        monkeypatch.setattr(eigensolver, "eigsh", functools.partial(eigsh, maxiter=1))
+        monkeypatch.setattr(spla, "eigsh", functools.partial(eigsh, maxiter=1))
         grid = build_grid(1, 2, [8.0] * 3, [23] * 3)
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], np.eye(2)), 0.5)
         res = lowest_eigenpairs(op, 6, tol=1e-7, seed=0)
@@ -131,7 +132,7 @@ class TestLowestEigenpairs:
         # ARPACK iterates in the separable inverse's rotated basis; the pairs
         # it converged within one restart must reach the fill rotated back,
         # or the Rayleigh-Ritz step would mix bases and converge nothing
-        monkeypatch.setattr(eigensolver, "eigsh", functools.partial(eigsh, maxiter=1))
+        monkeypatch.setattr(spla, "eigsh", functools.partial(eigsh, maxiter=1))
         op = op_2d("x1^2 + y1^2", (63, 65))
         res = lowest_eigenpairs(op, 6, tol=1e-12, seed=0)
         assert res.backend == "separable inverse"
@@ -158,7 +159,7 @@ class TestNoConvergenceFill:
         def refused(*args, **kwargs):
             raise AssertionError("the fill called numpy's LAPACK")
 
-        monkeypatch.setattr(eigensolver, "eigsh", two_pairs)
+        monkeypatch.setattr(spla, "eigsh", two_pairs)
         # the fill runs right after ARPACK, on scipy's LAPACK and BLAS like
         # it: numpy's qr and eigh are never called, and its two products are
         # dgemm, as is the rotation back of each of ARPACK's separable pairs
@@ -220,7 +221,7 @@ class TestShiftInvertBackend:
     def test_other_grids_factor_a_sparse_lu(self, monkeypatch, case):
         op = op_2d("x1^2*y1^2 + x1^2 + y1^2", (41, 41))
         factored = []
-        monkeypatch.setattr(eigensolver, "splu",
+        monkeypatch.setattr(spla, "splu",
                             lambda *args, **kwargs: factored.append(1) or splu(*args, **kwargs))
         res = lowest_eigenpairs(op, 3, tol=1e-8, seed=0)
         assert res.backend == "sparse LU" and len(factored) == 1 and res.all_converged
@@ -267,7 +268,7 @@ class TestShiftInvertBackend:
             events.append("eigsh returned")
             return out
 
-        monkeypatch.setattr(eigensolver, "eigsh", recorded_eigsh)
+        monkeypatch.setattr(spla, "eigsh", recorded_eigsh)
         if case == "2d":
             op = op_2d("x1^2 + y1^4", (31, 33))
         elif case == "sparse LU":
@@ -288,7 +289,7 @@ class TestShiftInvertBackend:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_start_vector_drawn_in_iterated_basis(self, monkeypatch, case, seed):
         starts = []
-        monkeypatch.setattr(eigensolver, "eigsh",
+        monkeypatch.setattr(spla, "eigsh",
                             lambda **kwargs: starts.append(kwargs["v0"]) or eigsh(**kwargs))
         op = {"2d": lambda: op_2d("x1^2 + y1^4", (31, 33)),
               "3d": lambda: op_3d("x1^2 + y1^2 + 2*y2^2"),
@@ -307,7 +308,7 @@ class TestShiftInvertBackend:
         # other V keep the shift strictly below the spectrum by Weyl
         op = op_2d("x1^2*y1^2 + x1^2 + y1^2", (31, 33))
         shifts = []
-        monkeypatch.setattr(eigensolver, "eigsh",
+        monkeypatch.setattr(spla, "eigsh",
                             lambda **kwargs: shifts.append(kwargs["sigma"]) or eigsh(**kwargs))
         res = lowest_eigenpairs(op, 3, tol=1e-8, seed=0)
         assert res.backend == "sparse LU" and shifts == [op.shift_below_spectrum()]
@@ -354,7 +355,7 @@ class TestShiftInvertBackend:
 def record_operator_shapes(monkeypatch):
     """A list that gains the shape of the operator each eigsh call iterates on."""
     shapes = []
-    monkeypatch.setattr(eigensolver, "eigsh",
+    monkeypatch.setattr(spla, "eigsh",
                         lambda **kwargs: shapes.append(kwargs["A"].shape) or eigsh(**kwargs))
     return shapes
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import types
 
 import numpy as np
@@ -350,17 +351,46 @@ class TestCommutator:
         assert ests[2] < ests[1]
 
     # a steep V at the box edge of a rotated axis: the inverse's full axis
-    # eigenbasis by dstevd has its low eigenvalues 7.8e-6 off on 63 points,
-    # so the separable solve misses its residual check and raises; MRRR
-    # (lapack_driver='stemr') passes.  The mark turns into a failure once
-    # the inverse solves to its tolerance here
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="full dstevd axis eigenbasis on steep V (ROADMAP, Measured)")
-    def test_steep_rotated_axis(self):
-        op = assemble_hamiltonian(build_grid(1, 1, [14.0, 14.0], [63, 63]),
-                                  expression_potential("x1^12 + y1^2", 1, 1), 0.5)
+    # eigenbasis by dstevd has its low eigenvalues 7.8e-6 off on 63 points
+    # and 4.7e-7 on 191, so its first apply misses the residual check by
+    # three orders; one refinement step meets it.  The same must hold on
+    # MRRR (lapack_driver='stemr'), which older scipy releases use for the
+    # full eigenbasis
+    @pytest.mark.parametrize("expression, points, mrrr", [
+        ("x1^12 + y1^2", (63, 63), False),
+        ("x1^12 + y1^2", (63, 63), True),
+        ("x1^12 + y1^2", (191, 191), False),
+        ("x1^12 + y1^2 + y2^2", (31, 31, 31), False),
+    ], ids=["63", "63-stemr", "191", "31x31x31"])
+    def test_steep_rotated_axis(self, monkeypatch, expression, points, mrrr):
+        import scipy.linalg
+
+        if mrrr:
+            monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", functools.partial(
+                scipy.linalg.eigh_tridiagonal, lapack_driver="stemr"))
+        pot = expression_potential(expression, 1, len(points) - 1)
+        op = assemble_hamiltonian(build_grid(1, len(points) - 1, [14.0] * len(points), points),
+                                  pot, 0.5)
         results = commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2, seed=0)
-        assert all(estimate > 0 for _, estimate in results)
+        assert all(0 < estimate < math.inf for _, estimate in results)
+
+    # the refinement runs only when the first apply misses: on probe-2d's
+    # oscillator each probe is one apply of the inverse, so its estimates
+    # keep their bits
+    def test_one_inverse_apply_per_probe(self, monkeypatch):
+        import bospec.probe as probe
+
+        op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [191, 191]),
+                                  quadratic_potential([[1.0]], [[1.0]]), 0.5)
+        build, applies = probe.separable_inverse, []
+
+        def counted(op, z):
+            inverse = build(op, z)
+            return lambda r: applies.append(1) or inverse(r)
+
+        monkeypatch.setattr(probe, "separable_inverse", counted)
+        commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2, seed=0)
+        assert len(applies) == 2
 
     def test_deterministic(self):
         op = oscillator_op(points=149)
