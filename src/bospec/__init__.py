@@ -32,7 +32,6 @@ from .analytic import (
     AnalyticSpectrum,
     bo_spectrum,
     enumerate_spectrum,
-    hermite_function,
     oscillator_frequencies,
 )
 from .eigensolver import (

@@ -1,5 +1,5 @@
-"""Closed-form spectra of harmonic oscillators and Hermite functions with
-ladder relations.
+"""Closed-form spectra of harmonic oscillators and the oscillator's Hermite
+functions.
 
 Energy levels come from weighted multi-index sums sum_i (2 n_i + 1) w_i, with
 the slow-dimension weights carrying the semiclassical factor h.  Enumeration is
@@ -24,10 +24,7 @@ __all__ = [
     "enumerate_spectrum",
     "bo_spectrum",
     "frequency_spectrum",
-    "hermite_function",
     "hermite_values",
-    "ladder_residual",
-    "annihilation_residual",
 ]
 
 MERGE_RTOL = 1e-9
@@ -173,47 +170,3 @@ def hermite_values(max_order: int, x) -> np.ndarray:
         vals[p + 1] = (x * np.sqrt(2.0 / (p + 1)) * vals[p]
                        - np.sqrt(p / (p + 1)) * vals[p - 1])
     return vals
-
-
-def hermite_function(p: int, x):
-    """psi_p(x); scalar in, scalar out."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    vals = hermite_values(p, x)[p]
-    return float(vals[0]) if scalar else vals
-
-
-def _check_hermite_grid(p: int, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    delta = x[1] - x[0]
-    need = np.sqrt(2 * p + 3) + 4
-    if delta > 0.05 + 1e-12 or x[-1] < need or x[0] > -need:
-        raise ValueError(
-            f"grid does not resolve order {p + 1}: need spacing <= 0.05 and "
-            f"half-width >= {need:.2f}")
-    return delta
-
-
-def _derivative_4th(f: np.ndarray, delta: float) -> np.ndarray:
-    """4th-order central first derivative on the interior (trims 2 points/side)."""
-    return (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * delta)
-
-
-def ladder_residual(p: int, x) -> float:
-    """Relative defect of (-d/dx + x) psi_p = sqrt(2(p+1)) psi_{p+1} on a grid."""
-    if p < 0:
-        raise ValueError("order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    delta = _check_hermite_grid(p, x)
-    vals = hermite_values(p + 1, x)
-    raised = -_derivative_4th(vals[p], delta) + x[2:-2] * vals[p][2:-2]
-    target = np.sqrt(2.0 * (p + 1)) * vals[p + 1][2:-2]
-    return float(np.linalg.norm(raised - target) / np.linalg.norm(vals[p + 1][2:-2]))
-
-
-def annihilation_residual(x) -> float:
-    """Relative norm of (d/dx + x) psi_0, which vanishes identically."""
-    x = np.asarray(x, dtype=float)
-    delta = _check_hermite_grid(0, x)
-    psi0 = hermite_values(0, x)[0]
-    lowered = _derivative_4th(psi0, delta) + x[2:-2] * psi0[2:-2]
-    return float(np.linalg.norm(lowered) / np.linalg.norm(psi0[2:-2]))

@@ -10,12 +10,9 @@ import numpy as np
 import pytest
 
 from bospec.analytic import (
-    annihilation_residual,
     bo_spectrum,
     enumerate_spectrum,
-    hermite_function,
     hermite_values,
-    ladder_residual,
 )
 from bospec.cli import main
 from bospec.eigensolver import (
@@ -168,19 +165,24 @@ def test_criterion_06_enumeration_oracle():
 
 def test_criterion_07_hermite_basis():
     x = np.linspace(-12.0, 12.0, 1201)
+    delta = x[1] - x[0]
     vals = hermite_values(20, x)
-    gram_defect = float(np.abs(vals @ vals.T * (x[1] - x[0]) - np.eye(21)).max())
-    x = np.arange(-14.0, 14.0 + 1e-9, 0.01)
-    ladder_worst = max(ladder_residual(p, x) for p in range(21))
-    ladder_worst = max(ladder_worst, annihilation_residual(x))
+    gram_defect = float(np.abs(vals @ vals.T * delta - np.eye(21)).max())
+    # psi_0 and the Jacobi matrix of the three-term recurrence, the position
+    # operator in this basis with sqrt(j/2) at (j-1, j) and (j, j-1), fix an
+    # orthonormal family: a wrong recurrence coefficient shows in <psi_i, x psi_j>
+    ground = float(np.abs(vals[0] - np.pi ** -0.25 * np.exp(-x * x / 2)).max())
+    off = np.sqrt(np.arange(1, 21) / 2)
+    jacobi = np.diag(off, 1) + np.diag(off, -1)
+    position = float(np.abs((vals * x) @ vals.T * delta - jacobi).max())
     xp = np.linspace(-10, 10, 201)
-    parity = max(float(np.abs(hermite_function(p, xp[::-1])
-                              - (-1) ** p * hermite_function(p, xp)).max())
-                 for p in range(21))
-    ok = gram_defect <= 1e-8 and ladder_worst <= 1e-5 and parity <= 1e-12
+    signs = (-1.0) ** np.arange(21)[:, None]
+    parity = float(np.abs(hermite_values(20, xp[::-1]) - signs * hermite_values(20, xp)).max())
+    ok = gram_defect <= 1e-8 and ground <= 1e-15 and position <= 1e-12 and parity <= 1e-12
     report(7, "hermite basis", ok,
-           f"gram defect {gram_defect:.1e} (tol 1e-8), ladder residual "
-           f"{ladder_worst:.1e} (tol 1e-5), parity defect {parity:.1e} (tol 1e-12)")
+           f"gram defect {gram_defect:.1e} (tol 1e-8), ground defect {ground:.1e} "
+           f"(tol 1e-15), position-matrix defect {position:.1e} (tol 1e-12), "
+           f"parity defect {parity:.1e} (tol 1e-12)")
 
 
 def test_criterion_08_form_chain():

@@ -7,12 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bospec.analytic import (
-    annihilation_residual,
     bo_spectrum,
     enumerate_spectrum,
-    hermite_function,
     hermite_values,
-    ladder_residual,
     oscillator_frequencies,
 )
 
@@ -150,10 +147,10 @@ class TestBoSpectrum:
 
 class TestHermite:
     def test_ground_value(self):
-        assert hermite_function(0, 0.0) == pytest.approx(np.pi ** -0.25)
+        assert hermite_values(0, 0.0)[0] == pytest.approx(np.pi ** -0.25)
 
     def test_odd_vanishes_at_origin(self):
-        assert hermite_function(1, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert hermite_values(1, 0.0)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_raising_recurrence(self):
         # unnormalized polynomials from H_{p+1} = 2x H_p - H_p' with H_0 = 1
@@ -168,13 +165,13 @@ class TestHermite:
         for p, poly in enumerate(polys):
             c = (np.sqrt(np.pi) * 2**p * math.factorial(p)) ** -0.5
             expected = c * poly(pts) * np.exp(-pts**2 / 2)
-            assert np.allclose(hermite_function(p, pts), expected, rtol=1e-12,
+            assert np.allclose(hermite_values(p, pts)[p], expected, rtol=1e-12,
                                atol=1e-14)
 
     def test_parity(self):
         x = np.linspace(-8, 8, 101)
         for p in range(10):
-            vals = hermite_function(p, x)
+            vals = hermite_values(p, x)[p]
             assert np.allclose(vals[::-1], (-1) ** p * vals, atol=1e-12)
 
     def test_orthonormality(self):
@@ -182,6 +179,10 @@ class TestHermite:
         vals = hermite_values(20, x)
         defect = np.abs(vals @ vals.T * (x[1] - x[0]) - np.eye(21)).max()
         assert defect <= 1e-8
+        # position in this basis is the recurrence's Jacobi matrix, exactly
+        off = np.sqrt(np.arange(1, 21) / 2)
+        jacobi = np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs((vals * x) @ vals.T * (x[1] - x[0]) - jacobi).max() <= 1e-12
 
     def test_eigen_relation(self):
         x = np.arange(-12.0, 12.0 + 1e-9, 0.01)
@@ -196,27 +197,8 @@ class TestHermite:
             assert resid / np.linalg.norm(psi[2:-2]) <= 1e-4
 
     def test_underflow_is_zero(self):
-        assert hermite_function(0, 30.0) == 0.0 or hermite_function(0, 30.0) < 1e-190
+        assert hermite_values(0, 30.0)[0] < 1e-190
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
-            hermite_function(-1, 0.0)
-
-
-class TestLadder:
-    def test_ground_raising(self):
-        x = np.arange(-12.0, 12.0 + 1e-9, 0.02)
-        assert ladder_residual(0, x) <= 1e-5
-
-    def test_annihilation(self):
-        x = np.arange(-12.0, 12.0 + 1e-9, 0.02)
-        assert annihilation_residual(x) <= 1e-5
-
-    def test_high_order(self):
-        x = np.arange(-14.0, 14.0 + 1e-9, 0.02)
-        assert ladder_residual(10, x) <= 1e-5
-
-    def test_inadequate_grid(self):
-        x = np.arange(-3.0, 3.0 + 1e-9, 0.02)
-        with pytest.raises(ValueError, match="resolve"):
-            ladder_residual(5, x)
+            hermite_values(-1, 0.0)

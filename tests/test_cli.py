@@ -899,9 +899,11 @@ radii = 1.5 2.5
 
 def test_no_numpy_lapack(tmp_path, monkeypatch):
     """No bospec module calls numpy.linalg or numpy.polyfit, so no command
-    pages in numpy's LAPACK: every LAPACK call runs on scipy's."""
+    pages in numpy's LAPACK: every LAPACK call runs on scipy's.  Every public
+    name of `bospec.analytic` runs too, from a table that must list each."""
     import numpy as np
 
+    from bospec import analytic
     from bospec.grid import assemble_hamiltonian, build_grid
     from bospec.potential import expression_potential
     from bospec.probe import CutoffFamily, commutator_decay, form_inequality_check
@@ -930,6 +932,19 @@ def test_no_numpy_lapack(tmp_path, monkeypatch):
     op = assemble_hamiltonian(build_grid(1, 1, [6.0, 6.0], [31, 31]), pot, 0.5)
     commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2)
     form_inequality_check(op, trials=3)
+    analytic_calls = {
+        "AnalyticSpectrum": lambda: analytic.AnalyticSpectrum(
+            levels=((1, 1), (3, 2)), e_max=None, k=2, params={}).flat(),
+        "oscillator_frequencies": lambda: analytic.oscillator_frequencies([[2.0, 0.5],
+                                                                           [0.5, 1.0]]),
+        "enumerate_spectrum": lambda: analytic.enumerate_spectrum([1, 2], k=3),
+        "bo_spectrum": lambda: analytic.bo_spectrum([[1.0]], [[1.0]], h=0.5, k=3),
+        "frequency_spectrum": lambda: analytic.frequency_spectrum((1.0,), (1.0,), 0.5, k=3),
+        "hermite_values": lambda: analytic.hermite_values(4, np.linspace(-3.0, 3.0, 7)),
+    }
+    assert sorted(analytic.__all__) == sorted(analytic_calls)
+    for name in analytic.__all__:
+        analytic_calls[name]()
 
 
 # which of scipy's stacks a fresh process holds after each step, as JSON on

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
 
@@ -443,6 +444,35 @@ class TestSeparableOracle:
                     close = np.abs(res.eigenvalues - oracle) <= tol * np.maximum(1.0, np.abs(oracle))
                     if res.all_converged and not close.all():
                         misses.append((m, k, seed))
+        assert misses == []
+
+
+class TestSparseLUOracle:
+    """Sparse-LU solves against a dense eigh of the same grid matrix: each
+    eigenvalue of a converged set lies within its residual of the exact one
+    of its index."""
+
+    # at h = 1 this V has the symmetries of the square, whose two-dimensional
+    # representation gives exact pairs: a single-vector Krylov space holds one
+    # direction of each, and over these tolerances and seeds every converged
+    # set skips the second copy of the level near 8.61.  The mark turns into
+    # a failure once every such set is flagged or complete.
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 21")
+    def test_converged_sets_skip_no_symmetric_pair(self):
+        op = assemble_hamiltonian(build_grid(1, 1, [6.0, 6.0], [31, 31]),
+                                  expression_potential("x1^2 + y1^2 + x1^2*y1^2", 1, 1), 1.0)
+        k, misses = 8, []
+        exact = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1],
+                                  eigvals_only=True)
+        for tol in (1e-6, 1e-8):
+            for seed in range(3):
+                res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
+                # a change of backend is no expected failure
+                if res.backend != "sparse LU":
+                    pytest.fail(f"backend {res.backend!r}, not the sparse LU this case pins")
+                if res.all_converged and np.any(
+                        np.abs(res.eigenvalues - exact) > res.residuals + 1e-10):
+                    misses.append((tol, seed))
         assert misses == []
 
 
