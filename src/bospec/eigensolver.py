@@ -108,9 +108,9 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
       decomposition is built for k, on the eigenbasis blocks that can hold
       the k smallest eigenvalues, and ARPACK's shift-invert Lanczos iterates
       there, where (H - sigma I)^{-1} is one `dpttrs` solve
-      (`grid.eigenbasis_inverse`).  sigma is a lower bound on the lowest
-      eigenvalue, within 2e-9 of the lowest levels' magnitude
-      (`grid.SeparableDecomposition.bottom`), less 1e-2 max(1, |lowest|).
+      (`grid.eigenbasis_inverse`).  sigma is the lowest eigenvalue at
+      working precision (`grid.SeparableDecomposition.lowest`, the tests'
+      oracle), less 1e-2 max(1, |lowest|).
       The start vector is drawn there, in the kept basis, not in the grid
       basis and rotated in, so the solve makes no dense product.  The Ritz vectors stay in the rotated basis, where
       each residual is taken block by block and the decomposition's
@@ -167,9 +167,9 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
 
     decomposition = separable_decomposition(op, k=k)
     if decomposition is not None:
-        # a lower bound, less a margin far above rounding, so that H - sigma I
-        # stays positive definite
-        lowest = decomposition.bottom()
+        # the lowest eigenvalue, less a margin far above rounding, so that
+        # H - sigma I stays positive definite
+        lowest = float(decomposition.lowest(1)[0])
         sigma = lowest - 1e-2 * max(1.0, abs(lowest))
         backend = "separable inverse"
         arpack = shift_invert(eigenbasis_inverse(decomposition, sigma), decomposition.size, sigma)

@@ -270,10 +270,10 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values,
 
 # the absolute tolerance of the axes' bisection, as a fraction of the
 # largest magnitude the eigenvalues sought can have (`_bisection_tolerance`).
-# Bisection for the 7 lowest eigenvalues of the x-axis of `cli-2d` (x^2 at
-# h = 0.5) took 49/111/222 us on 63, 127 and 255 points at 1e-9, against
-# 82/192/402 us at its default tolerance, machine precision of the axis's
-# norm (2-core host)
+# Bisection (dstebz) for the 7 lowest eigenvalues of the x-axis of `cli-2d`
+# (x^2 at h = 0.5) took 80/170/330 us on 63, 127 and 255 points at 1e-9,
+# against 130/290/600 us at its default tolerance, machine precision of the
+# axis's norm; all of `_leading_eigenpairs` took 150/280/530 us (2-core host)
 BISECTION_TOL = 1e-9
 
 
@@ -286,7 +286,7 @@ def _bisection_tolerance(main, off, count: int) -> float:
     even indices than `count` its upper Gershgorin bound.  Scaled to those
     levels, not to the norm of T, which a steep V at the box edge sets far
     above them: there a tolerance of the norm may exceed the gap between
-    levels and the shift's margin below the lowest (`bottom`)."""
+    levels."""
     edge = np.abs(off)
     reach = np.append(edge, 0.0)
     reach[1:] += edge
@@ -296,44 +296,35 @@ def _bisection_tolerance(main, off, count: int) -> float:
     return BISECTION_TOL * max(abs(float(np.min(main - reach))), abs(float(upper)))
 
 
-def _bisection(main, off, count: int, tol: float, eigvals_only: bool = False):
-    """The `count` lowest eigenvalues of the symmetric tridiagonal (main,
-    off) by LAPACK's bisection (dstebz), stopped at the absolute tolerance
-    `tol`, and unless `eigvals_only` their unit eigenvectors by inverse
-    iteration (dstein): what eigh_tridiagonal(select='i', tol=tol,
-    check_finite=False) runs, less its argument handling and its reordering
-    of the vectors.  Called through eigh_tridiagonal, the `cli-2d` pass
-    (7 separable solves) took 0.4-0.5 ms longer, about a quarter of what
-    the loose bisection saves.  In dstebz's block order, which is ascending
-    unless an off entry is negligible against the diagonal."""
-    # the count lowest: range 3 takes the il-th to iu-th eigenvalues,
-    # counted from 1; block order ("B"), the layout dstein reads
-    m, w, block, split, info = lapack.dstebz(main, off, 3, 0.0, 0.0, 1, count, tol, "B")
-    if info == 0 and not eigvals_only:
-        q, info = lapack.dstein(main, off, w[:m], block, split)
-    if info != 0:
-        raise ValueError(f"LAPACK bisection or inverse iteration failed (info {info})")
-    return w[:m] if eigvals_only else (w[:m], q)
-
-
 def _leading_eigenpairs(main, off, count: int) -> tuple:
     """The `count` lowest eigenvalues, ascending, and orthonormal eigenvector
     columns (Fortran order) of the symmetric tridiagonal T with main diagonal
     `main` and off diagonal `off`, at working precision.
 
-    `_bisection` stops at `_bisection_tolerance`, and inverse iteration
-    takes the vectors Q from those shifts: each converges in a few steps to
-    rounding, the shift error entering only as (error / gap) per step.  One
-    Rayleigh-Ritz step then gives the pairs their precision: the eigenpairs
-    (theta, S) of the count x count matrix Q^T T Q, by scipy's dsyevd, and
-    the vectors Q S (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
-    Not one Rayleigh quotient per vector: the quotients of a pair of levels
-    split by less than the tolerance (a double well's) came out in
-    descending order, whereas theta ascends and Q S stays orthonormal.  The
-    products are `_tridiagonal_product` and np.einsum, which without
-    `optimize` runs numpy's own sum-of-products loops: no dgemm, and no
-    numpy BLAS or LAPACK."""
-    _, q = _bisection(main, off, count, _bisection_tolerance(main, off, count))
+    LAPACK's bisection (dstebz) stops at `_bisection_tolerance`, and inverse
+    iteration (dstein) takes the vectors Q from those values: each converges
+    in a few steps to rounding, the value's error entering only as (error /
+    gap) per step.  One Rayleigh-Ritz step then gives the pairs their
+    precision: the eigenpairs (theta, S) of the count x count matrix Q^T T Q,
+    by scipy's dsyevd, and the vectors Q S (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 11).  Not one Rayleigh quotient per vector: the
+    quotients of a pair of levels split by less than the tolerance (a double
+    well's) came out in descending order, whereas theta ascends and Q S
+    stays orthonormal.  dstebz and dstein are what eigh_tridiagonal(
+    select='i', tol=tol, check_finite=False) runs, less its argument
+    handling and its reordering of the vectors: called through it, the
+    `cli-2d` pass (7 separable solves) took 0.4-0.5 ms longer.  The products
+    are `_tridiagonal_product` and np.einsum, which without `optimize` runs
+    numpy's own sum-of-products loops: no dgemm, and no numpy BLAS or
+    LAPACK."""
+    tol = _bisection_tolerance(main, off, count)
+    # the count lowest: range 3 takes the il-th to iu-th eigenvalues,
+    # counted from 1; block order ("B"), the layout dstein reads
+    m, w, block, split, info = lapack.dstebz(main, off, 3, 0.0, 0.0, 1, count, tol, "B")
+    if info == 0:
+        q, info = lapack.dstein(main, off, w[:m], block, split)
+    if info != 0:
+        raise ValueError(f"LAPACK bisection or inverse iteration failed (info {info})")
     projected = np.einsum("ij,ik->jk", q, _tridiagonal_product(main[:, None], off, q))
     theta, s, info = lapack.dsyevd(projected, lower=1)
     if info != 0:
@@ -517,8 +508,8 @@ class SeparableDecomposition:
         lowest of T_t at working precision (`_leading_eigenpairs`, the
         routine the rotated axes use), added to each kept block's shift, less
         the offset, and sorted.  The kept blocks may lack every level above
-        the k-th, so count is at most k.  Computed on demand: the solver
-        needs only `bottom`."""
+        the k-th, so count is at most k.  The eigensolver anchors its shift
+        on lowest(1)."""
         if self.k is None:
             raise ValueError("lowest needs a decomposition built for k, and this one has k=None")
         limit = min(self.k, math.prod(self.points))
@@ -529,20 +520,6 @@ class SeparableDecomposition:
         # ordered by argsort, whose code the eigensolver has paged in
         # already: np.sort's float kernels add about 0.1 MiB to a solve
         return levels[np.argsort(levels)[:count]]
-
-    def bottom(self) -> float:
-        """A lower bound on the lowest eigenvalue of H, within twice T_t's
-        `_bisection_tolerance` of it, up to rounding: the eigensolver's
-        anchor for a shift set 1e-2 max(1, |bottom|) below it.  The least
-        kept shift plus T_t's lowest eigenvalue, bisected to that tolerance
-        (`_bisection`), which returns the midpoint of an interval no wider
-        than it, less the offset and the tolerance.  The shift needs no
-        more: `_leading_eigenpairs` with count 1, whose vector and
-        Rayleigh-Ritz step would give it full working precision, took 0.18
-        ms more per `cli-2d` pass (7 solves)."""
-        tol = _bisection_tolerance(self.main, self.off, 1)
-        lowest = _bisection(self.main, self.off, 1, tol, eigvals_only=True)[0]
-        return float(self.shifts.min() + lowest - self.offset - tol)
 
     def residuals(self, x, theta) -> np.ndarray:
         """For the unit columns of the (size, k) Fortran-ordered x, in the

@@ -117,8 +117,14 @@ class TestLowestEigenpairs:
         assert np.all(np.abs(res.eigenvalues - exact) <= 0.15 * delta**2 * exact**2)
 
     def test_no_convergence_returns_k_flagged_pairs(self, monkeypatch):
-        # one restart cannot converge on the 3D grid; ARPACK raises inside
-        monkeypatch.setattr(spla, "eigsh", functools.partial(eigsh, maxiter=1))
+        # ARPACK raises with the first 3 pairs of a real solve on the 3D grid,
+        # so the fill runs whatever the last bits of the shift are (a cap of
+        # one restart let some shifts converge)
+        def three_pairs(**kwargs):
+            theta, vectors = eigsh(**kwargs)
+            raise ArpackNoConvergence("three pairs only", theta[:3], vectors[:, :3])
+
+        monkeypatch.setattr(spla, "eigsh", three_pairs)
         grid = build_grid(1, 2, [8.0] * 3, [23] * 3)
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]], np.eye(2)), 0.5)
         res = lowest_eigenpairs(op, 6, tol=1e-7, seed=0)
@@ -510,24 +516,35 @@ class TestWorkingPrecisionAxes:
         assert res.backend == "separable inverse" and res.all_converged
         assert np.all(np.abs(res.eigenvalues - oracle) <= tol * np.maximum(1.0, np.abs(oracle)))
 
-    # the shift's anchor lies below T_t's lowest eigenvalue plus the block's
-    # shift, as the oracle gives it at working precision, and within twice
-    # its tolerance of it: far inside the shift's margin
-    @pytest.mark.parametrize("points, expression", [
-        ((31,), "x1^4 - 3"), ((63, 63), "(x1^2 - 16)^2/8 + y1^2"),
-        ((17, 15), "x1^2 + y1^4 - 3"), ((7, 9, 8), "x1^2 + y1^2 + 2*y2^2 - 3")],
-        ids=["1d", "double-well", "17x15", "7x9x8"])
-    def test_bottom_is_a_close_lower_bound(self, points, expression):
-        import bospec.grid as grid_module
-
+    # the separable shift is the oracle's lowest eigenvalue less its margin,
+    # bit for bit, and lies below lambda_0 from dense eigvalsh.  H is a
+    # Kronecker sum, so lambda_0 is the sum over the axes of the lowest
+    # eigenvalue of H's block on the grid line along the axis through node 0,
+    # less dim - 1 times H's diagonal at that node: dense blocks of N_d rows,
+    # where H's own dense matrix on 127^2 would take 2 GB.  The steep cases
+    # set an axis's norm far above its low levels
+    @pytest.mark.parametrize("points, expression, half_width, h", [
+        ((31,), "x1^4 - 3", 6.0, 0.3), ((63, 63), "(x1^2 - 16)^2/8 + y1^2", 6.0, 0.3),
+        ((17, 15), "x1^2 + y1^4 - 3", 6.0, 0.3), ((7, 9, 8), "x1^2 + y1^2 + 2*y2^2 - 3", 6.0, 0.3),
+        ((127, 127), "x1^2 + y1^8", 12.0, 0.2), ((127, 127), "x1^8 + y1^2", 10.0, 0.2)],
+        ids=["1d", "double-well", "17x15", "7x9x8", "kept-steep", "rotated-steep"])
+    def test_shift_anchors_on_the_oracle(self, monkeypatch, points, expression, half_width, h):
         dim = len(points)
-        op = assemble_hamiltonian(build_grid(1, dim - 1, [6.0] * dim, points),
-                                  expression_potential(expression, 1, dim - 1), 0.3)
-        decomposition = separable_decomposition(op, k=4)
-        exact = decomposition.lowest(1)[0]
-        tol = grid_module._bisection_tolerance(decomposition.main, decomposition.off, 1)
-        below = exact - decomposition.bottom()
-        assert 0 < below <= 2 * tol and below < 1e-6 * max(1.0, abs(exact))
+        op = assemble_hamiltonian(build_grid(1, dim - 1, [half_width] * dim, points),
+                                  expression_potential(expression, 1, dim - 1), h)
+        shifts = []
+        monkeypatch.setattr(spla, "eigsh",
+                            lambda **kwargs: shifts.append(kwargs["sigma"]) or eigsh(**kwargs))
+        k = 4
+        res = lowest_eigenpairs(op, k, tol=1e-8, seed=0)
+        lowest = separable_decomposition(op, k=k).lowest(1)[0]
+        assert res.backend == "separable inverse"
+        assert shifts == [lowest - 1e-2 * max(1, abs(lowest))]
+        matrix, strides = op.matrix, np.cumprod((1,) + points[:-1])
+        exact = sum(np.linalg.eigvalsh(matrix[line][:, line].toarray())[0]
+                    for line in (stride * np.arange(m) for stride, m in zip(strides, points)))
+        exact -= (dim - 1) * matrix[0, 0]
+        assert shifts[0] < exact
 
     # the tolerance's scale bounds the magnitude of every eigenvalue sought,
     # the count-th included, also past the even indices' count
