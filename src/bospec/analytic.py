@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,8 +90,10 @@ def enumerate_spectrum(w, e_max=None, k=None) -> AnalyticSpectrum:
     # never stop
     if e_max is not None and not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max}")
-    if k is not None and k < 1:
-        raise ValueError("k must be >= 1")
+    # no count of levels equals a fractional k, so the enumeration would
+    # never stop
+    if k is not None and not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     exact = _is_exact(w)
     w = [Fraction(x) if exact else float(x) for x in w]
 

@@ -8,6 +8,7 @@ from them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,8 +17,8 @@ import scipy.linalg
 from scipy.linalg import blas
 
 from .analytic import frequency_spectrum
-from .grid import (GridOperator, SeparableDecomposition, assemble_hamiltonian, build_grid,
-                   eigenbasis_inverse, separable_decomposition)
+from .grid import (GridOperator, SeparableDecomposition, _norm, _shifted_product,
+                   assemble_hamiltonian, build_grid, eigenbasis_inverse, separable_decomposition)
 from .potential import Potential
 
 __all__ = [
@@ -86,7 +87,7 @@ def _grid_basis(ritz: np.ndarray, decomposition) -> np.ndarray:
         return ritz
     vectors = np.empty((math.prod(decomposition.points), ritz.shape[1]), order="F")
     for j in range(ritz.shape[1]):
-        decomposition.rotate_back(ritz[:, j], out=vectors[:, j])
+        vectors[:, j] = decomposition.rotate_back(ritz[:, j])
     return vectors
 
 
@@ -127,11 +128,12 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     On the other backends, and after a no-convergence fill, residuals are
     computed in the grid basis one pair at a time, by `GridOperator.apply`,
     which equals `op.matrix @ u` bit for bit without building H, in two
-    work vectors reused for every pair.  So a separable call allocates no
-    grid vector (V is the caller's, and its separability is checked in
-    slabs) and builds no H; its largest arrays are ARPACK's, in the kept
-    basis, which grows as k^2 N_t.  Only the sparse LU and matvec backends
-    read `op.matrix`.
+    work vectors reused for every pair, and normed by scipy's dnrm2 as
+    every grid vector is (`grid._shifted_product`, `grid._norm`).  So a
+    separable call allocates no grid vector (V is the caller's, and its
+    separability is checked in slabs) and builds no H; its largest arrays
+    are ARPACK's, in the kept basis, which grows as k^2 N_t.  Only the
+    sparse LU and matvec backends read `op.matrix`.
     `iterations` counts operator applications and `backend` names the
     operator.  scipy.sparse, ARPACK's and the LU's home, is imported here,
     so that a process that solves nothing never loads it.
@@ -140,6 +142,9 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     non-convergence k pairs are still returned, with per-pair `converged`
     flags set accordingly.
     """
+    # ARPACK fails inside its wrapper on a fractional k
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got k={k!r}")
     dim = op.dim
     if not 1 <= k <= dim // 4:
         raise ValueError(f"need 1 <= k <= dim/4 = {dim // 4}, got k={k}")
@@ -224,19 +229,11 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
         # a column at a time, so the step holds two grid vectors whatever k
         # is, the residual and the apply's scratch, reused for every column,
         # since a fresh grid vector per column cost page faults as the
-        # allocator handed each freed one back to the system.  The residual
-        # is H u - u theta in that order of operations and its norm a running
-        # sum of squares, which adds in the order numpy's norm of the stacked
-        # residuals did and, unlike a 1-D norm (numpy's threaded ddot), calls
-        # no BLAS
+        # allocator handed each freed one back to the system
         r, scratch = np.empty((2, dim))
         residuals = np.empty(k)
         for j in range(k):
-            u = ritz[:, j]
-            op.apply(u, out=r, scratch=scratch)
-            r -= np.multiply(u, theta[j], out=scratch)
-            np.multiply(r, r, out=scratch)
-            residuals[j] = np.sqrt(np.add.accumulate(scratch, out=r)[-1])
+            residuals[j] = _norm(_shifted_product(op.apply, ritz[:, j], theta[j], r, scratch))
     return SpectrumResult(
         eigenvalues=theta,
         residuals=residuals,
@@ -275,8 +272,9 @@ def cluster_multiplicities(eigs, gap_tol: float) -> list[MultiplicityCluster]:
     A cluster ends wherever the next value exceeds the previous one by more
     than gap_tol.
     """
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
+    # a NaN gap_tol fails every comparison, so all values formed one cluster
+    if not gap_tol > 0:
+        raise ValueError(f"gap_tol must be positive, got {gap_tol}")
     eigs = np.asarray(eigs, dtype=float)
     if np.any(np.diff(eigs) < 0):
         raise ValueError("eigenvalues must be ascending")

@@ -247,8 +247,28 @@ def _axis_tridiagonal(grid: Grid, h: float, d: int, values) -> tuple:
 # numpy and scipy each load their own OpenBLAS with its own thread pool, and a
 # threaded call on one pool leaves the other's workers spinning against it.
 # ARPACK runs on scipy's, so every BLAS or LAPACK call on a grid-sized
-# operand does too: the axis eigensolver and the products here, and the
-# probe's norms (`probe._norm`) and weighted sums.
+# operand does too: the axis eigensolver and the products here, every norm of
+# a grid vector (`_norm`) and the probe's weighted sums.
+
+
+def _norm(x) -> float:
+    """||x|| of a contiguous grid vector, real or complex, by scipy's dnrm2
+    over its float view, never numpy's BLAS.  dnrm2 is unthreaded, so it
+    wakes neither pool: a threaded ddot left scipy's workers spinning against
+    the numpy inner products of the probe's CG solve, which then took 1.6
+    times as long."""
+    return float(blas.dnrm2(x.view(float)))
+
+
+def _shifted_product(apply, x, lam: float, product, scratch) -> np.ndarray:
+    """H x - lam x into `product`, in that order of operations: H x by
+    `apply` (`GridOperator.apply` or a `_band_apply`) with `product` as its
+    out and `scratch` as its scratch, then lam x formed in `scratch`; both
+    are contiguous grid vectors other than x.  So it equals
+    `matrix @ x - x * lam` bit for bit, in two work vectors a caller reuses."""
+    apply(x, out=product, scratch=scratch)
+    product -= np.multiply(x, lam, out=scratch)
+    return product
 
 
 def axis_eigenpairs(grid: Grid, h: float, d: int, values,
@@ -386,15 +406,12 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     return GridOperator(grid=grid, h=h, potential=pot, potential_values=vvals)
 
 
-def _product(x, q, back: bool, out=None):
+def _product(x, q, back: bool):
     """The dense product of `SeparableDecomposition.rotate` (back false) and
     `rotate_back` (back true) by scipy's dgemm, in Fortran order: x^T Q for
     the Fortran-ordered (N_d, rest) matrix x, or Q x^T for the
-    Fortran-ordered (rest, N_d) matrix x.  Written into `out`, a
-    Fortran-ordered array of the product's shape, when one is given."""
-    into = {} if out is None else {"c": out, "overwrite_c": 1}
-    return (blas.dgemm(1.0, q, x, trans_b=1, **into) if back
-            else blas.dgemm(1.0, x, q, trans_a=1, **into))
+    Fortran-ordered (rest, N_d) matrix x."""
+    return blas.dgemm(1.0, q, x, trans_b=1) if back else blas.dgemm(1.0, x, q, trans_a=1)
 
 
 def _tridiagonal_product(diagonal, off, x) -> np.ndarray:
@@ -549,30 +566,17 @@ class SeparableDecomposition:
             x = x.reshape((self.main.size, -1), order="F")[:, self.blocks]
         return x.ravel(order="F")
 
-    def rotate_back(self, x, out=None):
-        """Q x, the inverse of `rotate` on the kept blocks.  Written into
-        `out`, a contiguous grid vector, when one is given: then the last
-        product writes into it, and no grid vector is allocated unless t is
-        not the last dimension (t < dim - 1), where the result is transposed
-        into `out`."""
+    def rotate_back(self, x):
+        """Q x, the inverse of `rotate` on the kept blocks."""
         if self.blocks is not None:
             spanned = np.zeros((self.main.size, self.blocks.size), order="F")
             spanned[:, self.blocks] = x.reshape((self.main.size, -1), order="F")
             x = spanned
-        transposed, target = self.t < len(self.points) - 1, None
-        for i, (_, q) in enumerate(self.pairs[::-1]):
-            x = x.reshape((-1, q.shape[1]), order="F")
-            # the last product lands in the grid's layout when t is last
-            if out is not None and not transposed and i == len(self.pairs) - 1:
-                target = out.reshape((q.shape[0], x.shape[0]), order="F")
-            x = _product(x, q, True, out=target)
-        if transposed:
+        for _, q in self.pairs[::-1]:
+            x = _product(x.reshape((-1, q.shape[1]), order="F"), q, True)
+        if self.t < len(self.points) - 1:
             x = x.reshape((-1, math.prod(self.points[:self.t + 1])), order="F").T
-        if out is None:
-            return x.ravel(order="F")
-        if target is None:
-            out.reshape(x.shape, order="F")[...] = x
-        return out
+        return x.ravel(order="F")
 
 
 def separable_decomposition(op: GridOperator, k: int | None = None):

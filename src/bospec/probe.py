@@ -13,7 +13,8 @@ from functools import partial
 import numpy as np
 from scipy.linalg import blas
 
-from .grid import Grid, GridOperator, _band_apply, check_h, separable_inverse
+from .grid import (Grid, GridOperator, _band_apply, _norm, _shifted_product, check_h,
+                   separable_inverse)
 
 __all__ = [
     "CutoffFamily",
@@ -37,15 +38,6 @@ FORM_TOLERANCE = 1e-10
 # Most refinement steps of a separable resolvent solve that misses its check
 # (`_resolvent_at_i`); one took a steep rotated axis from 1.9e-5 to 3.1e-9.
 REFINEMENT_STEPS = 2
-
-
-def _norm(x) -> float:
-    """||x|| of a contiguous grid vector, real or complex, by scipy's dnrm2
-    over its float view, never numpy's BLAS (see the note above
-    `grid.axis_eigenpairs`).  dnrm2 is unthreaded, so it wakes neither
-    pool: a threaded ddot left scipy's workers spinning against the numpy
-    inner products of the CG solve, which then took 1.6 times as long."""
-    return float(blas.dnrm2(x.view(float)))
 
 
 def bump(t):
@@ -149,16 +141,6 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float,
         raise ValueError("bump not resolved by any grid node")
     v /= nrm
     return v
-
-
-def _shifted_product(apply, x, lam: float, product, scratch) -> np.ndarray:
-    """H x - lam x into `product`, in that order of operations: H x by
-    `apply` (a `_band_apply`) with `product` as its out and `scratch` as its
-    scratch, then lam x formed in `scratch`; both are contiguous grid
-    vectors other than x."""
-    apply(x, out=product, scratch=scratch)
-    product -= np.multiply(x, lam, out=scratch)
-    return product
 
 
 def _residual(apply, v: np.ndarray, lam: float) -> float:
@@ -359,8 +341,11 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    if not family.scales or min(family.scales) <= 0:
-        raise ValueError(f"need at least one cutoff scale, all > 0; got {family.scales}")
+    # a NaN scale gives a cutoff 0 everywhere and an infinite one a cutoff 1
+    # everywhere: either commutes with H, and its estimate would read 0
+    if not family.scales or not all(0 < q < math.inf for q in family.scales):
+        raise ValueError(f"need at least one cutoff scale, all positive and finite; "
+                         f"got {family.scales}")
     z = op.shift_below_spectrum() - 1.0
     inverse = separable_inverse(op, z)
     radii = op.grid.node_radii()

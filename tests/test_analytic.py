@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bospec.analytic import (
     bo_spectrum,
     enumerate_spectrum,
+    frequency_spectrum,
     hermite_values,
     oscillator_frequencies,
 )
@@ -74,6 +75,24 @@ class TestEnumerateSpectrum:
                             lambda *args: itertools.islice(ascending(*args), 100))
         with pytest.raises(ValueError, match="e_max must be finite"):
             enumerate_spectrum([1.0, 2.0], e_max=e_max)
+
+    # no count of levels equals a fractional k, so the enumeration never
+    # stopped: it is cut at 100 energies here, so that a missing check fails
+    # instead of running on.  bo_spectrum and frequency_spectrum pass k on
+    @pytest.mark.parametrize("k", [2.5, 3.0, 0])
+    @pytest.mark.parametrize("spectrum", [
+        lambda k: enumerate_spectrum([1.0, 2.0], k=k),
+        lambda k: bo_spectrum([[1.0]], [[1.0]], 0.5, k=k),
+        lambda k: frequency_spectrum((1.0,), (1.0,), 0.5, k=k)],
+        ids=["enumerate_spectrum", "bo_spectrum", "frequency_spectrum"])
+    def test_non_integer_k_rejected(self, monkeypatch, spectrum, k):
+        import bospec.analytic as analytic
+
+        ascending = analytic._ascending_energies
+        monkeypatch.setattr(analytic, "_ascending_energies",
+                            lambda *args: itertools.islice(ascending(*args), 100))
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            spectrum(k)
 
     # a NaN weight makes every energy NaN, which no cutoff stops, and an
     # infinite one gives infinite levels: the enumeration is cut at 100

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +14,8 @@ from bospec.eigensolver import (
     convergence_study,
     lowest_eigenpairs,
 )
-from bospec.grid import GridOperator, assemble_hamiltonian, build_grid, separable_decomposition
+from bospec.grid import (GridOperator, _norm, assemble_hamiltonian, build_grid,
+                         separable_decomposition)
 from bospec.potential import expression_potential, quadratic_potential
 
 
@@ -29,6 +28,13 @@ def free_op(points=199, length=4.0):
     grid = build_grid(1, 0, [length], [points])
     pot = expression_potential("0*x1", 1, 0, nonnegative=True)
     return assemble_hamiltonian(grid, pot, 1.0)
+
+
+def column_residuals(op, res):
+    """||H u - u theta|| per pair, H applied as `op.matrix`, each normed by
+    scipy's dnrm2 (`grid._norm`)."""
+    return np.array([_norm(op.matrix @ u - u * theta)
+                     for u, theta in zip(res.vectors.T, res.eigenvalues)])
 
 
 class TestLowestEigenpairs:
@@ -50,6 +56,24 @@ class TestLowestEigenpairs:
         op = free_op(points=19)
         with pytest.raises(ValueError, match="dim/4"):
             lowest_eigenpairs(op, 5)
+
+    # ARPACK failed inside its wrapper on k = 2.5 with a SystemError; the k is
+    # refused before any decomposition or factor
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_k_must_be_an_integer(self, monkeypatch, k):
+        def refused(*args, **kwargs):
+            raise AssertionError("a decomposition was built for a k that is not an integer")
+
+        monkeypatch.setattr(eigensolver, "separable_decomposition", refused)
+        monkeypatch.setattr(spla, "eigsh", None)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            lowest_eigenpairs(free_op(), k)
+
+    def test_numpy_integer_k_accepted(self):
+        op = free_op()
+        expected = lowest_eigenpairs(op, 3, tol=1e-9, seed=0).eigenvalues
+        res = lowest_eigenpairs(op, np.int64(3), tol=1e-9, seed=0)
+        assert res.eigenvalues.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
     def test_tol_positive_and_finite(self, monkeypatch, tol):
@@ -137,11 +161,18 @@ class TestLowestEigenpairs:
 
     def test_no_convergence_fill_in_grid_basis(self, monkeypatch):
         # ARPACK iterates in the separable inverse's rotated basis; the pairs
-        # it converged within one restart must reach the fill rotated back,
-        # or the Rayleigh-Ritz step would mix bases and converge nothing
-        monkeypatch.setattr(spla, "eigsh", functools.partial(eigsh, maxiter=1))
+        # it converged must reach the fill rotated back, or the Rayleigh-Ritz
+        # step would mix bases and converge nothing.  ARPACK raises with the
+        # first 3 pairs of a real solve, so the fill runs whatever the last
+        # bits of the shift are (a cap of one restart held only while ARPACK
+        # converged some but not all pairs in it)
+        def three_pairs(**kwargs):
+            theta, vectors = eigsh(**kwargs)
+            raise ArpackNoConvergence("three pairs only", theta[:3], vectors[:, :3])
+
+        monkeypatch.setattr(spla, "eigsh", three_pairs)
         op = op_2d("x1^2 + y1^2", (63, 65))
-        res = lowest_eigenpairs(op, 6, tol=1e-12, seed=0)
+        res = lowest_eigenpairs(op, 6, tol=1e-8, seed=0)
         assert res.backend == "separable inverse"
         assert res.converged.any() and not res.all_converged
         assert np.abs(res.vectors.T @ res.vectors - np.eye(6)).max() <= 1e-8
@@ -195,8 +226,7 @@ class TestNoConvergenceFill:
         assert len(record_band_matrix) == (case == "sparse LU")
         assert res.eigenvalues.shape == (k,) and np.all(np.diff(res.eigenvalues) >= 0)
         assert np.abs(res.vectors.T @ res.vectors - np.eye(k)).max() <= 1e-8
-        recomputed = np.linalg.norm(op.matrix @ res.vectors - res.vectors * res.eigenvalues,
-                                    axis=0)
+        recomputed = column_residuals(op, res)
         assert res.residuals.tobytes() == recomputed.tobytes()
         assert np.array_equal(res.converged,
                               recomputed <= tol * np.maximum(1.0, np.abs(res.eigenvalues)))
@@ -591,12 +621,12 @@ def op_3d(expression, points=(11, 13, 12)):
 
 class TestResiduals:
     """On the sparse LU and matvec backends the residuals are computed a
-    column at a time, with the bits of the stacked ||H V - V diag(theta)||
-    per column.  On the separable backend they are taken in the rotated
-    basis plus the decomposition's defect eta, which bounds that stacked
-    norm: with G = sum_d (center_d + 2 |coupling_d|) + max |V|, H's
-    Gershgorin bound, stacked <= reported + eps G and |reported - stacked|
-    <= eta + eps G."""
+    column at a time, with the bits of ||H u - u theta|| by scipy's dnrm2
+    per column (`column_residuals`).  On the separable backend they are
+    taken in the rotated basis plus the decomposition's defect eta, which
+    bounds the stacked norm ||H V - V diag(theta)|| per column: with G =
+    sum_d (center_d + 2 |coupling_d|) + max |V|, H's Gershgorin bound,
+    stacked <= reported + eps G and |reported - stacked| <= eta + eps G."""
 
     @staticmethod
     def _stacked(op, res):
@@ -608,7 +638,7 @@ class TestResiduals:
               "matvec": lambda: op_3d("x1^2 + y1^2 + y1*y2 + y2^2")}[case]()
         res = lowest_eigenpairs(op, 4, tol=1e-8, seed=0)
         assert res.backend == case
-        assert res.residuals.tobytes() == self._stacked(op, res).tobytes()
+        assert res.residuals.tobytes() == column_residuals(op, res).tobytes()
 
     @classmethod
     def _assert_bound(cls, op, res):
@@ -743,6 +773,11 @@ class TestClusterMultiplicities:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
             cluster_multiplicities([2.0, 1.0], gap_tol=0.1)
+
+    # a NaN gap_tol fails every comparison, so every value fell in one cluster
+    def test_nan_gap_tol_rejected(self):
+        with pytest.raises(ValueError, match="gap_tol must be positive"):
+            cluster_multiplicities([1.0, 2.0, 3.0], gap_tol=float("nan"))
 
 
 class TestConvergenceStudy:

@@ -341,6 +341,16 @@ class TestCommutator:
         with pytest.raises(ValueError, match="scale"):
             commutator_decay(op, CutoffFamily(scales=scales), probes=1)
 
+    @pytest.mark.parametrize("scales", [(float("nan"),), (float("inf"),), (2.0, float("nan"))],
+                             ids=["nan", "inf", "2-nan"])
+    def test_scales_must_be_finite(self, scales):
+        # a NaN scale gives a cutoff 0 everywhere and an infinite one a cutoff
+        # 1 everywhere: both commute with H, and their estimate 0.0 would read
+        # as perfect decay
+        op = oscillator_op(points=49)
+        with pytest.raises(ValueError, match="cutoff scale, all positive and finite"):
+            commutator_decay(op, CutoffFamily(scales=scales), probes=1)
+
     def test_decay_with_scale(self):
         grid = build_grid(1, 0, [40.0], [799])
         op = assemble_hamiltonian(grid, quadratic_potential([[1.0]]), 1.0)
