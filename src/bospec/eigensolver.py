@@ -8,7 +8,6 @@ from them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +17,8 @@ from scipy.linalg import blas
 
 from .analytic import frequency_spectrum
 from .grid import (GridOperator, SeparableDecomposition, _norm, _shifted_product,
-                   assemble_hamiltonian, build_grid, eigenbasis_inverse, separable_decomposition)
+                   assemble_hamiltonian, build_grid, check_count, eigenbasis_inverse,
+                   separable_decomposition)
 from .potential import Potential
 
 __all__ = [
@@ -100,7 +100,8 @@ class MultiplicityCluster:
 
 def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
                       seed: int = 0) -> SpectrumResult:
-    """k smallest eigenpairs with residual check ||Hu - lu|| <= tol*max(1, |l|).
+    """k smallest eigenpairs with residual check ||Hu - lu|| <= tol*max(1, |l|),
+    for an integer k in [1, dim // 4].
 
     One of three backends, chosen by the operator:
 
@@ -142,12 +143,8 @@ def lowest_eigenpairs(op: GridOperator, k: int, tol: float = 1e-8,
     non-convergence k pairs are still returned, with per-pair `converged`
     flags set accordingly.
     """
-    # ARPACK fails inside its wrapper on a fractional k
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got k={k!r}")
     dim = op.dim
-    if not 1 <= k <= dim // 4:
-        raise ValueError(f"need 1 <= k <= dim/4 = {dim // 4}, got k={k}")
+    k = check_count("k", k, most=dim // 4)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
@@ -312,7 +309,8 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
     quadratic potentials and from Richardson extrapolation of the two finest
     grids otherwise.
     """
-    sizes = [int(s) for s in sizes]
+    k = check_count("k", k)
+    sizes = [check_count(f"sizes[{i}]", s) for i, s in enumerate(sizes)]
     if len(sizes) < 2:
         raise ValueError("need at least 2 grid sizes")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

@@ -9,6 +9,7 @@ the x-dimensions varying fastest: index = i_0 + N_0*(i_1 + N_1*(...)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -106,20 +107,22 @@ class GridError(ValueError):
 
 
 def build_grid(n: int, p: int, half_widths, points) -> Grid:
-    if n < 1:
-        raise GridError("n", f"need n >= 1, got n={n}")
-    if p < 0:
-        raise GridError("p", f"need p >= 0, got p={p}")
+    def count(argument, value, least, name=None):
+        try:
+            return check_count(name or argument, value, least)
+        except ValueError as exc:
+            raise GridError(argument, str(exc)) from None
+
+    n, p = count("n", n, 1), count("p", p, 0)
     half_widths = tuple(float(l) for l in half_widths)
-    points = tuple(int(m) for m in points)
+    points = tuple(points)
     if len(half_widths) != n + p:
         raise GridError("half_widths", f"need {n + p} half-widths, got {len(half_widths)}")
     if not all(0 < l < math.inf for l in half_widths):
         raise GridError("half_widths", "half-widths must be positive and finite")
     if len(points) != n + p:
         raise GridError("points", f"need {n + p} point counts, got {len(points)}")
-    if any(m < 3 for m in points):
-        raise GridError("points", "need at least 3 interior points per dimension")
+    points = tuple(count("points", m, 3, f"points[{d}]") for d, m in enumerate(points))
     total = math.prod(points)
     if total > DEFAULT_SIZE_CAP:
         raise GridError("points", f"grid size {total} exceeds the safety cap of {DEFAULT_SIZE_CAP}"
@@ -141,6 +144,17 @@ def check_h(h: float) -> None:
     """Refuse an h outside (0, DEFAULT_H_MAX] with ValueError."""
     if not 0 < h <= DEFAULT_H_MAX:
         raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
+
+
+def check_count(name: str, value, least: int = 1, most: int | None = None) -> int:
+    """`value` as an int when it is an integer, Python's or numpy's but not a
+    bool, in [least, most] (with no upper end for most None); else
+    ValueError naming the argument `name` and the value."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and least <= value and (most is None or value <= most)):
+        return int(value)
+    span = f">= {least}" if most is None else f"in [{least}, {most}]"
+    raise ValueError(f"{name} must be an integer {span}, got {name}={value!r}")
 
 
 def _stencil_entries(grid: Grid, h: float) -> tuple:
@@ -529,9 +543,7 @@ class SeparableDecomposition:
         on lowest(1)."""
         if self.k is None:
             raise ValueError("lowest needs a decomposition built for k, and this one has k=None")
-        limit = min(self.k, math.prod(self.points))
-        if not 1 <= count <= limit:
-            raise ValueError(f"need 1 <= count <= {limit}, got count={count}")
+        count = check_count("count", count, most=min(self.k, math.prod(self.points)))
         bottom = _leading_eigenpairs(self.main, self.off, min(count, self.main.size))[0]
         levels = np.ravel(np.add.outer(self.shifts, bottom) - self.offset)
         # ordered by argsort, whose code the eigensolver has paged in
@@ -600,6 +612,8 @@ def separable_decomposition(op: GridOperator, k: int | None = None):
     the `defect` of the kept eigenpairs is measured too, so whatever
     precision they were computed to is in the residual bound.  Without k,
     the probe's inverse, every eigenpair is computed, and no defect."""
+    if k is not None:
+        k = check_count("k", k)
     split = _separable_split(op)
     if split is None:
         return None

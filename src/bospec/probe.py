@@ -13,8 +13,8 @@ from functools import partial
 import numpy as np
 from scipy.linalg import blas
 
-from .grid import (Grid, GridOperator, _band_apply, _norm, _shifted_product, check_h,
-                   separable_inverse)
+from .grid import (Grid, GridOperator, _band_apply, _norm, _shifted_product, check_count,
+                   check_h, separable_inverse)
 
 __all__ = [
     "CutoffFamily",
@@ -339,8 +339,7 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     is solved, then w and three work vectors reused for every scale (see
     `_commutator_norms`); each is freed before the next probe is drawn.
     """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
+    probes = check_count("probes", probes)
     # a NaN scale gives a cutoff 0 everywhere and an infinite one a cutoff 1
     # everywhere: either commutes with H, and its estimate would read 0
     if not family.scales or not all(0 < q < math.inf for q in family.scales):
@@ -410,8 +409,7 @@ def form_inequality_check(op: GridOperator, trials: int, seed: int = 0) -> FormC
     if not op.potential.nonnegative_claimed:
         raise ValueError(
             "refusing to certify the form chain: potential not claimed nonnegative")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_count("trials", trials)
     values = op.potential_values
     scale = max(1.0, float(np.abs(values).max()))
     rng = np.random.default_rng(seed)

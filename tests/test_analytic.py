@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bospec.analytic import (
+    AnalyticSpectrum,
     bo_spectrum,
     enumerate_spectrum,
     frequency_spectrum,
@@ -78,8 +79,9 @@ class TestEnumerateSpectrum:
 
     # no count of levels equals a fractional k, so the enumeration never
     # stopped: it is cut at 100 energies here, so that a missing check fails
-    # instead of running on.  bo_spectrum and frequency_spectrum pass k on
-    @pytest.mark.parametrize("k", [2.5, 3.0, 0])
+    # instead of running on.  bo_spectrum and frequency_spectrum pass k on.
+    # True is a bool, not a count, though Python reads it as 1
+    @pytest.mark.parametrize("k", [2.5, 3.0, 0, True])
     @pytest.mark.parametrize("spectrum", [
         lambda k: enumerate_spectrum([1.0, 2.0], k=k),
         lambda k: bo_spectrum([[1.0]], [[1.0]], 0.5, k=k),
@@ -109,6 +111,11 @@ class TestEnumerateSpectrum:
                             lambda *args: itertools.islice(ascending(*args), 100))
         with pytest.raises(ValueError, match="weights must be positive, finite and nonempty"):
             enumerate_spectrum(w, **cutoff)
+
+    @pytest.mark.parametrize("e_max, k", [(5.0, 2), (None, None)], ids=["both", "neither"])
+    def test_one_cutoff_required(self, e_max, k):
+        with pytest.raises(ValueError, match="give exactly one of e_max or k"):
+            enumerate_spectrum([1.0, 2.0], e_max=e_max, k=k)
 
     def test_float_weights_merge(self):
         spec = enumerate_spectrum([0.5, 1.0], e_max=3.5)
@@ -221,3 +228,29 @@ class TestHermite:
     def test_negative_order(self):
         with pytest.raises(ValueError):
             hermite_values(-1, 0.0)
+
+    # 2.5 and NaN reached np.zeros, which raised a bare TypeError
+    @pytest.mark.parametrize("max_order", [2.5, float("nan"), True])
+    def test_order_must_be_a_count(self, max_order):
+        with pytest.raises(ValueError, match="max_order must be an integer >= 0"):
+            hermite_values(max_order, 0.0)
+
+    def test_numpy_integer_order_accepted(self):
+        assert np.array_equal(hermite_values(np.int64(3), [0.5, 1.0]),
+                              hermite_values(3, [0.5, 1.0]))
+
+
+class TestFlat:
+    SPECTRUM = AnalyticSpectrum(levels=((1, 1), (3, 2), (5, 3)), e_max=None, k=3, params={})
+
+    def test_truncates_by_multiplicity(self):
+        assert self.SPECTRUM.flat() == [1, 3, 3, 5, 5, 5]
+        assert self.SPECTRUM.flat(np.int64(2)) == [1, 3]
+        assert self.SPECTRUM.flat(0) == []
+
+    # NaN returned every level and -1 none, both as if valid; 2.5 raised a
+    # bare TypeError
+    @pytest.mark.parametrize("count", [float("nan"), -1, 2.5, True])
+    def test_count_must_be_a_count(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            self.SPECTRUM.flat(count)

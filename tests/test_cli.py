@@ -322,6 +322,29 @@ lambdas = 4
 radii = 3 5
 """
 
+# V is 1 along the diagonal x1 = y1 out to the box: the exterior infimum, and
+# so the lower bound, does not grow with the radius
+PROBE_NONCONFINING = """
+[grid]
+n = 1
+p = 1
+half_widths = 8 8
+points = 63 63
+
+[potential]
+kind = expression
+expression = 1 + (x1 - y1)^2
+nonnegative = true
+
+[solver]
+h = 0.5
+
+[probe]
+mode = certificate
+lambdas = 0.5
+radii = 1 2 3
+"""
+
 PROBE_ESS = """
 [grid]
 n = 1
@@ -372,6 +395,15 @@ class TestProbe:
         assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
         assert "radii must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+    # the library's flat-valley case (tests/test_probe.py), through the command
+    def test_certificate_nonconfining(self, tmp_path):
+        cfg = write_config(tmp_path, PROBE_NONCONFINING)
+        out = tmp_path / "probe.csv"
+        assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r["lower_bound"] for r in rows] == ["0.5"] * 3
+        assert all(r["verdict"] == "nonconfining" for r in rows)
 
     def test_empty_lambdas(self, tmp_path):
         cfg = write_config(tmp_path, PROBE_CERT.replace("lambdas = 4",
@@ -445,7 +477,7 @@ class TestConverge:
         ("p = 0\nhalf_widths = 10", "p = 1\nhalf_widths = nan 6",
          "[grid] half_widths: half-widths must be positive and finite"),
         ("sizes = 125 250 500", "sizes = 2 250 500",
-         "[converge] sizes: need at least 3 interior points per dimension"),
+         "[converge] sizes: points[0] must be an integer >= 3, got points[0]=2"),
         ("sizes = 125 250 500", "sizes = 125 250 2000001",
          "[converge] sizes: grid size 2000001 exceeds the safety cap"),
     ], ids=["nan-half-width", "too-few-points", "over-cap"])
@@ -673,6 +705,47 @@ def test_negative_config_seed_rejected(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
         "config error: [solver] seed: must be a non-negative integer\n"
+    assert not out.exists()
+
+
+# --seed replaces [solver] seed: the seed the config names gives the config's
+# own bytes, and another seed other bytes
+def test_seed_option_overrides_config_seed(tmp_path):
+    cfg = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace("k = 4", "k = 4\nseed = 5"))
+
+    def solve(name, *seed):
+        out = tmp_path / f"{name}.json"
+        assert main(["solve", "--config", cfg, "--out", str(out), "--format", "json", *seed]) == 0
+        return out.read_bytes()
+
+    alone = solve("config-seed")
+    assert solve("seed-5", "--seed", "5") == alone
+    assert solve("seed-0", "--seed", "0") != alone
+
+
+# refusals of the config reader and the potential builder, each filed under
+# the key at fault, exit 1 with nothing written
+CONFIG_REFUSAL_CASES = {
+    "matrix-row-length": (SOLVE_1D.replace("a = 1", "a = 1 0; 0"),
+                          "[potential] a: cannot parse '1 0; 0': rows have inconsistent lengths"),
+    "default-section-key": ("[DEFAULT]\nk = 3\n" + SOLVE_1D, "[DEFAULT] k: unknown key"),
+    "missing-key": (SOLVE_1D.replace("half_widths = 10\n", ""),
+                    "[grid] half_widths: missing key"),
+    "b-missing-with-p": (SOLVE_1D.replace("p = 0\nhalf_widths = 10\npoints = 399",
+                                          "p = 1\nhalf_widths = 10 10\npoints = 31 31"),
+                         "[potential] b: required when p > 0"),
+    "unknown-kind": (SOLVE_1D.replace("kind = quadratic", "kind = quartic"),
+                     "[potential] kind: unknown kind 'quartic'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_REFUSAL_CASES))
+def test_config_refusal_names_its_key(tmp_path, capsys, case):
+    text, message = CONFIG_REFUSAL_CASES[case]
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

@@ -53,13 +53,14 @@ class TestLowestEigenpairs:
         assert np.allclose(res.eigenvalues, exact[:4], rtol=1e-8)
 
     def test_k_too_large(self):
+        # k is at most dim // 4 = 4 on 19 points
         op = free_op(points=19)
-        with pytest.raises(ValueError, match="dim/4"):
+        with pytest.raises(ValueError, match=r"k must be an integer in \[1, 4\], got k=5"):
             lowest_eigenpairs(op, 5)
 
-    # ARPACK failed inside its wrapper on k = 2.5 with a SystemError; the k is
-    # refused before any decomposition or factor
-    @pytest.mark.parametrize("k", [2.5, 3.0])
+    # ARPACK failed inside its wrapper on k = 2.5 with a SystemError, and True
+    # passed as k = 1; the k is refused before any decomposition or factor
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
     def test_k_must_be_an_integer(self, monkeypatch, k):
         def refused(*args, **kwargs):
             raise AssertionError("a decomposition was built for a k that is not an integer")
@@ -803,6 +804,31 @@ class TestConvergenceStudy:
         pot = expression_potential("x1^2 + y1^2 + x1^2*y1^2", 1, 1, nonnegative=True)
         with pytest.raises(ValueError, match="strictly ascending"):
             convergence_study(pot, [6.0, 6.0], sizes, k=3, h=0.5)
+
+    # k = 2.5 raised a bare TypeError from np.empty, and a fractional size
+    # was truncated: np.geomspace(64, 256, 3) holds 127.99999999999999, and
+    # the study solved on 127 points; each is refused before any grid
+    @pytest.mark.parametrize("sizes, k, message", [
+        ([31, 63, 127], 2.5, "k must be an integer >= 1"),
+        ([31, 63, 127], True, "k must be an integer >= 1"),
+        (np.geomspace(64, 256, 3), 2, r"sizes\[0\] must be an integer >= 1"),
+        ([31, 63.5, 127], 2, r"sizes\[1\] must be an integer >= 1")],
+        ids=["fractional-k", "bool-k", "geomspace-sizes", "fractional-size"])
+    def test_counts_refused_before_any_grid(self, monkeypatch, sizes, k, message):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built before the counts were checked")
+
+        monkeypatch.setattr(eigensolver, "build_grid", no_grid)
+        monkeypatch.setattr(eigensolver, "lowest_eigenpairs", no_grid)
+        with pytest.raises(ValueError, match=message):
+            convergence_study(quadratic_potential([[1.0]]), [10.0], sizes, k=k)
+
+    def test_numpy_integer_counts_accepted(self):
+        pot = quadratic_potential([[1.0]])
+        expected = convergence_study(pot, [10.0], [31, 63, 127], k=2, tol=1e-9)
+        study = convergence_study(pot, [10.0], np.array([31, 63, 127]), k=np.int64(2), tol=1e-9)
+        assert study.errors.tobytes() == expected.errors.tobytes()
+        assert study.deltas == expected.deltas
 
     def test_free_operator_solves_converge(self):
         pot = expression_potential("0*x1", 1, 0, nonnegative=True)

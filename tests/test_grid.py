@@ -69,6 +69,29 @@ class TestBuildGrid:
             build_grid(*args)
         assert caught.value.argument == argument
 
+    # a fractional point count was truncated (31.9 x 31.2 built 31 x 31), a
+    # fractional n was refused as a count of half-widths, and True and False
+    # passed as n = 1 and p = 0
+    @pytest.mark.parametrize("args, argument", [
+        ((1, 1, [8.0, 8.0], [31.9, 31.2]), "points"), ((1, 1, [8.0, 8.0], [31, 31.0]), "points"),
+        ((1.5, 0, [8.0], [31]), "n"), ((1, 0.0, [8.0], [31]), "p"),
+        ((True, False, [8.0], [31]), "n"), ((1, False, [8.0], [31]), "p"),
+        ((1, 0, [8.0], [float("nan")]), "points")],
+        ids=["fractional-points", "float-points", "fractional-n", "float-p", "bool-n", "bool-p",
+             "nan-points"])
+    def test_counts_must_be_integers(self, args, argument):
+        with pytest.raises(GridError, match="must be an integer") as caught:
+            build_grid(*args)
+        assert caught.value.argument == argument
+
+    # numpy integers are counts too, and the grid holds them as Python ints,
+    # so its signature is that of the same Python ints
+    def test_numpy_integer_counts_accepted(self):
+        grid = build_grid(np.int64(1), np.int64(1), [8.0, 8.0], np.array([31, 33]))
+        assert grid == build_grid(1, 1, [8.0, 8.0], [31, 33])
+        assert all(type(m) is int for m in (grid.n, grid.p, *grid.points))
+        assert grid.signature() == build_grid(1, 1, [8.0, 8.0], [31, 33]).signature()
+
     def test_node_order_x_fastest(self):
         grid = build_grid(1, 1, [2.0, 2.0], [3, 3])
         coords = grid.node_coords()
@@ -83,6 +106,30 @@ class TestBuildGrid:
             nodes = grid.nodes(coords[:, d].copy())
             assert nodes.shape == grid.points
             assert np.array_equal(np.moveaxis(nodes, d, 0)[:, 0, 0], grid.axis_coords(d))
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
+    def test_integer_returned_as_int(self, value):
+        count = grid_module.check_count("n", value)
+        assert count == 3 and type(count) is int
+
+    # a bool is no count, though Python reads True as 1
+    @pytest.mark.parametrize("value", [True, np.True_, 3.0, 2.5, float("nan"), float("inf"), "3",
+                                       None, 0, 6])
+    def test_refusal_names_argument_and_value(self, value):
+        with pytest.raises(ValueError, match=rf"^n must be an integer in \[1, 5\], got n={value!r}$"):
+            grid_module.check_count("n", value, most=5)
+
+    def test_no_upper_end_by_default(self):
+        assert grid_module.check_count("p", 10**12, least=0) == 10**12
+        with pytest.raises(ValueError, match=r"^p must be an integer >= 0, got p=-1$"):
+            grid_module.check_count("p", -1, least=0)
+
+    # like check_h, a helper of the public functions, not one itself:
+    # perfbench's tracer wraps every name in a module's __all__
+    def test_not_public(self):
+        assert "check_count" not in grid_module.__all__
 
 
 class TestAssembly:
@@ -435,6 +482,21 @@ class TestSeparableInverse:
             for beyond in (0, count + 1):
                 with pytest.raises(ValueError, match="count"):
                     decomposition.lowest(beyond)
+
+    # 2.5 passed the range test, then raised a bare TypeError
+    @pytest.mark.parametrize("count", [2.5, float("nan"), True])
+    def test_lowest_count_must_be_an_integer(self, count):
+        decomposition = separable_decomposition(self.op((9, 11), "x1^2 + y1^4"), k=4)
+        with pytest.raises(ValueError, match=r"count must be an integer in \[1, 4\]"):
+            decomposition.lowest(count)
+
+    # k = 0 built every block and recorded k = 0, and 2.5 raised a bare
+    # TypeError from np.partition; either is refused before any work
+    @pytest.mark.parametrize("k", [0, 2.5, True])
+    def test_k_must_be_a_count(self, monkeypatch, k):
+        monkeypatch.setattr(grid_module, "_separable_split", None)
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            separable_decomposition(self.op((9, 11), "x1^2 + y1^4"), k=k)
 
     # the residual bound's defect is measured only for an eigensolve, built
     # for k pairs; the probe's inverse, built without k, measures none

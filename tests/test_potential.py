@@ -36,6 +36,12 @@ class TestParser:
         expr = expression_potential("x1^2", n=1, p=0)
         assert value_at(expr, [0.0]) == 0.0
 
+    # the operator needs a slow dimension: -h^2 Lap_x with n = 0 is no
+    # semiclassical operator
+    def test_no_x_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"need n >= 1 and p >= 0, got n=0, p=0"):
+            parse_potential("1", 0, 0)
+
     def test_unbound_variable(self):
         with pytest.raises(ExprError, match="z3"):
             parse_potential("x1 + z3", n=1, p=0)

@@ -243,6 +243,17 @@ class TestDiscretenessCertificate:
         rep = discreteness_certificate(op, lam=1.0, radii=[3.0, 5.0])
         assert rep.verdict == "inconclusive"
 
+    # 1 + (x1 - y1)^2 is 1 along the diagonal x1 = y1 out to the box, so the
+    # exterior infimum stays 1 at every radius: positive bounds that do not
+    # grow admit no verdict of discreteness
+    def test_flat_valley_nonconfining(self):
+        grid = build_grid(1, 1, [8.0, 8.0], [63, 63])
+        pot = expression_potential("1 + (x1 - y1)^2", 1, 1, nonnegative=True)
+        rep = discreteness_certificate(assemble_hamiltonian(grid, pot, 0.5), lam=0.5,
+                                       radii=[1.0, 2.0, 3.0])
+        assert [e.lower_bound for e in rep.entries] == [0.5, 0.5, 0.5]
+        assert rep.verdict == "nonconfining"
+
     def test_refuses_unclaimed_potential(self):
         grid = build_grid(1, 0, [20.0], [199])
         pot = expression_potential("x1", 1, 0, nonnegative=False)
@@ -332,6 +343,15 @@ class TestCommutator:
         op = oscillator_op(points=49)
         with pytest.raises(ValueError, match="probes"):
             commutator_decay(op, CutoffFamily(scales=(2.0,)), probes=0)
+
+    # 2.5 and NaN raised a bare TypeError from range
+    @pytest.mark.parametrize("probes", [2.5, float("nan"), True])
+    def test_probes_must_be_an_integer(self, monkeypatch, probes):
+        import bospec.probe as probe
+
+        monkeypatch.setattr(probe, "separable_inverse", None)
+        with pytest.raises(ValueError, match="probes must be an integer >= 1"):
+            commutator_decay(oscillator_op(points=49), CutoffFamily(scales=(2.0,)), probes=probes)
 
     @pytest.mark.parametrize("scales", [(), (-1.0,), (0.0,), (2.0, 0.0)])
     def test_scales_must_be_positive(self, scales):
@@ -946,3 +966,15 @@ class TestFormChain:
         op = oscillator_op(points=49)
         with pytest.raises(ValueError, match="trials"):
             form_inequality_check(op, trials=0)
+
+    # NaN and 2.5 passed `trials < 1` and returned a valid-looking report,
+    # FormChainReport(trials=nan, max_violation=0.0, violations=0)
+    @pytest.mark.parametrize("trials", [float("nan"), 2.5, True])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            form_inequality_check(oscillator_op(points=49), trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        op = oscillator_op(points=49)
+        report = form_inequality_check(op, trials=np.int64(3))
+        assert report == form_inequality_check(op, trials=3) and type(report.trials) is int
