@@ -16,11 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-# potential before grid, the order bospec loaded them in before analytic
-# imported grid: with grid first, a fresh interpreter's `import bospec` took
-# about 30 ms longer (2-core host), though it loads the same modules
-from .potential import oscillator_frequencies
-from .grid import check_count
+from .potential import check_count, oscillator_frequencies
 
 __all__ = [
     "AnalyticSpectrum",

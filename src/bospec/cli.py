@@ -20,8 +20,8 @@ import numpy as np
 from .analytic import frequency_spectrum
 from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
                           convergence_study, lowest_eigenpairs)
-from .grid import GridError, assemble_hamiltonian, build_grid, check_h
-from .potential import expression_potential, quadratic_potential
+from .grid import GridError, assemble_hamiltonian, build_grid
+from .potential import check_count, check_h, expression_potential, quadratic_potential
 from .probe import discreteness_certificate, essential_spectrum_probe
 
 EXIT_OK = 0
@@ -123,6 +123,14 @@ def _need(cfg, section, key):
 
 def _opt(cfg, section, key, default=None):
     return cfg.get(section, {}).get(key, default)
+
+
+def _count(section, key, value, least=1):
+    """`check_count` of a config value, its refusal filed under its key."""
+    try:
+        return check_count(key, value, least)
+    except ValueError as exc:
+        raise ConfigError(section, key, str(exc)) from exc
 
 
 def _build_grid_from_config(cfg, size=None):
@@ -268,22 +276,27 @@ def _analytic_cutoff(cfg):
         levels = 10
     if e_max is not None and levels is not None:
         raise ConfigError("analytic", "e_max", "give e_max or levels, not both")
+    if levels is not None:
+        levels = _count("analytic", "levels", levels)
     return e_max, levels
 
 
 def cmd_analytic(cfg, args) -> int:
-    n, p = _need(cfg, "grid", "n"), _opt(cfg, "grid", "p", 0)
     # build_grid checks these on the other commands; analytic builds no grid
-    if n < 1 or p < 0:
-        raise ConfigError("grid", "n" if n < 1 else "p",
-                          f"need n >= 1 and p >= 0, got n={n}, p={p}")
+    n = _count("grid", "n", _need(cfg, "grid", "n"))
+    p = _count("grid", "p", _opt(cfg, "grid", "p", 0), least=0)
     pot = _build_potential_from_config(cfg, n, p)
     if pot.kind != "quadratic":
         raise ConfigError("potential", "kind",
                           "analytic oracle requires quadratic form")
     params = _solver_params(cfg, args.seed)
     e_max, levels = _analytic_cutoff(cfg)
-    spec = frequency_spectrum(*pot.frequencies, params["h"], e_max=e_max, k=levels)
+    try:
+        spec = frequency_spectrum(*pot.frequencies, params["h"], e_max=e_max, k=levels)
+    except ValueError as exc:
+        # h, the frequencies and levels are checked above: what is left to
+        # refuse is e_max
+        raise ConfigError("analytic", "e_max", str(exc)) from exc
     rows = [(float(e), m) for e, m in spec.levels]
     _write(args.out, args.format, ("energy", "multiplicity"), rows, {
         "params": {key: (float(v) if isinstance(v, (int, float)) else
@@ -348,8 +361,9 @@ def cmd_converge(cfg, args) -> int:
     sizes = _need(cfg, "converge", "sizes")
     if len(sizes) < 3:
         raise ConfigError("converge", "sizes", "need at least 3 grid sizes")
-    # convergence_study builds these grids itself; built here first, so an
-    # error is filed under its key before any solve
+    # convergence_study builds these grids itself, also before any solve;
+    # built here, a point error is filed under [converge] sizes, not [grid]
+    # points
     for size in sizes:
         grid = _build_grid_from_config(cfg, size)
     pot = _build_potential_from_config(cfg, grid.n, grid.p)

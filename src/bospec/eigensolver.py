@@ -17,9 +17,9 @@ from scipy.linalg import blas
 
 from .analytic import frequency_spectrum
 from .grid import (GridOperator, SeparableDecomposition, _norm, _shifted_product,
-                   assemble_hamiltonian, build_grid, check_count, eigenbasis_inverse,
+                   assemble_hamiltonian, build_grid, eigenbasis_inverse,
                    separable_decomposition)
-from .potential import Potential
+from .potential import Potential, check_count
 
 __all__ = [
     "SpectrumResult",
@@ -316,16 +316,17 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
 
+    # every grid built before any solve, so that a size refused is refused
+    # before the solves on the sizes below it
+    grids = [build_grid(pot.n, pot.p, half_widths, [nn] * pot.dim) for nn in sizes]
+    deltas = [max(grid.spacing) for grid in grids]
     eigs = np.empty((len(sizes), k))
     flags = np.empty((len(sizes), k), dtype=bool)
-    deltas = []
-    for i, nn in enumerate(sizes):
-        grid = build_grid(pot.n, pot.p, half_widths, [nn] * pot.dim)
+    for i, grid in enumerate(grids):
         op = assemble_hamiltonian(grid, pot, h)
         res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
         eigs[i] = res.eigenvalues[:k]
         flags[i] = res.converged[:k]
-        deltas.append(max(grid.spacing))
 
     if pot.kind == "quadratic":
         ref = np.asarray(frequency_spectrum(*pot.frequencies, h, k=k).flat(k), dtype=float)

@@ -9,7 +9,6 @@ the x-dimensions varying fastest: index = i_0 + N_0*(i_1 + N_1*(...)).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -17,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .potential import Potential
+from .potential import Potential, check_count, check_h
 
 __all__ = [
     "Grid",
@@ -33,7 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 2_000_000
-DEFAULT_H_MAX = 1.0
 
 
 @dataclass(frozen=True)
@@ -138,23 +136,6 @@ def build_grid(n: int, p: int, half_widths, points) -> Grid:
                             f"{grid.spacing[d]:g}, whose stencil entry 2 / spacing^2 is not "
                             "a finite nonzero float")
     return grid
-
-
-def check_h(h: float) -> None:
-    """Refuse an h outside (0, DEFAULT_H_MAX] with ValueError."""
-    if not 0 < h <= DEFAULT_H_MAX:
-        raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
-
-
-def check_count(name: str, value, least: int = 1, most: int | None = None) -> int:
-    """`value` as an int when it is an integer, Python's or numpy's but not a
-    bool, in [least, most] (with no upper end for most None); else
-    ValueError naming the argument `name` and the value."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and least <= value and (most is None or value <= most)):
-        return int(value)
-    span = f">= {least}" if most is None else f"in [{least}, {most}]"
-    raise ValueError(f"{name} must be an integer {span}, got {name}={value!r}")
 
 
 def _stencil_entries(grid: Grid, h: float) -> tuple:
@@ -290,7 +271,8 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values,
     """Ascending eigenvalues and orthonormal eigenvector columns of the axis-d
     tridiagonal `_axis_tridiagonal`: the axis-d term of H when V is a sum of
     one-variable terms, `values` being axis d's term at its nodes.  All of
-    them, or with `count` only the `count` lowest (`_leading_eigenpairs`).
+    them, or with `count`, a count of at most the axis's points
+    (`check_count`), only the `count` lowest (`_leading_eigenpairs`).
 
     All of them by eigh_tridiagonal's default driver: LAPACK's divide and
     conquer dstevd (Cuppen; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16,
@@ -298,7 +280,7 @@ def axis_eigenpairs(grid: Grid, h: float, d: int, values,
     MRRR (dstemr) on those before; no dense eigensolver of the tridiagonal."""
     main, off = _axis_tridiagonal(grid, h, d, values)
     if count is not None:
-        return _leading_eigenpairs(main, off, count)
+        return _leading_eigenpairs(main, off, check_count("count", count, most=grid.points[d]))
     return scipy.linalg.eigh_tridiagonal(main, off)
 
 

@@ -12,6 +12,7 @@ columns.
 from __future__ import annotations
 
 import ast
+import numbers
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -47,6 +48,31 @@ class PotentialDomainError(ValueError):
 
 class NotPositiveDefiniteError(ValueError):
     """A quadratic-form matrix has an eigenvalue <= 0."""
+
+
+# ---------------------------------------------------------------------------
+# Argument rules, here in the bottom layer so that every module can import
+# them; no __all__ names them, so perfbench's tracer wraps neither
+# ---------------------------------------------------------------------------
+
+DEFAULT_H_MAX = 1.0
+
+
+def check_h(h: float) -> None:
+    """Refuse an h outside (0, DEFAULT_H_MAX] with ValueError."""
+    if not 0 < h <= DEFAULT_H_MAX:
+        raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
+
+
+def check_count(name: str, value, least: int = 1, most: int | None = None) -> int:
+    """`value` as an int when it is an integer, Python's or numpy's but not a
+    bool, in [least, most] (with no upper end for most None); else
+    ValueError naming the argument `name` and the value."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and least <= value and (most is None or value <= most)):
+        return int(value)
+    span = f">= {least}" if most is None else f"in [{least}, {most}]"
+    raise ValueError(f"{name} must be an integer {span}, got {name}={value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +181,7 @@ def parse_potential(text: str, n: int, p: int) -> ast.expr:
     """
     if not text or not text.strip():
         raise ExprError("empty expression")
-    if n < 1 or p < 0:
-        raise ValueError(f"need n >= 1 and p >= 0, got n={n}, p={p}")
+    n, p = check_count("n", n), check_count("p", p, least=0)
     # one character for one, so positions still index the user's text; any
     # whitespace (a newline in a multi-line config value) becomes a space
     text = re.sub(r"\s", " ", text.replace("−", "-"))  # unicode minus
@@ -296,5 +321,6 @@ def quadratic_potential(a, b=None) -> Potential:
 
 def expression_potential(text: str, n: int, p: int,
                          nonnegative: bool = False) -> Potential:
-    return Potential(kind="expression", n=n, p=p, nonnegative_claimed=nonnegative,
-                     tree=parse_potential(text, n, p))
+    tree = parse_potential(text, n, p)  # refuses n and p unless they are counts
+    return Potential(kind="expression", n=int(n), p=int(p), nonnegative_claimed=nonnegative,
+                     tree=tree)

@@ -13,8 +13,9 @@ from functools import partial
 import numpy as np
 from scipy.linalg import blas
 
-from .grid import (Grid, GridOperator, _band_apply, _norm, _shifted_product, check_count,
-                   check_h, separable_inverse)
+from .grid import (Grid, GridOperator, _band_apply, _norm, _shifted_product,
+                   separable_inverse)
+from .potential import check_count, check_h
 
 __all__ = [
     "CutoffFamily",

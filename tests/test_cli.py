@@ -187,6 +187,19 @@ class TestAnalytic:
         assert main(["analytic", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    # each refusal once came as a bare "error:" line naming k, a name the
+    # config never sets, or e_max without its section
+    @pytest.mark.parametrize("cutoff, message", [
+        ("levels = 0", "[analytic] levels: levels must be an integer >= 1, got levels=0"),
+        ("e_max = nan", "[analytic] e_max: e_max must be finite, got nan")],
+        ids=["levels", "e_max"])
+    def test_cutoff_refused_under_its_key(self, tmp_path, capsys, cutoff, message):
+        cfg = write_config(tmp_path, ANALYTIC.replace("e_max = 3.5", cutoff))
+        out = tmp_path / "x.csv"
+        assert main(["analytic", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("b, message", [("1 0", "must be square"),
                                             ("-1", "not positive definite")])
     def test_bad_b_reported_under_b(self, tmp_path, capsys, b, message):
@@ -1099,7 +1112,8 @@ def test_analytic_refuses_grid_dims(tmp_path, capsys, key, old, new):
     cfg = write_config(tmp_path, ANALYTIC.replace(old, new))
     out = tmp_path / "levels.csv"
     assert main(["analytic", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: [grid] {key}: need n >= 1 and p >= 0")
+    assert capsys.readouterr().err.startswith(f"config error: [grid] {key}: {key} must be an "
+                                              "integer >= ")
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from bospec.eigensolver import (
     convergence_study,
     lowest_eigenpairs,
 )
-from bospec.grid import (GridOperator, _norm, assemble_hamiltonian, build_grid,
+from bospec.grid import (GridError, GridOperator, _norm, assemble_hamiltonian, build_grid,
                          separable_decomposition)
 from bospec.potential import expression_potential, quadratic_potential
 
@@ -822,6 +822,18 @@ class TestConvergenceStudy:
         monkeypatch.setattr(eigensolver, "lowest_eigenpairs", no_grid)
         with pytest.raises(ValueError, match=message):
             convergence_study(quadratic_potential([[1.0]]), [10.0], sizes, k=k)
+
+    # each grid was built just before its solve, so 1500^2 nodes, past the
+    # size cap, were refused after the solves on 15^2 and 23^2
+    def test_size_past_the_cap_refused_before_any_solve(self, monkeypatch):
+        solves = []
+        solve = eigensolver.lowest_eigenpairs
+        monkeypatch.setattr(eigensolver, "lowest_eigenpairs",
+                            lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+        pot = quadratic_potential([[1.0]], [[1.0]])
+        with pytest.raises(GridError, match="safety cap"):
+            convergence_study(pot, [8.0, 8.0], (15, 23, 1500), k=3)
+        assert solves == []
 
     def test_numpy_integer_counts_accepted(self):
         pot = quadratic_potential([[1.0]])

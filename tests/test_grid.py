@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import math
 
@@ -15,7 +16,7 @@ from bospec.grid import (
     separable_decomposition,
     separable_inverse,
 )
-from bospec.potential import expression_potential, quadratic_potential
+from bospec.potential import check_count, check_h, expression_potential, quadratic_potential
 from bospec.probe import essential_spectrum_probe
 
 import reference
@@ -108,10 +109,12 @@ class TestBuildGrid:
             assert np.array_equal(np.moveaxis(nodes, d, 0)[:, 0, 0], grid.axis_coords(d))
 
 
+# the rule every layer imports from bospec.potential, tested here beside
+# build_grid, its first caller
 class TestCheckCount:
     @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)], ids=["int", "int64", "uint8"])
     def test_integer_returned_as_int(self, value):
-        count = grid_module.check_count("n", value)
+        count = check_count("n", value)
         assert count == 3 and type(count) is int
 
     # a bool is no count, though Python reads True as 1
@@ -119,17 +122,26 @@ class TestCheckCount:
                                        None, 0, 6])
     def test_refusal_names_argument_and_value(self, value):
         with pytest.raises(ValueError, match=rf"^n must be an integer in \[1, 5\], got n={value!r}$"):
-            grid_module.check_count("n", value, most=5)
+            check_count("n", value, most=5)
 
     def test_no_upper_end_by_default(self):
-        assert grid_module.check_count("p", 10**12, least=0) == 10**12
+        assert check_count("p", 10**12, least=0) == 10**12
         with pytest.raises(ValueError, match=r"^p must be an integer >= 0, got p=-1$"):
-            grid_module.check_count("p", -1, least=0)
+            check_count("p", -1, least=0)
 
     # like check_h, a helper of the public functions, not one itself:
-    # perfbench's tracer wraps every name in a module's __all__
+    # perfbench's tracer wraps every name in a module's __all__.  One
+    # definition, in bospec.potential, which every layer can import
     def test_not_public(self):
-        assert "check_count" not in grid_module.__all__
+        from bospec import potential
+
+        for name in ("analytic", "cli", "eigensolver", "grid", "potential", "probe"):
+            module = importlib.import_module(f"bospec.{name}")
+            assert not {"check_count", "check_h"} & set(getattr(module, "__all__", ()))
+            for rule in ("check_count", "check_h"):
+                assert getattr(module, rule, None) in (None, getattr(potential, rule))
+            assert module is potential or not hasattr(module, "DEFAULT_H_MAX")
+        assert check_count.__module__ == check_h.__module__ == "bospec.potential"
 
 
 class TestAssembly:
@@ -667,6 +679,17 @@ class TestSeparableSplit:
 class TestLeadingEigenpairs:
     """With k, each rotated axis computes only its k + 1 lowest eigenpairs,
     and the decomposition equals the one built on full axis eigenbases."""
+
+    # an unchecked count reached LAPACK's bisection (dstebz), which printed
+    # to the process's stderr before a ValueError "(info -7)"; 2.5 raised a
+    # TypeError from np.partition, and True returned one pair
+    @pytest.mark.parametrize("count", [0, -1, 40, 2.5, True])
+    def test_axis_count_refused_by_name(self, capfd, count):
+        grid = build_grid(1, 0, [6.0], [31])
+        with pytest.raises(ValueError, match=rf"^count must be an integer in \[1, 31\], "
+                                             rf"got count={count!r}$"):
+            grid_module.axis_eigenpairs(grid, 0.5, 0, grid.axis_coords(0) ** 2, count)
+        assert capfd.readouterr().err == ""
 
     @staticmethod
     def full_eigenbases(monkeypatch):

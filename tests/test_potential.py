@@ -39,8 +39,24 @@ class TestParser:
     # the operator needs a slow dimension: -h^2 Lap_x with n = 0 is no
     # semiclassical operator
     def test_no_x_dimension_rejected(self):
-        with pytest.raises(ValueError, match=r"need n >= 1 and p >= 0, got n=0, p=0"):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got n=0$"):
             parse_potential("1", 0, 0)
+
+    # n = 1.5 once gave a Potential of dimension 1.5, and True one of n = True
+    @pytest.mark.parametrize("n, p, message", [
+        (1.5, 0, r"^n must be an integer >= 1, got n=1\.5$"),
+        (True, 0, r"^n must be an integer >= 1, got n=True$"),
+        (1, 0.5, r"^p must be an integer >= 0, got p=0\.5$"),
+        (1, -1, r"^p must be an integer >= 0, got p=-1$")],
+        ids=["fractional-n", "bool-n", "fractional-p", "negative-p"])
+    def test_dimension_counts_refused_by_name(self, n, p, message):
+        with pytest.raises(ValueError, match=message):
+            expression_potential("x1", n, p)
+
+    def test_numpy_dimension_counts_held_as_ints(self):
+        pot = expression_potential("x1^2 + y1^2", np.int64(1), np.uint8(1))
+        assert (pot.n, pot.p, pot.dim) == (1, 1, 2)
+        assert type(pot.n) is int and type(pot.p) is int
 
     def test_unbound_variable(self):
         with pytest.raises(ExprError, match="z3"):
