@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .potential import check_count, oscillator_frequencies
+from .potential import ArgumentError, check_count, oscillator_frequencies
 
 __all__ = [
     "AnalyticSpectrum",
@@ -90,7 +90,7 @@ def enumerate_spectrum(w, e_max=None, k=None) -> AnalyticSpectrum:
     # no energy exceeds a NaN or infinite cutoff, so the enumeration would
     # never stop
     if e_max is not None and not math.isfinite(e_max):
-        raise ValueError(f"e_max must be finite, got {e_max}")
+        raise ArgumentError("e_max", f"e_max must be finite, got {e_max}")
     if k is not None:
         k = check_count("k", k)
     exact = _is_exact(w)
@@ -135,7 +135,7 @@ def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:
     combined weight list (h*w_1, ..., h*w_n, mu_1, ..., mu_p)."""
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    mu = oscillator_frequencies(b) if b is not None and np.size(b) > 0 else ()
+    mu = oscillator_frequencies(b, "b") if b is not None and np.size(b) > 0 else ()
     return frequency_spectrum(oscillator_frequencies(a), mu, h, e_max=e_max, k=k)
 
 

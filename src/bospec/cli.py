@@ -19,9 +19,10 @@ import numpy as np
 
 from .analytic import frequency_spectrum
 from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
-                          convergence_study, lowest_eigenpairs)
-from .grid import GridError, assemble_hamiltonian, build_grid
-from .potential import check_count, check_h, expression_potential, quadratic_potential
+                          convergence_grids, convergence_study, lowest_eigenpairs)
+from .grid import assemble_hamiltonian, build_grid
+from .potential import (ArgumentError, check_count, check_h, expression_potential,
+                        quadratic_potential)
 from .probe import discreteness_certificate, essential_spectrum_probe
 
 EXIT_OK = 0
@@ -74,6 +75,8 @@ def _matrix(raw: str):
 
 # Every key some command reads, by section, with its converter.  One table
 # for all commands, because a single config file may serve every command.
+# No key name appears in two sections, so the name of an argument the
+# library refuses finds the one key that supplied it (`main`).
 CONFIG_KEYS = {
     "grid": {"n": int, "p": int, "half_widths": _floats, "points": _ints},
     "potential": {"kind": str.strip, "a": _matrix, "b": _matrix, "expression": str,
@@ -125,28 +128,9 @@ def _opt(cfg, section, key, default=None):
     return cfg.get(section, {}).get(key, default)
 
 
-def _count(section, key, value, least=1):
-    """`check_count` of a config value, its refusal filed under its key."""
-    try:
-        return check_count(key, value, least)
-    except ValueError as exc:
-        raise ConfigError(section, key, str(exc)) from exc
-
-
-def _build_grid_from_config(cfg, size=None):
-    """The [grid] grid; with `size`, a grid of `bospec converge` with `size`
-    points per dimension in place of [grid] points, whose point errors are
-    filed under [converge] sizes."""
-    n = _need(cfg, "grid", "n")
-    p = _opt(cfg, "grid", "p", 0)
-    half_widths = _need(cfg, "grid", "half_widths")
-    points = _need(cfg, "grid", "points") if size is None else [size] * (n + p)
-    try:
-        return build_grid(n, p, half_widths, points)
-    except GridError as exc:
-        if size is not None and exc.argument == "points":
-            raise ConfigError("converge", "sizes", str(exc)) from exc
-        raise ConfigError("grid", exc.argument, str(exc)) from exc
+def _build_grid_from_config(cfg):
+    return build_grid(_need(cfg, "grid", "n"), _opt(cfg, "grid", "p", 0),
+                      _need(cfg, "grid", "half_widths"), _need(cfg, "grid", "points"))
 
 
 def _build_potential_from_config(cfg, n: int, p: int):
@@ -158,16 +142,7 @@ def _build_potential_from_config(cfg, n: int, p: int):
             raise ConfigError("potential", "b", "required when p > 0")
         if p == 0 and b is not None:
             raise ConfigError("potential", "b", "given, but [grid] p = 0 declares no y-dimension")
-        try:
-            pot = quadratic_potential(a, b)
-        except ValueError as exc:
-            # the error is A's when A alone fails, else B's: built again only
-            # on this path, so a valid pair is built once
-            try:
-                quadratic_potential(a)
-            except ValueError as exc_a:
-                raise ConfigError("potential", "a", str(exc_a)) from exc_a
-            raise ConfigError("potential", "b", str(exc)) from exc
+        pot = quadratic_potential(a, b)
         for key, size, axis, declared in (("a", pot.n, "n", n), ("b", pot.p, "p", p)):
             if size != declared:
                 raise ConfigError("potential", key, f"{key.upper()} is {size}x{size}, "
@@ -176,19 +151,13 @@ def _build_potential_from_config(cfg, n: int, p: int):
     if kind == "expression":
         text = _need(cfg, "potential", "expression")
         nonneg = _opt(cfg, "potential", "nonnegative", False)
-        try:
-            return expression_potential(text, n, p, nonnegative=nonneg)
-        except ValueError as exc:
-            raise ConfigError("potential", "expression", str(exc)) from exc
+        return expression_potential(text, n, p, nonnegative=nonneg)
     raise ConfigError("potential", "kind", f"unknown kind {kind!r}")
 
 
 def _solver_params(cfg, seed_override=None):
     h = _opt(cfg, "solver", "h", 0.1)
-    try:
-        check_h(h)
-    except ValueError as exc:
-        raise ConfigError("solver", "h", str(exc)) from exc
+    check_h(h)
     params = {
         "h": h,
         "k": _opt(cfg, "solver", "k", 5),
@@ -269,34 +238,22 @@ def cmd_solve(cfg, args) -> int:
     return EXIT_OK if result.all_converged else EXIT_PARTIAL
 
 
-def _analytic_cutoff(cfg):
-    e_max = _opt(cfg, "analytic", "e_max")
-    levels = _opt(cfg, "analytic", "levels")
-    if e_max is None and levels is None:
-        levels = 10
-    if e_max is not None and levels is not None:
-        raise ConfigError("analytic", "e_max", "give e_max or levels, not both")
-    if levels is not None:
-        levels = _count("analytic", "levels", levels)
-    return e_max, levels
-
-
 def cmd_analytic(cfg, args) -> int:
     # build_grid checks these on the other commands; analytic builds no grid
-    n = _count("grid", "n", _need(cfg, "grid", "n"))
-    p = _count("grid", "p", _opt(cfg, "grid", "p", 0), least=0)
+    n = check_count("n", _need(cfg, "grid", "n"))
+    p = check_count("p", _opt(cfg, "grid", "p", 0), least=0)
     pot = _build_potential_from_config(cfg, n, p)
     if pot.kind != "quadratic":
         raise ConfigError("potential", "kind",
                           "analytic oracle requires quadratic form")
     params = _solver_params(cfg, args.seed)
-    e_max, levels = _analytic_cutoff(cfg)
-    try:
-        spec = frequency_spectrum(*pot.frequencies, params["h"], e_max=e_max, k=levels)
-    except ValueError as exc:
-        # h, the frequencies and levels are checked above: what is left to
-        # refuse is e_max
-        raise ConfigError("analytic", "e_max", str(exc)) from exc
+    e_max = _opt(cfg, "analytic", "e_max")
+    levels = _opt(cfg, "analytic", "levels", 10 if e_max is None else None)
+    if e_max is not None and levels is not None:
+        raise ConfigError("analytic", "e_max", "give e_max or levels, not both")
+    if levels is not None:
+        levels = check_count("levels", levels)
+    spec = frequency_spectrum(*pot.frequencies, params["h"], e_max=e_max, k=levels)
     rows = [(float(e), m) for e, m in spec.levels]
     _write(args.out, args.format, ("energy", "multiplicity"), rows, {
         "params": {key: (float(v) if isinstance(v, (int, float)) else
@@ -361,11 +318,10 @@ def cmd_converge(cfg, args) -> int:
     sizes = _need(cfg, "converge", "sizes")
     if len(sizes) < 3:
         raise ConfigError("converge", "sizes", "need at least 3 grid sizes")
-    # convergence_study builds these grids itself, also before any solve;
-    # built here, a point error is filed under [converge] sizes, not [grid]
-    # points
-    for size in sizes:
-        grid = _build_grid_from_config(cfg, size)
+    # convergence_study builds these grids again; built here too, a bad grid
+    # is refused before a bad potential
+    grid = convergence_grids(_need(cfg, "grid", "n"), _opt(cfg, "grid", "p", 0),
+                             _need(cfg, "grid", "half_widths"), sizes)[-1]
     pot = _build_potential_from_config(cfg, grid.n, grid.p)
     params = _solver_params(cfg, args.seed)
     study = convergence_study(pot, grid.half_widths, sizes, params["k"], h=params["h"],
@@ -422,10 +378,15 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ArgumentError as exc:
+        # the library names the argument it refused: a refusal is filed under
+        # the config key of that name, in the one section that has it
+        sections = [s for s, keys in CONFIG_KEYS.items() if exc.argument in keys]
+        where = f"config error: [{sections[0]}] {exc.argument}: " if sections else "error: "
+        print(f"{where}{exc}", file=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    return EXIT_CONFIG
 
 
 def run() -> None:  # console-script entry

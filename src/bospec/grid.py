@@ -16,11 +16,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .potential import Potential, check_count, check_h
+from .potential import ArgumentError, Potential, check_count, check_h
 
 __all__ = [
     "Grid",
-    "GridError",
     "GridOperator",
     "SeparableDecomposition",
     "build_grid",
@@ -96,35 +95,22 @@ class Grid:
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-class GridError(ValueError):
-    """An invalid argument of `build_grid`, named by `argument`."""
-
-    def __init__(self, argument: str, message: str):
-        super().__init__(message)
-        self.argument = argument
-
-
 def build_grid(n: int, p: int, half_widths, points) -> Grid:
-    def count(argument, value, least, name=None):
-        try:
-            return check_count(name or argument, value, least)
-        except ValueError as exc:
-            raise GridError(argument, str(exc)) from None
-
-    n, p = count("n", n, 1), count("p", p, 0)
+    n, p = check_count("n", n), check_count("p", p, least=0)
     half_widths = tuple(float(l) for l in half_widths)
     points = tuple(points)
     if len(half_widths) != n + p:
-        raise GridError("half_widths", f"need {n + p} half-widths, got {len(half_widths)}")
+        raise ArgumentError("half_widths", f"need {n + p} half-widths, got {len(half_widths)}")
     if not all(0 < l < math.inf for l in half_widths):
-        raise GridError("half_widths", "half-widths must be positive and finite")
+        raise ArgumentError("half_widths", "half-widths must be positive and finite")
     if len(points) != n + p:
-        raise GridError("points", f"need {n + p} point counts, got {len(points)}")
-    points = tuple(count("points", m, 3, f"points[{d}]") for d, m in enumerate(points))
+        raise ArgumentError("points", f"need {n + p} point counts, got {len(points)}")
+    points = tuple(check_count(f"points[{d}]", m, least=3) for d, m in enumerate(points))
     total = math.prod(points)
     if total > DEFAULT_SIZE_CAP:
-        raise GridError("points", f"grid size {total} exceeds the safety cap of {DEFAULT_SIZE_CAP}"
-                        " nodes (a fixed limit, not derived from solver memory)")
+        raise ArgumentError("points", f"grid size {total} exceeds the safety cap of "
+                            f"{DEFAULT_SIZE_CAP} nodes (a fixed limit, not derived from "
+                            "solver memory)")
     grid = Grid(n=n, p=p, half_widths=half_widths, points=points)
     for d, (l, m) in enumerate(zip(half_widths, points)):
         try:
@@ -132,9 +118,9 @@ def build_grid(n: int, p: int, half_widths, points) -> Grid:
         except (OverflowError, ZeroDivisionError):
             center = math.inf
         if not 0 < center < math.inf:
-            raise GridError("half_widths", f"half-width {l:g} over {m} points gives spacing "
-                            f"{grid.spacing[d]:g}, whose stencil entry 2 / spacing^2 is not "
-                            "a finite nonzero float")
+            raise ArgumentError("half_widths", f"half-width {l:g} over {m} points gives "
+                                f"spacing {grid.spacing[d]:g}, whose stencil entry 2 / spacing^2 "
+                                "is not a finite nonzero float")
     return grid
 
 

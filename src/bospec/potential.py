@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 __all__ = [
+    "ArgumentError",
     "ExprError",
     "PotentialDomainError",
     "NotPositiveDefiniteError",
@@ -32,21 +33,29 @@ __all__ = [
 ]
 
 
-class ExprError(ValueError):
+class ArgumentError(ValueError):
+    """A refused value of `argument`; the CLI files it under the config key of that name."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
+class ExprError(ArgumentError):
     """Syntax or binding error in a potential expression."""
 
     def __init__(self, message: str, position: int | None = None):
         self.position = position
         if position is not None:
             message = f"{message} (at position {position})"
-        super().__init__(message)
+        super().__init__("expression", message)
 
 
 class PotentialDomainError(ValueError):
     """Evaluation produced a non-finite value (division by zero, overflow)."""
 
 
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(ArgumentError):
     """A quadratic-form matrix has an eigenvalue <= 0."""
 
 
@@ -59,20 +68,22 @@ DEFAULT_H_MAX = 1.0
 
 
 def check_h(h: float) -> None:
-    """Refuse an h outside (0, DEFAULT_H_MAX] with ValueError."""
+    """Refuse an h outside (0, DEFAULT_H_MAX] with ArgumentError."""
     if not 0 < h <= DEFAULT_H_MAX:
-        raise ValueError(f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
+        raise ArgumentError("h", f"h must lie in (0, {DEFAULT_H_MAX}], got {h}")
 
 
 def check_count(name: str, value, least: int = 1, most: int | None = None) -> int:
     """`value` as an int when it is an integer, Python's or numpy's but not a
     bool, in [least, most] (with no upper end for most None); else
-    ValueError naming the argument `name` and the value."""
+    ArgumentError naming `name` and the value, whose argument is `name`
+    without any index (`points` for `points[2]`)."""
     if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and least <= value and (most is None or value <= most)):
         return int(value)
     span = f">= {least}" if most is None else f"in [{least}, {most}]"
-    raise ValueError(f"{name} must be an integer {span}, got {name}={value!r}")
+    raise ArgumentError(name.partition("[")[0],
+                        f"{name} must be an integer {span}, got {name}={value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +266,26 @@ class Potential:
         return float(min(list(w) + list(mu)) ** 2)
 
 
-def oscillator_frequencies(a, name: str = "matrix") -> tuple:
-    """Ascending square roots of the eigenvalues of a symmetric PD matrix."""
+def oscillator_frequencies(a, argument: str = "a") -> tuple:
+    """Ascending square roots of the eigenvalues of a symmetric PD matrix;
+    else ArgumentError of `argument`, whose message names "matrix A" for "a"."""
+    name = f"matrix {argument.upper()}"
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square")
+        raise ArgumentError(argument, f"{name} must be square")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
+        raise ArgumentError(argument, f"{name} must be finite")
     # a is finite, so this decides as np.allclose(a, a.T, rtol=0, atol=...)
     if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
-        raise ValueError(f"{name} must be symmetric")
+        raise ArgumentError(argument, f"{name} must be symmetric")
     # LAPACK's dsyevd on the lower triangle, the routine numpy's eigvalsh
     # runs, on scipy's LAPACK
     eigs, _, info = lapack.dsyevd(a, compute_v=0, lower=1)
     if info != 0:
-        raise ValueError(f"{name}: LAPACK dsyevd failed (info {info})")
+        raise ArgumentError(argument, f"{name}: LAPACK dsyevd failed (info {info})")
     if np.any(eigs <= 0):
         raise NotPositiveDefiniteError(
-            f"{name} is not positive definite (eigenvalue {eigs.min():g})")
+            argument, f"{name} is not positive definite (eigenvalue {eigs.min():g})")
     return tuple(np.sort(np.sqrt(eigs)))
 
 
@@ -286,24 +299,23 @@ def _form_tree(matrix: np.ndarray, axis: str) -> ast.expr:
     return reduce(lambda total, term: ast.BinOp(total, ast.Add(), term), terms)
 
 
+def _form_matrix(m, argument: str):
+    """`m` symmetrized as (M+M^T)/2, with its frequencies; else ArgumentError."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.shape[0] != m.shape[1]:
+        raise ArgumentError(argument, f"{argument.upper()} must be square")
+    m = (m + m.T) / 2
+    return m, oscillator_frequencies(m, argument)
+
+
 def quadratic_potential(a, b=None) -> Potential:
     """Build V(x, y) = <Ax,x> + <By,y>; matrices are symmetrized as (M+M^T)/2.
 
     Both matrices must be strictly positive definite (omit B for p = 0).
+    A is checked whole before B, so a refusal of both names `a`.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("A must be square")
-    a = (a + a.T) / 2
-    if b is not None and np.size(b) > 0:
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        if b.shape[0] != b.shape[1]:
-            raise ValueError("B must be square")
-        b = (b + b.T) / 2
-    else:
-        b = None
-    w = oscillator_frequencies(a, "matrix A")
-    mu = () if b is None else oscillator_frequencies(b, "matrix B")
+    a, w = _form_matrix(a, "a")
+    b, mu = _form_matrix(b, "b") if b is not None and np.size(b) > 0 else (None, ())
     tree = _form_tree(a, "x")
     if b is not None:
         tree = ast.BinOp(tree, ast.Add(), _form_tree(b, "y"))

@@ -15,7 +15,7 @@ from scipy.linalg import blas
 
 from .grid import (Grid, GridOperator, _band_apply, _norm, _shifted_product,
                    separable_inverse)
-from .potential import check_count, check_h
+from .potential import ArgumentError, check_count, check_h
 
 __all__ = [
     "CutoffFamily",
@@ -164,27 +164,28 @@ def _snap_wavevector(grid: Grid, h: float, lam: float):
 
 
 def _checked_lambda(lam) -> float:
-    """A probe's lambda as a float, if finite; else ValueError."""
+    """A probe's lambda as a float, if finite; else ArgumentError of
+    `lambdas`."""
     lam = float(lam)
     if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+        raise ArgumentError("lambdas", f"lambda must be finite, got {lam}")
     return lam
 
 
 def _checked_radii(radii, least: int) -> list:
     """The radii of either probe mode as floats: at least `least` of them
     (1 or 2), all finite, strictly ascending and none negative; else
-    ValueError."""
+    ArgumentError."""
     radii = [float(r) for r in radii]
     if not all(math.isfinite(r) for r in radii):
-        raise ValueError("radii must be finite")
+        raise ArgumentError("radii", "radii must be finite")
     if len(radii) < least:
-        raise ValueError("need at least one radius" if least == 1
-                         else "need at least two strictly ascending radii")
+        raise ArgumentError("radii", "need at least one radius" if least == 1
+                            else "need at least two strictly ascending radii")
     if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly ascending")
+        raise ArgumentError("radii", "radii must be strictly ascending")
     if radii[0] < 0:
-        raise ValueError("radii must be nonnegative")
+        raise ArgumentError("radii", "radii must be nonnegative")
     return radii
 
 
@@ -205,7 +206,7 @@ def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii) -> list[Zhisl
     for lam in lambdas:
         lam = _checked_lambda(lam)
         if lam < 0:
-            raise ValueError(f"lambda must be >= 0 for the free operator, got {lam}")
+            raise ArgumentError("lambdas", f"lambda must be >= 0 for the free operator, got {lam}")
         k, target = _snap_wavevector(grid, h, lam)
         # each vector is freed once its residual is taken
         entries = [ProbeEntry(radius=r, target=target, residual=_residual(
@@ -242,8 +243,8 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
     for q in radii:
         width = 0.95 * (min(grid.half_widths) - q) / 2
         if width < 4 * spacing:
-            raise ValueError(
-                f"radius {q} leaves no room for a resolvable bump in the box")
+            raise ArgumentError(
+                "radii", f"radius {q} leaves no room for a resolvable bump in the box")
         if pot.kind == "quadratic":
             inf_v = pot.min_curvature() * q * q
         else:

@@ -543,7 +543,7 @@ def test_probe_certificate_negative_radius_rejected(tmp_path, capsys):
 
 
 # every comparison with NaN is false: a NaN radius or lambda must be refused
-# by name, in both modes, with nothing written
+# under its key, in both modes, with nothing written
 @pytest.mark.parametrize("mode", ["certificate", "essential"])
 @pytest.mark.parametrize("key, value, message", [
     ("radii", "nan 5", "radii must be finite"),
@@ -556,7 +556,7 @@ def test_probe_non_finite_rejected(tmp_path, capsys, mode, key, value, message):
     cfg = write_config(tmp_path, "\n".join(lines) + "\n")
     out = tmp_path / "probe.csv"
     assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"config error: [probe] {key}: {message}")
     assert not out.exists()
 
 
@@ -626,7 +626,8 @@ def test_probe_certificate_without_radii_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, PROBE_CERT.replace("radii = 3 5", "radii ="))
     out = tmp_path / "probe.csv"
     assert main(["probe", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: need at least one radius")
+    assert capsys.readouterr().err.startswith(
+        "config error: [probe] radii: need at least one radius")
     assert not out.exists()
 
 
@@ -1117,9 +1118,9 @@ def test_analytic_refuses_grid_dims(tmp_path, capsys, key, old, new):
     assert not out.exists()
 
 
-# a valid pair is built once per command; A is built alone again only when
-# the pair fails, so that an error of A is filed under a even when B is bad
-# too, and one of B alone under b
+# the pair is built once per command, also when it is refused: A is checked
+# whole before B, so an error of A is filed under a even when B is bad too,
+# and one of B alone under b
 def test_quadratic_potential_built_once(tmp_path, capsys, monkeypatch):
     import bospec.cli as cli_module
 
@@ -1143,7 +1144,72 @@ def test_quadratic_potential_built_once(tmp_path, capsys, monkeypatch):
         assert main(["solve", "--config", write_config(tmp_path, text, name="bad.ini"),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: [potential] {key}: {message}")
-        assert built == [2, 1] and not out.exists()
+        assert built == [2] and not out.exists()
+
+
+# the library names the argument it refuses and the CLI files the refusal
+# under the config key of that name: k and tol, which the solver refuses,
+# and a radius the box leaves no room for were bare "error:" lines
+@pytest.mark.parametrize("command, old, new, message", [
+    ("solve", "k = 4", "k = 0", "[solver] k: k must be an integer in [1, 240], got k=0"),
+    ("solve", "k = 4", "k = 241", "[solver] k: k must be an integer in [1, 240], got k=241"),
+    ("compare", "k = 4", "k = 0", "[solver] k: k must be an integer in [1, 240], got k=0"),
+    ("converge", "k = 4", "k = 0", "[solver] k: k must be an integer >= 1, got k=0"),
+    ("solve", "k = 4", "k = 4\ntol = nan",
+     "[solver] tol: tol must be positive and finite, got nan"),
+    ("compare", "k = 4", "k = 4\ntol = nan",
+     "[solver] tol: tol must be positive and finite, got nan"),
+    ("converge", "k = 4", "k = 4\ntol = nan",
+     "[solver] tol: tol must be positive and finite, got nan"),
+    ("probe", "radii = 1.5 2.5", "radii = 1.5 5.9",
+     "[probe] radii: radius 5.9 leaves no room for a resolvable bump in the box"),
+], ids=["solve-k-zero", "solve-k-past-dim", "compare-k-zero", "converge-k-zero",
+        "solve-tol-nan", "compare-tol-nan", "converge-tol-nan", "probe-radius-no-room"])
+def test_library_refusal_filed_under_its_key(tmp_path, capsys, command, old, new, message):
+    cfg = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(old, new))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+# the filing rule finds a refused argument's one key by its name alone
+def test_config_key_names_unique():
+    from bospec.cli import CONFIG_KEYS
+
+    names = [key for keys in CONFIG_KEYS.values() for key in keys]
+    assert len(names) == len(set(names))
+
+
+# compare picks the sizes of its calibration grids itself, so their refusal
+# (here past the size cap, where the judged grid is under it) is filed under
+# no key, though convergence_study names it `sizes`
+def test_calibration_size_refusal_is_an_error(tmp_path, capsys):
+    text = (SEPARABLE_ALL_COMMANDS.replace("p = 1\n", "p = 2\n")
+            .replace("half_widths = 6 6\n", "half_widths = 6 6 6\n")
+            .replace("points = 31 31\n", "points = 3 3 1000\n")
+            .replace("b = 1\n", "b = 1 0; 0 1\n"))
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: grid size 15625000 exceeds the safety cap of 2000000 nodes")
+    assert not out.exists()
+
+
+# a refused argument that no config key is named after is no config error
+def test_refusal_of_no_key_is_an_error(tmp_path, capsys, monkeypatch):
+    import bospec.cli as cli_module
+    from bospec.potential import ArgumentError
+
+    def refuse(*args, **kwargs):
+        raise ArgumentError("count", "count must be an integer >= 1, got count=0")
+
+    monkeypatch.setattr(cli_module, "lowest_eigenpairs", refuse)
+    cfg = write_config(tmp_path, SEPARABLE_ALL_COMMANDS)
+    out = tmp_path / "out.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: count must be an integer >= 1, got count=0\n"
+    assert not out.exists()
 
 
 CLI_2D = """

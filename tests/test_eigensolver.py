@@ -14,9 +14,9 @@ from bospec.eigensolver import (
     convergence_study,
     lowest_eigenpairs,
 )
-from bospec.grid import (GridError, GridOperator, _norm, assemble_hamiltonian, build_grid,
+from bospec.grid import (GridOperator, _norm, assemble_hamiltonian, build_grid,
                          separable_decomposition)
-from bospec.potential import expression_potential, quadratic_potential
+from bospec.potential import ArgumentError, expression_potential, quadratic_potential
 
 
 def oscillator_op(points=999, length=10.0, h=1.0):
@@ -831,7 +831,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr(eigensolver, "lowest_eigenpairs",
                             lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
         pot = quadratic_potential([[1.0]], [[1.0]])
-        with pytest.raises(GridError, match="safety cap"):
+        with pytest.raises(ArgumentError, match="safety cap"):
             convergence_study(pot, [8.0, 8.0], (15, 23, 1500), k=3)
         assert solves == []
 

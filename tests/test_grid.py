@@ -9,15 +9,17 @@ from scipy.sparse.linalg import spsolve
 
 from bospec import grid as grid_module
 from bospec.grid import (
-    GridError,
     assemble_hamiltonian,
     build_grid,
     eigenbasis_inverse,
     separable_decomposition,
     separable_inverse,
 )
-from bospec.potential import check_count, check_h, expression_potential, quadratic_potential
-from bospec.probe import essential_spectrum_probe
+from bospec.analytic import bo_spectrum, enumerate_spectrum
+from bospec.eigensolver import convergence_study, lowest_eigenpairs
+from bospec.potential import (ArgumentError, check_count, check_h, expression_potential,
+                              oscillator_frequencies, parse_potential, quadratic_potential)
+from bospec.probe import discreteness_certificate, essential_spectrum_probe
 
 import reference
 from reference import kinetic_operator, laplacian_1d
@@ -66,7 +68,7 @@ class TestBuildGrid:
         ((1, 1, [1e160, 1.0], [31, 31]), "half_widths"),
         ((1, 1, [1e-170, 1.0], [31, 31]), "half_widths")])
     def test_error_names_its_argument(self, args, argument):
-        with pytest.raises(GridError) as caught:
+        with pytest.raises(ArgumentError) as caught:
             build_grid(*args)
         assert caught.value.argument == argument
 
@@ -81,7 +83,7 @@ class TestBuildGrid:
         ids=["fractional-points", "float-points", "fractional-n", "float-p", "bool-n", "bool-p",
              "nan-points"])
     def test_counts_must_be_integers(self, args, argument):
-        with pytest.raises(GridError, match="must be an integer") as caught:
+        with pytest.raises(ArgumentError, match="must be an integer") as caught:
             build_grid(*args)
         assert caught.value.argument == argument
 
@@ -142,6 +144,46 @@ class TestCheckCount:
                 assert getattr(module, rule, None) in (None, getattr(potential, rule))
             assert module is potential or not hasattr(module, "DEFAULT_H_MAX")
         assert check_count.__module__ == check_h.__module__ == "bospec.potential"
+
+
+# every library refusal of a value that a config key supplies is an
+# ArgumentError named after that key, which the CLI files it under
+def _oscillator_op():
+    return assemble_hamiltonian(build_grid(1, 1, [6.0, 6.0], [31, 31]),
+                                quadratic_potential([[1.0]], [[1.0]]), 0.5)
+
+
+class TestArgumentError:
+    @pytest.mark.parametrize("call, argument", [
+        (lambda: check_count("points[2]", 0), "points"),
+        (lambda: check_h(2.0), "h"),
+        (lambda: build_grid(1, 0, [1.0], [2]), "points"),
+        (lambda: parse_potential("x1 +", 1, 0), "expression"),
+        (lambda: quadratic_potential([[1.0, 2.0]]), "a"),
+        (lambda: quadratic_potential([[1.0]], [[-1.0]]), "b"),
+        (lambda: quadratic_potential([[-1.0]], [[1.0, 2.0]]), "a"),
+        (lambda: oscillator_frequencies([[np.nan]]), "a"),
+        (lambda: bo_spectrum([[1.0]], [[-1.0]], k=2), "b"),
+        (lambda: enumerate_spectrum([1.0], e_max=math.nan), "e_max"),
+        (lambda: lowest_eigenpairs(_oscillator_op(), 4, tol=math.nan), "tol"),
+        (lambda: convergence_study(quadratic_potential([[1.0]]), [6.0], [31, 15], 2),
+         "sizes"),
+        (lambda: convergence_study(quadratic_potential([[1.0]]), [6.0], [2, 15], 2),
+         "sizes"),
+        (lambda: discreteness_certificate(_oscillator_op(), math.nan, [1.5]), "lambdas"),
+        (lambda: discreteness_certificate(_oscillator_op(), 1.0, [5.9]), "radii"),
+        (lambda: essential_spectrum_probe(0.5, build_grid(1, 1, [6.0, 6.0], [31, 31]),
+                                               [-1.0], [1.5, 2.0]), "lambdas"),
+        (lambda: essential_spectrum_probe(0.5, build_grid(1, 1, [6.0, 6.0], [31, 31]),
+                                               [1.0], [math.nan, 2.0]), "radii"),
+    ], ids=["check_count", "check_h", "build_grid", "parse_potential", "a-square", "b-definite",
+            "a-before-b", "oscillator_frequencies", "bo_spectrum", "e_max", "tol",
+            "sizes-ascending", "sizes-points", "lambda-finite", "radius-no-room",
+            "lambda-free", "radii-finite"])
+    def test_refusal_names_its_key(self, call, argument):
+        with pytest.raises(ArgumentError) as caught:
+            call()
+        assert caught.value.argument == argument
 
 
 class TestAssembly:

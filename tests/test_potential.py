@@ -235,8 +235,8 @@ class TestQuadratic:
     def test_rejects_non_finite(self, a, b, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             quadratic_potential(a, b)
-        with pytest.raises(ValueError, match="matrix must be finite"):
-            oscillator_frequencies(b if b is not None else a)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            oscillator_frequencies(a) if b is None else oscillator_frequencies(b, "b")
 
     # scipy's dsyevd on the lower triangle is the routine numpy's eigvalsh
     # runs, so the frequencies keep their bits with no call to numpy.linalg
