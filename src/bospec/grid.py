@@ -236,8 +236,8 @@ def _norm(x) -> float:
     """||x|| of a contiguous grid vector, real or complex, by scipy's dnrm2
     over its float view, never numpy's BLAS.  dnrm2 is unthreaded, so it
     wakes neither pool: a threaded ddot left scipy's workers spinning against
-    the numpy inner products of the probe's CG solve, which then took 1.6
-    times as long."""
+    the numpy inner products of a former CG solve, which then took 1.6 times
+    as long."""
     return float(blas.dnrm2(x.view(float)))
 
 
@@ -318,11 +318,24 @@ def _leading_eigenpairs(main, off, count: int) -> tuple:
     `cli-2d` pass (7 separable solves) took 0.4-0.5 ms longer.  The products
     are `_tridiagonal_product` and np.einsum, which without `optimize` runs
     numpy's own sum-of-products loops: no dgemm, and no numpy BLAS or
-    LAPACK."""
+    LAPACK.
+
+    A level within four tolerances above the count-th (by a Sturm count:
+    dstebz over a value range at an infinite tolerance) is carried through,
+    and the first `count` pairs of the cluster returned.  Cut from its
+    partner, a double well's lowest level was the pair's weighted mean: 1.5e-8
+    relative off at a gap of 0.23 tolerances, 6e-12 at 2 and 1e-13 at 4."""
     tol = _bisection_tolerance(main, off, count)
-    # the count lowest: range 3 takes the il-th to iu-th eigenvalues,
-    # counted from 1; block order ("B"), the layout dstein reads
+    # the count lowest: range 3 (scipy's wrapper reads 0 as all, 1 as a
+    # value range and more as an index range) takes the il-th to iu-th
+    # eigenvalues, counted from 1; block order ("B"), the layout dstein reads
     m, w, block, split, info = lapack.dstebz(main, off, 3, 0.0, 0.0, 1, count, tol, "B")
+    if info == 0 and count < main.size:
+        # range 1 counts the eigenvalues in (vl, vu]
+        reach = lapack.dstebz(main, off, 1, -np.inf, w[:m].max() + 4 * tol, 0, 0, np.inf, "B")[0]
+        if reach > count:
+            theta, vectors = _leading_eigenpairs(main, off, reach)
+            return theta[:count], vectors[:, :count]
     if info == 0:
         q, info = lapack.dstein(main, off, w[:m], block, split)
     if info != 0:
@@ -349,9 +362,9 @@ class GridOperator:
     @cached_property
     def matrix(self) -> "scipy.sparse.csr_matrix":
         """H in canonical CSR, built on first read and then kept.  Only the
-        paths that factor or iterate on H read it: the eigensolver's sparse
-        LU and matvec backends and the probe's CG solve.  Every other product
-        with H is `apply`, so a separable solve or probe builds no H."""
+        eigensolver's sparse LU and matvec backends, which factor or iterate
+        on H, read it.  Every other product with H is `apply`, so a separable
+        solve or any probe builds no H."""
         return _band_matrix(self.grid, self.h, self.potential_values)
 
     def apply(self, u, out=None, scratch=None) -> np.ndarray:

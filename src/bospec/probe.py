@@ -1,7 +1,7 @@
 """Numerical spectral diagnostics: Zhislin test vectors supported outside
 balls, the essential-spectrum probe for the free operator, the confinement
-lower-bound certificate, commutator decay of smooth cutoffs, and the kinetic
-form-chain check.
+lower-bound certificate, commutator decay of smooth cutoffs for a separable
+V, and the kinetic form-chain check.  No probe assembles H.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ __all__ = [
 NOISE_BAND = 0.05
 # Largest relative defect a form-chain link may show before it counts as broken.
 FORM_TOLERANCE = 1e-10
-# Most refinement steps of a separable resolvent solve that misses its check
-# (`_resolvent_at_i`); one took a steep rotated axis from 1.9e-5 to 3.1e-9.
-REFINEMENT_STEPS = 2
 
 
 def bump(t):
@@ -112,13 +109,7 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float,
     if k.shape != (grid.dim,):
         raise ValueError(f"wavevector k must be a vector of {grid.dim} components, "
                          f"one per grid dimension; got shape {k.shape}")
-    spacing = max(grid.spacing)
-    if width < 4 * spacing:
-        raise ValueError(f"width {width} unresolvable: need >= 4 spacings ({4 * spacing:g})")
-    if radius + 2 * width > min(grid.half_widths):
-        raise ValueError(
-            f"support radius {radius + 2 * width:g} exceeds the box "
-            f"(min half-width {min(grid.half_widths)})")
+    _check_room(grid, radius, width)
     if radii is None:
         radii = grid.node_radii()
     # the bump's argument 2 (|X| - radius - width) / width - 1, in place
@@ -142,6 +133,17 @@ def make_zhislin_vector(grid: Grid, radius: float, k, width: float,
         raise ValueError("bump not resolved by any grid node")
     v /= nrm
     return v
+
+
+def _check_room(grid: Grid, radius: float, width: float) -> None:
+    """Refuse, as ArgumentError of `radii`, a bump of `make_zhislin_vector`
+    narrower than 4 spacings or reaching past the box."""
+    spacing, half_width = max(grid.spacing), min(grid.half_widths)
+    if width < 4 * spacing or radius + 2 * width > half_width:
+        raise ArgumentError("radii", f"radius {radius:g} leaves no room for a resolvable bump "
+                            f"in the box: need width {width:g} >= {4 * spacing:g} (4 spacings) "
+                            f"and support radius {radius + 2 * width:g} <= {half_width:g} "
+                            "(min half-width)")
 
 
 def _residual(apply, v: np.ndarray, lam: float) -> float:
@@ -192,13 +194,16 @@ def _checked_radii(radii, least: int) -> list:
 def essential_spectrum_probe(h: float, grid: Grid, lambdas, radii) -> list[ZhislinReport]:
     """For the free operator V = 0, check that lambda >= 0 admits Zhislin-type
     vectors with residuals decaying as the bump widens (its width equals the
-    radius).  A trend needs at least two strictly ascending radii, all >= 0.
+    radius).  A trend needs at least two strictly ascending radii, all >= 0,
+    each of whose bumps the grid holds (`_check_room`, before any is built).
 
     The residual targets the discrete symbol at the snapped wavevector, so the
     trend is not polluted by the O(delta^2) symbol mismatch.
     """
     radii = _checked_radii(radii, least=2)
     check_h(h)
+    for r in radii:
+        _check_room(grid, r, r)
     # the free operator's product from its stencil, V = 0: no matrix is built
     free = partial(_band_apply, grid, h, 0.0)
     node_radii = grid.node_radii()
@@ -237,14 +242,11 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
     lam = _checked_lambda(lam)
     radii = _checked_radii(radii, least=1)
     grid = op.grid
-    spacing = max(grid.spacing)
     node_radii = grid.node_radii()
     entries = []
     for q in radii:
         width = 0.95 * (min(grid.half_widths) - q) / 2
-        if width < 4 * spacing:
-            raise ArgumentError(
-                "radii", f"radius {q} leaves no room for a resolvable bump in the box")
+        _check_room(grid, q, width)
         if pot.kind == "quadratic":
             inf_v = pot.min_curvature() * q * q
         else:
@@ -270,48 +272,26 @@ def discreteness_certificate(op: GridOperator, lam: float, radii) -> ZhislinRepo
                          verdict=verdict)
 
 
-def _resolvent_at_i(op: GridOperator, v: np.ndarray, z: float, rtol: float = 1e-8,
-                    inverse=None):
+def _resolvent_at_i(op: GridOperator, v: np.ndarray, z: float, inverse, rtol=1e-8):
     """w = (H - z)^{-1} v for real v, H = `op` and a real z below its
-    spectrum, so that H - zI is positive definite.  With `inverse`, the exact
-    (H - zI)^{-1} of `grid.separable_inverse`, w is one apply of it and no H
-    is built; otherwise scipy's CG iterates on `op.matrix` in real
-    arithmetic, from zero and for at most dim iterations.  The name is kept
-    from the former solve at the point i because perfbench's tracer wraps
-    this function by name.
+    spectrum, as one apply of `inverse`, the exact (H - zI)^{-1} of
+    `grid.separable_inverse`: no H is built.  The name is kept from the
+    former solve at the point i because perfbench's tracer wraps this
+    function by name.
 
     A w whose true residual r = Hw - zw - v (by `op.apply`, in two work
-    vectors allocated once w is formed) exceeds rtol ||v||, or a CG solve
-    that scipy reports unconverged, raises.  A separable w that misses is
-    first refined, w <- w - (H - zI)^{-1} r, for at most REFINEMENT_STEPS
-    steps (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 12): the inverse's full axis eigenbasis carries an error of about
-    ulp times the axis norm, which a steep V makes large."""
-    dim = v.size
-    if inverse is not None:
-        w, info = inverse(v), 0
-    else:
-        # scipy.sparse is imported here, by the one solve that runs it
-        import scipy.sparse.linalg as spla
-
-        matrix = op.matrix
-        shifted = spla.LinearOperator((dim, dim), lambda x: matrix @ x - z * x, dtype=float)
-        w, info = spla.cg(shifted, v, rtol=rtol, atol=0.0, maxiter=dim)
-    target = rtol * _norm(v)
-    # a miss scipy reports raises without the product of the residual check
-    if info == 0:
-        residual, scratch = np.empty(dim), np.empty(dim)
-        for step in range(REFINEMENT_STEPS + 1):
-            _shifted_product(op.apply, w, z, residual, scratch)
-            residual -= v
-            if _norm(residual) <= target:
-                return w
-            if inverse is None or step == REFINEMENT_STEPS:
-                break
-            w -= inverse(residual)
-    how = (f"by the separable inverse and {step} refinement steps" if inverse is not None
-           else f"within {dim} CG iterations")
-    raise RuntimeError(f"resolvent solve did not converge to residual {target:.3g} {how}")
+    vectors allocated once w is formed) exceeds rtol ||v|| raises
+    RuntimeError naming ||r||: the inverse's full axis eigenbasis carries an
+    error of about ulp times the axis norm, which a steep V makes large."""
+    w = inverse(v)
+    residual = _shifted_product(op.apply, w, z, np.empty(v.size), np.empty(v.size))
+    residual -= v
+    missed, target = _norm(residual), rtol * _norm(v)
+    # a NaN residual fails the check too
+    if not missed <= target:
+        raise RuntimeError(f"the separable inverse missed its residual check: "
+                           f"||(H - z) w - v|| = {missed:.3g} > {target:.3g}")
+    return w
 
 
 def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
@@ -327,10 +307,10 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
     Each probe is a random unit vector v seeded by (seed, probe index); one
     solve gives the real w = (H - z)^{-1} v, which every scale shares, so all
     scales are compared on the same probes.  w is one apply of the exact
-    `grid.separable_inverse` when that admits the operator, else an
-    unpreconditioned CG solve, the one use of the assembled `op.matrix`.
-    The commutator with Phi = diag(phi_q) is applied matrix-free,
-    [H, Phi] w = H (phi w) - phi (H w), each H by
+    `grid.separable_inverse` (`_resolvent_at_i`), so V must be a sum of
+    one-variable terms on the grid; any other V raises ValueError before the
+    first solve.  No H is assembled: the commutator with Phi = diag(phi_q)
+    is applied matrix-free, [H, Phi] w = H (phi w) - phi (H w), each H by
     `GridOperator.apply`, the potential cancelling in exact arithmetic; the
     max of ||[H, phi_q] w|| / ||v|| over probes is reported.  Each estimate
     is a lower estimate of the norm; both tend to 0 as q grows.
@@ -349,6 +329,9 @@ def commutator_decay(op: GridOperator, family: CutoffFamily, probes: int,
                          f"got {family.scales}")
     z = op.shift_below_spectrum() - 1.0
     inverse = separable_inverse(op, z)
+    if inverse is None:
+        raise ValueError("commutator_decay needs a V that is a sum of one-variable terms "
+                         "on the grid")
     radii = op.grid.node_radii()
     phis = [family.values(op.grid, q, radii=radii) for q in family.scales]
     del radii

@@ -8,7 +8,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from bospec.grid import eigenbasis_inverse, separable_decomposition
 from bospec.probe import _norm
@@ -109,27 +108,20 @@ def residual(matrix, v, lam) -> float:
 
 def commutator_estimates(op, scales, probes, seed) -> list:
     """max over the probes of ||H (phi_q w) - phi_q (H w)|| per scale q, w =
-    (H - z)^{-1} v for the seeded unit vectors v: by the separable inverse
-    with its factor held (dpttrf once, dpttrs per solve) when V is a sum of
-    one-variable terms, else by unpreconditioned CG; H by the sparse
+    (H - z)^{-1} v for the seeded unit vectors v, by the separable inverse
+    with its factor held (dpttrf once, dpttrs per solve); H by the sparse
     matrix."""
     z = op.shift_below_spectrum() - 1.0
     decomposition = separable_decomposition(op)
     matrix = op.matrix
     radii = node_radii(op.grid)
     phis = [cutoff_profile(radii / q) for q in scales]
-    if decomposition is not None:
-        solve = eigenbasis_inverse(decomposition, z)
+    solve = eigenbasis_inverse(decomposition, z)
     best = [0.0] * len(phis)
     for pi in range(probes):
         v = np.random.default_rng((seed, pi)).standard_normal(op.dim)
         v /= _norm(v)
-        if decomposition is not None:
-            w = decomposition.rotate_back(solve(decomposition.rotate(v)))
-        else:
-            shifted = spla.LinearOperator(matrix.shape, lambda x: matrix @ x - z * x,
-                                          dtype=float)
-            w, _ = spla.cg(shifted, v, rtol=1e-8, atol=0.0, maxiter=op.dim)
+        w = decomposition.rotate_back(solve(decomposition.rotate(v)))
         hw = matrix @ w
         best = [max(b, _norm(matrix @ (phi * w) - phi * hw))
                 for b, phi in zip(best, phis)]

@@ -956,8 +956,7 @@ def test_bospec_threads_after_numpy_warns():
     assert runs["bospec, numpy"].returncode == 0
 
 
-# a sum of one-variable terms, so no solve or probe takes scipy's CG, which
-# calls numpy.linalg.norm itself
+# a sum of one-variable terms, so every solve inverts it per axis
 SEPARABLE_ALL_COMMANDS = """
 [grid]
 n = 1
@@ -1055,9 +1054,9 @@ print(json.dumps(loaded))
 
 def test_sparse_stack_loaded_only_by_sparse_work(tmp_path):
     """Every command calls scipy's LAPACK, so `import bospec` loads
-    scipy.linalg; scipy.sparse (ARPACK, SuperLU, CG) is loaded only by a
-    solve or a probe on a V that is not a sum of one-variable terms, so the
-    probes and the analytic levels on a separable V never load it."""
+    scipy.linalg; scipy.sparse (ARPACK, SuperLU) is loaded only by a solve
+    on a V that is not a sum of one-variable terms, so the probes and the
+    analytic levels never load it."""
     certificate = write_config(tmp_path, SEPARABLE_ALL_COMMANDS, name="certificate.ini")
     essential = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(
         "mode = certificate", "mode = essential").replace("radii = 1.5 2.5", "radii = 1.5 2"),
@@ -1149,7 +1148,9 @@ def test_quadratic_potential_built_once(tmp_path, capsys, monkeypatch):
 
 # the library names the argument it refuses and the CLI files the refusal
 # under the config key of that name: k and tol, which the solver refuses,
-# and a radius the box leaves no room for were bare "error:" lines
+# and a radius the box leaves no room for were bare "error:" lines; so were
+# essential mode's, whose bump (as wide as its radius) reached past the box
+# or was unresolved
 @pytest.mark.parametrize("command, old, new, message", [
     ("solve", "k = 4", "k = 0", "[solver] k: k must be an integer in [1, 240], got k=0"),
     ("solve", "k = 4", "k = 241", "[solver] k: k must be an integer in [1, 240], got k=241"),
@@ -1162,9 +1163,19 @@ def test_quadratic_potential_built_once(tmp_path, capsys, monkeypatch):
     ("converge", "k = 4", "k = 4\ntol = nan",
      "[solver] tol: tol must be positive and finite, got nan"),
     ("probe", "radii = 1.5 2.5", "radii = 1.5 5.9",
-     "[probe] radii: radius 5.9 leaves no room for a resolvable bump in the box"),
+     "[probe] radii: radius 5.9 leaves no room for a resolvable bump in the box: need width "
+     "0.0475 >= 1.5 (4 spacings) and support radius 5.995 <= 6 (min half-width)"),
+    ("probe", "mode = certificate\nlambdas = 1\nradii = 1.5 2.5",
+     "mode = essential\nlambdas = 1\nradii = 1.5 3",
+     "[probe] radii: radius 3 leaves no room for a resolvable bump in the box: need width "
+     "3 >= 1.5 (4 spacings) and support radius 9 <= 6 (min half-width)"),
+    ("probe", "mode = certificate\nlambdas = 1\nradii = 1.5 2.5",
+     "mode = essential\nlambdas = 1\nradii = 0.1 2",
+     "[probe] radii: radius 0.1 leaves no room for a resolvable bump in the box: need width "
+     "0.1 >= 1.5 (4 spacings) and support radius 0.3 <= 6 (min half-width)"),
 ], ids=["solve-k-zero", "solve-k-past-dim", "compare-k-zero", "converge-k-zero",
-        "solve-tol-nan", "compare-tol-nan", "converge-tol-nan", "probe-radius-no-room"])
+        "solve-tol-nan", "compare-tol-nan", "converge-tol-nan", "probe-radius-no-room",
+        "essential-support-past-box", "essential-width-unresolved"])
 def test_library_refusal_filed_under_its_key(tmp_path, capsys, command, old, new, message):
     cfg = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(old, new))
     out = tmp_path / "out.csv"

@@ -792,6 +792,25 @@ class TestLeadingEigenpairs:
             signs = np.sign(np.sum(q * q_full, axis=0))
             assert np.abs(q * signs - q_full).max() <= 1e-10
 
+    # (x1^2 - 4)^2 at h = 0.5 splits its lowest pair by 2.9e-8, below the
+    # bisection tolerance (1.3e-7 on 255 points): a count of 1 cut the pair,
+    # inverse iteration's one vector mixed both levels, and lowest(1) came
+    # out as their weighted mean, 1.5e-8 relative off (1.3e-8 on 511)
+    @pytest.mark.parametrize("points", [255, 511])
+    def test_count_cutting_a_near_degenerate_pair(self, points):
+        op = assemble_hamiltonian(build_grid(1, 0, [8.0], [points]),
+                                  expression_potential("(x1^2 - 4)^2", 1, 0), 0.5)
+        exact = np.linalg.eigvalsh(op.matrix.toarray())[:2]
+        assert exact[1] - exact[0] < 3e-8
+        for k in (1, 2):
+            levels = separable_decomposition(op, k=k).lowest(k)
+            assert np.all(np.abs(levels - exact[:k]) <= 1e-12 * np.abs(exact[:k]))
+        main, off = grid_module._axis_tridiagonal(op.grid, 0.5, 0, op.potential_values)
+        theta, q = grid_module._leading_eigenpairs(main, off, 1)
+        assert q.shape == (points, 1) and q.flags.f_contiguous
+        residual = grid_module._tridiagonal_product(main[:, None] - theta, off, q)
+        assert np.linalg.norm(residual) <= 1e-10
+
     # rotate_back inverts rotate on the kept blocks in every layout: t last
     # (15 x 17, 8^3), t second to last (17 x 15, 7 x 9 x 8), where the last
     # product keeps the last dimension last, t first of three (9 x 8 x 7),
