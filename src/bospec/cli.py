@@ -318,13 +318,13 @@ def cmd_converge(cfg, args) -> int:
     sizes = _need(cfg, "converge", "sizes")
     if len(sizes) < 3:
         raise ConfigError("converge", "sizes", "need at least 3 grid sizes")
-    # convergence_study builds these grids again; built here too, a bad grid
-    # is refused before a bad potential
-    grid = convergence_grids(_need(cfg, "grid", "n"), _opt(cfg, "grid", "p", 0),
-                             _need(cfg, "grid", "half_widths"), sizes)[-1]
-    pot = _build_potential_from_config(cfg, grid.n, grid.p)
+    # every grid built before the potential and any solve, so a bad grid is
+    # refused before a bad potential
+    grids = convergence_grids(_need(cfg, "grid", "n"), _opt(cfg, "grid", "p", 0),
+                              _need(cfg, "grid", "half_widths"), sizes)
+    pot = _build_potential_from_config(cfg, grids[0].n, grids[0].p)
     params = _solver_params(cfg, args.seed)
-    study = convergence_study(pot, grid.half_widths, sizes, params["k"], h=params["h"],
+    study = convergence_study(pot, grids, params["k"], h=params["h"],
                               tol=params["tol"], seed=params["seed"])
     rows = [(j, ref, slope, ok) for j, (ref, slope, ok)
             in enumerate(zip(study.reference, study.slopes, study.passed))]

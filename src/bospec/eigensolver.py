@@ -284,11 +284,11 @@ def cluster_multiplicities(eigs, gap_tol: float) -> list[MultiplicityCluster]:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    deltas: tuple                 # max grid spacing per size
-    errors: np.ndarray            # (num_sizes, k) absolute eigenvalue errors
+    deltas: tuple                 # max grid spacing per grid
+    errors: np.ndarray            # (num_grids, k) absolute eigenvalue errors
     slopes: tuple                 # fitted log-log slope per eigenvalue, or None
     reference: tuple              # eigenvalues the errors are measured against
-    converged: np.ndarray         # (num_sizes, k) inner-solve flags
+    converged: np.ndarray         # (num_grids, k) inner-solve flags
 
     @property
     def passed(self) -> tuple:
@@ -309,31 +309,28 @@ def convergence_grids(n: int, p: int, half_widths, sizes) -> list:
         raise ArgumentError("sizes", str(exc)) from exc
 
 
-def convergence_study(pot: Potential, half_widths, sizes, k: int,
-                      h: float = 1.0, tol: float = 1e-7,
-                      seed: int = 0) -> ConvergenceStudy:
+def convergence_study(pot: Potential, grids, k: int, h: float = 1.0,
+                      tol: float = 1e-7, seed: int = 0) -> ConvergenceStudy:
     """Solve the same physics on a family of grids and fit eigenvalue-error
     slopes against the spacing.
 
-    `sizes` are strictly ascending per-dimension interior point counts, at
-    least two: a repeated size would fit one grid twice.
+    `grids` are at least two grids of one box whose largest spacing strictly
+    decreases: a repeated spacing would fit one resolution twice.  A refusal
+    names `sizes`, the argument `convergence_grids` builds square grids from.
     The reference spectrum comes from the exact oscillator formulas for
     quadratic potentials and from Richardson extrapolation of the two finest
     grids otherwise.
     """
     k = check_count("k", k)
-    sizes = [check_count(f"sizes[{i}]", s) for i, s in enumerate(sizes)]
-    if len(sizes) < 2:
+    if len(grids) < 2:
         raise ArgumentError("sizes", "need at least 2 grid sizes")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ArgumentError("sizes", "sizes must be strictly ascending")
-
-    # every grid built before any solve, so that a size refused is refused
-    # before the solves on the sizes below it
-    grids = convergence_grids(pot.n, pot.p, half_widths, sizes)
+    if any(grid.half_widths != grids[0].half_widths for grid in grids):
+        raise ArgumentError("sizes", "grids must share one box")
     deltas = [max(grid.spacing) for grid in grids]
-    eigs = np.empty((len(sizes), k))
-    flags = np.empty((len(sizes), k), dtype=bool)
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ArgumentError("sizes", "sizes must be strictly ascending")
+    eigs = np.empty((len(grids), k))
+    flags = np.empty((len(grids), k), dtype=bool)
     for i, grid in enumerate(grids):
         op = assemble_hamiltonian(grid, pot, h)
         res = lowest_eigenpairs(op, k, tol=tol, seed=seed)
@@ -361,7 +358,7 @@ def convergence_study(pot: Potential, half_widths, sizes, k: int,
             slopes.append(None)
             continue
         # the least-squares slope in closed form, which needs no LAPACK; the
-        # sizes ascend strictly, so the centred log deltas are not all 0
+        # spacings decrease strictly, so the centred log deltas are not all 0
         x = log_d[mask] - log_d[mask].mean()
         y = np.log(err[mask])
         slopes.append(float(np.sum(x * (y - y.mean())) / np.sum(x * x)))
@@ -402,6 +399,19 @@ def compare_with_oscillator(op: GridOperator, k: int, tol: float = 1e-8,
     pot, grid = op.potential, op.grid
     if pot.kind != "quadratic":
         raise ValueError("comparison requires a quadratic potential")
+    # |error| ~ C delta^2, C calibrated on grids of max(31, m // 4) and
+    # max(63, m // 2) points on each axis of m points, by a solve at least as
+    # tight as the one it judges; both are coarser than the judged grid only
+    # on axes of more than 63 points.  Both are built before any solve
+    try:
+        calibration = [build_grid(grid.n, grid.p, grid.half_widths,
+                                  [max(least, m // div) for m in grid.points])
+                       for least, div in ((31, 4), (63, 2))]
+    except ArgumentError as exc:
+        if exc.argument != "points":
+            raise
+        # the calibration grids are chosen here, not given by the caller
+        raise ValueError(str(exc)) from exc
     result = lowest_eigenpairs(op, k, tol=tol, seed=seed)
     # the analytic levels the k eigenvalues cover whole; level i holds the
     # eigenvalues ends[i] - m_i .. ends[i] - 1
@@ -414,20 +424,8 @@ def compare_with_oscillator(op: GridOperator, k: int, tol: float = 1e-8,
     gap_tol = min(gaps) / 4 if gaps else 1e-6
     clusters = cluster_multiplicities(result.eigenvalues[:total], gap_tol)
 
-    # |error| ~ C delta^2, C calibrated on grids of max(31, N // 4) and
-    # max(63, N // 2) points per axis, N = max(grid.points), by a solve at
-    # least as tight as the one it judges; both are coarser than the judged
-    # grid only for N > 63 (N = 31 gives 31 and 63)
-    base = max(grid.points)
-    sizes = (max(31, base // 4), max(63, base // 2))
-    try:
-        study = convergence_study(pot, grid.half_widths, sizes, total, h=op.h,
-                                  tol=min(tol, 1e-8), seed=seed)
-    except ArgumentError as exc:
-        if exc.argument != "sizes":
-            raise
-        # the calibration sizes are chosen here, not given by the caller
-        raise ValueError(str(exc)) from exc
+    study = convergence_study(pot, calibration, total, h=op.h, tol=min(tol, 1e-8),
+                              seed=seed)
     constants = (study.errors / np.square(study.deltas)[:, None]).max(axis=0)
     delta = max(grid.spacing)
 

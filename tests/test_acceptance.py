@@ -17,6 +17,7 @@ from bospec.analytic import (
 from bospec.cli import main
 from bospec.eigensolver import (
     cluster_multiplicities,
+    convergence_grids,
     convergence_study,
     lowest_eigenpairs,
 )
@@ -270,8 +271,8 @@ def test_criterion_11_essential_probe():
 
 def test_criterion_12_convergence_order():
     pot = quadratic_potential([[1.0]])
-    study = convergence_study(pot, [10.0], [250, 500, 1000, 2000], k=3,
-                              tol=1e-9)
+    study = convergence_study(pot, convergence_grids(1, 0, [10.0], [250, 500, 1000, 2000]),
+                              k=3, tol=1e-9)
     slopes = [float(s) for s in study.slopes]
     ok = all(1.7 <= s <= 2.3 for s in slopes)
     report(12, "second-order convergence", ok,

@@ -9,7 +9,7 @@ import pytest
 
 import bospec
 from bospec.cli import main
-from bospec.eigensolver import convergence_study
+from bospec.eigensolver import convergence_grids, convergence_study
 from bospec.potential import quadratic_potential
 
 
@@ -276,8 +276,9 @@ class TestCompare:
     def test_unconverged_calibration_reported(self):
         pot = quadratic_potential([[1.0]])
         # the calibration grids compare uses for a 255-point grid
-        assert convergence_study(pot, (8.0,), (63, 127), 3, tol=1e-8).converged.all()
-        assert not convergence_study(pot, (8.0,), (63, 127), 3, tol=1e-15).converged.all()
+        grids = convergence_grids(1, 0, (8.0,), (63, 127))
+        assert convergence_study(pot, grids, 3, tol=1e-8).converged.all()
+        assert not convergence_study(pot, grids, 3, tol=1e-15).converged.all()
 
     def test_partial_convergence_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, COMPARE.replace("tol = 1e-8", "tol = 1e-15"))
@@ -1192,19 +1193,39 @@ def test_config_key_names_unique():
     assert len(names) == len(set(names))
 
 
-# compare picks the sizes of its calibration grids itself, so their refusal
-# (here past the size cap, where the judged grid is under it) is filed under
-# no key, though convergence_study names it `sizes`
-def test_calibration_size_refusal_is_an_error(tmp_path, capsys):
+# compare picks the points of its calibration grids itself, so their refusal
+# (here past the size cap, where the judged grid is under it: 3 x 3 x 1100
+# calibrates on 63 x 63 x 550) is filed under no key, though build_grid
+# names it `points`; both grids are built before any solve
+def test_calibration_size_refusal_is_an_error(tmp_path, capsys, monkeypatch):
+    import bospec.eigensolver as eigensolver_module
+
+    solves = []
+    monkeypatch.setattr(eigensolver_module, "lowest_eigenpairs",
+                        lambda *args, **kwargs: solves.append(1))
     text = (SEPARABLE_ALL_COMMANDS.replace("p = 1\n", "p = 2\n")
             .replace("half_widths = 6 6\n", "half_widths = 6 6 6\n")
-            .replace("points = 31 31\n", "points = 3 3 1000\n")
+            .replace("points = 31 31\n", "points = 3 3 1100\n")
             .replace("b = 1\n", "b = 1 0; 0 1\n"))
     out = tmp_path / "out.csv"
     assert main(["compare", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: grid size 15625000 exceeds the safety cap of 2000000 nodes")
+        "error: grid size 2182950 exceeds the safety cap of 2000000 nodes")
     assert not out.exists()
+    assert solves == []
+
+
+# the small-h regime's anisotropic grids calibrate per axis: 3001 x 63 on
+# 750 x 31 and 1500 x 63, where square calibration grids sized from the
+# longest axis (1500^2) were refused past the size cap
+def test_anisotropic_compare_calibrates_per_axis(tmp_path):
+    text = (SEPARABLE_ALL_COMMANDS.replace("half_widths = 6 6\n", "half_widths = 2 5\n")
+            .replace("points = 31 31\n", "points = 3001 63\n")
+            .replace("h = 0.5\nk = 4\n", "h = 0.05\nk = 6\ntol = 1e-7\n"))
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert len(rows) == 6 and all(r["pass"] == "true" for r in rows)
 
 
 # a refused argument that no config key is named after is no config error
@@ -1269,3 +1290,23 @@ def test_frequencies_derived_once_per_matrix(tmp_path, monkeypatch):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
         per_command[command] = len(calls)
     assert per_command == {"solve": 2, "compare": 2, "converge": 2}
+
+
+# converge solves the grids it builds: one build_grid call per size, where
+# the study once built every grid again
+def test_converge_builds_each_grid_once(tmp_path, monkeypatch):
+    import bospec.cli as cli_module
+    import bospec.eigensolver as eigensolver_module
+
+    built = []
+    build = eigensolver_module.build_grid
+
+    def counting(*args):
+        built.append(tuple(args[3]))
+        return build(*args)
+
+    for module in (cli_module, eigensolver_module):
+        monkeypatch.setattr(module, "build_grid", counting)
+    cfg = write_config(tmp_path, CLI_2D)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert built == [(63, 63), (127, 127), (255, 255)]

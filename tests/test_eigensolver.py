@@ -11,6 +11,7 @@ from bospec.eigensolver import (
     boundary_warning,
     cluster_multiplicities,
     compare_with_oscillator,
+    convergence_grids,
     convergence_study,
     lowest_eigenpairs,
 )
@@ -784,14 +785,14 @@ class TestClusterMultiplicities:
 class TestConvergenceStudy:
     def test_oscillator_slope(self):
         pot = quadratic_potential([[1.0]])
-        study = convergence_study(pot, [10.0], [125, 250, 500], k=1,
+        study = convergence_study(pot, convergence_grids(1, 0, [10.0], [125, 250, 500]), k=1,
                                   tol=1e-8)
         assert study.slopes[0] == pytest.approx(2.0, abs=0.3)
 
     def test_one_size_rejected(self):
         pot = quadratic_potential([[1.0]])
         with pytest.raises(ValueError, match="2"):
-            convergence_study(pot, [10.0], [100], k=1)
+            convergence_study(pot, convergence_grids(1, 0, [10.0], [100]), k=1)
 
     # a repeated finest size divided the Richardson reference by zero, and a
     # repeated coarse one fitted two grids to an exact slope of 2
@@ -803,53 +804,75 @@ class TestConvergenceStudy:
         monkeypatch.setattr(eigensolver, "lowest_eigenpairs", no_solve)
         pot = expression_potential("x1^2 + y1^2 + x1^2*y1^2", 1, 1, nonnegative=True)
         with pytest.raises(ValueError, match="strictly ascending"):
-            convergence_study(pot, [6.0, 6.0], sizes, k=3, h=0.5)
+            convergence_study(pot, convergence_grids(1, 1, [6.0, 6.0], sizes), k=3, h=0.5)
+
+    # the study solves the grids it is handed: a repeated largest spacing,
+    # here on grids that differ along the finer axis alone, and grids of two
+    # boxes are refused under `sizes` before any solve
+    @pytest.mark.parametrize("half_widths, points, message", [
+        ([(6.0, 6.0), (6.0, 6.0)], [(15, 31), (15, 63)], "strictly ascending"),
+        ([(6.0, 6.0), (6.0, 8.0)], [(15, 15), (31, 31)], "one box"),
+    ], ids=["repeated-spacing", "two-boxes"])
+    def test_grids_refused_before_any_solve(self, monkeypatch, half_widths, points, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grids were checked")
+
+        monkeypatch.setattr(eigensolver, "lowest_eigenpairs", no_solve)
+        grids = [build_grid(1, 1, l, m) for l, m in zip(half_widths, points)]
+        with pytest.raises(ArgumentError, match=message) as refusal:
+            convergence_study(quadratic_potential([[1.0]], [[1.0]]), grids, k=3)
+        assert refusal.value.argument == "sizes"
 
     # k = 2.5 raised a bare TypeError from np.empty, and a fractional size
     # was truncated: np.geomspace(64, 256, 3) holds 127.99999999999999, and
-    # the study solved on 127 points; each is refused before any grid
-    @pytest.mark.parametrize("sizes, k, message", [
-        ([31, 63, 127], 2.5, "k must be an integer >= 1"),
-        ([31, 63, 127], True, "k must be an integer >= 1"),
-        (np.geomspace(64, 256, 3), 2, r"sizes\[0\] must be an integer >= 1"),
-        ([31, 63.5, 127], 2, r"sizes\[1\] must be an integer >= 1")],
+    # the study solved on 127 points.  A size is refused under `sizes` by
+    # convergence_grids, as build_grid refuses the point count before it
+    # makes a grid, and k by the study before any operator is assembled
+    @pytest.mark.parametrize("sizes, k, argument, message", [
+        ([31, 63, 127], 2.5, "k", "k must be an integer >= 1"),
+        ([31, 63, 127], True, "k", "k must be an integer >= 1"),
+        (np.geomspace(64, 256, 3), 2, "sizes",
+         r"points\[0\] must be an integer >= 3, got points\[0\]=np"),
+        ([31, 63.5, 127], 2, "sizes", r"points\[0\] must be an integer >= 3, got points\[0\]=63.5")],
         ids=["fractional-k", "bool-k", "geomspace-sizes", "fractional-size"])
-    def test_counts_refused_before_any_grid(self, monkeypatch, sizes, k, message):
+    def test_counts_refused_before_any_grid(self, monkeypatch, sizes, k, argument, message):
         def no_grid(*args, **kwargs):
-            raise AssertionError("a grid was built before the counts were checked")
+            raise AssertionError("an operator was assembled before the counts were checked")
 
-        monkeypatch.setattr(eigensolver, "build_grid", no_grid)
+        monkeypatch.setattr(eigensolver, "assemble_hamiltonian", no_grid)
         monkeypatch.setattr(eigensolver, "lowest_eigenpairs", no_grid)
-        with pytest.raises(ValueError, match=message):
-            convergence_study(quadratic_potential([[1.0]]), [10.0], sizes, k=k)
+        with pytest.raises(ArgumentError, match=message) as refusal:
+            convergence_study(quadratic_potential([[1.0]]),
+                              convergence_grids(1, 0, [10.0], sizes), k=k)
+        assert refusal.value.argument == argument
 
     # each grid was built just before its solve, so 1500^2 nodes, past the
-    # size cap, were refused after the solves on 15^2 and 23^2
-    def test_size_past_the_cap_refused_before_any_solve(self, monkeypatch):
-        solves = []
-        solve = eigensolver.lowest_eigenpairs
-        monkeypatch.setattr(eigensolver, "lowest_eigenpairs",
-                            lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
-        pot = quadratic_potential([[1.0]], [[1.0]])
-        with pytest.raises(ArgumentError, match="safety cap"):
-            convergence_study(pot, [8.0, 8.0], (15, 23, 1500), k=3)
-        assert solves == []
+    # size cap, were refused after the solves on 15^2 and 23^2; the study
+    # now builds no grid, and convergence_grids builds every one before it
+    # returns any
+    def test_size_past_the_cap_refused_before_any_solve(self):
+        with pytest.raises(ArgumentError, match="safety cap") as refusal:
+            convergence_grids(1, 1, [8.0, 8.0], (15, 23, 1500))
+        assert refusal.value.argument == "sizes"
 
     def test_numpy_integer_counts_accepted(self):
         pot = quadratic_potential([[1.0]])
-        expected = convergence_study(pot, [10.0], [31, 63, 127], k=2, tol=1e-9)
-        study = convergence_study(pot, [10.0], np.array([31, 63, 127]), k=np.int64(2), tol=1e-9)
+        expected = convergence_study(pot, convergence_grids(1, 0, [10.0], [31, 63, 127]),
+                                     k=2, tol=1e-9)
+        study = convergence_study(pot, convergence_grids(1, 0, [10.0], np.array([31, 63, 127])),
+                                  k=np.int64(2), tol=1e-9)
         assert study.errors.tobytes() == expected.errors.tobytes()
         assert study.deltas == expected.deltas
 
     def test_free_operator_solves_converge(self):
         pot = expression_potential("0*x1", 1, 0, nonnegative=True)
-        study = convergence_study(pot, [4.0], [31, 63, 127], k=1, tol=1e-10)
+        study = convergence_study(pot, convergence_grids(1, 0, [4.0], [31, 63, 127]), k=1,
+                                  tol=1e-10)
         assert study.converged.all()
 
     def test_richardson_for_expression(self):
         pot = expression_potential("x1^2", 1, 0, nonnegative=True)
-        study = convergence_study(pot, [10.0], [125, 250, 500], k=1,
+        study = convergence_study(pot, convergence_grids(1, 0, [10.0], [125, 250, 500]), k=1,
                                   tol=1e-8)
         assert study.reference[0] == pytest.approx(1.0, abs=1e-3)
         assert study.slopes[0] == pytest.approx(2.0, abs=0.4)
@@ -879,7 +902,7 @@ class TestConvergenceStudy:
             raise AssertionError("the slope called numpy.polyfit")
 
         monkeypatch.setattr(np, "polyfit", no_polyfit)
-        study = convergence_study(pot, [5.0], sizes, k=k, h=1.0)
+        study = convergence_study(pot, convergence_grids(1, 0, [5.0], sizes), k=k, h=1.0)
         for j, slope in enumerate(study.slopes):
             mask = study.errors[:, j] > 0
             assert mask.sum() == (2, 4, 5, 5)[j]
@@ -937,3 +960,25 @@ def test_compare_with_oscillator_report():
     assert report.gap_tol == 0.5  # a quarter of the least level gap
     assert not report.structural and report.converged
     assert all(row[-1] for row in report.rows)
+
+
+# the calibration grids take max(31, m // 4) and max(63, m // 2) points on
+# each axis of m points, and both are built before the first solve
+def test_compare_calibrates_per_axis_before_any_solve(monkeypatch):
+    events = []
+    build, solve = eigensolver.build_grid, eigensolver.lowest_eigenpairs
+
+    def recorded_build(*args):
+        grid = build(*args)
+        events.append(grid.points)
+        return grid
+
+    monkeypatch.setattr(eigensolver, "build_grid", recorded_build)
+    monkeypatch.setattr(eigensolver, "lowest_eigenpairs",
+                        lambda op, *args, **kwargs: events.append("solve") or solve(op, *args, **kwargs))
+    op = assemble_hamiltonian(build_grid(1, 1, [2.0, 5.0], [255, 31]),
+                              quadratic_potential([[1.0]], [[1.0]]), 0.2)
+    report = compare_with_oscillator(op, 4, tol=1e-8)
+    assert events == [(63, 31), (127, 63), "solve", "solve", "solve"]
+    assert not report.structural and report.converged
+

@@ -16,7 +16,7 @@ from bospec.grid import (
     separable_inverse,
 )
 from bospec.analytic import bo_spectrum, enumerate_spectrum
-from bospec.eigensolver import convergence_study, lowest_eigenpairs
+from bospec.eigensolver import convergence_grids, convergence_study, lowest_eigenpairs
 from bospec.potential import (ArgumentError, check_count, check_h, expression_potential,
                               oscillator_frequencies, parse_potential, quadratic_potential)
 from bospec.probe import discreteness_certificate, essential_spectrum_probe
@@ -166,10 +166,9 @@ class TestArgumentError:
         (lambda: bo_spectrum([[1.0]], [[-1.0]], k=2), "b"),
         (lambda: enumerate_spectrum([1.0], e_max=math.nan), "e_max"),
         (lambda: lowest_eigenpairs(_oscillator_op(), 4, tol=math.nan), "tol"),
-        (lambda: convergence_study(quadratic_potential([[1.0]]), [6.0], [31, 15], 2),
-         "sizes"),
-        (lambda: convergence_study(quadratic_potential([[1.0]]), [6.0], [2, 15], 2),
-         "sizes"),
+        (lambda: convergence_study(quadratic_potential([[1.0]]),
+                                   convergence_grids(1, 0, [6.0], [31, 15]), 2), "sizes"),
+        (lambda: convergence_grids(1, 0, [6.0], [2, 15]), "sizes"),
         (lambda: discreteness_certificate(_oscillator_op(), math.nan, [1.5]), "lambdas"),
         (lambda: discreteness_certificate(_oscillator_op(), 1.0, [5.9]), "radii"),
         (lambda: essential_spectrum_probe(0.5, build_grid(1, 1, [6.0, 6.0], [31, 31]),
