@@ -32,7 +32,6 @@ from .analytic import (
     AnalyticSpectrum,
     bo_spectrum,
     enumerate_spectrum,
-    oscillator_frequencies,
 )
 from .eigensolver import (
     MultiplicityCluster,
@@ -52,6 +51,7 @@ from .grid import (
 from .potential import (
     Potential,
     expression_potential,
+    oscillator_frequencies,
     parse_potential,
     quadratic_potential,
 )

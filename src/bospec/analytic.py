@@ -20,10 +20,8 @@ from .potential import ArgumentError, check_count, oscillator_frequencies
 
 __all__ = [
     "AnalyticSpectrum",
-    "oscillator_frequencies",
     "enumerate_spectrum",
     "bo_spectrum",
-    "frequency_spectrum",
     "hermite_values",
 ]
 
@@ -131,24 +129,17 @@ def enumerate_spectrum(w, e_max=None, k=None) -> AnalyticSpectrum:
 
 
 def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:
-    """Spectrum of -h^2 Lap_x - Lap_y + <Ax,x> + <By,y>: weighted sums with
-    combined weight list (h*w_1, ..., h*w_n, mu_1, ..., mu_p)."""
+    """Spectrum of -h^2 Lap_x - Lap_y + <Ax,x> + <By,y>: the levels of the
+    weights (h*w_1, ..., h*w_n, mu_1, ..., mu_p), where w and mu are the
+    `oscillator_frequencies` of A and B (omit B, or pass an empty one, for
+    p = 0)."""
     if not 0 < h < math.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
+    w = oscillator_frequencies(a)
     mu = oscillator_frequencies(b, "b") if b is not None and np.size(b) > 0 else ()
-    return frequency_spectrum(oscillator_frequencies(a), mu, h, e_max=e_max, k=k)
-
-
-def frequency_spectrum(w, mu, h, e_max=None, k=None) -> AnalyticSpectrum:
-    """`bo_spectrum` from the frequencies w of A and mu of B, as
-    `oscillator_frequencies` gives them (and `Potential.frequencies` holds
-    them): the levels of the weights (h*w_1, ..., h*w_n, mu_1, ..., mu_p).
-    An h that is not positive and finite gives a weight that
-    `enumerate_spectrum` refuses."""
-    combined = [h * wi for wi in w] + list(mu)
-    spec = enumerate_spectrum(combined, e_max=e_max, k=k)
+    spec = enumerate_spectrum([h * wi for wi in w] + list(mu), e_max=e_max, k=k)
     return AnalyticSpectrum(levels=spec.levels, e_max=e_max, k=k,
-                            params={"h": h, "w": w, "mu": tuple(mu)})
+                            params={"h": h, "w": w, "mu": mu})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .analytic import frequency_spectrum
+from .analytic import bo_spectrum
 from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
                           convergence_grids, convergence_study, lowest_eigenpairs)
 from .grid import assemble_hamiltonian, build_grid
@@ -253,7 +253,7 @@ def cmd_analytic(cfg, args) -> int:
         raise ConfigError("analytic", "e_max", "give e_max or levels, not both")
     if levels is not None:
         levels = check_count("levels", levels)
-    spec = frequency_spectrum(*pot.frequencies, params["h"], e_max=e_max, k=levels)
+    spec = bo_spectrum(pot.a, pot.b, params["h"], e_max=e_max, k=levels)
     rows = [(float(e), m) for e, m in spec.levels]
     _write(args.out, args.format, ("energy", "multiplicity"), rows, {
         "params": {key: (float(v) if isinstance(v, (int, float)) else

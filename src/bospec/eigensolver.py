@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 
-from .analytic import frequency_spectrum
+from .analytic import bo_spectrum
 from .grid import (GridOperator, SeparableDecomposition, _norm, _shifted_product,
                    assemble_hamiltonian, build_grid, eigenbasis_inverse,
                    separable_decomposition)
@@ -298,9 +298,11 @@ class ConvergenceStudy:
 
 
 def convergence_grids(n: int, p: int, half_widths, sizes) -> list:
-    """The grid of each size in `sizes`, with that many points on every axis;
-    a refusal of `build_grid`'s points is one of `sizes`.  Not in __all__, so
-    perfbench's tracer adds no span of its own."""
+    """The grid of each size in `sizes`, with that many points on every axis.
+    Each size is checked as `sizes[i]` before any grid is built, and
+    `build_grid`'s refusal of the points (the size cap) is one of `sizes`.
+    Not in __all__, so perfbench's tracer adds no span of its own."""
+    sizes = [check_count(f"sizes[{i}]", size, least=3) for i, size in enumerate(sizes)]
     try:
         return [build_grid(n, p, half_widths, [size] * (n + p)) for size in sizes]
     except ArgumentError as exc:
@@ -338,7 +340,7 @@ def convergence_study(pot: Potential, grids, k: int, h: float = 1.0,
         flags[i] = res.converged[:k]
 
     if pot.kind == "quadratic":
-        ref = np.asarray(frequency_spectrum(*pot.frequencies, h, k=k).flat(k), dtype=float)
+        ref = np.asarray(bo_spectrum(pot.a, pot.b, h, k=k).flat(k), dtype=float)
     else:
         # Richardson extrapolation assuming O(delta^2) error, two finest grids
         d1, d2 = deltas[-2], deltas[-1]
@@ -415,7 +417,7 @@ def compare_with_oscillator(op: GridOperator, k: int, tol: float = 1e-8,
     result = lowest_eigenpairs(op, k, tol=tol, seed=seed)
     # the analytic levels the k eigenvalues cover whole; level i holds the
     # eigenvalues ends[i] - m_i .. ends[i] - 1
-    spec = frequency_spectrum(*pot.frequencies, op.h, k=k).levels
+    spec = bo_spectrum(pot.a, pot.b, op.h, k=k).levels
     ends = np.cumsum([m for _, m in spec])
     levels = [(float(e), m) for (e, m), end in zip(spec, ends) if end <= k]
     total = sum(m for _, m in levels)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -230,7 +230,6 @@ class Potential:
     tree: ast.expr  # V over x1..xn, y1..yp, either kind
     a: np.ndarray | None = None
     b: np.ndarray | None = None
-    frequencies: tuple = field(default=())  # (w, mu) square roots, quadratic only
 
     @property
     def dim(self) -> int:
@@ -262,8 +261,10 @@ class Potential:
         """Smallest eigenvalue of blkdiag(A, B); quadratic kind only."""
         if self.kind != "quadratic":
             raise ValueError("min_curvature requires a quadratic potential")
-        w, mu = self.frequencies
-        return float(min(list(w) + list(mu)) ** 2)
+        roots = oscillator_frequencies(self.a)
+        if self.b is not None:
+            roots += oscillator_frequencies(self.b, "b")
+        return float(min(roots) ** 2)
 
 
 def oscillator_frequencies(a, argument: str = "a") -> tuple:
@@ -300,12 +301,14 @@ def _form_tree(matrix: np.ndarray, axis: str) -> ast.expr:
 
 
 def _form_matrix(m, argument: str):
-    """`m` symmetrized as (M+M^T)/2, with its frequencies; else ArgumentError."""
+    """`m` symmetrized as (M+M^T)/2, once `oscillator_frequencies` found it
+    positive definite; else ArgumentError."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise ArgumentError(argument, f"{argument.upper()} must be square")
     m = (m + m.T) / 2
-    return m, oscillator_frequencies(m, argument)
+    oscillator_frequencies(m, argument)
+    return m
 
 
 def quadratic_potential(a, b=None) -> Potential:
@@ -314,8 +317,8 @@ def quadratic_potential(a, b=None) -> Potential:
     Both matrices must be strictly positive definite (omit B for p = 0).
     A is checked whole before B, so a refusal of both names `a`.
     """
-    a, w = _form_matrix(a, "a")
-    b, mu = _form_matrix(b, "b") if b is not None and np.size(b) > 0 else (None, ())
+    a = _form_matrix(a, "a")
+    b = _form_matrix(b, "b") if b is not None and np.size(b) > 0 else None
     tree = _form_tree(a, "x")
     if b is not None:
         tree = ast.BinOp(tree, ast.Add(), _form_tree(b, "y"))
@@ -327,7 +330,6 @@ def quadratic_potential(a, b=None) -> Potential:
         tree=tree,
         a=a,
         b=b,
-        frequencies=(w, mu),
     )
 
 

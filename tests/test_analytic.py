@@ -10,10 +10,9 @@ from bospec.analytic import (
     AnalyticSpectrum,
     bo_spectrum,
     enumerate_spectrum,
-    frequency_spectrum,
     hermite_values,
-    oscillator_frequencies,
 )
+from bospec.potential import oscillator_frequencies
 
 
 def brute_force_levels(w, h_scale, e_max):
@@ -79,14 +78,13 @@ class TestEnumerateSpectrum:
 
     # no count of levels equals a fractional k, so the enumeration never
     # stopped: it is cut at 100 energies here, so that a missing check fails
-    # instead of running on.  bo_spectrum and frequency_spectrum pass k on.
+    # instead of running on.  bo_spectrum passes k on.
     # True is a bool, not a count, though Python reads it as 1
     @pytest.mark.parametrize("k", [2.5, 3.0, 0, True])
     @pytest.mark.parametrize("spectrum", [
         lambda k: enumerate_spectrum([1.0, 2.0], k=k),
-        lambda k: bo_spectrum([[1.0]], [[1.0]], 0.5, k=k),
-        lambda k: frequency_spectrum((1.0,), (1.0,), 0.5, k=k)],
-        ids=["enumerate_spectrum", "bo_spectrum", "frequency_spectrum"])
+        lambda k: bo_spectrum([[1.0]], [[1.0]], 0.5, k=k)],
+        ids=["enumerate_spectrum", "bo_spectrum"])
     def test_non_integer_k_rejected(self, monkeypatch, spectrum, k):
         import bospec.analytic as analytic
 

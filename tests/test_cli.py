@@ -490,8 +490,8 @@ class TestConverge:
     @pytest.mark.parametrize("old, new, message", [
         ("p = 0\nhalf_widths = 10", "p = 1\nhalf_widths = nan 6",
          "[grid] half_widths: half-widths must be positive and finite"),
-        ("sizes = 125 250 500", "sizes = 2 250 500",
-         "[converge] sizes: points[0] must be an integer >= 3, got points[0]=2"),
+        ("sizes = 125 250 500", "sizes = 125 2 500",
+         "[converge] sizes: sizes[1] must be an integer >= 3, got sizes[1]=2"),
         ("sizes = 125 250 500", "sizes = 125 250 2000001",
          "[converge] sizes: grid size 2000001 exceeds the safety cap"),
     ], ids=["nan-half-width", "too-few-points", "over-cap"])
@@ -1022,11 +1022,8 @@ def test_no_numpy_lapack(tmp_path, monkeypatch):
     analytic_calls = {
         "AnalyticSpectrum": lambda: analytic.AnalyticSpectrum(
             levels=((1, 1), (3, 2)), e_max=None, k=2, params={}).flat(),
-        "oscillator_frequencies": lambda: analytic.oscillator_frequencies([[2.0, 0.5],
-                                                                           [0.5, 1.0]]),
         "enumerate_spectrum": lambda: analytic.enumerate_spectrum([1, 2], k=3),
         "bo_spectrum": lambda: analytic.bo_spectrum([[1.0]], [[1.0]], h=0.5, k=3),
-        "frequency_spectrum": lambda: analytic.frequency_spectrum((1.0,), (1.0,), 0.5, k=3),
         "hermite_values": lambda: analytic.hermite_values(4, np.linspace(-3.0, 3.0, 7)),
     }
     assert sorted(analytic.__all__) == sorted(analytic_calls)
@@ -1266,11 +1263,12 @@ sizes = 63 127 255
 """
 
 
-# the commands of the cli-2d benchmark pass take their levels from the
-# frequencies the potential holds: one call per matrix per command (2 + 2 +
-# 2), where building the potential twice and re-deriving the frequencies for
-# the analytic reference once took 3 + 7 + 5
-def test_frequencies_derived_once_per_matrix(tmp_path, monkeypatch):
+# on the commands of the cli-2d benchmark pass, building the potential
+# checks A and B once (2 calls), and each exact reference, one bo_spectrum
+# call, derives their frequencies again (2 more): compare takes two, its
+# levels and its calibration study's, and converge one.  A command that
+# built the potential twice would take one call per matrix more
+def test_frequencies_derived_per_reference(tmp_path, monkeypatch):
     import bospec.analytic as analytic_module
     import bospec.potential as potential_module
 
@@ -1289,7 +1287,7 @@ def test_frequencies_derived_once_per_matrix(tmp_path, monkeypatch):
         calls.clear()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
         per_command[command] = len(calls)
-    assert per_command == {"solve": 2, "compare": 2, "converge": 2}
+    assert per_command == {"solve": 2, "compare": 6, "converge": 4}
 
 
 # converge solves the grids it builds: one build_grid call per size, where

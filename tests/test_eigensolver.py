@@ -825,15 +825,15 @@ class TestConvergenceStudy:
 
     # k = 2.5 raised a bare TypeError from np.empty, and a fractional size
     # was truncated: np.geomspace(64, 256, 3) holds 127.99999999999999, and
-    # the study solved on 127 points.  A size is refused under `sizes` by
-    # convergence_grids, as build_grid refuses the point count before it
-    # makes a grid, and k by the study before any operator is assembled
+    # the study solved on 127 points.  convergence_grids refuses a size as
+    # `sizes[i]` before it builds any grid, and the study refuses k before
+    # any operator is assembled
     @pytest.mark.parametrize("sizes, k, argument, message", [
         ([31, 63, 127], 2.5, "k", "k must be an integer >= 1"),
         ([31, 63, 127], True, "k", "k must be an integer >= 1"),
         (np.geomspace(64, 256, 3), 2, "sizes",
-         r"points\[0\] must be an integer >= 3, got points\[0\]=np"),
-        ([31, 63.5, 127], 2, "sizes", r"points\[0\] must be an integer >= 3, got points\[0\]=63.5")],
+         r"sizes\[0\] must be an integer >= 3, got sizes\[0\]=np"),
+        ([31, 63.5, 127], 2, "sizes", r"sizes\[1\] must be an integer >= 3, got sizes\[1\]=63.5")],
         ids=["fractional-k", "bool-k", "geomspace-sizes", "fractional-size"])
     def test_counts_refused_before_any_grid(self, monkeypatch, sizes, k, argument, message):
         def no_grid(*args, **kwargs):
@@ -853,6 +853,21 @@ class TestConvergenceStudy:
     def test_size_past_the_cap_refused_before_any_solve(self):
         with pytest.raises(ArgumentError, match="safety cap") as refusal:
             convergence_grids(1, 1, [8.0, 8.0], (15, 23, 1500))
+        assert refusal.value.argument == "sizes"
+
+    # every size is checked before the first grid is built, and the refusal
+    # names the size's own index
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_size_refused_by_its_index_before_any_grid(self, monkeypatch, index):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built before the sizes were checked")
+
+        monkeypatch.setattr(eigensolver, "build_grid", no_grid)
+        sizes = [15, 23, 31]
+        sizes[index] = 2
+        with pytest.raises(ArgumentError, match=rf"^sizes\[{index}\] must be an integer >= 3, "
+                                                rf"got sizes\[{index}\]=2$") as refusal:
+            convergence_grids(1, 1, [8.0, 8.0], sizes)
         assert refusal.value.argument == "sizes"
 
     def test_numpy_integer_counts_accepted(self):

@@ -280,6 +280,20 @@ class TestQuadratic:
         assert np.allclose(pot.a, pot.a.T)
         assert value_at(pot, [1.0, 1.0]) == pytest.approx(7.0)
 
+    # the certificate's lower bound on V reads min_curvature: the least
+    # eigenvalue of blkdiag(A, B), as the squared least frequency of A and B
+    def test_min_curvature(self):
+        a = np.array([[1.0, 0.3], [0.3, 2.0]])
+        b = np.array([[1.0, 0.5], [0.5, 1.0]])
+        pot = quadratic_potential(a, b)
+        block = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
+        assert pot.min_curvature() == pytest.approx(np.linalg.eigvalsh(block)[0], rel=1e-14)
+        assert pot.min_curvature() == \
+            min(oscillator_frequencies(a) + oscillator_frequencies(b)) ** 2
+        assert quadratic_potential(a).min_curvature() == min(oscillator_frequencies(a)) ** 2
+        with pytest.raises(ValueError, match="requires a quadratic potential"):
+            expression_potential("x1^2 + y1^2", 1, 1).min_curvature()
+
     def test_dimension_mismatch(self):
         pot = quadratic_potential([[1.0]])
         with pytest.raises(ValueError):
