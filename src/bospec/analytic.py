@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .potential import ArgumentError, check_count, oscillator_frequencies
+from .potential import ArgumentError, check_count, check_h, oscillator_frequencies
 
 __all__ = [
     "AnalyticSpectrum",
@@ -132,9 +132,9 @@ def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:
     """Spectrum of -h^2 Lap_x - Lap_y + <Ax,x> + <By,y>: the levels of the
     weights (h*w_1, ..., h*w_n, mu_1, ..., mu_p), where w and mu are the
     `oscillator_frequencies` of A and B (omit B, or pass an empty one, for
-    p = 0)."""
-    if not 0 < h < math.inf:
-        raise ValueError(f"h must be positive and finite, got {h}")
+    p = 0), which take the matrices `quadratic_potential` takes.  `check_h`
+    refuses h as every command does."""
+    check_h(h)
     w = oscillator_frequencies(a)
     mu = oscillator_frequencies(b, "b") if b is not None and np.size(b) > 0 else ()
     spec = enumerate_spectrum([h * wi for wi in w] + list(mu), e_max=e_max, k=k)

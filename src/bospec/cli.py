@@ -21,8 +21,7 @@ from .analytic import bo_spectrum
 from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
                           convergence_grids, convergence_study, lowest_eigenpairs)
 from .grid import assemble_hamiltonian, build_grid
-from .potential import (ArgumentError, check_count, check_h, expression_potential,
-                        quadratic_potential)
+from .potential import ArgumentError, check_count, expression_potential, quadratic_potential
 from .probe import discreteness_certificate, essential_spectrum_probe
 
 EXIT_OK = 0
@@ -156,10 +155,8 @@ def _build_potential_from_config(cfg, n: int, p: int):
 
 
 def _solver_params(cfg, seed_override=None):
-    h = _opt(cfg, "solver", "h", 0.1)
-    check_h(h)
     params = {
-        "h": h,
+        "h": _opt(cfg, "solver", "h", 0.1),
         "k": _opt(cfg, "solver", "k", 5),
         "tol": _opt(cfg, "solver", "tol", 1e-6),
         "seed": _opt(cfg, "solver", "seed", 0),

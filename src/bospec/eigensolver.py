@@ -400,20 +400,22 @@ def compare_with_oscillator(op: GridOperator, k: int, tol: float = 1e-8,
     """
     pot, grid = op.potential, op.grid
     if pot.kind != "quadratic":
-        raise ValueError("comparison requires a quadratic potential")
+        raise ArgumentError("kind", "comparison requires a quadratic potential")
     # |error| ~ C delta^2, C calibrated on grids of max(31, m // 4) and
     # max(63, m // 2) points on each axis of m points, by a solve at least as
     # tight as the one it judges; both are coarser than the judged grid only
     # on axes of more than 63 points.  Both are built before any solve
-    try:
-        calibration = [build_grid(grid.n, grid.p, grid.half_widths,
-                                  [max(least, m // div) for m in grid.points])
-                       for least, div in ((31, 4), (63, 2))]
-    except ArgumentError as exc:
-        if exc.argument != "points":
-            raise
-        # the calibration grids are chosen here, not given by the caller
-        raise ValueError(str(exc)) from exc
+    calibration = []
+    for least, div in ((31, 4), (63, 2)):
+        points = [max(least, m // div) for m in grid.points]
+        try:
+            calibration.append(build_grid(grid.n, grid.p, grid.half_widths, points))
+        except ArgumentError as exc:
+            if exc.argument != "points":
+                raise
+            # the calibration grids are chosen here, not given by the caller
+            raise ValueError(f"calibration grid of {' x '.join(map(str, points))} "
+                             f"points: {exc}") from exc
     result = lowest_eigenpairs(op, k, tol=tol, seed=seed)
     # the analytic levels the k eigenvalues cover whole; level i holds the
     # eigenvalues ends[i] - m_i .. ends[i] - 1

@@ -392,12 +392,12 @@ def assemble_hamiltonian(grid: Grid, pot: Potential, h: float) -> GridOperator:
     if pot.n != grid.n or pot.p != grid.p:
         raise ValueError(
             f"potential dims ({pot.n},{pot.p}) do not match grid ({grid.n},{grid.p})")
+    check_h(h)  # before V, so a bad h is refused as h, not by V's domain
     # each axis's coordinates along its own array axis, dimension 0 last, so
     # that the broadcast values in C order run in flat-index order, with no
     # coordinate table
     axes = [grid.axis_coords(d).reshape((-1,) + (1,) * d) for d in range(grid.dim)]
     vvals = pot.evaluate_many(axes)
-    check_h(h)
     return GridOperator(grid=grid, h=h, potential=pot, potential_values=vvals)
 
 

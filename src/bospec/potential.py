@@ -268,26 +268,9 @@ class Potential:
 
 
 def oscillator_frequencies(a, argument: str = "a") -> tuple:
-    """Ascending square roots of the eigenvalues of a symmetric PD matrix;
-    else ArgumentError of `argument`, whose message names "matrix A" for "a"."""
-    name = f"matrix {argument.upper()}"
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] != a.shape[1]:
-        raise ArgumentError(argument, f"{name} must be square")
-    if not np.all(np.isfinite(a)):
-        raise ArgumentError(argument, f"{name} must be finite")
-    # a is finite, so this decides as np.allclose(a, a.T, rtol=0, atol=...)
-    if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
-        raise ArgumentError(argument, f"{name} must be symmetric")
-    # LAPACK's dsyevd on the lower triangle, the routine numpy's eigvalsh
-    # runs, on scipy's LAPACK
-    eigs, _, info = lapack.dsyevd(a, compute_v=0, lower=1)
-    if info != 0:
-        raise ArgumentError(argument, f"{name}: LAPACK dsyevd failed (info {info})")
-    if np.any(eigs <= 0):
-        raise NotPositiveDefiniteError(
-            argument, f"{name} is not positive definite (eigenvalue {eigs.min():g})")
-    return tuple(np.sort(np.sqrt(eigs)))
+    """Ascending square roots of the eigenvalues of (A+A^T)/2, the matrix
+    `quadratic_potential` builds from A; else `_form_matrix`'s ArgumentError."""
+    return _form_matrix(a, argument)[1]
 
 
 def _form_tree(matrix: np.ndarray, axis: str) -> ast.expr:
@@ -300,15 +283,27 @@ def _form_tree(matrix: np.ndarray, axis: str) -> ast.expr:
     return reduce(lambda total, term: ast.BinOp(total, ast.Add(), term), terms)
 
 
-def _form_matrix(m, argument: str):
-    """`m` symmetrized as (M+M^T)/2, once `oscillator_frequencies` found it
-    positive definite; else ArgumentError."""
+def _form_matrix(m, argument: str) -> tuple:
+    """The one check of a quadratic form's matrix: `m` symmetrized as
+    (M+M^T)/2, and its frequencies.  ArgumentError of `argument`, whose
+    messages name "matrix A" for "a", unless M is square and (M+M^T)/2 is
+    finite (so an overflow of the sum is refused) and positive definite."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ArgumentError(argument, f"{argument.upper()} must be square")
     m = (m + m.T) / 2
-    oscillator_frequencies(m, argument)
-    return m
+    name = f"matrix {argument.upper()}"
+    if not np.all(np.isfinite(m)):
+        raise ArgumentError(argument, f"{name} must be finite")
+    # LAPACK's dsyevd on the lower triangle, the routine numpy's eigvalsh
+    # runs, on scipy's LAPACK
+    eigs, _, info = lapack.dsyevd(m, compute_v=0, lower=1)
+    if info != 0:
+        raise ArgumentError(argument, f"{name}: LAPACK dsyevd failed (info {info})")
+    if np.any(eigs <= 0):
+        raise NotPositiveDefiniteError(
+            argument, f"{name} is not positive definite (eigenvalue {eigs.min():g})")
+    return m, tuple(np.sort(np.sqrt(eigs)))
 
 
 def quadratic_potential(a, b=None) -> Potential:
@@ -317,8 +312,8 @@ def quadratic_potential(a, b=None) -> Potential:
     Both matrices must be strictly positive definite (omit B for p = 0).
     A is checked whole before B, so a refusal of both names `a`.
     """
-    a = _form_matrix(a, "a")
-    b = _form_matrix(b, "b") if b is not None and np.size(b) > 0 else None
+    a = _form_matrix(a, "a")[0]
+    b = _form_matrix(b, "b")[0] if b is not None and np.size(b) > 0 else None
     tree = _form_tree(a, "x")
     if b is not None:
         tree = ast.BinOp(tree, ast.Add(), _form_tree(b, "y"))

@@ -12,7 +12,7 @@ from bospec.analytic import (
     enumerate_spectrum,
     hermite_values,
 )
-from bospec.potential import oscillator_frequencies
+from bospec.potential import ArgumentError, oscillator_frequencies, quadratic_potential
 
 
 def brute_force_levels(w, h_scale, e_max):
@@ -163,10 +163,22 @@ class TestBoSpectrum:
         assert spec.params["w"] == pytest.approx((1.0, 2.0))
         assert spec.params["mu"] == pytest.approx((1.0,))
 
-    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0])
+    # h is refused by check_h, the rule of every other layer: (0, 1], so
+    # h = 2, which every command refuses, is refused here too
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1.0, 2.0])
     def test_non_positive_or_non_finite_h_rejected(self, h):
-        with pytest.raises(ValueError, match="h must be positive and finite"):
+        with pytest.raises(ArgumentError, match="h must lie in") as caught:
             bo_spectrum([[1.0]], [[1.0]], h=h, k=3)
+        assert caught.value.argument == "h"
+
+    # the reference takes the matrices quadratic_potential takes: A is
+    # symmetrized as (A + A^T)/2, so an asymmetric A gives the levels of its
+    # symmetric part, and of the potential's A, bit for bit
+    def test_asymmetric_matrix_symmetrized_like_the_potential(self):
+        levels = bo_spectrum([[1.0, 2.0], [0.0, 4.0]], None, 0.5, k=4)
+        assert levels == bo_spectrum([[1.0, 1.0], [1.0, 4.0]], None, 0.5, k=4)
+        assert levels == bo_spectrum(quadratic_potential([[1.0, 2.0], [0.0, 4.0]]).a,
+                                     None, 0.5, k=4)
 
 
 class TestHermite:

@@ -298,7 +298,8 @@ class TestCompare:
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: comparison requires a quadratic potential")
+        assert err.startswith(
+            "config error: [potential] kind: comparison requires a quadratic potential")
         assert not out.exists()
 
     # 7 x 31: three clusters against three levels, but of multiplicities
@@ -1192,23 +1193,32 @@ def test_config_key_names_unique():
 
 # compare picks the points of its calibration grids itself, so their refusal
 # (here past the size cap, where the judged grid is under it: 3 x 3 x 1100
-# calibrates on 63 x 63 x 550) is filed under no key, though build_grid
-# names it `points`; both grids are built before any solve
+# calibrates on 63 x 63 x 550, and the 4D 9 x 11 x 9 x 11 on 63 points per
+# axis) is filed under no key, though build_grid names it `points`, and
+# names the calibration grid; both grids are built before any solve
 def test_calibration_size_refusal_is_an_error(tmp_path, capsys, monkeypatch):
     import bospec.eigensolver as eigensolver_module
 
     solves = []
     monkeypatch.setattr(eigensolver_module, "lowest_eigenpairs",
                         lambda *args, **kwargs: solves.append(1))
-    text = (SEPARABLE_ALL_COMMANDS.replace("p = 1\n", "p = 2\n")
-            .replace("half_widths = 6 6\n", "half_widths = 6 6 6\n")
-            .replace("points = 31 31\n", "points = 3 3 1100\n")
-            .replace("b = 1\n", "b = 1 0; 0 1\n"))
-    out = tmp_path / "out.csv"
-    assert main(["compare", "--config", write_config(tmp_path, text), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: grid size 2182950 exceeds the safety cap of 2000000 nodes")
-    assert not out.exists()
+    three = (SEPARABLE_ALL_COMMANDS.replace("p = 1\n", "p = 2\n")
+             .replace("half_widths = 6 6\n", "half_widths = 6 6 6\n")
+             .replace("b = 1\n", "b = 1 0; 0 1\n"))
+    four = (three.replace("n = 1\n", "n = 2\n")
+            .replace("half_widths = 6 6 6\n", "half_widths = 6 6 6 6\n")
+            .replace("a = 1\n", "a = 1 0; 0 1\n"))
+    for text, points, size in [
+            (three.replace("points = 31 31\n", "points = 3 3 1100\n"), "63 x 63 x 550", 2182950),
+            (four.replace("points = 31 31\n", "points = 9 11 9 11\n"), "63 x 63 x 63 x 63",
+             15752961)]:
+        out = tmp_path / "out.csv"
+        assert main(["compare", "--config", write_config(tmp_path, text),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: calibration grid of {points} points: grid size {size} exceeds the "
+            "safety cap of 2000000 nodes")
+        assert not out.exists()
     assert solves == []
 
 
@@ -1264,10 +1274,11 @@ sizes = 63 127 255
 
 
 # on the commands of the cli-2d benchmark pass, building the potential
-# checks A and B once (2 calls), and each exact reference, one bo_spectrum
-# call, derives their frequencies again (2 more): compare takes two, its
-# levels and its calibration study's, and converge one.  A command that
-# built the potential twice would take one call per matrix more
+# checks A and B by `_form_matrix` with no `oscillator_frequencies` call,
+# and each exact reference, one bo_spectrum call, derives their frequencies
+# (2 calls): compare takes two references, its levels and its calibration
+# study's, converge one and solve none.  A command that took a reference
+# once more would take one call per matrix more
 def test_frequencies_derived_per_reference(tmp_path, monkeypatch):
     import bospec.analytic as analytic_module
     import bospec.potential as potential_module
@@ -1287,7 +1298,7 @@ def test_frequencies_derived_per_reference(tmp_path, monkeypatch):
         calls.clear()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
         per_command[command] = len(calls)
-    assert per_command == {"solve": 2, "compare": 6, "converge": 4}
+    assert per_command == {"solve": 0, "compare": 4, "converge": 2}
 
 
 # converge solves the grids it builds: one build_grid call per size, where

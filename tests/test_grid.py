@@ -160,6 +160,7 @@ class TestArgumentError:
         (lambda: build_grid(1, 0, [1.0], [2]), "points"),
         (lambda: parse_potential("x1 +", 1, 0), "expression"),
         (lambda: quadratic_potential([[1.0, 2.0]]), "a"),
+        (lambda: quadratic_potential(np.ones((2, 2, 2))), "a"),
         (lambda: quadratic_potential([[1.0]], [[-1.0]]), "b"),
         (lambda: quadratic_potential([[-1.0]], [[1.0, 2.0]]), "a"),
         (lambda: oscillator_frequencies([[np.nan]]), "a"),
@@ -175,8 +176,8 @@ class TestArgumentError:
                                                [-1.0], [1.5, 2.0]), "lambdas"),
         (lambda: essential_spectrum_probe(0.5, build_grid(1, 1, [6.0, 6.0], [31, 31]),
                                                [1.0], [math.nan, 2.0]), "radii"),
-    ], ids=["check_count", "check_h", "build_grid", "parse_potential", "a-square", "b-definite",
-            "a-before-b", "oscillator_frequencies", "bo_spectrum", "e_max", "tol",
+    ], ids=["check_count", "check_h", "build_grid", "parse_potential", "a-square", "a-3d",
+            "b-definite", "a-before-b", "oscillator_frequencies", "bo_spectrum", "e_max", "tol",
             "sizes-ascending", "sizes-points", "lambda-finite", "radius-no-room",
             "lambda-free", "radii-finite"])
     def test_refusal_names_its_key(self, call, argument):
@@ -196,6 +197,14 @@ class TestAssembly:
         grid = build_grid(1, 0, [2.0], [3])
         op = assemble_hamiltonian(grid, zero_potential(1, 0), h=0.5)
         assert np.allclose(op.matrix.toarray()[0], [0.5, -0.25, 0])
+
+    # h is refused before V is evaluated: 1 / x1 is not finite at the node
+    # x1 = 0 of this grid, which once raised PotentialDomainError instead
+    def test_h_refused_before_potential(self):
+        grid = build_grid(1, 1, [6.0, 6.0], [31, 31])
+        with pytest.raises(ArgumentError, match="h must lie in") as caught:
+            assemble_hamiltonian(grid, expression_potential("1 / x1", 1, 1), 2.0)
+        assert caught.value.argument == "h"
 
     def test_potential_on_diagonal(self):
         grid = build_grid(1, 0, [4.0], [3])  # delta = 2, nodes {-2, 0, 2}
