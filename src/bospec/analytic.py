@@ -1,5 +1,5 @@
-"""Closed-form spectra of harmonic oscillators and the oscillator's Hermite
-functions.
+"""Closed-form spectra of harmonic oscillators, the 3-point stencil's leading
+error on their states, and the oscillator's Hermite functions.
 
 Energy levels come from weighted multi-index sums sum_i (2 n_i + 1) w_i, with
 the slow-dimension weights carrying the semiclassical factor h.  Enumeration is
@@ -15,13 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
-from .potential import ArgumentError, check_count, check_h, oscillator_frequencies
+from .potential import ArgumentError, _form_matrix, check_count, check_h, oscillator_frequencies
 
 __all__ = [
     "AnalyticSpectrum",
     "enumerate_spectrum",
     "bo_spectrum",
+    "leading_grid_error",
     "hermite_values",
 ]
 
@@ -34,6 +36,8 @@ class AnalyticSpectrum:
     e_max: object | None  # energy cutoff, if used
     k: int | None        # level-count cutoff, if used
     params: dict         # provenance: h, weights
+    states: tuple = ()   # per level, the multi-indices of its states, one
+                         # index per weight
 
     def flat(self, count: int | None = None) -> list:
         """Eigenvalues repeated by multiplicity, optionally truncated."""
@@ -48,16 +52,16 @@ class AnalyticSpectrum:
 
 
 def _ascending_energies(energy, dim: int):
-    """Energies energy(idx) over multi-indices idx in N^dim, ascending, with
-    multiplicity.  `energy` must not decrease when any index grows.
-    Best-first over a heap, so every energy is yielded before any larger
-    one."""
+    """Pairs (energy(idx), idx) over multi-indices idx in N^dim, by ascending
+    energy, with multiplicity.  `energy` must not decrease when any index
+    grows.  Best-first over a heap, so every energy is yielded before any
+    larger one."""
     start = (0,) * dim
     heap = [(energy(start), start)]
     seen = {start}
     while heap:
         e, idx = heapq.heappop(heap)
-        yield e
+        yield e, idx
         for d in range(dim):
             succ = idx[:d] + (idx[d] + 1,) + idx[d + 1:]
             if succ not in seen:
@@ -110,21 +114,22 @@ def enumerate_spectrum(w, e_max=None, k=None) -> AnalyticSpectrum:
 
     if e_max is not None:
         limit = e_max if exact else e_max + MERGE_RTOL * max(1.0, abs(float(e_max)))
-    levels: list[list] = []  # [energy, multiplicity]
-    for e in _ascending_energies(energy, len(w)):
+    levels: list[tuple] = []  # (energy, [multi-index, ...])
+    for e, idx in _ascending_energies(energy, len(w)):
         if e_max is not None and e > limit:
             break
         if levels and same_level(e, levels[-1][0]):
-            levels[-1][1] += 1
+            levels[-1][1].append(idx)
         else:
             if k is not None and len(levels) == k:
                 break
-            levels.append([e, 1])
+            levels.append((e, [idx]))
     return AnalyticSpectrum(
-        levels=tuple((e, m) for e, m in levels),
+        levels=tuple((e, len(states)) for e, states in levels),
         e_max=e_max,
         k=k,
         params=params,
+        states=tuple(tuple(states) for _, states in levels),
     )
 
 
@@ -139,7 +144,39 @@ def bo_spectrum(a, b=None, h=1.0, e_max=None, k=None) -> AnalyticSpectrum:
     mu = oscillator_frequencies(b, "b") if b is not None and np.size(b) > 0 else ()
     spec = enumerate_spectrum([h * wi for wi in w] + list(mu), e_max=e_max, k=k)
     return AnalyticSpectrum(levels=spec.levels, e_max=e_max, k=k,
-                            params={"h": h, "w": w, "mu": mu})
+                            params={"h": h, "w": w, "mu": mu}, states=spec.states)
+
+
+def leading_grid_error(a, b, h, spacing, states) -> np.ndarray:
+    """Per multi-index of `states`, ordered as `bo_spectrum` orders them (the
+    normal modes of A, then of B, each by ascending frequency), the 3-point
+    stencil's leading error on a grid of per-axis `spacing`: first-order
+    perturbation by its delta^2 d^4 / 12 term, -sum_d s_d delta_d^2 <d_d^4> / 12,
+    with s_d = h^2 on x-axes and 1 on y-axes.  The remainder is O(delta^4).
+
+    Each block is U diag(alpha) U^T, by scipy's dsyevd.  Mode j has
+    l_j^4 = s / alpha_j, <p_j^2> = a_j = (n_j + 1/2) / l_j^2 and <p_j^4> =
+    b_j = 3/4 (2 n_j^2 + 2 n_j + 1) / l_j^4, so that on diagonal and coupled
+    blocks alike <d_d^4> = 3 (sum_j U_dj^2 a_j)^2 + sum_j U_dj^4 (b_j - 3 a_j^2)."""
+    check_h(h)
+    blocks = [(a, "a", h * h)] + ([(b, "b", 1.0)] if b is not None and np.size(b) > 0 else [])
+    modes = [(*scipy.linalg.eigh(_form_matrix(m, argument)[0], driver="evd"), s)
+             for m, argument, s in blocks]
+    axes = sum(alpha.size for alpha, _, _ in modes)
+    spacing, indices = np.asarray(spacing, dtype=float), np.asarray(states, dtype=float)
+    if spacing.shape != (axes,):
+        raise ArgumentError("spacing", f"spacing must give one value per axis, {axes} axes")
+    if indices.ndim != 2 or indices.shape[1] != axes:
+        raise ArgumentError("states", f"states must be multi-indices of {axes} entries")
+    fourth, start = [], 0  # s_d <d_d^4> per state and axis, block by block
+    for alpha, u, s in modes:
+        n = indices[:, start:start + alpha.size]
+        start += alpha.size
+        inv_l2 = np.sqrt(alpha / s)
+        a_j, b_j = (n + 0.5) * inv_l2, 0.75 * (2 * n * n + 2 * n + 1) * inv_l2**2
+        u2 = u * u
+        fourth.append(s * (3 * (a_j @ u2.T) ** 2 + (b_j - 3 * a_j**2) @ (u2 * u2).T))
+    return -(np.hstack(fourth) * spacing**2).sum(axis=1) / 12
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ runs with machine-readable CSV or JSON outputs and deterministic seeds.
 
 Config files are INI sections of key = value lines; matrices are given as
 semicolon-separated rows ("1 0; 0 4").  Exit codes: 0 success, 1 config or
-usage error, 2 partial convergence, 3 structural comparison failure.
+usage error, 2 partial convergence, 3 a failed check: a `compare` row that
+fails (a structural mismatch included) or a `converge` slope fitted outside
+SLOPE_RANGE.  Partial convergence takes precedence over a failed check.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import sys
 import numpy as np
 
 from .analytic import bo_spectrum
-from .eigensolver import (COMPARE_COLUMNS, boundary_warning, compare_with_oscillator,
-                          convergence_grids, convergence_study, lowest_eigenpairs)
+from .eigensolver import (COMPARE_COLUMNS, SLOPE_RANGE, boundary_warning,
+                          compare_with_oscillator, convergence_grids, convergence_study,
+                          lowest_eigenpairs)
 from .grid import assemble_hamiltonian, build_grid
 from .potential import ArgumentError, check_count, expression_potential, quadratic_potential
 from .probe import discreteness_certificate, essential_spectrum_probe
@@ -27,7 +30,7 @@ from .probe import discreteness_certificate, essential_spectrum_probe
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
-EXIT_STRUCTURAL = 3
+EXIT_STRUCTURAL = 3  # a failed check: a compare row or a converge slope
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,15 +277,17 @@ def cmd_compare(cfg, args) -> int:
         "gap_tol": report.gap_tol,
         "rows": [dict(zip(COMPARE_COLUMNS, row)) for row in report.rows],
     })
+    if not report.converged:
+        print("partial convergence: an eigenpair of the solve did not converge",
+              file=sys.stderr)
+        return EXIT_PARTIAL
     if report.structural:
         print("structural failure: numeric cluster multiplicities "
               f"{[c.multiplicity for c in report.clusters]} vs analytic level "
               f"multiplicities {[m for _, m in report.levels]}", file=sys.stderr)
+    if report.failed:
+        print(f"failed levels: {list(report.failed)}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    if not report.converged:
-        print("partial convergence: an eigenpair of the solve or of its error "
-              "calibration did not converge", file=sys.stderr)
-        return EXIT_PARTIAL
     return EXIT_OK
 
 
@@ -337,6 +342,11 @@ def cmd_converge(cfg, args) -> int:
         print("partial convergence: an eigenpair did not converge on some grid "
               "size; the slopes are unreliable", file=sys.stderr)
         return EXIT_PARTIAL
+    if study.failed:
+        lo, hi = SLOPE_RANGE
+        print(f"failed levels: {list(study.failed)}, slopes outside [{lo}, {hi}]",
+              file=sys.stderr)
+        return EXIT_STRUCTURAL
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 
-from .analytic import bo_spectrum
+from .analytic import bo_spectrum, leading_grid_error
 from .grid import (GridOperator, SeparableDecomposition, _norm, _shifted_product,
                    assemble_hamiltonian, build_grid, eigenbasis_inverse,
                    separable_decomposition)
@@ -45,7 +45,8 @@ SHIFT_INVERT_MAX_DIM = 2
 SLOPE_RANGE = (1.7, 2.3)
 
 COMPARE_COLUMNS = ("level", "analytic_energy", "numeric_energy", "abs_error",
-                   "analytic_multiplicity", "numeric_multiplicity", "tolerance", "pass")
+                   "predicted_error", "analytic_multiplicity", "numeric_multiplicity",
+                   "tolerance", "pass")
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,6 +297,13 @@ class ConvergenceStudy:
         lo, hi = SLOPE_RANGE
         return tuple(s is not None and lo <= s <= hi for s in self.slopes)
 
+    @property
+    def failed(self) -> tuple:
+        """The levels whose slope was fitted and lies outside SLOPE_RANGE; a
+        slope left unfitted (None) fails nothing."""
+        return tuple(j for j, (s, ok) in enumerate(zip(self.slopes, self.passed))
+                     if s is not None and not ok)
+
 
 def convergence_grids(n: int, p: int, half_widths, sizes) -> list:
     """The grid of each size in `sizes`, with that many points on every axis.
@@ -379,75 +387,65 @@ class OscillatorComparison:
     levels: tuple        # ((energy, multiplicity), ...) the k eigenvalues cover
     clusters: tuple      # MultiplicityCluster per cluster of those eigenvalues
     gap_tol: float       # cluster gap: least analytic gap / 4, or 1e-6 for one level
-    converged: bool      # the solve and both calibration solves
+    converged: bool      # every pair of the solve
 
     @property
     def structural(self) -> bool:
         """The cluster count or a cluster multiplicity differs from the levels'."""
         return [c.multiplicity for c in self.clusters] != [m for _, m in self.levels]
 
+    @property
+    def failed(self) -> tuple:
+        """The levels whose row does not pass."""
+        return tuple(row[0] for row in self.rows if not row[-1])
+
 
 def compare_with_oscillator(op: GridOperator, k: int, tol: float = 1e-8,
                             seed: int = 0) -> OscillatorComparison:
     """Judge the k lowest eigenvalues of a quadratic-V operator against its
-    exact Born-Oppenheimer levels.
+    exact Born-Oppenheimer levels, from one solve.
 
     Only the analytic levels the k eigenvalues cover whole are judged; the
     i-th numeric cluster is matched to the i-th level.  A level passes when
-    its cluster has its multiplicity and |error| <= 1.5 C delta^2, where
-    delta is the largest grid spacing and C the largest |error| / delta^2 of
-    the level's eigenvalues over two calibration grids.
+    its cluster has its multiplicity and its signed error lies within |D| / 2
+    of D, the mean over the level's states of the stencil's predicted error
+    (`analytic.leading_grid_error`, whose remainder is O(delta^4)).  A row's
+    `tolerance`, 1.5 |D|, bounds its `abs_error` whenever it passes.
     """
-    pot, grid = op.potential, op.grid
+    pot = op.potential
     if pot.kind != "quadratic":
         raise ArgumentError("kind", "comparison requires a quadratic potential")
-    # |error| ~ C delta^2, C calibrated on grids of max(31, m // 4) and
-    # max(63, m // 2) points on each axis of m points, by a solve at least as
-    # tight as the one it judges; both are coarser than the judged grid only
-    # on axes of more than 63 points.  Both are built before any solve
-    calibration = []
-    for least, div in ((31, 4), (63, 2)):
-        points = [max(least, m // div) for m in grid.points]
-        try:
-            calibration.append(build_grid(grid.n, grid.p, grid.half_widths, points))
-        except ArgumentError as exc:
-            if exc.argument != "points":
-                raise
-            # the calibration grids are chosen here, not given by the caller
-            raise ValueError(f"calibration grid of {' x '.join(map(str, points))} "
-                             f"points: {exc}") from exc
     result = lowest_eigenpairs(op, k, tol=tol, seed=seed)
     # the analytic levels the k eigenvalues cover whole; level i holds the
     # eigenvalues ends[i] - m_i .. ends[i] - 1
-    spec = bo_spectrum(pot.a, pot.b, op.h, k=k).levels
-    ends = np.cumsum([m for _, m in spec])
-    levels = [(float(e), m) for (e, m), end in zip(spec, ends) if end <= k]
+    spec = bo_spectrum(pot.a, pot.b, op.h, k=k)
+    ends = np.cumsum([m for _, m in spec.levels])
+    levels = [(float(e), m) for (e, m), end in zip(spec.levels, ends) if end <= k]
     total = sum(m for _, m in levels)
 
     gaps = [b - a for (a, _), (b, _) in zip(levels, levels[1:])]
     gap_tol = min(gaps) / 4 if gaps else 1e-6
     clusters = cluster_multiplicities(result.eigenvalues[:total], gap_tol)
-
-    study = convergence_study(pot, calibration, total, h=op.h, tol=min(tol, 1e-8),
-                              seed=seed)
-    constants = (study.errors / np.square(study.deltas)[:, None]).max(axis=0)
-    delta = max(grid.spacing)
+    per_state = leading_grid_error(pot.a, pot.b, op.h, op.grid.spacing,
+                                   [idx for states in spec.states[:len(levels)]
+                                    for idx in states])
 
     rows = []
     for li, ((energy, mult), end) in enumerate(zip(levels, ends)):
-        tol_level = 1.5 * float(constants[end - mult: end].max()) * delta**2
+        predicted = float(np.mean(per_state[end - mult: end]))
+        tolerance = 1.5 * abs(predicted)
         if li < len(clusters):
             cl = clusters[li]
-            err = abs(cl.energy - energy)
-            ok = err <= tol_level and cl.multiplicity == mult
-            rows.append((li, energy, cl.energy, err, mult, cl.multiplicity,
-                         tol_level, ok))
+            error = cl.energy - energy
+            ok = cl.multiplicity == mult and abs(error - predicted) <= 0.5 * abs(predicted)
+            rows.append((li, energy, cl.energy, abs(error), predicted, mult, cl.multiplicity,
+                         tolerance, ok))
         else:
-            rows.append((li, energy, None, None, mult, 0, tol_level, False))
+            rows.append((li, energy, None, None, predicted, mult, 0, tolerance, False))
     return OscillatorComparison(
         rows=tuple(rows),
         levels=tuple(levels),
         clusters=tuple(clusters),
         gap_tol=gap_tol,
-        converged=result.all_converged and bool(study.converged.all()),
+        converged=result.all_converged,
     )

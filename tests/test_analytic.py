@@ -11,7 +11,9 @@ from bospec.analytic import (
     bo_spectrum,
     enumerate_spectrum,
     hermite_values,
+    leading_grid_error,
 )
+from bospec.grid import assemble_hamiltonian, build_grid, separable_decomposition
 from bospec.potential import ArgumentError, oscillator_frequencies, quadratic_potential
 
 
@@ -179,6 +181,73 @@ class TestBoSpectrum:
         assert levels == bo_spectrum([[1.0, 1.0], [1.0, 4.0]], None, 0.5, k=4)
         assert levels == bo_spectrum(quadratic_potential([[1.0, 2.0], [0.0, 4.0]]).a,
                                      None, 0.5, k=4)
+
+
+class TestStates:
+    # each level's multi-indices come from the one enumerator, in the order
+    # of the weights: h * w_1 .. h * w_n, then mu_1 .. mu_p
+    def test_states_per_level(self):
+        spec = bo_spectrum([[1.0]], [[1.0]], h=0.5, k=4)
+        assert spec.levels == ((1.5, 1), (2.5, 1), (3.5, 2), (4.5, 2))
+        assert spec.states == (((0, 0),), ((1, 0),), ((0, 1), (2, 0)), ((1, 1), (3, 0)))
+
+    def test_states_match_multiplicities(self):
+        spec = enumerate_spectrum([1, 1, 2], e_max=11)
+        assert [len(states) for states in spec.states] == [m for _, m in spec.levels]
+        for (e, _), states in zip(spec.levels, spec.states):
+            assert all(sum((2 * n + 1) * w for n, w in zip(idx, (1, 1, 2))) == e
+                       for idx in states)
+
+    def test_states_default_empty(self):
+        assert AnalyticSpectrum(levels=((1, 1),), e_max=None, k=1, params={}).states == ()
+
+
+class TestLeadingGridError:
+    # on a diagonal form <d_d^4> = 3/4 (2 n_d^2 + 2 n_d + 1) a_d / s_d, so
+    # Delta_2 = -sum_d a_d delta_d^2 (2 n_d^2 + 2 n_d + 1) / 16, whatever h is
+    def test_diagonal_closed_form(self):
+        a, b, spacing = np.diag([1.0, 2.0]), np.diag([1.0, 1.5]), (0.1, 0.2, 0.3, 0.4)
+        states = [(0, 0, 0, 0), (1, 0, 2, 0), (0, 3, 1, 1)]
+        want = [-sum(c * d * d * (2 * n * n + 2 * n + 1) / 16
+                     for c, d, n in zip((1.0, 2.0, 1.0, 1.5), spacing, idx)) for idx in states]
+        for h in (0.5, 1.0):
+            assert leading_grid_error(a, b, h, spacing, states) == pytest.approx(want, rel=1e-12)
+
+    # the modes are ordered by ascending frequency, not by axis: diag(2, 1)
+    # has its slow mode on axis 2, and on equal spacings takes diag(1, 2)'s error
+    def test_coupled_swap_of_axes(self):
+        a = np.array([[2.0, 0.0], [0.0, 1.0]])
+        swapped = leading_grid_error(a, None, 0.5, (0.1, 0.1), [(0, 0), (2, 1), (1, 3)])
+        plain = leading_grid_error(np.diag([1.0, 2.0]), None, 0.5, (0.1, 0.1),
+                                   [(0, 0), (2, 1), (1, 3)])
+        assert swapped == pytest.approx(plain, rel=1e-12)
+
+    # the remainder against the exact grid levels is O(delta^4): the mean
+    # over each level's states falls by 16 per halving of delta
+    def test_remainder_falls_by_16_per_halving(self):
+        pot = quadratic_potential([[1.0]], [[1.0]])
+        remainders = []
+        for points in (127, 255, 511):
+            op = assemble_hamiltonian(build_grid(1, 1, [8.0, 8.0], [points, points]), pot, 0.5)
+            spec = bo_spectrum(pot.a, pot.b, 0.5, k=5)  # two levels of two states
+            count = sum(m for _, m in spec.levels)
+            lowest = separable_decomposition(op, k=count).lowest(count)
+            predicted = leading_grid_error(pot.a, pot.b, 0.5, op.grid.spacing,
+                                           [idx for states in spec.states for idx in states])
+            ends = np.cumsum([m for _, m in spec.levels])
+            remainders.append([np.mean(lowest[end - m:end] - float(e) - predicted[end - m:end])
+                               for (e, m), end in zip(spec.levels, ends)])
+        coarse, middle, fine = np.abs(remainders)
+        assert np.all(np.abs(coarse / middle - 16) <= 0.5)
+        assert np.all(np.abs(middle / fine - 16) <= 0.5)
+
+    @pytest.mark.parametrize("spacing, states, argument", [
+        ((0.1,), [(0, 0)], "spacing"), ((0.1, 0.1), [(0, 0, 0)], "states"),
+        ((0.1, 0.1), [0, 0], "states")])
+    def test_one_spacing_and_index_per_axis(self, spacing, states, argument):
+        with pytest.raises(ArgumentError, match=f"^{argument} must ") as caught:
+            leading_grid_error([[1.0]], [[1.0]], 0.5, spacing, states)
+        assert caught.value.argument == argument
 
 
 class TestHermite:

@@ -9,8 +9,6 @@ import pytest
 
 import bospec
 from bospec.cli import main
-from bospec.eigensolver import convergence_grids, convergence_study
-from bospec.potential import quadratic_potential
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -272,13 +270,6 @@ class TestCompare:
         main(["compare", "--config", cfg, "--out", str(out)])
         for r in read_csv(out):
             assert float(r["abs_error"]) <= float(r["tolerance"])
-
-    def test_unconverged_calibration_reported(self):
-        pot = quadratic_potential([[1.0]])
-        # the calibration grids compare uses for a 255-point grid
-        grids = convergence_grids(1, 0, (8.0,), (63, 127))
-        assert convergence_study(pot, grids, 3, tol=1e-8).converged.all()
-        assert not convergence_study(pot, grids, 3, tol=1e-15).converged.all()
 
     def test_partial_convergence_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, COMPARE.replace("tol = 1e-8", "tol = 1e-15"))
@@ -1013,9 +1004,10 @@ def test_no_numpy_lapack(tmp_path, monkeypatch):
     essential = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(
         "mode = certificate", "mode = essential").replace("radii = 1.5 2.5", "radii = 1.5 2"),
         name="essential.ini")
-    for command, config in (("solve", cfg), ("analytic", cfg), ("compare", cfg),
-                            ("converge", cfg), ("probe", cfg), ("probe", essential)):
-        assert main([command, "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
+    # converge's level 2 fits slope 2.61 on sizes 15 23 31, a failed check
+    for command, config, rc in (("solve", cfg, 0), ("analytic", cfg, 0), ("compare", cfg, 0),
+                                ("converge", cfg, 3), ("probe", cfg, 0), ("probe", essential, 0)):
+        assert main([command, "--config", config, "--out", str(tmp_path / "out.csv")]) == rc
     pot = expression_potential("x1^2 + y1^2", 1, 1, nonnegative=True)
     op = assemble_hamiltonian(build_grid(1, 1, [6.0, 6.0], [31, 31]), pot, 0.5)
     commutator_decay(op, CutoffFamily(scales=(1.5, 3.0)), probes=2)
@@ -1025,6 +1017,8 @@ def test_no_numpy_lapack(tmp_path, monkeypatch):
             levels=((1, 1), (3, 2)), e_max=None, k=2, params={}).flat(),
         "enumerate_spectrum": lambda: analytic.enumerate_spectrum([1, 2], k=3),
         "bo_spectrum": lambda: analytic.bo_spectrum([[1.0]], [[1.0]], h=0.5, k=3),
+        "leading_grid_error": lambda: analytic.leading_grid_error(
+            [[1.0, 0.3], [0.3, 2.0]], [[1.0]], 0.5, (0.1, 0.1, 0.2), [(0, 0, 0), (1, 0, 2)]),
         "hermite_values": lambda: analytic.hermite_values(4, np.linspace(-3.0, 3.0, 7)),
     }
     assert sorted(analytic.__all__) == sorted(analytic_calls)
@@ -1082,6 +1076,113 @@ def test_sparse_stack_loaded_only_by_sparse_work(tmp_path):
                       ["solve coupled.ini", True, True]]
 
 
+# every command in both probe modes, each in CSV and in JSON, into one
+# directory: the config paths and that directory are its arguments; the exit
+# codes as JSON on the last line of stdout
+ALL_OUTPUTS = """
+import json, sys
+from bospec.cli import main
+certificate, essential, out = sys.argv[1:]
+codes = {}
+for name, command, config in (("solve", "solve", certificate),
+                              ("analytic", "analytic", certificate),
+                              ("compare", "compare", certificate),
+                              ("converge", "converge", certificate),
+                              ("certificate", "probe", certificate),
+                              ("essential", "probe", essential)):
+    for fmt in ("csv", "json"):
+        codes[f"{name}.{fmt}"] = main([command, "--config", config, "--out",
+                                       f"{out}/{name}.{fmt}", "--format", fmt])
+print(json.dumps(codes))
+"""
+
+
+def test_outputs_byte_identical_across_hash_seeds(tmp_path):
+    """The README's determinism promise for every command and format: two
+    processes whose string hashes differ (PYTHONHASHSEED 0 and 1) write the
+    same 12 files byte for byte."""
+    certificate = write_config(tmp_path, SEPARABLE_ALL_COMMANDS, name="certificate.ini")
+    essential = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(
+        "mode = certificate", "mode = essential").replace("radii = 1.5 2.5", "radii = 1.5 2"),
+        name="essential.ini")
+    outputs = {}
+    for seed in ("0", "1"):
+        out = tmp_path / f"hash-seed-{seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(bospec.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", ALL_OUTPUTS, certificate, essential,
+                               str(out)], env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        # converge's level 2 fits slope 2.61 on sizes 15 23 31, a failed check
+        assert codes == {name: 3 if name.startswith("converge") else 0 for name in codes}
+        outputs[seed] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(outputs["0"]) == 12
+    assert outputs["0"] == outputs["1"]
+
+
+# compare judges each level against the stencil's predicted error, on any
+# grid and in any dimension: the half-width 2.5 box on 63^2 fails every
+# row, level 0 of the 4D 9 x 11 x 9 x 11 grid misses, and the finer 4D
+# grids pass
+FOUR_D = (SEPARABLE_ALL_COMMANDS.replace("n = 1\n", "n = 2\n").replace("p = 1\n", "p = 2\n")
+          .replace("half_widths = 6 6\n", "half_widths = 6 6 6 6\n")
+          .replace("\na = 1\n", "\na = 1 0; 0 1\n").replace("\nb = 1\n", "\nb = 1 0; 0 1\n"))
+COMPARE_VERDICTS = {
+    "box-2.5": (SEPARABLE_ALL_COMMANDS.replace("half_widths = 6 6\n", "half_widths = 2.5 2.5\n")
+                .replace("points = 31 31\n", "points = 63 63\n"), 3, [False] * 3),
+    "4d-coarse": (FOUR_D.replace("points = 31 31\n", "points = 9 11 9 11\n"), 3,
+                  [False, True]),
+    "4d": (FOUR_D.replace("points = 31 31\n", "points = 15 17 15 17\n"), 0, [True] * 2),
+    "4d-diagonal": (FOUR_D.replace("points = 31 31\n", "points = 31 33 31 33\n")
+                    .replace("\na = 1 0; 0 1\n", "\na = 1 0; 0 2\n")
+                    .replace("\nb = 1 0; 0 1\n", "\nb = 1 0; 0 1.5\n")
+                    .replace("k = 4\n", "k = 6\n"), 0, [True] * 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPARE_VERDICTS))
+def test_compare_verdict_exit_code(tmp_path, capsys, case):
+    text, rc, passes = COMPARE_VERDICTS[case]
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--config", write_config(tmp_path, text), "--out", str(out)]) == rc
+    rows = read_csv(out)
+    assert [r["pass"] == "true" for r in rows] == passes
+    failed = [int(r["level"]) for r in rows if r["pass"] != "true"]
+    assert capsys.readouterr().err == (f"failed levels: {failed}\n" if failed else "")
+    for r in rows:
+        predicted = float(r["predicted_error"])
+        assert predicted < 0 and float(r["tolerance"]) == 1.5 * abs(predicted)
+
+
+# partial convergence takes precedence over a failed check: the box fails
+# every row, and at tol = 1e-15 its solve does not converge
+def test_compare_partial_convergence_before_failed_rows(tmp_path, capsys):
+    text = COMPARE_VERDICTS["box-2.5"][0].replace("k = 4\n", "k = 4\ntol = 1e-15\n")
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("partial convergence: ")
+    assert all(r["pass"] == "false" for r in read_csv(out))
+
+
+# a fitted slope outside SLOPE_RANGE is a failed check, exit 3 with the rows
+# written: level 2 fits 2.61 on sizes 15 23 31, and every slope of the
+# half-width 2.5 box lies near 0; sizes 23 31 47 fit every slope in range
+@pytest.mark.parametrize("old, new, rc, message", [
+    ("", "", 3, "failed levels: [2], slopes outside [1.7, 2.3]\n"),
+    ("sizes = 15 23 31\n", "sizes = 23 31 47\n", 0, ""),
+    ("half_widths = 6 6\n", "half_widths = 2.5 2.5\n", 3,
+     "failed levels: [0, 1, 2, 3], slopes outside [1.7, 2.3]\n"),
+], ids=["coarse", "fine", "box-2.5"])
+def test_converge_slope_exit_code(tmp_path, capsys, old, new, rc, message):
+    out = tmp_path / "out.csv"
+    cfg = write_config(tmp_path, SEPARABLE_ALL_COMMANDS.replace(old, new))
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == rc
+    assert capsys.readouterr().err == message
+    assert len(read_csv(out)) == 4
+
+
 # a quadratic form must have one row per grid dimension of its kind: A with
 # two rows on a grid with n = 1 once gave `analytic` the levels of a
 # two-dimensional x-oscillator, and a B given with p = 0 was ignored; both
@@ -1127,10 +1228,13 @@ def test_quadratic_potential_built_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "quadratic_potential",
                         lambda *args: built.append(len(args)) or build(*args))
     cfg = write_config(tmp_path, SEPARABLE_ALL_COMMANDS)
-    for command in ("solve", "analytic", "compare", "converge", "probe"):
+    # converge's level 2 fits slope 2.61 on sizes 15 23 31, a failed check
+    for command, rc in (("solve", 0), ("analytic", 0), ("compare", 0), ("converge", 3),
+                        ("probe", 0)):
         built.clear()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == rc
         assert built == [2], command
+    capsys.readouterr()
     for old, new, key, message in [("a = 1\n", "a = 1 2\n", "a", "A must be square"),
                                    ("b = 1\n", "b = -1\n", "b",
                                     "matrix B is not positive definite")]:
@@ -1191,40 +1295,8 @@ def test_config_key_names_unique():
     assert len(names) == len(set(names))
 
 
-# compare picks the points of its calibration grids itself, so their refusal
-# (here past the size cap, where the judged grid is under it: 3 x 3 x 1100
-# calibrates on 63 x 63 x 550, and the 4D 9 x 11 x 9 x 11 on 63 points per
-# axis) is filed under no key, though build_grid names it `points`, and
-# names the calibration grid; both grids are built before any solve
-def test_calibration_size_refusal_is_an_error(tmp_path, capsys, monkeypatch):
-    import bospec.eigensolver as eigensolver_module
-
-    solves = []
-    monkeypatch.setattr(eigensolver_module, "lowest_eigenpairs",
-                        lambda *args, **kwargs: solves.append(1))
-    three = (SEPARABLE_ALL_COMMANDS.replace("p = 1\n", "p = 2\n")
-             .replace("half_widths = 6 6\n", "half_widths = 6 6 6\n")
-             .replace("b = 1\n", "b = 1 0; 0 1\n"))
-    four = (three.replace("n = 1\n", "n = 2\n")
-            .replace("half_widths = 6 6 6\n", "half_widths = 6 6 6 6\n")
-            .replace("a = 1\n", "a = 1 0; 0 1\n"))
-    for text, points, size in [
-            (three.replace("points = 31 31\n", "points = 3 3 1100\n"), "63 x 63 x 550", 2182950),
-            (four.replace("points = 31 31\n", "points = 9 11 9 11\n"), "63 x 63 x 63 x 63",
-             15752961)]:
-        out = tmp_path / "out.csv"
-        assert main(["compare", "--config", write_config(tmp_path, text),
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: calibration grid of {points} points: grid size {size} exceeds the "
-            "safety cap of 2000000 nodes")
-        assert not out.exists()
-    assert solves == []
-
-
-# the small-h regime's anisotropic grids calibrate per axis: 3001 x 63 on
-# 750 x 31 and 1500 x 63, where square calibration grids sized from the
-# longest axis (1500^2) were refused past the size cap
+# the small-h regime's anisotropic 3001 x 63 grid, whose predicted error
+# weights each axis by its own spacing: every row passes
 def test_anisotropic_compare_calibrates_per_axis(tmp_path):
     text = (SEPARABLE_ALL_COMMANDS.replace("half_widths = 6 6\n", "half_widths = 2 5\n")
             .replace("points = 31 31\n", "points = 3001 63\n")
@@ -1276,9 +1348,10 @@ sizes = 63 127 255
 # on the commands of the cli-2d benchmark pass, building the potential
 # checks A and B by `_form_matrix` with no `oscillator_frequencies` call,
 # and each exact reference, one bo_spectrum call, derives their frequencies
-# (2 calls): compare takes two references, its levels and its calibration
-# study's, converge one and solve none.  A command that took a reference
-# once more would take one call per matrix more
+# (2 calls): compare and converge take one reference each, and solve none
+# (compare's predicted error takes the forms' normal modes by dsyevd, not by
+# this call).  A command that took a reference once more would take one call
+# per matrix more
 def test_frequencies_derived_per_reference(tmp_path, monkeypatch):
     import bospec.analytic as analytic_module
     import bospec.potential as potential_module
@@ -1298,7 +1371,7 @@ def test_frequencies_derived_per_reference(tmp_path, monkeypatch):
         calls.clear()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
         per_command[command] = len(calls)
-    assert per_command == {"solve": 0, "compare": 4, "converge": 2}
+    assert per_command == {"solve": 0, "compare": 2, "converge": 2}
 
 
 # converge solves the grids it builds: one build_grid call per size, where

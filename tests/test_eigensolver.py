@@ -932,6 +932,8 @@ class TestConvergenceStudy:
                                  slopes=slopes, reference=(1.0,) * 5,
                                  converged=np.ones((2, 5), dtype=bool))
         assert study.passed == (False, True, True, False, False)
+        # a slope left unfitted (None) is no failed check
+        assert study.failed == (0, 3)
 
 
 @pytest.mark.parametrize("length, warns", [(2.0, True), (10.0, False)])
@@ -974,26 +976,57 @@ def test_compare_with_oscillator_report():
     assert report.levels == ((1.0, 1), (3.0, 1), (5.0, 1))
     assert report.gap_tol == 0.5  # a quarter of the least level gap
     assert not report.structural and report.converged
-    assert all(row[-1] for row in report.rows)
+    assert all(row[-1] for row in report.rows) and report.failed == ()
+    # 1D, a = 1, h = 1: Delta_2 = -delta^2 (2 n^2 + 2 n + 1) / 16, delta = 1/16
+    assert [row[4] for row in report.rows] == pytest.approx(
+        [-(2 * n * n + 2 * n + 1) / 16 / 256 for n in range(3)], rel=1e-12)
 
 
-# the calibration grids take max(31, m // 4) and max(63, m // 2) points on
-# each axis of m points, and both are built before the first solve
-def test_compare_calibrates_per_axis_before_any_solve(monkeypatch):
-    events = []
-    build, solve = eigensolver.build_grid, eigensolver.lowest_eigenpairs
-
-    def recorded_build(*args):
-        grid = build(*args)
-        events.append(grid.points)
-        return grid
-
-    monkeypatch.setattr(eigensolver, "build_grid", recorded_build)
+def recorded_solves(monkeypatch):
+    """The results of every lowest_eigenpairs call compare makes."""
+    results = []
+    solve = eigensolver.lowest_eigenpairs
     monkeypatch.setattr(eigensolver, "lowest_eigenpairs",
-                        lambda op, *args, **kwargs: events.append("solve") or solve(op, *args, **kwargs))
+                        lambda *args, **kwargs: results.append(solve(*args, **kwargs))
+                        or results[-1])
+    return results
+
+
+# compare judges the grid it is handed by one solve and builds no other
+def test_compare_makes_one_solve(monkeypatch):
+    results = recorded_solves(monkeypatch)
+    monkeypatch.setattr(eigensolver, "build_grid", None)
     op = assemble_hamiltonian(build_grid(1, 1, [2.0, 5.0], [255, 31]),
                               quadratic_potential([[1.0]], [[1.0]]), 0.2)
     report = compare_with_oscillator(op, 4, tol=1e-8)
-    assert events == [(63, 31), (127, 63), "solve", "solve", "solve"]
+    assert len(results) == 1 and report.converged and report.failed == ()
+
+
+# a coupled x-block is judged in its normal modes, on either backend that
+# takes a V that is not a sum of one-variable terms: a = [[1, .3], [.3, 2]]
+# alone on a 2D grid (sparse LU), and with b = 1 on a 3D one (matvec)
+@pytest.mark.parametrize("p, points, h, backend", [
+    (0, [63, 63], 0.5, "sparse LU"), (1, [31, 31, 31], 1.0, "matvec")],
+    ids=["sparse-lu-2d", "matvec-3d"])
+def test_compare_coupled_form(monkeypatch, p, points, h, backend):
+    results = recorded_solves(monkeypatch)
+    pot = quadratic_potential([[1.0, 0.3], [0.3, 2.0]], [[1.0]] if p else None)
+    op = assemble_hamiltonian(build_grid(2, p, [4.0 + 2 * p] * (2 + p), points), pot, h)
+    report = compare_with_oscillator(op, 6, tol=1e-8)
+    assert [r.backend for r in results] == [backend]
+    assert len(report.rows) == 6 and report.failed == () and report.converged
+
+
+# the half-width 2.5 box lifts every level by more than the stencil lowers
+# it: every row fails at 63^2, its signed error of the other sign than
+# predicted
+def test_compare_fails_a_truncating_box():
+    op = assemble_hamiltonian(build_grid(1, 1, [2.5, 2.5], [63, 63]),
+                              quadratic_potential([[1.0]], [[1.0]]), 0.5)
+    report = compare_with_oscillator(op, 4, tol=1e-8)
     assert not report.structural and report.converged
+    assert report.failed == (0, 1, 2)
+    assert all(row[2] > row[1] and row[4] < 0 for row in report.rows)
+
+
 
